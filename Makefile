@@ -1,16 +1,33 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke figures fmt vet clean ci chaos
+.PHONY: all build test race cover bench bench-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke figures fmt vet clean ci chaos loc
 
 all: build test
 
-# Full verification gate: static checks, build, the race-enabled test
+# `make ci` is the full verification gate; `make loc` prints the code
+# size CHANGES.md records. ci: static checks, build, the race-enabled test
 # suite (includes the telemetry concurrency hammer), the seeded chaos
 # suite, the SIGKILL crash-recovery smoke, the live-churn migration
 # smoke, the open-loop load-rig smoke, the wire-decoder fuzz smoke,
 # the Zipf hotspot-storm smoke, the prefix-multicast smoke, and a
 # single-iteration benchmark smoke pass.
 ci: vet build race chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
+
+# Code size, the number CHANGES.md records per PR (not part of ci —
+# `make loc` only prints): non-blank, non-comment lines of non-test Go,
+# per package and, for internal/core, per file. Denser formatting and
+# deleted comments do not move it; removed code paths do.
+LOC_AWK = FNR == 1 { blk = 0; k = FILENAME; if (by == "dir") sub(/\/[^\/]*$$/, "", k) } \
+	{ l = $$0; sub(/^[ \t]+/, "", l); \
+	  if (blk) { if (l ~ /\*\//) blk = 0; next } \
+	  if (l == "" || l ~ /^\/\//) next; \
+	  if (l ~ /^\/\*/) { if (l !~ /\*\//) blk = 1; next } \
+	  n[k]++ } \
+	END { for (k in n) printf "%6d  %s\n", n[k], k }
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort \
+		| xargs awk -v by=dir '$(LOC_AWK)' | sort -k2
+	@ls internal/core/*.go | grep -v _test.go | xargs awk -v by=file '$(LOC_AWK)' | sort -k2
 
 # One iteration of every benchmark, as a smoke test: the figure
 # pipelines still run end to end, BenchmarkWaveBatching enforces its

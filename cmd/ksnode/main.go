@@ -340,6 +340,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		ms := peer.MigrationStats()
 		fmt.Printf("migration: %d active, %d chunks / %d entries applied, %d resumes, %d double-reads, %d commits, %d failures\n",
 			ms.Active, ms.Chunks, ms.Entries, ms.Resumes, ms.DoubleReads, ms.Commits, ms.Failures)
+		if ms.LastAbort != "" {
+			fmt.Printf("migration: last abort: %s\n", ms.LastAbort)
+		}
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])
 	}

@@ -94,44 +94,100 @@ func (c *Client) ResolveRoot(ctx context.Context, k keyword.Set) (transport.Addr
 // fresh resolution when a cached binding has gone stale (the node
 // departed and its key range re-homed).
 func (c *Client) send(ctx context.Context, v hypercube.Vertex, body any) (any, error) {
-	for attempt := 0; ; attempt++ {
-		addr, err := c.route(ctx, v)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.sender.Send(ctx, addr, body)
-		if err == nil {
-			return resp, nil
-		}
-		if inv, ok := c.resolver.(*OverlayResolver); ok && attempt == 0 {
-			inv.Invalidate(c.instance, v)
-			continue
-		}
-		return nil, err
-	}
+	resp, _, err := sendToVertex(ctx, c.resolver, c.sender, c.instance, v, body)
+	return resp, err
 }
 
-// sendSearch delivers one msgTQuery, spreading eligible one-shot
-// queries across a promoted root's soft replicas. A spread attempt
-// that fails — transport error, or the replica dropped its copy —
-// forgets the replica set and falls back to the owner path, so a
-// stale hint costs at most one extra round trip.
-func (c *Client) sendSearch(ctx context.Context, v hypercube.Vertex, msg msgTQuery, spreadable bool) (raw any, viaSoft bool, err error) {
+// request builds the msgTQuery of every query kind — superset,
+// cumulative page, prefix, refinement and pin differ only in the class,
+// the addressed vertex, the key and the few fields their callers set
+// afterwards. It stamps the client identity (opts.ClientID overrides
+// the client's own) and carries ctx's deadline to the root.
+func (c *Client) request(ctx context.Context, class QueryClass, root hypercube.Vertex, key string, threshold int, opts SearchOptions) (msgTQuery, error) {
+	if threshold <= 0 {
+		return msgTQuery{}, fmt.Errorf("core: threshold %d must be positive", threshold)
+	}
+	opts = opts.withDefaults()
+	msg := msgTQuery{
+		Instance:  c.instance,
+		Dim:       c.hasher.Dim(),
+		Vertex:    uint64(root),
+		QueryKey:  key,
+		Class:     class,
+		Threshold: threshold,
+		Order:     opts.Order,
+		NoCache:   opts.NoCache,
+		WantTrace: opts.Trace,
+		ClientID:  opts.ClientID,
+	}
+	if msg.ClientID == "" {
+		msg.ClientID = c.clientID
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		msg.DeadlineUnixNano = dl.UnixNano()
+	}
+	return msg, nil
+}
+
+// ask delivers one msgTQuery to the owner of vertex `to` and returns
+// the root's answer. With spreadable set, an eligible query is first
+// offered to one of a promoted root's soft replicas; a spread attempt
+// that fails — transport error, a malformed answer, or the replica
+// dropped its copy — forgets the replica set and falls back to the
+// owner path, so a stale hint costs at most one extra round trip.
+func (c *Client) ask(ctx context.Context, to hypercube.Vertex, msg msgTQuery, spreadable bool) (resp respTQuery, viaSoft bool, err error) {
 	if c.spreadOn && spreadable {
-		if addr, ok := c.pickSoft(v); ok {
+		if addr, ok := c.pickSoft(to); ok {
 			soft := msg
 			soft.SoftOnly = true
-			raw, err := c.sender.Send(ctx, addr, soft)
-			if err == nil {
-				if resp, ok := raw.(respTQuery); !ok || resp.ErrCode != errCodeNoSoftCopy {
-					return raw, true, nil
+			if raw, err := c.sender.Send(ctx, addr, soft); err == nil {
+				if resp, ok := raw.(respTQuery); ok && resp.ErrCode != errCodeNoSoftCopy {
+					return resp, true, nil
 				}
 			}
-			c.dropSoft(v)
+			c.dropSoft(to)
 		}
 	}
-	raw, err = c.send(ctx, v, msg)
-	return raw, false, err
+	raw, err := c.send(ctx, to, msg)
+	if err != nil {
+		return respTQuery{}, false, err
+	}
+	resp, ok := raw.(respTQuery)
+	if !ok {
+		return respTQuery{}, false, fmt.Errorf("unexpected response %T", raw)
+	}
+	return resp, false, nil
+}
+
+// result maps the root's answer to the caller's view of it: the
+// paper's cost units (Section 3.5) with the initiator's own round trip
+// added, and the completeness of a degraded wave.
+func result(resp respTQuery, viaSoft bool) Result {
+	stats := Stats{
+		NodesContacted: resp.SubNodes,
+		Messages:       resp.SubMsgs + 2, // plus the initiator↔root round trip
+		Rounds:         resp.Rounds,
+		PhysFrames:     resp.PhysFrames + 1, // plus the initiator's frame to the root
+		CacheHit:       resp.CacheHit,
+		RefineHit:      resp.RefineHit,
+		SoftServed:     viaSoft,
+	}
+	if resp.CacheHit || resp.RefineHit {
+		stats.NodesContacted = 1 // only the root was involved
+	}
+	completeness := 1.0
+	if resp.FailedNodes > 0 && resp.SubNodes > 0 {
+		completeness = float64(resp.SubNodes-resp.FailedNodes) / float64(resp.SubNodes)
+	}
+	return Result{
+		Matches:        resp.Matches,
+		Exhausted:      resp.Exhausted,
+		Stats:          stats,
+		SessionID:      resp.SessionID,
+		Completeness:   completeness,
+		FailedSubtrees: resp.FailedNodes,
+		Trace:          resp.Trace,
+	}
 }
 
 // pickSoft round-robins over owner + replicas of a known-promoted
@@ -231,42 +287,30 @@ func (c *Client) Delete(ctx context.Context, obj Object) (bool, Stats, error) {
 }
 
 // PinSearch returns the IDs of objects associated with exactly the
-// keyword set K: one message for the query and one for the result. It
-// rides the unified query-class dispatch (msgTQuery with ClassPin);
-// the answer is byte-identical to the legacy msgPinQuery path, which
-// servers still accept from old clients.
+// keyword set K: one message for the query and one for the result
+// (Section 3.4), a msgTQuery of ClassPin to the owner of F_h(K).
 func (c *Client) PinSearch(ctx context.Context, k keyword.Set) ([]string, Stats, error) {
 	if k.IsEmpty() {
 		return nil, Stats{}, ErrEmptyQuery
 	}
 	v := c.hasher.Vertex(k)
-	msg := msgTQuery{
-		Instance:  c.instance,
-		Dim:       c.hasher.Dim(),
-		Vertex:    uint64(v),
-		QueryKey:  k.Key(),
-		Class:     ClassPin,
-		Threshold: All,
-		ClientID:  c.clientID,
+	msg, err := c.request(ctx, ClassPin, v, k.Key(), All, SearchOptions{})
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
-	raw, err := c.send(ctx, v, msg)
+	resp, _, err := c.ask(ctx, v, msg, false)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("pin search %v: %w", k, err)
 	}
-	resp, ok := raw.(respTQuery)
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("pin search %v: unexpected response %T", k, raw)
+	var ids []string
+	if n := len(resp.Matches); n > 0 {
+		ids = make([]string, n)
+		for i, m := range resp.Matches {
+			ids[i] = m.ObjectID
+		}
 	}
-	ids := make([]string, 0, len(resp.Matches))
-	for _, m := range resp.Matches {
-		ids = append(ids, m.ObjectID)
-	}
-	if len(ids) == 0 {
-		ids = nil
-	}
+	// Like Insert and Delete, a pin reports the paper's two cost units
+	// for a single exchange and nothing else.
 	return ids, Stats{NodesContacted: 1, Messages: 2}, nil
 }
 
@@ -289,14 +333,6 @@ func (c *Client) PrefixSearchMasked(ctx context.Context, prefix string, mask uin
 	if p == "" {
 		return Result{}, ErrEmptyQuery
 	}
-	if threshold <= 0 {
-		return Result{}, fmt.Errorf("core: threshold %d must be positive", threshold)
-	}
-	opts = opts.withDefaults()
-	clientID := opts.ClientID
-	if clientID == "" {
-		clientID = c.clientID
-	}
 	full := uint64(1)<<uint(c.hasher.Dim()) - 1
 	if mask == 0 {
 		mask = full
@@ -306,52 +342,16 @@ func (c *Client) PrefixSearchMasked(ctx context.Context, prefix string, mask uin
 		return Result{}, fmt.Errorf("core: dimension mask selects no dimensions")
 	}
 	root := hypercube.Vertex(mask & -mask) // lowest masked dimension coordinates
-	msg := msgTQuery{
-		Instance:  c.instance,
-		Dim:       c.hasher.Dim(),
-		Vertex:    uint64(root),
-		QueryKey:  p,
-		Class:     ClassPrefix,
-		DimMask:   mask,
-		Threshold: threshold,
-		Order:     opts.Order,
-		NoCache:   opts.NoCache,
-		WantTrace: opts.Trace,
-		ClientID:  clientID,
+	msg, err := c.request(ctx, ClassPrefix, root, p, threshold, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
-	raw, err := c.send(ctx, root, msg)
+	msg.DimMask = mask
+	resp, _, err := c.ask(ctx, root, msg, false)
 	if err != nil {
 		return Result{}, fmt.Errorf("prefix search %q: %w", p, err)
 	}
-	resp, ok := raw.(respTQuery)
-	if !ok {
-		return Result{}, fmt.Errorf("prefix search %q: unexpected response %T", p, raw)
-	}
-	stats := Stats{
-		NodesContacted: resp.SubNodes,
-		Messages:       resp.SubMsgs + 2, // plus the initiator↔coordinator round trip
-		Rounds:         resp.Rounds,
-		PhysFrames:     resp.PhysFrames + 1, // plus the initiator's frame
-		CacheHit:       resp.CacheHit,
-	}
-	if resp.CacheHit {
-		stats.NodesContacted = 1 // only the coordinator was involved
-	}
-	completeness := 1.0
-	if resp.FailedNodes > 0 && resp.SubNodes > 0 {
-		completeness = float64(resp.SubNodes-resp.FailedNodes) / float64(resp.SubNodes)
-	}
-	return Result{
-		Matches:        resp.Matches,
-		Exhausted:      resp.Exhausted,
-		Stats:          stats,
-		Completeness:   completeness,
-		FailedSubtrees: resp.FailedNodes,
-		Trace:          resp.Trace,
-	}, nil
+	return result(resp, false), nil
 }
 
 // SupersetSearch returns up to threshold objects whose keyword sets
@@ -381,132 +381,51 @@ func (c *Client) RefineSearch(ctx context.Context, base, refined keyword.Set, th
 	if !base.SubsetOf(refined) {
 		return Result{}, fmt.Errorf("core: refine base %v is not a subset of %v", base, refined)
 	}
-	if threshold <= 0 {
-		return Result{}, fmt.Errorf("core: threshold %d must be positive", threshold)
-	}
 	if opts.NoCache || base.Equal(refined) {
 		// NoCache forbids serving from cached state by definition, and
 		// refining to the identical query is just a plain search.
 		return c.search(ctx, refined, threshold, opts, false, 0)
 	}
-	opts = opts.withDefaults()
-	clientID := opts.ClientID
-	if clientID == "" {
-		clientID = c.clientID
+	msg, err := c.request(ctx, ClassSuperset, c.hasher.Vertex(refined), refined.Key(), threshold, opts)
+	if err != nil {
+		return Result{}, err
 	}
 	baseV := c.hasher.Vertex(base)
-	msg := msgTQuery{
-		Instance:         c.instance,
-		Dim:              c.hasher.Dim(),
-		Vertex:           uint64(c.hasher.Vertex(refined)),
-		QueryKey:         refined.Key(),
-		Threshold:        threshold,
-		Order:            opts.Order,
-		WantTrace:        false,
-		ClientID:         clientID,
-		RefineFromKey:    base.Key(),
-		RefineFromVertex: uint64(baseV),
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
-	raw, err := c.send(ctx, baseV, msg)
-	if err != nil {
+	msg.RefineFromKey, msg.RefineFromVertex = base.Key(), uint64(baseV)
+	resp, _, err := c.ask(ctx, baseV, msg, false)
+	if err != nil || resp.ErrCode != errCodeNone {
 		return c.search(ctx, refined, threshold, opts, false, 0)
 	}
-	resp, ok := raw.(respTQuery)
-	if !ok {
-		return Result{}, fmt.Errorf("refine search %v: unexpected response %T", refined, raw)
-	}
-	if resp.ErrCode != errCodeNone {
-		return c.search(ctx, refined, threshold, opts, false, 0)
-	}
-	return Result{
-		Matches:      resp.Matches,
-		Exhausted:    resp.Exhausted,
-		Completeness: 1.0,
-		Stats: Stats{
-			NodesContacted: 1, // only the base root was involved
-			Messages:       2,
-			PhysFrames:     1,
-			RefineHit:      true,
-		},
-	}, nil
+	return result(resp, false), nil
 }
 
 func (c *Client) search(ctx context.Context, k keyword.Set, threshold int, opts SearchOptions, cumulative bool, sessionID uint64) (Result, error) {
 	if k.IsEmpty() {
 		return Result{}, ErrEmptyQuery
 	}
-	if threshold <= 0 {
-		return Result{}, fmt.Errorf("core: threshold %d must be positive", threshold)
-	}
-	opts = opts.withDefaults()
-	clientID := opts.ClientID
-	if clientID == "" {
-		clientID = c.clientID
-	}
 	v := c.hasher.Vertex(k)
-	msg := msgTQuery{
-		Instance:   c.instance,
-		Dim:        c.hasher.Dim(),
-		Vertex:     uint64(v),
-		QueryKey:   k.Key(),
-		Threshold:  threshold,
-		Order:      opts.Order,
-		Cumulative: cumulative,
-		SessionID:  sessionID,
-		NoCache:    opts.NoCache,
-		WantTrace:  opts.Trace,
-		ClientID:   clientID,
+	msg, err := c.request(ctx, ClassSuperset, v, k.Key(), threshold, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
+	msg.Cumulative, msg.SessionID = cumulative, sessionID
 	// Only one-shot searches may be spread to soft replicas: cumulative
 	// sessions have root affinity, and continuations must return to
 	// whichever server holds the session.
-	raw, viaSoft, err := c.sendSearch(ctx, v, msg, !cumulative && sessionID == 0)
+	oneShot := !cumulative && sessionID == 0
+	resp, viaSoft, err := c.ask(ctx, v, msg, oneShot)
 	if err != nil {
 		return Result{}, fmt.Errorf("superset search %v: %w", k, err)
-	}
-	resp, ok := raw.(respTQuery)
-	if !ok {
-		return Result{}, fmt.Errorf("superset search %v: unexpected response %T", k, raw)
 	}
 	if resp.ErrCode == errCodeNoSession {
 		return Result{}, ErrNoSuchSession
 	}
-	if !viaSoft && !cumulative && sessionID == 0 {
+	if oneShot && !viaSoft {
 		// Owner-path responses are the authority on the replica set:
 		// advertise ⇒ (re)learn it, silence ⇒ the root was demoted.
 		c.noteSoftAddrs(v, resp.SoftAddrs)
 	}
-	stats := Stats{
-		NodesContacted: resp.SubNodes,
-		Messages:       resp.SubMsgs + 2, // plus the initiator↔root round trip
-		Rounds:         resp.Rounds,
-		PhysFrames:     resp.PhysFrames + 1, // plus the initiator's frame to the root
-		CacheHit:       resp.CacheHit,
-		RefineHit:      resp.RefineHit,
-		SoftServed:     viaSoft,
-	}
-	if resp.CacheHit || resp.RefineHit {
-		stats.NodesContacted = 1 // only the root was involved
-	}
-	completeness := 1.0
-	if resp.FailedNodes > 0 && resp.SubNodes > 0 {
-		completeness = float64(resp.SubNodes-resp.FailedNodes) / float64(resp.SubNodes)
-	}
-	return Result{
-		Matches:        resp.Matches,
-		Exhausted:      resp.Exhausted,
-		Stats:          stats,
-		SessionID:      resp.SessionID,
-		Completeness:   completeness,
-		FailedSubtrees: resp.FailedNodes,
-		Trace:          resp.Trace,
-	}, nil
+	return result(resp, viaSoft), nil
 }
 
 // Cursor pages through a cumulative superset search (Section 2.2's

@@ -108,6 +108,37 @@ func matchIDs(ms []Match) []string {
 	return out
 }
 
+// pinIDs lists matches' object IDs in answer order (nil when empty,
+// like Client.PinSearch).
+func pinIDs(ms []Match) []string {
+	var out []string
+	for _, m := range ms {
+		out = append(out, m.ObjectID)
+	}
+	return out
+}
+
+// pinLocal is the exact-set lookup against srv's own tables only —
+// what a relayed ClassPin sub-query answers, with no migration
+// double-read.
+func pinLocal(srv *Server, instance string, v hypercube.Vertex, setKey string) []string {
+	ms, _ := srv.scanVertex(instance, v, v, predFor(ClassPin, setKey), 0, -1)
+	return pinIDs(ms)
+}
+
+// pinVia sends srv the ClassPin msgTQuery a client would and returns
+// the answer's object IDs; inside an open migration window this is the
+// double-read path.
+func pinVia(t *testing.T, srv *Server, instance string, v hypercube.Vertex, setKey string) []string {
+	t.Helper()
+	raw, err := srv.Handler(context.Background(), "", msgTQuery{Instance: instance, Vertex: uint64(v),
+		QueryKey: setKey, Class: ClassPin, Threshold: All})
+	if err != nil {
+		t.Fatalf("pin query: %v", err)
+	}
+	return pinIDs(raw.(respTQuery).Matches)
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -313,13 +313,13 @@ func TestDurableConcurrentReplayHammer(t *testing.T) {
 		t.FailNow()
 	}
 
-	want := srv.pinQuery(inst, v, setKey).ObjectIDs
+	want := pinLocal(srv, inst, v, setKey)
 	wantStats := srv.Stats()
 	srv.CrashReset()
 	if _, err := srv.RecoverFromStore(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.pinQuery(inst, v, setKey).ObjectIDs; !equalStrings(got, want) {
+	if got := pinLocal(srv, inst, v, setKey); !equalStrings(got, want) {
 		t.Fatalf("recovered entry objects %v, pre-crash memory had %v", got, want)
 	}
 	if got := srv.Stats(); got != wantStats {

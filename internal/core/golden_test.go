@@ -19,10 +19,11 @@ import (
 )
 
 // updateGolden rewrites testdata/traverse_golden.txt from the engine
-// under test. The committed file was written by the pre-unification
-// engines (traverseSequential / traverseParallel / runPrefixSearch /
-// runPinQuery); regenerate it only when the corpus or the line format
-// below changes, never to make an engine change pass.
+// under test. The committed file was written by the four engines the
+// one frontier engine replaced (sequential, level-parallel, the prefix
+// branch loop and the pin lookup); regenerate it only when the corpus
+// or the line format below changes, never to make an engine change
+// pass.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/traverse_golden.txt")
 
 const goldenPath = "testdata/traverse_golden.txt"
@@ -56,7 +57,6 @@ func goldenCorpus(n int) []Object {
 // regeneration without any query root going down.
 type goldenFleet struct {
 	client *Client
-	hasher keyword.Hasher
 	net    *inmem.Network
 	root   func(v hypercube.Vertex) transport.Addr
 }
@@ -101,7 +101,7 @@ func newGoldenFleet(t *testing.T, r, nServers int, mode BatchMode, down []hyperc
 	for i := range down {
 		net.SetDown(addrs[nServers+i], true)
 	}
-	return &goldenFleet{client: client, hasher: hasher, net: net, root: route}
+	return &goldenFleet{client: client, net: net, root: route}
 }
 
 func goldenThreshold(th int) string {

@@ -30,20 +30,6 @@ type (
 	}
 	respDeleteEntry struct{ Found bool }
 
-	// msgPinQuery asks the vertex responsible for K for the objects
-	// indexed under exactly K. Relay marks a double-read forwarded by
-	// the new owner of an in-flight range to the old owner, whose table
-	// stays complete until commit: the receiver skips its ownership
-	// check and answers locally.
-	msgPinQuery struct {
-		Instance string
-		Vertex   uint64
-		SetKey   string
-		ClientID string
-		Relay    bool
-	}
-	respPinQuery struct{ ObjectIDs []string }
-
 	// msgTQuery is the initiator's superset-search request to the root
 	// node F_h(K) (the paper's T_QUERY(K, t, u, -, -)). If SessionID is
 	// nonzero the root continues a stored cumulative session instead of
@@ -138,8 +124,10 @@ type (
 		Limit    int
 		Skip     int
 		GenDim   int
-		// Relay marks a double-read forwarded to the old owner of a
-		// migrating range (see msgPinQuery.Relay).
+		// Relay marks a double-read forwarded by the new owner of an
+		// in-flight range to the old owner, whose table stays complete
+		// until commit: the receiver skips its ownership check, answers
+		// from its local tables and never re-relays.
 		Relay bool
 		// Class selects the match predicate applied to the vertex's
 		// table (zero value = ClassSuperset; QueryKey's meaning follows
@@ -299,7 +287,7 @@ type (
 // middleware via SetReadOnly (combine layers with resilience.AnyOf).
 func ReadOnlyMessage(body any) bool {
 	switch m := body.(type) {
-	case msgPinQuery, msgSubQuery, msgSubQueryBatch, msgMigrateChunk:
+	case msgSubQuery, msgSubQueryBatch, msgMigrateChunk:
 		return true
 	case msgTQuery:
 		return !m.Cumulative && m.SessionID == 0
@@ -322,7 +310,6 @@ func RegisterTypes() {
 	for _, v := range []any{
 		msgInsertEntry{}, respAck{},
 		msgDeleteEntry{}, respDeleteEntry{},
-		msgPinQuery{}, respPinQuery{},
 		msgTQuery{}, respTQuery{},
 		msgSubQuery{}, respSubQuery{},
 		msgSubQueryBatch{}, respSubQueryBatch{},

@@ -97,6 +97,7 @@ type MigrationStats struct {
 	DoubleReads uint64 // reads relayed to an old owner mid-window
 	Commits     uint64 // migrations committed (old owner dropped range)
 	Failures    uint64 // migrations aborted (source unreachable, etc.)
+	LastAbort   string // source and cause of the latest abort; empty when none
 }
 
 // migKey identifies one migration: the range bounds the puller asks
@@ -141,6 +142,7 @@ type migrationManager struct {
 	active    map[migKey]*migration
 	recovered map[migKey]wireCursor
 	closed    bool
+	lastAbort string // source and cause of the latest aborted migration
 	wg        sync.WaitGroup
 
 	// windowCount is |active| + |recovered|: the number of open
@@ -224,7 +226,7 @@ func (s *Server) MigrationStats() MigrationStats {
 		return MigrationStats{}
 	}
 	m.mu.Lock()
-	active, recovered := len(m.active), len(m.recovered)
+	active, recovered, lastAbort := len(m.active), len(m.recovered), m.lastAbort
 	m.mu.Unlock()
 	return MigrationStats{
 		Active:      active,
@@ -236,6 +238,7 @@ func (s *Server) MigrationStats() MigrationStats {
 		DoubleReads: m.nDoubleReads.Load(),
 		Commits:     m.nCommits.Load(),
 		Failures:    m.nFailures.Load(),
+		LastAbort:   lastAbort,
 	}
 }
 
@@ -381,7 +384,9 @@ func (m *migrationManager) abort(mig *migration, err error) {
 	if m.ctx.Err() != nil {
 		return
 	}
-	_ = err
+	m.mu.Lock()
+	m.lastAbort = fmt.Sprintf("pull from %s: %v", mig.key.source, err)
+	m.mu.Unlock()
 	m.nFailures.Add(1)
 	m.met.failures.Inc()
 	m.logRecord(mig.key, wireCursor{}, true)
@@ -700,48 +705,6 @@ func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKe
 }
 
 // ---- double-read merge paths ----
-
-// pinQueryRead answers a pin query, merging the old owners' view while
-// the vertex sits in an open migration window so the answer is
-// byte-identical to a static fleet's. Relay failures degrade to the
-// local (partial) answer rather than failing the query.
-func (s *Server) pinQueryRead(ctx context.Context, instance string, v hypercube.Vertex, setKey string) respPinQuery {
-	local := s.pinQuery(instance, v, setKey)
-	srcs := s.migrate.sources(instance, v)
-	if len(srcs) == 0 {
-		return local
-	}
-	ids := make(map[string]struct{}, len(local.ObjectIDs))
-	for _, id := range local.ObjectIDs {
-		ids[id] = struct{}{}
-	}
-	msg := msgPinQuery{Instance: instance, Vertex: uint64(v), SetKey: setKey, Relay: true}
-	for _, src := range srcs {
-		s.migrate.nDoubleReads.Add(1)
-		s.migrate.met.doubleReads.Inc()
-		raw, err := s.cfg.Sender.Send(ctx, src, msg)
-		if err != nil {
-			continue
-		}
-		if resp, ok := raw.(respPinQuery); ok {
-			for _, id := range resp.ObjectIDs {
-				ids[id] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(ids))
-	for id := range ids {
-		if s.migrate.hasTombstone(BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: id}) {
-			continue
-		}
-		out = append(out, id)
-	}
-	if len(out) == 0 {
-		return respPinQuery{}
-	}
-	sort.Strings(out)
-	return respPinQuery{ObjectIDs: out}
-}
 
 // scanVertexRead is the migration-aware scanVertex: while (instance,
 // v) sits in an open window it merges unwindowed local and relayed

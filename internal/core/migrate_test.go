@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,6 +292,9 @@ func TestMigrateAbortOnDeadSource(t *testing.T) {
 	if st.Failures != 1 || st.Commits != 0 {
 		t.Fatalf("stats = %+v; want 1 failure, 0 commits", st)
 	}
+	if !strings.Contains(st.LastAbort, "no-such-peer") {
+		t.Fatalf("LastAbort = %q; want the cause, naming the dead source", st.LastAbort)
+	}
 	if dst.migrate.windowOpen() {
 		t.Fatalf("window still open after abort")
 	}
@@ -341,10 +345,13 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return dst.MigrationStats().Chunks >= 1 }, "first chunk")
 
 	ctx := context.Background()
-	pinGot := dst.pinQueryRead(ctx, inst, v, setA.Key())
-	pinWant := union.pinQuery(inst, v, setA.Key())
-	if !reflect.DeepEqual(pinGot.ObjectIDs, pinWant.ObjectIDs) {
-		t.Fatalf("pin during window = %v, union baseline = %v", pinGot.ObjectIDs, pinWant.ObjectIDs)
+	pinGot := pinVia(t, dst, inst, v, setA.Key())
+	pinWant := pinVia(t, union, inst, v, setA.Key())
+	if len(pinWant) != 4 || !reflect.DeepEqual(pinGot, pinWant) {
+		t.Fatalf("pin during window = %v, union baseline = %v", pinGot, pinWant)
+	}
+	if local := pinLocal(dst, inst, v, setA.Key()); len(local) >= len(pinGot) {
+		t.Fatalf("window already closed: local table alone answers %v", local)
 	}
 
 	query := keyword.NewSet("shared")
@@ -394,20 +401,23 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 
 	// Double-read: the old owner still holds obj-3, the tombstone must
 	// filter it from the merged answer.
-	pin := dst.pinQueryRead(context.Background(), inst, v, set.Key())
-	for _, id := range pin.ObjectIDs {
+	pin := pinVia(t, dst, inst, v, set.Key())
+	if len(pin) != 3 {
+		t.Fatalf("double-read answered %v, want the old owner's three live entries", pin)
+	}
+	for _, id := range pin {
 		if id == "obj-3" {
-			t.Fatalf("deleted entry resurfaced in double-read: %v", pin.ObjectIDs)
+			t.Fatalf("deleted entry resurfaced in double-read: %v", pin)
 		}
 	}
 	// Chunk application: the pulled copy must be dropped, not applied.
 	if err := dst.insertMigrated(victim); err != nil {
 		t.Fatal(err)
 	}
-	local := dst.pinQuery(inst, v, set.Key())
-	for _, id := range local.ObjectIDs {
+	local := pinLocal(dst, inst, v, set.Key())
+	for _, id := range local {
 		if id == "obj-3" {
-			t.Fatalf("tombstoned chunk entry applied to the table: %v", local.ObjectIDs)
+			t.Fatalf("tombstoned chunk entry applied to the table: %v", local)
 		}
 	}
 	// A client re-insert during the window clears the tombstone.
@@ -547,10 +557,10 @@ func TestGateInfoMigrationTrafficUngated(t *testing.T) {
 		{msgMigrateChunk{}, false},
 		{msgMigrateCommit{}, false},
 		{msgBulkInsert{}, false},
-		{msgPinQuery{Relay: true}, false},
+		{msgSubQuery{Relay: true, Class: ClassPin}, false}, // the relayed half of a pin
 		{msgSubQuery{Relay: true}, false},
 		{msgSubQuery{}, false}, // wave traffic, always interior
-		{msgPinQuery{}, true},
+		{msgTQuery{Class: ClassPin}, true},
 		{msgInsertEntry{}, true},
 		{msgDeleteEntry{}, true},
 		{msgTQuery{}, true},
@@ -591,17 +601,23 @@ func TestMigrationAdmittedUnderOverload(t *testing.T) {
 	defer release()
 
 	ctx := context.Background()
-	if _, err := srv.Handler(ctx, "", msgPinQuery{Instance: "main", Vertex: 1, SetKey: keyword.NewSet("a").Key()}); err == nil {
+	setKey := keyword.NewSet("a").Key()
+	if _, err := srv.Handler(ctx, "", msgTQuery{Instance: "main", Vertex: 1, QueryKey: setKey, Class: ClassPin, Threshold: All}); err == nil {
 		t.Fatalf("gated pin admitted while controller saturated")
+	}
+	raw, err := srv.Handler(ctx, "", msgSubQuery{Instance: "main", Vertex: 1, Root: 1, QueryKey: setKey,
+		Class: ClassPin, Limit: -1, GenDim: -1, Relay: true})
+	if err != nil {
+		t.Fatalf("relayed pin gated under overload: %v", err)
+	}
+	if got := pinIDs(raw.(respSubQuery).Matches); !equalStrings(got, []string{"o1"}) {
+		t.Fatalf("relayed pin answered %v, want [o1]", got)
 	}
 	if _, err := srv.Handler(ctx, "", msgMigrateChunk{NewID: wholeRingNew, OwnerID: wholeRingOwner, MaxEntries: 10, MaxBytes: 1 << 20}); err != nil {
 		t.Fatalf("migrate chunk gated under overload: %v", err)
 	}
 	if _, err := srv.Handler(ctx, "", msgMigrateCommit{NewID: wholeRingNew, OwnerID: wholeRingOwner}); err != nil {
 		t.Fatalf("migrate commit gated under overload: %v", err)
-	}
-	if _, err := srv.Handler(ctx, "", msgPinQuery{Instance: "main", Vertex: 1, SetKey: keyword.NewSet("a").Key(), Relay: true}); err != nil {
-		t.Fatalf("relayed pin gated under overload: %v", err)
 	}
 }
 

@@ -206,7 +206,7 @@ func TestServerConcurrencyHammer(t *testing.T) {
 	}
 	worker(func(i int) { // pin queries
 		v := hypercube.Vertex(i % 64)
-		srv.pinQuery(DefaultInstance, v, keyword.NewSet("hub", "w"+strconv.Itoa(i%16)).Key())
+		pinLocal(srv, DefaultInstance, v, keyword.NewSet("hub", "w"+strconv.Itoa(i%16)).Key())
 	})
 	worker(func(int) { // stats walker (locks every shard in turn)
 		srv.Stats()

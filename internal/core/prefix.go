@@ -1,196 +1,22 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"time"
+import "github.com/p2pkeyword/keysearch/internal/hypercube"
 
-	"github.com/p2pkeyword/keysearch/internal/hypercube"
-)
-
-// runPrefixSearch is the coordinator side of a prefix query: a
-// constrained multicast over every vertex that intersects the query's
-// dimension mask M. The candidate set {v : v ∧ M ≠ 0} is partitioned
-// into one SBT branch per dimension d ∈ M — rooted at e_d, excluding
-// the masked dimensions below d — so each candidate vertex is visited
-// by exactly one branch (its lowest masked dimension) and the existing
-// traversal, wave-batching, resilience, and double-read machinery run
-// unchanged inside every branch. The receiving server owns e_d0 (the
-// lowest masked dimension); later branch roots are remote vertices
-// visited like any other frontier node.
-func (s *Server) runPrefixSearch(ctx context.Context, msg msgTQuery) (respTQuery, error) {
-	if msg.QueryKey == "" {
-		return respTQuery{}, ErrEmptyQuery
-	}
-	if msg.Threshold <= 0 {
-		return respTQuery{}, fmt.Errorf("core: threshold %d must be positive", msg.Threshold)
-	}
-	if msg.Cumulative || msg.SessionID != 0 {
-		return respTQuery{}, fmt.Errorf("core: prefix search does not support cumulative sessions")
-	}
-	order := msg.Order
-	if order == 0 {
-		order = TopDown
-	}
-	if !order.valid() {
-		return respTQuery{}, fmt.Errorf("core: invalid traversal order %d", order)
-	}
-	cube, err := s.cubeFor(msg.Dim)
-	if err != nil {
-		return respTQuery{}, err
-	}
-	full := hypercube.Vertex(1)<<uint(cube.Dim()) - 1
-	mask := hypercube.Vertex(msg.DimMask) & full
-	if mask == 0 {
-		mask = full
-	}
-	coordRoot := hypercube.Vertex(msg.Vertex)
-	pred := predFor(ClassPrefix, msg.QueryKey)
-	pred.mask = uint64(mask)
-
-	instrumented := s.cfg.Telemetry != nil
-	var startedAt time.Time
-	if instrumented {
-		startedAt = time.Now()
-	}
-
-	// Same one-hit-or-one-miss accounting contract as runSearch: every
-	// consultation of an enabled cache counts exactly once.
-	if !msg.NoCache {
-		if matches, exhausted, ok := s.cache.get(msg.Instance, pred, msg.Threshold); ok {
-			s.met.cacheHits.Inc()
-			resp := respTQuery{Matches: matches, Exhausted: exhausted, CacheHit: true}
-			if instrumented {
-				s.recordSearchSpan("prefix-search", msg, order, coordRoot, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
-			}
-			return resp, nil
-		} else if s.cache.enabled() {
-			s.met.cacheMisses.Inc()
-		}
-	}
-
-	collectSteps := msg.WantTrace
-	if instrumented && !collectSteps {
-		collectSteps = (s.searchSeq.Add(1)-1)%spanStepSampleEvery == 0
-	}
-	var trace *[]TraceStep
-	if collectSteps {
-		buf := make([]TraceStep, 0, 64)
-		trace = &buf
-	}
-
-	var (
-		collected []Match
-		nodes     int
-		msgs      int
-		failed    int
-		rounds    int
-		frames    int
-	)
-	need := msg.Threshold
-	exhausted := true
+// prefixBranches partitions the candidate set of a prefix query with
+// dimension mask M — every vertex that intersects M, {v : v ∧ M ≠ 0} —
+// into one SBT branch per dimension d ∈ M: rooted at e_d, excluding the
+// masked dimensions below d. Each candidate vertex is therefore visited
+// by exactly one branch (the one of its lowest masked dimension), and
+// the traversal, wave-batching, resilience and double-read machinery
+// run unchanged inside every branch. The coordinating server owns the
+// lowest branch root; later roots are remote vertices visited like any
+// other frontier node.
+func prefixBranches(cube hypercube.Cube, mask hypercube.Vertex) []branch {
+	branches := make([]branch, 0, mask.OnesCount())
 	for d := 0; d < cube.Dim(); d++ {
-		bit := hypercube.Vertex(1) << uint(d)
-		if mask&bit == 0 {
-			continue
-		}
-		if need <= 0 {
-			// Threshold met with branches left unexplored: the answer is
-			// a correct prefix of the multicast, but not all of it.
-			exhausted = false
-			break
-		}
-		sess, err := newSession(cube, msg.Instance, pred, bit, order)
-		if err != nil {
-			return respTQuery{}, err
-		}
-		sess.exclude = mask & (bit - 1)
-		sess.rootLocal = bit == coordRoot
-		sess.selfVertex = coordRoot
-		if sess.exclude != 0 {
-			// BottomUp sessions pre-enumerate the branch subcube; drop
-			// the vertices an earlier branch owns.
-			sess.work = filterUnits(sess.work, sess.exclude)
-		}
-		var (
-			bm                                   []Match
-			bn, bmsgs, bfailed, brounds, bframes int
-		)
-		if order == ParallelLevels {
-			bm, bn, bmsgs, bfailed, brounds, bframes = s.traverseParallel(ctx, sess, bit, need, trace)
-		} else {
-			bm, bn, bmsgs, bfailed, bframes = s.traverseSequential(ctx, sess, bit, need, trace)
-			brounds = bn
-		}
-		collected = append(collected, bm...)
-		nodes += bn
-		msgs += bmsgs
-		failed += bfailed
-		rounds += brounds
-		frames += bframes
-		if need != All {
-			// Keep the All sentinel intact so every branch's traversal
-			// still recognizes the exhaustive (mega-wave-eligible) case.
-			need -= len(bm)
-		}
-		if len(sess.work) > 0 {
-			exhausted = false
-		}
-		if err := ctx.Err(); err != nil {
-			s.met.searchAbandoned.Inc()
-			return respTQuery{}, fmt.Errorf("core: search abandoned: %w", err)
+		if bit := hypercube.Vertex(1) << uint(d); mask&bit != 0 {
+			branches = append(branches, branch{root: bit, exclude: mask & (bit - 1)})
 		}
 	}
-
-	resp := respTQuery{
-		Matches:     collected,
-		Exhausted:   exhausted,
-		SubNodes:    nodes,
-		SubMsgs:     msgs,
-		FailedNodes: failed,
-		PhysFrames:  frames,
-		Rounds:      rounds,
-	}
-	if msg.WantTrace && trace != nil {
-		resp.Trace = *trace
-	}
-	if !msg.NoCache && failed == 0 {
-		s.cache.put(msg.Instance, pred, collected, exhausted)
-	}
-	if instrumented {
-		elapsedNS := time.Since(startedAt).Nanoseconds()
-		s.met.searchNodes.Add(uint64(nodes))
-		s.met.searchMsgs.Add(uint64(msgs))
-		s.met.physFrames.Add(uint64(frames))
-		s.met.searchFailed.Add(uint64(failed))
-		s.met.searchRounds.Add(uint64(rounds))
-		s.met.searchMatches.Add(uint64(len(collected)))
-		s.met.searchLatency.Observe(elapsedNS)
-		var steps []TraceStep
-		if trace != nil {
-			steps = *trace
-		}
-		s.recordSearchSpan("prefix-search", msg, order, coordRoot, resp, startedAt, elapsedNS, steps)
-	}
-	return resp, nil
-}
-
-// runPinQuery answers a ClassPin msgTQuery: the Section 3.4 exact-set
-// lookup, now flowing through the unified dispatch path. The scan goes
-// through scanVertexRead, so the double-read migration window covers
-// pin queries exactly like the other classes; matches come back in
-// (SetKey, ObjectID) order, which for a single set key is object-ID
-// order — byte-identical to the legacy msgPinQuery answer.
-func (s *Server) runPinQuery(ctx context.Context, msg msgTQuery) (respTQuery, error) {
-	if msg.Cumulative || msg.SessionID != 0 {
-		return respTQuery{}, fmt.Errorf("core: pin query does not support cumulative sessions")
-	}
-	cube, err := s.cubeFor(msg.Dim)
-	if err != nil {
-		return respTQuery{}, err
-	}
-	pred := predFor(ClassPin, msg.QueryKey)
-	v := hypercube.Vertex(msg.Vertex)
-	matches, _ := s.scanVertexRead(ctx, cube.Dim(), msg.Instance, v, v, pred, 0, -1)
-	return respTQuery{Matches: matches, Exhausted: true, SubNodes: 1, Rounds: 1}, nil
+	return branches
 }

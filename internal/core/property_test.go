@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
@@ -154,6 +155,103 @@ func TestPropertyDepthBoundsExtraKeywords(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyEngineCoversCandidatesExactlyOnce pins the one traversal
+// engine to the paper rather than to the code it replaced. For a random
+// (r ≤ 10, root, order, batch mode, prefix mask) and threshold All, the
+// trace must show:
+//
+//   - Lemma 3.1: the SBT spans the induced subcube — the visited
+//     vertices are exactly {v : v ⊇ root}, each once. For a prefix
+//     query with mask M the exclusion-mask branches partition
+//     {v : v ∧ M ≠ 0} the same way.
+//   - Lemma 3.2: every match's Depth is the Hamming distance from its
+//     tree's root to the vertex that indexed it (the number of extra
+//     keyword dimensions).
+//   - Section 3.5: the sequential orders take one round per node; the
+//     level-synchronous order at most r − |root| + 1 rounds per tree.
+func TestPropertyEngineCoversCandidatesExactlyOnce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := 4 + rng.Intn(7)
+		mode := []BatchMode{BatchOn, BatchOff}[rng.Intn(2)]
+		d := newDeploymentMode(t, r, 1+rng.Intn(6), 0, mode)
+		corpus(t, d, 60+rng.Intn(60), rng.Int63())
+		order := []TraversalOrder{TopDown, BottomUp, ParallelLevels}[rng.Intn(3)]
+		opts := SearchOptions{Order: order, NoCache: true, Trace: true}
+		ctx := context.Background()
+		full := hypercube.Vertex(1)<<uint(r) - 1
+
+		var (
+			res       Result
+			err       error
+			candidate func(v hypercube.Vertex) bool
+			treeRoot  func(v hypercube.Vertex) hypercube.Vertex
+			maxRounds int
+		)
+		if rng.Intn(2) == 0 {
+			words := []string{"isp", "news", "mp3", "video", "game", "shop"}
+			q := keyword.NewSet(words[rng.Intn(len(words))], words[rng.Intn(len(words))])
+			root := d.hasher.Vertex(q)
+			res, err = d.client.SupersetSearch(ctx, q, All, opts)
+			candidate = func(v hypercube.Vertex) bool { return v&root == root }
+			treeRoot = func(hypercube.Vertex) hypercube.Vertex { return root }
+			maxRounds = r - root.OnesCount() + 1
+		} else {
+			mask := hypercube.Vertex(rng.Uint64()) & full
+			if mask == 0 {
+				mask = full
+			}
+			res, err = d.client.PrefixSearchMasked(ctx, "t", uint64(mask), All, opts)
+			candidate = func(v hypercube.Vertex) bool { return v&mask != 0 }
+			// A candidate belongs to the branch of its lowest masked bit.
+			treeRoot = func(v hypercube.Vertex) hypercube.Vertex { return v & mask & -(v & mask) }
+			maxRounds = mask.OnesCount() * r
+		}
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+
+		want := 0
+		for v := hypercube.Vertex(0); v <= full; v++ {
+			if candidate(v) {
+				want++
+			}
+		}
+		seen := make(map[uint64]bool, len(res.Trace))
+		for _, st := range res.Trace {
+			if st.Failed || seen[st.Vertex] || !candidate(hypercube.Vertex(st.Vertex)) {
+				t.Logf("seed %d: step %+v is failed, repeated or outside the candidate set", seed, st)
+				return false
+			}
+			seen[st.Vertex] = true
+		}
+		if len(seen) != want || res.Stats.NodesContacted != want || !res.Exhausted || res.Completeness != 1 {
+			t.Logf("seed %d: visited %d of %d candidates, stats %+v, exhausted %v", seed, len(seen), want, res.Stats, res.Exhausted)
+			return false
+		}
+		for _, m := range res.Matches {
+			v := hypercube.Vertex(m.Vertex)
+			if m.Depth != hypercube.Hamming(treeRoot(v), v) {
+				t.Logf("seed %d: match %+v depth is not the Hamming distance from %d", seed, m, treeRoot(v))
+				return false
+			}
+		}
+		if order != ParallelLevels && res.Stats.Rounds != res.Stats.NodesContacted {
+			t.Logf("seed %d: %v took %d rounds for %d nodes", seed, order, res.Stats.Rounds, res.Stats.NodesContacted)
+			return false
+		}
+		if order == ParallelLevels && res.Stats.Rounds > maxRounds {
+			t.Logf("seed %d: level waves took %d rounds, bound %d", seed, res.Stats.Rounds, maxRounds)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -68,6 +68,20 @@ func deriveRefinement(cube hypercube.Cube, order TraversalOrder, rootV hypercube
 	return derived, true
 }
 
+// refineFromCache derives q's complete answer from an exhausted cached
+// ancestor (any subset query's completed search), when one exists.
+// Lemma 3.3 is a statement about superset queries only.
+func (s *Server) refineFromCache(q *rootQuery) ([]Match, bool) {
+	if q.msg.Class != ClassSuperset {
+		return nil, false
+	}
+	src, ok := s.cache.refineSource(q.msg.Instance, q.pred.set)
+	if !ok {
+		return nil, false
+	}
+	return deriveRefinement(q.cube, q.order, q.root, q.pred.set, src)
+}
+
 // runRefine answers an explicit client refinement request (msgTQuery
 // with RefineFromKey set): the client completed — or knows another
 // client completed — a search for an ancestor query on this node and
@@ -75,34 +89,17 @@ func deriveRefinement(cube hypercube.Cube, order TraversalOrder, rootV hypercube
 // ancestor state instead of traversed. This node owns the ANCESTOR
 // root; msg.Vertex carries the refined root F_h(K'), which it
 // typically does not own — derivation is pure geometry, so ownership
-// of the refined root is irrelevant. Unusable state (nothing cached,
-// nothing exhausted, subcube too large) answers errCodeNoRefineState
-// and the client falls back to a plain search; no counters beyond the
-// refine pair move, so the Fig-9 cache accounting never sees these
-// requests.
+// of the refined root is irrelevant. Unusable state (malformed request,
+// nothing cached, nothing exhausted, subcube too large) answers
+// errCodeNoRefineState and the client falls back to a plain search; no
+// counters beyond the refine pair move, so the Fig-9 cache accounting
+// never sees these requests.
 func (s *Server) runRefine(msg msgTQuery) respTQuery {
-	refined := keyword.ParseKey(msg.QueryKey)
-	if refined.IsEmpty() || msg.Threshold <= 0 {
-		return respTQuery{ErrCode: errCodeNoRefineState}
-	}
-	order := msg.Order
-	if order == 0 {
-		order = TopDown
-	}
-	if !order.valid() {
-		return respTQuery{ErrCode: errCodeNoRefineState}
-	}
-	cube, err := s.cubeFor(msg.Dim)
+	q, err := s.parseQuery(msg)
 	if err != nil {
 		return respTQuery{ErrCode: errCodeNoRefineState}
 	}
-	rootV := hypercube.Vertex(msg.Vertex)
-	src, ok := s.cache.refineSource(msg.Instance, refined)
-	if !ok {
-		s.met.refineMiss.Inc()
-		return respTQuery{ErrCode: errCodeNoRefineState}
-	}
-	derived, ok := deriveRefinement(cube, order, rootV, refined, src)
+	derived, ok := s.refineFromCache(&q)
 	if !ok {
 		s.met.refineMiss.Inc()
 		return respTQuery{ErrCode: errCodeNoRefineState}
@@ -111,7 +108,7 @@ func (s *Server) runRefine(msg msgTQuery) respTQuery {
 	if !msg.NoCache {
 		// The derived result is complete: cache it under the refined
 		// key so later plain searches (and further refinements) hit.
-		s.cache.put(msg.Instance, supersetPred(msg.QueryKey, refined), derived, true)
+		s.cache.put(msg.Instance, q.pred, derived, true)
 	}
 	matches, exhausted, _ := truncateCached(derived, true, msg.Threshold)
 	return respTQuery{Matches: matches, Exhausted: exhausted, RefineHit: true}
@@ -132,7 +129,7 @@ func visitRank(cube hypercube.Cube, order TraversalOrder, rootV hypercube.Vertex
 		}
 		return rank
 	}
-	units := expandFrontier(cube, rootV, []workUnit{{vertex: rootV, genDim: cube.Dim()}}, 0)
+	units := expandFrontier(&session{cube: cube, root: rootV}, []workUnit{{vertex: rootV, genDim: cube.Dim()}})
 	for _, u := range units {
 		rank[u.vertex] = len(rank)
 	}

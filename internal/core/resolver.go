@@ -18,6 +18,9 @@ import (
 // decomposed families) spread differently over the same nodes.
 type Resolver interface {
 	Resolve(ctx context.Context, instance string, v hypercube.Vertex) (transport.Addr, error)
+	// ResolveBatch resolves a whole wave of vertices at once; addrs and
+	// errs are positionally aligned with vs.
+	ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) (addrs []transport.Addr, errs []error)
 }
 
 // VertexKey derives the DHT key under which logical vertex v of index
@@ -26,15 +29,6 @@ type Resolver interface {
 // independent deployments) spread differently over the same ring.
 func VertexKey(instance string, v hypercube.Vertex) dht.ID {
 	return dht.HashString("hx:" + instance + ":" + strconv.FormatUint(uint64(v), 16))
-}
-
-// BatchResolver is an optional Resolver extension for resolving a
-// whole wave of vertices at once. dispatchWave prefers it when the
-// configured resolver implements it; addrs and errs are positionally
-// aligned with vs.
-type BatchResolver interface {
-	Resolver
-	ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) (addrs []transport.Addr, errs []error)
 }
 
 // batchResolveFanout bounds the concurrent overlay lookups one
@@ -67,10 +61,7 @@ type flight struct {
 	err  error
 }
 
-var (
-	_ Resolver      = (*OverlayResolver)(nil)
-	_ BatchResolver = (*OverlayResolver)(nil)
-)
+var _ Resolver = (*OverlayResolver)(nil)
 
 // NewOverlayResolver builds a caching resolver over the overlay.
 func NewOverlayResolver(overlay dht.Overlay) *OverlayResolver {
@@ -130,19 +121,57 @@ func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hyperc
 func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
 	addrs := make([]transport.Addr, len(vs))
 	errs := make([]error, len(vs))
-	sem := make(chan struct{}, batchResolveFanout)
+	fanOut(len(vs), batchResolveFanout, func(i int) {
+		addrs[i], errs[i] = r.Resolve(ctx, instance, vs[i])
+	})
+	return addrs, errs
+}
+
+// fanOut runs fn(0) … fn(n-1) on at most limit goroutines and returns
+// once all have finished. A single call runs on the caller's goroutine:
+// the paper's sequential orders dispatch one vertex at a time and must
+// not pay a goroutine per step.
+func fanOut(n, limit int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
-	for i, v := range vs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, v hypercube.Vertex) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			addrs[i], errs[i] = r.Resolve(ctx, instance, v)
-		}(i, v)
+			fn(i)
+		}(i)
 	}
 	wg.Wait()
-	return addrs, errs
+}
+
+// sendToVertex resolves v and delivers body to its owner, retrying once
+// through a fresh resolution when a cached binding has gone stale (the
+// node departed and its key range re-homed). The int result counts the
+// frames actually handed to the transport.
+func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sender, instance string, v hypercube.Vertex, body any) (any, int, error) {
+	sends := 0
+	for {
+		addr, err := resolver.Resolve(ctx, instance, v)
+		if err != nil {
+			return nil, sends, err
+		}
+		sends++
+		resp, err := sender.Send(ctx, addr, body)
+		if err == nil {
+			return resp, sends, nil
+		}
+		if inv, ok := resolver.(*OverlayResolver); ok && sends == 1 {
+			inv.Invalidate(instance, v)
+			continue
+		}
+		return nil, sends, err
+	}
 }
 
 // Invalidate forgets the cached binding for v in the given instance.
@@ -164,10 +193,7 @@ func (r *OverlayResolver) CacheSize() int {
 // physical-node deployments of Section 4 without DHT traffic.
 type FuncResolver func(v hypercube.Vertex) transport.Addr
 
-var (
-	_ Resolver      = (FuncResolver)(nil)
-	_ BatchResolver = (FuncResolver)(nil)
-)
+var _ Resolver = (FuncResolver)(nil)
 
 // Resolve implements Resolver, ignoring the instance name.
 func (f FuncResolver) Resolve(_ context.Context, _ string, v hypercube.Vertex) (transport.Addr, error) {
@@ -178,8 +204,8 @@ func (f FuncResolver) Resolve(_ context.Context, _ string, v hypercube.Vertex) (
 	return addr, nil
 }
 
-// ResolveBatch implements BatchResolver; the mapping function is pure,
-// so the batch is a plain loop.
+// ResolveBatch implements Resolver; the mapping function is pure, so
+// the batch is a plain loop.
 func (f FuncResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
 	addrs := make([]transport.Addr, len(vs))
 	errs := make([]error, len(vs))

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
-	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
@@ -49,96 +47,169 @@ const maxBottomUpFree = 22
 // The first search after startup is always sampled.
 const spanStepSampleEvery = 8
 
-// runSearch is the root-side orchestration of a superset search: the
-// paper's Steps 1–3, driving the frontier queue U over the spanning
-// binomial tree SBT_{H_r}(F_h(K)). soft, when non-nil, is a live
-// soft-replica copy of the root vertex's table: this server is not
-// the root's owner but serves the search anyway, scanning the soft
-// copy wherever the authoritative path would scan the root's table.
-// Everything else — subcube waves, accounting, caching — is
-// unchanged, so a soft-served answer is byte-identical to the
-// owner's.
-func (s *Server) runSearch(ctx context.Context, msg msgTQuery, soft *table) (respTQuery, error) {
-	query := keyword.ParseKey(msg.QueryKey)
-	if query.IsEmpty() {
-		return respTQuery{}, ErrEmptyQuery
+// rootQuery is a validated msgTQuery: the wire request plus everything
+// the root derives from it once, whatever the query class.
+type rootQuery struct {
+	msg   msgTQuery
+	cube  hypercube.Cube
+	order TraversalOrder
+	pred  queryPred
+	// root is the vertex the initiator addressed and this server
+	// answers for: F_h(K) for superset and pin, the lowest masked
+	// dimension's e_d for a prefix multicast.
+	root hypercube.Vertex
+	// op labels the query's telemetry span.
+	op string
+}
+
+// parseQuery validates a msgTQuery. Unknown classes are served as
+// superset queries, which is how pre-Class peers' frames decode.
+func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
+	if !msg.Class.valid() {
+		msg.Class = ClassSuperset
+	}
+	pred := predFor(msg.Class, msg.QueryKey)
+	if msg.QueryKey == "" || (msg.Class != ClassPrefix && pred.set.IsEmpty()) {
+		return rootQuery{}, ErrEmptyQuery
 	}
 	if msg.Threshold <= 0 {
-		return respTQuery{}, fmt.Errorf("core: threshold %d must be positive", msg.Threshold)
+		return rootQuery{}, fmt.Errorf("core: threshold %d must be positive", msg.Threshold)
+	}
+	op := "superset-search"
+	if msg.Class != ClassSuperset {
+		// Only a superset frontier is one queue a later page can resume;
+		// a prefix multicast spans several and a pin has none.
+		what := "pin query"
+		if msg.Class == ClassPrefix {
+			what, op = "prefix search", "prefix-search"
+		}
+		if msg.Cumulative || msg.SessionID != 0 {
+			return rootQuery{}, fmt.Errorf("core: %s does not support cumulative sessions", what)
+		}
 	}
 	order := msg.Order
 	if order == 0 {
 		order = TopDown
 	}
 	if !order.valid() {
-		return respTQuery{}, fmt.Errorf("core: invalid traversal order %d", order)
+		return rootQuery{}, fmt.Errorf("core: invalid traversal order %d", order)
 	}
-	rootV := hypercube.Vertex(msg.Vertex)
 	cube, err := s.cubeFor(msg.Dim)
+	if err != nil {
+		return rootQuery{}, err
+	}
+	if msg.Class == ClassPrefix {
+		full := uint64(1)<<uint(cube.Dim()) - 1
+		if pred.mask = msg.DimMask & full; pred.mask == 0 {
+			pred.mask = full
+		}
+	}
+	return rootQuery{msg: msg, cube: cube, order: order, pred: pred, root: hypercube.Vertex(msg.Vertex), op: op}, nil
+}
+
+// branch is one spanning binomial tree a query drains: its root and
+// the dimensions whose vertices an earlier branch already covers.
+type branch struct {
+	root, exclude hypercube.Vertex
+}
+
+// branches lists the trees the query's candidate vertices partition
+// into, in drain order. Superset and pin queries have exactly one,
+// rooted at the addressed vertex.
+func (q *rootQuery) branches() []branch {
+	if q.msg.Class == ClassPrefix {
+		return prefixBranches(q.cube, hypercube.Vertex(q.pred.mask))
+	}
+	return []branch{{root: q.root}}
+}
+
+// tally is the cost and yield of the traversal work done for one
+// request, summed over every branch it drained.
+type tally struct {
+	matches                             []Match
+	nodes, msgs, failed, rounds, frames int
+}
+
+// runQuery is the root side of every query class: the paper's Steps
+// 1–3 around the one traversal engine. The prologue (validate, resume
+// or consult the cache, decide whether to trace) and the epilogue
+// (respond, park the session, fill the cache, record telemetry) are the
+// same for all classes; the classes differ only in the frontier they
+// drain in between — one SBT for a superset search, one per masked
+// dimension for a prefix multicast, a single childless vertex for a
+// pin.
+//
+// soft, when non-nil, is a live soft-replica copy of the root vertex's
+// table: this server is not the root's owner but serves the superset
+// search anyway, scanning the soft copy wherever the authoritative path
+// would scan the root's table. Everything else — subcube waves,
+// accounting, caching — is unchanged, so a soft-served answer is
+// byte-identical to the owner's.
+func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (respTQuery, error) {
+	q, err := s.parseQuery(msg)
 	if err != nil {
 		return respTQuery{}, err
 	}
+	msg = q.msg
+	// A pin is one table probe at one vertex. Caching it, sampling it
+	// into spans or folding it into the core_search_* series would cost
+	// more than the probe; core_ops_total{op="pin-search"} counts it.
+	probe := msg.Class == ClassPin
+	oneShot := msg.SessionID == 0 && !msg.Cumulative
+	cacheable := oneShot && !msg.NoCache && !probe
 
 	// Telemetry is sampled only when a registry is wired; the disabled
 	// path takes no timestamps and allocates no trace.
-	instrumented := s.cfg.Telemetry != nil
+	instrumented := s.cfg.Telemetry != nil && !probe
 	var startedAt time.Time
 	if instrumented {
 		startedAt = time.Now()
 	}
+	// answered closes a query the root served without traversing.
+	answered := func(resp respTQuery) (respTQuery, error) {
+		if instrumented {
+			s.recordSearchSpan(q.op, msg, q.order, q.root, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
+		}
+		return resp, nil
+	}
 
-	pred := supersetPred(msg.QueryKey, query)
-	var sess *session
-	var softAddrs []string
+	var (
+		sess      *session // the branch being drained; a resumed one when continuing
+		softAddrs []string
+	)
 	if msg.SessionID != 0 {
-		sess = s.sessions.take(msg.SessionID)
-		if sess == nil {
+		if sess = s.sessions.take(msg.SessionID); sess == nil {
 			return respTQuery{ErrCode: errCodeNoSession}, nil
 		}
-	} else {
-		// Popularity tracking (owner only): every fresh one-shot query
-		// for a root counts toward promotion, and a promoted root's
-		// replica addresses ride back on the response — including on
-		// cache hits, so clients learn the set without a miss.
-		if soft == nil && !msg.Cumulative {
-			softAddrs = s.hot.note(ctx, msg.Instance, rootV)
-		}
-		if !msg.Cumulative && !msg.NoCache {
-			if matches, exhausted, ok := s.cache.get(msg.Instance, pred, msg.Threshold); ok {
-				s.met.cacheHits.Inc()
-				resp := respTQuery{Matches: matches, Exhausted: exhausted, CacheHit: true, SoftAddrs: softAddrs}
-				if instrumented {
-					s.recordSearchSpan("superset-search", msg, order, rootV, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
-				}
-				return resp, nil
-			} else if s.cache.enabled() {
-				s.met.cacheMisses.Inc()
-				// Cross-client refinement reuse (Lemma 3.3): before
-				// paying a traversal, try deriving the answer from an
-				// exhausted cached ancestor — any client's completed
-				// search for a subset query covers this one. The miss
-				// above still counts (RefineHit is deliberately not a
-				// CacheHit), so the Fig-9 hit accounting stays exact.
-				if src, ok := s.cache.refineSource(msg.Instance, query); ok {
-					if derived, ok := deriveRefinement(cube, order, rootV, query, src); ok {
-						s.met.refineHits.Inc()
-						s.cache.put(msg.Instance, pred, derived, true)
-						matches, exhausted, _ := truncateCached(derived, true, msg.Threshold)
-						resp := respTQuery{Matches: matches, Exhausted: exhausted, RefineHit: true, SoftAddrs: softAddrs}
-						if instrumented {
-							s.recordSearchSpan("superset-search", msg, order, rootV, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
-						}
-						return resp, nil
-					}
-				}
+	}
+	// Popularity tracking (owner only): every fresh one-shot superset
+	// query for a root counts toward promotion, and a promoted root's
+	// replica addresses ride back on the response — including on cache
+	// hits, so clients learn the set without a miss.
+	if oneShot && msg.Class == ClassSuperset && soft == nil {
+		softAddrs = s.hot.note(ctx, msg.Instance, q.root)
+	}
+	if cacheable {
+		// Every consultation of an enabled cache counts exactly once, as
+		// a hit or as a miss.
+		if matches, exhausted, ok := s.cache.get(msg.Instance, q.pred, msg.Threshold); ok {
+			s.met.cacheHits.Inc()
+			return answered(respTQuery{Matches: matches, Exhausted: exhausted, CacheHit: true, SoftAddrs: softAddrs})
+		} else if s.cache.enabled() {
+			s.met.cacheMisses.Inc()
+			// Cross-client refinement reuse (Lemma 3.3): before paying a
+			// traversal, try deriving a superset answer from an exhausted
+			// cached ancestor — any client's completed search for a
+			// subset query covers this one. The miss above still counts
+			// (RefineHit is deliberately not a CacheHit), so the Fig-9
+			// hit accounting stays exact.
+			if derived, ok := s.refineFromCache(&q); ok {
+				s.met.refineHits.Inc()
+				s.cache.put(msg.Instance, q.pred, derived, true)
+				matches, exhausted, _ := truncateCached(derived, true, msg.Threshold)
+				return answered(respTQuery{Matches: matches, Exhausted: exhausted, RefineHit: true, SoftAddrs: softAddrs})
 			}
 		}
-		var err error
-		sess, err = newSession(cube, msg.Instance, pred, rootV, order)
-		if err != nil {
-			return respTQuery{}, err
-		}
-		sess.soft = soft
 	}
 
 	// Span aggregates (nodes, msgs, duration, …) are recorded for every
@@ -154,45 +225,61 @@ func (s *Server) runSearch(ctx context.Context, msg msgTQuery, soft *table) (res
 		// One step per visited vertex; the wave can cover the root's
 		// whole subcube, so size the buffer once instead of regrowing
 		// mid-traversal.
-		capHint := cube.SubcubeSize(rootV)
+		capHint := q.cube.SubcubeSize(q.root)
 		if capHint > telemetry.MaxSpanSteps {
 			capHint = telemetry.MaxSpanSteps
 		}
 		buf := make([]TraceStep, 0, capHint)
 		trace = &buf
 	}
-	var (
-		collected []Match
-		nodes     int
-		msgs      int
-		failed    int
-		rounds    int
-		frames    int
-	)
-	if sess.order == ParallelLevels {
-		collected, nodes, msgs, failed, rounds, frames = s.traverseParallel(ctx, sess, rootV, msg.Threshold, trace)
-	} else {
-		collected, nodes, msgs, failed, frames = s.traverseSequential(ctx, sess, rootV, msg.Threshold, trace)
-		rounds = nodes
+
+	var total tally
+	need := msg.Threshold
+	exhausted := true
+	for _, b := range q.branches() {
+		if need <= 0 {
+			// Threshold met with branches left unexplored: the answer is
+			// a correct prefix of the multicast, but not all of it.
+			exhausted = false
+			break
+		}
+		if sess == nil {
+			if sess, err = newSession(&q, b, soft); err != nil {
+				return respTQuery{}, err
+			}
+		}
+		before := len(total.matches)
+		s.traverse(ctx, sess, need, trace, &total)
+		if err := ctx.Err(); err != nil {
+			// Cancelled or deadline-expired mid-traversal: the partial
+			// result set is not a correct answer at any threshold, so the
+			// search is abandoned outright — no caching, no session
+			// retention — and the initiator sees the context error.
+			s.met.searchAbandoned.Inc()
+			return respTQuery{}, fmt.Errorf("core: search abandoned: %w", err)
+		}
+		if need != All {
+			// Keep the All sentinel intact so every branch's traversal
+			// still recognizes the exhaustive (mega-wave-eligible) case.
+			need -= len(total.matches) - before
+		}
+		if len(sess.work) > 0 {
+			// Threshold met inside this branch; sess stays set so a
+			// cumulative search can park it.
+			exhausted = false
+			break
+		}
+		sess = nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled or deadline-expired mid-traversal: the partial result
-		// set is not a correct answer at any threshold, so the search is
-		// abandoned outright — no caching, no session retention — and the
-		// initiator sees the context error.
-		s.met.searchAbandoned.Inc()
-		return respTQuery{}, fmt.Errorf("core: search abandoned: %w", err)
-	}
-	exhausted := len(sess.work) == 0
 
 	resp := respTQuery{
-		Matches:     collected,
+		Matches:     total.matches,
 		Exhausted:   exhausted,
-		SubNodes:    nodes,
-		SubMsgs:     msgs,
-		FailedNodes: failed,
-		PhysFrames:  frames,
-		Rounds:      rounds,
+		SubNodes:    total.nodes,
+		SubMsgs:     total.msgs,
+		FailedNodes: total.failed,
+		PhysFrames:  total.frames,
+		Rounds:      total.rounds,
 		SoftAddrs:   softAddrs,
 	}
 	if msg.WantTrace && trace != nil {
@@ -201,24 +288,24 @@ func (s *Server) runSearch(ctx context.Context, msg msgTQuery, soft *table) (res
 	if msg.Cumulative && !exhausted {
 		resp.SessionID = s.sessions.save(sess)
 	}
-	if msg.SessionID == 0 && !msg.Cumulative && !msg.NoCache && failed == 0 {
-		s.cache.put(msg.Instance, pred, collected, exhausted)
+	if cacheable && total.failed == 0 {
+		s.cache.put(msg.Instance, q.pred, total.matches, exhausted)
 	}
 	if instrumented {
 		// One clock read shared by the latency histogram and the span.
 		elapsedNS := time.Since(startedAt).Nanoseconds()
-		s.met.searchNodes.Add(uint64(nodes))
-		s.met.searchMsgs.Add(uint64(msgs))
-		s.met.physFrames.Add(uint64(frames))
-		s.met.searchFailed.Add(uint64(failed))
-		s.met.searchRounds.Add(uint64(rounds))
-		s.met.searchMatches.Add(uint64(len(collected)))
+		s.met.searchNodes.Add(uint64(total.nodes))
+		s.met.searchMsgs.Add(uint64(total.msgs))
+		s.met.physFrames.Add(uint64(total.frames))
+		s.met.searchFailed.Add(uint64(total.failed))
+		s.met.searchRounds.Add(uint64(total.rounds))
+		s.met.searchMatches.Add(uint64(len(total.matches)))
 		s.met.searchLatency.Observe(elapsedNS)
 		var steps []TraceStep
 		if trace != nil {
 			steps = *trace
 		}
-		s.recordSearchSpan("superset-search", msg, order, rootV, resp, startedAt, elapsedNS, steps)
+		s.recordSearchSpan(q.op, msg, q.order, q.root, resp, startedAt, elapsedNS, steps)
 	}
 	return resp, nil
 }
@@ -282,277 +369,211 @@ func (s *Server) recordSearchSpan(op string, msg msgTQuery, order TraversalOrder
 	s.cfg.Telemetry.RecordSpan(span)
 }
 
-// newSession builds the initial frontier for a fresh query. The
-// session starts with superset-shaped defaults — the traversal root is
-// hosted here and classifies local work — which the prefix multicast
-// coordinator overrides per branch.
-func newSession(cube hypercube.Cube, instance string, pred queryPred, rootV hypercube.Vertex, order TraversalOrder) (*session, error) {
-	sess := &session{instance: instance, cube: cube, pred: pred, order: order,
-		rootLocal: true, selfVertex: rootV}
-	switch order {
-	case TopDown, ParallelLevels:
-		// The root itself is the first unit; its children are the
-		// paper's initial queue U (one neighbor per free dimension).
-		sess.work = []workUnit{{vertex: rootV, genDim: cube.Dim(), skip: 0}}
-	case BottomUp:
-		free := cube.Dim() - rootV.OnesCount()
+// newSession builds the initial frontier of one branch of a fresh
+// query.
+func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
+	sess := &session{instance: q.msg.Instance, cube: q.cube, pred: q.pred, order: q.order,
+		root: b.root, self: q.root, exclude: b.exclude, soft: soft}
+	switch {
+	case q.msg.Class == ClassPin:
+		// Section 3.4: the exact set lives at one vertex; nothing below
+		// it is a candidate.
+		sess.work = []workUnit{{vertex: b.root, genDim: -1}}
+	case q.order == BottomUp:
+		free := q.cube.Dim() - b.root.OnesCount()
 		if free > maxBottomUpFree {
 			return nil, fmt.Errorf("core: bottom-up traversal over %d free dimensions exceeds limit %d",
 				free, maxBottomUpFree)
 		}
-		levels := cube.InducedLevels(rootV)
+		levels := q.cube.InducedLevels(b.root)
 		for d := len(levels) - 1; d >= 0; d-- {
 			for _, v := range levels[d] {
-				sess.work = append(sess.work, workUnit{vertex: v, genDim: -1, skip: 0})
+				sess.work = append(sess.work, workUnit{vertex: v, genDim: -1})
 			}
 		}
+		// The subcube is enumerated up front; drop the vertices an
+		// earlier prefix branch owns.
+		sess.work = filterUnits(sess.work, b.exclude)
+	default:
+		// The root itself is the first unit; its children are the
+		// paper's initial queue U (one neighbor per free dimension).
+		sess.work = []workUnit{{vertex: b.root, genDim: q.cube.Dim()}}
 	}
 	return sess, nil
+}
+
+// traverse is the one frontier engine: it drains sess.work until
+// threshold matches are collected, the frontier is empty or ctx ends,
+// adding what it did to t. Each round takes a wave — the first w units
+// of the frontier — dispatches it, consumes the results in frontier
+// order, and leaves
+//
+//	work = resume units of the wave ++ untouched rest ++ children of the wave
+//
+// The paper's sequential Steps 1–3 (TopDown, and BottomUp over a
+// pre-enumerated frontier) are w = 1: pop one node, scan it, append its
+// children, stop as soon as the threshold is met (T_STOP). Section
+// 3.5's level-synchronous variant is w = len(work): every node of the
+// level is queried concurrently, over-fetched matches from nodes beyond
+// the stopping point are discarded and those nodes kept as match-only
+// resume units. A cumulative search is this loop suspended: the session
+// is parked with its frontier and a later page calls traverse again.
+//
+// How a wave is dispatched changes only the physical framing, never
+// what the consume loop sees. Width-1 waves and BatchOff send one
+// msgSubQuery per vertex; ParallelLevels with BatchOn sends one
+// msgSubQueryBatch per distinct physical peer, and an exhaustive
+// search (threshold All — no early stop can occur) first flattens the
+// whole remaining subtree into a single mega-wave, since SBT child
+// lists are pure geometry the root can generate itself.
+//
+// Failed nodes are skipped and counted — their subtree is still
+// explored, because the child list is regenerated locally.
+func (s *Server) traverse(ctx context.Context, sess *session, threshold int, trace *[]TraceStep, t *tally) {
+	levelWaves := sess.order == ParallelLevels
+	batch := levelWaves && s.cfg.BatchWaves == BatchOn
+	need := threshold
+	for first := true; len(sess.work) > 0 && need > 0 && ctx.Err() == nil; first = false {
+		t.rounds++
+		width := 1
+		if levelWaves {
+			width = len(sess.work)
+		}
+		wave, rest := sess.work[:width], sess.work[width:]
+		if batch && first && threshold == All &&
+			sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree {
+			wave = expandFrontier(sess, wave)
+		}
+
+		var results []visitResult
+		if batch {
+			var waveFrames int
+			results, waveFrames = s.dispatchWave(ctx, sess, wave, need)
+			t.frames += waveFrames
+		} else {
+			results = make([]visitResult, len(wave))
+			fanOut(len(wave), s.cfg.ParallelFanout, func(i int) {
+				results[i] = s.visit(ctx, sess, wave[i], need)
+			})
+		}
+
+		var resumes, children []workUnit
+		for i, u := range wave {
+			res := results[i]
+			t.nodes++
+			t.frames += res.frames
+			if res.remote {
+				t.msgs += 2
+			}
+			take := len(res.matches)
+			if take > need {
+				take = need
+			}
+			if trace != nil {
+				*trace = append(*trace, TraceStep{
+					Vertex:  uint64(u.vertex),
+					Matches: take,
+					Failed:  res.err != nil,
+				})
+			}
+			if res.err != nil {
+				// Regenerate the failed node's children locally so the rest
+				// of its subtree is still explored.
+				t.failed++
+				children = append(children, filterUnits(sess.childrenOf(u), sess.exclude)...)
+				continue
+			}
+			if u.genDim >= 0 {
+				children = append(children, filterUnits(res.children, sess.exclude)...)
+			}
+			t.matches = append(t.matches, res.matches[:take]...)
+			need -= take
+			if take < len(res.matches) || res.remaining > 0 {
+				// Partially consumed, or contacted after the threshold was
+				// met: resume it first on continuation.
+				resumes = append(resumes, workUnit{vertex: u.vertex, genDim: -1, skip: u.skip + take})
+			}
+		}
+		sess.work = append(rest, children...)
+		if len(resumes) > 0 {
+			sess.work = append(resumes, sess.work...)
+		}
+	}
 }
 
 // visitResult is the outcome of scanning one hypercube node. remote
 // reports the paper's logical accounting — whether this vertex counts
 // as a T_QUERY/T_CONT exchange — while frames counts the physical RPC
 // frames actually sent for it (zero when a batch or a local shortcut
-// absorbed it).
+// absorbed it). children is the node's SBT child list (T_CONT's L),
+// empty for match-only units.
 type visitResult struct {
 	matches   []Match
 	remaining int
-	children  []hypercube.ChildEdge
+	children  []workUnit
 	remote    bool
 	frames    int
 	err       error
 }
 
-// visit scans one work unit: locally when the unit's vertex is the
-// query root hosted by this server, remotely via a T_QUERY/T_CONT
-// round trip otherwise.
-func (s *Server) visit(ctx context.Context, sess *session, u workUnit, rootV hypercube.Vertex, limit int) visitResult {
-	instance := sess.instance
-	if u.vertex == rootV && sess.rootLocal {
-		var matches []Match
-		var remaining int
-		if sess.soft != nil {
-			// Soft-served search: the root's matches come from the soft
-			// copy, not this node's (unrelated) authoritative tables.
-			matches, remaining = scanTable(sess.soft, u.vertex, rootV, sess.pred, u.skip, limit)
-		} else {
-			matches, remaining = s.scanVertexRead(ctx, sess.cube.Dim(), instance, u.vertex, rootV, sess.pred, u.skip, limit)
-		}
-		var children []hypercube.ChildEdge
-		if u.genDim >= 0 {
-			children = sess.cube.InducedChildEdges(rootV, u.vertex, u.genDim)
-		}
-		return visitResult{matches: matches, remaining: remaining, children: children}
+// visit scans one work unit: in place when it is the traversal root
+// hosted by this server, via a T_QUERY/T_CONT round trip otherwise.
+func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) visitResult {
+	if sess.hostsRoot(u) {
+		return s.scanLocal(ctx, sess, u, limit)
 	}
-
-	msg := msgSubQuery{
-		Instance: instance,
+	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex, msgSubQuery{
+		Instance: sess.instance,
 		Dim:      sess.cube.Dim(),
 		Vertex:   uint64(u.vertex),
-		Root:     uint64(rootV),
+		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
 		Limit:    limit,
 		Skip:     u.skip,
 		GenDim:   u.genDim,
 		Class:    sess.pred.class,
-	}
-	var (
-		raw    any
-		frames int
-	)
-	for attempt := 0; ; attempt++ {
-		addr, err := s.cfg.Resolver.Resolve(ctx, instance, u.vertex)
-		if err != nil {
-			return visitResult{remote: true, frames: frames, err: err}
-		}
-		frames++
-		raw, err = s.cfg.Sender.Send(ctx, addr, msg)
-		if err == nil {
-			break
-		}
-		// A stale cached binding (the node departed and the key
-		// re-homed) heals by invalidating and re-resolving once.
-		if inv, ok := s.cfg.Resolver.(*OverlayResolver); ok && attempt == 0 {
-			inv.Invalidate(instance, u.vertex)
-			continue
-		}
+	})
+	if err != nil {
 		return visitResult{remote: true, frames: frames, err: err}
 	}
 	sq, ok := raw.(respSubQuery)
 	if !ok {
 		return visitResult{remote: true, frames: frames, err: fmt.Errorf("core: unexpected sub-query response %T", raw)}
 	}
-	children := make([]hypercube.ChildEdge, len(sq.Children))
-	for i, e := range sq.Children {
-		children[i] = hypercube.ChildEdge{To: hypercube.Vertex(e.Vertex), Dim: e.Dim}
-	}
-	return visitResult{matches: sq.Matches, remaining: sq.Remaining, children: children, remote: true, frames: frames}
+	return visitResult{matches: sq.Matches, remaining: sq.Remaining, children: unitsFromWire(sq.Children), remote: true, frames: frames}
 }
 
-// traverseSequential implements the paper's sequential Steps 1–3: pop
-// one frontier node at a time, scan it, append its children, stop as
-// soon as the threshold is met (T_STOP). Failed nodes are skipped —
-// their subtree is still reachable because the child list is
-// regenerable locally — and counted in failed.
-func (s *Server) traverseSequential(ctx context.Context, sess *session, rootV hypercube.Vertex, threshold int, trace *[]TraceStep) (collected []Match, nodes, msgs, failed, frames int) {
-	need := threshold
-	for len(sess.work) > 0 && need > 0 && ctx.Err() == nil {
-		u := sess.work[0]
-		sess.work = sess.work[1:]
-		res := s.visit(ctx, sess, u, rootV, need)
-		nodes++
-		frames += res.frames
-		if res.remote {
-			msgs += 2
-		}
-		if trace != nil {
-			*trace = append(*trace, TraceStep{
-				Vertex:  uint64(u.vertex),
-				Matches: len(res.matches),
-				Failed:  res.err != nil,
-			})
-		}
-		if res.err != nil {
-			failed++
-			if u.genDim >= 0 {
-				// Regenerate the failed node's children locally so the
-				// rest of its subtree is still explored.
-				sess.work = append(sess.work, sess.childUnits(sess.cube.InducedChildEdges(rootV, u.vertex, u.genDim))...)
-			}
-			continue
-		}
-		collected = append(collected, res.matches...)
-		need -= len(res.matches)
-		if u.genDim >= 0 {
-			sess.work = append(sess.work, sess.childUnits(res.children)...)
-		}
-		if res.remaining > 0 {
-			// Partially consumed node: resume it first on continuation.
-			sess.work = append([]workUnit{{vertex: u.vertex, genDim: -1, skip: u.skip + len(res.matches)}}, sess.work...)
-		}
+// scanLocal answers a unit from this server's own tables, with no
+// frame. On a soft-served search only the root is ever local, and its
+// matches come from the soft copy, not this node's (unrelated)
+// authoritative tables.
+func (s *Server) scanLocal(ctx context.Context, sess *session, u workUnit, limit int) visitResult {
+	var res visitResult
+	if sess.soft != nil {
+		res.matches, res.remaining = scanTable(sess.soft, u.vertex, sess.root, sess.pred, u.skip, limit)
+	} else {
+		res.matches, res.remaining = s.scanVertexRead(ctx, sess.cube.Dim(), sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit)
 	}
-	return collected, nodes, msgs, failed, frames
-}
-
-// traverseParallel queries all frontier nodes of a wave concurrently
-// (Section 3.5's level-synchronous variant). Results are consumed in
-// frontier order so the output matches TopDown; over-fetched matches
-// from nodes beyond the stopping point are discarded and those nodes
-// re-queued as match-only units for later continuation.
-//
-// With BatchWaves on, each wave is dispatched as one msgSubQueryBatch
-// per distinct physical peer instead of one msgSubQuery per vertex,
-// and exhaustive searches (threshold All — no early stop can occur)
-// flatten the entire remaining subtree into a single mega-wave, since
-// SBT child lists are pure geometry the root can generate itself. Both
-// transformations change only the physical framing: the accounting
-// loop below consumes results in the exact order and with the exact
-// logical-message, failure and continuation semantics of the
-// per-message path.
-func (s *Server) traverseParallel(ctx context.Context, sess *session, rootV hypercube.Vertex, threshold int, trace *[]TraceStep) (collected []Match, nodes, msgs, failed, rounds, frames int) {
-	batch := s.cfg.BatchWaves == BatchOn
-	need := threshold
-	for len(sess.work) > 0 && need > 0 && ctx.Err() == nil {
-		rounds++
-		wave := sess.work
-		sess.work = nil
-		if batch && rounds == 1 && threshold == All &&
-			sess.cube.Dim()-rootV.OnesCount() <= maxBottomUpFree {
-			wave = expandFrontier(sess.cube, rootV, wave, sess.exclude)
-		}
-
-		var results []visitResult
-		if batch {
-			var waveFrames int
-			results, waveFrames = s.dispatchWave(ctx, sess, wave, rootV, need)
-			frames += waveFrames
-		} else {
-			results = make([]visitResult, len(wave))
-			sem := make(chan struct{}, s.cfg.ParallelFanout)
-			var wg sync.WaitGroup
-			for i, u := range wave {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int, u workUnit) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					results[i] = s.visit(ctx, sess, u, rootV, need)
-				}(i, u)
-			}
-			wg.Wait()
-		}
-
-		var nextLevel []workUnit
-		for i, u := range wave {
-			res := results[i]
-			nodes++
-			frames += res.frames
-			if res.remote {
-				msgs += 2
-			}
-			consumable := len(res.matches)
-			if consumable > need {
-				consumable = need
-			}
-			if consumable < 0 {
-				consumable = 0
-			}
-			if trace != nil {
-				*trace = append(*trace, TraceStep{
-					Vertex:  uint64(u.vertex),
-					Matches: consumable,
-					Failed:  res.err != nil,
-				})
-			}
-			if res.err != nil {
-				failed++
-				if u.genDim >= 0 {
-					nextLevel = append(nextLevel, sess.childUnits(sess.cube.InducedChildEdges(rootV, u.vertex, u.genDim))...)
-				}
-				continue
-			}
-			if u.genDim >= 0 {
-				nextLevel = append(nextLevel, sess.childUnits(res.children)...)
-			}
-			if need > 0 {
-				take := len(res.matches)
-				if take > need {
-					take = need
-				}
-				collected = append(collected, res.matches[:take]...)
-				need -= take
-				if take < len(res.matches) || res.remaining > 0 {
-					sess.work = append(sess.work, workUnit{vertex: u.vertex, genDim: -1, skip: u.skip + take})
-				}
-			} else if len(res.matches) > 0 || res.remaining > 0 {
-				// Contacted but unconsumed: keep for continuation.
-				sess.work = append(sess.work, workUnit{vertex: u.vertex, genDim: -1, skip: u.skip})
-			}
-		}
-		sess.work = append(sess.work, nextLevel...)
-	}
-	return collected, nodes, msgs, failed, rounds, frames
+	res.children = sess.childrenOf(u)
+	return res
 }
 
 // expandFrontier transitively expands a frontier into the full list of
 // work units its traversal would visit, in the exact order the
 // level-by-level waves would concatenate to: each unit is followed by
 // its SBT children, generated breadth-first. Expanded units carry
-// genDim -1 so the accounting loop neither re-appends their children
-// on success nor regenerates them on failure — the whole subtree is
-// already in the wave. Children intersecting the exclude mask are
-// pruned (prefix-multicast branch partition); zero excludes nothing.
-func expandFrontier(cube hypercube.Cube, rootV hypercube.Vertex, frontier []workUnit, exclude hypercube.Vertex) []workUnit {
-	out := make([]workUnit, 0, cube.SubcubeSize(rootV))
+// genDim -1 so the consume loop neither re-appends their children on
+// success nor regenerates them on failure — the whole subtree is
+// already in the wave. Children intersecting the session's exclude mask
+// are pruned (prefix-multicast branch partition).
+func expandFrontier(sess *session, frontier []workUnit) []workUnit {
+	out := make([]workUnit, 0, sess.cube.SubcubeSize(sess.root))
 	queue := append(make([]workUnit, 0, len(frontier)), frontier...)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		if u.genDim >= 0 {
-			queue = append(queue, filterUnits(asUnits(cube.InducedChildEdges(rootV, u.vertex, u.genDim)), exclude)...)
-			u.genDim = -1
-		}
+		queue = append(queue, filterUnits(sess.childrenOf(u), sess.exclude)...)
+		u.genDim = -1
 		out = append(out, u)
 	}
 	return out
@@ -570,144 +591,85 @@ func expandFrontier(cube hypercube.Cube, rootV hypercube.Vertex, frontier []work
 // batch cannot serve (transport failure, or per-unit ownership error)
 // falls back to the per-message visit path with its resolve-retry
 // healing, so failure semantics are identical to the unbatched mode.
-func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, rootV hypercube.Vertex, limit int) ([]visitResult, int) {
-	instance := sess.instance
+func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int) ([]visitResult, int) {
 	results := make([]visitResult, len(wave))
 
-	// Resolve each distinct non-root vertex once. A foreign branch
-	// root (prefix multicast, rootLocal false) is a remote vertex like
-	// any other and must be resolved.
-	distinct := make([]hypercube.Vertex, 0, len(wave))
-	pos := make(map[hypercube.Vertex]int, len(wave))
-	for _, u := range wave {
-		if u.vertex == rootV && sess.rootLocal {
+	// Resolve every vertex but a root this server hosts. A foreign
+	// branch root (prefix multicast) is a remote vertex like any other
+	// and must be resolved.
+	local := make([]int, 0, len(wave))
+	remote := make([]int, 0, len(wave))
+	vertices := make([]hypercube.Vertex, 0, len(wave))
+	for i, u := range wave {
+		if sess.hostsRoot(u) {
+			local = append(local, i)
 			continue
 		}
-		if _, ok := pos[u.vertex]; !ok {
-			pos[u.vertex] = len(distinct)
-			distinct = append(distinct, u.vertex)
-		}
+		remote = append(remote, i)
+		vertices = append(vertices, u.vertex)
 	}
-	var (
-		addrs []transport.Addr
-		errs  []error
-	)
-	if br, ok := s.cfg.Resolver.(BatchResolver); ok {
-		addrs, errs = br.ResolveBatch(ctx, instance, distinct)
-	} else {
-		addrs = make([]transport.Addr, len(distinct))
-		errs = make([]error, len(distinct))
-		sem := make(chan struct{}, s.cfg.ParallelFanout)
-		var wg sync.WaitGroup
-		for i, v := range distinct {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, v hypercube.Vertex) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				addrs[i], errs[i] = s.cfg.Resolver.Resolve(ctx, instance, v)
-			}(i, v)
-		}
-		wg.Wait()
-	}
+	addrs, errs := s.cfg.Resolver.ResolveBatch(ctx, sess.instance, vertices)
 
 	// This server's own address identifies which other vertices it
-	// hosts; failing to resolve it only disables that shortcut. The
-	// session's selfVertex — not the branch root, which a prefix
-	// multicast may not own — resolves to it. On a soft-served search
-	// the root resolves to the OWNER's address, not this node's, so
-	// the shortcut stays off — non-root vertices all take the batch
-	// path to their authoritative peers (possibly including this node
-	// itself, via a self-addressed frame).
+	// hosts; failing to resolve it only disables that shortcut. On a
+	// soft-served search the root resolves to the OWNER's address, not
+	// this node's, so the shortcut stays off — non-root vertices all
+	// take the batch path to their authoritative peers (possibly
+	// including this node itself, via a self-addressed frame).
 	var selfAddr transport.Addr
 	if sess.soft == nil {
-		if a, err := s.cfg.Resolver.Resolve(ctx, instance, sess.selfVertex); err == nil {
+		if a, err := s.cfg.Resolver.Resolve(ctx, sess.instance, sess.self); err == nil {
 			selfAddr = a
 		}
 	}
 
 	// Group wave positions by destination peer, preserving first-seen
 	// dispatch order.
-	local := make([]int, 0, len(wave))
 	byAddr := make(map[transport.Addr][]int)
-	order := make([]transport.Addr, 0, len(wave))
-	for i, u := range wave {
-		if u.vertex == rootV && sess.rootLocal {
+	peers := make([]transport.Addr, 0, len(remote))
+	for k, i := range remote {
+		addr := addrs[k]
+		switch {
+		case errs[k] != nil:
+			results[i] = visitResult{remote: true, err: errs[k]}
+		case selfAddr != "" && addr == selfAddr:
 			local = append(local, i)
-			continue
+		default:
+			if _, ok := byAddr[addr]; !ok {
+				peers = append(peers, addr)
+			}
+			byAddr[addr] = append(byAddr[addr], i)
 		}
-		p := pos[u.vertex]
-		if errs[p] != nil {
-			results[i] = visitResult{remote: true, err: errs[p]}
-			continue
-		}
-		addr := addrs[p]
-		if selfAddr != "" && addr == selfAddr {
-			local = append(local, i)
-			continue
-		}
-		if _, ok := byAddr[addr]; !ok {
-			order = append(order, addr)
-		}
-		byAddr[addr] = append(byAddr[addr], i)
 	}
 
 	// Local units: scanned directly, no frame. A vertex the resolver
 	// maps here but the DHT layer no longer owns takes the remote path.
 	for _, i := range local {
 		u := wave[i]
-		isLocalRoot := u.vertex == rootV && sess.rootLocal
-		if isLocalRoot && sess.soft != nil {
-			matches, remaining := scanTable(sess.soft, u.vertex, rootV, sess.pred, u.skip, limit)
-			var children []hypercube.ChildEdge
-			if u.genDim >= 0 {
-				children = sess.cube.InducedChildEdges(rootV, u.vertex, u.genDim)
-			}
-			results[i] = visitResult{matches: matches, remaining: remaining, children: children}
-			continue
-		}
-		if !isLocalRoot && !s.owns(instance, u.vertex) {
-			results[i] = s.visit(ctx, sess, u, rootV, limit)
-			continue
-		}
-		matches, remaining := s.scanVertexRead(ctx, sess.cube.Dim(), instance, u.vertex, rootV, sess.pred, u.skip, limit)
-		var children []hypercube.ChildEdge
-		if u.genDim >= 0 {
-			children = sess.cube.InducedChildEdges(rootV, u.vertex, u.genDim)
-		}
-		results[i] = visitResult{matches: matches, remaining: remaining, children: children, remote: !isLocalRoot}
-		if !isLocalRoot {
+		switch {
+		case sess.hostsRoot(u):
+			results[i] = s.scanLocal(ctx, sess, u, limit)
+		case !s.owns(sess.instance, u.vertex):
+			results[i] = s.visit(ctx, sess, u, limit)
+		default:
+			results[i] = s.scanLocal(ctx, sess, u, limit)
+			results[i].remote = true
 			s.met.coalesced.Inc() // frame avoided entirely
 		}
 	}
 
 	// One batch per distinct peer, concurrently, fanout-bounded.
-	frames := make([]int, len(order))
-	sem := make(chan struct{}, s.cfg.ParallelFanout)
-	var wg sync.WaitGroup
-	for k, addr := range order {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int, addr transport.Addr, idx []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			frames[k] = s.sendBatch(ctx, sess, addr, idx, wave, rootV, limit, results)
-		}(k, addr, byAddr[addr])
-	}
-	wg.Wait()
-
-	total := 0
-	for _, f := range frames {
-		total += f
-	}
-	return results, total
+	fanOut(len(peers), s.cfg.ParallelFanout, func(k int) {
+		s.sendBatch(ctx, sess, peers[k], byAddr[peers[k]], wave, limit, results)
+	})
+	return results, len(peers)
 }
 
-// sendBatch sends one coalesced msgSubQueryBatch and unpacks per-unit
-// outcomes into results (positions idx of wave). It returns the number
-// of batch frames sent; units the batch could not serve are retried on
-// the per-message path and carry those frames in their own results.
-func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int, wave []workUnit, rootV hypercube.Vertex, limit int, results []visitResult) int {
+// sendBatch sends one coalesced msgSubQueryBatch frame and unpacks
+// per-unit outcomes into results (positions idx of wave). Units the
+// batch could not serve are retried on the per-message path and carry
+// those frames in their own results.
+func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int, wave []workUnit, limit int, results []visitResult) {
 	units := make([]wireUnit, len(idx))
 	for j, i := range idx {
 		u := wave[i]
@@ -716,7 +678,7 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 	msg := msgSubQueryBatch{
 		Instance: sess.instance,
 		Dim:      sess.cube.Dim(),
-		Root:     uint64(rootV),
+		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
 		Limit:    limit,
 		Units:    units,
@@ -729,64 +691,68 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 	raw, err := s.cfg.Sender.Send(ctx, addr, msg)
 	resp, shapeOK := raw.(respSubQueryBatch)
 	if err != nil || !shapeOK || len(resp.Results) != len(idx) {
-		if cerr := ctx.Err(); cerr != nil {
-			// The search itself is dead; per-unit retries would only
-			// spray doomed frames at an already loaded peer.
-			for _, i := range idx {
-				results[i] = visitResult{remote: true, err: cerr}
-			}
-			return 1
-		}
-		// The whole frame failed (peer down, partitioned, or answered
-		// nonsense): every unit retries individually, which reproduces
-		// the unbatched failure accounting exactly.
+		cerr := ctx.Err()
 		for _, i := range idx {
-			results[i] = s.visit(ctx, sess, wave[i], rootV, limit)
+			if cerr != nil {
+				// The search itself is dead; per-unit retries would only
+				// spray doomed frames at an already loaded peer.
+				results[i] = visitResult{remote: true, err: cerr}
+			} else {
+				// The whole frame failed (peer down, partitioned, or
+				// answered nonsense): every unit retries individually,
+				// which reproduces the unbatched failure accounting
+				// exactly.
+				results[i] = s.visit(ctx, sess, wave[i], limit)
+			}
 		}
-		return 1
+		return
 	}
 	s.met.coalesced.Add(uint64(len(units) - 1))
 	for j, i := range idx {
 		r := resp.Results[j]
-		if r.ErrCode == errCodeCancelled {
+		switch r.ErrCode {
+		case errCodeNone:
+			results[i] = visitResult{matches: r.Matches, remaining: r.Remaining, children: unitsFromWire(r.Children), remote: true}
+		case errCodeCancelled:
 			cerr := ctx.Err()
 			if cerr == nil {
 				cerr = context.DeadlineExceeded
 			}
 			results[i] = visitResult{remote: true, err: cerr}
-			continue
+		default:
+			results[i] = s.visit(ctx, sess, wave[i], limit)
 		}
-		if r.ErrCode != 0 {
-			results[i] = s.visit(ctx, sess, wave[i], rootV, limit)
-			continue
-		}
-		children := make([]hypercube.ChildEdge, len(r.Children))
-		for k, e := range r.Children {
-			children[k] = hypercube.ChildEdge{To: hypercube.Vertex(e.Vertex), Dim: e.Dim}
-		}
-		results[i] = visitResult{matches: r.Matches, remaining: r.Remaining, children: children, remote: true}
 	}
-	return 1
 }
 
-func asUnits(edges []hypercube.ChildEdge) []workUnit {
+// childrenOf generates u's SBT child list L = {(x, i) : i < genDim,
+// i ∈ Zero(u)} as unfiltered work units; nil for match-only units,
+// whose children were generated on their first visit.
+func (sess *session) childrenOf(u workUnit) []workUnit {
+	if u.genDim < 0 {
+		return nil
+	}
+	edges := sess.cube.InducedChildEdges(sess.root, u.vertex, u.genDim)
 	units := make([]workUnit, len(edges))
 	for i, e := range edges {
-		units[i] = workUnit{vertex: e.To, genDim: e.Dim, skip: 0}
+		units[i] = workUnit{vertex: e.To, genDim: e.Dim}
 	}
 	return units
 }
 
-// childUnits converts child edges to work units, pruning vertices the
-// session's branch-exclusion mask assigns to an earlier prefix branch.
-func (sess *session) childUnits(edges []hypercube.ChildEdge) []workUnit {
-	return filterUnits(asUnits(edges), sess.exclude)
+// unitsFromWire is childrenOf for a child list a remote node returned.
+func unitsFromWire(edges []wireEdge) []workUnit {
+	units := make([]workUnit, len(edges))
+	for i, e := range edges {
+		units[i] = workUnit{vertex: hypercube.Vertex(e.Vertex), genDim: e.Dim}
+	}
+	return units
 }
 
-// filterUnits drops units whose vertex intersects exclude. SBT paths
-// only accumulate bits, so cutting a child here removes exactly the
-// subtree of vertices carrying an excluded dimension — every other
-// descendant stays reachable.
+// filterUnits drops, in place, units whose vertex intersects exclude.
+// SBT paths only accumulate bits, so cutting a child here removes
+// exactly the subtree of vertices carrying an excluded dimension —
+// every other descendant stays reachable.
 func filterUnits(units []workUnit, exclude hypercube.Vertex) []workUnit {
 	if exclude == 0 {
 		return units

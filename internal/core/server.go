@@ -185,9 +185,9 @@ type Server struct {
 	// every Acquire a no-op.
 	adm *admission.Controller
 
-	// searchSeq numbers the superset searches this server roots; it
-	// drives the 1-in-spanStepSampleEvery sampling of per-vertex span
-	// steps (see runSearch).
+	// searchSeq numbers the searches this server roots; it drives the
+	// 1-in-spanStepSampleEvery sampling of per-vertex span steps (see
+	// runQuery).
 	searchSeq atomic.Uint64
 
 	shards   []*tableShard // length is a power of two
@@ -327,8 +327,7 @@ type serverMetrics struct {
 	refineMiss *telemetry.Counter // core_refine_fallbacks_total
 
 	// core_search_class_total{class}: one count per dispatched query,
-	// labeled by its class — pin and prefix count however they arrive
-	// (unified msgTQuery dispatch or the legacy msgPinQuery path).
+	// labeled by its class.
 	classSuperset *telemetry.Counter
 	classPin      *telemetry.Counter
 	classPrefix   *telemetry.Counter
@@ -562,11 +561,6 @@ func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
 	switch m := body.(type) {
 	case msgTQuery:
 		return m.ClientID, m.DeadlineUnixNano, true
-	case msgPinQuery:
-		// Relayed pins are the interior half of a migration double-read
-		// window — gating them would let admission break the
-		// byte-identical-answers guarantee mid-churn.
-		return m.ClientID, 0, !m.Relay
 	case msgInsertEntry:
 		return m.ClientID, 0, true
 	case msgDeleteEntry:
@@ -574,6 +568,10 @@ func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
 	}
 	// Everything else — wave traffic, bulk transfers, migration chunks
 	// and commits, relayed sub-queries — is interior and never gated.
+	// Relayed sub-queries in particular are the old-owner half of a
+	// migration double-read (every class, pin included): gating them
+	// would let admission break the byte-identical-answers guarantee
+	// mid-churn.
 	return "", 0, false
 }
 
@@ -630,26 +628,12 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			return nil, err
 		}
 		return respDeleteEntry{Found: found}, nil
-	case msgPinQuery:
-		s.met.opPin.Inc()
-		s.met.classCounter(ClassPin).Inc()
-		if msg.Relay {
-			// Double-read from the new owner of a migrating range:
-			// answer from the local table without the ownership check —
-			// this node's copy stays authoritative until commit — and
-			// never re-relay.
-			return s.pinQuery(msg.Instance, hypercube.Vertex(msg.Vertex), msg.SetKey), nil
-		}
-		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
-			return nil, ErrNotOwner
-		}
-		return s.pinQueryRead(ctx, msg.Instance, hypercube.Vertex(msg.Vertex), msg.SetKey), nil
 	case msgSubQuery:
 		s.met.opSub.Inc()
-		if msg.Relay {
-			return s.subQueryLocal(msg), nil
-		}
-		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
+		// A relay is a double-read from the new owner of a migrating
+		// range: it is answered without the ownership check — this
+		// node's copy stays authoritative until commit.
+		if !msg.Relay && !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
 			return nil, ErrNotOwner
 		}
 		return s.subQuery(ctx, msg), nil
@@ -705,7 +689,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 				return nil, ErrNotOwner
 			}
 			s.met.opPin.Inc()
-			return s.runPinQuery(ctx, msg)
+			return s.runQuery(ctx, msg, nil)
 		case ClassPrefix:
 			if msg.SoftOnly {
 				// Soft replicas hold one vertex's table; a prefix
@@ -717,7 +701,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 				return nil, ErrNotOwner
 			}
 			s.met.opPrefix.Inc()
-			return s.runPrefixSearch(ctx, msg)
+			return s.runQuery(ctx, msg, nil)
 		}
 		if msg.RefineFromKey != "" {
 			// Explicit refinement: the receiver must own the ANCESTOR
@@ -735,7 +719,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		if tbl := s.soft.lookup(msg.Instance, hypercube.Vertex(msg.Vertex)); tbl != nil {
 			s.met.opSearch.Inc()
 			s.met.softServes.Inc()
-			return s.runSearch(ctx, msg, tbl)
+			return s.runQuery(ctx, msg, tbl)
 		}
 		if msg.SoftOnly {
 			// A spreading client reached us for a copy we no longer
@@ -747,7 +731,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			return nil, ErrNotOwner
 		}
 		s.met.opSearch.Inc()
-		return s.runSearch(ctx, msg, nil)
+		return s.runQuery(ctx, msg, nil)
 	case msgSoftPromote:
 		s.soft.applyPromote(msg)
 		return respAck{}, nil
@@ -961,61 +945,42 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 	return true, e.set
 }
 
-// pinQuery returns the objects indexed under exactly the given set.
-// The returned ID slice is the entry's immutable sorted-ID snapshot —
-// never mutated after publication — so no defensive copy is taken.
-func (s *Server) pinQuery(instance string, v hypercube.Vertex, setKey string) respPinQuery {
-	sh := s.shardFor(instance, v)
-	sh.rlock(s.met.shardLockWait)
-	defer sh.mu.RUnlock()
-	tbl, ok := sh.tables[instance][v]
-	if !ok {
-		return respPinQuery{}
-	}
-	e, ok := tbl.entries[setKey]
-	if !ok {
-		return respPinQuery{}
-	}
-	return respPinQuery{ObjectIDs: e.ids()}
-}
-
-// subQuery scans the table of msg.Vertex for entries whose keyword set
-// contains the query, returning a deterministic window of matches and,
-// when msg.GenDim ≥ 0, the SBT child list of the vertex. The scan is
+// subQuery scans the table of msg.Vertex for entries matching the
+// query, returning a deterministic window of matches and, when
+// msg.GenDim ≥ 0, the SBT child list of the vertex. The scan is
 // migration-aware: a vertex inside an open inbound window double-reads
-// the old owner (scanVertexRead).
+// the old owner (scanVertexRead). A relayed sub-query IS that
+// double-read, so it answers strictly from the local tables and is
+// never re-relayed.
 func (s *Server) subQuery(ctx context.Context, msg msgSubQuery) respSubQuery {
 	pred := predFor(msg.Class, msg.QueryKey)
-	root := hypercube.Vertex(msg.Root)
-	matches, remaining := s.scanVertexRead(ctx, msg.Dim, msg.Instance, hypercube.Vertex(msg.Vertex), root, pred, msg.Skip, msg.Limit)
-	resp := respSubQuery{Matches: matches, Remaining: remaining}
-	return s.subQueryChildren(msg, resp)
-}
-
-// subQueryLocal answers a relayed sub-query strictly from the local
-// tables (the old-owner half of a double-read; never re-relayed).
-func (s *Server) subQueryLocal(msg msgSubQuery) respSubQuery {
-	pred := predFor(msg.Class, msg.QueryKey)
-	root := hypercube.Vertex(msg.Root)
-	matches, remaining := s.scanVertex(msg.Instance, hypercube.Vertex(msg.Vertex), root, pred, msg.Skip, msg.Limit)
-	resp := respSubQuery{Matches: matches, Remaining: remaining}
-	return s.subQueryChildren(msg, resp)
-}
-
-// subQueryChildren attaches the SBT child list when requested.
-func (s *Server) subQueryChildren(msg msgSubQuery, resp respSubQuery) respSubQuery {
-	if msg.GenDim >= 0 {
-		cube, err := s.cubeFor(msg.Dim)
-		if err != nil {
-			return resp // malformed dim: return matches without children
-		}
-		edges := cube.InducedChildEdges(hypercube.Vertex(msg.Root), hypercube.Vertex(msg.Vertex), msg.GenDim)
-		resp.Children = make([]wireEdge, len(edges))
-		for i, e := range edges {
-			resp.Children[i] = wireEdge{Vertex: uint64(e.To), Dim: e.Dim}
-		}
+	v, root := hypercube.Vertex(msg.Vertex), hypercube.Vertex(msg.Root)
+	var resp respSubQuery
+	if msg.Relay {
+		resp.Matches, resp.Remaining = s.scanVertex(msg.Instance, v, root, pred, msg.Skip, msg.Limit)
+	} else {
+		resp.Matches, resp.Remaining = s.scanVertexRead(ctx, msg.Dim, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
+	}
+	if cube, err := s.cubeFor(msg.Dim); err == nil {
+		// A malformed dim returns the matches without children.
+		resp.Children = wireChildren(cube, root, v, msg.GenDim)
 	}
 	return resp
+}
+
+// wireChildren is the SBT child list of v in root's tree as it travels
+// in a T_CONT (nil when genDim is negative: a match-only unit). Child
+// lists are pure geometry and are computed outside any lock.
+func wireChildren(cube hypercube.Cube, root, v hypercube.Vertex, genDim int) []wireEdge {
+	if genDim < 0 {
+		return nil
+	}
+	edges := cube.InducedChildEdges(root, v, genDim)
+	children := make([]wireEdge, len(edges))
+	for i, e := range edges {
+		children[i] = wireEdge{Vertex: uint64(e.To), Dim: e.Dim}
+	}
+	return children
 }
 
 // subQueryBatch answers a coalesced wave of sub-queries in one frame.
@@ -1024,8 +989,7 @@ func (s *Server) subQueryChildren(msg msgSubQuery, resp respSubQuery) respSubQue
 // so a mega-wave frame spreads over every core instead of serializing
 // on one mutex. Results are written positionally, which keeps match
 // order, per-unit outcomes and the root's accounting byte-identical to
-// the sequential path. SBT child lists are pure geometry and are
-// computed outside any lock.
+// the sequential path.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
 	if msg.DeadlineUnixNano > 0 {
 		// tcpnet handler contexts carry no request deadline; re-derive
@@ -1094,17 +1058,12 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 		s.met.scanParUnits.Add(uint64(len(msg.Units)))
 	}
 
-	cube, cubeErr := s.cubeFor(msg.Dim)
-	for i, u := range msg.Units {
-		if results[i].ErrCode != 0 || u.GenDim < 0 || cubeErr != nil {
-			continue
+	if cube, err := s.cubeFor(msg.Dim); err == nil {
+		for i, u := range msg.Units {
+			if results[i].ErrCode == 0 {
+				results[i].Children = wireChildren(cube, root, hypercube.Vertex(u.Vertex), u.GenDim)
+			}
 		}
-		edges := cube.InducedChildEdges(root, hypercube.Vertex(u.Vertex), u.GenDim)
-		children := make([]wireEdge, len(edges))
-		for j, e := range edges {
-			children[j] = wireEdge{Vertex: uint64(e.To), Dim: e.Dim}
-		}
-		results[i].Children = children
 	}
 	return respSubQueryBatch{Results: results}
 }
@@ -1160,9 +1119,9 @@ func scanTable(tbl *table, v, root hypercube.Vertex, pred queryPred, skip, limit
 	setKeys := tbl.sortedKeys()
 	if pred.class == ClassPin {
 		// Exact-set lookup: a single map probe replaces the sorted walk,
-		// keeping the legacy pin path's O(1) cost under the unified
-		// predicate. Output order (the entry's sorted-ID snapshot) is
-		// identical to what the sorted walk would produce for one key.
+		// so a pin stays O(1) under the unified predicate. Output order
+		// (the entry's sorted-ID snapshot) is identical to what the
+		// sorted walk would produce for one key.
 		if _, ok := tbl.entries[pred.key]; ok {
 			setKeys = []string{pred.key}
 		} else {

@@ -7,18 +7,31 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 )
 
-// session is the root-side state of a cumulative superset search
-// (Section 3.3: "the root node keeps the queue U for subsequent
-// queries"). A session freezes the traversal frontier — the pending
-// work units — so consecutive searches with the same keyword set
-// return disjoint result pages.
+// session is one suspended run of the traversal engine: the frontier
+// of one spanning binomial tree plus what the engine needs to keep
+// draining it. A superset search is one session over SBT(F_h(K)), a
+// prefix multicast one session per branch, a pin query one session
+// holding a single childless unit. A cumulative search is a session
+// parked in the sessionStore between pages (Section 3.3: "the root node
+// keeps the queue U for subsequent queries"), so consecutive pages are
+// disjoint.
 type session struct {
 	instance string
 	cube     hypercube.Cube
 	pred     queryPred
 	order    TraversalOrder
+	// root is the traversal root: F_h(K) for superset and pin, the
+	// branch's e_d for a prefix multicast. Depths and SBT child lists
+	// are relative to it.
+	root hypercube.Vertex
+	// self is the vertex whose owner this server is — the vertex the
+	// initiator addressed. It equals root for superset, pin and the
+	// coordinator's own prefix branch; every other prefix branch root
+	// is a remote vertex visited like any other frontier node. Wave
+	// dispatch resolves self (not root) to find this server's address.
+	self hypercube.Vertex
 	// work is the pending frontier: for TopDown/ParallelLevels the
-	// paper's queue U (plus a possible partially-consumed node at the
+	// paper's queue U (plus possible partially-consumed nodes at the
 	// head); for BottomUp the remaining vertices in descending-depth
 	// order.
 	work []workUnit
@@ -30,16 +43,12 @@ type session struct {
 	// edges landing on a vertex that intersects it belong to an
 	// earlier branch and are pruned. Zero for superset searches.
 	exclude hypercube.Vertex
-	// rootLocal reports that this server hosts the traversal root's
-	// table (always true for superset; only the coordinator's own
-	// first branch for a prefix multicast). When false, the root
-	// vertex is visited remotely like any other frontier node.
-	rootLocal bool
-	// selfVertex is the vertex whose owner is this server — the
-	// traversal root for superset, the coordinator's root for every
-	// prefix branch. Wave dispatch resolves it (not the branch root)
-	// to classify work units as local.
-	selfVertex hypercube.Vertex
+}
+
+// hostsRoot reports that u is the traversal root and this server holds
+// its table, so the unit is scanned in place with no exchange.
+func (sess *session) hostsRoot(u workUnit) bool {
+	return u.vertex == sess.root && sess.root == sess.self
 }
 
 // workUnit is one pending node visit: scan 'vertex', skipping the

@@ -7,14 +7,16 @@ import (
 // Wire type IDs of the index protocol. IDs 1–31 belong to package
 // core; chord owns 32–63 and invindex 64–95. Never reuse or renumber a
 // live ID — the registry panics on conflicts, and mixed-version fleets
-// would misparse each other.
+// would misparse each other. IDs 5 and 6 carried the dedicated pin
+// request/response pair that predates QueryClass (pin is
+// msgTQuery{Class: ClassPin} now); they are retired and stay unassigned
+// forever, so a frame from a peer that still sends them fails to decode
+// instead of being misread.
 const (
 	wireMsgInsertEntry    = 1
 	wireRespAck           = 2
 	wireMsgDeleteEntry    = 3
 	wireRespDeleteEntry   = 4
-	wireMsgPinQuery       = 5
-	wireRespPinQuery      = 6
 	wireMsgTQuery         = 7
 	wireRespTQuery        = 8
 	wireMsgSubQuery       = 9
@@ -37,8 +39,6 @@ func registerWireCodecs() {
 	wire.Register[respAck](wireRespAck)
 	wire.Register[msgDeleteEntry](wireMsgDeleteEntry)
 	wire.Register[respDeleteEntry](wireRespDeleteEntry)
-	wire.Register[msgPinQuery](wireMsgPinQuery)
-	wire.Register[respPinQuery](wireRespPinQuery)
 	wire.Register[msgTQuery](wireMsgTQuery)
 	wire.Register[respTQuery](wireRespTQuery)
 	wire.Register[msgSubQuery](wireMsgSubQuery)
@@ -196,41 +196,6 @@ func (m *msgDeleteEntry) UnmarshalWire(r *wire.Reader) error {
 
 func (m *respDeleteEntry) MarshalWire(w *wire.Writer)         { w.Bool(m.Found) }
 func (m *respDeleteEntry) UnmarshalWire(r *wire.Reader) error { m.Found = r.Bool(); return r.Err() }
-
-func (m *msgPinQuery) MarshalWire(w *wire.Writer) {
-	w.String(m.Instance)
-	w.Uvarint(m.Vertex)
-	w.String(m.SetKey)
-	w.String(m.ClientID)
-	w.Bool(m.Relay)
-}
-
-func (m *msgPinQuery) UnmarshalWire(r *wire.Reader) error {
-	m.Instance = r.String()
-	m.Vertex = r.Uvarint()
-	m.SetKey = r.String()
-	m.ClientID = r.String()
-	m.Relay = r.Bool()
-	return r.Err()
-}
-
-func (m *respPinQuery) MarshalWire(w *wire.Writer) {
-	w.Uvarint(uint64(len(m.ObjectIDs)))
-	for _, id := range m.ObjectIDs {
-		w.String(id)
-	}
-}
-
-func (m *respPinQuery) UnmarshalWire(r *wire.Reader) error {
-	n := r.Count(1)
-	if n > 0 {
-		m.ObjectIDs = make([]string, n)
-		for i := range m.ObjectIDs {
-			m.ObjectIDs[i] = r.String()
-		}
-	}
-	return r.Err()
-}
 
 func (m *msgTQuery) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)

@@ -55,9 +55,6 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		msgDeleteEntry{Instance: "x", Vertex: 1, SetKey: "s", ObjectID: "o", ClientID: ""},
 		respDeleteEntry{Found: true},
 		respDeleteEntry{},
-		msgPinQuery{Instance: "default", Vertex: 5, SetKey: "k1 k2", ClientID: "cli", Relay: true},
-		respPinQuery{ObjectIDs: []string{"a", "b", "c"}},
-		respPinQuery{},
 		msgTQuery{Instance: "default", Dim: 10, Vertex: 1023, QueryKey: "q", Threshold: 50,
 			Order: 1, Cumulative: true, SessionID: 0xfeedface12345678, NoCache: true,
 			WantTrace: true, ClientID: "c", DeadlineUnixNano: -1},
@@ -74,6 +71,8 @@ func TestCoreWireRoundTrip(t *testing.T) {
 			Limit: 10, Skip: 5, GenDim: -1, Relay: true},
 		msgSubQuery{Instance: "i", Dim: 8, Vertex: 200, Root: 1, QueryKey: "kw",
 			Limit: -1, GenDim: 2, Class: ClassPrefix},
+		msgSubQuery{Instance: "i", Dim: 6, Vertex: 9, Root: 9, QueryKey: "a b",
+			Limit: -1, GenDim: -1, Relay: true, Class: ClassPin}, // the relayed half of a pin
 		respSubQuery{Matches: matches, Remaining: 17, Children: edges},
 		respSubQuery{},
 		msgSubQueryBatch{Instance: "i", Dim: 6, Root: 63, QueryKey: "q", Limit: 100,
@@ -98,6 +97,19 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		respMigrateCommit{Dropped: 321},
 	} {
 		roundTrip(t, msg)
+	}
+}
+
+// TestRetiredWireIDsStayUnassigned: IDs 5 and 6 carried the dedicated
+// pin request/response pair. No codec may ever claim them again — a
+// frame from a peer that still sends them must fail to decode (tcpnet's
+// TestRetiredTypeIDFrameRejected), not be misread as a newer message.
+func TestRetiredWireIDsStayUnassigned(t *testing.T) {
+	RegisterTypes()
+	for _, id := range []uint16{5, 6} {
+		if c, ok := wire.LookupID(id); ok {
+			t.Errorf("retired wire ID %d is registered to %s", id, c.Name())
+		}
 	}
 }
 

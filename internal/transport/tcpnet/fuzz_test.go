@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/transport"
@@ -48,6 +49,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed(func(w *wire.Writer) {
 		_, _ = appendResponseFrame(w, 6, classQry{Key: "a b c", Class: 1, Mask: 1<<63 | 1}, nil)
 	})
+	// A retired type: what a pre-unification peer's pin query looks like.
+	f.Add(legacyPinFrame())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00})
 
@@ -91,6 +94,39 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("%s body round trip mismatch:\n got %+v\nwant %+v", d.codec.Name(), d2.body, d.body)
 		}
 	})
+}
+
+// legacyPinFrame is a well-formed request frame of wire type 5 —
+// core's dedicated pin request (instance, vertex, set key, client ID,
+// relay flag), retired when pin became msgTQuery{Class: ClassPin}. The
+// ID is never reassigned, so the frame names a type no codec claims.
+func legacyPinFrame() []byte {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.Uvarint(9)
+	w.Byte(frameKindRequest)
+	w.U16(5)
+	w.Byte(0) // sender = the connection's default identity
+	w.String("main")
+	w.Uvarint(5)
+	w.String("k1 k2")
+	w.String("cli")
+	w.Bool(true)
+	return append([]byte(nil), w.Buf...)
+}
+
+// TestRetiredTypeIDFrameRejected: a frame carrying a retired wire type
+// ID decodes to a clean error naming the ID — no panic, and no attempt
+// to read its payload as some other message.
+func TestRetiredTypeIDFrameRejected(t *testing.T) {
+	registerTestTypes()
+	_, err := parseFrame(legacyPinFrame())
+	if err == nil {
+		t.Fatal("parseFrame accepted a frame of retired wire type 5")
+	}
+	if want := "unknown wire type ID 5"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want mention of %q", err, want)
+	}
 }
 
 var errTest = errForFuzz{}

@@ -2,8 +2,10 @@ package tcpnet
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +71,54 @@ func TestWireMuxHammer(t *testing.T) {
 	n.mu.Unlock()
 	if muxCount != 1 {
 		t.Errorf("mux table has %d entries after hammer, want 1", muxCount)
+	}
+}
+
+// TestCancelledSendNeverReachesPeer: a Send whose context is already
+// done fails with the context's error before any frame is written — on
+// either wire. (Once a frame is out, the response races ctx.Done(), and
+// on loopback the response can win: the hammer above caught exactly
+// that as "cancelled send succeeded".)
+func TestCancelledSendNeverReachesPeer(t *testing.T) {
+	registerTestTypes()
+	srv := New()
+	defer srv.Close()
+	var handled atomic.Int64
+	node, err := srv.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		handled.Add(1)
+		return pong{N: body.(ping).N}, nil
+	})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	for _, mode := range []string{WireBinary, WireGob} {
+		cli, err := NewWithConfig(Config{Wire: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the connection so the cancelled sends below would find an
+		// open mux (binary) or an idle pooled conn (gob) to write to.
+		if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 1}); err != nil {
+			t.Fatalf("%s warm-up: %v", mode, err)
+		}
+		before := handled.Load()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for i := 0; i < 50; i++ {
+			if _, err := cli.Send(ctx, node.Addr(), ping{N: i}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled send returned %v, want context.Canceled", mode, err)
+			}
+		}
+		// A live request behind them flushes the connection: had any
+		// cancelled frame been written, the server would have handled it
+		// first.
+		if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 2}); err != nil {
+			t.Fatalf("%s follow-up: %v", mode, err)
+		}
+		if got := handled.Load() - before; got != 1 {
+			t.Errorf("%s: server handled %d requests after 50 cancelled sends and one live one, want 1", mode, got)
+		}
+		cli.Close()
 	}
 }
 

@@ -216,6 +216,14 @@ func (n *Network) Send(ctx context.Context, to transport.Addr, body any) (any, e
 func (n *Network) SendFrom(ctx context.Context, from, to transport.Addr, body any) (any, error) {
 	ins := n.ins.Load()
 	ins.requests.Inc(fmt.Sprintf("%T", body))
+	if err := ctx.Err(); err != nil {
+		// The caller has already given up: fail before a connection is
+		// acquired, a request ID allocated or a byte written. Past this
+		// point a send races its response against ctx.Done(), and on
+		// loopback a dead context could still win an answer.
+		ins.failures.Inc()
+		return nil, err
+	}
 	var started time.Time
 	if ins.latency != nil {
 		started = time.Now()

@@ -228,9 +228,8 @@ func TestTCPWireModeMatrix(t *testing.T) {
 		fp, reg := runTCPWireCluster(t, mode)
 		fps[mode] = fp
 		handled := reg.CounterVec("transport_tcp_handled_total", "type")
-		// Pin queries ride msgTQuery (ClassPin) since the query classes
-		// were unified; msgPinQuery remains wire-decodable for old
-		// clients but no current client emits it.
+		// Pin queries ride msgTQuery (ClassPin); there is no separate
+		// pin message.
 		for _, typ := range []string{
 			"core.msgTQuery", "core.msgSubQueryBatch",
 			"core.msgMigrateChunk", "core.msgMigrateCommit",
