@@ -8,7 +8,7 @@ all: build test
 # size CHANGES.md records. ci: static checks, build, the race-enabled test
 # suite (includes the telemetry concurrency hammer), the seeded chaos
 # suite, the SIGKILL crash-recovery smoke, the live-churn migration
-# smoke, the open-loop load-rig smoke, the wire-decoder fuzz smoke,
+# smoke, the open-loop load-rig smoke, the wire-decoder and table fuzz smokes,
 # the Zipf hotspot-storm smoke, the prefix-multicast smoke, and a
 # single-iteration benchmark smoke pass.
 ci: vet build race chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
@@ -102,12 +102,15 @@ prefix-smoke:
 zipf-smoke:
 	$(GO) test -count=1 -run 'TestZipfSmoke' ./internal/sim/
 
-# Wire-decoder fuzz smoke: ten seconds of coverage-guided fuzzing over
-# the v2 frame decoder — arbitrary bytes must produce a clean error,
-# never a panic, an over-allocation, or a frame that fails to round
-# trip. The full corpus lives under the standard go fuzz cache.
+# Fuzz smoke, ten seconds of coverage-guided fuzzing each. The v2 frame
+# decoder: arbitrary bytes must produce a clean error, never a panic, an
+# over-allocation, or a frame that fails to round trip. The flat vertex
+# table: arbitrary insert/remove/scan sequences over one vertex must
+# agree with a plain map model for every query class and window. The
+# full corpora live under the standard go fuzz cache.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/transport/tcpnet/
+	$(GO) test -run '^$$' -fuzz FuzzTableOps -fuzztime 10s ./internal/core/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

@@ -336,6 +336,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		hits, misses := peer.CacheStats()
 		fmt.Printf("index: %d vertices, %d entries, %d objects; cache: %d hits / %d misses\n",
 			st.Vertices, st.Entries, st.Objects, hits, misses)
+		if st.SnapshotFailures > 0 {
+			fmt.Printf("index: %d failed WAL compactions, last: %s\n", st.SnapshotFailures, st.LastSnapshotError)
+		}
 		writeCacheSnapshot(os.Stdout, peer.CacheSnapshot())
 		ms := peer.MigrationStats()
 		fmt.Printf("migration: %d active, %d chunks / %d entries applied, %d resumes, %d double-reads, %d commits, %d failures\n",

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -341,5 +342,65 @@ func TestResolveBatchCollapsesDuplicates(t *testing.T) {
 	}
 	if r.CacheSize() != 3 {
 		t.Errorf("CacheSize = %d, want 3", r.CacheSize())
+	}
+}
+
+// TestResolveBatchCachedIsOnePass: a fully cached wave is answered
+// under one lock acquisition on the caller's goroutine. Starting a
+// goroutine allocates (its closure at the least), so "the two result
+// slices and nothing else" proves none was started — a count that,
+// unlike a runtime.NumGoroutine delta, cannot miss goroutines that
+// already exited. A wave mixing cached vertices, misses and duplicate
+// misses still costs one overlay lookup per distinct missing vertex,
+// and every position gets the address Resolve gives.
+func TestResolveBatchCachedIsOnePass(t *testing.T) {
+	static := staticOverlay(t, 8)
+	r := NewOverlayResolver(static)
+	ctx := context.Background()
+
+	vs := make([]hypercube.Vertex, 512)
+	for i := range vs {
+		vs[i] = hypercube.Vertex(i)
+	}
+	want, errs := r.ResolveBatch(ctx, "main", vs) // cold: fills the cache
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cold ResolveBatch[%d]: %v", i, err)
+		}
+	}
+	lookups := static.Lookups()
+	if lookups != 512 {
+		t.Fatalf("cold batch did %d overlay lookups, want 512", lookups)
+	}
+
+	before := runtime.NumGoroutine()
+	allocs := testing.AllocsPerRun(20, func() {
+		addrs, errs := r.ResolveBatch(ctx, "main", vs)
+		if addrs[511] != want[511] || errs[511] != nil {
+			t.Errorf("cached ResolveBatch[511] = %q, %v", addrs[511], errs[511])
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("fully cached batch of 512 made %.0f allocations per call, want 2 (addrs, errs): it left the caller's goroutine", allocs)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d across fully cached batches", before, after)
+	}
+	if got := static.Lookups(); got != lookups {
+		t.Errorf("fully cached batches did %d overlay lookups", got-lookups)
+	}
+
+	// Cached 0..3 interleaved with three distinct misses, two of them
+	// repeated.
+	mixed := []hypercube.Vertex{0, 600, 1, 601, 600, 2, 602, 601, 3, 600}
+	addrs, errs := r.ResolveBatch(ctx, "main", mixed)
+	if got := static.Lookups() - lookups; got != 3 {
+		t.Errorf("mixed batch did %d overlay lookups, want 3 (one per distinct miss)", got)
+	}
+	for i, v := range mixed {
+		single, err := r.Resolve(ctx, "main", v)
+		if err != nil || errs[i] != nil || addrs[i] != single {
+			t.Errorf("mixed[%d] (vertex %d) = %q, %v; Resolve says %q, %v", i, v, addrs[i], errs[i], single, err)
+		}
 	}
 }

@@ -233,8 +233,8 @@ func TestSoftStoreGenerationOrdering(t *testing.T) {
 	if tbl == nil {
 		t.Fatal("live copy vanished")
 	}
-	if _, ok := tbl.entries["a"].objects["new"]; !ok {
-		t.Error("stale generation displaced the live copy")
+	if ms, _ := tbl.scan(7, 7, predFor(ClassPin, "a"), 0, -1); len(ms) != 1 || ms[0].ObjectID != "new" {
+		t.Errorf("stale generation displaced the live copy: %v", ms)
 	}
 	// An invalidation older than the live copy is ignored...
 	st.applyInvalidate(msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: 1})

@@ -909,26 +909,25 @@ func (s *Server) migrateChunk(ctx context.Context, msg msgMigrateChunk) (respMig
 			sh.mu.RUnlock()
 			continue
 		}
-		for _, setKey := range tbl.sortedKeys() {
-			for _, id := range tbl.entries[setKey].ids() {
-				if !cursorLess(msg.Cursor, p.instance, uint64(p.v), setKey, id) {
-					continue
-				}
-				if full {
-					sh.mu.RUnlock()
-					return resp, nil // Done=false: more remain past the cursor
-				}
-				e := BulkEntry{Instance: p.instance, Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
-				resp.Entries = append(resp.Entries, e)
-				bytes += entrySize(e)
-				resp.Cursor = wireCursor{Started: true, Instance: p.instance,
-					Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
-				if len(resp.Entries) >= maxEntries || bytes >= uint64(maxBytes) {
-					full = true
-				}
+		more := !tbl.walk(func(setKey, id string) bool {
+			if !cursorLess(msg.Cursor, p.instance, uint64(p.v), setKey, id) {
+				return true
 			}
-		}
+			if full {
+				return false
+			}
+			e := BulkEntry{Instance: p.instance, Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
+			resp.Entries = append(resp.Entries, e)
+			bytes += entrySize(e)
+			resp.Cursor = wireCursor{Started: true, Instance: p.instance,
+				Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
+			full = len(resp.Entries) >= maxEntries || bytes >= uint64(maxBytes)
+			return true
+		})
 		sh.mu.RUnlock()
+		if more {
+			return resp, nil // Done=false: entries remain past the cursor
+		}
 	}
 	resp.Done = true
 	return resp, nil

@@ -20,6 +20,10 @@ type queryPred struct {
 	// set is the parsed keyword set for superset and pin classes
 	// (empty for prefix).
 	set keyword.Set
+	// want is set's signature for ClassSuperset and 0 otherwise: the
+	// bits a table row's signature must have before the row is worth
+	// comparing (table.scan). Computed once per query, not per vertex.
+	want uint64
 	// prefix is the normalized prefix for ClassPrefix (empty
 	// otherwise).
 	prefix string
@@ -31,10 +35,14 @@ type queryPred struct {
 // predFor resolves the wire (Class, QueryKey) pair into a predicate.
 func predFor(class QueryClass, queryKey string) queryPred {
 	p := queryPred{class: class, key: queryKey}
-	if class == ClassPrefix {
+	switch class {
+	case ClassPrefix:
 		p.prefix = queryKey
-	} else {
+	case ClassPin:
 		p.set = keyword.ParseKey(queryKey)
+	default:
+		p.set = keyword.ParseKey(queryKey)
+		p.want = p.set.Signature()
 	}
 	return p
 }
@@ -43,7 +51,7 @@ func predFor(class QueryClass, queryKey string) queryPred {
 // (cache key, parsed set) pair. The pair is usually (set.Key(), set),
 // but the cache layer allows arbitrary keys, so both travel.
 func supersetPred(queryKey string, query keyword.Set) queryPred {
-	return queryPred{class: ClassSuperset, key: queryKey, set: query}
+	return queryPred{class: ClassSuperset, key: queryKey, set: query, want: query.Signature()}
 }
 
 // matches applies the class predicate to an entry's keyword set.

@@ -114,16 +114,31 @@ func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hyperc
 	return addr, nil
 }
 
-// ResolveBatch resolves a wave of vertices with bounded concurrency.
+// ResolveBatch resolves a wave of vertices. Cached bindings — in steady
+// state all of them — are answered in one pass under one lock
+// acquisition; only the misses go to Resolve, with bounded concurrency.
 // Duplicate vertices in vs and concurrent calls for overlapping waves
 // collapse onto single overlay lookups via the cache and the
 // singleflight table.
 func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
 	addrs := make([]transport.Addr, len(vs))
 	errs := make([]error, len(vs))
-	fanOut(len(vs), batchResolveFanout, func(i int) {
-		addrs[i], errs[i] = r.Resolve(ctx, instance, vs[i])
-	})
+	var misses []int
+	r.mu.Lock()
+	for i, v := range vs {
+		addr, ok := r.cache[bindingKey{instance: instance, vertex: v}]
+		if !ok {
+			misses = append(misses, i)
+		}
+		addrs[i] = addr
+	}
+	r.mu.Unlock()
+	if len(misses) > 0 {
+		fanOut(len(misses), batchResolveFanout, func(k int) {
+			i := misses[k]
+			addrs[i], errs[i] = r.Resolve(ctx, instance, vs[i])
+		})
+	}
 	return addrs, errs
 }
 

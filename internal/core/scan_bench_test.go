@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
@@ -19,55 +18,54 @@ func (benchSender) Send(context.Context, transport.Addr, any) (any, error) {
 	return nil, fmt.Errorf("bench: no network")
 }
 
-// benchScanServer builds a standalone server with one crowded vertex:
-// entries keyword sets, ids object IDs per entry.
-func benchScanServer(b *testing.B, entries, ids int) (*Server, hypercube.Vertex, keyword.Set) {
-	b.Helper()
-	hasher := keyword.MustNewHasher(8, 42)
-	srv, err := NewServer(ServerConfig{
-		Hasher:   hasher,
-		Resolver: FuncResolver(func(hypercube.Vertex) transport.Addr { return "bench-0" }),
-		Sender:   benchSender{},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := hypercube.Vertex(5)
-	for i := 0; i < entries; i++ {
-		key := keyword.NewSet("hub", "w"+strconv.Itoa(i)).Key()
-		for j := 0; j < ids; j++ {
-			srv.insertEntry(DefaultInstance, v, key, "o-"+strconv.Itoa(i)+"-"+strconv.Itoa(j))
+var benchMatches []Match
+
+// BenchmarkScanTable times one vertex scan (shard read lock, table
+// lookup, table.scan) over a 500-row table, one sub-benchmark per
+// shape the scan has a distinct path for:
+//
+//   - selective: a superset query one row in 500 matches — the
+//     deep_inmem shape, where the signature column rejects nearly
+//     every row before a string is compared;
+//   - dense: a superset query every row matches, so every row survives
+//     the signature, is compared and copied out;
+//   - pin: the exact set, a binary search on the set key;
+//   - prefix: no signature (want == 0), a keyword binary search per row.
+//
+// Rows carry seven keywords like the corpus generator's median object.
+func BenchmarkScanTable(b *testing.B) {
+	const rows = 500
+	srv := newTableTestServer(b, ServerConfig{})
+	v := tableTestVertex
+	var pinKey string
+	for i := 0; i < rows; i++ {
+		n := strconv.Itoa(i)
+		set := keyword.NewSet("hub", "only"+n, "a"+n, "b"+n, "c"+n, "d"+strconv.Itoa(i%7), "e"+strconv.Itoa(i%31))
+		if err := srv.insertEntry(DefaultInstance, v, set.Key(), "o-"+n); err != nil {
+			b.Fatal(err)
+		}
+		if i == rows/2 {
+			pinKey = set.Key()
 		}
 	}
-	return srv, v, keyword.NewSet("hub")
-}
-
-// BenchmarkScanVertexSortedCache isolates the sorted-scan-order caching
-// of table.sortedKeys and entry.ids: "warm" reuses the cached order
-// built on the first scan (the steady state — scans vastly outnumber
-// mutations), "cold" invalidates it before every scan, paying the
-// full rebuild-and-sort on each, as every scan did before the cache.
-func BenchmarkScanVertexSortedCache(b *testing.B) {
-	const entries, ids = 200, 5
-	for _, mode := range []string{"warm", "cold"} {
-		b.Run(mode, func(b *testing.B) {
-			srv, v, query := benchScanServer(b, entries, ids)
-			srv.scanVertex(DefaultInstance, v, v, supersetPred(query.Key(), query), 0, -1) // build the cache once
-			b.ResetTimer()
+	one := keyword.NewSet("only250")
+	hub := keyword.NewSet("hub")
+	for _, bc := range []struct {
+		name string
+		pred queryPred
+		want int
+	}{
+		{"selective", supersetPred(one.Key(), one), 1},
+		{"dense", supersetPred(hub.Key(), hub), rows},
+		{"pin", predFor(ClassPin, pinKey), 1},
+		{"prefix", predFor(ClassPrefix, "only25"), 11}, // only25, only250..only259
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if mode == "cold" {
-					sh := srv.shardFor(DefaultInstance, v)
-					sh.mu.Lock()
-					tbl := sh.tables[DefaultInstance][v]
-					tbl.sorted.Store(nil)
-					for _, e := range tbl.entries {
-						e.sortedIDs.Store(nil)
-					}
-					sh.mu.Unlock()
-				}
-				matches, _ := srv.scanVertex(DefaultInstance, v, v, supersetPred(query.Key(), query), 0, -1)
-				if len(matches) != entries*ids {
-					b.Fatalf("scan returned %d matches, want %d", len(matches), entries*ids)
+				benchMatches, _ = srv.scanVertex(DefaultInstance, v, v, bc.pred, 0, -1)
+				if len(benchMatches) != bc.want {
+					b.Fatalf("scan returned %d matches, want %d", len(benchMatches), bc.want)
 				}
 			}
 		})

@@ -550,7 +550,7 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 func (s *Server) scanLocal(ctx context.Context, sess *session, u workUnit, limit int) visitResult {
 	var res visitResult
 	if sess.soft != nil {
-		res.matches, res.remaining = scanTable(sess.soft, u.vertex, sess.root, sess.pred, u.skip, limit)
+		res.matches, res.remaining = sess.soft.scan(u.vertex, sess.root, sess.pred, u.skip, limit)
 	} else {
 		res.matches, res.remaining = s.scanVertexRead(ctx, sess.cube.Dim(), sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit)
 	}
@@ -594,19 +594,13 @@ func expandFrontier(sess *session, frontier []workUnit) []workUnit {
 func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int) ([]visitResult, int) {
 	results := make([]visitResult, len(wave))
 
-	// Resolve every vertex but a root this server hosts. A foreign
-	// branch root (prefix multicast) is a remote vertex like any other
-	// and must be resolved.
-	local := make([]int, 0, len(wave))
-	remote := make([]int, 0, len(wave))
-	vertices := make([]hypercube.Vertex, 0, len(wave))
+	// The whole wave is resolved positionally, so addrs[i] belongs to
+	// wave[i] with no index slice in between. That includes a root this
+	// server hosts, whose binding is never looked at; a foreign branch
+	// root (prefix multicast) is a remote vertex like any other.
+	vertices := make([]hypercube.Vertex, len(wave))
 	for i, u := range wave {
-		if sess.hostsRoot(u) {
-			local = append(local, i)
-			continue
-		}
-		remote = append(remote, i)
-		vertices = append(vertices, u.vertex)
+		vertices[i] = u.vertex
 	}
 	addrs, errs := s.cfg.Resolver.ResolveBatch(ctx, sess.instance, vertices)
 
@@ -623,33 +617,26 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 		}
 	}
 
-	// Group wave positions by destination peer, preserving first-seen
+	// Units this server can answer are scanned on the spot, no frame;
+	// the rest are grouped by destination peer, preserving first-seen
 	// dispatch order.
 	byAddr := make(map[transport.Addr][]int)
-	peers := make([]transport.Addr, 0, len(remote))
-	for k, i := range remote {
-		addr := addrs[k]
+	var peers []transport.Addr
+	for i, u := range wave {
+		addr := addrs[i]
 		switch {
-		case errs[k] != nil:
-			results[i] = visitResult{remote: true, err: errs[k]}
-		case selfAddr != "" && addr == selfAddr:
-			local = append(local, i)
-		default:
+		case sess.hostsRoot(u):
+			results[i] = s.scanLocal(ctx, sess, u, limit)
+		case errs[i] != nil:
+			results[i] = visitResult{remote: true, err: errs[i]}
+		case selfAddr == "" || addr != selfAddr:
 			if _, ok := byAddr[addr]; !ok {
 				peers = append(peers, addr)
 			}
 			byAddr[addr] = append(byAddr[addr], i)
-		}
-	}
-
-	// Local units: scanned directly, no frame. A vertex the resolver
-	// maps here but the DHT layer no longer owns takes the remote path.
-	for _, i := range local {
-		u := wave[i]
-		switch {
-		case sess.hostsRoot(u):
-			results[i] = s.scanLocal(ctx, sess, u, limit)
 		case !s.owns(sess.instance, u.vertex):
+			// The resolver maps the vertex here but the DHT layer no
+			// longer owns it: take the remote path.
 			results[i] = s.visit(ctx, sess, u, limit)
 		default:
 			results[i] = s.scanLocal(ctx, sess, u, limit)

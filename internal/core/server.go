@@ -225,6 +225,11 @@ type Server struct {
 	stateMu sync.RWMutex
 	// compacting collapses concurrent compaction triggers into one.
 	compacting atomic.Bool
+	// snapshotFailures counts compactions whose snapshot write failed;
+	// lastSnapshotErr is the latest cause (nil when none). Both surface
+	// in Stats.
+	snapshotFailures atomic.Uint64
+	lastSnapshotErr  atomic.Pointer[string]
 }
 
 // tableShard is one lock stripe of the server's table state.
@@ -292,7 +297,7 @@ func (sh *tableShard) entryCount() int64 {
 	var n int64
 	for _, vertices := range sh.tables {
 		for _, tbl := range vertices {
-			n += int64(len(tbl.entries))
+			n += int64(tbl.entryCount())
 		}
 	}
 	return n
@@ -345,6 +350,8 @@ type serverMetrics struct {
 	scanParUnits  *telemetry.Counter   // core_scan_parallel_units_total
 
 	searchAbandoned *telemetry.Counter // core_search_abandoned_total
+
+	snapshotFailures *telemetry.Counter // core_snapshot_failures_total
 }
 
 func newServerMetrics(reg *telemetry.Registry) serverMetrics {
@@ -392,6 +399,8 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		scanParUnits:  reg.Counter("core_scan_parallel_units_total"),
 
 		searchAbandoned: reg.Counter("core_search_abandoned_total"),
+
+		snapshotFailures: reg.Counter("core_snapshot_failures_total"),
 	}
 }
 
@@ -407,64 +416,6 @@ func (m *serverMetrics) classCounter(c QueryClass) *telemetry.Counter {
 	default:
 		return m.classSuperset
 	}
-}
-
-// table is Tbl_u for one logical vertex: entries ⟨keyword set, objects⟩.
-// sorted caches the deterministic scan order and is invalidated on
-// structural changes (scans vastly outnumber mutations in the paper's
-// workloads).
-type table struct {
-	entries map[string]*entry // keyed by Set.Key()
-	// sorted holds the cached sorted keys of entries; nil when stale.
-	// Published atomically so concurrent readers under the shard read
-	// lock may rebuild it in parallel — every rebuild produces the
-	// identical slice, so the last store winning is harmless. A
-	// published slice is immutable from then on.
-	sorted atomic.Pointer[[]string]
-}
-
-// sortedKeys returns the table's entry keys in sorted order, rebuilding
-// the cached order if stale. Callers must hold the vertex's shard lock
-// in at least read mode (the entries map must not be mutated
-// concurrently); writers invalidate under the exclusive lock.
-func (t *table) sortedKeys() []string {
-	if p := t.sorted.Load(); p != nil {
-		return *p
-	}
-	keys := make([]string, 0, len(t.entries))
-	for k := range t.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	t.sorted.Store(&keys)
-	return keys
-}
-
-type entry struct {
-	set     keyword.Set
-	objects map[string]struct{}
-	// sortedIDs caches the sorted object IDs; same publication contract
-	// as table.sorted: immutable once stored, rebuilt by any reader
-	// holding the shard lock (read or write), invalidated by writers.
-	sortedIDs atomic.Pointer[[]string]
-}
-
-// ids returns the entry's object IDs in sorted order, rebuilding the
-// cached order if stale. Callers must hold the vertex's shard lock in
-// at least read mode. The returned slice is immutable — callers may
-// retain and read it after releasing the lock, but must never write
-// to it.
-func (e *entry) ids() []string {
-	if p := e.sortedIDs.Load(); p != nil {
-		return *p
-	}
-	ids := make([]string, 0, len(e.objects))
-	for id := range e.objects {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	e.sortedIDs.Store(&ids)
-	return ids
 }
 
 // NewServer builds an index server.
@@ -857,24 +808,15 @@ func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.
 	}
 	tbl, ok := vertices[v]
 	if !ok {
-		tbl = &table{entries: make(map[string]*entry)}
+		tbl = &table{}
 		vertices[v] = tbl
 	}
-	e, ok := tbl.entries[setKey]
-	if !ok {
-		e = &entry{set: keyword.ParseKey(setKey), objects: make(map[string]struct{})}
-		tbl.entries[setKey] = e
-		tbl.sorted.Store(nil)
-	}
-	if _, dup := e.objects[objectID]; !dup {
-		e.objects[objectID] = struct{}{}
-		e.sortedIDs.Store(nil)
-	}
+	set := tbl.insert(setKey, objectID)
 	// Under the shard lock, so it serializes against noteDelete for the
 	// same entry: a re-inserted entry is live again (no-op outside an
 	// open migration window).
 	s.migrate.noteInsert(instance, v, setKey, objectID)
-	return e.set
+	return set
 }
 
 // deleteEntry removes ⟨K, σ⟩ from the table of vertex v in the given
@@ -923,26 +865,14 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 	if !ok {
 		return false, keyword.Set{}
 	}
-	e, ok := tbl.entries[setKey]
-	if !ok {
-		return false, keyword.Set{}
-	}
-	if _, ok := e.objects[objectID]; !ok {
-		return false, keyword.Set{}
-	}
-	delete(e.objects, objectID)
-	e.sortedIDs.Store(nil)
-	if len(e.objects) == 0 {
-		delete(tbl.entries, setKey)
-		tbl.sorted.Store(nil)
-		if len(tbl.entries) == 0 {
-			delete(vertices, v)
-			if len(vertices) == 0 {
-				delete(sh.tables, instance)
-			}
+	set, found := tbl.remove(setKey, objectID)
+	if found && tbl.entryCount() == 0 {
+		delete(vertices, v)
+		if len(vertices) == 0 {
+			delete(sh.tables, instance)
 		}
 	}
-	return true, e.set
+	return found, set
 }
 
 // subQuery scans the table of msg.Vertex for entries matching the
@@ -1077,96 +1007,18 @@ func (s *Server) cubeFor(dim int) (hypercube.Cube, error) {
 	return hypercube.New(dim)
 }
 
-// matchScratch pools the append buffers scans collect matches into
-// before sizing the returned slice exactly. The grown backing arrays
-// are reused across scans, so a hot server stops paying the
-// grow-and-copy churn of append on every crowded vertex.
-var matchScratch = sync.Pool{
-	New: func() any {
-		buf := make([]Match, 0, 64)
-		return &buf
-	},
-}
-
 // scanVertex collects the entries of vertex v's table matching the
-// query predicate, in deterministic (sorted) order. limit < 0 means
-// unlimited. remaining reports matches present beyond the returned
-// window.
+// query predicate, in canonical order, under the vertex's shard read
+// lock (see table.scan for the window arguments).
 func (s *Server) scanVertex(instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
 	sh := s.shardFor(instance, v)
 	sh.rlock(s.met.shardLockWait)
 	defer sh.mu.RUnlock()
-	return scanVertexLocked(sh, instance, v, root, pred, skip, limit)
-}
-
-// scanVertexLocked is scanVertex without the locking; callers must
-// hold sh — the shard owning (instance, v) — in at least read mode.
-func scanVertexLocked(sh *tableShard, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
 	tbl, ok := sh.tables[instance][v]
 	if !ok {
 		return nil, 0
 	}
-	return scanTable(tbl, v, root, pred, skip, limit)
-}
-
-// scanTable is the scan itself over one vertex table — shared by the
-// authoritative path above and soft-replica serving, so a soft copy
-// produces the byte-identical match windows its owner would. Callers
-// must prevent concurrent mutation of tbl: shard lock for the
-// authoritative tables, the immutable-once-live contract for soft
-// copies.
-func scanTable(tbl *table, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
-	setKeys := tbl.sortedKeys()
-	if pred.class == ClassPin {
-		// Exact-set lookup: a single map probe replaces the sorted walk,
-		// so a pin stays O(1) under the unified predicate. Output order
-		// (the entry's sorted-ID snapshot) is identical to what the
-		// sorted walk would produce for one key.
-		if _, ok := tbl.entries[pred.key]; ok {
-			setKeys = []string{pred.key}
-		} else {
-			setKeys = nil
-		}
-	}
-
-	bufp := matchScratch.Get().(*[]Match)
-	buf := (*bufp)[:0]
-	depth := -1 // computed lazily; same for all entries of this vertex w.r.t. query root
-	remaining := 0
-	seen := 0
-	for _, k := range setKeys {
-		e := tbl.entries[k]
-		if !pred.matches(e.set) {
-			continue
-		}
-		for _, id := range e.ids() {
-			if seen < skip {
-				seen++
-				continue
-			}
-			if limit >= 0 && len(buf) >= limit {
-				remaining++
-				continue
-			}
-			if depth < 0 {
-				depth = hypercube.Hamming(root, v)
-			}
-			buf = append(buf, Match{
-				ObjectID: id,
-				SetKey:   k,
-				Vertex:   uint64(v),
-				Depth:    depth,
-			})
-		}
-	}
-	var out []Match
-	if len(buf) > 0 {
-		out = make([]Match, len(buf))
-		copy(out, buf)
-	}
-	*bufp = buf[:0]
-	matchScratch.Put(bufp)
-	return out, remaining
+	return tbl.scan(v, root, pred, skip, limit)
 }
 
 // TableStats summarizes this server's storage load (diagnostics and
@@ -1175,6 +1027,12 @@ type TableStats struct {
 	Vertices int // logical vertices with at least one entry
 	Entries  int // ⟨keyword set, objects⟩ entries
 	Objects  int // total object IDs indexed (with multiplicity)
+
+	// SnapshotFailures counts WAL compactions that failed to write
+	// their snapshot (the WAL keeps growing until one succeeds);
+	// LastSnapshotError is the latest cause, empty when none.
+	SnapshotFailures  uint64
+	LastSnapshotError string
 }
 
 // Stats returns current storage counters, aggregated over every index
@@ -1182,16 +1040,17 @@ type TableStats struct {
 // the totals are per-shard consistent but not a global snapshot —
 // fine for the load experiments and diagnostics they feed.
 func (s *Server) Stats() TableStats {
-	var st TableStats
+	st := TableStats{SnapshotFailures: s.snapshotFailures.Load()}
+	if msg := s.lastSnapshotErr.Load(); msg != nil {
+		st.LastSnapshotError = *msg
+	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, vertices := range sh.tables {
 			st.Vertices += len(vertices)
 			for _, tbl := range vertices {
-				st.Entries += len(tbl.entries)
-				for _, e := range tbl.entries {
-					st.Objects += len(e.objects)
-				}
+				st.Entries += tbl.entryCount()
+				st.Objects += tbl.objectCount()
 			}
 		}
 		sh.mu.RUnlock()
@@ -1247,6 +1106,16 @@ func (s *Server) extractRange(newID, ownerID dht.ID) ([]BulkEntry, error) {
 	return out, err
 }
 
+// appendEntries appends tbl — vertex v's table in the given instance —
+// to out as BulkEntries, in canonical order. Callers hold v's shard lock.
+func appendEntries(out []BulkEntry, instance string, v hypercube.Vertex, tbl *table) []BulkEntry {
+	tbl.walk(func(setKey, id string) bool {
+		out = append(out, BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: id})
+		return true
+	})
+	return out
+}
+
 // applyExtractRange is the table mutation of extractRange.
 func (s *Server) applyExtractRange(newID, ownerID dht.ID) []BulkEntry {
 	var out []BulkEntry
@@ -1258,16 +1127,7 @@ func (s *Server) applyExtractRange(newID, ownerID dht.ID) []BulkEntry {
 				if dht.Between(key, newID, ownerID) {
 					continue // still ours
 				}
-				for setKey, e := range tbl.entries {
-					for id := range e.objects {
-						out = append(out, BulkEntry{
-							Instance: instance,
-							Vertex:   uint64(v),
-							SetKey:   setKey,
-							ObjectID: id,
-						})
-					}
-				}
+				out = appendEntries(out, instance, v, tbl)
 				delete(vertices, v)
 			}
 			if len(vertices) == 0 {
@@ -1297,16 +1157,7 @@ func (s *Server) applyDrain() []BulkEntry {
 		sh.lock(s.met.shardLockWait)
 		for instance, vertices := range sh.tables {
 			for v, tbl := range vertices {
-				for setKey, e := range tbl.entries {
-					for id := range e.objects {
-						out = append(out, BulkEntry{
-							Instance: instance,
-							Vertex:   uint64(v),
-							SetKey:   setKey,
-							ObjectID: id,
-						})
-					}
-				}
+				out = appendEntries(out, instance, v, tbl)
 			}
 		}
 		sh.tables = make(map[string]map[hypercube.Vertex]*table)
@@ -1375,10 +1226,17 @@ func (s *Server) compact() {
 	if !s.store.SnapshotDue() {
 		return // another trigger compacted while we awaited the fence
 	}
-	// On failure the WAL simply keeps growing and the next threshold
-	// crossing retries; durability is never weakened by a failed
-	// compaction.
-	_ = s.store.WriteSnapshot(s.dumpAll)
+	// On failure the WAL simply keeps growing and the next append
+	// retries (the store still reports a snapshot due); durability is
+	// never weakened by a failed compaction, but a node that can no
+	// longer compact is a node running out of disk, so the failure is
+	// counted and its cause kept for Stats.
+	if err := s.store.WriteSnapshot(s.dumpAll); err != nil {
+		s.met.snapshotFailures.Inc()
+		s.snapshotFailures.Add(1)
+		msg := err.Error()
+		s.lastSnapshotErr.Store(&msg)
+	}
 }
 
 // dumpAll emits every live entry as an OpInsert record (the snapshot
@@ -1389,17 +1247,17 @@ func (s *Server) dumpAll(emit func(store.Record) error) error {
 		sh.mu.RLock()
 		for instance, vertices := range sh.tables {
 			for v, tbl := range vertices {
-				for setKey, e := range tbl.entries {
-					for id := range e.objects {
-						err := emit(store.Record{
-							Op: store.OpInsert, Instance: instance,
-							Vertex: uint64(v), SetKey: setKey, ObjectID: id,
-						})
-						if err != nil {
-							sh.mu.RUnlock()
-							return err
-						}
-					}
+				var err error
+				tbl.walk(func(setKey, id string) bool {
+					err = emit(store.Record{
+						Op: store.OpInsert, Instance: instance,
+						Vertex: uint64(v), SetKey: setKey, ObjectID: id,
+					})
+					return err == nil
+				})
+				if err != nil {
+					sh.mu.RUnlock()
+					return err
 				}
 			}
 		}

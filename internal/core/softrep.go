@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
-	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
@@ -383,7 +382,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // snapshotVertex copies one vertex's table into BulkEntries under the
-// shard read lock (deterministic order — sorted keys, sorted IDs).
+// shard read lock, in canonical order.
 func (s *Server) snapshotVertex(instance string, v hypercube.Vertex) []BulkEntry {
 	sh := s.shardFor(instance, v)
 	sh.rlock(s.met.shardLockWait)
@@ -392,16 +391,7 @@ func (s *Server) snapshotVertex(instance string, v hypercube.Vertex) []BulkEntry
 	if !ok {
 		return nil
 	}
-	var out []BulkEntry
-	for _, setKey := range tbl.sortedKeys() {
-		for _, id := range tbl.entries[setKey].ids() {
-			out = append(out, BulkEntry{
-				Instance: instance, Vertex: uint64(v),
-				SetKey: setKey, ObjectID: id,
-			})
-		}
-	}
-	return out
+	return appendEntries(nil, instance, v, tbl)
 }
 
 // softCopy is one replica-side soft table under construction or live.
@@ -442,22 +432,13 @@ func (st *softStore) applyPromote(msg msgSoftPromote) {
 	}
 	pend := st.pending[k]
 	if pend == nil || pend.gen < msg.Gen {
-		pend = &softCopy{gen: msg.Gen, tbl: &table{entries: make(map[string]*entry)}}
+		pend = &softCopy{gen: msg.Gen, tbl: &table{}}
 		st.pending[k] = pend
 	} else if pend.gen > msg.Gen {
 		return
 	}
 	for _, be := range msg.Entries {
-		e, ok := pend.tbl.entries[be.SetKey]
-		if !ok {
-			e = &entry{set: keyword.ParseKey(be.SetKey), objects: make(map[string]struct{})}
-			pend.tbl.entries[be.SetKey] = e
-			pend.tbl.sorted.Store(nil)
-		}
-		if _, dup := e.objects[be.ObjectID]; !dup {
-			e.objects[be.ObjectID] = struct{}{}
-			e.sortedIDs.Store(nil)
-		}
+		pend.tbl.insert(be.SetKey, be.ObjectID)
 	}
 	if msg.Done {
 		delete(st.pending, k)

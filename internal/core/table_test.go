@@ -1,0 +1,484 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strconv"
+	"sync"
+	"testing"
+
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
+	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
+	"github.com/p2pkeyword/keysearch/internal/transport"
+)
+
+// The table tests drive one vertex of a real (standalone) Server and
+// compare it with tableModel, the layout the flat table replaced
+// conceptually: a plain map of set key → object IDs, sorted on demand.
+
+const tableTestVertex = hypercube.Vertex(5)
+
+// tableTestVocab is small, so random sets are often supersets of random
+// queries, and has shared stems, so prefixes select several keywords.
+var tableTestVocab = []string{"alpha", "alps", "bet", "beta", "del", "delta", "eps", "gamma"}
+
+var tableTestPrefixes = []string{"a", "al", "alp", "alpha", "b", "bet", "beta", "d", "de", "g", "z"}
+
+type tableModel map[string]map[string]struct{}
+
+func (m tableModel) insert(setKey, id string) {
+	if m[setKey] == nil {
+		m[setKey] = map[string]struct{}{}
+	}
+	m[setKey][id] = struct{}{}
+}
+
+func (m tableModel) remove(setKey, id string) bool {
+	if _, ok := m[setKey][id]; !ok {
+		return false
+	}
+	delete(m[setKey], id)
+	if len(m[setKey]) == 0 {
+		delete(m, setKey)
+	}
+	return true
+}
+
+// flatten lists the model's ⟨setKey, id⟩ pairs matching pred in
+// canonical order.
+func (m tableModel) flatten(pred queryPred) [][2]string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out [][2]string
+	for _, k := range keys {
+		if pred.class == ClassPin && k != pred.key {
+			continue
+		}
+		if !pred.matches(keyword.ParseKey(k)) {
+			continue
+		}
+		ids := make([]string, 0, len(m[k]))
+		for id := range m[k] {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			out = append(out, [2]string{k, id})
+		}
+	}
+	return out
+}
+
+func (m tableModel) objects() int {
+	n := 0
+	for _, ids := range m {
+		n += len(ids)
+	}
+	return n
+}
+
+func newTableTestServer(tb testing.TB, cfg ServerConfig) *Server {
+	tb.Helper()
+	cfg.Hasher = keyword.MustNewHasher(8, 42)
+	cfg.Resolver = FuncResolver(func(hypercube.Vertex) transport.Addr { return "table-0" })
+	cfg.Sender = benchSender{}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// setFromMask picks vocabulary words by the bits of mask (never empty).
+func setFromMask(mask byte) keyword.Set {
+	if mask == 0 {
+		mask = 1
+	}
+	var words []string
+	for i, w := range tableTestVocab {
+		if mask&(1<<uint(i)) != 0 {
+			words = append(words, w)
+		}
+	}
+	return keyword.NewSet(words...)
+}
+
+// checkScans compares the server's vertex with the model for one
+// predicate over a grid of skip/limit windows: same matches in the same
+// order, same remaining, the vertex's depth on every match.
+func checkScans(srv *Server, m tableModel, pred queryPred) error {
+	root := tableTestVertex &^ 4 // a sub-vertex: depth 1
+	all := m.flatten(pred)
+	for _, skip := range []int{0, 1, 2, 5, len(all), len(all) + 1} {
+		for _, limit := range []int{-1, 0, 1, 2, 7} {
+			want := all
+			if skip < len(want) {
+				want = want[skip:]
+			} else {
+				want = nil
+			}
+			wantRem := 0
+			if limit >= 0 && len(want) > limit {
+				wantRem = len(want) - limit
+				want = want[:limit]
+			}
+			got, rem := srv.scanVertex(DefaultInstance, tableTestVertex, root, pred, skip, limit)
+			if rem != wantRem || len(got) != len(want) {
+				return fmt.Errorf("class %v key %q skip %d limit %d: %d matches, %d remaining; model has %d and %d",
+					pred.class, pred.key, skip, limit, len(got), rem, len(want), wantRem)
+			}
+			for i, mt := range got {
+				if mt.SetKey != want[i][0] || mt.ObjectID != want[i][1] || mt.Vertex != uint64(tableTestVertex) || mt.Depth != 1 {
+					return fmt.Errorf("class %v key %q skip %d limit %d: match %d = %+v, model has %q/%q at depth 1",
+						pred.class, pred.key, skip, limit, i, mt, want[i][0], want[i][1])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkShape compares the counts Stats reports with the model's —
+// emptied rows must be gone, and the emptied table with them.
+func checkShape(srv *Server, m tableModel) error {
+	st := srv.Stats()
+	wantVertices := 0
+	if len(m) > 0 {
+		wantVertices = 1
+	}
+	if st.Vertices != wantVertices || st.Entries != len(m) || st.Objects != m.objects() {
+		return fmt.Errorf("stats %d vertices / %d entries / %d objects; model has %d / %d / %d",
+			st.Vertices, st.Entries, st.Objects, wantVertices, len(m), m.objects())
+	}
+	return nil
+}
+
+// runTableOps decodes ops three bytes at a time — kind, keyword-set
+// mask, argument — into inserts (half of them, so duplicates are
+// common), removes (present or absent alike) and scans of every class,
+// applies them to the server and the model, and returns the first
+// disagreement.
+func runTableOps(srv *Server, m tableModel, ops []byte) error {
+	for ; len(ops) >= 3; ops = ops[3:] {
+		kind, set, arg := ops[0]%4, setFromMask(ops[1]), ops[2]
+		id := "o" + strconv.Itoa(int(arg%6))
+		switch kind {
+		case 0, 1:
+			if err := srv.insertEntry(DefaultInstance, tableTestVertex, set.Key(), id); err != nil {
+				return err
+			}
+			m.insert(set.Key(), id)
+		case 2:
+			found, err := srv.deleteEntry(DefaultInstance, tableTestVertex, set.Key(), id)
+			if err != nil {
+				return err
+			}
+			if want := m.remove(set.Key(), id); found != want {
+				return fmt.Errorf("delete %q/%s: found = %v, model says %v", set.Key(), id, found, want)
+			}
+		case 3:
+			var pred queryPred
+			switch arg % 3 {
+			case 0:
+				pred = supersetPred(set.Key(), set)
+			case 1:
+				pred = predFor(ClassPin, set.Key())
+			default:
+				pred = predFor(ClassPrefix, tableTestPrefixes[int(ops[1])%len(tableTestPrefixes)])
+			}
+			if err := checkScans(srv, m, pred); err != nil {
+				return err
+			}
+		}
+		if err := checkShape(srv, m); err != nil {
+			return err
+		}
+	}
+	// Whatever the ops looked at, the end state must agree everywhere:
+	// every keyword alone, every stored set pinned, every prefix.
+	for i := range tableTestVocab {
+		set := setFromMask(1 << uint(i))
+		if err := checkScans(srv, m, supersetPred(set.Key(), set)); err != nil {
+			return err
+		}
+	}
+	for k := range m {
+		if err := checkScans(srv, m, predFor(ClassPin, k)); err != nil {
+			return err
+		}
+	}
+	for _, p := range tableTestPrefixes {
+		if err := checkScans(srv, m, predFor(ClassPrefix, p)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestPropertyTableMatchesModel: random interleavings of insert,
+// duplicate insert, remove, remove-absent and scan over one vertex
+// agree with the map model for every class and window.
+func TestPropertyTableMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 3*(20+rng.Intn(200)))
+		rng.Read(ops)
+		srv := newTableTestServer(t, ServerConfig{})
+		if err := runTableOps(srv, tableModel{}, ops); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// FuzzTableOps is the same check with the fuzzer choosing the ops.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 0, 3, 1, 3, 1, 0, 2, 3, 0, 3, 3, 1, 2, 3, 1, 3, 2, 2})
+	f.Add([]byte{1, 255, 5, 1, 1, 5, 3, 1, 0, 2, 255, 5, 3, 255, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*512 {
+			ops = ops[:3*512]
+		}
+		srv := newTableTestServer(t, ServerConfig{})
+		if err := runTableOps(srv, tableModel{}, ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTableModelCheckCatchesLostSignature is the mutation check of the
+// property test: zero one row's signature — what a wrong signature
+// update on insert or remove would amount to — and the model comparison
+// must fail, because the row drops out of superset answers. It also
+// pins that the row still answers pin and prefix queries, which never
+// read the column.
+func TestTableModelCheckCatchesLostSignature(t *testing.T) {
+	srv := newTableTestServer(t, ServerConfig{})
+	m := tableModel{}
+	for mask := byte(1); mask < 40; mask += 3 {
+		key := setFromMask(mask).Key()
+		if err := srv.insertEntry(DefaultInstance, tableTestVertex, key, "o1"); err != nil {
+			t.Fatal(err)
+		}
+		m.insert(key, "o1")
+	}
+	victim := setFromMask(7) // alpha, alps, bet
+	alpha := keyword.NewSet("alpha")
+	if err := checkScans(srv, m, supersetPred(alpha.Key(), alpha)); err != nil {
+		t.Fatalf("before the mutation: %v", err)
+	}
+
+	sh := srv.shardFor(DefaultInstance, tableTestVertex)
+	sh.mu.Lock()
+	tbl := sh.tables[DefaultInstance][tableTestVertex]
+	i, ok := tbl.find(victim.Key())
+	if !ok {
+		sh.mu.Unlock()
+		t.Fatal("victim row missing")
+	}
+	tbl.sigs[i] = 0
+	sh.mu.Unlock()
+
+	if err := checkScans(srv, m, supersetPred(alpha.Key(), alpha)); err == nil {
+		t.Fatal("a zeroed signature went unnoticed by the model check")
+	}
+	if err := checkScans(srv, m, predFor(ClassPin, victim.Key())); err != nil {
+		t.Errorf("pin reads the signature column: %v", err)
+	}
+	if err := checkScans(srv, m, predFor(ClassPrefix, "al")); err != nil {
+		t.Errorf("prefix reads the signature column: %v", err)
+	}
+}
+
+// TestTableScanWriteHammer: batch scans (the wave path, fanned over the
+// scan workers) race inserts and deletes on ONE vertex of a one-shard
+// server, so every operation meets on one lock and one pair of slices
+// mutated in place. Run under -race. Each writer owns a disjoint set of
+// entries, so the final state is known exactly.
+func TestTableScanWriteHammer(t *testing.T) {
+	srv := newTableTestServer(t, ServerConfig{Shards: 1, ScanParallelism: 4})
+	const writers, readers, rounds, perWriter = 4, 4, 150, 12
+	hub := keyword.NewSet("hub")
+	keyOf := func(w, i int) string {
+		return keyword.NewSet("hub", "w"+strconv.Itoa(w), "e"+strconv.Itoa(i)).Key()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perWriter; i++ {
+					if err := srv.insertEntry(DefaultInstance, tableTestVertex, keyOf(w, i), "o"+strconv.Itoa(r%3)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				// Odd entries are removed again; rows empty and reappear.
+				for i := 1; i < perWriter; i += 2 {
+					if _, err := srv.deleteEntry(DefaultInstance, tableTestVertex, keyOf(w, i), "o"+strconv.Itoa(r%3)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			msg := msgSubQueryBatch{
+				Instance: DefaultInstance, Root: uint64(tableTestVertex), QueryKey: hub.Key(), Limit: -1,
+				Units: []wireUnit{
+					{Vertex: uint64(tableTestVertex), GenDim: -1},
+					{Vertex: uint64(tableTestVertex), Skip: 3, GenDim: -1},
+					{Vertex: uint64(tableTestVertex), Skip: r, GenDim: -1},
+					{Vertex: uint64(tableTestVertex) + 1, GenDim: -1},
+				},
+			}
+			if r%2 == 1 {
+				msg.Class, msg.QueryKey = ClassPrefix, "e1"
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp := srv.subQueryBatch(context.Background(), msg)
+				for _, u := range resp.Results {
+					for i := 1; i < len(u.Matches); i++ {
+						a, b := u.Matches[i-1], u.Matches[i]
+						if a.SetKey > b.SetKey || (a.SetKey == b.SetKey && a.ObjectID >= b.ObjectID) {
+							t.Errorf("scan under writes out of order: %q/%q then %q/%q", a.SetKey, a.ObjectID, b.SetKey, b.ObjectID)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	m := tableModel{}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i += 2 {
+			for o := 0; o < 3; o++ {
+				m.insert(keyOf(w, i), "o"+strconv.Itoa(o))
+			}
+		}
+	}
+	if err := checkShape(srv, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkScans(srv, m, supersetPred(hub.Key(), hub)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkReadersEmitCanonicalOrder: everything that reads whole tables
+// out of a server — the snapshot dump, a migration chunk walk, the
+// join-time range extraction and Drain — emits each vertex's entries in
+// (set key, object ID) order, whatever order they were inserted in.
+func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
+	build := func() (*Server, int) {
+		srv := newTableTestServer(t, ServerConfig{Shards: 4})
+		rng := rand.New(rand.NewSource(7))
+		n := 0
+		for _, instance := range []string{DefaultInstance, "other"} {
+			for v := hypercube.Vertex(1); v <= 9; v++ {
+				for _, mask := range rng.Perm(40)[:12] {
+					for _, o := range rng.Perm(5)[:3] {
+						if err := srv.insertEntry(instance, v, setFromMask(byte(mask+1)).Key(), "o"+strconv.Itoa(o)); err != nil {
+							t.Fatal(err)
+						}
+						n++
+					}
+				}
+			}
+		}
+		return srv, n
+	}
+	// perVertexSorted fails unless each vertex's entries appear as one
+	// strictly increasing (set key, object ID) run.
+	perVertexSorted := func(what string, entries []BulkEntry, want int) {
+		t.Helper()
+		if len(entries) != want {
+			t.Errorf("%s emitted %d entries, want %d", what, len(entries), want)
+		}
+		type iv struct {
+			instance string
+			v        uint64
+		}
+		last := map[iv]BulkEntry{}
+		for _, e := range entries {
+			k := iv{e.Instance, e.Vertex}
+			if p, ok := last[k]; ok && (p.SetKey > e.SetKey || (p.SetKey == e.SetKey && p.ObjectID >= e.ObjectID)) {
+				t.Fatalf("%s: vertex %s/%d emitted %q/%q after %q/%q", what, e.Instance, e.Vertex, e.SetKey, e.ObjectID, p.SetKey, p.ObjectID)
+			}
+			last[k] = e
+		}
+	}
+
+	srv, n := build()
+	var dumped []BulkEntry
+	err := srv.dumpAll(func(rec store.Record) error {
+		dumped = append(dumped, BulkEntry{Instance: rec.Instance, Vertex: rec.Vertex, SetKey: rec.SetKey, ObjectID: rec.ObjectID})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perVertexSorted("dumpAll", dumped, n)
+
+	// A puller that owns only key 1 leaves every vertex to move; small
+	// pages make the walk stop and resume inside rows.
+	var pulled []BulkEntry
+	msg := msgMigrateChunk{NewID: 0, OwnerID: 1, MaxEntries: 7}
+	for {
+		resp, err := srv.migrateChunk(context.Background(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pulled = append(pulled, resp.Entries...)
+		if resp.Done {
+			break
+		}
+		msg.Cursor = resp.Cursor
+	}
+	perVertexSorted("migrateChunk", pulled, n)
+	for i := 1; i < len(pulled); i++ {
+		p, e := pulled[i-1], pulled[i]
+		if !cursorLess(wireCursor{Started: true, Instance: p.Instance, Vertex: p.Vertex, SetKey: p.SetKey, ObjectID: p.ObjectID},
+			e.Instance, e.Vertex, e.SetKey, e.ObjectID) {
+			t.Fatalf("migrateChunk pages not in canonical order at %d: %+v then %+v", i, p, e)
+		}
+	}
+
+	extracted, err := srv.extractRange(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perVertexSorted("extractRange", extracted, n)
+	if st := srv.Stats(); st.Objects != 0 {
+		t.Errorf("extractRange left %d objects behind", st.Objects)
+	}
+
+	srv, n = build()
+	drained, err := srv.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perVertexSorted("Drain", drained, n)
+}

@@ -156,6 +156,46 @@ func ParseKey(key string) Set {
 	return NewSet(strings.Split(key, "\x1f")...)
 }
 
+// signatureBits is the number of bits each keyword sets in a
+// Signature. More bits reject more non-supersets per query keyword but
+// fill the word faster per object keyword; see Signature.
+const signatureBits = 2
+
+// Signature folds the set into one 64-bit word: every keyword sets
+// signatureBits bits chosen by a hash of the keyword alone, and the
+// set's signature is their OR. It is a second, node-local F_h — the
+// same containment argument as Lemma 3.1 applies:
+//
+//	K ⊆ K'  ⇒  K.Signature() & K'.Signature() == K.Signature()
+//
+// so a table can reject "K' does not contain K" from two words without
+// comparing a string, and can never reject a true superset. The hash
+// takes no seed: signatures are stored beside table rows and must mean
+// the same thing to every query.
+func (s Set) Signature() uint64 {
+	var sig uint64
+	for _, w := range s.words {
+		// FNV-1a, then a splitmix-style finalizer: FNV's low bits alone
+		// are weak for short keywords, and the bit positions below are
+		// cut from them.
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(w); i++ {
+			h ^= uint64(w[i])
+			h *= 1099511628211
+		}
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+		for b := 0; b < signatureBits; b++ {
+			sig |= 1 << (h & 63)
+			h >>= 6
+		}
+	}
+	return sig
+}
+
 // String renders the set as {a, b, c} for logs and errors.
 func (s Set) String() string {
 	return "{" + strings.Join(s.words, ", ") + "}"

@@ -1,6 +1,7 @@
 package keyword
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -186,7 +187,9 @@ func TestVertexSetsHashedBits(t *testing.T) {
 }
 
 func TestPropertySupersetMapsIntoSubcube(t *testing.T) {
-	// Lemma 3.1's basis: K1 ⊆ K2 implies F_h(K2) contains F_h(K1).
+	// Lemma 3.1's basis: K1 ⊆ K2 implies F_h(K2) contains F_h(K1) —
+	// and, by the same argument, Signature(K2) contains Signature(K1),
+	// which is what lets a table reject on signatures alone.
 	h := MustNewHasher(14, 5)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,10 +207,35 @@ func TestPropertySupersetMapsIntoSubcube(t *testing.T) {
 			}
 		}
 		k1 := NewSet(sub...)
-		return h.Vertex(k2).Contains(h.Vertex(k1))
+		return h.Vertex(k2).Contains(h.Vertex(k1)) &&
+			k1.Signature()&k2.Signature() == k1.Signature()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSignatureShape(t *testing.T) {
+	if got := (Set{}).Signature(); got != 0 {
+		t.Errorf("empty set signature = %#x, want 0", got)
+	}
+	// A keyword sets at most signatureBits bits, the same ones whatever
+	// set it is in and whatever the deployment's hash seed; over a
+	// vocabulary the bits spread over the whole word.
+	var union uint64
+	for i := 0; i < 200; i++ {
+		w := "w" + strconv.Itoa(i)
+		sig := NewSet(w).Signature()
+		if n := bits.OnesCount64(sig); n < 1 || n > signatureBits {
+			t.Fatalf("keyword %q sets %d bits, want 1..%d", w, n, signatureBits)
+		}
+		if with := NewSet(w, "other").Signature(); with&sig != sig {
+			t.Fatalf("keyword %q: bits %#x missing from its superset's %#x", w, sig, with)
+		}
+		union |= sig
+	}
+	if union != ^uint64(0) {
+		t.Errorf("200 keywords left signature bits unused: %#x", union)
 	}
 }
 

@@ -83,19 +83,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	for _, name := range sortedKeys(r.counters) {
+	for _, name := range sortedNames(r.counters) {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n",
 			name, name, r.counters[name].Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(r.vecs) {
+	for _, name := range sortedNames(r.vecs) {
 		vec := r.vecs[name]
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
 			return err
 		}
 		vec.mu.RLock()
-		values := sortedKeys(vec.m)
+		values := sortedNames(vec.m)
 		for _, value := range values {
 			if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n",
 				name, vec.label, value, vec.m[value].Value()); err != nil {
@@ -118,7 +118,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		gauges[name] += sum
 	}
 	lastFamily := ""
-	for _, name := range sortedKeys(gauges) {
+	for _, name := range sortedNames(gauges) {
 		// Gauges registered with inline labels (name{label="v"}) share
 		// one metric family: the TYPE line carries the bare family name
 		// and is emitted once per family, not per labelled series.
@@ -137,7 +137,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	for _, name := range sortedKeys(r.histograms) {
+	for _, name := range sortedNames(r.histograms) {
 		snap := r.histograms[name].snapshot()
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 			return err

@@ -231,8 +231,8 @@ func (r *Registry) CounterVec(name, label string) *CounterVec {
 	return v
 }
 
-// sortedKeys returns the map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
+// sortedNames returns the map's keys in sorted order.
+func sortedNames[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
