@@ -1,17 +1,26 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke figures fmt vet clean ci chaos loc
+.PHONY: all build test race cover bench bench-smoke alloc-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke figures fmt vet clean ci chaos loc
 
 all: build test
 
 # `make ci` is the full verification gate; `make loc` prints the code
 # size CHANGES.md records. ci: static checks, build, the race-enabled test
-# suite (includes the telemetry concurrency hammer), the seeded chaos
-# suite, the SIGKILL crash-recovery smoke, the live-churn migration
-# smoke, the open-loop load-rig smoke, the wire-decoder and table fuzz smokes,
-# the Zipf hotspot-storm smoke, the prefix-multicast smoke, and a
-# single-iteration benchmark smoke pass.
-ci: vet build race chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
+# suite (includes the telemetry concurrency hammer), the allocation
+# budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
+# live-churn migration smoke, the open-loop load-rig smoke, the
+# wire-decoder and table fuzz smokes, the Zipf hotspot-storm smoke, the
+# prefix-multicast smoke, and a single-iteration benchmark smoke pass.
+ci: vet build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
+
+# Allocation budgets, run on their own so a regression names itself
+# instead of hiding in tier-1 time: bytes allocated per contacted
+# vertex of an exhaustive wave (<= 130 B on a 16-peer ring at r = 10)
+# and zero allocations for a message a muxed endpoint's second layer
+# takes. Without -race: the detector's instrumentation allocates on its
+# own account, so under `make race` the byte budget skips itself.
+alloc-smoke:
+	$(GO) test -count=1 -run 'BytesPerVertex|AllocatesNothing' ./internal/core ./internal/transport
 
 # Code size, the number CHANGES.md records per PR (not part of ci —
 # `make loc` only prints): non-blank, non-comment lines of non-test Go,
@@ -44,8 +53,12 @@ loc:
 # cache at >= 2x better p99 than FIFO on the Zipf mix at equal
 # capacity (miss-count comparison asserted unconditionally, timing
 # gate on 4+ cores) and is recorded into results/cache.txt.
+# BenchmarkMegaWave prints time, bytes and allocations of one exhaustive
+# r = 10 wave over a 16-peer ring at a steady iteration count (bytes/op
+# / 512 is alloc-smoke's per-vertex figure).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench BenchmarkMegaWave -benchtime 200x ./internal/core/
 	mkdir -p results
 	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchtime 5000x ./internal/store/ \
 		| tee results/wal.txt

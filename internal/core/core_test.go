@@ -122,7 +122,7 @@ func pinIDs(ms []Match) []string {
 // what a relayed ClassPin sub-query answers, with no migration
 // double-read.
 func pinLocal(srv *Server, instance string, v hypercube.Vertex, setKey string) []string {
-	ms, _ := srv.scanVertex(instance, v, v, predFor(ClassPin, setKey), 0, -1)
+	ms, _, _ := srv.scanVertex(ownedArc{}, instance, v, v, predFor(ClassPin, setKey), 0, -1)
 	return pinIDs(ms)
 }
 

@@ -1,0 +1,160 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strconv"
+	"testing"
+
+	"github.com/p2pkeyword/keysearch/internal/dht"
+	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/transport"
+	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
+)
+
+// newRingDeployment is newDeployment on a DHT ring instead of a modulo
+// mapping: n servers over inmem, vertices placed by a converged static
+// overlay through caching OverlayResolvers, and every server given the
+// OwnedArc hook of its true arc (ring predecessor, own ID] — the
+// ownership configuration NewPeer wires, without Chord's traffic.
+func newRingDeployment(tb testing.TB, r, n int) *deployment {
+	tb.Helper()
+	net := inmem.New(1)
+	tb.Cleanup(func() { net.Close() })
+	hasher := keyword.MustNewHasher(r, 42)
+	addrs := make([]transport.Addr, n)
+	for i := range addrs {
+		addrs[i] = transport.Addr("ring-" + strconv.Itoa(i))
+	}
+	overlay, err := dht.NewStatic(addrs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]dht.ID, n)
+	for i, a := range addrs {
+		ids[i] = dht.HashString(string(a))
+	}
+	sorted := append([]dht.ID(nil), ids...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+
+	servers := make([]*Server, n)
+	for i := range servers {
+		self := ids[i]
+		at := sort.Search(n, func(k int) bool { return sorted[k] >= self })
+		pred := sorted[(at+n-1)%n]
+		srv, err := NewServer(ServerConfig{
+			Hasher:     hasher,
+			Resolver:   NewOverlayResolver(overlay),
+			Sender:     net,
+			BatchWaves: BatchOn,
+			OwnedArc:   func() (dht.ID, dht.ID, bool) { return pred, self, true },
+		})
+		if err != nil {
+			tb.Fatalf("NewServer: %v", err)
+		}
+		servers[i] = srv
+		if _, err := net.Bind(addrs[i], srv.Handler); err != nil {
+			tb.Fatalf("Bind: %v", err)
+		}
+	}
+	client, err := NewClient(hasher, NewOverlayResolver(overlay), net)
+	if err != nil {
+		tb.Fatalf("NewClient: %v", err)
+	}
+	return &deployment{net: net, hasher: hasher, servers: servers, addrs: addrs, client: client}
+}
+
+// megaWaveFleet loads a 16-peer ring at r = 10 with a corpus shaped
+// like the pinned benchmark's deep workload — objects of one to seven
+// keywords over a vocabulary wide enough that nearly every vertex hosts
+// a table, a query keyword rare enough that nearly every unit of its
+// subcube comes back empty — and returns it with that one-keyword
+// query.
+func megaWaveFleet(tb testing.TB) (*deployment, keyword.Set) {
+	tb.Helper()
+	d := newRingDeployment(tb, 10, 16)
+	rng := rand.New(rand.NewSource(18))
+	vocab := make([]string, 800)
+	for i := range vocab {
+		vocab[i] = "kw" + strconv.Itoa(i)
+	}
+	ctx := context.Background()
+	for i := 0; i < 6000; i++ {
+		words := make([]string, 1+rng.Intn(7))
+		for j := range words {
+			words[j] = vocab[rng.Intn(len(vocab))]
+		}
+		if _, err := d.client.Insert(ctx, obj("o-"+strconv.Itoa(i), words...)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d, keyword.NewSet(vocab[7])
+}
+
+// TestMegaWaveBytesPerVertex is the allocation budget of an exhaustive
+// wave: everything the fleet allocates for a one-keyword threshold-All
+// query — client, root, every peer — divided by the vertices it
+// contacts. Nearly all of those have nothing for the query, so the
+// figure is the fixed cost of contacting a vertex: its work unit, its
+// resolved address, its slot in a request frame. Dense per-unit result
+// records on either side of the wire, or anything built per ownership
+// test, push it past the budget (the dense design sat near 390 B).
+func TestMegaWaveBytesPerVertex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates per goroutine and per sync object; the budget is stated without it")
+	}
+	d, query := megaWaveFleet(t)
+	ctx := context.Background()
+	opts := SearchOptions{Order: ParallelLevels, NoCache: true}
+	search := func() Result {
+		res, err := d.client.SupersetSearch(ctx, query, All, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completeness != 1 || !res.Exhausted {
+			t.Fatalf("Completeness %g, Exhausted %v: the wave did not run clean", res.Completeness, res.Exhausted)
+		}
+		return res
+	}
+	warm := search() // fills the resolvers' binding caches
+	if warm.Stats.NodesContacted != 512 {
+		t.Fatalf("NodesContacted = %d, want the whole 2^9 subcube", warm.Stats.NodesContacted)
+	}
+	if n := len(warm.Matches); n == 0 || n > 64 {
+		t.Fatalf("%d matches: the corpus lost the sparse shape the budget is stated for", n)
+	}
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vertices := 0
+	for i := 0; i < runs; i++ {
+		vertices += search().Stats.NodesContacted
+	}
+	runtime.ReadMemStats(&after)
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(vertices)
+	t.Logf("%.1f B allocated per contacted vertex (%d matches per query)", perVertex, len(warm.Matches))
+	if perVertex > 130 {
+		t.Errorf("%.1f B allocated per contacted vertex, budget 130", perVertex)
+	}
+}
+
+// BenchmarkMegaWave times the same query end to end and reports its
+// allocations; bytes/op ÷ 512 is TestMegaWaveBytesPerVertex's figure.
+func BenchmarkMegaWave(b *testing.B) {
+	d, query := megaWaveFleet(b)
+	ctx := context.Background()
+	opts := SearchOptions{Order: ParallelLevels, NoCache: true}
+	if _, err := d.client.SupersetSearch(ctx, query, All, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.client.SupersetSearch(ctx, query, All, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

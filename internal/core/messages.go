@@ -148,10 +148,10 @@ type (
 	// msgSubQueryBatch coalesces an entire wave's worth of msgSubQuery
 	// work units destined for the same physical peer into one RPC
 	// frame. Each unit is the exact payload a standalone msgSubQuery
-	// would have carried; the receiver answers every unit under a
-	// single lock acquisition and reports per-unit outcomes so the
-	// root's failure accounting (Lemma 3.2) is unchanged. The batch as
-	// a whole is read-only and therefore hedgeable.
+	// would have carried; the receiver tests every unit's ownership
+	// against one reading of its owned arc and reports per-unit outcomes
+	// so the root's failure accounting (Lemma 3.2) is unchanged. The
+	// batch as a whole is read-only and therefore hedgeable.
 	msgSubQueryBatch struct {
 		Instance string
 		Dim      int // hypercube dimensionality of the instance (0 = server default)
@@ -176,15 +176,23 @@ type (
 		GenDim int
 	}
 
+	// respSubQueryBatch is sparse: Hits lists only the units that have
+	// something to say, by strictly increasing Index into the request's
+	// Units. A unit it does not list was owned, scanned and empty — on
+	// an exhaustive wave that is nearly all of them. A response whose
+	// indices are out of range or not increasing is nonsense, and the
+	// root retries the whole frame's units one by one.
 	respSubQueryBatch struct {
-		Results []respSubUnit
+		Hits []respSubUnit
 	}
 
-	// respSubUnit mirrors respSubQuery for one batched unit. ErrCode is
-	// nonzero when this particular vertex could not be served (e.g. the
-	// peer no longer owns it after a ring change); the root then falls
-	// back to a per-unit send with the usual resolve-retry path.
+	// respSubUnit mirrors respSubQuery for the batched unit at Index.
+	// ErrCode is nonzero when this particular vertex could not be served
+	// (e.g. the peer no longer owns it after a ring change); the root
+	// then falls back to a per-unit send with the usual resolve-retry
+	// path.
 	respSubUnit struct {
+		Index     int
 		Matches   []Match
 		Remaining int
 		Children  []wireEdge

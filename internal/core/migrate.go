@@ -711,13 +711,16 @@ func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKe
 // scans, filters tombstones, re-sorts into the canonical (set key,
 // object ID) order and applies skip/limit — byte-identical to scanning
 // the union table. Outside a window it is exactly scanVertex plus one
-// atomic load.
-func (s *Server) scanVertexRead(ctx context.Context, dim int, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
+// atomic load. arc and the owned result are scanVertex's.
+func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, dim int, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int, bool) {
 	srcs := s.migrate.sources(instance, v)
 	if len(srcs) == 0 {
-		return s.scanVertex(instance, v, root, pred, skip, limit)
+		return s.scanVertex(arc, instance, v, root, pred, skip, limit)
 	}
-	merged, _ := s.scanVertex(instance, v, root, pred, 0, -1)
+	merged, _, owned := s.scanVertex(arc, instance, v, root, pred, 0, -1)
+	if !owned {
+		return nil, 0, false
+	}
 	type mk struct{ setKey, id string }
 	seen := make(map[mk]struct{}, len(merged))
 	for _, mt := range merged {
@@ -760,7 +763,7 @@ func (s *Server) scanVertexRead(ctx context.Context, dim int, instance string, v
 	})
 	if skip > 0 {
 		if skip >= len(out) {
-			return nil, 0
+			return nil, 0, true
 		}
 		out = out[skip:]
 	}
@@ -770,9 +773,9 @@ func (s *Server) scanVertexRead(ctx context.Context, dim int, instance string, v
 		out = out[:limit]
 	}
 	if len(out) == 0 {
-		return nil, remaining
+		return nil, remaining, true
 	}
-	return out, remaining
+	return out, remaining, true
 }
 
 // insertMigrated applies one pulled chunk entry. The tombstone check
@@ -879,8 +882,8 @@ func (s *Server) migrateChunk(ctx context.Context, msg msgMigrateChunk) (respMig
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for instance, vertices := range sh.tables {
-			for v := range vertices {
-				if dht.Between(VertexKey(instance, v), dht.ID(msg.NewID), dht.ID(msg.OwnerID)) {
+			for v, tbl := range vertices {
+				if dht.Between(tbl.ringKey, dht.ID(msg.NewID), dht.ID(msg.OwnerID)) {
 					continue // still this node's
 				}
 				pairs = append(pairs, iv{instance, v})

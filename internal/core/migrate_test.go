@@ -356,8 +356,8 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 
 	query := keyword.NewSet("shared")
 	for _, win := range []struct{ skip, limit int }{{0, -1}, {0, 3}, {2, 2}, {5, -1}, {50, 1}} {
-		got, gotRem := dst.scanVertexRead(ctx, 6, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
-		want, wantRem := union.scanVertex(inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
+		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, 6, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
+		want, wantRem, _ := union.scanVertex(ownedArc{}, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
 		if !reflect.DeepEqual(got, want) || gotRem != wantRem {
 			t.Fatalf("scan window %+v during migration:\n got %v (rem %d)\nwant %v (rem %d)",
 				win, got, gotRem, want, wantRem)

@@ -43,11 +43,11 @@ func parallelBenchServer(b *testing.B, shards, scanPar int) *Server {
 	return srv
 }
 
-// parallelBenchFrames builds the 64 msgSubQueryBatch frames a 64-peer
-// fleet member receives when an exhaustive r = 10 search flattens into
-// a mega-wave: frame p carries the 16 vertices with v mod 64 == p.
-func parallelBenchFrames() []msgSubQueryBatch {
-	const peers = 64
+// parallelBenchFrames builds the msgSubQueryBatch frames the members of
+// a fleet of the given size receive when an exhaustive r = 10 search
+// flattens into a mega-wave: frame p carries the 1024/peers vertices
+// with v mod peers == p — 16 units for 64 peers, 128 for 8.
+func parallelBenchFrames(peers int) []msgSubQueryBatch {
 	queryKey := keyword.NewSet("hub").Key()
 	frames := make([]msgSubQueryBatch, peers)
 	for p := range frames {
@@ -80,16 +80,23 @@ func runBatchPass(srv *Server, frames []msgSubQueryBatch) ([]respSubQueryBatch, 
 // BenchmarkParallelBatchScan pins the tentpole's payoff on the local
 // hot path wave batching created: one physical peer of a 64-peer
 // fleet answering its 16-unit share of an exhaustive r = 10 mega-wave,
-// frame after frame. The sequential baseline (Shards = 1,
+// frame after frame — and, as a second case, of an 8-peer fleet
+// answering 128-unit shares. The sequential baseline (Shards = 1,
 // ScanParallelism = 1) is the pre-sharding server; the tuned
 // configuration must be at least 2x faster when 4+ cores are
 // available, with byte-identical responses — the gate fails the
 // bench-smoke CI stage otherwise.
 func BenchmarkParallelBatchScan(b *testing.B) {
-	frames := parallelBenchFrames()
 	baseline := parallelBenchServer(b, 1, 1)
 	tuned := parallelBenchServer(b, 0, 0) // library defaults: GOMAXPROCS shards + workers
+	for _, peers := range []int{64, 8} {
+		b.Run("peers="+strconv.Itoa(peers), func(b *testing.B) {
+			benchParallelBatchScan(b, baseline, tuned, parallelBenchFrames(peers))
+		})
+	}
+}
 
+func benchParallelBatchScan(b *testing.B, baseline, tuned *Server, frames []msgSubQueryBatch) {
 	// Warm both servers' sorted-order caches and verify equivalence on
 	// the warm-up pass.
 	respBase, _ := runBatchPass(baseline, frames)

@@ -85,8 +85,9 @@ func TestShardedScanEquivalence(t *testing.T) {
 // TestShardTelemetryExposition checks the striped server's new
 // instruments: per-shard entry gauges flatten to labelled series under
 // ONE well-formed TYPE line per family, every inserted entry is
-// counted by exactly one stripe, and a parallel batch scan moves the
-// core_scan_parallel_units_total counter.
+// counted by exactly one stripe, and a batch frame long enough to fan
+// out (more than scanChunk units) moves the
+// core_scan_parallel_units_total counter by its unit count.
 func TestShardTelemetryExposition(t *testing.T) {
 	reg := telemetry.New(16)
 	net := inmem.New(1)
@@ -108,15 +109,17 @@ func TestShardTelemetryExposition(t *testing.T) {
 		srv.insertEntry(DefaultInstance, hypercube.Vertex(i%64),
 			keyword.NewSet("hub", "w"+strconv.Itoa(i)).Key(), "o-"+strconv.Itoa(i))
 	}
-	srv.subQueryBatch(context.Background(), msgSubQueryBatch{
+	frame := msgSubQueryBatch{
 		Instance: DefaultInstance,
 		QueryKey: keyword.NewSet("hub").Key(),
 		Limit:    -1,
-		Units: []wireUnit{
-			{Vertex: 1, GenDim: -1}, {Vertex: 2, GenDim: -1},
-			{Vertex: 3, GenDim: -1}, {Vertex: 4, GenDim: -1},
-		},
-	})
+		Units:    []wireUnit{{Vertex: 1, GenDim: -1}, {Vertex: 2, GenDim: -1}},
+	}
+	srv.subQueryBatch(context.Background(), frame) // short: scanned inline, not counted
+	for v := 3; len(frame.Units) <= scanChunk; v++ {
+		frame.Units = append(frame.Units, wireUnit{Vertex: uint64(v % 64), GenDim: -1})
+	}
+	srv.subQueryBatch(context.Background(), frame)
 
 	snap := reg.Snapshot()
 	var shardTotal int64
@@ -126,8 +129,8 @@ func TestShardTelemetryExposition(t *testing.T) {
 	if shardTotal != inserted {
 		t.Errorf("per-shard entry gauges sum to %d, want %d", shardTotal, inserted)
 	}
-	if got := snap.Counters["core_scan_parallel_units_total"]; got != 4 {
-		t.Errorf("core_scan_parallel_units_total = %d, want 4", got)
+	if got := snap.Counters["core_scan_parallel_units_total"]; got != uint64(len(frame.Units)) {
+		t.Errorf("core_scan_parallel_units_total = %d, want %d (the long frame's units only)", got, len(frame.Units))
 	}
 
 	text := reg.PrometheusString()
@@ -199,8 +202,8 @@ func TestServerConcurrencyHammer(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		worker(func(int) { // batch scanner
 			resp := srv.subQueryBatch(context.Background(), frame)
-			if len(resp.Results) != len(frame.Units) {
-				t.Errorf("batch returned %d results for %d units", len(resp.Results), len(frame.Units))
+			if !resp.fits(len(frame.Units)) {
+				t.Errorf("batch hit indices not increasing inside [0, %d): %+v", len(frame.Units), resp.Hits)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
@@ -18,8 +19,9 @@ import (
 // decomposed families) spread differently over the same nodes.
 type Resolver interface {
 	Resolve(ctx context.Context, instance string, v hypercube.Vertex) (transport.Addr, error)
-	// ResolveBatch resolves a whole wave of vertices at once; addrs and
-	// errs are positionally aligned with vs.
+	// ResolveBatch resolves a whole wave of vertices at once; addrs is
+	// positionally aligned with vs, and so is errs — which is nil when
+	// every vertex resolved.
 	ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) (addrs []transport.Addr, errs []error)
 }
 
@@ -122,7 +124,6 @@ func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hyperc
 // singleflight table.
 func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
 	addrs := make([]transport.Addr, len(vs))
-	errs := make([]error, len(vs))
 	var misses []int
 	r.mu.Lock()
 	for i, v := range vs {
@@ -133,35 +134,49 @@ func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs 
 		addrs[i] = addr
 	}
 	r.mu.Unlock()
-	if len(misses) > 0 {
-		fanOut(len(misses), batchResolveFanout, func(k int) {
-			i := misses[k]
-			addrs[i], errs[i] = r.Resolve(ctx, instance, vs[i])
-		})
+	if len(misses) == 0 {
+		return addrs, nil
 	}
-	return addrs, errs
+	errs := make([]error, len(vs))
+	fanOut(len(misses), batchResolveFanout, func(k int) {
+		i := misses[k]
+		addrs[i], errs[i] = r.Resolve(ctx, instance, vs[i])
+	})
+	for _, i := range misses {
+		if errs[i] != nil {
+			return addrs, errs
+		}
+	}
+	return addrs, nil
 }
 
-// fanOut runs fn(0) … fn(n-1) on at most limit goroutines and returns
-// once all have finished. A single call runs on the caller's goroutine:
-// the paper's sequential orders dispatch one vertex at a time and must
-// not pay a goroutine per step.
+// fanOut runs fn(0) … fn(n-1) on min(n, limit) workers that claim
+// indices from a shared cursor, and returns once all have finished. The
+// caller is one of the workers, so a single call — the paper's
+// sequential orders dispatch one vertex at a time — or a limit of one
+// starts no goroutine, and a wave to p peers starts p-1.
 func fanOut(n, limit int, fn func(i int)) {
-	if n == 1 {
-		fn(0)
+	workers := min(n, limit)
+	if workers <= 1 {
+		// Before the shared state below exists: it would move to the heap.
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
-	sem := make(chan struct{}, limit)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	work := func() {
+		defer wg.Done()
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
 			fn(i)
-		}(i)
+		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 }
 
@@ -223,9 +238,15 @@ func (f FuncResolver) Resolve(_ context.Context, _ string, v hypercube.Vertex) (
 // the batch is a plain loop.
 func (f FuncResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
 	addrs := make([]transport.Addr, len(vs))
-	errs := make([]error, len(vs))
+	var errs []error
 	for i, v := range vs {
-		addrs[i], errs[i] = f.Resolve(ctx, instance, v)
+		var err error
+		if addrs[i], err = f.Resolve(ctx, instance, v); err != nil {
+			if errs == nil {
+				errs = make([]error, len(vs))
+			}
+			errs[i] = err
+		}
 	}
 	return addrs, errs
 }

@@ -63,7 +63,7 @@ func BenchmarkScanTable(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchMatches, _ = srv.scanVertex(DefaultInstance, v, v, bc.pred, 0, -1)
+				benchMatches, _, _ = srv.scanVertex(ownedArc{}, DefaultInstance, v, v, bc.pred, 0, -1)
 				if len(benchMatches) != bc.want {
 					b.Fatalf("scan returned %d matches, want %d", len(benchMatches), bc.want)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
@@ -385,15 +386,16 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 			return nil, fmt.Errorf("core: bottom-up traversal over %d free dimensions exceeds limit %d",
 				free, maxBottomUpFree)
 		}
+		// The subcube is enumerated up front, less the vertices an
+		// earlier prefix branch owns.
 		levels := q.cube.InducedLevels(b.root)
 		for d := len(levels) - 1; d >= 0; d-- {
 			for _, v := range levels[d] {
-				sess.work = append(sess.work, workUnit{vertex: v, genDim: -1})
+				if v&b.exclude == 0 {
+					sess.work = append(sess.work, workUnit{vertex: v, genDim: -1})
+				}
 			}
 		}
-		// The subcube is enumerated up front; drop the vertices an
-		// earlier prefix branch owns.
-		sess.work = filterUnits(sess.work, b.exclude)
 	default:
 		// The root itself is the first unit; its children are the
 		// paper's initial queue U (one neighbor per free dimension).
@@ -445,24 +447,32 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 			wave = expandFrontier(sess, wave)
 		}
 
-		var results []visitResult
+		var hits []waveHit
 		if batch {
 			var waveFrames int
-			results, waveFrames = s.dispatchWave(ctx, sess, wave, need)
+			hits, waveFrames = s.dispatchWave(ctx, sess, wave, need)
 			t.frames += waveFrames
 		} else {
-			results = make([]visitResult, len(wave))
+			hits = make([]waveHit, len(wave))
 			fanOut(len(wave), s.cfg.ParallelFanout, func(i int) {
-				results[i] = s.visit(ctx, sess, wave[i], need)
+				hits[i] = s.visit(ctx, sess, wave[i], need)
+				hits[i].pos = i
 			})
 		}
 
 		var resumes, children []workUnit
 		for i, u := range wave {
-			res := results[i]
+			// A unit without a hit was owned, scanned and empty.
+			var res waveHit
+			if len(hits) > 0 && hits[0].pos == i {
+				res, hits = hits[0], hits[1:]
+			}
 			t.nodes++
 			t.frames += res.frames
-			if res.remote {
+			if !sess.hostsRoot(u) {
+				// The paper's logical accounting charges a T_QUERY/T_CONT
+				// exchange for every vertex other than the root, however
+				// few frames carried it.
 				t.msgs += 2
 			}
 			take := len(res.matches)
@@ -480,11 +490,15 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				// Regenerate the failed node's children locally so the rest
 				// of its subtree is still explored.
 				t.failed++
-				children = append(children, filterUnits(sess.childrenOf(u), sess.exclude)...)
+				children = sess.appendChildren(children, u)
 				continue
 			}
 			if u.genDim >= 0 {
-				children = append(children, filterUnits(res.children, sess.exclude)...)
+				for _, e := range res.children {
+					if x := hypercube.Vertex(e.Vertex); x&sess.exclude == 0 {
+						children = append(children, workUnit{vertex: x, genDim: e.Dim})
+					}
+				}
 			}
 			t.matches = append(t.matches, res.matches[:take]...)
 			need -= take
@@ -501,26 +515,29 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 	}
 }
 
-// visitResult is the outcome of scanning one hypercube node. remote
-// reports the paper's logical accounting — whether this vertex counts
-// as a T_QUERY/T_CONT exchange — while frames counts the physical RPC
-// frames actually sent for it (zero when a batch or a local shortcut
-// absorbed it). children is the node's SBT child list (T_CONT's L),
-// empty for match-only units.
-type visitResult struct {
+// waveHit is what one unit of a wave had to say: matches, matches
+// beyond the window, a T_CONT child list, frames spent on it alone, or
+// a failure. Dispatch hands traverse a wave's hits sorted by pos; a unit
+// without one was owned, scanned and empty, and cost the root nothing
+// beyond its place in the wave. frames counts the physical RPC frames
+// sent for this unit alone (zero when a batch or a local shortcut
+// absorbed it); children is the node's SBT child list as the node
+// reported it, pruned against the exclude mask only when consumed.
+type waveHit struct {
+	pos       int // index of the unit in its wave
 	matches   []Match
 	remaining int
-	children  []workUnit
-	remote    bool
+	children  []wireEdge
 	frames    int
 	err       error
 }
 
 // visit scans one work unit: in place when it is the traversal root
-// hosted by this server, via a T_QUERY/T_CONT round trip otherwise.
-func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) visitResult {
+// hosted by this server, via a T_QUERY/T_CONT round trip otherwise. The
+// caller fills in pos.
+func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) waveHit {
 	if sess.hostsRoot(u) {
-		return s.scanLocal(ctx, sess, u, limit)
+		return s.scanLocal(ctx, ownedArc{}, sess, u, limit)
 	}
 	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex, msgSubQuery{
 		Instance: sess.instance,
@@ -534,66 +551,60 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 		Class:    sess.pred.class,
 	})
 	if err != nil {
-		return visitResult{remote: true, frames: frames, err: err}
+		return waveHit{frames: frames, err: err}
 	}
 	sq, ok := raw.(respSubQuery)
 	if !ok {
-		return visitResult{remote: true, frames: frames, err: fmt.Errorf("core: unexpected sub-query response %T", raw)}
+		return waveHit{frames: frames, err: fmt.Errorf("core: unexpected sub-query response %T", raw)}
 	}
-	return visitResult{matches: sq.Matches, remaining: sq.Remaining, children: unitsFromWire(sq.Children), remote: true, frames: frames}
+	return waveHit{matches: sq.Matches, remaining: sq.Remaining, children: sq.Children, frames: frames}
 }
 
 // scanLocal answers a unit from this server's own tables, with no
-// frame. On a soft-served search only the root is ever local, and its
-// matches come from the soft copy, not this node's (unrelated)
-// authoritative tables.
-func (s *Server) scanLocal(ctx context.Context, sess *session, u workUnit, limit int) visitResult {
-	var res visitResult
+// frame; a vertex outside arc (the zero arc for the root, whose
+// ownership the T_QUERY handler settled) is an ErrNotOwner hit. On a
+// soft-served search only the root is ever local, and its matches come
+// from the soft copy, not this node's (unrelated) authoritative tables.
+func (s *Server) scanLocal(ctx context.Context, arc ownedArc, sess *session, u workUnit, limit int) waveHit {
+	hit, owned := waveHit{}, true
 	if sess.soft != nil {
-		res.matches, res.remaining = sess.soft.scan(u.vertex, sess.root, sess.pred, u.skip, limit)
-	} else {
-		res.matches, res.remaining = s.scanVertexRead(ctx, sess.cube.Dim(), sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit)
+		hit.matches, hit.remaining = sess.soft.scan(u.vertex, sess.root, sess.pred, u.skip, limit)
+	} else if hit.matches, hit.remaining, owned = s.scanVertexRead(ctx, arc, sess.cube.Dim(), sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit); !owned {
+		return waveHit{err: ErrNotOwner}
 	}
-	res.children = sess.childrenOf(u)
-	return res
+	hit.children = wireChildren(sess.cube, sess.root, u.vertex, u.genDim)
+	return hit
 }
 
 // expandFrontier transitively expands a frontier into the full list of
 // work units its traversal would visit, in the exact order the
 // level-by-level waves would concatenate to: each unit is followed by
-// its SBT children, generated breadth-first. Expanded units carry
-// genDim -1 so the consume loop neither re-appends their children on
-// success nor regenerates them on failure — the whole subtree is
-// already in the wave. Children intersecting the session's exclude mask
-// are pruned (prefix-multicast branch partition).
+// its SBT children, generated breadth-first — the output slice is its
+// own queue. Expanded units carry genDim -1 so the consume loop neither
+// re-appends their children on success nor regenerates them on failure
+// — the whole subtree is already in the wave. Children intersecting the
+// session's exclude mask are pruned (prefix-multicast branch partition).
 func expandFrontier(sess *session, frontier []workUnit) []workUnit {
-	out := make([]workUnit, 0, sess.cube.SubcubeSize(sess.root))
-	queue := append(make([]workUnit, 0, len(frontier)), frontier...)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		queue = append(queue, filterUnits(sess.childrenOf(u), sess.exclude)...)
-		u.genDim = -1
-		out = append(out, u)
+	out := make([]workUnit, len(frontier), max(uint64(len(frontier)), sess.cube.SubcubeSize(sess.root)))
+	copy(out, frontier)
+	for i := 0; i < len(out); i++ {
+		out = sess.appendChildren(out, out[i])
+		out[i].genDim = -1
 	}
 	return out
 }
 
 // dispatchWave answers one wave of work units, coalescing every unit
-// that resolves to the same physical peer into one msgSubQueryBatch.
-// The returned results are positionally aligned with wave; the second
-// return value counts the batch frames sent (per-unit fallback frames
-// are carried in the individual results). Units the dispatching server
-// can answer itself — the query root, plus any vertex resolving to the
-// root's own address — are scanned locally with no frame at all; their
-// remote flag still follows the paper's logical accounting, which
-// charges an exchange for every vertex other than the root. Any unit a
-// batch cannot serve (transport failure, or per-unit ownership error)
-// falls back to the per-message visit path with its resolve-retry
-// healing, so failure semantics are identical to the unbatched mode.
-func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int) ([]visitResult, int) {
-	results := make([]visitResult, len(wave))
-
+// that resolves to the same physical peer into one msgSubQueryBatch. It
+// returns the wave's hits sorted by position and the number of batch
+// frames sent (per-unit fallback frames are carried in the individual
+// hits). Units the dispatching server can answer itself — the query
+// root, plus any vertex resolving to the root's own address — are
+// scanned locally with no frame at all. Any unit a batch cannot serve
+// (transport failure, or per-unit ownership error) falls back to the
+// per-message visit path with its resolve-retry healing, so failure
+// semantics are identical to the unbatched mode.
+func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int) ([]waveHit, int) {
 	// The whole wave is resolved positionally, so addrs[i] belongs to
 	// wave[i] with no index slice in between. That includes a root this
 	// server hosts, whose binding is never looked at; a foreign branch
@@ -616,47 +627,81 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 			selfAddr = a
 		}
 	}
+	arc := s.arc()
 
 	// Units this server can answer are scanned on the spot, no frame;
-	// the rest are grouped by destination peer, preserving first-seen
-	// dispatch order.
-	byAddr := make(map[transport.Addr][]int)
-	var peers []transport.Addr
+	// the rest are counted per destination peer, in first-seen dispatch
+	// order, and then carved out of one index slice.
+	type peerBatch struct {
+		addr   transport.Addr
+		n, end int // its units: idx[end-n : end], once carved
+	}
+	var hits []waveHit
+	var peers []peerBatch
+	peerOf := make(map[transport.Addr]int32)
+	dest := make([]int32, len(wave)) // wave position → peer, -1: answered here
 	for i, u := range wave {
-		addr := addrs[i]
-		switch {
+		dest[i] = -1
+		var hit waveHit
+		switch addr := addrs[i]; {
 		case sess.hostsRoot(u):
-			results[i] = s.scanLocal(ctx, sess, u, limit)
-		case errs[i] != nil:
-			results[i] = visitResult{remote: true, err: errs[i]}
+			hit = s.scanLocal(ctx, ownedArc{}, sess, u, limit)
+		case errs != nil && errs[i] != nil:
+			hit.err = errs[i]
 		case selfAddr == "" || addr != selfAddr:
-			if _, ok := byAddr[addr]; !ok {
-				peers = append(peers, addr)
+			k, seen := peerOf[addr]
+			if !seen {
+				k = int32(len(peers))
+				peerOf[addr] = k
+				peers = append(peers, peerBatch{addr: addr})
 			}
-			byAddr[addr] = append(byAddr[addr], i)
-		case !s.owns(sess.instance, u.vertex):
-			// The resolver maps the vertex here but the DHT layer no
-			// longer owns it: take the remote path.
-			results[i] = s.visit(ctx, sess, u, limit)
+			peers[k].n++
+			dest[i] = k
+			continue
 		default:
-			results[i] = s.scanLocal(ctx, sess, u, limit)
-			results[i].remote = true
-			s.met.coalesced.Inc() // frame avoided entirely
+			if hit = s.scanLocal(ctx, arc, sess, u, limit); hit.err == nil {
+				s.met.coalesced.Inc() // frame avoided entirely
+			} else {
+				// The resolver maps the vertex here but the DHT layer no
+				// longer owns it: take the remote path.
+				hit = s.visit(ctx, sess, u, limit)
+			}
+		}
+		if hit.err != nil || hit.frames > 0 || len(hit.matches) > 0 || hit.remaining > 0 || len(hit.children) > 0 {
+			hit.pos = i
+			hits = append(hits, hit)
+		}
+	}
+	remote := 0
+	for k := range peers {
+		peers[k].end, remote = remote, remote+peers[k].n
+	}
+	idx := make([]int32, remote)
+	for i, k := range dest {
+		if k >= 0 {
+			idx[peers[k].end] = int32(i)
+			peers[k].end++
 		}
 	}
 
-	// One batch per distinct peer, concurrently, fanout-bounded.
+	// One batch per distinct peer, concurrently, fanout-bounded; the
+	// peers' hits join the local ones in wave order.
+	parts := make([][]waveHit, len(peers)+1)
+	parts[len(peers)] = hits
 	fanOut(len(peers), s.cfg.ParallelFanout, func(k int) {
-		s.sendBatch(ctx, sess, peers[k], byAddr[peers[k]], wave, limit, results)
+		p := peers[k]
+		parts[k] = s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], wave, limit)
 	})
-	return results, len(peers)
+	hits = slices.Concat(parts...)
+	slices.SortFunc(hits, func(a, b waveHit) int { return a.pos - b.pos })
+	return hits, len(peers)
 }
 
-// sendBatch sends one coalesced msgSubQueryBatch frame and unpacks
-// per-unit outcomes into results (positions idx of wave). Units the
-// batch could not serve are retried on the per-message path and carry
-// those frames in their own results.
-func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int, wave []workUnit, limit int, results []visitResult) {
+// sendBatch sends one coalesced msgSubQueryBatch frame for the units at
+// positions idx of wave and returns their hits, in position order.
+// Units the batch could not serve are retried on the per-message path
+// and carry those frames in their own hits.
+func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, wave []workUnit, limit int) []waveHit {
 	units := make([]wireUnit, len(idx))
 	for j, i := range idx {
 		u := wave[i]
@@ -677,78 +722,68 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 	s.met.batchSize.Observe(int64(len(units)))
 	raw, err := s.cfg.Sender.Send(ctx, addr, msg)
 	resp, shapeOK := raw.(respSubQueryBatch)
-	if err != nil || !shapeOK || len(resp.Results) != len(idx) {
-		cerr := ctx.Err()
-		for _, i := range idx {
-			if cerr != nil {
-				// The search itself is dead; per-unit retries would only
-				// spray doomed frames at an already loaded peer.
-				results[i] = visitResult{remote: true, err: cerr}
-			} else {
-				// The whole frame failed (peer down, partitioned, or
-				// answered nonsense): every unit retries individually,
-				// which reproduces the unbatched failure accounting
-				// exactly.
-				results[i] = s.visit(ctx, sess, wave[i], limit)
-			}
+	if err != nil || !shapeOK || !resp.fits(len(units)) {
+		// The whole frame failed (peer down, partitioned, or answered
+		// nonsense): as if the peer had refused every unit, each retries
+		// individually, which reproduces the unbatched failure
+		// accounting exactly.
+		resp.Hits = make([]respSubUnit, len(units))
+		for j := range resp.Hits {
+			resp.Hits[j] = respSubUnit{Index: j, ErrCode: errCodeNotOwner}
 		}
-		return
+	} else {
+		s.met.coalesced.Add(uint64(len(units) - 1))
 	}
-	s.met.coalesced.Add(uint64(len(units) - 1))
-	for j, i := range idx {
-		r := resp.Results[j]
-		switch r.ErrCode {
-		case errCodeNone:
-			results[i] = visitResult{matches: r.Matches, remaining: r.Remaining, children: unitsFromWire(r.Children), remote: true}
-		case errCodeCancelled:
-			cerr := ctx.Err()
-			if cerr == nil {
-				cerr = context.DeadlineExceeded
-			}
-			results[i] = visitResult{remote: true, err: cerr}
+	hits := make([]waveHit, len(resp.Hits))
+	cerr := ctx.Err()
+	for j, r := range resp.Hits {
+		i := idx[r.Index]
+		switch {
+		case r.ErrCode == errCodeNone:
+			hits[j] = waveHit{matches: r.Matches, remaining: r.Remaining, children: r.Children}
+		case cerr != nil:
+			// The search itself is dead; per-unit retries would only
+			// spray doomed frames at an already loaded peer.
+			hits[j].err = cerr
+		case r.ErrCode == errCodeCancelled:
+			hits[j].err = context.DeadlineExceeded
 		default:
-			results[i] = s.visit(ctx, sess, wave[i], limit)
+			hits[j] = s.visit(ctx, sess, wave[i], limit)
+		}
+		hits[j].pos = int(i)
+	}
+	return hits
+}
+
+// fits reports that the response is a well-formed answer to a request
+// of n units: hit indices strictly increasing and inside [0, n).
+func (m *respSubQueryBatch) fits(n int) bool {
+	prev := -1
+	for i := range m.Hits {
+		if m.Hits[i].Index <= prev || m.Hits[i].Index >= n {
+			return false
+		}
+		prev = m.Hits[i].Index
+	}
+	return true
+}
+
+// appendChildren appends u's SBT child list L = {(x, i) : i < genDim,
+// i ∈ Zero(u)} to dst as work units, highest dimension first
+// (hypercube.InducedChildEdges' list, written in place), less the
+// children whose vertex intersects the exclude mask. SBT paths only
+// accumulate bits, so cutting a child here removes exactly the subtree
+// of vertices carrying an excluded dimension — every other descendant
+// stays reachable. Match-only units (genDim < 0) have none: their
+// children were generated on their first visit.
+func (sess *session) appendChildren(dst []workUnit, u workUnit) []workUnit {
+	for j := u.genDim - 1; j >= 0; j-- {
+		if sess.root.Bit(j) || u.vertex.Bit(j) {
+			continue
+		}
+		if x := u.vertex.Neighbor(j); x&sess.exclude == 0 {
+			dst = append(dst, workUnit{vertex: x, genDim: j})
 		}
 	}
-}
-
-// childrenOf generates u's SBT child list L = {(x, i) : i < genDim,
-// i ∈ Zero(u)} as unfiltered work units; nil for match-only units,
-// whose children were generated on their first visit.
-func (sess *session) childrenOf(u workUnit) []workUnit {
-	if u.genDim < 0 {
-		return nil
-	}
-	edges := sess.cube.InducedChildEdges(sess.root, u.vertex, u.genDim)
-	units := make([]workUnit, len(edges))
-	for i, e := range edges {
-		units[i] = workUnit{vertex: e.To, genDim: e.Dim}
-	}
-	return units
-}
-
-// unitsFromWire is childrenOf for a child list a remote node returned.
-func unitsFromWire(edges []wireEdge) []workUnit {
-	units := make([]workUnit, len(edges))
-	for i, e := range edges {
-		units[i] = workUnit{vertex: hypercube.Vertex(e.Vertex), genDim: e.Dim}
-	}
-	return units
-}
-
-// filterUnits drops, in place, units whose vertex intersects exclude.
-// SBT paths only accumulate bits, so cutting a child here removes
-// exactly the subtree of vertices carrying an excluded dimension —
-// every other descendant stays reachable.
-func filterUnits(units []workUnit, exclude hypercube.Vertex) []workUnit {
-	if exclude == 0 {
-		return units
-	}
-	keep := units[:0]
-	for _, u := range units {
-		if u.vertex&exclude == 0 {
-			keep = append(keep, u)
-		}
-	}
-	return keep
+	return dst
 }

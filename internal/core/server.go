@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -86,11 +87,12 @@ type ServerConfig struct {
 	// contend with writers on the same stripe. 1 restores a single
 	// (read-write) lock over all tables.
 	Shards int
-	// ScanParallelism bounds the worker pool one msgSubQueryBatch
-	// frame's table scans fan out across. 0 selects GOMAXPROCS; 1
-	// scans the frame's units sequentially (the pre-sharding
-	// behaviour). Result assembly is positional, so parallelism never
-	// changes match order or accounting.
+	// ScanParallelism bounds the workers a msgSubQueryBatch frame's
+	// table scans fan out across, scanChunk units at a time (a frame of
+	// one chunk is scanned by the handler alone). 0 selects GOMAXPROCS; 1
+	// scans every frame sequentially (the pre-sharding behaviour).
+	// Hits are assembled in unit order, so parallelism never changes
+	// match order or accounting.
 	ScanParallelism int
 	// BatchWaves controls wave batching for ParallelLevels searches
 	// this server roots (BatchAuto = on).
@@ -122,12 +124,15 @@ type ServerConfig struct {
 	// throttle, retries); the zero value selects the defaults. See
 	// migrate.go and DESIGN §11.
 	Migration MigrationConfig
-	// Owner, when set, validates that this node currently owns a DHT
-	// key before serving requests for it. Requests for keys the node
-	// no longer owns (its range was taken over by a joiner) are
-	// rejected so callers re-resolve — without this, stale resolver
-	// bindings would silently read empty tables on live former owners.
-	Owner func(key dht.ID) bool
+	// OwnedArc, when set, snapshots the DHT ring arc (pred, self] this
+	// node currently owns (chord.Node.OwnedArc; joined false = owns
+	// nothing). The server reads it once per request or batch frame and
+	// tests every vertex key against it with dht.Between. Requests for
+	// keys the node no longer owns (its range was taken over by a
+	// joiner) are rejected so callers re-resolve — without this, stale
+	// resolver bindings would silently read empty tables on live former
+	// owners.
+	OwnedArc func() (pred, self dht.ID, joined bool)
 	// Telemetry, when set, receives the server's metrics (message
 	// counts by kind, search costs, cache hits, index-size gauges) and
 	// one search-trace span per superset search it roots. Nil disables
@@ -495,12 +500,43 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // other remote errors.
 var ErrNotOwner = errors.New("core: node does not own the requested vertex")
 
-// owns validates vertex ownership when an Owner hook is configured.
-func (s *Server) owns(instance string, v hypercube.Vertex) bool {
-	if s.cfg.Owner == nil {
-		return true
+// ownedArc is one reading of the OwnedArc hook: the ring arc
+// (pred, self] the node owned at that moment, or nothing at all. The
+// zero value is the whole ring — what a server without a hook owns —
+// because pred == self is dht.Between's full interval.
+type ownedArc struct {
+	pred, self dht.ID
+	none       bool
+}
+
+// arc reads the owned arc. It takes the DHT layer's lock, so it is
+// called before any table lock — once per request, once per batch
+// frame, never per unit.
+func (s *Server) arc() ownedArc {
+	if s.cfg.OwnedArc == nil {
+		return ownedArc{}
 	}
-	return s.cfg.Owner(VertexKey(instance, v))
+	pred, self, joined := s.cfg.OwnedArc()
+	return ownedArc{pred: pred, self: self, none: !joined}
+}
+
+// owns tests vertex v of instance against the arc. tbl is the vertex's
+// hosted table when the caller has it in hand (its ring key is stored);
+// a vertex without one is hashed, unless the arc settles the answer.
+func (a ownedArc) owns(tbl *table, instance string, v hypercube.Vertex) bool {
+	if a.none || a.pred == a.self {
+		return !a.none // nothing, or the whole ring: no key needed
+	}
+	if tbl != nil {
+		return dht.Between(tbl.ringKey, a.pred, a.self)
+	}
+	return dht.Between(VertexKey(instance, v), a.pred, a.self)
+}
+
+// owns validates ownership of one vertex, for the single-vertex
+// messages.
+func (s *Server) owns(instance string, v hypercube.Vertex) bool {
+	return s.arc().owns(nil, instance, v)
 }
 
 // gateInfo classifies client-facing bodies for admission control: the
@@ -527,10 +563,10 @@ func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
 }
 
 // Handler processes index-protocol messages. Unknown message types
-// yield ErrUnhandledMessage so the endpoint can be muxed with other
-// layers (e.g. Chord). Client-facing operations pass through the
-// admission controller (when configured) and pick up the deadline the
-// message carries; interior wave traffic is never gated.
+// yield the bare ErrUnhandledMessage sentinel so the endpoint can be
+// muxed with other layers (e.g. Chord). Client-facing operations pass
+// through the admission controller (when configured) and pick up the
+// deadline the message carries; interior wave traffic is never gated.
 func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (any, error) {
 	clientID, deadlineNS, gated := gateInfo(body)
 	if gated {
@@ -589,10 +625,10 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		}
 		return s.subQuery(ctx, msg), nil
 	case msgSubQueryBatch:
-		// Ownership is validated per unit, not for the whole frame: a
-		// ring change may have re-homed a subset of the batch's
-		// vertices, and the root falls back to per-vertex sends for
-		// exactly those.
+		// Ownership is validated per unit against one reading of the
+		// owned arc, not for the whole frame: a ring change may have
+		// re-homed a subset of the batch's vertices, and the root falls
+		// back to per-vertex sends for exactly those.
 		s.met.opSubBatch.Inc()
 		return s.subQueryBatch(ctx, msg), nil
 	case msgBulkInsert:
@@ -696,7 +732,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		}
 		return respAck{}, nil
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnhandledMessage, body)
+		return nil, ErrUnhandledMessage
 	}
 }
 
@@ -808,7 +844,7 @@ func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.
 	}
 	tbl, ok := vertices[v]
 	if !ok {
-		tbl = &table{}
+		tbl = &table{ringKey: VertexKey(instance, v)}
 		vertices[v] = tbl
 	}
 	set := tbl.insert(setKey, objectID)
@@ -886,10 +922,11 @@ func (s *Server) subQuery(ctx context.Context, msg msgSubQuery) respSubQuery {
 	pred := predFor(msg.Class, msg.QueryKey)
 	v, root := hypercube.Vertex(msg.Vertex), hypercube.Vertex(msg.Root)
 	var resp respSubQuery
+	// Ownership was settled by the caller (a relay skips it by design).
 	if msg.Relay {
-		resp.Matches, resp.Remaining = s.scanVertex(msg.Instance, v, root, pred, msg.Skip, msg.Limit)
+		resp.Matches, resp.Remaining, _ = s.scanVertex(ownedArc{}, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
 	} else {
-		resp.Matches, resp.Remaining = s.scanVertexRead(ctx, msg.Dim, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
+		resp.Matches, resp.Remaining, _ = s.scanVertexRead(ctx, ownedArc{}, msg.Dim, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
 	}
 	if cube, err := s.cubeFor(msg.Dim); err == nil {
 		// A malformed dim returns the matches without children.
@@ -913,13 +950,30 @@ func wireChildren(cube hypercube.Cube, root, v hypercube.Vertex, genDim int) []w
 	return children
 }
 
-// subQueryBatch answers a coalesced wave of sub-queries in one frame.
-// The per-unit table scans fan out across a worker pool bounded by
-// ScanParallelism; each scan takes only its vertex's shard read lock,
-// so a mega-wave frame spreads over every core instead of serializing
-// on one mutex. Results are written positionally, which keeps match
-// order, per-unit outcomes and the root's accounting byte-identical to
-// the sequential path.
+// scanChunk is how many units of a msgSubQueryBatch one scan worker
+// claims at a time, and so the longest frame the handler's own
+// goroutine scans alone. The choice can only look at len(msg.Units),
+// not at what the units will cost: 0.25 µs each on the pinned deep
+// workload (most vertices of a subcube hold nothing for the query),
+// 2.3 µs against a 500-row table (BenchmarkScanTable/selective), 7.5 µs
+// when all 48 rows match (BenchmarkParallelBatchScan) — against several
+// µs of start-up, wake-up and stack growth for a fresh goroutine. Four
+// is the largest chunk that still gives a 16-unit dense frame (a
+// 64-peer fleet's share of an r = 10 mega-wave, that benchmark's gated
+// input) four workers; anything smaller sends the two-to-four-unit
+// frames of narrow waves to a second goroutine for a few µs of work.
+const scanChunk = 4
+
+// subQueryBatch answers a coalesced wave of sub-queries in one frame,
+// sparsely: the response lists only the units that have something to
+// say — matches, matches beyond the window, children, or an error code
+// — each tagged with its index in msg.Units, in increasing order. A
+// unit it does not list was owned, scanned and empty. Every unit is
+// tested against one reading of the owned arc. The frame is cut into
+// chunks of scanChunk units that fan out over at most ScanParallelism
+// workers (one chunk: the handler's own goroutine); each scan takes only
+// its vertex's shard read lock, so a mega-wave frame spreads over every
+// core instead of serializing on one mutex.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
 	if msg.DeadlineUnixNano > 0 {
 		// tcpnet handler contexts carry no request deadline; re-derive
@@ -930,72 +984,43 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 		defer cancel()
 	}
 	pred := predFor(msg.Class, msg.QueryKey)
+	arc := s.arc()
+	// A malformed dim returns the matches without children.
+	cube, cubeErr := s.cubeFor(msg.Dim)
 	root := hypercube.Vertex(msg.Root)
-	results := make([]respSubUnit, len(msg.Units))
-
-	// Ownership checks consult the DHT layer (its own locking), so they
-	// run before any table lock is taken.
-	for i, u := range msg.Units {
-		if !s.owns(msg.Instance, hypercube.Vertex(u.Vertex)) {
-			results[i] = respSubUnit{ErrCode: errCodeNotOwner}
-		}
-	}
-
-	scan := func(i int) {
-		// A cancelled search abandons its remaining units: the root is
-		// failing the whole search, so partially scanned frames cost
-		// nothing extra, and the scan pool frees up for live queries.
-		if ctx.Err() != nil {
-			results[i] = respSubUnit{ErrCode: errCodeCancelled}
-			return
-		}
-		u := msg.Units[i]
-		matches, remaining := s.scanVertexRead(ctx, msg.Dim, msg.Instance, hypercube.Vertex(u.Vertex), root, pred, u.Skip, msg.Limit)
-		results[i] = respSubUnit{Matches: matches, Remaining: remaining}
-	}
-	workers := s.cfg.ScanParallelism
-	if workers > len(msg.Units) {
-		workers = len(msg.Units)
-	}
-	if workers <= 1 {
-		for i := range msg.Units {
-			if results[i].ErrCode == 0 {
-				scan(i)
+	n := len(msg.Units)
+	var mu sync.Mutex
+	var hits []respSubUnit
+	fanOut((n+scanChunk-1)/scanChunk, s.cfg.ScanParallelism, func(c int) {
+		for i := c * scanChunk; i < min(n, (c+1)*scanChunk); i++ {
+			u, v := msg.Units[i], hypercube.Vertex(msg.Units[i].Vertex)
+			hit := respSubUnit{Index: i}
+			var owned bool
+			if ctx.Err() != nil {
+				// A cancelled search abandons its remaining units: the
+				// root is failing the whole search, so partially scanned
+				// frames cost nothing extra, and the scan workers free up
+				// for live queries.
+				hit.ErrCode = errCodeCancelled
+			} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Dim, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
+				hit.ErrCode = errCodeNotOwner
+			} else if cubeErr == nil {
+				hit.Children = wireChildren(cube, root, v, u.GenDim)
+			}
+			if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 || len(hit.Children) > 0 {
+				mu.Lock()
+				hits = append(hits, hit)
+				mu.Unlock()
 			}
 		}
-	} else {
-		// Work-stealing over an atomic cursor: cheaper than a channel
-		// for the short unit lists typical of folded fleets, and the
-		// positional writes need no ordering between workers.
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(msg.Units) {
-						return
-					}
-					if results[i].ErrCode == 0 {
-						scan(i)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		s.met.scanParUnits.Add(uint64(len(msg.Units)))
+	})
+	// Workers finish their chunks in any order; Index restores the
+	// frame's, so the response is byte-identical to a sequential scan.
+	slices.SortFunc(hits, func(a, b respSubUnit) int { return a.Index - b.Index })
+	if n > scanChunk && s.cfg.ScanParallelism > 1 {
+		s.met.scanParUnits.Add(uint64(n))
 	}
-
-	if cube, err := s.cubeFor(msg.Dim); err == nil {
-		for i, u := range msg.Units {
-			if results[i].ErrCode == 0 {
-				results[i].Children = wireChildren(cube, root, hypercube.Vertex(u.Vertex), u.GenDim)
-			}
-		}
-	}
-	return respSubQueryBatch{Results: results}
+	return respSubQueryBatch{Hits: hits}
 }
 
 // cubeFor returns the hypercube geometry for an instance's declared
@@ -1009,16 +1034,22 @@ func (s *Server) cubeFor(dim int) (hypercube.Cube, error) {
 
 // scanVertex collects the entries of vertex v's table matching the
 // query predicate, in canonical order, under the vertex's shard read
-// lock (see table.scan for the window arguments).
-func (s *Server) scanVertex(instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
+// lock (see table.scan for the window arguments) — provided the vertex
+// falls in arc, which it tests with the table in hand; owned reports
+// the outcome. Callers that settled ownership earlier, or must not test
+// it, pass the zero arc.
+func (s *Server) scanVertex(arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
 	sh := s.shardFor(instance, v)
 	sh.rlock(s.met.shardLockWait)
 	defer sh.mu.RUnlock()
-	tbl, ok := sh.tables[instance][v]
-	if !ok {
-		return nil, 0
+	tbl := sh.tables[instance][v]
+	if !arc.owns(tbl, instance, v) {
+		return nil, 0, false
 	}
-	return tbl.scan(v, root, pred, skip, limit)
+	if tbl != nil {
+		matches, remaining = tbl.scan(v, root, pred, skip, limit)
+	}
+	return matches, remaining, true
 }
 
 // TableStats summarizes this server's storage load (diagnostics and
@@ -1123,8 +1154,7 @@ func (s *Server) applyExtractRange(newID, ownerID dht.ID) []BulkEntry {
 		sh.lock(s.met.shardLockWait)
 		for instance, vertices := range sh.tables {
 			for v, tbl := range vertices {
-				key := VertexKey(instance, v)
-				if dht.Between(key, newID, ownerID) {
+				if dht.Between(tbl.ringKey, newID, ownerID) {
 					continue // still ours
 				}
 				out = appendEntries(out, instance, v, tbl)

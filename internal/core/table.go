@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
@@ -26,6 +27,11 @@ type table struct {
 	rows []tableRow
 	sigs []uint64 // sigs[i] == rows[i].set.Signature()
 	ids  int      // object IDs over all rows
+	// ringKey is VertexKey of the (instance, vertex) an authoritative
+	// table is hosted under, fixed when the table is created: ownership
+	// tests and range transfers read it instead of hashing the pair
+	// again. Soft copies leave it zero — nothing tests their ownership.
+	ringKey dht.ID
 }
 
 type tableRow struct {

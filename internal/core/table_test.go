@@ -129,7 +129,7 @@ func checkScans(srv *Server, m tableModel, pred queryPred) error {
 				wantRem = len(want) - limit
 				want = want[:limit]
 			}
-			got, rem := srv.scanVertex(DefaultInstance, tableTestVertex, root, pred, skip, limit)
+			got, rem, _ := srv.scanVertex(ownedArc{}, DefaultInstance, tableTestVertex, root, pred, skip, limit)
 			if rem != wantRem || len(got) != len(want) {
 				return fmt.Errorf("class %v key %q skip %d limit %d: %d matches, %d remaining; model has %d and %d",
 					pred.class, pred.key, skip, limit, len(got), rem, len(want), wantRem)
@@ -355,7 +355,7 @@ func TestTableScanWriteHammer(t *testing.T) {
 				default:
 				}
 				resp := srv.subQueryBatch(context.Background(), msg)
-				for _, u := range resp.Results {
+				for _, u := range resp.Hits {
 					for i := 1; i < len(u.Matches); i++ {
 						a, b := u.Matches[i-1], u.Matches[i]
 						if a.SetKey > b.SetKey || (a.SetKey == b.SetKey && a.ObjectID >= b.ObjectID) {

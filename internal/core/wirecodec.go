@@ -367,19 +367,22 @@ func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 }
 
 // respSubQueryBatch is the near-zero-copy path: the encoder streams
-// every unit's match slice — the shard-published immutable slices —
-// straight into the frame buffer with a frame-level total up front,
-// and the decoder materializes all matches of the frame into ONE arena
-// []Match (plus the Reader's one string arena), sub-sliced per unit.
+// every hit's match slice straight into the frame buffer with a
+// frame-level total up front, and the decoder materializes all matches
+// of the frame into ONE arena []Match (plus the Reader's one string
+// arena), sub-sliced per hit. Indices travel as written — whether they
+// fit the request is the root's call (sendBatch), which also sees the
+// frames that never pass through a codec.
 func (m *respSubQueryBatch) MarshalWire(w *wire.Writer) {
 	total := 0
-	for i := range m.Results {
-		total += len(m.Results[i].Matches)
+	for i := range m.Hits {
+		total += len(m.Hits[i].Matches)
 	}
 	w.Uvarint(uint64(total))
-	w.Uvarint(uint64(len(m.Results)))
-	for i := range m.Results {
-		u := &m.Results[i]
+	w.Uvarint(uint64(len(m.Hits)))
+	for i := range m.Hits {
+		u := &m.Hits[i]
+		w.Int(u.Index)
 		marshalMatches(w, u.Matches)
 		w.Int(u.Remaining)
 		marshalEdges(w, u.Children)
@@ -389,14 +392,15 @@ func (m *respSubQueryBatch) MarshalWire(w *wire.Writer) {
 
 func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	total := r.Count(minMatchBytes)
-	nunits := r.Count(1)
-	if nunits == 0 {
+	nhits := r.Count(5) // index, three counts, error code
+	if nhits == 0 {
 		return r.Err()
 	}
 	arena := make([]Match, 0, total)
-	m.Results = make([]respSubUnit, nunits)
-	for i := range m.Results {
-		u := &m.Results[i]
+	m.Hits = make([]respSubUnit, nhits)
+	for i := range m.Hits {
+		u := &m.Hits[i]
+		u.Index = r.Int()
 		n := r.Count(minMatchBytes)
 		if n > 0 {
 			start := len(arena)
@@ -411,7 +415,7 @@ func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 				unmarshalMatch(r, &arena[j])
 			}
 			// Three-index slice: a later append by any holder cannot
-			// scribble over the next unit's window.
+			// scribble over the next hit's window.
 			u.Matches = arena[start : start+n : start+n]
 		}
 		u.Remaining = r.Int()

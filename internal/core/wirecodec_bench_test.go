@@ -51,14 +51,16 @@ func wireBenchSmall() (msgSubQuery, respSubQuery) {
 	return req, resp
 }
 
-// wireBenchBatch is the large-message path: a 16-unit mega-wave frame
-// answer with 64 matches per unit, the shape the arena decoder exists
-// for.
+// wireBenchBatch is the large-message path: a mega-wave frame answer
+// in which 16 units of the request had 64 matches each (the units in
+// between had nothing and are not in the frame), the shape the arena
+// decoder exists for.
 func wireBenchBatch() respSubQueryBatch {
 	var resp respSubQueryBatch
-	resp.Results = make([]respSubUnit, 16)
-	for i := range resp.Results {
-		u := &resp.Results[i]
+	resp.Hits = make([]respSubUnit, 16)
+	for i := range resp.Hits {
+		u := &resp.Hits[i]
+		u.Index = 3 * i
 		u.Matches = make([]Match, 64)
 		for j := range u.Matches {
 			u.Matches[j] = Match{

@@ -81,11 +81,15 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		msgSubQueryBatch{Instance: "i", Dim: 6, Root: 2, QueryKey: "kw", Limit: 5,
 			Units: []wireUnit{{Vertex: 2, GenDim: 6}}, Class: ClassPrefix},
 		msgSubQueryBatch{},
-		respSubQueryBatch{Results: []respSubUnit{
-			{Matches: matches, Remaining: 2, Children: edges, ErrCode: 0},
-			{Matches: nil, Remaining: 0, Children: nil, ErrCode: 3},
-			{Matches: matches[:1], Remaining: 0, Children: nil, ErrCode: 0},
+		// Sparse: units 1–3 and 5–8 of the request had nothing to say.
+		respSubQueryBatch{Hits: []respSubUnit{
+			{Index: 0, Matches: matches, Remaining: 2, Children: edges, ErrCode: 0},
+			{Index: 4, Matches: nil, Remaining: 0, Children: nil, ErrCode: 3},
+			{Index: 9, Matches: matches[:1], Remaining: 0, Children: nil, ErrCode: 0},
 		}},
+		// Indices out of order, repeated and negative travel as written:
+		// judging them against the request is the root's job (sendBatch).
+		respSubQueryBatch{Hits: []respSubUnit{{Index: 7, Remaining: 1}, {Index: 7, ErrCode: 2}, {Index: -1, Remaining: 3}}},
 		respSubQueryBatch{},
 		msgBulkInsert{Entries: entries},
 		msgBulkInsert{},
@@ -115,16 +119,17 @@ func TestRetiredWireIDsStayUnassigned(t *testing.T) {
 
 // TestBatchArenaDecode verifies the near-zero-copy batch path: all
 // match structs of a decoded respSubQueryBatch share one backing
-// array, and the per-unit windows are capped so appends cannot
-// clobber a neighboring unit.
+// array — however far apart the hits sit in the request — and the
+// per-hit windows are capped so appends cannot clobber a neighboring
+// hit.
 func TestBatchArenaDecode(t *testing.T) {
 	RegisterTypes()
-	in := respSubQueryBatch{Results: []respSubUnit{
-		{Matches: []Match{{ObjectID: "a", SetKey: "x", Vertex: 1}, {ObjectID: "b", SetKey: "y", Vertex: 2}}},
-		{Matches: []Match{{ObjectID: "c", SetKey: "z", Vertex: 3}}},
+	in := respSubQueryBatch{Hits: []respSubUnit{
+		{Index: 2, Matches: []Match{{ObjectID: "a", SetKey: "x", Vertex: 1}, {ObjectID: "b", SetKey: "y", Vertex: 2}}},
+		{Index: 400, Matches: []Match{{ObjectID: "c", SetKey: "z", Vertex: 3}}},
 	}}
 	out := roundTrip(t, in).(respSubQueryBatch)
-	m0, m1 := out.Results[0].Matches, out.Results[1].Matches
+	m0, m1 := out.Hits[0].Matches, out.Hits[1].Matches
 	if cap(m0) != len(m0) || cap(m1) != len(m1) {
 		t.Fatalf("unit match windows not capacity-capped: cap=%d,%d len=%d,%d",
 			cap(m0), cap(m1), len(m0), len(m1))
@@ -138,19 +143,21 @@ func TestBatchArenaDecode(t *testing.T) {
 }
 
 // TestBatchDecodeAllocs pins the allocation count of the batch decode
-// path: one []Match arena, one Results slice, one string arena, the
-// Reader, and the boxed return value — independent of match count.
+// path: one []Match arena, one Hits slice, one string arena, the
+// Reader, and the boxed return value — independent of match count and
+// of how many units the request had.
 func TestBatchDecodeAllocs(t *testing.T) {
 	RegisterTypes()
 	units := make([]respSubUnit, 16)
 	for i := range units {
+		units[i].Index = 64 * i
 		ms := make([]Match, 64)
 		for j := range ms {
 			ms[j] = Match{ObjectID: "object-id-123456", SetKey: "alpha beta gamma", Vertex: uint64(i*64 + j)}
 		}
 		units[i].Matches = ms
 	}
-	msg := respSubQueryBatch{Results: units}
+	msg := respSubQueryBatch{Hits: units}
 	c, _ := wire.Lookup(msg)
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
@@ -173,8 +180,8 @@ func TestBatchDecodeAllocs(t *testing.T) {
 // trust the redundant field.
 func TestCorruptBatchTotalsDoNotOverAllocate(t *testing.T) {
 	RegisterTypes()
-	msg := respSubQueryBatch{Results: []respSubUnit{
-		{Matches: []Match{{ObjectID: "a", SetKey: "b", Vertex: 1}}},
+	msg := respSubQueryBatch{Hits: []respSubUnit{
+		{Index: 5, Matches: []Match{{ObjectID: "a", SetKey: "b", Vertex: 1}}},
 	}}
 	c, _ := wire.Lookup(msg)
 	w := wire.GetWriter()

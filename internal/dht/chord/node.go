@@ -230,19 +230,20 @@ func (n *Node) Join(ctx context.Context, seed transport.Addr) error {
 	return n.StabilizeOnce(ctx)
 }
 
-// Owns reports whether this node is currently responsible for key:
-// key lies in (predecessor, self]. When the predecessor is unknown the
-// node answers optimistically (stabilization will correct ownership).
-func (n *Node) Owns(key dht.ID) bool {
+// OwnedArc snapshots the ring arc (pred, self] this node is responsible
+// for, so a caller with many keys to test takes the node's lock once and
+// runs dht.Between on each: the node owns key when joined &&
+// dht.Between(key, pred, self). A node that has not joined owns nothing.
+// An unknown predecessor reads pred == self — Between's whole-ring
+// interval: the node answers optimistically (stabilization will correct
+// ownership).
+func (n *Node) OwnedArc() (pred, self dht.ID, joined bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.joined {
-		return false
-	}
 	if n.predecessor.zero() {
-		return true
+		return n.self.ID, n.self.ID, n.joined
 	}
-	return dht.Between(key, n.predecessor.ID, n.self.ID)
+	return n.predecessor.ID, n.self.ID, n.joined
 }
 
 // Successor returns the current immediate successor.

@@ -2,15 +2,14 @@ package chord
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
-// ErrUnhandled is returned (wrapped) by Handler for message types that
-// are not Chord RPCs, letting transport.Mux try other layers. It is
-// the shared transport sentinel.
+// ErrUnhandled is returned bare by Handler for message types that are
+// not Chord RPCs, letting transport.Mux try other layers. It is the
+// shared transport sentinel.
 var ErrUnhandled = transport.ErrUnhandled
 
 // RPC message types. All are registered with the transport layer by
@@ -110,45 +109,51 @@ func ReadOnlyRPC(body any) bool {
 }
 
 // Handler processes Chord RPCs addressed to this node. Non-Chord
-// message types yield ErrUnhandled so callers can mux several
-// protocol layers on one endpoint.
+// message types yield the bare ErrUnhandled sentinel — nothing is
+// formatted for a refusal, transport.Mux names the type if no layer
+// takes the message — so callers can mux several protocol layers on one
+// endpoint. Each case counts itself under a constant label, the value
+// %T would print.
 func (n *Node) Handler(ctx context.Context, from transport.Addr, body any) (any, error) {
-	if n.met.rpcHandled != nil {
-		switch body.(type) {
-		case rpcFindClosest, rpcGetPredecessor, rpcNotify, rpcGetSuccessorList,
-			rpcPing, rpcInsertRef, rpcDeleteRef, rpcReadRefs, rpcHandoff, rpcDepart:
-			n.met.rpcHandled.Inc(fmt.Sprintf("%T", body))
-		}
-	}
 	switch msg := body.(type) {
 	case rpcFindClosest:
+		n.met.rpcHandled.Inc("chord.rpcFindClosest")
 		return n.handleFindClosest(msg), nil
 	case rpcGetPredecessor:
+		n.met.rpcHandled.Inc("chord.rpcGetPredecessor")
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return respGetPredecessor{Known: !n.predecessor.zero(), Node: n.predecessor}, nil
 	case rpcNotify:
+		n.met.rpcHandled.Inc("chord.rpcNotify")
 		n.handleNotify(msg.Candidate)
 		return respOK{}, nil
 	case rpcGetSuccessorList:
+		n.met.rpcHandled.Inc("chord.rpcGetSuccessorList")
 		return respGetSuccessorList{Successors: n.SuccessorList()}, nil
 	case rpcPing:
+		n.met.rpcHandled.Inc("chord.rpcPing")
 		return respOK{}, nil
 	case rpcInsertRef:
+		n.met.rpcHandled.Inc("chord.rpcInsertRef")
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return respInsertRef{First: n.storeRefLocked(msg.Ref)}, nil
 	case rpcDeleteRef:
+		n.met.rpcHandled.Inc("chord.rpcDeleteRef")
 		return n.handleDeleteRef(msg.Ref), nil
 	case rpcReadRefs:
+		n.met.rpcHandled.Inc("chord.rpcReadRefs")
 		return n.handleReadRefs(msg.ObjectID), nil
 	case rpcHandoff:
+		n.met.rpcHandled.Inc("chord.rpcHandoff")
 		return n.handleHandoff(msg.NewNode), nil
 	case rpcDepart:
+		n.met.rpcHandled.Inc("chord.rpcDepart")
 		n.handleDepart(msg)
 		return respOK{}, nil
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnhandled, body)
+		return nil, ErrUnhandled
 	}
 }
 

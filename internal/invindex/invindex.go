@@ -87,7 +87,7 @@ func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (an
 	case msgFetchPostings:
 		return respFetchPostings{ObjectIDs: s.fetch(hypercube.Vertex(msg.Vertex), msg.Word)}, nil
 	default:
-		return nil, fmt.Errorf("%w: %T", core.ErrUnhandledMessage, body)
+		return nil, core.ErrUnhandledMessage
 	}
 }
 

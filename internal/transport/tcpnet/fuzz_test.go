@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/p2pkeyword/keysearch/internal/core"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
@@ -13,10 +14,14 @@ import (
 // yield a clean error (never a panic or an unbounded allocation), and
 // any frame that does decode must survive a re-encode/re-decode round
 // trip unchanged. Seeded with well-formed frames of each kind so the
-// fuzzer starts from the interesting part of the input space. A short
-// run is wired into `make fuzz-smoke`.
+// fuzzer starts from the interesting part of the input space — among
+// them the index protocol's sparse batch response, decoded by core's
+// own codec, once well formed and once with hit indices no request
+// could have produced (the decoder carries them through unjudged; the
+// root rejects the frame). A short run is wired into `make fuzz-smoke`.
 func FuzzWireDecode(f *testing.F) {
 	registerTestTypes()
+	core.RegisterTypes()
 
 	// Well-formed seeds: request, response, error frames.
 	seed := func(build func(w *wire.Writer)) {
@@ -51,6 +56,8 @@ func FuzzWireDecode(f *testing.F) {
 	})
 	// A retired type: what a pre-unification peer's pin query looks like.
 	f.Add(legacyPinFrame())
+	f.Add(sparseBatchFrame(2, 9, 400))
+	f.Add(sparseBatchFrame(7, 7, -1, 3)) // repeated, negative, out of order
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00})
 
@@ -113,6 +120,51 @@ func legacyPinFrame() []byte {
 	w.String("cli")
 	w.Bool(true)
 	return append([]byte(nil), w.Buf...)
+}
+
+// sparseBatchFrame is a response frame of wire type 12, core's sparse
+// batch response, written field by field: a frame-level match total,
+// then one hit per given index — the index, one match, a remaining
+// count, one child edge, no error code.
+func sparseBatchFrame(indices ...int) []byte {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.Uvarint(11)
+	w.Byte(frameKindResponse)
+	w.U16(12)
+	w.Uvarint(uint64(len(indices))) // matches in the frame
+	w.Uvarint(uint64(len(indices))) // hits
+	for _, index := range indices {
+		w.Int(index)
+		w.Uvarint(1)
+		w.String("object-1")
+		w.String("k1 k2")
+		w.Uvarint(5)
+		w.Int(2)
+		w.Int(3) // remaining
+		w.Uvarint(1)
+		w.Uvarint(21)
+		w.Int(4)
+		w.Int(0) // error code
+	}
+	return append([]byte(nil), w.Buf...)
+}
+
+// TestSparseBatchSeedsDecode keeps the two hand-written fuzz seeds
+// honest: both must parse as core's batch response (a seed the decoder
+// rejects teaches the fuzzer nothing about it).
+func TestSparseBatchSeedsDecode(t *testing.T) {
+	registerTestTypes()
+	core.RegisterTypes()
+	for _, frame := range [][]byte{sparseBatchFrame(2, 9, 400), sparseBatchFrame(7, 7, -1, 3)} {
+		d, err := parseFrame(frame)
+		if err != nil {
+			t.Fatalf("parseFrame: %v", err)
+		}
+		if d.kind != frameKindResponse || d.codec.ID() != 12 {
+			t.Errorf("decoded kind %d, wire type %d, want a response of type 12", d.kind, d.codec.ID())
+		}
+	}
 }
 
 // TestRetiredTypeIDFrameRejected: a frame carrying a retired wire type

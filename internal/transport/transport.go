@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 )
 
 // Addr identifies a node endpoint. For the in-memory network it is an
@@ -51,32 +52,27 @@ var (
 	ErrClosed = errors.New("transport: closed")
 	// ErrRemote wraps an application error returned by a remote handler.
 	ErrRemote = errors.New("transport: remote error")
-	// ErrUnhandled is returned (wrapped) by protocol handlers for
-	// message types they do not recognize, letting Mux route one
-	// endpoint across several protocol layers.
+	// ErrUnhandled is returned bare by protocol handlers for message
+	// types they do not recognize, letting Mux route one endpoint across
+	// several protocol layers. A refusal is the common case on a muxed
+	// endpoint — every message of a later layer is refused by each
+	// earlier one — so handlers construct nothing for it.
 	ErrUnhandled = errors.New("transport: unhandled message type")
 )
 
 // Mux combines several protocol handlers behind one endpoint: each
 // request is offered to the handlers in order until one does not
-// report ErrUnhandled.
+// report ErrUnhandled. Only when none takes it is an error built,
+// wrapping ErrUnhandled with the message's Go type.
 func Mux(handlers ...Handler) Handler {
 	return func(ctx context.Context, from Addr, body any) (any, error) {
-		var lastErr error
 		for _, h := range handlers {
 			resp, err := h(ctx, from, body)
-			if err == nil {
-				return resp, nil
-			}
 			if !errors.Is(err, ErrUnhandled) {
-				return nil, err
+				return resp, err
 			}
-			lastErr = err
 		}
-		if lastErr == nil {
-			lastErr = ErrUnhandled
-		}
-		return nil, lastErr
+		return nil, fmt.Errorf("%w: %T", ErrUnhandled, body)
 	}
 }
 

@@ -227,7 +227,7 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 		Fsync:           fsync,
 		SnapshotEvery:   cfg.SnapshotEvery,
 		Admission:       cfg.Admission,
-		Owner:           node.Owns,
+		OwnedArc:        node.OwnedArc,
 		Telemetry:       cfg.Telemetry,
 		HotReplicas:     cfg.HotReplicas,
 
