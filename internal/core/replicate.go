@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
@@ -135,13 +134,8 @@ func (r *Replicated) Delete(ctx context.Context, obj Object) (bool, Stats, error
 // ErrRemote or a protocol sentinel — would fail identically on every
 // replica and surfaces immediately instead.
 func failover(err error) bool {
-	if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrNotOwner) {
-		return true
-	}
-	// Remote handler errors cross the wire flattened to text (both
-	// transports), so the ownership sentinel is recovered by message.
-	return errors.Is(err, transport.ErrRemote) && strings.Contains(err.Error(), ErrNotOwner.Error())
+	return errors.Is(err, transport.ErrUnreachable) || errors.Is(err, context.DeadlineExceeded) ||
+		refusedOwnership(err)
 }
 
 // betterResult ranks replica answers for completeness-aware selection:

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
@@ -180,13 +183,32 @@ func fanOut(n, limit int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sendToVertex resolves v and delivers body to its owner, retrying once
-// through a fresh resolution when a cached binding has gone stale (the
-// node departed and its key range re-homed). The int result counts the
-// frames actually handed to the transport.
+// refusedOwnership reports that err is a peer's ErrNotOwner. Remote
+// handler errors cross the wire flattened to text (both transports), so
+// past a transport the sentinel is recovered by message.
+func refusedOwnership(err error) bool {
+	return errors.Is(err, ErrNotOwner) ||
+		errors.Is(err, transport.ErrRemote) && strings.Contains(err.Error(), ErrNotOwner.Error())
+}
+
+// maxOwnerSends bounds the frames one sendToVertex call hands to the
+// transport: the first send, the retry every failure gets, and five
+// more for a refusal, 1/2/4/8/16 ms apart.
+const maxOwnerSends = 7
+
+// sendToVertex resolves v and delivers body to its owner — one rule for
+// inserts, deletes, T_QUERY and a batch's per-unit fallback. Any failure
+// is retried once through a fresh resolution: the cached binding has
+// gone stale (the node departed and its key range re-homed). An
+// ownership refusal is a ring mid-join — the lookup and the target's
+// arc disagree for longer than one re-resolution — so it is retried
+// until maxOwnerSends, re-resolving after a doubling pause each time. A
+// transport failure is not: the resilience layer below already spent
+// its retries on it. The int result counts the frames actually handed
+// to the transport.
 func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sender, instance string, v hypercube.Vertex, body any) (any, int, error) {
-	sends := 0
-	for {
+	inv, _ := resolver.(*OverlayResolver)
+	for sends := 0; ; {
 		addr, err := resolver.Resolve(ctx, instance, v)
 		if err != nil {
 			return nil, sends, err
@@ -196,11 +218,18 @@ func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sende
 		if err == nil {
 			return resp, sends, nil
 		}
-		if inv, ok := resolver.(*OverlayResolver); ok && sends == 1 {
-			inv.Invalidate(instance, v)
-			continue
+		retry := sends == 1 || sends < maxOwnerSends && refusedOwnership(err)
+		if inv == nil || !retry {
+			return nil, sends, err
 		}
-		return nil, sends, err
+		inv.Invalidate(instance, v)
+		if sends > 1 {
+			select {
+			case <-time.After(time.Millisecond << (sends - 2)):
+			case <-ctx.Done():
+				return nil, sends, ctx.Err()
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -424,26 +425,32 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 // How a wave is dispatched changes only the physical framing, never
 // what the consume loop sees. Width-1 waves and BatchOff send one
 // msgSubQuery per vertex; ParallelLevels with BatchOn sends one
-// msgSubQueryBatch per distinct physical peer, and an exhaustive
-// search (threshold All — no early stop can occur) first flattens the
-// whole remaining subtree into a single mega-wave, since SBT child
-// lists are pure geometry the root can generate itself.
+// msgSubQueryBatch per distinct physical peer and, once flattenTail says
+// another level-synchronous round could only confirm what the rounds so
+// far predict, sends the whole rest of the subtree as a single mega-wave
+// — SBT child lists are pure geometry the root can generate itself. An
+// exhaustive search (threshold All — no early stop can occur) does so
+// on its first round. Should a flattened wave meet the threshold after
+// all, the levels below the one it stopped in were over-contacted: they
+// are counted, their answers discarded, and the frontier is left exactly
+// as the level-synchronous search would leave it.
 //
 // Failed nodes are skipped and counted — their subtree is still
 // explored, because the child list is regenerated locally.
 func (s *Server) traverse(ctx context.Context, sess *session, threshold int, trace *[]TraceStep, t *tally) {
 	levelWaves := sess.order == ParallelLevels
 	batch := levelWaves && s.cfg.BatchWaves == BatchOn
-	need := threshold
-	for first := true; len(sess.work) > 0 && need > 0 && ctx.Err() == nil; first = false {
+	need, entered := threshold, t.nodes
+	for len(sess.work) > 0 && need > 0 && ctx.Err() == nil {
 		t.rounds++
 		width := 1
 		if levelWaves {
 			width = len(sess.work)
 		}
 		wave, rest := sess.work[:width], sess.work[width:]
-		if batch && first && threshold == All &&
-			sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree {
+		flat := batch && sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree &&
+			flattenTail(threshold, need, t.nodes-entered, sess.remaining(wave))
+		if flat {
 			wave = expandFrontier(sess, wave)
 		}
 
@@ -461,6 +468,7 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 		}
 
 		var resumes, children []workUnit
+		stopDepth := sess.cube.Dim() // where a flat wave met the threshold; nothing is deeper yet
 		for i, u := range wave {
 			// A unit without a hit was owned, scanned and empty.
 			var res waveHit
@@ -475,10 +483,7 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				// few frames carried it.
 				t.msgs += 2
 			}
-			take := len(res.matches)
-			if take > need {
-				take = need
-			}
+			take := min(len(res.matches), need)
 			if trace != nil {
 				*trace = append(*trace, TraceStep{
 					Vertex:  uint64(u.vertex),
@@ -487,9 +492,23 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				})
 			}
 			if res.err != nil {
+				t.failed++
+			}
+			depth := hypercube.Hamming(sess.root, u.vertex)
+			switch {
+			case flat && depth > stopDepth:
+				// Over-contacted: a level-synchronous search would have
+				// stopped above this unit. The next level goes back on the
+				// frontier as if never asked — SBT paths add dimensions in
+				// descending order, so a vertex was generated by its lowest
+				// bit beyond the root — and deeper ones hang off it again.
+				if depth == stopDepth+1 {
+					children = append(children, workUnit{vertex: u.vertex, genDim: bits.TrailingZeros64(uint64(u.vertex &^ sess.root))})
+				}
+				continue
+			case res.err != nil:
 				// Regenerate the failed node's children locally so the rest
 				// of its subtree is still explored.
-				t.failed++
 				children = sess.appendChildren(children, u)
 				continue
 			}
@@ -501,7 +520,9 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				}
 			}
 			t.matches = append(t.matches, res.matches[:take]...)
-			need -= take
+			if need -= take; need == 0 {
+				stopDepth = min(stopDepth, depth)
+			}
 			if take < len(res.matches) || res.remaining > 0 {
 				// Partially consumed, or contacted after the threshold was
 				// met: resume it first on continuation.
@@ -576,16 +597,34 @@ func (s *Server) scanLocal(ctx context.Context, arc ownedArc, sess *session, u w
 	return hit
 }
 
+// flattenTail is the wave-width rule of a batched level search: send
+// everything left (the `left` unvisited vertices under the frontier) as
+// one wave, or go on a level at a time? With no early stop to protect —
+// threshold All — at once. Otherwise when the seen vertices, having
+// yielded threshold-need matches, say the unseen ones cannot supply the
+// rest even if they were twice as rich, and never assuming less than one
+// match: max(1, 2·got)·left < need·seen. Each further level would then
+// be a round trip that only confirms. The constants are measured, not
+// tunable (DESIGN §7); the min keeps the product inside an int.
+func flattenTail(threshold, need, seen, left int) bool {
+	if threshold == All {
+		return seen == 0
+	}
+	supply := max(1, 2*(threshold-need)) * left
+	return seen > 0 && supply < min(need, supply+1)*seen
+}
+
 // expandFrontier transitively expands a frontier into the full list of
 // work units its traversal would visit, in the exact order the
 // level-by-level waves would concatenate to: each unit is followed by
 // its SBT children, generated breadth-first — the output slice is its
-// own queue. Expanded units carry genDim -1 so the consume loop neither
-// re-appends their children on success nor regenerates them on failure
-// — the whole subtree is already in the wave. Children intersecting the
-// session's exclude mask are pruned (prefix-multicast branch partition).
+// own queue, sized exactly by remaining. Expanded units carry genDim -1
+// so the consume loop neither re-appends their children on success nor
+// regenerates them on failure — the whole subtree is already in the
+// wave. Children intersecting the session's exclude mask are pruned
+// (prefix-multicast branch partition).
 func expandFrontier(sess *session, frontier []workUnit) []workUnit {
-	out := make([]workUnit, len(frontier), max(uint64(len(frontier)), sess.cube.SubcubeSize(sess.root)))
+	out := make([]workUnit, len(frontier), sess.remaining(frontier))
 	copy(out, frontier)
 	for i := 0; i < len(out); i++ {
 		out = sess.appendChildren(out, out[i])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"math/bits"
 	"sync"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
@@ -49,6 +50,24 @@ type session struct {
 // its table, so the unit is scanned in place with no exchange.
 func (sess *session) hostsRoot(u workUnit) bool {
 	return u.vertex == sess.root && sess.root == sess.self
+}
+
+// remaining is the exact number of vertices the traversal of frontier
+// has yet to visit, by arithmetic: a unit's subtree spans the dimensions
+// below genDim that neither the root, the unit nor the exclude mask
+// occupies (appendChildren's test, applied transitively), and a
+// match-only unit is itself alone. Callers bound the subcube's free
+// dimensions (maxBottomUpFree, maxRefineFree), so the sum fits an int.
+func (sess *session) remaining(frontier []workUnit) int {
+	n := 0
+	for _, u := range frontier {
+		free := uint64(0)
+		if u.genDim > 0 {
+			free = ^uint64(sess.root|u.vertex|sess.exclude) & (1<<uint(u.genDim) - 1)
+		}
+		n += 1 << bits.OnesCount64(free)
+	}
+	return n
 }
 
 // workUnit is one pending node visit: scan 'vertex', skipping the

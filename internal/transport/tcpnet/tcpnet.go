@@ -215,7 +215,10 @@ func (n *Network) Send(ctx context.Context, to transport.Addr, body any) (any, e
 // handler (inmem.Network parity).
 func (n *Network) SendFrom(ctx context.Context, from, to transport.Addr, body any) (any, error) {
 	ins := n.ins.Load()
-	ins.requests.Inc(fmt.Sprintf("%T", body))
+	if ins.requests != nil {
+		// The counter is nil-safe; formatting its label is not free.
+		ins.requests.Inc(fmt.Sprintf("%T", body))
+	}
 	if err := ctx.Err(); err != nil {
 		// The caller has already given up: fail before a connection is
 		// acquired, a request ID allocated or a byte written. Past this

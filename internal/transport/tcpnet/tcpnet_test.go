@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
@@ -229,5 +230,33 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	}
 	if _, err := n.Send(context.Background(), "127.0.0.1:1", ping{}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after close: %v", err)
+	}
+}
+
+// TestSendUninstrumentedAllocatesNothing: with telemetry off a send
+// must not pay for telemetry — the request counter's label used to be
+// formatted on every send and handed to a nil counter. A send that
+// fails at the door (dead context) does nothing else, so it allocates
+// nothing at all; with a registry wired the label is counted as before.
+func TestSendUninstrumentedAllocatesNothing(t *testing.T) {
+	n := New()
+	defer n.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var body any = ping{N: 1}
+	send := func() {
+		if _, err := n.SendFrom(ctx, "a", "127.0.0.1:1", body); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("an uninstrumented send allocates %.0f times before its first byte, want 0", allocs)
+	}
+
+	reg := telemetry.New(0)
+	n.SetTelemetry(reg)
+	send()
+	if got := reg.CounterVec("transport_tcp_requests_total", "type").With("tcpnet.ping").Value(); got != 1 {
+		t.Errorf(`transport_tcp_requests_total{type="tcpnet.ping"} = %d, want 1`, got)
 	}
 }
