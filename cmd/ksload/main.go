@@ -42,7 +42,6 @@ func main() {
 
 type options struct {
 	transport     string
-	wire          string
 	listenWorkers int
 	r             int
 	peers         int
@@ -87,18 +86,13 @@ type options struct {
 	zipfStudy bool
 	tag       string
 	out       string
-
-	// wireResolved is the wire mode of the fleet being built now: with
-	// -wire both it alternates per phase, otherwise it equals wire.
-	wireResolved string
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ksload", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.transport, "transport", "inmem", "fleet transport: inmem or tcp")
-	fs.StringVar(&o.wire, "wire", "binary", "tcp wire protocol: binary | gob | both (both runs one phase per protocol into the same BENCH file)")
-	fs.IntVar(&o.listenWorkers, "listen-workers", 0, "tcp: decode/handler workers shared by all v2 connections per peer (0 = 2x GOMAXPROCS, min 4)")
+	fs.IntVar(&o.listenWorkers, "listen-workers", 0, "tcp: decode/handler workers shared by all connections per peer (0 = 2x GOMAXPROCS, min 4)")
 	fs.IntVar(&o.r, "r", 8, "hypercube dimensionality")
 	fs.IntVar(&o.peers, "peers", 16, "physical fleet size")
 	fs.IntVar(&o.objects, "objects", 2000, "corpus size")
@@ -149,18 +143,6 @@ func run(args []string) error {
 		if o.prefixEvery < 1 {
 			o.prefixEvery = 1
 		}
-	}
-	switch o.wire {
-	case "binary", "gob":
-	case "both":
-		if o.transport != "tcp" {
-			return fmt.Errorf("-wire both requires -transport tcp")
-		}
-		if o.study {
-			return fmt.Errorf("-wire both and -study are mutually exclusive")
-		}
-	default:
-		return fmt.Errorf("unknown wire mode %q", o.wire)
 	}
 
 	c, err := corpus.Generate(corpus.Config{Objects: o.objects, Seed: o.corpusSeed})
@@ -216,34 +198,20 @@ func run(args []string) error {
 			return err
 		}
 	} else {
-		// -wire both replays the identical workload once per wire
-		// protocol, so one BENCH file carries the apples-to-apples
-		// comparison.
-		modes := []string{o.wire}
-		if o.wire == "both" {
-			modes = []string{"gob", "binary"}
+		f, err := buildFleet(&o, c, o.admissionOn)
+		if err != nil {
+			return err
 		}
-		for _, mode := range modes {
-			o.wireResolved = mode
-			name := "single"
-			if o.wire == "both" {
-				name = "wire-" + mode
-			}
-			f, err := buildFleet(&o, c, o.admissionOn)
-			if err != nil {
-				return err
-			}
-			rep, err := runPhase(&o, f, queries, o.rate)
-			f.close()
-			if err != nil {
-				return err
-			}
-			printReport(name+" ("+o.tag+")", o.rate, rep)
-			bench.Runs = append(bench.Runs, load.RunResult{
-				Name: name, Admission: o.admissionOn, RateQPS: o.rate,
-				Arrival: o.arrival, TimeoutNS: o.timeout.Nanoseconds(), Report: rep,
-			})
+		rep, err := runPhase(&o, f, queries, o.rate)
+		f.close()
+		if err != nil {
+			return err
 		}
+		printReport("single ("+o.tag+")", o.rate, rep)
+		bench.Runs = append(bench.Runs, load.RunResult{
+			Name: "single", Admission: o.admissionOn, RateQPS: o.rate,
+			Arrival: o.arrival, TimeoutNS: o.timeout.Nanoseconds(), Report: rep,
+		})
 	}
 
 	if err := os.MkdirAll(o.out, 0o755); err != nil {

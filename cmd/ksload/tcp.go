@@ -13,8 +13,8 @@ import (
 )
 
 // tcpFleet runs o.peers full keysearch peers over real loopback
-// sockets in this process: Chord ring, index handoff, the configured
-// wire protocol — the whole production stack minus process isolation.
+// sockets in this process: Chord ring, index handoff, the wire
+// protocol — the whole production stack minus process isolation.
 type tcpFleet struct {
 	net     *tcpnet.Network
 	peers   []*keysearch.Peer
@@ -25,14 +25,7 @@ type tcpFleet struct {
 
 func newTCPFleet(o *options, c *corpus.Corpus, pol *admission.Policy) (*tcpFleet, error) {
 	keysearch.RegisterTypes()
-	mode := o.wireResolved
-	if mode == "" {
-		mode = o.wire
-	}
-	net, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{
-		Wire:          mode,
-		ListenWorkers: o.listenWorkers,
-	})
+	net, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{ListenWorkers: o.listenWorkers})
 	if err != nil {
 		return nil, err
 	}

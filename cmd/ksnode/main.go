@@ -74,8 +74,7 @@ func run(args []string) error {
 		clientRate   = fs.Float64("client-rate", 0, "admission: per-client sustained request rate, req/s (0 = no fair queuing)")
 		clientBurst  = fs.Float64("client-burst", 0, "admission: per-client token-bucket burst (0 = rate/4)")
 
-		wireMode      = fs.String("wire", keysearch.WireBinary, "outbound wire protocol: binary (multiplexed v2 framing) | gob (legacy serial); the listener always serves both")
-		listenWorkers = fs.Int("listen-workers", 0, "decode/handler workers shared by all v2 connections (0 = 2x GOMAXPROCS, min 4)")
+		listenWorkers = fs.Int("listen-workers", 0, "decode/handler workers shared by all connections (0 = 2x GOMAXPROCS, min 4)")
 
 		migEntries  = fs.Int("migrate-chunk-entries", 0, "entries per inbound migration chunk (0 = default, 512)")
 		migBytes    = fs.Int("migrate-chunk-bytes", 0, "approximate payload bytes per migration chunk (0 = default, 256 KiB)")
@@ -108,10 +107,7 @@ func run(args []string) error {
 	}
 
 	keysearch.RegisterTypes()
-	transport, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{
-		Wire:          *wireMode,
-		ListenWorkers: *listenWorkers,
-	})
+	transport, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{ListenWorkers: *listenWorkers})
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,8 @@
 package core
 
-import (
-	"github.com/p2pkeyword/keysearch/internal/transport"
-)
-
-// Wire messages of the index protocol. Vertices travel as uint64 so
-// the messages are gob-friendly.
+// Wire messages of the index protocol. Vertices travel as uint64; each
+// message's encoding is its MarshalWire/UnmarshalWire pair in
+// wirecodec.go.
 type (
 	// msgInsertEntry places an index entry ⟨K_σ, σ⟩ at the logical
 	// vertex responsible for K_σ within one index instance. ClientID
@@ -309,25 +306,4 @@ type BulkEntry struct {
 	Vertex   uint64
 	SetKey   string
 	ObjectID string
-}
-
-// RegisterTypes registers the index-protocol messages with the
-// transport encoding registry; required once per process for the TCP
-// transport.
-func RegisterTypes() {
-	for _, v := range []any{
-		msgInsertEntry{}, respAck{},
-		msgDeleteEntry{}, respDeleteEntry{},
-		msgTQuery{}, respTQuery{},
-		msgSubQuery{}, respSubQuery{},
-		msgSubQueryBatch{}, respSubQueryBatch{},
-		msgBulkInsert{},
-		msgMigrateChunk{}, respMigrateChunk{},
-		msgMigrateCommit{}, respMigrateCommit{},
-		msgSoftPromote{}, msgSoftInvalidate{},
-		Match{},
-	} {
-		transport.RegisterType(v)
-	}
-	registerWireCodecs()
 }

@@ -62,8 +62,8 @@ type QueryClass int
 
 const (
 	// ClassSuperset is the paper's superset search: objects whose
-	// keyword set contains every query keyword. The zero value, so
-	// pre-Class peers (gob or wire v2) decode as superset queries.
+	// keyword set contains every query keyword. The zero value: a
+	// query that names no class is a superset search.
 	ClassSuperset QueryClass = iota
 	// ClassPin is the exact-set lookup of Section 3.4: one vertex, one
 	// table entry.

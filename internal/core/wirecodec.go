@@ -32,9 +32,9 @@ const (
 	wireMsgSoftInvalidate = 19
 )
 
-// registerWireCodecs binds every index-protocol message to its wire
-// type ID; called from RegisterTypes alongside the gob registration.
-func registerWireCodecs() {
+// RegisterTypes binds every index-protocol message to its wire type
+// ID; required once per process for the TCP transport.
+func RegisterTypes() {
 	wire.Register[msgInsertEntry](wireMsgInsertEntry)
 	wire.Register[respAck](wireRespAck)
 	wire.Register[msgDeleteEntry](wireMsgDeleteEntry)

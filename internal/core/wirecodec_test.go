@@ -10,8 +10,8 @@ import (
 
 // roundTrip encodes msg through its registered codec and decodes it
 // back, failing the test on any mismatch. The decoded value must be
-// deeply equal to the original — this is the answer-level equivalence
-// the -wire knob relies on.
+// deeply equal to the original — what makes an answer over TCP the
+// answer inmem gives.
 func roundTrip(t *testing.T, msg any) any {
 	t.Helper()
 	c, ok := wire.Lookup(msg)

@@ -72,28 +72,6 @@ type (
 	}
 )
 
-// RegisterTypes registers every Chord RPC message with the transport
-// encoding registry. It must be called once per process before using
-// the TCP transport; it is harmless (and still recommended) for the
-// in-memory transport.
-func RegisterTypes() {
-	for _, v := range []any{
-		rpcFindClosest{}, respFindClosest{},
-		rpcGetPredecessor{}, respGetPredecessor{},
-		rpcNotify{}, respOK{},
-		rpcGetSuccessorList{}, respGetSuccessorList{},
-		rpcPing{},
-		rpcInsertRef{}, respInsertRef{},
-		rpcDeleteRef{}, respDeleteRef{},
-		rpcReadRefs{}, respReadRefs{},
-		rpcHandoff{}, respHandoff{},
-		rpcDepart{},
-	} {
-		transport.RegisterType(v)
-	}
-	registerWireCodecs()
-}
-
 // ReadOnlyRPC classifies Chord RPCs that are safe to hedge and to
 // retry after a timed-out attempt: routing steps, liveness probes and
 // reference reads. Notify and the reference/topology mutations are

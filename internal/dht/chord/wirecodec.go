@@ -29,7 +29,10 @@ const (
 	wireRPCDepart            = 49
 )
 
-func registerWireCodecs() {
+// RegisterTypes binds every Chord RPC message to its wire type ID. It
+// must be called once per process before using the TCP transport; it
+// is harmless for the in-memory transport.
+func RegisterTypes() {
 	wire.Register[rpcFindClosest](wireRPCFindClosest)
 	wire.Register[respFindClosest](wireRespFindClosest)
 	wire.Register[rpcGetPredecessor](wireRPCGetPredecessor)

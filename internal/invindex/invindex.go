@@ -49,19 +49,6 @@ type (
 	respAck           struct{}
 )
 
-// RegisterTypes registers the baseline's wire messages for networked
-// transports.
-func RegisterTypes() {
-	for _, v := range []any{
-		msgInsertPosting{}, respAck{},
-		msgDeletePosting{}, respDeletePosting{},
-		msgFetchPostings{}, respFetchPostings{},
-	} {
-		transport.RegisterType(v)
-	}
-	registerWireCodecs()
-}
-
 // Server stores posting lists for the logical nodes assigned to one
 // physical node. Fetches and load scans — the read-mostly query path —
 // take the lock in read mode, so concurrent searches never serialize

@@ -15,7 +15,9 @@ const (
 	wireRespFetchPostings = 69
 )
 
-func registerWireCodecs() {
+// RegisterTypes binds the baseline's messages to their wire type IDs
+// for networked transports.
+func RegisterTypes() {
 	wire.Register[msgInsertPosting](wireMsgInsertPosting)
 	wire.Register[respAck](wireRespAck)
 	wire.Register[msgDeletePosting](wireMsgDeletePosting)

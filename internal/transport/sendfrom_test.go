@@ -16,7 +16,6 @@ func (m *fromProbe) MarshalWire(w *wire.Writer)         { w.Int(m.X) }
 func (m *fromProbe) UnmarshalWire(r *wire.Reader) error { m.X = r.Int(); return r.Err() }
 
 func registerProbe() {
-	transport.RegisterType(fromProbe{})
 	wire.Register[fromProbe](59101)
 }
 
@@ -29,7 +28,7 @@ func echoFrom(got *transport.Addr) transport.Handler {
 }
 
 // Regression test for the empty-From bug: tcpnet.Network.Send used to
-// leave request.From blank, so TCP handlers could never learn the
+// leave the sender blank, so TCP handlers could never learn the
 // sender while inmem handlers could (via SendFrom). Both transports
 // must now report the sender: tcpnet's Send threads the network's
 // bound listener address through automatically, and SendFrom overrides
@@ -51,46 +50,38 @@ func TestHandlerObservedFrom(t *testing.T) {
 		}
 	})
 
-	for _, mode := range []string{tcpnet.WireBinary, tcpnet.WireGob} {
-		t.Run("tcpnet/"+mode, func(t *testing.T) {
-			srv, err := tcpnet.NewWithConfig(tcpnet.Config{Wire: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			var got transport.Addr
-			node, err := srv.Bind("127.0.0.1:0", echoFrom(&got))
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("tcpnet/binary", func(t *testing.T) {
+		srv := tcpnet.New()
+		defer srv.Close()
+		var got transport.Addr
+		node, err := srv.Bind("127.0.0.1:0", echoFrom(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			cli, err := tcpnet.NewWithConfig(tcpnet.Config{Wire: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-			cliNode, err := cli.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
-				return body, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Plain Send must thread the client's bound listener address.
-			if _, err := cli.Send(context.Background(), node.Addr(), fromProbe{X: 2}); err != nil {
-				t.Fatal(err)
-			}
-			if got != cliNode.Addr() {
-				t.Errorf("%s handler saw from=%q under Send, want bound addr %q", mode, got, cliNode.Addr())
-			}
-
-			// SendFrom overrides the identity explicitly.
-			if _, err := cli.SendFrom(context.Background(), "custom-id", node.Addr(), fromProbe{X: 3}); err != nil {
-				t.Fatal(err)
-			}
-			if got != "custom-id" {
-				t.Errorf("%s handler saw from=%q under SendFrom, want %q", mode, got, "custom-id")
-			}
+		cli := tcpnet.New()
+		defer cli.Close()
+		cliNode, err := cli.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+			return body, nil
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Plain Send must thread the client's bound listener address.
+		if _, err := cli.Send(context.Background(), node.Addr(), fromProbe{X: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if got != cliNode.Addr() {
+			t.Errorf("tcpnet handler saw from=%q under Send, want bound addr %q", got, cliNode.Addr())
+		}
+
+		// SendFrom overrides the identity explicitly.
+		if _, err := cli.SendFrom(context.Background(), "custom-id", node.Addr(), fromProbe{X: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if got != "custom-id" {
+			t.Errorf("tcpnet handler saw from=%q under SendFrom, want %q", got, "custom-id")
+		}
+	})
 }

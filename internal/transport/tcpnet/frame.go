@@ -10,14 +10,12 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// Protocol v2 framing. A v2 client opens the connection with a 4-byte
-// magic preamble so one listening port can serve both protocol
-// generations: the server peeks at the first bytes of every accepted
-// connection and falls back to the legacy serial gob loop when the
-// magic is absent. The magic is followed by a uvarint-length sender
-// address string — the connection's default identity, sent once so the
-// per-request cost of Send's implicit From is one flag byte instead of
-// a full address per frame.
+// KSW2 framing. A client opens the connection with a 4-byte magic
+// preamble; a listener closes any connection that opens with something
+// else. The magic is followed by a uvarint-length sender address string
+// — the connection's default identity, sent once so the per-request
+// cost of Send's implicit From is one flag byte instead of a full
+// address per frame.
 //
 // After the preamble the stream is a sequence of frames:
 //
@@ -46,7 +44,12 @@ const (
 	maxHandshakeAddr = 1 << 10
 )
 
-// wireMagic is the v2 connection preamble ("KSW2").
+// wireMagic is the connection preamble ("KSW2"). Its last byte is the
+// protocol generation and the only version the wire carries: an
+// in-place layout change — to the handshake, the frame header or the
+// encoding of a registered message — bumps it, so peers of different
+// generations refuse each other at connect instead of misparsing
+// frames. A new type ID is not a layout change.
 var wireMagic = [4]byte{'K', 'S', 'W', '2'}
 
 // appendRequestFrame encodes a request frame for body into w and
@@ -100,7 +103,7 @@ func appendResponseFrame(w *wire.Writer, reqID uint64, body any, herr error) (*w
 	return c, nil
 }
 
-// appendHandshake encodes the v2 connection preamble: magic plus the
+// appendHandshake encodes the connection preamble: magic plus the
 // uvarint-length default sender identity.
 func appendHandshake(w *wire.Writer, from transport.Addr) {
 	w.Buf = append(w.Buf, wireMagic[:]...)

@@ -1,9 +1,16 @@
 package tcpnet
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"net"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/core"
 	"github.com/p2pkeyword/keysearch/internal/transport"
@@ -99,6 +106,83 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d2.body, d.body) {
 			t.Fatalf("%s body round trip mismatch:\n got %+v\nwant %+v", d.codec.Name(), d2.body, d.body)
+		}
+	})
+}
+
+// FuzzListenerPreamble fuzzes everything a listener reads from a
+// connection before and around its first frame — the magic, the
+// handshake's default-sender string, the frame length prefix — by
+// serving one end of a net.Pipe with the real serveConn. Whatever the
+// bytes: no panic, the connection is let go once the peer closes (no
+// hang), no handler runs unless the stream opened with the magic, and
+// the listener allocates no more than one maximal frame plus one
+// maximal handshake address beyond a small multiple of what it was
+// actually sent. A short run is wired into `make fuzz-smoke`.
+func FuzzListenerPreamble(f *testing.F) {
+	registerTestTypes()
+
+	stream := func(from transport.Addr, frames ...func(w *wire.Writer)) []byte {
+		w := wire.GetWriter()
+		defer wire.PutWriter(w)
+		appendHandshake(w, from)
+		for _, frame := range frames {
+			frame(w)
+		}
+		return append([]byte(nil), w.Buf...)
+	}
+	pingFrame := func(w *wire.Writer) { _, _ = appendRequestFrame(w, 1, "", true, ping{N: 42}) }
+	f.Add(stream("127.0.0.1:9999", pingFrame))
+	f.Add(stream("", pingFrame, pingFrame))
+	f.Add(stream("127.0.0.1:9999"))
+	f.Add(wireMagic[:])
+	f.Add([]byte("KSW1\x00"))
+	f.Add(gobStream)
+	f.Add([]byte{})
+	// A handshake address and a frame that each claim more than their
+	// limit, and a frame that claims the whole limit and sends nothing.
+	f.Add(append(wireMagic[:len(wireMagic):len(wireMagic)], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Add(append(stream(""), 0x01, 0x00, 0x00, 0x04))
+	f.Add(append(stream(""), 0x00, 0x00, 0x00, 0x04))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+
+		n := New()
+		var handled atomic.Int64
+		node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+			handled.Add(1)
+			return body, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := node.(*listener)
+		cli, srv := net.Pipe()
+		served := make(chan struct{})
+		l.wg.Add(1)
+		go func() {
+			l.serveConn(srv)
+			close(served)
+		}()
+		go func() { _, _ = io.Copy(io.Discard, cli) }() // responses, if any
+		_, _ = cli.Write(data)                          // returns once the listener took it all or hung up
+		cli.Close()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("serveConn still running 10 s after the peer closed (%d input bytes)", len(data))
+		}
+		n.Close() // waits for every worker, so the counts below are final
+
+		if !bytes.HasPrefix(data, wireMagic[:]) && handled.Load() != 0 {
+			t.Fatalf("handler ran %d times on a connection that did not open with the magic", handled.Load())
+		}
+		runtime.ReadMemStats(&after)
+		const slack = 1 << 20 // the listener itself: bufio, worker stacks, the pipe
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxFrame+maxHandshakeAddr+slack+64*len(data)); got > limit {
+			t.Fatalf("listener allocated %d B for %d input bytes, want <= %d", got, len(data), limit)
 		}
 	})
 }

@@ -12,15 +12,15 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// muxConn is one persistent v2 connection to a destination, shared by
+// muxConn is one persistent connection to a destination, shared by
 // every in-flight RPC to that peer: writers interleave request frames
 // under wmu, and a single reader goroutine demuxes response frames to
-// the waiting callers by request ID. Contrast with the gob path, where
-// each RPC owns a pooled connection exclusively.
+// the waiting callers by request ID.
 type muxConn struct {
-	net  *Network
-	to   transport.Addr
-	conn net.Conn
+	net   *Network
+	to    transport.Addr
+	entry *muxEntry // this mux's slot in net.muxes, dropped by fail
+	conn  net.Conn
 	// defaultFrom is the sender identity declared in the connection
 	// handshake; frames whose From matches it carry a one-byte flag
 	// instead of the address.
@@ -48,12 +48,12 @@ type muxEntry struct {
 	err  error
 }
 
-// mux returns the live mux for 'to', dialing on first use.
-// wasShared reports that the mux existed before this call — a failure
-// on a shared mux may be the reused-connection race (the peer closed
-// an idle connection) and is worth one retry on a fresh dial, matching
-// the gob path's retry contract.
-func (n *Network) mux(ctx context.Context, to transport.Addr) (mc *muxConn, wasShared bool, err error) {
+// mux returns the entry holding the live mux for 'to', dialing on
+// first use. wasShared reports that the entry existed before this call
+// — a failure on a shared mux may be the reused-connection race (the
+// peer closed an idle connection) and is worth one retry on a fresh
+// dial.
+func (n *Network) mux(ctx context.Context, to transport.Addr) (e *muxEntry, wasShared bool, err error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -69,12 +69,12 @@ func (n *Network) mux(ctx context.Context, to transport.Addr) (mc *muxConn, wasS
 	dialed := false
 	e.once.Do(func() {
 		dialed = true
-		e.mc, e.err = n.dialMux(ctx, to)
+		e.mc, e.err = n.dialMux(ctx, to, e)
 		if e.err != nil {
 			n.dropMux(to, e)
 		}
 	})
-	return e.mc, ok && !dialed, e.err
+	return e, ok && !dialed, e.err
 }
 
 // dropMux removes e from the mux table if it is still the registered
@@ -87,7 +87,7 @@ func (n *Network) dropMux(to transport.Addr, e *muxEntry) {
 	n.mu.Unlock()
 }
 
-func (n *Network) dialMux(ctx context.Context, to transport.Addr) (*muxConn, error) {
+func (n *Network) dialMux(ctx context.Context, to transport.Addr, e *muxEntry) (*muxConn, error) {
 	var d net.Dialer
 	raw, err := d.DialContext(ctx, "tcp", string(to))
 	if err != nil {
@@ -108,6 +108,7 @@ func (n *Network) dialMux(ctx context.Context, to transport.Addr) (*muxConn, err
 	mc := &muxConn{
 		net:         n,
 		to:          to,
+		entry:       e,
 		conn:        raw,
 		defaultFrom: defaultFrom,
 		pending:     make(map[uint64]chan muxResult),
@@ -179,9 +180,13 @@ func (mc *muxConn) deregister(id uint64) {
 	mc.mu.Unlock()
 }
 
-// fail marks the mux dead, removes it from the network's table and
-// fails every pending request. Safe to call multiple times.
+// fail removes the mux from the network's table, marks it dead and
+// fails every pending request. Safe to call multiple times. The slot is
+// dropped first, and by the entry the mux was dialed under (readLoop
+// can fail before mux() has stored e.mc), so a sender that finds the
+// mux dead does not find it in the table again.
 func (mc *muxConn) fail(err error) {
+	mc.net.dropMux(mc.to, mc.entry)
 	mc.mu.Lock()
 	if mc.dead {
 		mc.mu.Unlock()
@@ -194,12 +199,6 @@ func (mc *muxConn) fail(err error) {
 	mc.mu.Unlock()
 
 	mc.conn.Close()
-	n := mc.net
-	n.mu.Lock()
-	if e, ok := n.muxes[mc.to]; ok && e.mc == mc {
-		delete(n.muxes, mc.to)
-	}
-	n.mu.Unlock()
 	for _, ch := range pending {
 		ch <- muxResult{err: err}
 	}
@@ -249,24 +248,26 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// sendBinary is the v2 client path: one RPC over the shared mux, with
-// a single retry on a fresh connection when the failure hit a mux that
-// predates this call (the idle-connection race the gob path also
-// retries).
+// sendBinary performs one RPC over the shared mux, with a single retry
+// on a fresh connection when the failure hit a mux that predates this
+// call (the peer closed an idle connection). The retry never receives
+// the mux that just failed: the entry is dropped before the re-dial,
+// whether or not its own fail has got that far.
 func (n *Network) sendBinary(ctx context.Context, from, to transport.Addr, body any) (any, error) {
-	mc, wasShared, err := n.mux(ctx, to)
+	e, wasShared, err := n.mux(ctx, to)
 	if err == nil {
 		var resp any
-		resp, err = mc.roundTrip(ctx, from, body)
+		resp, err = e.mc.roundTrip(ctx, from, body)
 		if err == nil || !wasShared || !retriableSendErr(ctx, err) {
 			return resp, err
 		}
 	} else if !wasShared {
 		return nil, err
 	}
-	mc, _, err = n.mux(ctx, to)
+	n.dropMux(to, e)
+	e, _, err = n.mux(ctx, to)
 	if err != nil {
 		return nil, err
 	}
-	return mc.roundTrip(ctx, from, body)
+	return e.mc.roundTrip(ctx, from, body)
 }

@@ -3,6 +3,9 @@ package tcpnet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,10 +78,10 @@ func TestWireMuxHammer(t *testing.T) {
 }
 
 // TestCancelledSendNeverReachesPeer: a Send whose context is already
-// done fails with the context's error before any frame is written — on
-// either wire. (Once a frame is out, the response races ctx.Done(), and
-// on loopback the response can win: the hammer above caught exactly
-// that as "cancelled send succeeded".)
+// done fails with the context's error before any frame is written.
+// (Once a frame is out, the response races ctx.Done(), and on loopback
+// the response can win: the hammer above caught exactly that as
+// "cancelled send succeeded".)
 func TestCancelledSendNeverReachesPeer(t *testing.T) {
 	registerTestTypes()
 	srv := New()
@@ -91,41 +94,35 @@ func TestCancelledSendNeverReachesPeer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	for _, mode := range []string{WireBinary, WireGob} {
-		cli, err := NewWithConfig(Config{Wire: mode})
-		if err != nil {
-			t.Fatal(err)
+	cli := New()
+	defer cli.Close()
+	// Warm the connection so the cancelled sends below would find an
+	// open mux to write to.
+	if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 1}); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	before := handled.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 50; i++ {
+		if _, err := cli.Send(ctx, node.Addr(), ping{N: i}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled send returned %v, want context.Canceled", err)
 		}
-		// Warm the connection so the cancelled sends below would find an
-		// open mux (binary) or an idle pooled conn (gob) to write to.
-		if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 1}); err != nil {
-			t.Fatalf("%s warm-up: %v", mode, err)
-		}
-		before := handled.Load()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		for i := 0; i < 50; i++ {
-			if _, err := cli.Send(ctx, node.Addr(), ping{N: i}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: cancelled send returned %v, want context.Canceled", mode, err)
-			}
-		}
-		// A live request behind them flushes the connection: had any
-		// cancelled frame been written, the server would have handled it
-		// first.
-		if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 2}); err != nil {
-			t.Fatalf("%s follow-up: %v", mode, err)
-		}
-		if got := handled.Load() - before; got != 1 {
-			t.Errorf("%s: server handled %d requests after 50 cancelled sends and one live one, want 1", mode, got)
-		}
-		cli.Close()
+	}
+	// A live request behind them flushes the connection: had any
+	// cancelled frame been written, the server would have handled it
+	// first.
+	if _, err := cli.Send(context.Background(), node.Addr(), ping{N: 2}); err != nil {
+		t.Fatalf("follow-up: %v", err)
+	}
+	if got := handled.Load() - before; got != 1 {
+		t.Errorf("server handled %d requests after 50 cancelled sends and one live one, want 1", got)
 	}
 }
 
 // TestMuxRedialAfterConnDeath: killing the shared connection under the
 // mux fails the in-flight attempt, which then transparently retries on
-// a freshly dialed mux (the reused-connection contract the gob path
-// also honors), and later sends reuse the new connection.
+// a freshly dialed mux, and later sends reuse the new connection.
 func TestMuxRedialAfterConnDeath(t *testing.T) {
 	registerTestTypes()
 	n := New()
@@ -197,8 +194,7 @@ func TestMuxRedialAfterConnDeath(t *testing.T) {
 }
 
 // TestMuxSingleConnection: sequential and concurrent sends to one
-// destination share one persistent connection (the gob path pools
-// per-request exclusive connections instead).
+// destination share one persistent connection.
 func TestMuxSingleConnection(t *testing.T) {
 	registerTestTypes()
 	n := New()
@@ -216,50 +212,129 @@ func TestMuxSingleConnection(t *testing.T) {
 	}
 	n.mu.Lock()
 	muxCount := len(n.muxes)
-	idleCount := len(n.idle[node.Addr()])
 	n.mu.Unlock()
 	if muxCount != 1 {
 		t.Errorf("mux table has %d entries, want 1", muxCount)
 	}
-	if idleCount != 0 {
-		t.Errorf("gob idle pool has %d conns under binary wire, want 0", idleCount)
-	}
 }
 
-// TestWireModeRejected: an unknown wire mode is a configuration error.
-func TestWireModeRejected(t *testing.T) {
-	if _, err := NewWithConfig(Config{Wire: "protobuf"}); err == nil {
-		t.Fatal("NewWithConfig accepted an unknown wire mode")
-	}
-}
-
-// TestCrossModeInterop: a gob client and a binary client talk to the
-// same listener concurrently — the server sniffs the generation per
-// connection.
-func TestCrossModeInterop(t *testing.T) {
+// TestSendRedialsPastDeadMux: a dead mux still registered in the table
+// — where a failing mux sits between marking itself dead and
+// unregistering, and where one whose reader failed during the dial used
+// to stay for good — costs a sender its first attempt and nothing more:
+// the retry drops that entry and dials afresh.
+func TestSendRedialsPastDeadMux(t *testing.T) {
 	registerTestTypes()
-	srv := New()
-	defer srv.Close()
-	node, err := srv.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
-		p := body.(ping)
-		return pong{N: p.N * 2}, nil
+	n := New()
+	defer n.Close()
+	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		return body, nil
 	})
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	for _, mode := range []string{WireBinary, WireGob} {
-		cli, err := NewWithConfig(Config{Wire: mode})
+	planted := &muxEntry{}
+	planted.once.Do(func() {
+		planted.mc = &muxConn{
+			net: n, to: node.Addr(), entry: planted, dead: true,
+			err: fmt.Errorf("recv from %q: %w", node.Addr(), transport.ErrUnreachable),
+		}
+	})
+	n.mu.Lock()
+	n.muxes[node.Addr()] = planted
+	n.mu.Unlock()
+
+	if _, err := n.Send(context.Background(), node.Addr(), ping{N: 1}); err != nil {
+		t.Fatalf("send with a dead mux in the table: %v, want success on a fresh dial", err)
+	}
+	n.mu.Lock()
+	e := n.muxes[node.Addr()]
+	n.mu.Unlock()
+	if e == nil || e == planted {
+		t.Errorf("mux table holds %p after the send, want a fresh entry (planted %p)", e, planted)
+	}
+}
+
+// TestWireModeRejected: TCPConfig.Wire accepts "" and WireBinary and
+// nothing else — "gob" named a protocol that no longer exists.
+func TestWireModeRejected(t *testing.T) {
+	for _, mode := range []string{"", WireBinary} {
+		n, err := NewWithConfig(Config{Wire: mode})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("NewWithConfig(Wire: %q): %v", mode, err)
 		}
-		got, err := cli.Send(context.Background(), node.Addr(), ping{N: 21})
+		n.Close()
+	}
+	for _, mode := range []string{"gob", "protobuf"} {
+		if _, err := NewWithConfig(Config{Wire: mode}); err == nil {
+			t.Errorf("NewWithConfig accepted wire mode %q", mode)
+		}
+	}
+}
+
+// gobStream is what a client of the deleted gob protocol wrote on
+// connect, recorded from encoding/gob before the path was removed: the
+// type definition of its request envelope, then one request carrying
+// tcpnet.ping{N: 21} from "127.0.0.1:4000" — a whole message, which the
+// old listener would have decoded and handed to the handler.
+var gobStream = []byte{
+	0x26, 0x7f, 0x03, 0x01, 0x01, 0x07, 0x72, 0x65, 0x71, 0x75, 0x65, 0x73, 0x74, 0x01,
+	0xff, 0x80, 0x00, 0x01, 0x02, 0x01, 0x04, 0x46, 0x72, 0x6f, 0x6d, 0x01, 0x0c, 0x00,
+	0x01, 0x04, 0x42, 0x6f, 0x64, 0x79, 0x01, 0x10, 0x00, 0x00, 0x00, 0x37, 0xff, 0x80,
+	0x01, 0x0e, 0x31, 0x32, 0x37, 0x2e, 0x30, 0x2e, 0x30, 0x2e, 0x31, 0x3a, 0x34, 0x30,
+	0x30, 0x30, 0x01, 0x0b, 0x74, 0x63, 0x70, 0x6e, 0x65, 0x74, 0x2e, 0x70, 0x69, 0x6e,
+	0x67, 0xff, 0x81, 0x03, 0x01, 0x01, 0x04, 0x70, 0x69, 0x6e, 0x67, 0x01, 0xff, 0x82,
+	0x00, 0x01, 0x01, 0x01, 0x01, 0x4e, 0x01, 0x04, 0x00, 0x00, 0x00, 0x07, 0xff, 0x82,
+	0x03, 0x01, 0x2a, 0x00, 0x00,
+}
+
+// TestNonMagicPreambleRefused: a connection that does not open with the
+// KSW2 magic is closed without a byte in reply and without the handler
+// running, and the listener keeps serving KSW2 clients afterwards.
+func TestNonMagicPreambleRefused(t *testing.T) {
+	registerTestTypes()
+	srv := New()
+	defer srv.Close()
+	var handled atomic.Int64
+	node, err := srv.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		handled.Add(1)
+		return pong{N: body.(ping).N * 2}, nil
+	})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	for name, preamble := range map[string][]byte{
+		"arbitrary":     []byte("GET / HTTP/1.1\r\n\r\n"),
+		"gob":           gobStream,
+		"wrong-version": []byte("KSW1\x00"),
+	} {
+		conn, err := net.Dial("tcp", string(node.Addr()))
 		if err != nil {
-			t.Fatalf("%s client: %v", mode, err)
+			t.Fatalf("%s: dial: %v", name, err)
 		}
-		if p, ok := got.(pong); !ok || p.N != 42 {
-			t.Errorf("%s client got %#v, want pong{42}", mode, got)
+		if _, err := conn.Write(preamble); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
 		}
-		cli.Close()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// EOF or a reset both mean closed; a reply or a timeout does not.
+		got, err := io.ReadAll(conn)
+		var ne net.Error
+		if len(got) != 0 || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Errorf("%s: read %q, %v — want the connection closed with no reply", name, got, err)
+		}
+		conn.Close()
+	}
+	if got := handled.Load(); got != 0 {
+		t.Errorf("handler ran %d times for refused connections, want 0", got)
+	}
+	cli := New()
+	defer cli.Close()
+	got, err := cli.Send(context.Background(), node.Addr(), ping{N: 21})
+	if err != nil {
+		t.Fatalf("KSW2 client after refusals: %v", err)
+	}
+	if p, ok := got.(pong); !ok || p.N != 42 {
+		t.Errorf("KSW2 client got %#v, want pong{42}", got)
 	}
 }
 
@@ -268,7 +343,6 @@ func TestCrossModeInterop(t *testing.T) {
 func TestBinaryRejectsUnregisteredType(t *testing.T) {
 	registerTestTypes()
 	type orphan struct{ X int }
-	transport.RegisterType(orphan{})
 	n := New()
 	defer n.Close()
 	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {

@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -63,15 +62,13 @@ func (m *benchAns) UnmarshalWire(r *wire.Reader) error {
 }
 
 func registerBenchTypes() {
-	transport.RegisterType(benchQry{})
-	transport.RegisterType(benchAns{})
 	wire.Register[benchQry](59003)
 	wire.Register[benchAns](59004)
 }
 
-// benchRPCPair starts a server plus one client network in the given
-// wire mode, with per-type byte accounting on the client's registry.
-func benchRPCPair(b *testing.B, mode string) (cli *Network, addr transport.Addr, reg *telemetry.Registry, closeAll func()) {
+// benchRPCPair starts a server plus one client network, with per-type
+// byte accounting on the client's registry.
+func benchRPCPair(b testing.TB) (cli *Network, addr transport.Addr, reg *telemetry.Registry, closeAll func()) {
 	b.Helper()
 	srv := New()
 	node, err := srv.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
@@ -81,10 +78,7 @@ func benchRPCPair(b *testing.B, mode string) (cli *Network, addr transport.Addr,
 	if err != nil {
 		b.Fatal(err)
 	}
-	cli, err = NewWithConfig(Config{Wire: mode})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cli = New()
 	reg = telemetry.New(0)
 	cli.SetTelemetry(reg)
 	return cli, node.Addr(), reg, func() { cli.Close(); srv.Close() }
@@ -112,95 +106,67 @@ func clientWireBytes(reg *telemetry.Registry) uint64 {
 	return total
 }
 
-// BenchmarkWireRPC gates the tentpole end to end, with every protocol
-// cost included — framing, envelopes, handshakes, connection churn —
-// as measured by the transport's own per-type byte accounting:
-//
-//   - Bytes per RPC, measured serially on a warm connection
-//     (deterministic, so gated unconditionally): the binary wire must
-//     move at most half the bytes of the gob wire for the same
-//     small-message exchange.
-//   - RPCs/sec under concurrency (gob's per-request exclusive
-//     connections dial beyond its idle pool; the mux multiplexes one):
-//     binary must deliver at least 2x, gated on machines with 4+ cores
-//     like the repo's other throughput gates.
+// TestWireRPCBytesPinned pins what one small exchange costs on a warm
+// connection, every protocol byte included (length prefix, request ID,
+// kind, type ID, from-flag, payload), as the transport's own per-type
+// accounting counts it. The sizes are deterministic; a change here is a
+// change to the frame layout (see wireMagic for what that requires).
+// The gob wire this replaced moved 210 B for the same exchange
+// (results/BENCH_pr8_wire.json is the record of that comparison).
+func TestWireRPCBytesPinned(t *testing.T) {
+	registerBenchTypes()
+	cli, addr, reg, closeAll := benchRPCPair(t)
+	defer closeAll()
+	ctx := context.Background()
+	if _, err := cli.Send(ctx, addr, benchRPCBody(0)); err != nil {
+		t.Fatal(err)
+	}
+	warm := clientWireBytes(reg)
+	if _, err := cli.Send(ctx, addr, benchRPCBody(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Request: 4 length + 1 reqID + 1 kind + 2 type + 1 from-flag + 28
+	// payload; response: 4 + 1 + 1 + 2 + 22 payload.
+	if got, want := clientWireBytes(reg)-warm, uint64(37+30); got != want {
+		t.Errorf("one small RPC moved %d B on the wire, want %d", got, want)
+	}
+}
+
+// BenchmarkWireRPC reports the cost of one small RPC over loopback:
+// serial latency as ns/op, and throughput with 16 concurrent senders
+// sharing the one mux as RPCs/s. It gates nothing — ksperf's tcpnet.*
+// and wire.* layers are the measured record; TestWireRPCBytesPinned
+// holds the deterministic part.
 func BenchmarkWireRPC(b *testing.B) {
 	registerBenchTypes()
 	const (
-		serialN = 400
 		workers = 16
 		perW    = 250
-		reps    = 2
 	)
 	ctx := context.Background()
-
-	type modeStats struct {
-		bytesPerOp float64
-		rps        float64
-	}
-	stats := map[string]modeStats{}
-	for _, mode := range []string{WireBinary, WireGob} {
-		cli, addr, reg, closeAll := benchRPCPair(b, mode)
-
-		// Serial pass on a warm connection: exact steady-state bytes.
-		if _, err := cli.Send(ctx, addr, benchRPCBody(0)); err != nil {
-			b.Fatal(err)
-		}
-		warm := clientWireBytes(reg)
-		for i := 0; i < serialN; i++ {
-			if _, err := cli.Send(ctx, addr, benchRPCBody(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		bytesPerOp := float64(clientWireBytes(reg)-warm) / serialN
-
-		// Concurrent throughput, fixed-rep best-of-k (the gate needs a
-		// ratio and must run even at -benchtime=1x).
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < reps; rep++ {
-			var wg sync.WaitGroup
-			start := time.Now()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perW; i++ {
-						if _, err := cli.Send(ctx, addr, benchRPCBody(w*perW+i)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		closeAll()
-		stats[mode] = modeStats{
-			bytesPerOp: bytesPerOp,
-			rps:        float64(workers*perW) / best.Seconds(),
-		}
-	}
-
-	bin, gb := stats[WireBinary], stats[WireGob]
-	byteRatio := bin.bytesPerOp / gb.bytesPerOp
-	speedup := bin.rps / gb.rps
-	b.Logf("bytes/RPC: binary %.0f vs gob %.0f (%.2fx); RPCs/sec: binary %.0f vs gob %.0f (%.2fx)",
-		bin.bytesPerOp, gb.bytesPerOp, byteRatio, bin.rps, gb.rps, speedup)
-	if byteRatio > 0.5 {
-		b.Fatalf("binary wire moves %.0f B/RPC vs gob %.0f B/RPC (%.2fx) — want <= 0.5x",
-			bin.bytesPerOp, gb.bytesPerOp, byteRatio)
-	}
-	if cores := runtime.GOMAXPROCS(0); cores >= 4 && runtime.NumCPU() >= 4 && speedup < 2 {
-		b.Fatalf("binary wire %.0f RPCs/sec vs gob %.0f (%.2fx) on %d cores — want >= 2x",
-			bin.rps, gb.rps, speedup, cores)
-	}
-
-	// Standard per-op figure for the binary path.
-	cli, addr, _, closeAll := benchRPCPair(b, WireBinary)
+	cli, addr, _, closeAll := benchRPCPair(b)
 	defer closeAll()
+	if _, err := cli.Send(ctx, addr, benchRPCBody(0)); err != nil {
+		b.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				if _, err := cli.Send(ctx, addr, benchRPCBody(w*perW+i)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	rps := float64(workers*perW) / time.Since(start).Seconds()
+
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cli.Send(ctx, addr, benchRPCBody(i)); err != nil {
@@ -209,7 +175,5 @@ func BenchmarkWireRPC(b *testing.B) {
 	}
 	b.StopTimer()
 	// Report after ResetTimer: it deletes user-reported metrics.
-	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(byteRatio, "byte-ratio")
-	b.ReportMetric(bin.bytesPerOp, "wire-B/op")
+	b.ReportMetric(rps, "RPCs/s")
 }

@@ -2,11 +2,10 @@ package tcpnet
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -49,7 +48,7 @@ type srvWork struct {
 	frame []byte
 }
 
-// srvConn is the server end of one v2 connection: response frames from
+// srvConn is the server end of one connection: response frames from
 // concurrent handlers interleave under wmu.
 type srvConn struct {
 	conn net.Conn
@@ -148,10 +147,9 @@ func (l *listener) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the first bytes of an accepted connection: the v2
-// magic selects the multiplexed binary protocol, anything else falls
-// back to the legacy serial gob loop. Both generations share the port,
-// so a fleet can change its -wire mode one process at a time.
+// serveConn owns one accepted connection. A connection that does not
+// open with the KSW2 magic and a well-formed handshake is closed before
+// any handler runs: no other protocol shares the port.
 func (l *listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	defer conn.Close()
@@ -176,26 +174,21 @@ func (l *listener) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, 32<<10)
-	magic, err := br.Peek(len(wireMagic))
+	var magic [len(wireMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wireMagic {
+		return
+	}
+	defaultFrom, err := readHandshakeFrom(br)
 	if err != nil {
 		return
 	}
-	if bytes.Equal(magic, wireMagic[:]) {
-		br.Discard(len(wireMagic))
-		defaultFrom, err := readHandshakeFrom(br)
-		if err != nil {
-			return
-		}
-		l.serveV2(&srvConn{conn: conn, defaultFrom: transport.Addr(defaultFrom)}, br)
-		return
-	}
-	l.serveGob(conn, br)
+	l.serveV2(&srvConn{conn: conn, defaultFrom: transport.Addr(defaultFrom)}, br)
 }
 
 // serveV2 is the per-connection read loop of the binary protocol: it
 // only splits the stream into frames; decoding and handling run on the
 // listener's worker pool so one connection's requests proceed in
-// parallel (the gob loop is serial per connection).
+// parallel.
 func (l *listener) serveV2(sc *srvConn, br *bufio.Reader) {
 	for {
 		frame, err := readFrame(br, nil) // workers own the frame; no reuse
@@ -268,44 +261,4 @@ func (l *listener) handleFrame(w srvWork) {
 		return
 	}
 	ins.sentBytes.Add(name, uint64(out.Len()))
-}
-
-// serveGob is the legacy protocol: serial request/response exchanges,
-// gob-encoded, one goroutine per connection. Kept behind the magic
-// sniff for -wire gob clients.
-func (l *listener) serveGob(conn net.Conn, br *bufio.Reader) {
-	ins := l.ins
-	cc := &countingConn{Conn: conn}
-	// The sniffed bytes already sit in br, so reads must go through it;
-	// countingRd charges them to the connection's receive cell.
-	dec := gob.NewDecoder(&countingRd{r: br, cell: &cc.recv})
-	enc := gob.NewEncoder(cc)
-	for {
-		sent0, recv0 := cc.sent.Load(), cc.recv.Load()
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt stream
-		}
-		name := fmt.Sprintf("%T", req.Body)
-		ins.handled.Inc(name)
-		var resp response
-		body, err := l.handler(l.ctx, transport.Addr(req.From), req.Body)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Body = body
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-		// The loop is serial, so the cells' deltas over the exchange
-		// are exactly this request + response.
-		ins.recvBytes.Add(name, cc.recv.Load()-recv0)
-		ins.sentBytes.Add(name, cc.sent.Load()-sent0)
-		select {
-		case <-l.closed:
-			return
-		default:
-		}
-	}
 }

@@ -42,22 +42,9 @@ func (m *classQry) UnmarshalWire(r *wire.Reader) error {
 }
 
 func registerTestTypes() {
-	transport.RegisterType(ping{})
-	transport.RegisterType(pong{})
-	transport.RegisterType(classQry{})
 	wire.Register[ping](59001)
 	wire.Register[pong](59002)
 	wire.Register[classQry](59005)
-}
-
-// newGob returns a network pinned to the legacy gob client protocol.
-func newGob(t *testing.T) *Network {
-	t.Helper()
-	n, err := NewWithConfig(Config{Wire: WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -110,30 +97,6 @@ func TestUnreachable(t *testing.T) {
 	}
 }
 
-func TestPooledConnectionReuse(t *testing.T) {
-	registerTestTypes()
-	n := newGob(t)
-	defer n.Close()
-	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
-		return body, nil
-	})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := n.Send(context.Background(), node.Addr(), ping{N: i}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-	}
-	// Sequential sends reuse one pooled connection.
-	n.mu.Lock()
-	poolSize := len(n.idle[node.Addr()])
-	n.mu.Unlock()
-	if poolSize != 1 {
-		t.Errorf("idle pool size = %d, want 1", poolSize)
-	}
-}
-
 func TestHandlerCanCallBackIntoSameNetwork(t *testing.T) {
 	// Regression test for the shared-connection deadlock: a handler
 	// that issues a request to its own listener (through the same
@@ -182,8 +145,8 @@ func TestRedialAfterListenerRestart(t *testing.T) {
 		t.Fatalf("first send: %v", err)
 	}
 	node.Close()
-	// Rebind on the same port and verify the pooled (now dead)
-	// connection is replaced by the retry path.
+	// Rebind on the same port and verify the shared (now dead) mux is
+	// replaced by the retry path.
 	if _, err := n.Bind(addr, func(ctx context.Context, from transport.Addr, body any) (any, error) {
 		return body, nil
 	}); err != nil {

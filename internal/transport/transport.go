@@ -1,13 +1,13 @@
 // Package transport defines the message-passing abstraction the DHT and
 // the keyword-index layers run on. Two implementations exist:
 // package inmem (a deterministic simulated network used by tests and
-// the experiment harness) and package tcpnet (length-prefixed gob RPC
-// over real TCP connections for multi-process deployments).
+// the experiment harness) and package tcpnet (multiplexed
+// length-prefixed binary frames over real TCP connections for
+// multi-process deployments).
 package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -23,8 +23,8 @@ type Handler func(ctx context.Context, from Addr, body any) (any, error)
 // Sender delivers requests to remote nodes.
 type Sender interface {
 	// Send delivers body to the node at 'to' and returns its response.
-	// The concrete body and response types must be registered with
-	// RegisterType so that networked transports can encode them.
+	// The concrete body and response types must have a codec in package
+	// wire's registry so that networked transports can encode them.
 	Send(ctx context.Context, to Addr, body any) (any, error)
 }
 
@@ -74,13 +74,4 @@ func Mux(handlers ...Handler) Handler {
 		}
 		return nil, fmt.Errorf("%w: %T", ErrUnhandled, body)
 	}
-}
-
-// RegisterType registers a concrete message type with gob so that the
-// TCP transport can marshal it inside the any-typed envelope. Calling
-// it multiple times with the same type is safe; it is a no-op for the
-// in-memory transport but should be called unconditionally so that the
-// same wiring works over both transports.
-func RegisterType(value any) {
-	gob.Register(value)
 }

@@ -97,9 +97,3 @@ func TestMuxEmpty(t *testing.T) {
 		t.Errorf("empty mux: %v", err)
 	}
 }
-
-func TestRegisterTypeIdempotent(t *testing.T) {
-	type sample struct{ A int }
-	RegisterType(sample{})
-	RegisterType(sample{}) // must not panic
-}

@@ -1,11 +1,10 @@
 // Package wire is the hand-rolled binary codec behind the TCP
-// transport's protocol v2. The message set of this system is small and
-// closed (index protocol, Chord RPCs, the inverted-index baseline), so
-// instead of gob's self-describing streams — which resend type
-// metadata on every fresh connection and allocate through reflection —
-// each message implements Marshaler/Unmarshaler against a pooled
-// buffer Writer and a bounds-checked Reader, and a process-global
-// registry maps compact type IDs to concrete types.
+// transport's one protocol (KSW2). The message set of this system is
+// small and closed (index protocol, Chord RPCs, the inverted-index
+// baseline), so instead of a self-describing, reflection-driven
+// encoding each message implements Marshaler/Unmarshaler against a
+// pooled buffer Writer and a bounds-checked Reader, and a
+// process-global registry maps compact type IDs to concrete types.
 //
 // Encoding conventions:
 //

@@ -186,9 +186,9 @@ var (
 	SortSpecificFirst = core.SortSpecificFirst
 )
 
-// RegisterTypes registers every wire message of the library with the
-// gob registry. Call it once at startup in each process that uses the
-// TCP transport; it is a no-op-safe idempotent call.
+// RegisterTypes binds every wire message of the library to its type ID
+// in the wire codec registry. Call it once at startup in each process
+// that uses the TCP transport; repeated calls are harmless.
 func RegisterTypes() {
 	chord.RegisterTypes()
 	core.RegisterTypes()
@@ -200,19 +200,18 @@ func RegisterTypes() {
 func NewInMemoryTransport(seed int64) *inmem.Network { return inmem.New(seed) }
 
 // NewTCPTransport returns a TCP-backed transport for multi-process
-// deployments with the default configuration (binary wire protocol).
-// Call RegisterTypes before using it.
+// deployments with the default configuration. Call RegisterTypes
+// before using it.
 func NewTCPTransport() *tcpnet.Network { return tcpnet.New() }
 
-// TCPConfig tunes a TCP transport: the wire protocol generation
-// (WireBinary or WireGob) and the listener-side handler pool size.
+// TCPConfig tunes a TCP transport: the listener-side handler pool
+// size. Its Wire field selects nothing — there is one wire protocol —
+// and accepts only "" or WireBinary; it stays because
+// benchmarks/ksperf compiles against it (see tcpnet.Config).
 type TCPConfig = tcpnet.Config
 
-// Wire protocol names for TCPConfig.Wire.
-const (
-	WireBinary = tcpnet.WireBinary
-	WireGob    = tcpnet.WireGob
-)
+// WireBinary is the only value TCPConfig.Wire accepts besides "".
+const WireBinary = tcpnet.WireBinary
 
 // NewTCPTransportConfig returns a TCP-backed transport tuned by cfg.
 // Call RegisterTypes before using it.

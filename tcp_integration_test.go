@@ -2,11 +2,7 @@ package keysearch
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +64,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 
 	// Batched parallel search over TCP: exercises the msgSubQueryBatch
-	// gob round trip against real sockets. Fewer physical frames than
+	// round trip against real sockets. Fewer physical frames than
 	// logical messages proves waves actually coalesced.
 	pres, err := peers[2].Search(ctx, NewKeywordSet("distributed"), All,
 		SearchOptions{Order: ParallelLevels, NoCache: true})
@@ -98,21 +94,67 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// runTCPWireCluster stands up a 3-peer TCP cluster under the given
-// wire mode, publishes a corpus on the first peer BEFORE the others
-// join (so the joins pull real migration chunks over the wire), runs a
+// oracleIDs is the brute-force answer: the IDs of the objects whose
+// keyword set satisfies match, by one pass over the corpus.
+func oracleIDs(objs []Object, match func(Set) bool) []string {
+	var ids []string
+	for _, obj := range objs {
+		if match(obj.Keywords) {
+			ids = append(ids, obj.ID)
+		}
+	}
+	return ids
+}
+
+// checkAnswer compares an answer with the oracle's, as sets: the error
+// names the query and the object IDs the answer lacks, and those it has
+// that the oracle does not or that it lists twice.
+func checkAnswer(op, query string, got, want []string) error {
+	wanted := make(map[string]bool, len(want))
+	for _, id := range want {
+		wanted[id] = true
+	}
+	count := make(map[string]int, len(got))
+	var missing, extra []string
+	for _, id := range got {
+		if count[id]++; !wanted[id] || count[id] > 1 {
+			extra = append(extra, id)
+		}
+	}
+	for _, id := range want {
+		if count[id] == 0 {
+			missing = append(missing, id)
+		}
+	}
+	if len(missing) == 0 && len(extra) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s %q: answer has %d objects, oracle %d — missing %v, extra or repeated %v",
+		op, query, len(got), len(want), missing, extra)
+}
+
+func matchIDs(ms []Match) []string {
+	ids := make([]string, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ObjectID
+	}
+	return ids
+}
+
+// TestTCPAnswersMatchOracle stands up a 3-peer TCP cluster, publishes a
+// corpus on the first peer BEFORE the others join (so the joins pull
+// real migration chunks over the wire), and checks every answer of a
 // fixed query suite — pin, superset top-down, superset parallel-batch,
-// prefix multicast, cursor paging — and returns a canonical
-// fingerprint of every answer
-// plus the telemetry registry for wire-level assertions.
-func runTCPWireCluster(t *testing.T, mode string) (string, *telemetry.Registry) {
-	t.Helper()
+// prefix multicast, cursor paging — against a brute-force pass over
+// that corpus; a mismatch names the query and the objects. The queries
+// run inside the migration windows the joins opened, with no settling
+// wait: double-reads are what must keep the answers exact. It also
+// requires that pin, superset, batch and migrate messages actually
+// crossed the wire (not some other path).
+func TestTCPAnswersMatchOracle(t *testing.T) {
 	RegisterTypes()
 	reg := telemetry.New(0)
-	net, err := NewTCPTransportConfig(TCPConfig{Wire: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := NewTCPTransport()
 	net.SetTelemetry(reg)
 	defer net.Close()
 
@@ -140,113 +182,104 @@ func runTCPWireCluster(t *testing.T, mode string) (string, *telemetry.Registry) 
 			t.Fatalf("join %d: %v", i, err)
 		}
 		peers = append(peers, p)
-		for round := 0; round < 12; round++ {
-			for _, q := range peers {
-				_ = q.StabilizeOnce(ctx)
-			}
-		}
+		stabilizeRounds(ctx, peers, 12)
 	}
 
 	// The joins must have moved index entries via the migration
-	// protocol over this wire mode (double-read keeps answers exact
-	// while transfers are still in flight, so no settling poll needed).
-	migrated := reg.CounterVec("transport_tcp_handled_total", "type").With("core.msgMigrateChunk")
+	// protocol over the wire (double-read keeps answers exact while
+	// transfers are still in flight, so no settling poll needed).
+	handled := reg.CounterVec("transport_tcp_handled_total", "type")
+	migrated := handled.With("core.msgMigrateChunk")
 	deadline := time.Now().Add(20 * time.Second)
 	for migrated.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if migrated.Value() == 0 {
-		t.Fatalf("%s: no msgMigrateChunk handled over TCP after joins", mode)
+		t.Fatal("no msgMigrateChunk handled over TCP after joins")
 	}
 
-	var lines []string
-	record := func(op, q string, ids []string) {
-		sort.Strings(ids)
-		lines = append(lines, op+"|"+q+"|"+strings.Join(ids, ","))
+	check := func(op, query string, got, want []string) {
+		t.Helper()
+		if err := checkAnswer(op, query, got, want); err != nil {
+			t.Error(err)
+		}
 	}
 	for _, obj := range objs {
 		ids, _, err := peers[2].PinSearch(ctx, obj.Keywords)
 		if err != nil {
-			t.Fatalf("%s: pin %s: %v", mode, obj.ID, err)
+			t.Fatalf("pin %s: %v", obj.ID, err)
 		}
-		record("pin", obj.Keywords.String(), ids)
+		check("pin", obj.Keywords.String(), ids, oracleIDs(objs, obj.Keywords.Equal))
 	}
-	for qi, q := range []Set{NewKeywordSet("churn"), NewKeywordSet("b0"), NewKeywordSet("b3")} {
+	for _, q := range []Set{NewKeywordSet("churn"), NewKeywordSet("b0"), NewKeywordSet("b3")} {
 		for _, order := range []TraversalOrder{TopDown, ParallelLevels} {
 			res, err := peers[1].Search(ctx, q, All, SearchOptions{Order: order, NoCache: true})
 			if err != nil {
-				t.Fatalf("%s: superset %d order %v: %v", mode, qi, order, err)
+				t.Fatalf("superset %s order %v: %v", q, order, err)
 			}
-			ids := make([]string, 0, len(res.Matches))
-			for _, m := range res.Matches {
-				ids = append(ids, m.ObjectID)
-			}
-			record(fmt.Sprintf("superset-%v", order), q.String(), ids)
+			check(fmt.Sprintf("superset-%v", order), q.String(), matchIDs(res.Matches), oracleIDs(objs, q.SubsetOf))
 		}
 	}
-	// Prefix multicasts over the same wire mode — still inside the
-	// migration window the joins opened, so double-reads cover them.
 	for _, pfx := range []string{"b", "chu", "u1", "nomatch"} {
 		res, err := peers[1].PrefixSearch(ctx, pfx, All, SearchOptions{NoCache: true})
 		if err != nil {
-			t.Fatalf("%s: prefix %q: %v", mode, pfx, err)
+			t.Fatalf("prefix %q: %v", pfx, err)
 		}
-		ids := make([]string, 0, len(res.Matches))
-		for _, m := range res.Matches {
-			ids = append(ids, m.ObjectID)
-		}
-		record("prefix", pfx, ids)
+		check("prefix", pfx, matchIDs(res.Matches),
+			oracleIDs(objs, func(k Set) bool { return k.HasPrefix(pfx) }))
 	}
-	cur, err := peers[2].SearchCursor(NewKeywordSet("churn"), SearchOptions{})
+	// Cursor: pages of at most 7, whose concatenation — checked as one
+	// answer, so a repeat across pages counts — is the superset answer.
+	churn := NewKeywordSet("churn")
+	cur, err := peers[2].SearchCursor(churn, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var paged []string
 	for pg := 0; !cur.Exhausted(); pg++ {
 		page, _, err := cur.Next(ctx, 7)
 		if err != nil {
-			t.Fatalf("%s: cursor page %d: %v", mode, pg, err)
+			t.Fatalf("cursor page %d: %v", pg, err)
 		}
-		ids := make([]string, 0, len(page))
-		for _, m := range page {
-			ids = append(ids, m.ObjectID)
+		if len(page) > 7 {
+			t.Errorf("cursor page %d holds %d matches, want <= 7", pg, len(page))
 		}
-		record("cursor-page-"+strconv.Itoa(pg), "churn", ids)
+		paged = append(paged, matchIDs(page)...)
+	}
+	check("cursor", churn.String(), paged, oracleIDs(objs, churn.SubsetOf))
+
+	// Pin queries ride msgTQuery (ClassPin); there is no separate pin
+	// message.
+	for _, typ := range []string{
+		"core.msgTQuery", "core.msgSubQueryBatch",
+		"core.msgMigrateChunk", "core.msgMigrateCommit",
+	} {
+		if handled.With(typ).Value() == 0 {
+			t.Errorf("no %s handled over TCP", typ)
+		}
+	}
+	// The per-type byte accounting must have charged traffic in both
+	// directions for the batch path.
+	for _, name := range []string{"transport_tcp_bytes_sent_total", "transport_tcp_bytes_recv_total"} {
+		if reg.CounterVec(name, "type").With("core.msgSubQueryBatch").Value() == 0 {
+			t.Errorf("%s{core.msgSubQueryBatch} is zero", name)
+		}
 	}
 
-	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return hex.EncodeToString(h[:]), reg
-}
-
-// TestTCPWireModeMatrix proves the -wire knob is answer-preserving:
-// the same cluster build, publish, migration and query suite run under
-// both wire protocols must produce byte-identical answer fingerprints,
-// and each mode must have actually exercised pin, superset, batch and
-// migrate messages on the wire (not fallen back to some other path).
-func TestTCPWireModeMatrix(t *testing.T) {
-	fps := map[string]string{}
-	for _, mode := range []string{WireBinary, WireGob} {
-		fp, reg := runTCPWireCluster(t, mode)
-		fps[mode] = fp
-		handled := reg.CounterVec("transport_tcp_handled_total", "type")
-		// Pin queries ride msgTQuery (ClassPin); there is no separate
-		// pin message.
-		for _, typ := range []string{
-			"core.msgTQuery", "core.msgSubQueryBatch",
-			"core.msgMigrateChunk", "core.msgMigrateCommit",
-		} {
-			if handled.With(typ).Value() == 0 {
-				t.Errorf("%s: no %s handled over TCP", mode, typ)
-			}
+	// The checker bites: the oracle's own answer with one object
+	// withheld, and with one repeated, must each fail and name it.
+	t.Run("withheld-object", func(t *testing.T) {
+		want := oracleIDs(objs, churn.SubsetOf)
+		if err := checkAnswer("superset", "churn", want, want); err != nil {
+			t.Fatalf("the oracle's own answer fails the checker: %v", err)
 		}
-		// The per-type byte accounting must have charged traffic in
-		// both directions for the batch path.
-		for _, name := range []string{"transport_tcp_bytes_sent_total", "transport_tcp_bytes_recv_total"} {
-			if reg.CounterVec(name, "type").With("core.msgSubQueryBatch").Value() == 0 {
-				t.Errorf("%s: %s{core.msgSubQueryBatch} is zero", mode, name)
-			}
+		err := checkAnswer("superset", "churn", want[1:], want)
+		if err == nil || !strings.Contains(err.Error(), "missing ["+want[0]+"]") || !strings.Contains(err.Error(), `"churn"`) {
+			t.Errorf("answer without %s: checker said %v, want an error naming the query and that object as missing", want[0], err)
 		}
-	}
-	if fps[WireBinary] != fps[WireGob] {
-		t.Fatalf("wire modes disagree: binary fingerprint %s != gob %s", fps[WireBinary], fps[WireGob])
-	}
+		err = checkAnswer("superset", "churn", append([]string{want[3]}, want...), want)
+		if err == nil || !strings.Contains(err.Error(), "repeated ["+want[3]+"]") {
+			t.Errorf("answer listing %s twice: checker said %v, want an error naming it", want[3], err)
+		}
+	})
 }
