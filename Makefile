@@ -10,7 +10,8 @@ all: build test
 # suite (includes the telemetry concurrency hammer), the allocation
 # budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
 # live-churn migration smoke, the open-loop load-rig smoke, the
-# wire-decoder, listener-preamble and table fuzz smokes, the Zipf
+# wire-decoder, listener-preamble, table, reference-store and
+# Chord-decoder fuzz smokes, the Zipf
 # hotspot-storm smoke, the prefix-multicast smoke, and a single-iteration
 # benchmark smoke pass.
 ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
@@ -18,12 +19,14 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # Allocation budgets, run on their own so a regression names itself
 # instead of hiding in tier-1 time: bytes allocated per contacted
 # vertex of an exhaustive wave (<= 130 B on a 16-peer ring at r = 10),
-# zero allocations for a message a muxed endpoint's second layer takes,
-# and zero for telemetry on a TCP send with telemetry off. Without
-# -race: the detector's instrumentation allocates on its own account,
-# so under `make race` the byte budget skips itself.
+# live heap per stored single-publisher DHT reference (<= 128 B over
+# 20 k objects), zero allocations for a message a muxed endpoint's
+# second layer takes, and zero for telemetry on a TCP send with
+# telemetry off. Without -race: the detector's instrumentation
+# allocates on its own account, so under `make race` the per-vertex
+# budget skips itself.
 alloc-smoke:
-	$(GO) test -count=1 -run 'BytesPerVertex|AllocatesNothing' ./internal/core ./internal/transport ./internal/transport/tcpnet
+	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|AllocatesNothing' ./internal/core ./internal/dht ./internal/transport ./internal/transport/tcpnet
 
 # The churn hammer's flake rate, the number every PR quotes beside its
 # result until ROADMAP item 1 closes (not part of ci — it only prints):
@@ -134,11 +137,17 @@ zipf-smoke:
 # panic, no hang, no handler without the magic, bounded allocation. The
 # flat vertex table: arbitrary insert/remove/scan sequences over one
 # vertex must agree with a plain map model for every query class and
-# window. The full corpora live under the standard go fuzz cache.
+# window. The DHT reference store: arbitrary insert/delete/refs/extract
+# sequences must agree with a nested-map model. The Chord decoders (wire
+# IDs 32-49): a clean error or a value that re-encodes to the input, with
+# allocation bounded by the payload. The full corpora live under the
+# standard go fuzz cache.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/transport/tcpnet/
 	$(GO) test -run '^$$' -fuzz FuzzListenerPreamble -fuzztime 10s ./internal/transport/tcpnet/
 	$(GO) test -run '^$$' -fuzz FuzzTableOps -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzRefStoreOps -fuzztime 10s ./internal/dht/
+	$(GO) test -run '^$$' -fuzz FuzzChordDecode -fuzztime 10s ./internal/dht/chord/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

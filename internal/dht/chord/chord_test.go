@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -247,6 +248,44 @@ func TestReferenceLifecycleAcrossRing(t *testing.T) {
 	}
 	if _, err := nodes[1].Delete(ctx, ref); !errors.Is(err, dht.ErrNoSuchReference) {
 		t.Errorf("Delete missing: %v", err)
+	}
+}
+
+// TestReadReturnsHoldersSorted: Read on either overlay returns an
+// object's references sorted by (Holder, Location) — the same order on
+// every call, whatever order the holders published in.
+func TestReadReturnsHoldersSorted(t *testing.T) {
+	want := []dht.Reference{
+		{ObjectID: "shared", Holder: "peer-a", Location: "/1"},
+		{ObjectID: "shared", Holder: "peer-a", Location: "/2"},
+		{ObjectID: "shared", Holder: "peer-b", Location: "/0"},
+		{ObjectID: "shared", Holder: "peer-b", Location: "/1"},
+		{ObjectID: "shared", Holder: "peer-c", Location: "/0"},
+	}
+	net := inmem.New(1)
+	defer net.Close()
+	ring := buildRing(t, net, 3)
+	static, err := dht.NewStatic([]transport.Addr{"s-0", "s-1", "s-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, o := range []dht.Overlay{ring[1], static} {
+		name := fmt.Sprintf("%T", o)
+		for _, i := range rand.New(rand.NewSource(5)).Perm(len(want)) {
+			if _, err := o.Insert(ctx, want[i]); err != nil {
+				t.Fatalf("%s: Insert: %v", name, err)
+			}
+		}
+		for read := 0; read < 50; read++ {
+			got, err := o.Read(ctx, "shared")
+			if err != nil {
+				t.Fatalf("%s: Read: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: read %d = %v, want %v", name, read, got, want)
+			}
+		}
 	}
 }
 

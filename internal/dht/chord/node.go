@@ -67,7 +67,7 @@ type Node struct {
 	successors  []NodeInfo // successors[0] is the immediate successor
 	fingers     [64]NodeInfo
 	nextFinger  int
-	refs        map[string]map[refKey]dht.Reference // objectID → holder set
+	refs        dht.RefStore
 	succHook    func(NodeInfo)
 
 	maintStop chan struct{}
@@ -107,11 +107,6 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 
 var _ dht.Overlay = (*Node)(nil)
 
-type refKey struct {
-	holder   transport.Addr
-	location string
-}
-
 // New constructs a node identified by hashing addr into the ID space.
 // The node's RPC handler must be reachable at addr; wire it with
 // Handler (typically through a transport mux shared with the index
@@ -121,7 +116,6 @@ func New(addr transport.Addr, net transport.Sender, cfg Config) *Node {
 		self: NodeInfo{ID: dht.HashString(string(addr)), Addr: addr},
 		net:  net,
 		cfg:  cfg.withDefaults(),
-		refs: make(map[string]map[refKey]dht.Reference),
 		met:  newNodeMetrics(cfg.Telemetry),
 	}
 	if cfg.Telemetry != nil {
@@ -219,7 +213,7 @@ func (n *Node) Join(ctx context.Context, seed transport.Addr) error {
 		if h, ok := resp.(respHandoff); ok {
 			n.mu.Lock()
 			for _, ref := range h.Refs {
-				n.storeRefLocked(ref)
+				n.refs.Insert(ref)
 			}
 			n.mu.Unlock()
 		}
@@ -343,13 +337,7 @@ func (n *Node) Leave(ctx context.Context) error {
 		succ = n.successors[0]
 	}
 	pred := n.predecessor
-	var refs []dht.Reference
-	for _, holders := range n.refs {
-		for _, r := range holders {
-			refs = append(refs, r)
-		}
-	}
-	n.refs = make(map[string]map[refKey]dht.Reference)
+	refs := n.refs.Extract(func(string) bool { return true })
 	n.mu.Unlock()
 
 	if succ.zero() || succ.ID == n.self.ID {

@@ -116,7 +116,7 @@ func (n *Node) Handler(ctx context.Context, from transport.Addr, body any) (any,
 		n.met.rpcHandled.Inc("chord.rpcInsertRef")
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return respInsertRef{First: n.storeRefLocked(msg.Ref)}, nil
+		return respInsertRef{First: n.refs.Insert(msg.Ref)}, nil
 	case rpcDeleteRef:
 		n.met.rpcHandled.Inc("chord.rpcDeleteRef")
 		return n.handleDeleteRef(msg.Ref), nil
@@ -190,33 +190,15 @@ func (n *Node) handleNotify(candidate NodeInfo) {
 func (n *Node) handleDeleteRef(ref dht.Reference) respDeleteRef {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	holders, ok := n.refs[ref.ObjectID]
-	if !ok {
-		return respDeleteRef{Found: false}
-	}
-	key := refKey{holder: ref.Holder, location: ref.Location}
-	if _, ok := holders[key]; !ok {
-		return respDeleteRef{Found: false, Remaining: len(holders)}
-	}
-	delete(holders, key)
-	if len(holders) == 0 {
-		delete(n.refs, ref.ObjectID)
-	}
-	return respDeleteRef{Found: true, Remaining: len(holders)}
+	found, remaining := n.refs.Delete(ref)
+	return respDeleteRef{Found: found, Remaining: remaining}
 }
 
 func (n *Node) handleReadRefs(objectID string) respReadRefs {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	holders, ok := n.refs[objectID]
-	if !ok {
-		return respReadRefs{Found: false}
-	}
-	refs := make([]dht.Reference, 0, len(holders))
-	for _, r := range holders {
-		refs = append(refs, r)
-	}
-	return respReadRefs{Found: true, Refs: refs}
+	refs := n.refs.Refs(objectID)
+	return respReadRefs{Found: refs != nil, Refs: refs}
 }
 
 // handleHandoff transfers to the joining node every reference whose
@@ -225,31 +207,9 @@ func (n *Node) handleReadRefs(objectID string) respReadRefs {
 func (n *Node) handleHandoff(newNode NodeInfo) respHandoff {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var moved []dht.Reference
-	for objectID, holders := range n.refs {
-		key := dht.HashString(objectID)
-		if dht.Between(key, newNode.ID, n.self.ID) {
-			continue // still ours
-		}
-		for _, r := range holders {
-			moved = append(moved, r)
-		}
-		delete(n.refs, objectID)
-	}
-	return respHandoff{Refs: moved}
-}
-
-// storeRefLocked stores ref and reports whether it is the object's
-// first known reference.
-func (n *Node) storeRefLocked(ref dht.Reference) bool {
-	holders, ok := n.refs[ref.ObjectID]
-	if !ok {
-		holders = make(map[refKey]dht.Reference)
-		n.refs[ref.ObjectID] = holders
-	}
-	first := len(holders) == 0
-	holders[refKey{holder: ref.Holder, location: ref.Location}] = ref
-	return first
+	return respHandoff{Refs: n.refs.Extract(func(objectID string) bool {
+		return !dht.Between(dht.HashString(objectID), newNode.ID, n.self.ID)
+	})}
 }
 
 // handleDepart splices a gracefully leaving neighbor out of the ring:
@@ -260,7 +220,7 @@ func (n *Node) handleDepart(msg rpcDepart) {
 	defer n.mu.Unlock()
 	defer n.succChangedLocked(n.headSuccessorLocked())
 	for _, ref := range msg.Refs {
-		n.storeRefLocked(ref)
+		n.refs.Insert(ref)
 	}
 	if !msg.Predecessor.zero() &&
 		(n.predecessor.zero() || n.predecessor.ID == msg.Leaver.ID) {
@@ -302,5 +262,5 @@ func (n *Node) handleDepart(msg rpcDepart) {
 func (n *Node) RefCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.refs)
+	return n.refs.Objects()
 }

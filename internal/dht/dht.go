@@ -102,6 +102,7 @@ type Overlay interface {
 	Delete(ctx context.Context, ref Reference) (remaining int, err error)
 
 	// Read returns all references to the object, i.e. the paper's
-	// Read(σ). It returns ErrNoSuchObject if none exist.
+	// Read(σ), sorted by (Holder, Location). It returns ErrNoSuchObject
+	// if none exist.
 	Read(ctx context.Context, objectID string) ([]Reference, error)
 }

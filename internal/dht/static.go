@@ -11,24 +11,18 @@ import (
 
 // Static is a dht.Overlay with a fixed, fully-known membership: every
 // lookup resolves locally in one step to the successor of the key on
-// the ring. It models an idealized converged DHT and is used by the
-// experiment harness, where the metrics of interest are index-layer
-// node contacts rather than DHT routing hops. References are stored
-// in-process.
+// the ring. It models an idealized converged DHT; tests of packages
+// core and dht use it where index-layer node contacts matter and DHT
+// routing hops do not. References are stored in-process.
 type Static struct {
 	mu      sync.Mutex
 	ids     []ID // sorted
 	byID    map[ID]transport.Addr
-	refs    map[string]map[staticRefKey]Reference
+	refs    RefStore
 	lookups uint64
 }
 
 var _ Overlay = (*Static)(nil)
-
-type staticRefKey struct {
-	holder   transport.Addr
-	location string
-}
 
 // NewStatic builds a static overlay from the given members. Member IDs
 // are derived from their addresses with HashString, like Chord does.
@@ -36,10 +30,7 @@ func NewStatic(members []transport.Addr) (*Static, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("dht: static overlay needs at least one member")
 	}
-	s := &Static{
-		byID: make(map[ID]transport.Addr, len(members)),
-		refs: make(map[string]map[staticRefKey]Reference),
-	}
+	s := &Static{byID: make(map[ID]transport.Addr, len(members))}
 	for _, addr := range members {
 		id := HashString(string(addr))
 		if _, dup := s.byID[id]; dup {
@@ -87,14 +78,7 @@ func (s *Static) Insert(ctx context.Context, ref Reference) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lookups++
-	holders, ok := s.refs[ref.ObjectID]
-	if !ok {
-		holders = make(map[staticRefKey]Reference)
-		s.refs[ref.ObjectID] = holders
-	}
-	first := len(holders) == 0
-	holders[staticRefKey{holder: ref.Holder, location: ref.Location}] = ref
-	return first, nil
+	return s.refs.Insert(ref), nil
 }
 
 // Delete implements Overlay.
@@ -102,20 +86,11 @@ func (s *Static) Delete(ctx context.Context, ref Reference) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lookups++
-	holders, ok := s.refs[ref.ObjectID]
-	if !ok {
-		return 0, ErrNoSuchReference
+	found, remaining := s.refs.Delete(ref)
+	if !found {
+		return remaining, ErrNoSuchReference
 	}
-	key := staticRefKey{holder: ref.Holder, location: ref.Location}
-	if _, ok := holders[key]; !ok {
-		return len(holders), ErrNoSuchReference
-	}
-	delete(holders, key)
-	if len(holders) == 0 {
-		delete(s.refs, ref.ObjectID)
-		return 0, nil
-	}
-	return len(holders), nil
+	return remaining, nil
 }
 
 // Read implements Overlay.
@@ -123,13 +98,9 @@ func (s *Static) Read(ctx context.Context, objectID string) ([]Reference, error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lookups++
-	holders, ok := s.refs[objectID]
-	if !ok {
+	refs := s.refs.Refs(objectID)
+	if refs == nil {
 		return nil, ErrNoSuchObject
 	}
-	out := make([]Reference, 0, len(holders))
-	for _, r := range holders {
-		out = append(out, r)
-	}
-	return out, nil
+	return refs, nil
 }
