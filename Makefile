@@ -10,8 +10,8 @@ all: build test
 # suite (includes the telemetry concurrency hammer), the allocation
 # budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
 # live-churn migration smoke, the open-loop load-rig smoke, the
-# wire-decoder, listener-preamble, table, reference-store and
-# Chord-decoder fuzz smokes, the Zipf
+# wire-decoder, listener-preamble, table, reference-store, Chord-decoder
+# and core-decoder fuzz smokes, the Zipf
 # hotspot-storm smoke, the prefix-multicast smoke, and a single-iteration
 # benchmark smoke pass.
 ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
@@ -139,7 +139,8 @@ zipf-smoke:
 # vertex must agree with a plain map model for every query class and
 # window. The DHT reference store: arbitrary insert/delete/refs/extract
 # sequences must agree with a nested-map model. The Chord decoders (wire
-# IDs 32-49): a clean error or a value that re-encodes to the input, with
+# IDs 32-49) and the index-protocol decoders (wire IDs 1-4, 7-12 and
+# 14-19): a clean error or a value that re-encodes to the input, with
 # allocation bounded by the payload. The full corpora live under the
 # standard go fuzz cache.
 fuzz-smoke:
@@ -148,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTableOps -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRefStoreOps -fuzztime 10s ./internal/dht/
 	$(GO) test -run '^$$' -fuzz FuzzChordDecode -fuzztime 10s ./internal/dht/chord/
+	$(GO) test -run '^$$' -fuzz FuzzCoreDecode -fuzztime 10s ./internal/core/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

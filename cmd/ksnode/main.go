@@ -342,6 +342,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		if ms.LastAbort != "" {
 			fmt.Printf("migration: last abort: %s\n", ms.LastAbort)
 		}
+		if ms.FlushFailures > 0 {
+			fmt.Printf("migration: %d failed tombstone deletes, last: %s\n", ms.FlushFailures, ms.LastFlushError)
+		}
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])
 	}

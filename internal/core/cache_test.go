@@ -8,6 +8,13 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
+// supersetPred builds a ClassSuperset predicate from an explicit
+// (cache key, parsed set) pair. The pair is usually (set.Key(), set),
+// but the cache layer allows arbitrary keys, so both travel.
+func supersetPred(queryKey string, query keyword.Set) queryPred {
+	return queryPred{class: ClassSuperset, key: queryKey, set: query, want: query.Signature()}
+}
+
 func TestCacheHitServesRepeatedQuery(t *testing.T) {
 	d := newDeployment(t, 9, 4, 1000)
 	ctx := context.Background()

@@ -385,9 +385,11 @@ func TestDurableAppendApplyCriticalSection(t *testing.T) {
 	}
 }
 
-// TestDurableDrainAndHandoffReplay covers the two range mutations'
-// WAL records: OpClear (graceful drain) and OpHandoff (join-time range
-// extraction) must replay to the same surviving state.
+// TestDurableDrainAndHandoffReplay covers the two range records a WAL
+// can hold: OpHandoff (a committed pull's range extraction) must replay
+// to the same surviving state, and OpClear — written only by the
+// graceful drain of earlier releases, read-old here — must still replay
+// to an empty index with later records applying on top.
 func TestDurableDrainAndHandoffReplay(t *testing.T) {
 	const r = 6
 	dirs := tempDirs(t, 1)
@@ -420,23 +422,33 @@ func TestDurableDrainAndHandoffReplay(t *testing.T) {
 		t.Fatalf("post-restart stats %+v, want %+v", got, afterHandoff)
 	}
 
-	// Drain everything and restart again: recovery must yield an empty
-	// index, then fresh inserts must still be recoverable.
-	if _, err := d2.servers[0].Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.client.Insert(ctx, Object{ID: "post-drain", Keywords: keyword.NewSet("late", "bird")}); err != nil {
-		t.Fatal(err)
-	}
-	want := d2.servers[0].Stats()
+	// Append the OpClear an earlier release's drain logged, then an
+	// insert after it: recovery must yield exactly the late entry.
 	d2.closeServers(t)
-	d3 := newDurableDeployment(t, r, 1, 0, dirs, store.FsyncOff, 0, nil)
-	if got := d3.servers[0].Stats(); got != want {
-		t.Fatalf("post-drain restart stats %+v, want %+v", got, want)
+	st, err := store.Open(store.Config{Dir: dirs[0], Fsync: store.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids, _, err := d3.client.PinSearch(ctx, keyword.NewSet("late", "bird"))
+	late := keyword.NewSet("late", "bird")
+	for _, rec := range []store.Record{
+		{Op: store.OpClear},
+		{Op: store.OpInsert, Instance: DefaultInstance, Vertex: uint64(d2.client.Hasher().Vertex(late)),
+			SetKey: late.Key(), ObjectID: "post-drain"},
+	} {
+		if _, err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d3 := newDurableDeployment(t, r, 1, 0, dirs, store.FsyncOff, 0, nil)
+	if got := d3.servers[0].Stats(); got.Entries != 1 || got.Objects != 1 {
+		t.Fatalf("post-clear restart stats %+v, want exactly the late entry", got)
+	}
+	ids, _, err := d3.client.PinSearch(ctx, late)
 	if err != nil || len(ids) != 1 || ids[0] != "post-drain" {
-		t.Fatalf("post-drain pin = (%v, %v), want [post-drain]", ids, err)
+		t.Fatalf("post-clear pin = (%v, %v), want [post-drain]", ids, err)
 	}
 }
 

@@ -198,14 +198,9 @@ type (
 
 	respAck struct{}
 
-	// msgBulkInsert transfers a batch of index entries, used when a
-	// departing node re-homes its tables to its DHT successor.
-	msgBulkInsert struct {
-		Entries []BulkEntry
-	}
-
 	// msgMigrateChunk asks the old owner for one cursor-paged chunk of
-	// the index entries a newly joined node now owns: entries whose
+	// the index entries the puller now owns (it joined in front of the
+	// old owner, or succeeded it on a graceful leave): entries whose
 	// vertex key is NOT in (NewID, OwnerID] on the DHT ring. The read
 	// is non-destructive — the old owner keeps serving the range until
 	// msgMigrateCommit — and the cursor is client-driven, so the source

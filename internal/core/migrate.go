@@ -3,7 +3,9 @@ package core
 // Live-churn migration: when ring ownership changes (join, leave,
 // stabilization repair), the index entries of the re-homed range move
 // from the old owner to the new one through a chunked, cursor-paged,
-// crash-safe pull protocol with a double-read correctness window:
+// crash-safe pull protocol with a double-read correctness window — the
+// one way a range moves; a graceful leave is its successor's pull
+// (Depart):
 //
 //	enqueue ─▶ pull chunks (resumable cursor, WAL-checkpointed)
 //	        ─▶ commit (old owner drops the range) ─▶ window closes
@@ -98,6 +100,10 @@ type MigrationStats struct {
 	Commits     uint64 // migrations committed (old owner dropped range)
 	Failures    uint64 // migrations aborted (source unreachable, etc.)
 	LastAbort   string // source and cause of the latest abort; empty when none
+	// FlushFailures counts tombstoned entries a closing window failed to
+	// delete (a WAL append error); LastFlushError is the latest cause.
+	FlushFailures  uint64
+	LastFlushError string
 }
 
 // migKey identifies one migration: the range bounds the puller asks
@@ -124,6 +130,7 @@ type migrateMetrics struct {
 	doubleReads *telemetry.Counter
 	commits     *telemetry.Counter
 	failures    *telemetry.Counter
+	flushFails  *telemetry.Counter
 }
 
 // migrationManager owns the server's inbound migrations: the worker
@@ -143,6 +150,7 @@ type migrationManager struct {
 	recovered map[migKey]wireCursor
 	closed    bool
 	lastAbort string // source and cause of the latest aborted migration
+	lastFlush string // cause of the latest failed tombstone delete
 	wg        sync.WaitGroup
 
 	// windowCount is |active| + |recovered|: the number of open
@@ -167,6 +175,7 @@ type migrationManager struct {
 	nDoubleReads atomic.Uint64
 	nCommits     atomic.Uint64
 	nFailures    atomic.Uint64
+	nFlushFails  atomic.Uint64
 }
 
 func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry) *migrationManager {
@@ -187,6 +196,7 @@ func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry
 			doubleReads: reg.Counter("migrate_double_reads_total"),
 			commits:     reg.Counter("migrate_commits_total"),
 			failures:    reg.Counter("migrate_failures_total"),
+			flushFails:  reg.Counter("migrate_tombstone_flush_failures_total"),
 		},
 	}
 	if reg != nil {
@@ -226,7 +236,7 @@ func (s *Server) MigrationStats() MigrationStats {
 		return MigrationStats{}
 	}
 	m.mu.Lock()
-	active, recovered, lastAbort := len(m.active), len(m.recovered), m.lastAbort
+	active, recovered, lastAbort, lastFlush := len(m.active), len(m.recovered), m.lastAbort, m.lastFlush
 	m.mu.Unlock()
 	return MigrationStats{
 		Active:      active,
@@ -239,6 +249,9 @@ func (s *Server) MigrationStats() MigrationStats {
 		Commits:     m.nCommits.Load(),
 		Failures:    m.nFailures.Load(),
 		LastAbort:   lastAbort,
+
+		FlushFailures:  m.nFlushFails.Load(),
+		LastFlushError: lastFlush,
 	}
 }
 
@@ -411,7 +424,9 @@ func (m *migrationManager) remove(mig *migration) {
 }
 
 // flushTombstones physically deletes every tombstoned entry (no-ops
-// for the common case where the local delete already applied).
+// for the common case where the local delete already applied). A
+// delete that fails — its WAL append did — is counted with its cause:
+// the tombstone set clears regardless once the last window closes.
 func (m *migrationManager) flushTombstones() {
 	m.tombMu.RLock()
 	list := make([]BulkEntry, 0, len(m.tombs))
@@ -420,7 +435,78 @@ func (m *migrationManager) flushTombstones() {
 	}
 	m.tombMu.RUnlock()
 	for _, t := range list {
-		_, _ = m.s.deleteEntry(t.Instance, hypercube.Vertex(t.Vertex), t.SetKey, t.ObjectID)
+		if _, err := m.s.deleteEntry(t.Instance, hypercube.Vertex(t.Vertex), t.SetKey, t.ObjectID); err != nil {
+			m.mu.Lock()
+			m.lastFlush = fmt.Sprintf("delete %s/%d %q %q: %v", t.Instance, t.Vertex, t.SetKey, t.ObjectID, err)
+			m.mu.Unlock()
+			m.nFlushFails.Add(1)
+			m.met.flushFails.Inc()
+		}
+	}
+}
+
+// handOff is a departing server's wait for its successor's pull. The
+// successor pulls with NewID = the leaver's own ring ID, which no
+// joiner's pull from this server can carry, so the ID picks the
+// pull's chunks and commit out of any other traffic.
+type handOff struct {
+	newID    uint64
+	progress chan int // a chunk of the range was served
+	done     chan int // the commit dropped this many entries
+}
+
+// noteHandOff tells a waiting Depart about the pull with this NewID,
+// without blocking: a served chunk (dropped < 0), or the commit and the
+// number of entries it dropped.
+func (s *Server) noteHandOff(newID uint64, dropped int) {
+	h := s.handOff.Load()
+	if h == nil || h.newID != newID {
+		return
+	}
+	ch := h.done
+	if dropped < 0 {
+		ch = h.progress
+	}
+	select {
+	case ch <- dropped:
+	default:
+	}
+}
+
+// Depart begins the graceful departure of this server, whose node has
+// ring ID selfID, and returns the wait for its end. It stops the
+// server's own inbound migrations without committing them — shutdown
+// is not an abort, so their sources keep the ranges, and no late commit
+// from here can drop the range the successor is taking over. The
+// caller then splices the node out of the ring; the successor pulls
+// the node's arc (pred, selfID] with EnqueueMigration(addr, selfID,
+// pred) like any other range, double-reading it here, and this server
+// keeps answering its chunk pulls and relayed reads meanwhile. wait
+// returns the number of entries the pull's commit dropped here; or
+// ctx's error; or an error once no chunk has been served for as long
+// as the puller takes to give up on one. Until the commit, every entry
+// stays in the tables and in the data directory.
+func (s *Server) Depart(selfID uint64) (wait func(context.Context) (int, error)) {
+	h := &handOff{newID: selfID, progress: make(chan int, 1), done: make(chan int, 1)}
+	s.handOff.Store(h)
+	s.migrate.close()
+	// The stall limit is how long the puller takes to give up on one
+	// chunk: the pause before it, then every attempt timed out and
+	// backed off.
+	c := s.migrate.cfg
+	stall := c.Throttle + time.Duration(c.MaxAttempts)*(c.ChunkTimeout+maxRetryBackoff)
+	return func(ctx context.Context) (int, error) {
+		for {
+			select {
+			case n := <-h.done:
+				return n, nil
+			case <-h.progress:
+			case <-time.After(stall):
+				return 0, fmt.Errorf("core: departure stalled: no chunk pulled for %v", stall)
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}
 	}
 }
 

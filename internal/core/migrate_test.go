@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -270,6 +271,80 @@ func TestMigrateDuplicateEnqueueNoOp(t *testing.T) {
 	}
 	if st := dst.MigrationStats(); st.Active != 1 {
 		t.Fatalf("duplicate enqueues spawned %d active migrations, want 1", st.Active)
+	}
+}
+
+// TestServerDepartWaitsForCommit: a departing server keeps its range,
+// serving its successor's pull, until the commit of the pull that
+// carries its own ring ID; Depart's wait then ends with the number of
+// entries that commit dropped. A commit for another range does not end
+// the wait, and a wait whose context ends drops nothing.
+func TestServerDepartWaitsForCommit(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	src := newMigrateServer(t, net, "", MigrationConfig{})
+	if _, err := net.Bind("src", src.Handler); err != nil {
+		t.Fatal(err)
+	}
+	dst := newMigrateServer(t, net, "", MigrationConfig{ChunkEntries: 3})
+	want := seedEntries(t, src, 20)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	wait := src.Depart(wholeRingNew)
+	// A joiner's commit: another NewID, and a kept range of the whole
+	// ring, so it drops nothing.
+	if _, err := src.Handler(ctx, "", msgMigrateCommit{NewID: 7, OwnerID: 7}); err != nil {
+		t.Fatal(err)
+	}
+	dst.EnqueueMigration("src", wholeRingNew, wholeRingOwner)
+	moved, err := wait(ctx)
+	if err != nil || moved != len(want) {
+		t.Fatalf("Depart wait = (%d, %v), want (%d, nil)", moved, err, len(want))
+	}
+	if got := allEntries(t, dst); !reflect.DeepEqual(got, want) {
+		t.Fatalf("successor holds %d entries, want %d", len(got), len(want))
+	}
+	if left := allEntries(t, src); len(left) != 0 {
+		t.Fatalf("departed server still holds %d entries", len(left))
+	}
+
+	cctx, ccancel := context.WithCancel(context.Background())
+	ccancel()
+	if _, err := dst.Depart(99)(cctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Depart wait on an ended context = %v, want context.Canceled", err)
+	}
+	if got := allEntries(t, dst); len(got) != len(want) {
+		t.Fatalf("an unfinished departure dropped entries: %d left of %d", len(got), len(want))
+	}
+}
+
+// TestTombstoneFlushFailureCounted: a tombstoned entry that a closing
+// window cannot delete — its WAL append fails on a closed store — is
+// counted in MigrationStats with its cause instead of vanishing.
+func TestTombstoneFlushFailureCounted(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	src := newMigrateServer(t, net, "", MigrationConfig{})
+	if _, err := net.Bind("src", src.Handler); err != nil {
+		t.Fatal(err)
+	}
+	dst := newMigrateServer(t, net, t.TempDir(), MigrationConfig{ChunkEntries: 1, Throttle: time.Hour})
+	entries := seedEntries(t, src, 5)
+
+	dst.EnqueueMigration("src", wholeRingNew, wholeRingOwner)
+	waitFor(t, 5*time.Second, func() bool { return dst.MigrationStats().Chunks >= 1 }, "first chunk")
+	e := entries[len(entries)-1] // not pulled yet: the delete only tombstones it
+	if _, err := dst.deleteEntry(e.Instance, hypercube.Vertex(e.Vertex), e.SetKey, e.ObjectID); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dst.migrate.flushTombstones()
+	st := dst.MigrationStats()
+	if st.FlushFailures != 1 || !strings.Contains(st.LastFlushError, "closed store") || !strings.Contains(st.LastFlushError, e.ObjectID) {
+		t.Fatalf("stats = %+v; want 1 flush failure naming %s and the closed store", st, e.ObjectID)
 	}
 }
 
@@ -556,7 +631,6 @@ func TestGateInfoMigrationTrafficUngated(t *testing.T) {
 	}{
 		{msgMigrateChunk{}, false},
 		{msgMigrateCommit{}, false},
-		{msgBulkInsert{}, false},
 		{msgSubQuery{Relay: true, Class: ClassPin}, false}, // the relayed half of a pin
 		{msgSubQuery{Relay: true}, false},
 		{msgSubQuery{}, false}, // wave traffic, always interior

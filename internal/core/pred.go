@@ -47,13 +47,6 @@ func predFor(class QueryClass, queryKey string) queryPred {
 	return p
 }
 
-// supersetPred builds a ClassSuperset predicate from an explicit
-// (cache key, parsed set) pair. The pair is usually (set.Key(), set),
-// but the cache layer allows arbitrary keys, so both travel.
-func supersetPred(queryKey string, query keyword.Set) queryPred {
-	return queryPred{class: ClassSuperset, key: queryKey, set: query, want: query.Signature()}
-}
-
 // matches applies the class predicate to an entry's keyword set.
 func (p queryPred) matches(other keyword.Set) bool {
 	switch p.class {

@@ -79,39 +79,6 @@ func TestOverlayResolverCachesBindings(t *testing.T) {
 	}
 }
 
-func TestServerDrainMovesEverything(t *testing.T) {
-	d := newDeployment(t, 8, 2, 0)
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := d.client.Insert(ctx, obj("dr-"+strconv.Itoa(i), "drain", "k"+strconv.Itoa(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before0 := d.servers[0].Stats().Objects
-	if before0+d.servers[1].Stats().Objects != 20 {
-		t.Fatalf("pre-drain objects = %d", before0+d.servers[1].Stats().Objects)
-	}
-
-	// Drain server 0 into server 1's endpoint.
-	moved, err := d.servers[0].DrainTo(ctx, d.net, d.addrs[1])
-	if err != nil {
-		t.Fatalf("DrainTo: %v", err)
-	}
-	if moved != before0 {
-		t.Fatalf("moved = %d, want %d", moved, before0)
-	}
-	if got := d.servers[0].Stats().Objects; got != 0 {
-		t.Errorf("drained server still holds %d objects", got)
-	}
-	if got := d.servers[1].Stats().Objects; got != 20 {
-		t.Errorf("receiver holds %d objects, want 20", got)
-	}
-	// Empty drain is a no-op.
-	if n, err := d.servers[0].DrainTo(ctx, d.net, d.addrs[1]); err != nil || n != 0 {
-		t.Errorf("empty drain = %d, %v", n, err)
-	}
-}
-
 func TestReplicatedAccessors(t *testing.T) {
 	_, _, rep, clients := newReplicatedDeployment(t, 6, 2)
 	if rep.Fanout() != 2 {

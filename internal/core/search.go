@@ -125,6 +125,25 @@ func (q *rootQuery) branches() []branch {
 	return []branch{{root: q.root}}
 }
 
+// prefixBranches partitions the candidate set of a prefix query with
+// dimension mask M — every vertex that intersects M, {v : v ∧ M ≠ 0} —
+// into one SBT branch per dimension d ∈ M: rooted at e_d, excluding the
+// masked dimensions below d. Each candidate vertex is therefore visited
+// by exactly one branch (the one of its lowest masked dimension), and
+// the traversal, wave-batching, resilience and double-read machinery
+// run unchanged inside every branch. The coordinating server owns the
+// lowest branch root; later roots are remote vertices visited like any
+// other frontier node.
+func prefixBranches(cube hypercube.Cube, mask hypercube.Vertex) []branch {
+	branches := make([]branch, 0, mask.OnesCount())
+	for d := 0; d < cube.Dim(); d++ {
+		if bit := hypercube.Vertex(1) << uint(d); mask&bit != 0 {
+			branches = append(branches, branch{root: bit, exclude: mask & (bit - 1)})
+		}
+	}
+	return branches
+}
+
 // tally is the cost and yield of the traversal work done for one
 // request, summed over every branch it drained.
 type tally struct {
@@ -461,7 +480,7 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 			t.frames += waveFrames
 		} else {
 			hits = make([]waveHit, len(wave))
-			fanOut(len(wave), s.cfg.ParallelFanout, func(i int) {
+			fanOut(len(wave), parallelFanout, func(i int) {
 				hits[i] = s.visit(ctx, sess, wave[i], need)
 				hits[i].pos = i
 			})
@@ -727,7 +746,7 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	// peers' hits join the local ones in wave order.
 	parts := make([][]waveHit, len(peers)+1)
 	parts[len(peers)] = hits
-	fanOut(len(peers), s.cfg.ParallelFanout, func(k int) {
+	fanOut(len(peers), parallelFanout, func(k int) {
 		p := peers[k]
 		parts[k] = s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], wave, limit)
 	})

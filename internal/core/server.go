@@ -42,6 +42,14 @@ const (
 // the extra maps cost memory without reducing contention further.
 const maxShards = 256
 
+// maxSessions bounds retained cumulative-search sessions (oldest
+// evicted first); parallelFanout bounds the concurrent sub-queries of
+// one ParallelLevels wave sent one vertex at a time.
+const (
+	maxSessions    = 256
+	parallelFanout = 32
+)
+
 // ServerConfig configures an index Server.
 type ServerConfig struct {
 	// Hasher fixes the hypercube dimensionality and keyword hash; it
@@ -74,12 +82,6 @@ type ServerConfig struct {
 	// root (default 64). Counters halve every ~1024 fresh queries, so
 	// the threshold tracks current popularity.
 	HotPromoteThreshold int
-	// MaxSessions bounds retained cumulative-search sessions
-	// (oldest evicted first). Default 256.
-	MaxSessions int
-	// ParallelFanout bounds concurrent sub-queries in ParallelLevels
-	// traversal. Default 32.
-	ParallelFanout int
 	// Shards is the number of lock stripes the server's table state is
 	// split across (shard by hash(instance, vertex)). Rounded up to a
 	// power of two and capped at 256; 0 selects GOMAXPROCS rounded up.
@@ -115,7 +117,7 @@ type ServerConfig struct {
 	// inflight, a bounded deadline-aware wait queue, and per-client
 	// fair queuing. Shed requests fail fast with an
 	// admission.Overload carrying a Retry-After hint. Interior wave
-	// traffic (sub-queries, batches, bulk transfers, handoffs) is
+	// traffic (sub-queries, batches, migration chunks and commits) is
 	// never gated — shedding mid-wave would waste work the root
 	// already paid for. Nil disables admission control entirely.
 	Admission *admission.Policy
@@ -151,12 +153,6 @@ func ceilPow2(n int) int {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 256
-	}
-	if c.ParallelFanout <= 0 {
-		c.ParallelFanout = 32
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -212,6 +208,9 @@ type Server struct {
 	// migrate manages inbound range migrations and the double-read
 	// window state; always non-nil on servers built by NewServer.
 	migrate *migrationManager
+	// handOff is set once Depart has begun: the wait for the successor's
+	// pull of this server's range.
+	handOff atomic.Pointer[handOff]
 
 	// store is the durability layer; nil when DataDir is unset, and
 	// then never consulted on the hot path.
@@ -219,7 +218,7 @@ type Server struct {
 	// stateMu fences mutations against snapshot compaction and orders
 	// multi-shard mutations: every durable entry mutation holds the
 	// read side across its WAL append + table apply, while compaction,
-	// recovery and range mutations (handoff, clear) hold the write
+	// recovery and range mutations (handoffs) hold the write
 	// side — so a snapshot is always a prefix-consistent cut of the
 	// log and a range record is totally ordered against every entry
 	// record. Lock order: entry mutations take stateMu(R) → shard →
@@ -317,7 +316,6 @@ type serverMetrics struct {
 	opPin       *telemetry.Counter
 	opSub       *telemetry.Counter
 	opSubBatch  *telemetry.Counter
-	opBulk      *telemetry.Counter
 	opMigChunk  *telemetry.Counter
 	opMigCommit *telemetry.Counter
 	opSearch    *telemetry.Counter
@@ -368,7 +366,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		opPin:         ops.With("pin-search"),
 		opSub:         ops.With("sub-query"),
 		opSubBatch:    ops.With("sub-query-batch"),
-		opBulk:        ops.With("bulk-insert"),
 		opMigChunk:    ops.With("migrate-chunk"),
 		opMigCommit:   ops.With("migrate-commit"),
 		opSearch:      ops.With("superset-search"),
@@ -448,7 +445,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		met:      newServerMetrics(cfg.Telemetry),
 		shards:   shards,
 		cache:    newResultCache(cfg.CachePolicy, cfg.CacheCapacity, cfg.CacheTargetHit),
-		sessions: newSessionStore(cfg.MaxSessions),
+		sessions: newSessionStore(maxSessions),
 		soft:     newSoftStore(),
 	}
 	s.hot = newHotVertexManager(s, cfg.HotReplicas, cfg.HotPromoteThreshold)
@@ -553,7 +550,7 @@ func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
 	case msgDeleteEntry:
 		return m.ClientID, 0, true
 	}
-	// Everything else — wave traffic, bulk transfers, migration chunks
+	// Everything else — wave traffic, migration chunks
 	// and commits, relayed sub-queries — is interior and never gated.
 	// Relayed sub-queries in particular are the old-owner half of a
 	// migration double-read (every class, pin included): gating them
@@ -631,14 +628,6 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		// back to per-vertex sends for exactly those.
 		s.met.opSubBatch.Inc()
 		return s.subQueryBatch(ctx, msg), nil
-	case msgBulkInsert:
-		s.met.opBulk.Inc()
-		for _, e := range msg.Entries {
-			if err := s.insertEntry(e.Instance, hypercube.Vertex(e.Vertex), e.SetKey, e.ObjectID); err != nil {
-				return nil, err
-			}
-		}
-		return respAck{}, nil
 	case msgMigrateChunk:
 		s.met.opMigChunk.Inc()
 		// Migration frames carry the manager's per-chunk deadline the
@@ -652,7 +641,11 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 				return nil, err
 			}
 		}
-		return s.migrateChunk(ctx, msg)
+		resp, err := s.migrateChunk(ctx, msg)
+		if err == nil {
+			s.noteHandOff(msg.NewID, -1)
+		}
+		return resp, err
 	case msgMigrateCommit:
 		s.met.opMigCommit.Inc()
 		if msg.DeadlineUnixNano > 0 {
@@ -667,6 +660,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		if err != nil {
 			return nil, err
 		}
+		s.noteHandOff(msg.NewID, len(entries))
 		return respMigrateCommit{Dropped: len(entries)}, nil
 	case msgTQuery:
 		s.met.classCounter(msg.Class).Inc()
@@ -774,11 +768,11 @@ func (s *Server) logEntryMutation(sh *tableShard, rec store.Record, applyLocked 
 }
 
 // logRangeMutation appends and applies a record that touches every
-// shard (handoff, clear). A single shard lock cannot order it against
-// concurrent entry mutations, so it holds stateMu exclusively across
-// append + apply instead: entry mutations hold the read side for
-// their whole append+apply window, so the log position of the range
-// record exactly matches its position in the apply order.
+// shard (a handoff, a migration checkpoint). A single shard lock cannot
+// order it against concurrent entry mutations, so it holds stateMu
+// exclusively across append + apply instead: entry mutations hold the
+// read side for their whole append+apply window, so the log position
+// of the range record exactly matches its position in the apply order.
 func (s *Server) logRangeMutation(rec store.Record, apply func()) error {
 	if s.store == nil {
 		apply()
@@ -1169,59 +1163,6 @@ func (s *Server) applyExtractRange(newID, ownerID dht.ID) []BulkEntry {
 	return out
 }
 
-// Drain removes and returns every index entry this server hosts, for
-// transfer to another node on graceful departure. Durable servers log
-// one OpClear record so a later recovery of the data dir reflects the
-// departure.
-func (s *Server) Drain() ([]BulkEntry, error) {
-	var out []BulkEntry
-	err := s.logRangeMutation(store.Record{Op: store.OpClear},
-		func() { out = s.applyDrain() })
-	return out, err
-}
-
-// applyDrain is the table mutation of Drain.
-func (s *Server) applyDrain() []BulkEntry {
-	var out []BulkEntry
-	for _, sh := range s.shards {
-		sh.lock(s.met.shardLockWait)
-		for instance, vertices := range sh.tables {
-			for v, tbl := range vertices {
-				out = appendEntries(out, instance, v, tbl)
-			}
-		}
-		sh.tables = make(map[string]map[hypercube.Vertex]*table)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// DrainTo drains every entry and re-homes it at addr (the departing
-// node's DHT successor, which owns its key range after the split),
-// chunking the transfer by the migration chunk-size knobs so one huge
-// table never becomes one huge frame. It returns the number of
-// entries transferred; on a partial failure the count says how many
-// made it before the error.
-func (s *Server) DrainTo(ctx context.Context, sender transport.Sender, addr transport.Addr) (int, error) {
-	entries, err := s.Drain()
-	if err != nil {
-		return 0, err
-	}
-	chunk := s.cfg.Migration.withDefaults().ChunkEntries
-	sent := 0
-	for sent < len(entries) {
-		end := sent + chunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		if _, err := sender.Send(ctx, addr, msgBulkInsert{Entries: entries[sent:end]}); err != nil {
-			return sent, fmt.Errorf("drain %d of %d entries to %s: %w", len(entries)-sent, len(entries), addr, err)
-		}
-		sent = end
-	}
-	return sent, nil
-}
-
 // applyRecord replays one recovered WAL/snapshot record into the table
 // state. No cache invalidation: recovery runs before the server serves
 // queries (fresh caches), and the sim's in-process recovery resets the
@@ -1235,7 +1176,9 @@ func (s *Server) applyRecord(rec store.Record) error {
 	case store.OpHandoff:
 		s.applyExtractRange(dht.ID(rec.NewID), dht.ID(rec.OwnerID))
 	case store.OpClear:
-		s.applyDrain()
+		// Logged by the graceful drain of earlier releases; nothing
+		// writes it any more, but their data directories still replay.
+		s.clearTables()
 	case store.OpMigrate:
 		s.migrate.applyRecoveredRecord(rec)
 	}
@@ -1303,11 +1246,7 @@ func (s *Server) dumpAll(emit func(store.Record) error) error {
 // durable-recovery mode uses: process memory is lost, disk survives.
 func (s *Server) CrashReset() {
 	s.stateMu.Lock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.tables = make(map[string]map[hypercube.Vertex]*table)
-		sh.mu.Unlock()
-	}
+	s.clearTables()
 	s.stateMu.Unlock()
 	s.cache.reset()
 	s.sessions.reset()
@@ -1316,6 +1255,15 @@ func (s *Server) CrashReset() {
 	// with the process.
 	s.soft.reset()
 	s.hot.reset()
+}
+
+// clearTables drops every table, one stripe at a time.
+func (s *Server) clearTables() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.tables = make(map[string]map[hypercube.Vertex]*table)
+		sh.mu.Unlock()
+	}
 }
 
 // RecoverFromStore replays the data directory (snapshot + WAL tail)

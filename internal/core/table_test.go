@@ -475,10 +475,4 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 		t.Errorf("extractRange left %d objects behind", st.Objects)
 	}
 
-	srv, n = build()
-	drained, err := srv.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perVertexSorted("Drain", drained, n)
 }

@@ -9,9 +9,10 @@ import (
 // live ID — the registry panics on conflicts, and mixed-version fleets
 // would misparse each other. IDs 5 and 6 carried the dedicated pin
 // request/response pair that predates QueryClass (pin is
-// msgTQuery{Class: ClassPin} now); they are retired and stay unassigned
-// forever, so a frame from a peer that still sends them fails to decode
-// instead of being misread.
+// msgTQuery{Class: ClassPin} now), and ID 13 the bulk insert a leaving
+// node pushed its tables with (its successor pulls them now); they are
+// retired and stay unassigned forever, so a frame from a peer that
+// still sends them fails to decode instead of being misread.
 const (
 	wireMsgInsertEntry    = 1
 	wireRespAck           = 2
@@ -23,7 +24,6 @@ const (
 	wireRespSubQuery      = 10
 	wireMsgSubQueryBatch  = 11
 	wireRespSubQueryBatch = 12
-	wireMsgBulkInsert     = 13
 	wireMsgMigrateChunk   = 14
 	wireRespMigrateChunk  = 15
 	wireMsgMigrateCommit  = 16
@@ -45,7 +45,6 @@ func RegisterTypes() {
 	wire.Register[respSubQuery](wireRespSubQuery)
 	wire.Register[msgSubQueryBatch](wireMsgSubQueryBatch)
 	wire.Register[respSubQueryBatch](wireRespSubQueryBatch)
-	wire.Register[msgBulkInsert](wireMsgBulkInsert)
 	wire.Register[msgMigrateChunk](wireMsgMigrateChunk)
 	wire.Register[respMigrateChunk](wireRespMigrateChunk)
 	wire.Register[msgMigrateCommit](wireMsgMigrateCommit)
@@ -401,34 +400,26 @@ func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	for i := range m.Hits {
 		u := &m.Hits[i]
 		u.Index = r.Int()
-		n := r.Count(minMatchBytes)
-		if n > 0 {
-			start := len(arena)
-			if start+n > cap(arena) {
-				// Inconsistent frame-level total; grow rather than trust it.
-				grown := make([]Match, start, start+n)
-				copy(grown, arena)
-				arena = grown
-			}
-			arena = arena[:start+n]
-			for j := start; j < start+n; j++ {
-				unmarshalMatch(r, &arena[j])
-			}
+		if n := r.Count(minMatchBytes); n > 0 {
 			// Three-index slice: a later append by any holder cannot
-			// scribble over the next hit's window.
-			u.Matches = arena[start : start+n : start+n]
+			// scribble over the next hit's window. A hit past an
+			// understated frame-level total gets a slice of its own:
+			// regrowing the arena per hit would cost the square of the
+			// frame.
+			if start := len(arena); start+n <= cap(arena) {
+				arena = arena[:start+n]
+				u.Matches = arena[start : start+n : start+n]
+			} else {
+				u.Matches = make([]Match, n)
+			}
+			for j := range u.Matches {
+				unmarshalMatch(r, &u.Matches[j])
+			}
 		}
 		u.Remaining = r.Int()
 		u.Children = unmarshalEdges(r)
 		u.ErrCode = r.Int()
 	}
-	return r.Err()
-}
-
-func (m *msgBulkInsert) MarshalWire(w *wire.Writer) { marshalBulkEntries(w, m.Entries) }
-
-func (m *msgBulkInsert) UnmarshalWire(r *wire.Reader) error {
-	m.Entries = unmarshalBulkEntries(r)
 	return r.Err()
 }
 

@@ -91,8 +91,6 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		// judging them against the request is the root's job (sendBatch).
 		respSubQueryBatch{Hits: []respSubUnit{{Index: 7, Remaining: 1}, {Index: 7, ErrCode: 2}, {Index: -1, Remaining: 3}}},
 		respSubQueryBatch{},
-		msgBulkInsert{Entries: entries},
-		msgBulkInsert{},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500,
 			MaxBytes: 1 << 20, DeadlineUnixNano: 12345},
 		respMigrateChunk{Entries: entries, Cursor: cursor, Done: true},
@@ -105,12 +103,13 @@ func TestCoreWireRoundTrip(t *testing.T) {
 }
 
 // TestRetiredWireIDsStayUnassigned: IDs 5 and 6 carried the dedicated
-// pin request/response pair. No codec may ever claim them again — a
+// pin request/response pair, ID 13 the bulk insert a leaving node
+// pushed its tables with. No codec may ever claim them again — a
 // frame from a peer that still sends them must fail to decode (tcpnet's
 // TestRetiredTypeIDFrameRejected), not be misread as a newer message.
 func TestRetiredWireIDsStayUnassigned(t *testing.T) {
 	RegisterTypes()
-	for _, id := range []uint16{5, 6} {
+	for _, id := range []uint16{5, 6, 13} {
 		if c, ok := wire.LookupID(id); ok {
 			t.Errorf("retired wire ID %d is registered to %s", id, c.Name())
 		}

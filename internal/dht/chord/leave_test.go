@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -35,7 +36,7 @@ func TestLeaveTransfersReferences(t *testing.T) {
 	if leaver.RefCount() == 0 {
 		t.Fatal("no node holds references")
 	}
-	if err := leaver.Leave(ctx); err != nil {
+	if _, err := leaver.Leave(ctx); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
 	if leaver.RefCount() != 0 {
@@ -75,7 +76,7 @@ func TestLeaveSingletonRing(t *testing.T) {
 	solo := New("solo-leave", net, Config{})
 	net.Bind("solo-leave", solo.Handler)
 	solo.Create()
-	if err := solo.Leave(context.Background()); err != nil {
+	if _, err := solo.Leave(context.Background()); err != nil {
 		t.Fatalf("singleton Leave: %v", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestLeaveBeforeJoin(t *testing.T) {
 	net := inmem.New(1)
 	defer net.Close()
 	n := New("never-joined", net, Config{})
-	if err := n.Leave(context.Background()); !errors.Is(err, dht.ErrNotJoined) {
+	if _, err := n.Leave(context.Background()); !errors.Is(err, dht.ErrNotJoined) {
 		t.Errorf("Leave before join: %v", err)
 	}
 }
@@ -99,7 +100,7 @@ func TestLeaveTwoNodeRing(t *testing.T) {
 	if _, err := nodes[0].Insert(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[1].Leave(ctx); err != nil {
+	if _, err := nodes[1].Leave(ctx); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
 	remaining := nodes[0]
@@ -109,5 +110,63 @@ func TestLeaveTwoNodeRing(t *testing.T) {
 	}
 	if _, err := remaining.Read(ctx, "pair-obj"); err != nil {
 		t.Errorf("Read after pair leave: %v", err)
+	}
+}
+
+// TestLeaveFiresDepartHookOnSuccessor: the successor that accepts a
+// departure — the node Leave returns — learns the leaver and its
+// predecessor from the depart hook, exactly once, while the predecessor
+// (whose depart message names the successor instead) does not fire it.
+// The index layer pulls the leaver's arc (pred, leaver] off this hook.
+func TestLeaveFiresDepartHookOnSuccessor(t *testing.T) {
+	net := inmem.New(1)
+	defer net.Close()
+	ctx := context.Background()
+	nodes := buildRing(t, net, 4)
+	pred, leaver, succ := nodes[0], nodes[1], nodes[2]
+
+	type departure struct{ leaver, pred NodeInfo }
+	fired := make(chan departure, 8)
+	for _, n := range nodes {
+		n := n
+		n.OnDepart(func(l, p NodeInfo) {
+			if n != succ {
+				t.Errorf("depart hook fired on %s, want only the successor %s", n.Addr(), succ.Addr())
+			}
+			fired <- departure{l, p}
+		})
+	}
+	got, err := leaver.Leave(ctx)
+	if err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	if got.ID != succ.ID() {
+		t.Fatalf("Leave handed off to %s, want the successor %s", got.Addr, succ.Addr())
+	}
+	select {
+	case d := <-fired:
+		if d.leaver.ID != leaver.ID() || d.pred.ID != pred.ID() {
+			t.Fatalf("depart hook got (leaver %s, pred %s), want (%s, %s)", d.leaver.Addr, d.pred.Addr, leaver.Addr(), pred.Addr())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("depart hook never fired")
+	}
+	select {
+	case d := <-fired:
+		t.Fatalf("depart hook fired twice (second: %+v)", d)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestLeaveReportsRefusingSuccessor: when the successor does not accept
+// the departure, Leave names no successor and reports the failure.
+func TestLeaveReportsRefusingSuccessor(t *testing.T) {
+	net := inmem.New(1)
+	defer net.Close()
+	nodes := buildRing(t, net, 3)
+	net.SetDown(nodes[2].Addr(), true)
+	got, err := nodes[1].Leave(context.Background())
+	if err == nil || !got.zero() {
+		t.Fatalf("Leave with a dead successor = (%+v, %v), want (zero, error)", got, err)
 	}
 }

@@ -69,6 +69,7 @@ type Node struct {
 	nextFinger  int
 	refs        dht.RefStore
 	succHook    func(NodeInfo)
+	departHook  func(leaver, pred NodeInfo)
 
 	maintStop chan struct{}
 	maintDone chan struct{}
@@ -134,6 +135,19 @@ func New(addr transport.Addr, net transport.Sender, cfg Config) *Node {
 func (n *Node) OnSuccessorChange(fn func(succ NodeInfo)) {
 	n.mu.Lock()
 	n.succHook = fn
+	n.mu.Unlock()
+}
+
+// OnDepart registers fn to be invoked on the successor of a gracefully
+// departing node once it has spliced the leaver out: from then on this
+// node owns the leaver's arc (pred, leaver]. pred is the leaver's
+// predecessor, or this node itself when the leaver knew none — the arc
+// is then (self, leaver]. Like OnSuccessorChange, the hook runs on its
+// own goroutine outside the node's lock; one hook at a time, nil
+// unregisters.
+func (n *Node) OnDepart(fn func(leaver, pred NodeInfo)) {
+	n.mu.Lock()
+	n.departHook = fn
 	n.mu.Unlock()
 }
 
@@ -321,14 +335,17 @@ func (n *Node) Shutdown() {
 
 // Leave departs the ring gracefully: it hands every stored reference
 // to the successor and tells both neighbors to splice this node out,
-// then shuts down. Best effort — unreachable neighbors degrade to the
-// crash-stop path, which stabilization heals.
-func (n *Node) Leave(ctx context.Context) error {
+// then shuts down. It returns the successor that accepted the departure
+// — the node that now owns this node's arc — or the zero NodeInfo when
+// none did (a singleton ring, or the depart to the successor failed,
+// which err then reports). Best effort — unreachable neighbors degrade
+// to the crash-stop path, which stabilization heals.
+func (n *Node) Leave(ctx context.Context) (NodeInfo, error) {
 	n.StopMaintenance()
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
-		return dht.ErrNotJoined
+		return NodeInfo{}, dht.ErrNotJoined
 	}
 	n.joined = false
 	n.met.leaves.Inc()
@@ -341,25 +358,24 @@ func (n *Node) Leave(ctx context.Context) error {
 	n.mu.Unlock()
 
 	if succ.zero() || succ.ID == n.self.ID {
-		return nil // singleton ring: nothing to hand off
+		return NodeInfo{}, nil // singleton ring: nothing to hand off
 	}
-	var firstErr error
 	if _, err := n.call(ctx, succ.Addr, rpcDepart{
 		Leaver:      n.self,
 		Predecessor: pred,
 		Refs:        refs,
 	}); err != nil {
-		firstErr = fmt.Errorf("depart to successor %s: %w", succ.Addr, err)
+		return NodeInfo{}, fmt.Errorf("depart to successor %s: %w", succ.Addr, err)
 	}
 	if !pred.zero() && pred.ID != n.self.ID {
 		if _, err := n.call(ctx, pred.Addr, rpcDepart{
 			Leaver:    n.self,
 			Successor: succ,
-		}); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("depart to predecessor %s: %w", pred.Addr, err)
+		}); err != nil {
+			return succ, fmt.Errorf("depart to predecessor %s: %w", pred.Addr, err)
 		}
 	}
-	return firstErr
+	return succ, nil
 }
 
 // MaintainOnce runs one round of stabilize, fix-fingers and

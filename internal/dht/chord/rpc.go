@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"cmp"
 	"context"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
@@ -61,9 +62,9 @@ type (
 	respHandoff struct{ Refs []dht.Reference }
 
 	// rpcDepart notifies the receiver that a neighbor is leaving
-	// gracefully: the successor receives the leaver's references and
-	// adopts its predecessor; the predecessor adopts the leaver's
-	// successor.
+	// gracefully: the successor receives the leaver's references, adopts
+	// its predecessor and starts pulling its index range; the
+	// predecessor adopts the leaver's successor.
 	rpcDepart struct {
 		Leaver      NodeInfo
 		Predecessor NodeInfo // set when sent to the successor
@@ -214,11 +215,15 @@ func (n *Node) handleHandoff(newNode NodeInfo) respHandoff {
 
 // handleDepart splices a gracefully leaving neighbor out of the ring:
 // refs (sent to the successor) are absorbed, and the leaver's other
-// neighbor replaces it in our pointers.
+// neighbor replaces it in our pointers. The message to the successor is
+// the one without a Successor; it fires the depart hook.
 func (n *Node) handleDepart(msg rpcDepart) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	defer n.succChangedLocked(n.headSuccessorLocked())
+	if hook := n.departHook; hook != nil && msg.Successor.zero() {
+		go hook(msg.Leaver, cmp.Or(msg.Predecessor, n.self))
+	}
 	for _, ref := range msg.Refs {
 		n.refs.Insert(ref)
 	}

@@ -21,7 +21,8 @@ const (
 	// The surviving set is a deterministic function of the table state,
 	// so replaying the record reproduces the extraction exactly.
 	OpHandoff
-	// OpClear wipes every entry (graceful departure drains the tables).
+	// OpClear wipes every entry. The graceful drain of earlier releases
+	// logged it; nothing writes it now, but their logs still replay.
 	OpClear
 	// OpMigrate checkpoints an inbound range migration: the range bounds
 	// (NewID, OwnerID], the source address the chunks are pulled from,

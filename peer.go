@@ -249,6 +249,12 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	node.OnSuccessorChange(func(succ chord.NodeInfo) {
 		server.EnqueueMigration(succ.Addr, uint64(node.ID()), uint64(succ.ID))
 	})
+	// A graceful departure of this node's predecessor hands it the
+	// leaver's arc (pred, leaver]: the keys NOT in (leaver, pred], pulled
+	// from the leaver like any other range.
+	node.OnDepart(func(leaver, pred chord.NodeInfo) {
+		server.EnqueueMigration(leaver.Addr, uint64(leaver.ID), uint64(pred.ID))
+	})
 
 	// One client per index replica: replica i has its own keyword hash
 	// (seeded off the deployment seed) and its own vertex→node salt,
@@ -367,7 +373,7 @@ func (p *Peer) StabilizeOnce(ctx context.Context) error {
 // references and index entries become unreachable (crash-stop); the
 // remaining network heals via Chord stabilization. A durable peer
 // restarted from the same DataDir recovers its index. Use Leave for a
-// graceful departure that transfers state instead.
+// graceful departure that hands its state to its successor instead.
 func (p *Peer) Close() error {
 	p.chord.Shutdown()
 	var err error
@@ -380,33 +386,26 @@ func (p *Peer) Close() error {
 	return err
 }
 
-// Leave departs the network gracefully: the peer's DHT references and
-// index entries transfer to its ring successor (which owns the peer's
-// key range after departure), both neighbors splice it out, and the
-// endpoint closes. It returns the number of index entries actually
-// transferred — on errors that count may cover only a prefix of the
-// table, and the network still heals via stabilization.
-func (p *Peer) Leave(ctx context.Context) (transferred int, err error) {
-	succ := p.chord.Successor()
-	leaveErr := p.chord.Leave(ctx)
-	if succ.Addr != "" && succ.Addr != p.addr {
-		sent, err := p.server.DrainTo(ctx, p.sender, succ.Addr)
-		transferred = sent
-		if err != nil && leaveErr == nil {
-			leaveErr = err
-		}
+// Leave departs the network gracefully. The peer's DHT references move
+// to its ring successor with the splice; its index entries move the way
+// a joiner's do (DESIGN §11): the successor pulls the peer's key range
+// in chunks while this peer keeps serving it, and reads of the range
+// double-read here until the pull commits, so no entry is ever
+// invisible. Leave returns once that commit has dropped the range here,
+// with the number of entries it dropped, and then closes the peer. If
+// the successor does not accept the departure, Leave returns the error
+// at once; if ctx ends first, or the pull stalls past the migration
+// retry budget, Leave returns that error. Either way nothing was
+// dropped: the entries stay in this peer's DataDir.
+func (p *Peer) Leave(ctx context.Context) (moved int, err error) {
+	wait := p.server.Depart(uint64(p.chord.ID()))
+	succ, err := p.chord.Leave(ctx)
+	if succ.Addr != "" {
+		var werr error
+		moved, werr = wait(ctx)
+		err = errors.Join(err, werr)
 	}
-	if p.endpoint != nil {
-		if err := p.endpoint.Close(); err != nil && leaveErr == nil {
-			leaveErr = err
-		}
-	}
-	// The drain was logged (OpClear), so a later restart from this
-	// DataDir correctly recovers an empty index.
-	if err := p.server.Close(); err != nil && leaveErr == nil {
-		leaveErr = err
-	}
-	return transferred, leaveErr
+	return moved, errors.Join(err, p.Close())
 }
 
 // Publish shares a copy of an object held by this peer: it inserts the
