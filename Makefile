@@ -10,8 +10,8 @@ all: build test
 # suite (includes the telemetry concurrency hammer), the allocation
 # budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
 # live-churn migration smoke, the open-loop load-rig smoke, the
-# wire-decoder, listener-preamble, table, reference-store, Chord-decoder
-# and core-decoder fuzz smokes, the Zipf
+# wire-decoder, listener-preamble, table, reference-store, Chord-decoder,
+# core-decoder, inverted-index-decoder and WAL-record fuzz smokes, the Zipf
 # hotspot-storm smoke, the prefix-multicast smoke, and a single-iteration
 # benchmark smoke pass.
 ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
@@ -52,25 +52,23 @@ loc:
 		| xargs awk -v by=dir '$(LOC_AWK)' | sort -k2
 	@ls internal/core/*.go | grep -v _test.go | xargs awk -v by=file '$(LOC_AWK)' | sort -k2
 
-# One iteration of every benchmark, as a smoke test: the figure
-# pipelines still run end to end, BenchmarkWaveBatching enforces its
-# >= 3x physical-frame reduction on the 64-peer fleet at r = 10,
-# BenchmarkParallelBatchScan enforces >= 2x scan throughput from
-# sharding + parallel batch scans, and BenchmarkDurableIndexingOverhead
-# gates the WAL's end-to-end indexing overhead at 10% with
-# fsync=interval (both gates engage on machines with 4+ cores). The
-# durability benchmarks are also recorded into results/wal.txt.
-# BenchmarkWireCodec and BenchmarkWireRPC report the wire codec's and
-# one loopback RPC's time, allocations and bytes; they gate nothing (the
-# byte sizes are pinned by TestWireCodecBytesPinned and
-# TestWireRPCBytesPinned in tier-1, timing is ksperf's) and are recorded
-# into results/wire.txt. BenchmarkHotQueryCache gates the popularity
-# cache at >= 2x better p99 than FIFO on the Zipf mix at equal
-# capacity (miss-count comparison asserted unconditionally, timing
-# gate on 4+ cores) and is recorded into results/cache.txt.
-# BenchmarkMegaWave prints time, bytes and allocations of one exhaustive
-# r = 10 wave over a 16-peer ring at a steady iteration count (bytes/op
-# / 512 is alloc-smoke's per-vertex figure).
+# One iteration of every benchmark, as a smoke test. What it gates is
+# deterministic: the figure pipelines still run end to end,
+# BenchmarkWaveBatching enforces its >= 3x physical-frame reduction on
+# the 64-peer fleet at r = 10, and BenchmarkHotQueryCache asserts that
+# the popularity cache keeps the Zipf head (< 1% misses) where FIFO
+# thrashes (>= 1%) at equal capacity. Wall-clock time gates nothing
+# here — benchmarks/ksperf's bounds are the timing gate — and is only
+# reported: BenchmarkDurableIndexingOverhead's WAL overhead with
+# fsync=interval (recorded with the other durability benchmarks into
+# results/wal.txt), BenchmarkWireCodec's and BenchmarkWireRPC's time,
+# allocations and bytes (recorded into results/wire.txt; their byte
+# sizes are pinned by TestWireCodecBytesPinned and
+# TestWireRPCBytesPinned in tier-1), and BenchmarkHotQueryCache's hot
+# vs FIFO p99 (recorded into results/cache.txt). BenchmarkMegaWave
+# prints time, bytes and allocations of one exhaustive r = 10 wave over
+# a 16-peer ring at a steady iteration count (bytes/op / 512 is
+# alloc-smoke's per-vertex figure).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkMegaWave -benchtime 200x ./internal/core/
@@ -139,9 +137,13 @@ zipf-smoke:
 # vertex must agree with a plain map model for every query class and
 # window. The DHT reference store: arbitrary insert/delete/refs/extract
 # sequences must agree with a nested-map model. The Chord decoders (wire
-# IDs 32-49) and the index-protocol decoders (wire IDs 1-4, 7-12 and
-# 14-19): a clean error or a value that re-encodes to the input, with
-# allocation bounded by the payload. The full corpora live under the
+# IDs 32-49), the index-protocol decoders (wire IDs 1-4, 7-12 and
+# 14-19) and the inverted-index decoders (wire IDs 64-69): a clean error
+# or a value that re-encodes to the input, with allocation bounded by
+# the payload. The WAL/snapshot record reader: no panic, a decoded
+# prefix that re-encodes to its bytes, torn tails told apart from
+# corrupt middles, allocation bounded per input byte. Seed corpora are
+# checked in under testdata/fuzz; the full corpora live under the
 # standard go fuzz cache.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/transport/tcpnet/
@@ -150,6 +152,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRefStoreOps -fuzztime 10s ./internal/dht/
 	$(GO) test -run '^$$' -fuzz FuzzChordDecode -fuzztime 10s ./internal/dht/chord/
 	$(GO) test -run '^$$' -fuzz FuzzCoreDecode -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzInvindexDecode -fuzztime 10s ./internal/invindex/
+	$(GO) test -run '^$$' -fuzz FuzzStoreRecord -fuzztime 10s ./internal/store/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

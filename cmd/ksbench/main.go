@@ -62,8 +62,6 @@ func run(args []string) error {
 		telem     = fs.Bool("telemetry", false, "instrument the simulated deployments and print a JSON registry snapshot after the run")
 		batchOn   = fs.Bool("batch-waves", true, "coalesce parallel search waves into one RPC frame per distinct peer in the simulated deployments")
 		batchN    = fs.Int("batch-peers", 64, "physical fleet size for the 'batch' study")
-		shards    = fs.Int("shards", 0, "index-table lock stripes per simulated server (0 = GOMAXPROCS rounded to a power of two, 1 = single lock)")
-		scanPar   = fs.Int("scan-parallelism", 0, "worker pool for batched sub-query scans per server (0 = GOMAXPROCS, 1 = sequential)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -95,7 +93,6 @@ func run(args []string) error {
 			}
 		}()
 	}
-	tune := serverTuning{shards: *shards, scanPar: *scanPar}
 	var reg *telemetry.Registry
 	if *telem {
 		reg = telemetry.New(256)
@@ -148,7 +145,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(out, "fig8 query log: top-10 templates account for %.1f%% of volume (paper: >60%%)\n\n",
 			100*log.TopShare(10))
-		if err := runFig8(out, c, log, parseInts(*fig8R), *fig8Q, reg, batchMode(*batchOn), tune); err != nil {
+		if err := runFig8(out, c, log, parseInts(*fig8R), *fig8Q, reg, batchMode(*batchOn)); err != nil {
 			return err
 		}
 	}
@@ -171,7 +168,7 @@ func run(args []string) error {
 		}
 	}
 	if want("costs") {
-		if err := runCosts(out, c, reg, batchMode(*batchOn), tune); err != nil {
+		if err := runCosts(out, c, reg, batchMode(*batchOn)); err != nil {
 			return err
 		}
 	}
@@ -549,14 +546,11 @@ func renderEq1(out *os.File) {
 	fmt.Fprintln(out)
 }
 
-func runFig8(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, perM int, reg *telemetry.Registry, batch core.BatchMode, tune serverTuning) error {
+func runFig8(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, perM int, reg *telemetry.Registry, batch core.BatchMode) error {
 	recalls := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 	for _, r := range rs {
 		fmt.Fprintf(os.Stderr, "fig8: deploying 2^%d index nodes and inserting corpus...\n", r)
-		d, err := sim.NewCustomDeployment(sim.DeployConfig{
-			R: r, Telemetry: reg, Batch: batch,
-			Shards: tune.shards, ScanParallelism: tune.scanPar,
-		})
+		d, err := sim.NewCustomDeployment(sim.DeployConfig{R: r, Telemetry: reg, Batch: batch})
 		if err != nil {
 			return err
 		}
@@ -601,13 +595,6 @@ func runFig9(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, max
 	return nil
 }
 
-// serverTuning carries the -shards/-scan-parallelism knobs into the
-// simulated deployments (0 = library defaults).
-type serverTuning struct {
-	shards  int
-	scanPar int
-}
-
 // batchMode maps the -batch-waves flag onto the core knob.
 func batchMode(on bool) core.BatchMode {
 	if on {
@@ -634,11 +621,8 @@ func runBatchStudy(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, peers i
 	return nil
 }
 
-func runCosts(out *os.File, c *corpus.Corpus, reg *telemetry.Registry, batch core.BatchMode, tune serverTuning) error {
-	d, err := sim.NewCustomDeployment(sim.DeployConfig{
-		R: 10, Telemetry: reg, Batch: batch,
-		Shards: tune.shards, ScanParallelism: tune.scanPar,
-	})
+func runCosts(out *os.File, c *corpus.Corpus, reg *telemetry.Registry, batch core.BatchMode) error {
+	d, err := sim.NewCustomDeployment(sim.DeployConfig{R: 10, Telemetry: reg, Batch: batch})
 	if err != nil {
 		return err
 	}

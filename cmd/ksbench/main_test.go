@@ -143,3 +143,14 @@ func TestRunBadFlag(t *testing.T) {
 		t.Error("bad flag accepted")
 	}
 }
+
+// TestTuningFlagsAreGone: each simulated server takes its lock stripes
+// and scan workers from GOMAXPROCS, so neither is a flag.
+func TestTuningFlagsAreGone(t *testing.T) {
+	for _, name := range []string{"-shards", "-scan-parallelism"} {
+		err := run([]string{name, "4"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s 4) = %v, want an unknown-flag error", name, err)
+		}
+	}
+}

@@ -41,10 +41,9 @@ func main() {
 }
 
 type options struct {
-	transport     string
-	listenWorkers int
-	r             int
-	peers         int
+	transport string
+	r         int
+	peers     int
 
 	objects    int
 	corpusSeed int64
@@ -92,7 +91,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ksload", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.transport, "transport", "inmem", "fleet transport: inmem or tcp")
-	fs.IntVar(&o.listenWorkers, "listen-workers", 0, "tcp: decode/handler workers shared by all connections per peer (0 = 2x GOMAXPROCS, min 4)")
 	fs.IntVar(&o.r, "r", 8, "hypercube dimensionality")
 	fs.IntVar(&o.peers, "peers", 16, "physical fleet size")
 	fs.IntVar(&o.objects, "objects", 2000, "corpus size")

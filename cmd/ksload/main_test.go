@@ -45,3 +45,12 @@ func TestWireFlagIsGone(t *testing.T) {
 		t.Fatalf("run(-wire gob) = %v, want an unknown-flag error", err)
 	}
 }
+
+// TestListenWorkersFlagIsGone: a TCP peer sizes its listener pool from
+// GOMAXPROCS, so the pool size is not a flag.
+func TestListenWorkersFlagIsGone(t *testing.T) {
+	err := run([]string{"-listen-workers", "4"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("run(-listen-workers 4) = %v, want an unknown-flag error", err)
+	}
+}

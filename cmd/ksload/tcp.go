@@ -25,10 +25,7 @@ type tcpFleet struct {
 
 func newTCPFleet(o *options, c *corpus.Corpus, pol *admission.Policy) (*tcpFleet, error) {
 	keysearch.RegisterTypes()
-	net, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{ListenWorkers: o.listenWorkers})
-	if err != nil {
-		return nil, err
-	}
+	net := keysearch.NewTCPTransport()
 	cfg := keysearch.Config{
 		Dim: o.r, MaintenanceInterval: -1, Admission: pol,
 		CacheCapacity:       o.cacheUnits,

@@ -61,8 +61,6 @@ func run(args []string) error {
 		resilient   = fs.Bool("resilience", true, "retry/backoff and circuit breakers on outbound RPCs")
 		hedgeAfter  = fs.Duration("hedge-after", 0, "duplicate still-unanswered read-only RPCs after this delay (0 = no hedging; requires -resilience)")
 		batchWaves  = fs.Bool("batch-waves", true, "coalesce parallel search waves into one RPC frame per distinct peer")
-		shards      = fs.Int("shards", 0, "index-table lock stripes (0 = GOMAXPROCS rounded to a power of two, 1 = single lock)")
-		scanPar     = fs.Int("scan-parallelism", 0, "worker pool for batched sub-query scans (0 = GOMAXPROCS, 1 = sequential)")
 		dataDir     = fs.String("data-dir", "", "durable index state directory: WAL + snapshots, replayed on restart (empty = in-memory only)")
 		fsyncPolicy = fs.String("fsync", "interval", "WAL flush policy with -data-dir: always | interval | off")
 		snapEvery   = fs.Int("snapshot-every", 0, "compact the WAL into a snapshot after this many mutations (0 = default, negative = never)")
@@ -74,10 +72,7 @@ func run(args []string) error {
 		clientRate   = fs.Float64("client-rate", 0, "admission: per-client sustained request rate, req/s (0 = no fair queuing)")
 		clientBurst  = fs.Float64("client-burst", 0, "admission: per-client token-bucket burst (0 = rate/4)")
 
-		listenWorkers = fs.Int("listen-workers", 0, "decode/handler workers shared by all connections (0 = 2x GOMAXPROCS, min 4)")
-
 		migEntries  = fs.Int("migrate-chunk-entries", 0, "entries per inbound migration chunk (0 = default, 512)")
-		migBytes    = fs.Int("migrate-chunk-bytes", 0, "approximate payload bytes per migration chunk (0 = default, 256 KiB)")
 		migThrottle = fs.Duration("migrate-throttle", 0, "pause between migration chunks, bounding transfer bandwidth (0 = back to back)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -107,10 +102,7 @@ func run(args []string) error {
 	}
 
 	keysearch.RegisterTypes()
-	transport, err := keysearch.NewTCPTransportConfig(keysearch.TCPConfig{ListenWorkers: *listenWorkers})
-	if err != nil {
-		return err
-	}
+	transport := keysearch.NewTCPTransport()
 	defer transport.Close()
 	transport.SetTelemetry(reg)
 
@@ -146,14 +138,11 @@ func run(args []string) error {
 		Telemetry:           reg,
 		Resilience:          pol,
 		BatchWaves:          batch,
-		Shards:              *shards,
-		ScanParallelism:     *scanPar,
 		DataDir:             *dataDir,
 		FsyncPolicy:         *fsyncPolicy,
 		SnapshotEvery:       *snapEvery,
 		Admission:           adm,
 		MigrateChunkEntries: *migEntries,
-		MigrateChunkBytes:   *migBytes,
 		MigrateThrottle:     *migThrottle,
 	})
 	if err != nil {
@@ -344,6 +333,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		}
 		if ms.FlushFailures > 0 {
 			fmt.Printf("migration: %d failed tombstone deletes, last: %s\n", ms.FlushFailures, ms.LastFlushError)
+		}
+		if ms.CheckpointFailures > 0 {
+			fmt.Printf("migration: %d failed checkpoints, last: %s\n", ms.CheckpointFailures, ms.LastCheckpointError)
 		}
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])

@@ -192,3 +192,15 @@ func TestDispatchUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestTuningFlagsAreGone: lock stripes, scan workers and listener
+// workers come from GOMAXPROCS and the migration byte cap is a
+// constant, so none of them is a flag.
+func TestTuningFlagsAreGone(t *testing.T) {
+	for _, name := range []string{"-shards", "-scan-parallelism", "-listen-workers", "-migrate-chunk-bytes"} {
+		err := run([]string{name, "4"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s 4) = %v, want an unknown-flag error", name, err)
+		}
+	}
+}

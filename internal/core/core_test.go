@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -34,14 +35,6 @@ func newDeployment(t *testing.T, r, nServers, cacheCap int) *deployment {
 // mode, for tests comparing the batched and per-message dispatch paths.
 func newDeploymentMode(t *testing.T, r, nServers, cacheCap int, mode BatchMode) *deployment {
 	t.Helper()
-	return newDeploymentTuned(t, r, nServers, cacheCap, mode, 0, 0)
-}
-
-// newDeploymentTuned additionally pins every server's lock-stripe count
-// and scan parallelism, for tests comparing the sharded/parallel and
-// single-lock/sequential configurations (0 = library defaults).
-func newDeploymentTuned(t *testing.T, r, nServers, cacheCap int, mode BatchMode, shards, scanPar int) *deployment {
-	t.Helper()
 	net := inmem.New(1)
 	t.Cleanup(func() { net.Close() })
 	hasher := keyword.MustNewHasher(r, 42)
@@ -55,13 +48,11 @@ func newDeploymentTuned(t *testing.T, r, nServers, cacheCap int, mode BatchMode,
 	servers := make([]*Server, nServers)
 	for i := range servers {
 		srv, err := NewServer(ServerConfig{
-			Hasher:          hasher,
-			Resolver:        resolver,
-			Sender:          net,
-			CacheCapacity:   cacheCap,
-			BatchWaves:      mode,
-			Shards:          shards,
-			ScanParallelism: scanPar,
+			Hasher:        hasher,
+			Resolver:      resolver,
+			Sender:        net,
+			CacheCapacity: cacheCap,
+			BatchWaves:    mode,
 		})
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)
@@ -76,6 +67,28 @@ func newDeploymentTuned(t *testing.T, r, nServers, cacheCap int, mode BatchMode,
 		t.Fatalf("NewClient: %v", err)
 	}
 	return &deployment{net: net, hasher: hasher, servers: servers, addrs: addrs, client: client}
+}
+
+// withProcs runs fn with GOMAXPROCS set to procs and restores it after
+// (procs 0 leaves it alone). A server built inside takes its lock-stripe
+// count and scan-worker limit from procs.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// newDeploymentTuned builds the servers with GOMAXPROCS = stripes, which
+// fixes their lock-stripe count, then sets their scan-worker limit to
+// workers: one GOMAXPROCS value alone gives equal counts, and the
+// sharding × scan-parallelism matrix also needs the unequal cells.
+func newDeploymentTuned(t *testing.T, r, nServers, cacheCap int, mode BatchMode, stripes, workers int) *deployment {
+	t.Helper()
+	var d *deployment
+	withProcs(stripes, func() { d = newDeploymentMode(t, r, nServers, cacheCap, mode) })
+	for _, srv := range d.servers {
+		srv.scanWorkers = workers
+	}
+	return d
 }
 
 // serverFor returns the server hosting vertex v.

@@ -18,7 +18,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
 
-// newDurableDeployment is newDeploymentTuned with a data directory per
+// newDurableDeployment is newDeployment with a data directory per
 // server: dirs[i] backs servers[i]. Reusing the same dirs across two
 // constructions models a full-fleet restart.
 func newDurableDeployment(t *testing.T, r, nServers, cacheCap int, dirs []string, fsync store.FsyncPolicy, snapEvery int, reg *telemetry.Registry) *deployment {
@@ -89,7 +89,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 	const r, nServers = 8, 4
 	dirs := tempDirs(t, nServers)
 	durable := newDurableDeployment(t, r, nServers, 0, dirs, store.FsyncOff, 0, nil)
-	plain := newDeploymentTuned(t, r, nServers, 0, BatchAuto, 0, 0)
+	plain := newDeploymentMode(t, r, nServers, 0, BatchAuto)
 
 	objects := batchCorpus(31, 120)
 	ctx := context.Background()

@@ -52,8 +52,6 @@ const (
 type MigrationConfig struct {
 	// ChunkEntries caps the entries per pulled chunk.
 	ChunkEntries int
-	// ChunkBytes caps the approximate payload bytes per pulled chunk.
-	ChunkBytes int
 	// Throttle pauses between chunks, bounding the transfer's bandwidth
 	// and lock footprint (0 = pull back to back).
 	Throttle time.Duration
@@ -71,9 +69,6 @@ type MigrationConfig struct {
 func (c MigrationConfig) withDefaults() MigrationConfig {
 	if c.ChunkEntries <= 0 {
 		c.ChunkEntries = defaultChunkEntries
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = defaultChunkBytes
 	}
 	if c.ChunkTimeout <= 0 {
 		c.ChunkTimeout = defaultChunkTimeout
@@ -104,6 +99,11 @@ type MigrationStats struct {
 	// delete (a WAL append error); LastFlushError is the latest cause.
 	FlushFailures  uint64
 	LastFlushError string
+	// CheckpointFailures counts OpMigrate checkpoints a durable puller
+	// failed to append (the pull goes on; a crash then re-pulls more);
+	// LastCheckpointError is the latest cause.
+	CheckpointFailures  uint64
+	LastCheckpointError string
 }
 
 // migKey identifies one migration: the range bounds the puller asks
@@ -131,6 +131,8 @@ type migrateMetrics struct {
 	commits     *telemetry.Counter
 	failures    *telemetry.Counter
 	flushFails  *telemetry.Counter
+
+	checkpointFails *telemetry.Counter
 }
 
 // migrationManager owns the server's inbound migrations: the worker
@@ -151,7 +153,9 @@ type migrationManager struct {
 	closed    bool
 	lastAbort string // source and cause of the latest aborted migration
 	lastFlush string // cause of the latest failed tombstone delete
-	wg        sync.WaitGroup
+	// lastCheckpoint is the cause of the latest failed checkpoint append.
+	lastCheckpoint string
+	wg             sync.WaitGroup
 
 	// windowCount is |active| + |recovered|: the number of open
 	// double-read windows. Hot read paths gate on this single atomic,
@@ -176,6 +180,8 @@ type migrationManager struct {
 	nCommits     atomic.Uint64
 	nFailures    atomic.Uint64
 	nFlushFails  atomic.Uint64
+
+	nCheckpointFails atomic.Uint64
 }
 
 func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry) *migrationManager {
@@ -197,6 +203,8 @@ func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry
 			commits:     reg.Counter("migrate_commits_total"),
 			failures:    reg.Counter("migrate_failures_total"),
 			flushFails:  reg.Counter("migrate_tombstone_flush_failures_total"),
+
+			checkpointFails: reg.Counter("migrate_checkpoint_failures_total"),
 		},
 	}
 	if reg != nil {
@@ -237,6 +245,7 @@ func (s *Server) MigrationStats() MigrationStats {
 	}
 	m.mu.Lock()
 	active, recovered, lastAbort, lastFlush := len(m.active), len(m.recovered), m.lastAbort, m.lastFlush
+	lastCheckpoint := m.lastCheckpoint
 	m.mu.Unlock()
 	return MigrationStats{
 		Active:      active,
@@ -252,6 +261,9 @@ func (s *Server) MigrationStats() MigrationStats {
 
 		FlushFailures:  m.nFlushFails.Load(),
 		LastFlushError: lastFlush,
+
+		CheckpointFailures:  m.nCheckpointFails.Load(),
+		LastCheckpointError: lastCheckpoint,
 	}
 }
 
@@ -516,7 +528,7 @@ func (m *migrationManager) pullChunk(key migKey, cursor wireCursor) (respMigrate
 	raw, err := m.sendRetry(key.source, func(deadlineNS int64) any {
 		return msgMigrateChunk{
 			NewID: key.newID, OwnerID: key.ownerID, Cursor: cursor,
-			MaxEntries: m.cfg.ChunkEntries, MaxBytes: m.cfg.ChunkBytes,
+			MaxEntries: m.cfg.ChunkEntries, MaxBytes: defaultChunkBytes,
 			DeadlineUnixNano: deadlineNS,
 		}
 	})
@@ -583,17 +595,25 @@ func (m *migrationManager) sendRetry(addr transport.Addr, build func(deadlineNS 
 // logRecord appends an OpMigrate checkpoint through the range-mutation
 // path (totally ordered against every entry record). Best effort: a
 // failed append only widens the re-pull window after a crash, and the
-// chunk inserts are idempotent.
+// chunk inserts are idempotent — so the pull goes on, and the failure
+// is counted with its cause.
 func (m *migrationManager) logRecord(key migKey, cur wireCursor, done bool) {
 	if m.s.store == nil {
 		return
 	}
-	_ = m.s.logRangeMutation(store.Record{
+	err := m.s.logRangeMutation(store.Record{
 		Op: store.OpMigrate, NewID: key.newID, OwnerID: key.ownerID,
 		Source: string(key.source), Done: done,
 		HasCursor: cur.Started, Instance: cur.Instance, Vertex: cur.Vertex,
 		SetKey: cur.SetKey, ObjectID: cur.ObjectID,
 	}, func() {})
+	if err != nil {
+		m.mu.Lock()
+		m.lastCheckpoint = fmt.Sprintf("checkpoint pull from %s: %v", key.source, err)
+		m.mu.Unlock()
+		m.nCheckpointFails.Add(1)
+		m.met.checkpointFails.Inc()
+	}
 }
 
 // applyRecoveredRecord replays one OpMigrate record into the

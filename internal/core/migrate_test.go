@@ -14,6 +14,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/admission"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
@@ -345,6 +346,52 @@ func TestTombstoneFlushFailureCounted(t *testing.T) {
 	st := dst.MigrationStats()
 	if st.FlushFailures != 1 || !strings.Contains(st.LastFlushError, "closed store") || !strings.Contains(st.LastFlushError, e.ObjectID) {
 		t.Fatalf("stats = %+v; want 1 flush failure naming %s and the closed store", st, e.ObjectID)
+	}
+}
+
+// TestCheckpointFailureCounted: a durable puller whose store is closed
+// cannot append its OpMigrate checkpoints. Each failure is counted in
+// MigrationStats and telemetry with its cause, and the pull goes on:
+// the range is empty, so the pull needs no insert, and it commits.
+func TestCheckpointFailureCounted(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	src := newMigrateServer(t, net, "", MigrationConfig{})
+	if _, err := net.Bind("src", src.Handler); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New(1)
+	dst, err := NewServer(ServerConfig{
+		Hasher:    keyword.MustNewHasher(6, 42),
+		Resolver:  FuncResolver(func(v hypercube.Vertex) transport.Addr { return "unused" }),
+		Sender:    net,
+		DataDir:   t.TempDir(),
+		Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.Close() })
+	if err := dst.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dst.EnqueueMigration("src", wholeRingNew, wholeRingOwner)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := dst.WaitMigrationsIdle(ctx); err != nil {
+		t.Fatalf("WaitMigrationsIdle: %v", err)
+	}
+	st := dst.MigrationStats()
+	// Two checkpoints failed: the start marker and the done marker.
+	if st.CheckpointFailures != 2 || st.Commits != 1 || st.Failures != 0 {
+		t.Fatalf("stats = %+v; want 2 checkpoint failures, 1 commit, 0 failures", st)
+	}
+	if !strings.Contains(st.LastCheckpointError, "closed store") || !strings.Contains(st.LastCheckpointError, "src") {
+		t.Fatalf("LastCheckpointError = %q; want the cause, naming the source and the closed store", st.LastCheckpointError)
+	}
+	if got := reg.Snapshot().Counters["migrate_checkpoint_failures_total"]; got != 2 {
+		t.Fatalf("migrate_checkpoint_failures_total = %d, want 2", got)
 	}
 }
 

@@ -17,28 +17,31 @@ import (
 )
 
 // TestShardedScanEquivalence runs the same seeded query mix against
-// four identically loaded deployments spanning the tuning matrix
-// {single lock, 8 shards} × {sequential, 8-way parallel scans} and
-// requires byte-identical outcomes against the single-lock sequential
-// baseline: matches (including order), exhaustion, logical and
-// physical accounting, rounds, completeness, and traces. Sharding and
-// scan parallelism are pure locality/throughput changes; any visible
+// four identically loaded deployments spanning the matrix
+// {single lock, 8 stripes} × {sequential, 8 scan workers} and requires
+// byte-identical outcomes against the single-lock sequential baseline:
+// matches (including order), exhaustion, logical and physical
+// accounting, rounds, completeness, and traces. Sharding and scan
+// parallelism are pure locality/throughput changes; any visible
 // divergence is a bug.
 func TestShardedScanEquivalence(t *testing.T) {
 	const r, nServers = 8, 4
 	configs := []struct {
 		label   string
-		shards  int
-		scanPar int
+		stripes int
+		workers int
 	}{
-		{"shards=1/seq", 1, 1}, // baseline: the pre-sharding behaviour
+		{"shards=1/seq", 1, 1}, // baseline: a one-core machine
 		{"shards=8/seq", 8, 1},
 		{"shards=1/par", 1, 8},
 		{"shards=8/par", 8, 8},
 	}
 	deployments := make([]*deployment, len(configs))
 	for i, c := range configs {
-		deployments[i] = newDeploymentTuned(t, r, nServers, 0, BatchOn, c.shards, c.scanPar)
+		deployments[i] = newDeploymentTuned(t, r, nServers, 0, BatchOn, c.stripes, c.workers)
+		if got := len(deployments[i].servers[0].shards); got != c.stripes {
+			t.Fatalf("%s: built with %d stripes", c.label, got)
+		}
 	}
 
 	objects := batchCorpus(23, 120)
@@ -93,13 +96,15 @@ func TestShardTelemetryExposition(t *testing.T) {
 	net := inmem.New(1)
 	t.Cleanup(func() { net.Close() })
 	hasher := keyword.MustNewHasher(6, 42)
-	srv, err := NewServer(ServerConfig{
-		Hasher:          hasher,
-		Resolver:        FuncResolver(func(hypercube.Vertex) transport.Addr { return "ix-0" }),
-		Sender:          net,
-		Shards:          4,
-		ScanParallelism: 4,
-		Telemetry:       reg,
+	var srv *Server
+	var err error
+	withProcs(4, func() { // 4 stripes, 4 scan workers
+		srv, err = NewServer(ServerConfig{
+			Hasher:    hasher,
+			Resolver:  FuncResolver(func(hypercube.Vertex) transport.Addr { return "ix-0" }),
+			Sender:    net,
+			Telemetry: reg,
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
 
-// newPrefixDeployment is newDeploymentTuned plus an explicit cache
+// newPrefixDeployment is newDeploymentMode plus an explicit cache
 // policy, for the prefix equivalence matrix.
 func newPrefixDeployment(t *testing.T, r, nServers, cacheCap int, mode BatchMode, policy string) *deployment {
 	t.Helper()

@@ -35,7 +35,7 @@ var benchMatches []Match
 // Rows carry seven keywords like the corpus generator's median object.
 func BenchmarkScanTable(b *testing.B) {
 	const rows = 500
-	srv := newTableTestServer(b, ServerConfig{})
+	srv := newTableTestServer(b, 0)
 	v := tableTestVertex
 	var pinKey string
 	for i := 0; i < rows; i++ {

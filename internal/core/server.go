@@ -82,20 +82,6 @@ type ServerConfig struct {
 	// root (default 64). Counters halve every ~1024 fresh queries, so
 	// the threshold tracks current popularity.
 	HotPromoteThreshold int
-	// Shards is the number of lock stripes the server's table state is
-	// split across (shard by hash(instance, vertex)). Rounded up to a
-	// power of two and capped at 256; 0 selects GOMAXPROCS rounded up.
-	// Reads (scans, pin queries) take a shard read lock, so they only
-	// contend with writers on the same stripe. 1 restores a single
-	// (read-write) lock over all tables.
-	Shards int
-	// ScanParallelism bounds the workers a msgSubQueryBatch frame's
-	// table scans fan out across, scanChunk units at a time (a frame of
-	// one chunk is scanned by the handler alone). 0 selects GOMAXPROCS; 1
-	// scans every frame sequentially (the pre-sharding behaviour).
-	// Hits are assembled in unit order, so parallelism never changes
-	// match order or accounting.
-	ScanParallelism int
 	// BatchWaves controls wave batching for ParallelLevels searches
 	// this server roots (BatchAuto = on).
 	BatchWaves BatchMode
@@ -153,16 +139,6 @@ func ceilPow2(n int) int {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	c.Shards = ceilPow2(c.Shards)
-	if c.Shards > maxShards {
-		c.Shards = maxShards
-	}
-	if c.ScanParallelism <= 0 {
-		c.ScanParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.BatchWaves == BatchAuto {
 		c.BatchWaves = BatchOn
 	}
@@ -191,9 +167,14 @@ type Server struct {
 	// runQuery).
 	searchSeq atomic.Uint64
 
-	shards   []*tableShard // length is a power of two
-	cache    resultCache
-	sessions *sessionStore
+	// shards are the lock stripes, picked by hash(instance, vertex):
+	// GOMAXPROCS rounded up to a power of two, at most maxShards.
+	shards []*tableShard
+	// scanWorkers bounds the workers a msgSubQueryBatch frame's scans
+	// fan out across (GOMAXPROCS; 1 scans every frame sequentially).
+	scanWorkers int
+	cache       resultCache
+	sessions    *sessionStore
 
 	// hot tracks root popularity and manages soft replication of the
 	// roots this server owns; soft holds the copies other owners
@@ -435,18 +416,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown cache policy %q (want %q or %q)", cfg.CachePolicy, CachePolicyHot, CachePolicyFIFO)
 	}
-	shards := make([]*tableShard, cfg.Shards)
+	procs := runtime.GOMAXPROCS(0)
+	shards := make([]*tableShard, min(ceilPow2(procs), maxShards))
 	for i := range shards {
 		shards[i] = &tableShard{tables: make(map[string]map[hypercube.Vertex]*table)}
 	}
 	s := &Server{
-		cfg:      cfg,
-		cube:     cube,
-		met:      newServerMetrics(cfg.Telemetry),
-		shards:   shards,
-		cache:    newResultCache(cfg.CachePolicy, cfg.CacheCapacity, cfg.CacheTargetHit),
-		sessions: newSessionStore(maxSessions),
-		soft:     newSoftStore(),
+		cfg:         cfg,
+		cube:        cube,
+		met:         newServerMetrics(cfg.Telemetry),
+		shards:      shards,
+		scanWorkers: procs,
+		cache:       newResultCache(cfg.CachePolicy, cfg.CacheCapacity, cfg.CacheTargetHit),
+		sessions:    newSessionStore(maxSessions),
+		soft:        newSoftStore(),
 	}
 	s.hot = newHotVertexManager(s, cfg.HotReplicas, cfg.HotPromoteThreshold)
 	if cfg.Admission != nil {
@@ -950,12 +933,12 @@ func wireChildren(cube hypercube.Cube, root, v hypercube.Vertex, genDim int) []w
 // not at what the units will cost: 0.25 µs each on the pinned deep
 // workload (most vertices of a subcube hold nothing for the query),
 // 2.3 µs against a 500-row table (BenchmarkScanTable/selective), 7.5 µs
-// when all 48 rows match (BenchmarkParallelBatchScan) — against several
-// µs of start-up, wake-up and stack growth for a fresh goroutine. Four
-// is the largest chunk that still gives a 16-unit dense frame (a
-// 64-peer fleet's share of an r = 10 mega-wave, that benchmark's gated
-// input) four workers; anything smaller sends the two-to-four-unit
-// frames of narrow waves to a second goroutine for a few µs of work.
+// when all 48 rows of a dense table match — against several µs of
+// start-up, wake-up and stack growth for a fresh goroutine. Four is the
+// largest chunk that still gives a 16-unit dense frame (a 64-peer
+// fleet's share of an r = 10 mega-wave) four workers; anything smaller
+// sends the two-to-four-unit frames of narrow waves to a second
+// goroutine for a few µs of work.
 const scanChunk = 4
 
 // subQueryBatch answers a coalesced wave of sub-queries in one frame,
@@ -964,7 +947,7 @@ const scanChunk = 4
 // — each tagged with its index in msg.Units, in increasing order. A
 // unit it does not list was owned, scanned and empty. Every unit is
 // tested against one reading of the owned arc. The frame is cut into
-// chunks of scanChunk units that fan out over at most ScanParallelism
+// chunks of scanChunk units that fan out over at most scanWorkers
 // workers (one chunk: the handler's own goroutine); each scan takes only
 // its vertex's shard read lock, so a mega-wave frame spreads over every
 // core instead of serializing on one mutex.
@@ -985,7 +968,7 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 	n := len(msg.Units)
 	var mu sync.Mutex
 	var hits []respSubUnit
-	fanOut((n+scanChunk-1)/scanChunk, s.cfg.ScanParallelism, func(c int) {
+	fanOut((n+scanChunk-1)/scanChunk, s.scanWorkers, func(c int) {
 		for i := c * scanChunk; i < min(n, (c+1)*scanChunk); i++ {
 			u, v := msg.Units[i], hypercube.Vertex(msg.Units[i].Vertex)
 			hit := respSubUnit{Index: i}
@@ -1011,7 +994,7 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 	// Workers finish their chunks in any order; Index restores the
 	// frame's, so the response is byte-identical to a sequential scan.
 	slices.SortFunc(hits, func(a, b respSubUnit) int { return a.Index - b.Index })
-	if n > scanChunk && s.cfg.ScanParallelism > 1 {
+	if n > scanChunk && s.scanWorkers > 1 {
 		s.met.scanParUnits.Add(uint64(n))
 	}
 	return respSubQueryBatch{Hits: hits}

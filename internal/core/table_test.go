@@ -83,12 +83,19 @@ func (m tableModel) objects() int {
 	return n
 }
 
-func newTableTestServer(tb testing.TB, cfg ServerConfig) *Server {
+// newTableTestServer builds a server under GOMAXPROCS = procs (0 = the
+// machine's), which sets its lock stripes and scan workers.
+func newTableTestServer(tb testing.TB, procs int) *Server {
 	tb.Helper()
-	cfg.Hasher = keyword.MustNewHasher(8, 42)
-	cfg.Resolver = FuncResolver(func(hypercube.Vertex) transport.Addr { return "table-0" })
-	cfg.Sender = benchSender{}
-	srv, err := NewServer(cfg)
+	var srv *Server
+	var err error
+	withProcs(procs, func() {
+		srv, err = NewServer(ServerConfig{
+			Hasher:   keyword.MustNewHasher(8, 42),
+			Resolver: FuncResolver(func(hypercube.Vertex) transport.Addr { return "table-0" }),
+			Sender:   benchSender{},
+		})
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestPropertyTableMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 3*(20+rng.Intn(200)))
 		rng.Read(ops)
-		srv := newTableTestServer(t, ServerConfig{})
+		srv := newTableTestServer(t, 0)
 		if err := runTableOps(srv, tableModel{}, ops); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -245,7 +252,7 @@ func FuzzTableOps(f *testing.F) {
 		if len(ops) > 3*512 {
 			ops = ops[:3*512]
 		}
-		srv := newTableTestServer(t, ServerConfig{})
+		srv := newTableTestServer(t, 0)
 		if err := runTableOps(srv, tableModel{}, ops); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +266,7 @@ func FuzzTableOps(f *testing.F) {
 // pins that the row still answers pin and prefix queries, which never
 // read the column.
 func TestTableModelCheckCatchesLostSignature(t *testing.T) {
-	srv := newTableTestServer(t, ServerConfig{})
+	srv := newTableTestServer(t, 0)
 	m := tableModel{}
 	for mask := byte(1); mask < 40; mask += 3 {
 		key := setFromMask(mask).Key()
@@ -302,7 +309,7 @@ func TestTableModelCheckCatchesLostSignature(t *testing.T) {
 // mutated in place. Run under -race. Each writer owns a disjoint set of
 // entries, so the final state is known exactly.
 func TestTableScanWriteHammer(t *testing.T) {
-	srv := newTableTestServer(t, ServerConfig{Shards: 1, ScanParallelism: 4})
+	srv := newTableTestServer(t, 1)
 	const writers, readers, rounds, perWriter = 4, 4, 150, 12
 	hub := keyword.NewSet("hub")
 	keyOf := func(w, i int) string {
@@ -393,7 +400,7 @@ func TestTableScanWriteHammer(t *testing.T) {
 // (set key, object ID) order, whatever order they were inserted in.
 func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 	build := func() (*Server, int) {
-		srv := newTableTestServer(t, ServerConfig{Shards: 4})
+		srv := newTableTestServer(t, 4)
 		rng := rand.New(rand.NewSource(7))
 		n := 0
 		for _, instance := range []string{DefaultInstance, "other"} {

@@ -61,7 +61,7 @@ func (n *Node) findSuccessorVia(ctx context.Context, seed transport.Addr, id dht
 func (n *Node) iterate(ctx context.Context, next NodeInfo, id dht.ID, hops int) (NodeInfo, int, error) {
 	prev := NodeInfo{}
 	deadRetries := 0
-	for step := 0; step < n.cfg.MaxLookupSteps; step++ {
+	for step := 0; step < maxLookupSteps; step++ {
 		resp, err := n.call(ctx, next.Addr, rpcFindClosest{ID: id})
 		if err != nil {
 			n.mu.Lock()
@@ -95,7 +95,7 @@ func (n *Node) iterate(ctx context.Context, next NodeInfo, id dht.ID, hops int) 
 		}
 		prev, next = next, fc.Node
 	}
-	return NodeInfo{}, hops, fmt.Errorf("chord: lookup for %d exceeded %d steps", id, n.cfg.MaxLookupSteps)
+	return NodeInfo{}, hops, fmt.Errorf("chord: lookup for %d exceeded %d steps", id, maxLookupSteps)
 }
 
 // purgeDeadLocked drops an unreachable node from the finger table and

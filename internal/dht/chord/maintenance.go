@@ -81,10 +81,10 @@ func (n *Node) adoptSuccessorList(succ NodeInfo, tail []NodeInfo) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	defer n.succChangedLocked(n.headSuccessorLocked())
-	list := make([]NodeInfo, 0, n.cfg.SuccessorListLen)
+	list := make([]NodeInfo, 0, successorListLen)
 	seen := map[dht.ID]bool{}
 	add := func(ni NodeInfo) {
-		if ni.zero() || seen[ni.ID] || len(list) >= n.cfg.SuccessorListLen {
+		if ni.zero() || seen[ni.ID] || len(list) >= successorListLen {
 			return
 		}
 		seen[ni.ID] = true

@@ -28,38 +28,27 @@ func (ni NodeInfo) zero() bool { return ni.Addr == "" }
 
 // Config tunes a Chord node.
 type Config struct {
-	// SuccessorListLen is the number of successors kept for fault
-	// tolerance (Chord's r parameter). Default 4.
-	SuccessorListLen int
-	// MaxLookupSteps bounds iterative lookups. Default 256.
-	MaxLookupSteps int
-	// RPCTimeout bounds each remote call. Default 2s.
-	RPCTimeout time.Duration
 	// Telemetry receives routing and maintenance metrics. Nil disables
 	// the instrumentation at zero cost. Nodes sharing a registry sum
 	// their chord_refs gauge deployment-wide.
 	Telemetry *telemetry.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.SuccessorListLen <= 0 {
-		c.SuccessorListLen = 4
-	}
-	if c.MaxLookupSteps <= 0 {
-		c.MaxLookupSteps = 256
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 2 * time.Second
-	}
-	return c
-}
+const (
+	// successorListLen is the number of successors kept for fault
+	// tolerance (Chord's r parameter).
+	successorListLen = 4
+	// maxLookupSteps bounds iterative lookups.
+	maxLookupSteps = 256
+	// rpcTimeout bounds each remote call.
+	rpcTimeout = 2 * time.Second
+)
 
 // Node is one Chord ring member. Create it with New, then call Create
 // (first node) or Join (subsequent nodes). Node implements dht.Overlay.
 type Node struct {
 	self NodeInfo
 	net  transport.Sender
-	cfg  Config
 
 	mu          sync.Mutex
 	joined      bool
@@ -116,7 +105,6 @@ func New(addr transport.Addr, net transport.Sender, cfg Config) *Node {
 	n := &Node{
 		self: NodeInfo{ID: dht.HashString(string(addr)), Addr: addr},
 		net:  net,
-		cfg:  cfg.withDefaults(),
 		met:  newNodeMetrics(cfg.Telemetry),
 	}
 	if cfg.Telemetry != nil {
@@ -302,7 +290,7 @@ func (n *Node) StartMaintenance(interval time.Duration) {
 		for {
 			select {
 			case <-ticker.C:
-				ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 				_ = n.MaintainOnce(ctx)
 				cancel()
 			case <-stop:
@@ -390,7 +378,7 @@ func (n *Node) MaintainOnce(ctx context.Context) error {
 }
 
 func (n *Node) call(ctx context.Context, to transport.Addr, body any) (any, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	return n.net.Send(ctx, to, body)
 }

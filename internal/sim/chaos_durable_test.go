@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -99,11 +98,10 @@ func TestChaosFingerprintInvariantUnderDurableRecovery(t *testing.T) {
 
 // BenchmarkDurableIndexingOverhead indexes the same corpus into an
 // in-memory fleet and a durable fleet (fsync=interval, the default
-// policy) and gates the WAL's end-to-end indexing overhead at 10% —
-// the acceptance bound the group-commit flush loop exists to meet.
-// Fixed-rep best-of-k timing outside b.N, PR4-style, so the gate runs
-// even at -benchtime=1x; gated only on boxes with ≥ 4 cores, where
-// timing is stable enough to hold a 10% margin.
+// policy) and reports the WAL's end-to-end indexing overhead. It gates
+// nothing: wall-clock regressions are gated by benchmarks/ksperf's
+// bounds (rw_durable_tcp covers the write path). Fixed-rep best-of-k
+// timing outside b.N, so the figure is produced even at -benchtime=1x.
 func BenchmarkDurableIndexingOverhead(b *testing.B) {
 	const (
 		r       = 6
@@ -150,11 +148,6 @@ func BenchmarkDurableIndexingOverhead(b *testing.B) {
 		}
 	}
 	overhead := float64(durable)/float64(plain) - 1
-
-	if cores := runtime.GOMAXPROCS(0); cores >= 4 && runtime.NumCPU() >= 4 && overhead > 0.10 {
-		b.Fatalf("durable indexing overhead %.1f%% > 10%% with fsync=interval (plain %v, durable %v per corpus)",
-			overhead*100, plain, durable)
-	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/core"
@@ -8,12 +9,13 @@ import (
 )
 
 // TestChaosFingerprintInvariantUnderSharding replays one seeded fault
-// schedule against deployments spanning the server tuning matrix
-// {single lock, 8 shards} × {sequential, parallel scans} on a folded
-// 16-peer fleet, and requires byte-identical outcome fingerprints.
-// Sharding and scan parallelism must be invisible in every observable
-// — answers, errors, completeness, failed subtrees — even while nodes
-// crash, recover, and partition mid-run.
+// schedule against folded 16-peer fleets built under different
+// GOMAXPROCS values, which set each server's lock stripes and scan
+// workers: 1 (one lock, sequential scans), 3 (4 stripes, 3 workers) and
+// 8 (8 stripes, 8 workers). It requires byte-identical outcome
+// fingerprints. Sharding and scan parallelism must be invisible in
+// every observable — answers, errors, completeness, failed subtrees —
+// even while nodes crash, recover, and partition mid-run.
 func TestChaosFingerprintInvariantUnderSharding(t *testing.T) {
 	const (
 		r         = 6
@@ -30,9 +32,14 @@ func TestChaosFingerprintInvariantUnderSharding(t *testing.T) {
 		t.Fatalf("too few study queries: %d", len(queries))
 	}
 
+	// deploy builds the fleet with GOMAXPROCS = procs, restored after.
+	deploy := func(procs int) (*Deployment, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return NewCustomDeployment(DeployConfig{R: r, Peers: peers, Batch: core.BatchOn})
+	}
 	// The schedule faults physical peers, so its node list is the folded
 	// fleet's address list, not the 2^r logical vertices.
-	d0, err := NewCustomDeployment(DeployConfig{R: r, Peers: peers, Shards: 1, ScanParallelism: 1})
+	d0, err := deploy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,25 +71,14 @@ func TestChaosFingerprintInvariantUnderSharding(t *testing.T) {
 	}
 
 	baseline := run(d0)
-	for _, cfg := range []struct {
-		shards  int
-		scanPar int
-	}{
-		{8, 1},
-		{1, 8},
-		{8, 8},
-	} {
-		d, err := NewCustomDeployment(DeployConfig{
-			R: r, Peers: peers,
-			Shards: cfg.shards, ScanParallelism: cfg.scanPar,
-			Batch: core.BatchOn,
-		})
+	for _, procs := range []int{3, 8} {
+		d, err := deploy(procs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := run(d); got != baseline {
-			t.Errorf("shards=%d scanPar=%d: fingerprint %s differs from single-lock baseline %s",
-				cfg.shards, cfg.scanPar, got, baseline)
+			t.Errorf("GOMAXPROCS=%d: fingerprint %s differs from single-lock baseline %s",
+				procs, got, baseline)
 		}
 	}
 }

@@ -116,14 +116,6 @@ type DeployConfig struct {
 	// Batch selects wave batching for ParallelLevels searches on every
 	// server of the fleet (BatchAuto = on).
 	Batch core.BatchMode
-	// Shards is the per-server lock-stripe count (0 = GOMAXPROCS
-	// rounded up to a power of two; 1 = a single read-write lock). See
-	// core.ServerConfig.Shards.
-	Shards int
-	// ScanParallelism bounds each server's batched-scan worker pool
-	// (0 = GOMAXPROCS; 1 = sequential). See
-	// core.ServerConfig.ScanParallelism.
-	ScanParallelism int
 	// DataDir, when non-empty, makes every peer durable: peer p logs
 	// its index mutations under DataDir/peer-p and recovers them on
 	// construction. See core.ServerConfig.DataDir.
@@ -191,8 +183,6 @@ func NewCustomDeployment(cfg DeployConfig) (*Deployment, error) {
 			BatchWaves:     cfg.Batch,
 
 			HotPromoteThreshold: cfg.HotPromoteThreshold,
-			Shards:              cfg.Shards,
-			ScanParallelism:     cfg.ScanParallelism,
 			DataDir:             dataDir,
 			Fsync:               cfg.Fsync,
 			SnapshotEvery:       cfg.SnapshotEvery,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 
 // BenchmarkHotQueryCache replays a Zipf query mix against a FIFO-cache
 // fleet and a popularity-cache (TinyLFU) fleet at equal capacity and
-// gates the hot policy at >= 2x better p99 latency.
+// reports both p99 latencies and their ratio.
 //
 // The mix is the adversarial-but-realistic point for FIFO: a Zipf-1.3
 // head (the paper's footnote exponent) whose working set exactly fills
@@ -27,9 +26,9 @@ import (
 // head pinned and only ever misses the scans themselves.
 //
 // The miss-count comparison is deterministic (seeded log, serial
-// replay) and asserted unconditionally; the wall-clock p99 gate
-// engages on machines with 4+ cores, PR4-style, where timing is
-// stable.
+// replay) and asserted on every machine. The p99 ratio is only
+// reported: wall-clock regressions are gated by benchmarks/ksperf's
+// bounds.
 func BenchmarkHotQueryCache(b *testing.B) {
 	const (
 		r        = 6
@@ -174,10 +173,6 @@ func BenchmarkHotQueryCache(b *testing.B) {
 			fifoMisses, fifoHits+fifoMisses, capUnits)
 	}
 	speedup := float64(fifoP99) / float64(hotP99)
-	if cores := runtime.GOMAXPROCS(0); cores >= 4 && runtime.NumCPU() >= 4 && speedup < 2 {
-		b.Fatalf("hot-cache p99 %v only %.2fx better than FIFO p99 %v, want >= 2x at equal capacity %d",
-			hotP99, speedup, fifoP99, capUnits)
-	}
 
 	d := deploy(core.CachePolicyHot)
 	defer d.Close()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -74,6 +75,10 @@ func (n *Network) Bind(addr transport.Addr, handler transport.Handler) (transpor
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: bind %q: %w", addr, err)
 	}
+	// The decode/handler pool bounds steady-state handler concurrency;
+	// overflow beyond it spills to fresh goroutines so nested RPCs issued
+	// by handlers cannot deadlock a saturated pool.
+	workers := max(4, 2*runtime.GOMAXPROCS(0))
 	l := &listener{
 		net:     n,
 		ln:      ln,
@@ -81,7 +86,7 @@ func (n *Network) Bind(addr transport.Addr, handler transport.Handler) (transpor
 		addr:    transport.Addr(ln.Addr().String()),
 		ins:     n.ins.Load(),
 		closed:  make(chan struct{}),
-		work:    make(chan srvWork, n.cfg.ListenWorkers*4),
+		work:    make(chan srvWork, workers*4),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	l.ctx, l.cancel = context.WithCancel(context.Background())
@@ -90,7 +95,7 @@ func (n *Network) Bind(addr transport.Addr, handler transport.Handler) (transpor
 	n.mu.Unlock()
 	n.localAddr.CompareAndSwap(nil, &l.addr)
 
-	for i := 0; i < n.cfg.ListenWorkers; i++ {
+	for i := 0; i < workers; i++ {
 		l.workers.Add(1)
 		go l.worker()
 	}

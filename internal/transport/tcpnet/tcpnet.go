@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,34 +24,16 @@ import (
 // WireBinary names the one wire protocol (KSW2); see Config.Wire.
 const WireBinary = "binary"
 
-// Config tunes a Network. The zero value selects a CPU-proportional
-// listener worker pool.
+// Config is a Network's configuration. It has nothing left to tune:
+// each listener sizes its decode/handler pool from GOMAXPROCS
+// (2×GOMAXPROCS, minimum 4).
 type Config struct {
 	// Wire selects nothing: there is one wire protocol. The field and
 	// WireBinary remain only because benchmarks/ksperf/fleet.go compiles
 	// against them and benchmarks/ changes only in a benchmark-labelled
-	// PR (ROADMAP item 4 records the removal). It accepts "" or
+	// PR (ROADMAP item 7(e) records the removal). It accepts "" or
 	// WireBinary and rejects everything else, "gob" included.
 	Wire string
-	// ListenWorkers sizes each listener's decode/handler pool
-	// (default: 2×GOMAXPROCS, minimum 4). The pool bounds steady-state
-	// handler concurrency; overflow beyond it spills to fresh
-	// goroutines so nested RPCs issued by handlers cannot deadlock a
-	// saturated pool.
-	ListenWorkers int
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.Wire != "" && c.Wire != WireBinary {
-		return c, fmt.Errorf("tcpnet: unknown wire mode %q (want %q)", c.Wire, WireBinary)
-	}
-	if c.ListenWorkers <= 0 {
-		c.ListenWorkers = 2 * runtime.GOMAXPROCS(0)
-		if c.ListenWorkers < 4 {
-			c.ListenWorkers = 4
-		}
-	}
-	return c, nil
 }
 
 // instruments is an immutable snapshot of the network's telemetry.
@@ -73,7 +54,6 @@ var noInstruments = &instruments{}
 
 // Network is a TCP-backed transport.Network.
 type Network struct {
-	cfg       Config
 	ins       atomic.Pointer[instruments]
 	localAddr atomic.Pointer[transport.Addr] // first bound listener; Send's default from
 
@@ -91,13 +71,13 @@ func New() *Network {
 	return n
 }
 
-// NewWithConfig returns a TCP network tuned by cfg.
+// NewWithConfig returns a TCP network, or an error for an unknown
+// Config.Wire.
 func NewWithConfig(cfg Config) (*Network, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Wire != "" && cfg.Wire != WireBinary {
+		return nil, fmt.Errorf("tcpnet: unknown wire mode %q (want %q)", cfg.Wire, WireBinary)
 	}
-	n := &Network{cfg: cfg, muxes: make(map[transport.Addr]*muxEntry)}
+	n := &Network{muxes: make(map[transport.Addr]*muxEntry)}
 	n.ins.Store(noInstruments)
 	return n, nil
 }

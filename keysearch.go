@@ -200,20 +200,19 @@ func RegisterTypes() {
 func NewInMemoryTransport(seed int64) *inmem.Network { return inmem.New(seed) }
 
 // NewTCPTransport returns a TCP-backed transport for multi-process
-// deployments with the default configuration. Call RegisterTypes
-// before using it.
+// deployments; each listener sizes its handler pool from GOMAXPROCS.
+// Call RegisterTypes before using it.
 func NewTCPTransport() *tcpnet.Network { return tcpnet.New() }
 
-// TCPConfig tunes a TCP transport: the listener-side handler pool
-// size. Its Wire field selects nothing — there is one wire protocol —
-// and accepts only "" or WireBinary; it stays because
-// benchmarks/ksperf compiles against it (see tcpnet.Config).
+// TCPConfig has one field left, Wire, which selects nothing — there is
+// one wire protocol — and accepts only "" or WireBinary. It stays
+// because benchmarks/ksperf compiles against it (see tcpnet.Config).
 type TCPConfig = tcpnet.Config
 
 // WireBinary is the only value TCPConfig.Wire accepts besides "".
 const WireBinary = tcpnet.WireBinary
 
-// NewTCPTransportConfig returns a TCP-backed transport tuned by cfg.
+// NewTCPTransportConfig is NewTCPTransport with cfg checked first.
 // Call RegisterTypes before using it.
 func NewTCPTransportConfig(cfg TCPConfig) (*tcpnet.Network, error) {
 	return tcpnet.NewWithConfig(cfg)

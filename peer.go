@@ -65,9 +65,6 @@ type Config struct {
 	// has its own keyword hash and vertex mapping; writes fan out to
 	// all replicas and reads fail over. Default 1 (no replication).
 	IndexReplicas int
-	// SuccessorListLen is Chord's fault-tolerance parameter
-	// (default 4).
-	SuccessorListLen int
 	// MaintenanceInterval is the period of the background Chord
 	// stabilization loop started by Create/Join (default 500ms; set
 	// negative to disable the background loop — simulations drive
@@ -91,16 +88,6 @@ type Config struct {
 	// vertex (default BatchOn). Logical message accounting and result
 	// contents are identical either way; see Stats.PhysFrames.
 	BatchWaves BatchMode
-	// Shards is the number of lock stripes the peer's index-server
-	// table state is split across (0 = GOMAXPROCS rounded up to a
-	// power of two; 1 = a single read-write lock). See
-	// core.ServerConfig.Shards.
-	Shards int
-	// ScanParallelism bounds the worker pool a batched sub-query
-	// frame's table scans fan out across on this peer (0 = GOMAXPROCS;
-	// 1 = sequential). Results are byte-identical at any setting. See
-	// core.ServerConfig.ScanParallelism.
-	ScanParallelism int
 	// DataDir, when non-empty, makes this peer's index durable: every
 	// table mutation is appended to a write-ahead log under the
 	// directory before it applies, periodically compacted into a
@@ -127,9 +114,6 @@ type Config struct {
 	// MigrateChunkEntries caps the entries per chunk an inbound index
 	// migration pulls from the old owner (0 = library default, 512).
 	MigrateChunkEntries int
-	// MigrateChunkBytes caps the approximate payload bytes per migration
-	// chunk (0 = library default, 256 KiB).
-	MigrateChunkBytes int
 	// MigrateThrottle pauses between migration chunks, bounding the
 	// transfer's bandwidth and lock footprint (0 = back to back).
 	MigrateThrottle time.Duration
@@ -208,33 +192,27 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 		endpoint.Close()
 		return nil, err
 	}
-	node := chord.New(resolved, sender, chord.Config{
-		SuccessorListLen: cfg.SuccessorListLen,
-		Telemetry:        cfg.Telemetry,
-	})
+	node := chord.New(resolved, sender, chord.Config{Telemetry: cfg.Telemetry})
 	resolver := core.NewOverlayResolver(node)
 	server, err := core.NewServer(core.ServerConfig{
-		Hasher:          hasher,
-		Resolver:        resolver,
-		Sender:          sender,
-		CacheCapacity:   cfg.CacheCapacity,
-		CachePolicy:     cfg.CachePolicy,
-		CacheTargetHit:  cfg.CacheTargetHit,
-		BatchWaves:      cfg.BatchWaves,
-		Shards:          cfg.Shards,
-		ScanParallelism: cfg.ScanParallelism,
-		DataDir:         cfg.DataDir,
-		Fsync:           fsync,
-		SnapshotEvery:   cfg.SnapshotEvery,
-		Admission:       cfg.Admission,
-		OwnedArc:        node.OwnedArc,
-		Telemetry:       cfg.Telemetry,
-		HotReplicas:     cfg.HotReplicas,
+		Hasher:         hasher,
+		Resolver:       resolver,
+		Sender:         sender,
+		CacheCapacity:  cfg.CacheCapacity,
+		CachePolicy:    cfg.CachePolicy,
+		CacheTargetHit: cfg.CacheTargetHit,
+		BatchWaves:     cfg.BatchWaves,
+		DataDir:        cfg.DataDir,
+		Fsync:          fsync,
+		SnapshotEvery:  cfg.SnapshotEvery,
+		Admission:      cfg.Admission,
+		OwnedArc:       node.OwnedArc,
+		Telemetry:      cfg.Telemetry,
+		HotReplicas:    cfg.HotReplicas,
 
 		HotPromoteThreshold: cfg.HotPromoteThreshold,
 		Migration: core.MigrationConfig{
 			ChunkEntries: cfg.MigrateChunkEntries,
-			ChunkBytes:   cfg.MigrateChunkBytes,
 			Throttle:     cfg.MigrateThrottle,
 		},
 	})
