@@ -124,7 +124,7 @@ prefix-smoke:
 # the full hot-vertex layer on (popularity cache, refinement reuse,
 # soft replication, client spreading), asserting byte-identical
 # answers versus a cache-off fleet and the cache-hit accounting
-# identities the BENCH fields rely on.
+# identities the core_cache_* and core_soft_* counters rely on.
 zipf-smoke:
 	$(GO) test -count=1 -run 'TestZipfSmoke' ./internal/sim/
 

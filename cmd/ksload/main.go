@@ -25,12 +25,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/p2pkeyword/keysearch/internal/admission"
-	"github.com/p2pkeyword/keysearch/internal/core"
+	keysearch "github.com/p2pkeyword/keysearch"
 	"github.com/p2pkeyword/keysearch/internal/corpus"
 	"github.com/p2pkeyword/keysearch/internal/load"
-	"github.com/p2pkeyword/keysearch/internal/sim"
-	"github.com/p2pkeyword/keysearch/internal/telemetry"
 )
 
 func main() {
@@ -74,17 +71,9 @@ type options struct {
 	clientRate   float64
 	clientBurst  float64
 
-	cacheUnits  int
-	cachePolicy string
-	cacheTarget float64
-	hotReplicas int
-	hotThresh   int
-	hotSpread   bool
-
-	study     bool
-	zipfStudy bool
-	tag       string
-	out       string
+	study bool
+	tag   string
+	out   string
 }
 
 func run(args []string) error {
@@ -114,14 +103,7 @@ func run(args []string) error {
 	fs.DurationVar(&o.queueTimeout, "queue-timeout", 50*time.Millisecond, "admission: max queue wait")
 	fs.Float64Var(&o.clientRate, "client-rate", 0, "admission: per-client token rate, req/s (0 = no fair queuing)")
 	fs.Float64Var(&o.clientBurst, "client-burst", 0, "admission: per-client burst (0 = rate/4)")
-	fs.IntVar(&o.cacheUnits, "cache", 0, "per-peer result-cache capacity in object-ID units (0 = cache off, replay with NoCache)")
-	fs.StringVar(&o.cachePolicy, "cache-policy", "hot", "result-cache policy when -cache > 0: hot (popularity) or fifo")
-	fs.Float64Var(&o.cacheTarget, "cache-target-hit", 0, "hot cache: auto-tune capacity toward this hit ratio (0 = fixed capacity)")
-	fs.IntVar(&o.hotReplicas, "hot-replicas", 0, "soft replicas per promoted hot root (0 = soft replication off)")
-	fs.IntVar(&o.hotThresh, "hot-threshold", 0, "fresh-query count before a root is promoted (0 = default)")
-	fs.BoolVar(&o.hotSpread, "hot-spread", false, "clients rotate repeated queries across a hot root's soft replicas")
 	fs.BoolVar(&o.study, "study", false, "run the overload study (capacity probe + 0.5x/2x phases) instead of one run")
-	fs.BoolVar(&o.zipfStudy, "zipf-study", false, "run the Zipf hotspot-storm study: cache-off vs hot-vertex layer at equal offered load (rate derived from a capacity probe; -rate is ignored)")
 	fs.StringVar(&o.tag, "tag", "run", "BENCH file tag: results/BENCH_<tag>.json")
 	fs.StringVar(&o.out, "out", "results", "output directory for BENCH files")
 	if err := fs.Parse(args); err != nil {
@@ -184,15 +166,8 @@ func run(args []string) error {
 		bench.Workload.PrefixLen = o.prefixLen
 	}
 
-	if o.study && o.zipfStudy {
-		return fmt.Errorf("-study and -zipf-study are mutually exclusive")
-	}
 	if o.study {
 		if err := runStudy(&o, c, queries, bench); err != nil {
-			return err
-		}
-	} else if o.zipfStudy {
-		if err := runZipfStudy(&o, c, queries, bench); err != nil {
 			return err
 		}
 	} else {
@@ -223,33 +198,13 @@ func run(args []string) error {
 	return nil
 }
 
-// fleet abstracts the system under test: an indexed deployment that
-// answers one query per call, on either transport.
-type fleet interface {
-	do(ctx context.Context, q corpus.Query, clientID string) error
-	close()
-}
-
-func (o *options) policy() *admission.Policy {
-	return &admission.Policy{
+func (o *options) policy() *keysearch.AdmissionPolicy {
+	return &keysearch.AdmissionPolicy{
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,
 		QueueTimeout:   o.queueTimeout,
 		PerClientRate:  o.clientRate,
 		PerClientBurst: o.clientBurst,
-	}
-}
-
-func buildFleet(o *options, c *corpus.Corpus, admissionOn bool) (fleet, error) {
-	var pol *admission.Policy
-	if admissionOn {
-		pol = o.policy()
-	}
-	switch o.transport {
-	case "inmem":
-		return newInmemFleet(o, c, pol)
-	default:
-		return newTCPFleet(o, c, pol)
 	}
 }
 
@@ -284,56 +239,9 @@ func (m *prefixMixer) pick(q corpus.Query) string {
 	return prefixOf(q, m.plen)
 }
 
-type inmemFleet struct {
-	d      *sim.Deployment
-	reg    *telemetry.Registry
-	thresh int
-	// cacheOn replays with the result cache consulted; off (the
-	// default, and the PR 6 baseline behavior) sets NoCache on every
-	// query.
-	cacheOn bool
-	mix     prefixMixer
-}
-
-func newInmemFleet(o *options, c *corpus.Corpus, pol *admission.Policy) (*inmemFleet, error) {
-	reg := telemetry.New(0)
-	d, err := sim.NewCustomDeployment(sim.DeployConfig{
-		R: o.r, Peers: o.peers, Telemetry: reg, Admission: pol,
-		CacheCapacity:       o.cacheUnits,
-		CachePolicy:         o.cachePolicy,
-		CacheTargetHit:      o.cacheTarget,
-		HotReplicas:         o.hotReplicas,
-		HotPromoteThreshold: o.hotThresh,
-		HotSpread:           o.hotSpread,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.InsertCorpus(c); err != nil {
-		d.Close()
-		return nil, err
-	}
-	return &inmemFleet{
-		d: d, reg: reg, thresh: o.thresh, cacheOn: o.cacheUnits > 0,
-		mix: prefixMixer{every: o.prefixEvery, plen: o.prefixLen},
-	}, nil
-}
-
-func (f *inmemFleet) do(ctx context.Context, q corpus.Query, clientID string) error {
-	opts := core.SearchOptions{Order: core.ParallelLevels, NoCache: !f.cacheOn, ClientID: clientID}
-	if p := f.mix.pick(q); p != "" {
-		_, err := f.d.Client.PrefixSearch(ctx, p, f.thresh, opts)
-		return err
-	}
-	_, err := f.d.Client.SupersetSearch(ctx, q.Keywords, f.thresh, opts)
-	return err
-}
-
-func (f *inmemFleet) close() { f.d.Close() }
-
 // runPhase replays the query log open-loop at rate, spreading requests
 // across o.clients identities.
-func runPhase(o *options, f fleet, queries []corpus.Query, rate float64) (load.Report, error) {
+func runPhase(o *options, f *fleet, queries []corpus.Query, rate float64) (load.Report, error) {
 	var next atomic.Uint64
 	return load.Run(context.Background(), load.Config{
 		Rate:     rate,
@@ -353,7 +261,7 @@ func runPhase(o *options, f fleet, queries []corpus.Query, rate float64) (load.R
 // probeCapacity measures the fleet's closed-loop throughput: 2×NumCPU
 // workers issuing back-to-back queries for a short window. The result
 // anchors the study's "0.5×" and "2×" offered rates.
-func probeCapacity(o *options, f fleet, queries []corpus.Query) float64 {
+func probeCapacity(o *options, f *fleet, queries []corpus.Query) float64 {
 	const window = 2 * time.Second
 	workers := 2 * runtime.GOMAXPROCS(0)
 	var done atomic.Uint64

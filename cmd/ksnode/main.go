@@ -53,9 +53,7 @@ func run(args []string) error {
 		dim         = fs.Int("dim", 10, "hypercube dimensionality (must match the network)")
 		cache       = fs.Int("cache", 128, "per-node result cache capacity (object IDs)")
 		cachePolicy = fs.String("cache-policy", "hot", "result cache policy: hot (popularity-tracked, frequency admission) | fifo (legacy)")
-		cacheTarget = fs.Float64("cache-target-hit", 0, "hot policy: auto-tune cache capacity toward this hit ratio, 0..1 (0 = fixed capacity)")
 		hotReplicas = fs.Int("hot-replicas", 0, "soft-replicate promoted hot roots onto this many extra peers (0 = disabled)")
-		hotThresh   = fs.Int("hot-threshold", 0, "fresh queries before a root is promoted to soft replicas (0 = default; requires -hot-replicas)")
 		hotSpread   = fs.Bool("hot-spread", false, "round-robin one-shot searches for promoted roots across owner and soft replicas")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (empty = disabled)")
 		resilient   = fs.Bool("resilience", true, "retry/backoff and circuit breakers on outbound RPCs")
@@ -130,9 +128,7 @@ func run(args []string) error {
 		Dim:                 *dim,
 		CacheCapacity:       *cache,
 		CachePolicy:         *cachePolicy,
-		CacheTargetHit:      *cacheTarget,
 		HotReplicas:         *hotReplicas,
-		HotPromoteThreshold: *hotThresh,
 		HotSpread:           *hotSpread,
 		MaintenanceInterval: 500 * time.Millisecond,
 		Telemetry:           reg,
@@ -323,6 +319,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 			st.Vertices, st.Entries, st.Objects, hits, misses)
 		if st.SnapshotFailures > 0 {
 			fmt.Printf("index: %d failed WAL compactions, last: %s\n", st.SnapshotFailures, st.LastSnapshotError)
+		}
+		if st.SyncFailures > 0 {
+			fmt.Printf("index: %d failed WAL group commits, last: %s\n", st.SyncFailures, st.LastSyncError)
 		}
 		writeCacheSnapshot(os.Stdout, peer.CacheSnapshot())
 		ms := peer.MigrationStats()

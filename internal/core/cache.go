@@ -59,19 +59,15 @@ type resultCache interface {
 	len() int
 	// unitCount returns the currently stored object-ID units.
 	unitCount() int
-	// capacityUnits returns the current capacity in object-ID units
-	// (adaptive policies may have tuned it away from the configured
-	// base).
-	capacityUnits() int
 }
 
 // newResultCache builds the cache for the given policy name; the empty
 // policy selects the hot (popularity-tracked) default.
-func newResultCache(policy string, capacity int, targetHit float64) resultCache {
+func newResultCache(policy string, capacity int) resultCache {
 	if policy == CachePolicyFIFO {
 		return newFIFOCache(capacity)
 	}
-	return newHotCache(capacity, targetHit)
+	return newHotCache(capacity)
 }
 
 // InstanceCacheStats is one instance's slice of a cache snapshot.
@@ -399,8 +395,6 @@ func (c *fifoCache) unitCount() int {
 	defer c.mu.Unlock()
 	return c.units
 }
-
-func (c *fifoCache) capacityUnits() int { return c.capacity }
 
 func cloneMatches(ms []Match) []Match {
 	out := make([]Match, len(ms))

@@ -8,8 +8,9 @@ import (
 )
 
 // hotCache is the popularity-tracked result cache: a segmented LRU
-// (probation + protected) with TinyLFU-style frequency admission and
-// an optional capacity auto-tuner.
+// (probation + protected) with TinyLFU-style frequency admission. Its
+// capacity is fixed, like the paper's §4 cache (α·|O|/2^r per node):
+// the hit ratio is won by choosing what to keep, not by growing.
 //
 // The paper's workload footnote — the top-10 queries carry over 60 %
 // of daily volume — means the FIFO policy's weakness is precisely the
@@ -25,16 +26,8 @@ import (
 // sequence of consultations and stores produces the same cache state,
 // which the promotion-determinism test pins.
 type hotCache struct {
-	mu sync.Mutex
-	// baseCap is the configured capacity; capacity is the live
-	// (possibly auto-tuned) limit; maxCap bounds the tuner.
-	baseCap  int
+	mu       sync.Mutex
 	capacity int
-	maxCap   int
-	// targetHit enables the auto-tuner when positive: every
-	// tuneWindow consultations the windowed hit ratio is compared
-	// against it and the capacity nudged toward the target.
-	targetHit float64
 
 	units     int
 	items     map[string]*hotEntry
@@ -48,16 +41,11 @@ type hotCache struct {
 	hits    uint64
 	misses  uint64
 	perInst map[string]*instanceCounters
-
-	winHits, winLookups int
 }
 
 // hotProtectedFrac is the fraction of capacity reserved for the
 // protected segment (the Caffeine/W-TinyLFU split).
 const hotProtectedFrac = 0.8
-
-// tuneWindow is the consultation count between auto-tune decisions.
-const tuneWindow = 512
 
 type hotEntry struct {
 	key       string
@@ -69,13 +57,9 @@ type hotEntry struct {
 	elem      *list.Element
 }
 
-func newHotCache(capacity int, targetHit float64) *hotCache {
-	maxCap := 4 * capacity
+func newHotCache(capacity int) *hotCache {
 	return &hotCache{
-		baseCap:    capacity,
 		capacity:   capacity,
-		maxCap:     maxCap,
-		targetHit:  targetHit,
 		items:      make(map[string]*hotEntry),
 		probation:  list.New(),
 		protected:  list.New(),
@@ -85,7 +69,7 @@ func newHotCache(capacity int, targetHit float64) *hotCache {
 	}
 }
 
-func (c *hotCache) enabled() bool { return c.baseCap > 0 }
+func (c *hotCache) enabled() bool { return c.capacity > 0 }
 
 func (c *hotCache) instCounters(instance string) *instanceCounters {
 	ic, ok := c.perInst[instance]
@@ -103,20 +87,16 @@ func (c *hotCache) get(instance string, pred queryPred, threshold int) ([]Match,
 	key := pred.cacheKey(instance)
 	c.mu.Lock()
 	c.sketch.increment(key)
-	c.winLookups++
 	e, ok := c.items[key]
 	if !ok || (!e.exhausted && len(e.matches) < threshold) {
 		c.misses++
 		c.instCounters(instance).misses++
-		c.maybeTuneLocked()
 		c.mu.Unlock()
 		return nil, false, false
 	}
 	c.hits++
 	c.instCounters(instance).hits++
-	c.winHits++
 	c.touchLocked(e)
-	c.maybeTuneLocked()
 	matches, exhausted := e.matches, e.exhausted
 	c.mu.Unlock()
 	// Stored slices are immutable (put clones); copy outside the lock.
@@ -166,7 +146,7 @@ func (c *hotCache) put(instance string, pred queryPred, matches []Match, exhaust
 		if e.protected {
 			c.protUnits += len(cloned)
 		}
-		c.evictLocked(nil)
+		c.evictLocked()
 		return
 	}
 	need := c.units + len(matches) - c.capacity
@@ -225,9 +205,9 @@ func (c *hotCache) admitLocked(candidateKey string, need int) bool {
 }
 
 // evictLocked drops LRU victims (probation first) until the capacity
-// constraint holds — the unconditional form used by replacement growth
-// and capacity shrinks, where there is no admission contest.
-func (c *hotCache) evictLocked(protect *hotEntry) {
+// constraint holds — the unconditional form used by replacement growth,
+// where there is no admission contest.
+func (c *hotCache) evictLocked() {
 	for c.units > c.capacity {
 		var victim *hotEntry
 		if el := c.probation.Back(); el != nil {
@@ -235,7 +215,7 @@ func (c *hotCache) evictLocked(protect *hotEntry) {
 		} else if el := c.protected.Back(); el != nil {
 			victim = el.Value.(*hotEntry)
 		}
-		if victim == nil || victim == protect {
+		if victim == nil {
 			return
 		}
 		c.removeLocked(victim)
@@ -256,31 +236,6 @@ func (c *hotCache) removeLocked(e *hotEntry) {
 		if len(keys) == 0 {
 			delete(c.byInstance, e.instance)
 		}
-	}
-}
-
-// maybeTuneLocked runs the capacity auto-tuner at window boundaries:
-// below-target windows grow the cache 25 % (up to 4x the configured
-// base), comfortably-above-target windows shrink it 12.5 % back toward
-// the base, reclaiming memory the hit ratio doesn't need.
-func (c *hotCache) maybeTuneLocked() {
-	if c.targetHit <= 0 || c.winLookups < tuneWindow {
-		return
-	}
-	ratio := float64(c.winHits) / float64(c.winLookups)
-	c.winHits, c.winLookups = 0, 0
-	switch {
-	case ratio < c.targetHit && c.capacity < c.maxCap:
-		c.capacity += c.capacity / 4
-		if c.capacity > c.maxCap {
-			c.capacity = c.maxCap
-		}
-	case ratio >= c.targetHit+0.05 && c.capacity > c.baseCap:
-		c.capacity -= c.capacity / 8
-		if c.capacity < c.baseCap {
-			c.capacity = c.baseCap
-		}
-		c.evictLocked(nil)
 	}
 }
 
@@ -335,9 +290,7 @@ func (c *hotCache) reset() {
 	c.probation = list.New()
 	c.protected = list.New()
 	c.byInstance = make(map[string]map[string]*hotEntry)
-	c.sketch = newCMSketch(c.baseCap)
-	c.capacity = c.baseCap
-	c.winHits, c.winLookups = 0, 0
+	c.sketch = newCMSketch(c.capacity)
 }
 
 func (c *hotCache) stats() (hits, misses uint64) {
@@ -377,12 +330,6 @@ func (c *hotCache) unitCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.units
-}
-
-func (c *hotCache) capacityUnits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
 }
 
 // cmSketch is a small count-min sketch with saturating 8-bit counters

@@ -16,7 +16,8 @@ import (
 
 // newHotDeployment is newDeployment with the hot-vertex layer enabled:
 // soft replication onto hotReplicas peers after hotThreshold fresh
-// queries of a root.
+// queries of a root (a small log would never reach the production
+// DefaultHotPromoteThreshold).
 func newHotDeployment(t *testing.T, r, nServers, cacheCap, hotReplicas, hotThreshold int) *deployment {
 	t.Helper()
 	net := inmem.New(1)
@@ -32,16 +33,16 @@ func newHotDeployment(t *testing.T, r, nServers, cacheCap, hotReplicas, hotThres
 	servers := make([]*Server, nServers)
 	for i := range servers {
 		srv, err := NewServer(ServerConfig{
-			Hasher:              hasher,
-			Resolver:            resolver,
-			Sender:              net,
-			CacheCapacity:       cacheCap,
-			HotReplicas:         hotReplicas,
-			HotPromoteThreshold: hotThreshold,
+			Hasher:        hasher,
+			Resolver:      resolver,
+			Sender:        net,
+			CacheCapacity: cacheCap,
+			HotReplicas:   hotReplicas,
 		})
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)
 		}
+		srv.hot.threshold = hotThreshold
 		servers[i] = srv
 		if _, err := net.Bind(addrs[i], srv.Handler); err != nil {
 			t.Fatalf("Bind: %v", err)
@@ -209,6 +210,78 @@ func TestSoftCopyInvalidatedOnMutation(t *testing.T) {
 			t.Fatalf("post-mutation search %d served stale results: %v (softServed=%v)",
 				i, ids, res.Stats.SoftServed)
 		}
+	}
+}
+
+// mutateOnFirstPromote forwards every send, except that before the
+// first soft-promotion chunk it runs mutate once: a mutation landing in
+// the middle of a promotion push.
+type mutateOnFirstPromote struct {
+	transport.Sender
+	once   sync.Once
+	mutate func()
+}
+
+func (m *mutateOnFirstPromote) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
+	if _, ok := body.(msgSoftPromote); ok {
+		m.once.Do(m.mutate)
+	}
+	return m.Sender.Send(ctx, to, body)
+}
+
+// A root mutated while its promotion is being pushed is not promoted:
+// the copies already pushed snapshot the old table, so the owner tears
+// them down and no replica serves one.
+func TestSoftPromotionAbandonedOnMidPushMutation(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	q := keyword.NewSet("hotdoc", "alpha")
+	if _, err := d.client.Insert(ctx, obj("seed", "hotdoc", "alpha")); err != nil {
+		t.Fatal(err)
+	}
+	root := d.hasher.Vertex(q)
+	rootSrv := d.serverFor(root)
+	fired := false
+	hook := &mutateOnFirstPromote{Sender: rootSrv.cfg.Sender}
+	hook.mutate = func() {
+		fired = true
+		if _, err := d.client.Insert(ctx, obj("mid-push", "hotdoc", "alpha")); err != nil {
+			t.Error(err)
+		}
+	}
+	rootSrv.cfg.Sender = hook
+
+	for i := 0; i < 3; i++ {
+		if _, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !fired {
+		t.Fatal("the promotion pushed no chunk: nothing was promoted")
+	}
+	if roots := rootSrv.HotPromotedRoots(); len(roots) != 0 {
+		t.Fatalf("root promoted despite a mid-push mutation: %v", roots)
+	}
+	for i, srv := range d.servers {
+		if tbl := srv.soft.lookup("main", root); tbl != nil {
+			t.Errorf("server %d serves a soft copy of the abandoned promotion", i)
+		}
+	}
+	if n := len(rootSrv.hot.mutGens); n != 0 {
+		t.Errorf("mutGens holds %d entries after the promotion returned", n)
+	}
+}
+
+// mutGens holds an epoch only while its root is being promoted, so
+// mutations of vertices nobody promotes leave nothing behind.
+func TestMutGensBounded(t *testing.T) {
+	d := newHotDeployment(t, 14, 1, 0, 2, 3)
+	h := d.servers[0].hot
+	for v := 0; v < 10000; v++ {
+		h.noteMutation("main", hypercube.Vertex(v), "")
+	}
+	if n := len(h.mutGens); n != 0 {
+		t.Errorf("mutGens holds %d entries after 10000 mutations of unpromoted vertices", n)
 	}
 }
 

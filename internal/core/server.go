@@ -64,24 +64,15 @@ type ServerConfig struct {
 	CacheCapacity int
 	// CachePolicy selects the result-cache replacement policy:
 	// CachePolicyHot (default) — popularity-tracked segmented LRU with
-	// frequency-sketch admission and capacity auto-tuning — or
-	// CachePolicyFIFO, the fixed-size insertion-order cache.
+	// frequency-sketch admission — or CachePolicyFIFO, the
+	// insertion-order cache. Both hold exactly CacheCapacity units.
 	CachePolicy string
-	// CacheTargetHit is the hit ratio the hot policy auto-tunes its
-	// capacity toward (grow up to 4× CacheCapacity while below it,
-	// shrink back when comfortably above). 0 disables auto-tuning.
-	// Ignored by the FIFO policy.
-	CacheTargetHit float64
 	// HotReplicas enables soft replication of hot root vertices: a
-	// root whose fresh-query count crosses HotPromoteThreshold gets
-	// its table soft-copied onto this many extra peers, and the owner
-	// advertises their addresses so clients spread the load. 0
+	// root whose fresh-query count reaches DefaultHotPromoteThreshold
+	// gets its table soft-copied onto this many extra peers, and the
+	// owner advertises their addresses so clients spread the load. 0
 	// disables the layer (the default).
 	HotReplicas int
-	// HotPromoteThreshold is the fresh-query count that promotes a
-	// root (default 64). Counters halve every ~1024 fresh queries, so
-	// the threshold tracks current popularity.
-	HotPromoteThreshold int
 	// BatchWaves controls wave batching for ParallelLevels searches
 	// this server roots (BatchAuto = on).
 	BatchWaves BatchMode
@@ -178,13 +169,9 @@ type Server struct {
 
 	// hot tracks root popularity and manages soft replication of the
 	// roots this server owns; soft holds the copies other owners
-	// pushed onto this node. served counts every operation this server
-	// answered (the load-distribution experiments' per-peer counter —
-	// registry counters can't attribute per node when servers share a
-	// registry).
-	hot    *hotVertexManager
-	soft   *softStore
-	served atomic.Uint64
+	// pushed onto this node.
+	hot  *hotVertexManager
+	soft *softStore
 
 	// migrate manages inbound range migrations and the double-read
 	// window state; always non-nil on servers built by NewServer.
@@ -427,11 +414,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		met:         newServerMetrics(cfg.Telemetry),
 		shards:      shards,
 		scanWorkers: procs,
-		cache:       newResultCache(cfg.CachePolicy, cfg.CacheCapacity, cfg.CacheTargetHit),
+		cache:       newResultCache(cfg.CachePolicy, cfg.CacheCapacity),
 		sessions:    newSessionStore(maxSessions),
 		soft:        newSoftStore(),
 	}
-	s.hot = newHotVertexManager(s, cfg.HotReplicas, cfg.HotPromoteThreshold)
+	s.hot = newHotVertexManager(s, cfg.HotReplicas)
 	if cfg.Admission != nil {
 		s.adm = admission.New(*cfg.Admission, cfg.Telemetry)
 	}
@@ -571,10 +558,6 @@ func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (an
 
 // handle dispatches one admitted (or ungated) message.
 func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any, error) {
-	// Per-server load attribution for the distribution experiments:
-	// registry counters can't tell servers apart when a deployment
-	// shares one registry, so each server counts what it answers.
-	s.served.Add(1)
 	switch msg := body.(type) {
 	case msgInsertEntry:
 		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
@@ -1041,6 +1024,10 @@ type TableStats struct {
 	// LastSnapshotError is the latest cause, empty when none.
 	SnapshotFailures  uint64
 	LastSnapshotError string
+	// SyncFailures counts the WAL's group commits (FsyncInterval) that
+	// failed to flush or fsync; LastSyncError is the latest cause.
+	SyncFailures  uint64
+	LastSyncError string
 }
 
 // Stats returns current storage counters, aggregated over every index
@@ -1051,6 +1038,9 @@ func (s *Server) Stats() TableStats {
 	st := TableStats{SnapshotFailures: s.snapshotFailures.Load()}
 	if msg := s.lastSnapshotErr.Load(); msg != nil {
 		st.LastSnapshotError = *msg
+	}
+	if s.store != nil {
+		st.SyncFailures, st.LastSyncError = s.store.SyncFailures()
 	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -1071,19 +1061,13 @@ func (s *Server) CacheStats() (hits, misses uint64) {
 	return s.cache.stats()
 }
 
-// CacheCapacity returns the root-result cache capacity in object-ID
-// units (0 = caching disabled). Under the hot policy this is the
-// auto-tuned live capacity, not the configured base.
-func (s *Server) CacheCapacity() int { return s.cache.capacityUnits() }
+// CacheCapacity returns the configured root-result cache capacity in
+// object-ID units (0 = caching disabled).
+func (s *Server) CacheCapacity() int { return s.cfg.CacheCapacity }
 
 // CacheSnapshot returns a point-in-time view of the result cache:
 // policy, capacity, occupancy and per-instance hit ratios.
 func (s *Server) CacheSnapshot() CacheSnapshot { return s.cache.snapshot() }
-
-// OpsServed reports how many protocol operations this server has
-// answered — the per-peer load counter the distribution experiments
-// aggregate into top-node share and Gini coefficients.
-func (s *Server) OpsServed() uint64 { return s.served.Load() }
 
 // HotPromotedRoots lists the currently promoted hot roots as
 // "instance/vertex" strings in sorted order; the promotion-determinism

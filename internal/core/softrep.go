@@ -43,9 +43,9 @@ import (
 
 const (
 	// DefaultHotPromoteThreshold is the fresh-query count at which a
-	// root is promoted when HotReplicas > 0 and no explicit
-	// ServerConfig.HotPromoteThreshold is set. Exported so offline
-	// attribution studies model promotion at the same point.
+	// root is promoted when HotReplicas > 0 — §3.4's one rule for a hot
+	// spot. Exported so offline attribution studies (sim.HotSpots)
+	// model promotion at the same point.
 	DefaultHotPromoteThreshold = 64
 	// hotDecayEvery halves all popularity counters after this many
 	// fresh rooted queries, so promotion tracks *current* popularity —
@@ -88,21 +88,19 @@ type hotVertexManager struct {
 	promoted  map[hotKey]*softSet
 	promoting map[hotKey]bool
 	notes     int // fresh queries since the last decay sweep
-	// mutGens counts mutations per root. promote reads it before
-	// snapshotting and re-checks before committing: a mutation that
-	// lands mid-push would otherwise miss the invalidation (the root is
-	// not in promoted yet) and leave a stale copy serving indefinitely.
+	// mutGens counts the mutations of a root that is being promoted;
+	// an entry lives only while its key is in promoting. promote
+	// re-checks it before committing: a mutation that lands mid-push
+	// would otherwise miss the invalidation (the root is not in
+	// promoted yet) and leave a stale copy serving indefinitely.
 	mutGens map[hotKey]uint64
 }
 
-func newHotVertexManager(s *Server, replicas, threshold int) *hotVertexManager {
-	if threshold <= 0 {
-		threshold = DefaultHotPromoteThreshold
-	}
+func newHotVertexManager(s *Server, replicas int) *hotVertexManager {
 	return &hotVertexManager{
 		s:         s,
 		replicas:  replicas,
-		threshold: threshold,
+		threshold: DefaultHotPromoteThreshold,
 		counts:    make(map[hotKey]int),
 		promoted:  make(map[hotKey]*softSet),
 		promoting: make(map[hotKey]bool),
@@ -174,6 +172,7 @@ func (h *hotVertexManager) promote(ctx context.Context, k hotKey) *softSet {
 	defer func() {
 		h.mu.Lock()
 		delete(h.promoting, k)
+		delete(h.mutGens, k)
 		h.mu.Unlock()
 	}()
 
@@ -292,7 +291,9 @@ func (h *hotVertexManager) noteMutation(instance string, v hypercube.Vertex, set
 	}
 	k := hotKey{instance: instance, vertex: v}
 	h.mu.Lock()
-	h.mutGens[k]++
+	if h.promoting[k] {
+		h.mutGens[k]++
+	}
 	set, ok := h.promoted[k]
 	if ok {
 		delete(h.promoted, k)

@@ -61,27 +61,6 @@ type RunResult struct {
 	Arrival   string  `json:"arrival"`
 	TimeoutNS int64   `json:"timeout_ns"`
 	Report    Report  `json:"report"`
-
-	// Hot-vertex layer shape of the phase's fleet (zero and omitted
-	// for cache-off phases): per-peer cache units, soft replicas per
-	// promoted root, and the promotion threshold.
-	CacheUnits   int `json:"cache_units,omitempty"`
-	HotReplicas  int `json:"hot_replicas,omitempty"`
-	HotThreshold int `json:"hot_threshold,omitempty"`
-
-	// Hot-vertex layer accounting, recorded by cache-on phases (zero
-	// and omitted elsewhere). CacheHitRatio is fleet-wide result-cache
-	// hits over consultations; SoftServes counts queries served by a
-	// soft replica instead of the root owner; RefineHits counts
-	// answers derived from a cached ancestor (Lemma 3.3).
-	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
-	SoftServes    uint64  `json:"soft_serves,omitempty"`
-	RefineHits    uint64  `json:"refine_hits,omitempty"`
-	// Per-peer serving-load concentration over the phase, from
-	// ops-served deltas: the hottest peer's share of all served
-	// operations and the Gini coefficient of the distribution.
-	TopNodeShare float64 `json:"top_node_share,omitempty"`
-	LoadGini     float64 `json:"load_gini,omitempty"`
 }
 
 // WriteBench writes the file as indented JSON at path.

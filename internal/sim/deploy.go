@@ -93,15 +93,9 @@ type DeployConfig struct {
 	// CachePolicy selects the result-cache policy ("" = hot, or
 	// "fifo"). See core.ServerConfig.CachePolicy.
 	CachePolicy string
-	// CacheTargetHit is the hot policy's auto-tune target hit ratio
-	// (0 disables auto-tuning).
-	CacheTargetHit float64
 	// HotReplicas soft-replicates promoted hot roots onto this many
 	// extra peers (0 = disabled). See core.ServerConfig.HotReplicas.
 	HotReplicas int
-	// HotPromoteThreshold promotes a root after this many fresh
-	// queries when HotReplicas > 0 (0 = library default).
-	HotPromoteThreshold int
 	// HotSpread makes the deployment's clients round-robin one-shot
 	// searches for promoted roots across owner + soft replicas.
 	HotSpread bool
@@ -173,21 +167,18 @@ func NewCustomDeployment(cfg DeployConfig) (*Deployment, error) {
 			dataDir = filepath.Join(cfg.DataDir, "peer-"+strconv.Itoa(p))
 		}
 		srv, err := core.NewServer(core.ServerConfig{
-			Hasher:         hasher,
-			Resolver:       resolver,
-			Sender:         sender,
-			CacheCapacity:  cfg.CacheCapacity,
-			CachePolicy:    cfg.CachePolicy,
-			CacheTargetHit: cfg.CacheTargetHit,
-			HotReplicas:    cfg.HotReplicas,
-			BatchWaves:     cfg.Batch,
-
-			HotPromoteThreshold: cfg.HotPromoteThreshold,
-			DataDir:             dataDir,
-			Fsync:               cfg.Fsync,
-			SnapshotEvery:       cfg.SnapshotEvery,
-			Admission:           cfg.Admission,
-			Telemetry:           cfg.Telemetry,
+			Hasher:        hasher,
+			Resolver:      resolver,
+			Sender:        sender,
+			CacheCapacity: cfg.CacheCapacity,
+			CachePolicy:   cfg.CachePolicy,
+			HotReplicas:   cfg.HotReplicas,
+			BatchWaves:    cfg.Batch,
+			DataDir:       dataDir,
+			Fsync:         cfg.Fsync,
+			SnapshotEvery: cfg.SnapshotEvery,
+			Admission:     cfg.Admission,
+			Telemetry:     cfg.Telemetry,
 		})
 		if err != nil {
 			for _, s := range servers[:p] {

@@ -41,25 +41,10 @@ func TestZipfSmokeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer off.Close()
-	hot, err := NewCustomDeployment(DeployConfig{
-		R:                   6,
-		CacheCapacity:       400,
-		CachePolicy:         core.CachePolicyHot,
-		CacheTargetHit:      0.5,
-		HotReplicas:         2,
-		HotPromoteThreshold: 8,
-		HotSpread:           true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hot.Close()
 	if err := off.InsertCorpus(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := hot.InsertCorpus(c); err != nil {
-		t.Fatal(err)
-	}
+	hot := hotFleet(t, c, nil)
 
 	ctx := context.Background()
 	var hits, softServes, refineHits, counted int
@@ -106,13 +91,17 @@ func TestZipfSmokeByteIdentical(t *testing.T) {
 
 	// Cross-client refinement reuse rides the same byte-identity bar:
 	// derive a refined answer from a cached exhausted ancestor and
-	// compare against the cache-off traversal.
+	// compare against the cache-off traversal. It gets a fresh fleet:
+	// after the replay the ancestor's root may be promoted, and then the
+	// spreading client's base search is answered (and cached) by a soft
+	// replica, while RefineSearch asks the owner.
 	refined := pickRefinable(t, log)
 	base := keyword.NewSet(refined.Words()[0])
-	if _, err := hot.Client.SupersetSearch(ctx, base, core.All, core.SearchOptions{}); err != nil {
+	fresh := hotFleet(t, c, nil)
+	if _, err := fresh.Client.SupersetSearch(ctx, base, core.All, core.SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := hot.Client.RefineSearch(ctx, base, refined, core.All, core.SearchOptions{})
+	rs, err := fresh.Client.RefineSearch(ctx, base, refined, core.All, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +119,28 @@ func TestZipfSmokeByteIdentical(t *testing.T) {
 		counted, hits, softServes, refineHits)
 }
 
+// hotFleet builds the smokes' r = 6 fleet with the whole hot-vertex
+// layer on: popularity cache, soft replication, client spreading.
+func hotFleet(t *testing.T, c *corpus.Corpus, reg *telemetry.Registry) *Deployment {
+	t.Helper()
+	d, err := NewCustomDeployment(DeployConfig{
+		R:             6,
+		CacheCapacity: 400,
+		CachePolicy:   core.CachePolicyHot,
+		HotReplicas:   2,
+		HotSpread:     true,
+		Telemetry:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if err := d.InsertCorpus(c); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // pickRefinable returns a multi-word template from the log (refinement
 // needs a proper superset of a one-word base).
 func pickRefinable(t *testing.T, log *corpus.QueryLog) keyword.Set {
@@ -144,8 +155,8 @@ func pickRefinable(t *testing.T, log *corpus.QueryLog) keyword.Set {
 }
 
 // TestZipfSmokeAccounting replays the log on an instrumented hot fleet
-// and checks the cache-hit accounting identities the BENCH fields rely
-// on: every counted query consults exactly one server's result cache
+// and checks the cache-hit accounting identities the core_cache_* and
+// core_soft_* counters rely on: every counted query consults exactly one server's result cache
 // (hits+misses == queries, fleet-wide), serves exactly one root
 // T_QUERY and one search span, and the soft-serve counter reconciles
 // with the client's own view.
@@ -154,22 +165,7 @@ func TestZipfSmokeAccounting(t *testing.T) {
 	log := zipfLog(t, c)
 
 	reg := telemetry.New(64)
-	d, err := NewCustomDeployment(DeployConfig{
-		R:                   6,
-		CacheCapacity:       400,
-		CachePolicy:         core.CachePolicyHot,
-		HotReplicas:         2,
-		HotPromoteThreshold: 8,
-		HotSpread:           true,
-		Telemetry:           reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.InsertCorpus(c); err != nil {
-		t.Fatal(err)
-	}
+	d := hotFleet(t, c, reg)
 
 	ctx := context.Background()
 	var counted, clientHits, clientSoft, clientRefine int

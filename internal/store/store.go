@@ -118,6 +118,10 @@ type Store struct {
 	closed    bool
 	stopFlush chan struct{}
 	flushDone chan struct{}
+	// syncFailures counts group-commit ticks whose flush or fsync
+	// failed; lastSyncErr is the latest cause.
+	syncFailures uint64
+	lastSyncErr  string
 
 	met storeMetrics
 }
@@ -129,6 +133,7 @@ type storeMetrics struct {
 	snapshotNS *telemetry.Histogram // store_snapshot_ns
 	replayed   *telemetry.Counter   // store_recovery_replayed_total
 	snapshots  *telemetry.Counter   // store_snapshots_total
+	syncFails  *telemetry.Counter   // store_group_commit_failures_total
 }
 
 func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
@@ -141,6 +146,7 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 		snapshotNS: reg.Histogram("store_snapshot_ns", telemetry.ExpBuckets(int64(100*time.Microsecond), 4, 10)),
 		replayed:   reg.Counter("store_recovery_replayed_total"),
 		snapshots:  reg.Counter("store_snapshots_total"),
+		syncFails:  reg.Counter("store_group_commit_failures_total"),
 	}
 }
 
@@ -280,7 +286,9 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-// flushLoop is the FsyncInterval group-commit ticker.
+// flushLoop is the FsyncInterval group-commit ticker. No caller waits
+// on a tick, so a failed flush or fsync is counted (SyncFailures) and
+// the next tick retries: the unwritten bytes stay buffered.
 func (s *Store) flushLoop() {
 	defer close(s.flushDone)
 	t := time.NewTicker(s.cfg.FsyncEvery)
@@ -290,8 +298,14 @@ func (s *Store) flushLoop() {
 		case <-t.C:
 			s.mu.Lock()
 			if !s.closed {
-				if err := s.flushLocked(); err == nil {
-					_ = s.syncLocked()
+				err := s.flushLocked()
+				if err == nil {
+					err = s.syncLocked()
+				}
+				if err != nil {
+					s.syncFailures++
+					s.lastSyncErr = err.Error()
+					s.met.syncFails.Inc()
 				}
 			}
 			s.mu.Unlock()
@@ -299,6 +313,14 @@ func (s *Store) flushLoop() {
 			return
 		}
 	}
+}
+
+// SyncFailures reports how many group-commit ticks failed to flush or
+// fsync the WAL, and the latest cause ("" when none failed).
+func (s *Store) SyncFailures() (count uint64, last string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.syncFailures, s.lastSyncErr
 }
 
 // Sync forces pending appends to stable storage regardless of policy.

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 )
@@ -510,5 +511,35 @@ func TestFsyncPolicyParsingAndTelemetry(t *testing.T) {
 	if reg.Counter("store_recovery_replayed_total").Value() != 1 {
 		t.Errorf("store_recovery_replayed_total = %d, want 1",
 			reg.Counter("store_recovery_replayed_total").Value())
+	}
+}
+
+// TestGroupCommitFailureCounted: a group-commit tick that cannot write
+// the WAL is counted, with its cause, instead of dropped.
+func TestGroupCommitFailureCounted(t *testing.T) {
+	reg := telemetry.New(8)
+	s := openTest(t, t.TempDir(), Config{Fsync: FsyncInterval, FsyncEvery: time.Millisecond, Telemetry: reg})
+	s.mu.Lock()
+	s.wal.Close() // the file goes away underneath the store
+	s.mu.Unlock()
+	if _, err := s.Append(rec(OpInsert, 1, "k", "o1")); err != nil {
+		t.Fatalf("an interval append only buffers, got %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n, _ := s.SyncFailures(); n == 0; n, _ = s.SyncFailures() {
+		if time.Now().After(deadline) {
+			t.Fatal("no group-commit failure counted within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); err == nil {
+		t.Error("Close flushed a WAL whose file is closed")
+	}
+	n, last := s.SyncFailures()
+	if !strings.Contains(last, "WAL write") {
+		t.Errorf("last group-commit error = %q, want the WAL write failure", last)
+	}
+	if got := reg.Counter("store_group_commit_failures_total").Value(); got != n {
+		t.Errorf("store_group_commit_failures_total = %d, want %d", got, n)
 	}
 }

@@ -42,20 +42,14 @@ type Config struct {
 	CacheCapacity int
 	// CachePolicy selects the result-cache replacement policy: "hot"
 	// (default) — popularity-tracked segmented LRU with frequency-
-	// sketch admission and capacity auto-tuning — or "fifo", the
-	// fixed-size insertion-order cache of earlier releases.
+	// sketch admission — or "fifo", the insertion-order cache of
+	// earlier releases. Either holds exactly CacheCapacity units.
 	CachePolicy string
-	// CacheTargetHit is the hit ratio the hot cache policy auto-tunes
-	// its capacity toward (growing up to 4× CacheCapacity while below
-	// it). 0 disables auto-tuning; ignored under "fifo".
-	CacheTargetHit float64
 	// HotReplicas soft-replicates each promoted hot root vertex onto
 	// this many extra peers, spreading its query load (0 = disabled,
-	// the default). See DESIGN "Hot-vertex layer".
+	// the default). A root is promoted after 64 fresh queries. See
+	// DESIGN "Hot-vertex layer".
 	HotReplicas int
-	// HotPromoteThreshold is the fresh-query count that promotes a
-	// root when HotReplicas > 0 (default 64).
-	HotPromoteThreshold int
 	// HotSpread makes this peer's clients round-robin one-shot
 	// searches for promoted roots across owner + advertised soft
 	// replicas. Off by default.
@@ -195,22 +189,19 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	node := chord.New(resolved, sender, chord.Config{Telemetry: cfg.Telemetry})
 	resolver := core.NewOverlayResolver(node)
 	server, err := core.NewServer(core.ServerConfig{
-		Hasher:         hasher,
-		Resolver:       resolver,
-		Sender:         sender,
-		CacheCapacity:  cfg.CacheCapacity,
-		CachePolicy:    cfg.CachePolicy,
-		CacheTargetHit: cfg.CacheTargetHit,
-		BatchWaves:     cfg.BatchWaves,
-		DataDir:        cfg.DataDir,
-		Fsync:          fsync,
-		SnapshotEvery:  cfg.SnapshotEvery,
-		Admission:      cfg.Admission,
-		OwnedArc:       node.OwnedArc,
-		Telemetry:      cfg.Telemetry,
-		HotReplicas:    cfg.HotReplicas,
-
-		HotPromoteThreshold: cfg.HotPromoteThreshold,
+		Hasher:        hasher,
+		Resolver:      resolver,
+		Sender:        sender,
+		CacheCapacity: cfg.CacheCapacity,
+		CachePolicy:   cfg.CachePolicy,
+		BatchWaves:    cfg.BatchWaves,
+		DataDir:       cfg.DataDir,
+		Fsync:         fsync,
+		SnapshotEvery: cfg.SnapshotEvery,
+		Admission:     cfg.Admission,
+		OwnedArc:      node.OwnedArc,
+		Telemetry:     cfg.Telemetry,
+		HotReplicas:   cfg.HotReplicas,
 		Migration: core.MigrationConfig{
 			ChunkEntries: cfg.MigrateChunkEntries,
 			Throttle:     cfg.MigrateThrottle,
