@@ -129,7 +129,7 @@ func visitRank(cube hypercube.Cube, order TraversalOrder, rootV hypercube.Vertex
 		}
 		return rank
 	}
-	units := expandFrontier(&session{cube: cube, root: rootV}, []workUnit{{vertex: rootV, genDim: cube.Dim()}})
+	units := expandFrontier(nil, &session{cube: cube, root: rootV}, []workUnit{{vertex: rootV, genDim: cube.Dim()}})
 	for _, u := range units {
 		rank[u.vertex] = len(rank)
 	}

@@ -22,10 +22,10 @@ import (
 // decomposed families) spread differently over the same nodes.
 type Resolver interface {
 	Resolve(ctx context.Context, instance string, v hypercube.Vertex) (transport.Addr, error)
-	// ResolveBatch resolves a whole wave of vertices at once; addrs is
-	// positionally aligned with vs, and so is errs — which is nil when
-	// every vertex resolved.
-	ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) (addrs []transport.Addr, errs []error)
+	// ResolveBatch resolves a whole wave of vertices at once into the
+	// caller's addrs, which has len(vs); addrs is positionally aligned
+	// with vs, and so is errs — which is nil when every vertex resolved.
+	ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex, addrs []transport.Addr) (errs []error)
 }
 
 // VertexKey derives the DHT key under which logical vertex v of index
@@ -42,15 +42,17 @@ const batchResolveFanout = 16
 
 // OverlayResolver resolves vertices through a dht.Overlay lookup,
 // caching (instance, vertex)→address bindings (the neighbor caching of
-// Section 3.4, remark 4). Invalidate drops a cached binding after a
-// send to it fails, so churn is handled by re-resolution. Concurrent
-// Resolve calls for the same cold binding are deduplicated: one caller
-// performs the overlay lookup and the rest wait for its outcome.
+// Section 3.4, remark 4), keyed by instance and then by vertex so a
+// wave hashes its instance name once, not once per vertex. Invalidate
+// drops a cached binding after a send to it fails, so churn is handled
+// by re-resolution. Concurrent Resolve calls for the same cold binding
+// are deduplicated: one caller performs the overlay lookup and the rest
+// wait for its outcome.
 type OverlayResolver struct {
 	overlay dht.Overlay
 
 	mu      sync.Mutex
-	cache   map[bindingKey]transport.Addr
+	cache   map[string]map[hypercube.Vertex]transport.Addr
 	flights map[bindingKey]*flight
 }
 
@@ -72,7 +74,7 @@ var _ Resolver = (*OverlayResolver)(nil)
 func NewOverlayResolver(overlay dht.Overlay) *OverlayResolver {
 	return &OverlayResolver{
 		overlay: overlay,
-		cache:   make(map[bindingKey]transport.Addr),
+		cache:   make(map[string]map[hypercube.Vertex]transport.Addr),
 		flights: make(map[bindingKey]*flight),
 	}
 }
@@ -81,7 +83,7 @@ func NewOverlayResolver(overlay dht.Overlay) *OverlayResolver {
 func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hypercube.Vertex) (transport.Addr, error) {
 	key := bindingKey{instance: instance, vertex: v}
 	r.mu.Lock()
-	if addr, ok := r.cache[key]; ok {
+	if addr, ok := r.cache[instance][v]; ok {
 		r.mu.Unlock()
 		return addr, nil
 	}
@@ -108,7 +110,12 @@ func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hyperc
 
 	r.mu.Lock()
 	if err == nil {
-		r.cache[key] = addr
+		byVertex := r.cache[instance]
+		if byVertex == nil {
+			byVertex = make(map[hypercube.Vertex]transport.Addr)
+			r.cache[instance] = byVertex
+		}
+		byVertex[v] = addr
 	}
 	delete(r.flights, key)
 	r.mu.Unlock()
@@ -125,12 +132,12 @@ func (r *OverlayResolver) Resolve(ctx context.Context, instance string, v hyperc
 // Duplicate vertices in vs and concurrent calls for overlapping waves
 // collapse onto single overlay lookups via the cache and the
 // singleflight table.
-func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
-	addrs := make([]transport.Addr, len(vs))
+func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex, addrs []transport.Addr) []error {
 	var misses []int
 	r.mu.Lock()
+	byVertex := r.cache[instance]
 	for i, v := range vs {
-		addr, ok := r.cache[bindingKey{instance: instance, vertex: v}]
+		addr, ok := byVertex[v]
 		if !ok {
 			misses = append(misses, i)
 		}
@@ -138,7 +145,7 @@ func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs 
 	}
 	r.mu.Unlock()
 	if len(misses) == 0 {
-		return addrs, nil
+		return nil
 	}
 	errs := make([]error, len(vs))
 	fanOut(len(misses), batchResolveFanout, func(k int) {
@@ -147,10 +154,10 @@ func (r *OverlayResolver) ResolveBatch(ctx context.Context, instance string, vs 
 	})
 	for _, i := range misses {
 		if errs[i] != nil {
-			return addrs, errs
+			return errs
 		}
 	}
-	return addrs, nil
+	return nil
 }
 
 // fanOut runs fn(0) … fn(n-1) on min(n, limit) workers that claim
@@ -236,7 +243,7 @@ func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sende
 // Invalidate forgets the cached binding for v in the given instance.
 func (r *OverlayResolver) Invalidate(instance string, v hypercube.Vertex) {
 	r.mu.Lock()
-	delete(r.cache, bindingKey{instance: instance, vertex: v})
+	delete(r.cache[instance], v)
 	r.mu.Unlock()
 }
 
@@ -244,7 +251,11 @@ func (r *OverlayResolver) Invalidate(instance string, v hypercube.Vertex) {
 func (r *OverlayResolver) CacheSize() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.cache)
+	n := 0
+	for _, byVertex := range r.cache {
+		n += len(byVertex)
+	}
+	return n
 }
 
 // FuncResolver adapts a plain instance-agnostic function to Resolver.
@@ -264,9 +275,8 @@ func (f FuncResolver) Resolve(_ context.Context, _ string, v hypercube.Vertex) (
 }
 
 // ResolveBatch implements Resolver; the mapping function is pure, so
-// the batch is a plain loop.
-func (f FuncResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex) ([]transport.Addr, []error) {
-	addrs := make([]transport.Addr, len(vs))
+// the batch is a plain loop filling the caller's addrs.
+func (f FuncResolver) ResolveBatch(ctx context.Context, instance string, vs []hypercube.Vertex, addrs []transport.Addr) []error {
 	var errs []error
 	for i, v := range vs {
 		var err error
@@ -277,5 +287,5 @@ func (f FuncResolver) ResolveBatch(ctx context.Context, instance string, vs []hy
 			errs[i] = err
 		}
 	}
-	return addrs, errs
+	return errs
 }

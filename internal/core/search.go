@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
+	"sync"
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
@@ -456,7 +456,14 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 //
 // Failed nodes are skipped and counted — their subtree is still
 // explored, because the child list is regenerated locally.
+//
+// Every buffer private to the root — the expanded wave, its hits
+// indexed by position, the grouping by peer, the children and resumes —
+// lives in one waveScratch taken for the call, so a traversal allocates
+// per query, not per contacted vertex.
 func (s *Server) traverse(ctx context.Context, sess *session, threshold int, trace *[]TraceStep, t *tally) {
+	sc := scratchPool.Get().(*waveScratch)
+	defer sc.release()
 	levelWaves := sess.order == ParallelLevels
 	batch := levelWaves && s.cfg.BatchWaves == BatchOn
 	need, entered := threshold, t.nodes
@@ -470,30 +477,24 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 		flat := batch && sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree &&
 			flattenTail(threshold, need, t.nodes-entered, sess.remaining(wave))
 		if flat {
-			wave = expandFrontier(sess, wave)
+			sc.expanded = expandFrontier(sc.expanded, sess, wave)
+			wave = sc.expanded
 		}
 
-		var hits []waveHit
+		sc.hits = resized(sc.hits, len(wave))
+		hits := sc.hits
 		if batch {
-			var waveFrames int
-			hits, waveFrames = s.dispatchWave(ctx, sess, wave, need)
-			t.frames += waveFrames
+			t.frames += s.dispatchWave(ctx, sess, wave, need, sc)
 		} else {
-			hits = make([]waveHit, len(wave))
 			fanOut(len(wave), parallelFanout, func(i int) {
 				hits[i] = s.visit(ctx, sess, wave[i], need)
-				hits[i].pos = i
 			})
 		}
 
-		var resumes, children []workUnit
+		resumes, children := sc.resumes[:0], sc.children[:0]
 		stopDepth := sess.cube.Dim() // where a flat wave met the threshold; nothing is deeper yet
 		for i, u := range wave {
-			// A unit without a hit was owned, scanned and empty.
-			var res waveHit
-			if len(hits) > 0 && hits[0].pos == i {
-				res, hits = hits[0], hits[1:]
-			}
+			res := &hits[i] // zero: the unit was owned, scanned and empty
 			t.nodes++
 			t.frames += res.frames
 			if !sess.hostsRoot(u) {
@@ -548,23 +549,26 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				resumes = append(resumes, workUnit{vertex: u.vertex, genDim: -1, skip: u.skip + take})
 			}
 		}
-		sess.work = append(rest, children...)
+		sc.resumes, sc.children = resumes, children
+		// Both are copied out of the scratch: a parked session outlives it.
+		work := rest
 		if len(resumes) > 0 {
-			sess.work = append(resumes, sess.work...)
+			work = make([]workUnit, 0, len(resumes)+len(rest)+len(children))
+			work = append(append(work, resumes...), rest...)
 		}
+		sess.work = append(work, children...)
 	}
 }
 
 // waveHit is what one unit of a wave had to say: matches, matches
 // beyond the window, a T_CONT child list, frames spent on it alone, or
-// a failure. Dispatch hands traverse a wave's hits sorted by pos; a unit
-// without one was owned, scanned and empty, and cost the root nothing
-// beyond its place in the wave. frames counts the physical RPC frames
-// sent for this unit alone (zero when a batch or a local shortcut
-// absorbed it); children is the node's SBT child list as the node
-// reported it, pruned against the exclude mask only when consumed.
+// a failure. Dispatch fills a wave's hits indexed by position; a zero
+// hit means the unit was owned, scanned and empty, and cost the root
+// nothing beyond its place in the wave. frames counts the physical RPC
+// frames sent for this unit alone (zero when a batch or a local
+// shortcut absorbed it); children is the node's SBT child list as the
+// node reported it, pruned against the exclude mask only when consumed.
 type waveHit struct {
-	pos       int // index of the unit in its wave
 	matches   []Match
 	remaining int
 	children  []wireEdge
@@ -572,9 +576,50 @@ type waveHit struct {
 	err       error
 }
 
+// waveScratch is the root's private working memory for one traverse
+// call: a flattened wave's units, the wave's vertices and resolved
+// addresses, its dense hits, the per-peer grouping of a batched
+// dispatch, and the children and resumes the consume loop collects.
+// Nothing that outlives the round may alias it — not sess.work, not the
+// tally's matches, not a Send body (DESIGN §7).
+type waveScratch struct {
+	expanded, children, resumes []workUnit
+	vertices                    []hypercube.Vertex
+	addrs                       []transport.Addr
+	hits                        []waveHit
+	dest, idx                   []int32
+	peers                       []peerBatch
+	peerOf                      map[transport.Addr]int32
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &waveScratch{peerOf: make(map[transport.Addr]int32)}
+}}
+
+// release clears every slot that can hold a pointer, so a pooled
+// scratch keeps no answer, address or error alive, and returns it to
+// the pool.
+func (sc *waveScratch) release() {
+	clear(sc.hits[:cap(sc.hits)])
+	clear(sc.addrs[:cap(sc.addrs)])
+	clear(sc.peers[:cap(sc.peers)])
+	clear(sc.peerOf)
+	scratchPool.Put(sc)
+}
+
+// resized returns buf at length n with every element zero, reusing its
+// array when that is large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // visit scans one work unit: in place when it is the traversal root
-// hosted by this server, via a T_QUERY/T_CONT round trip otherwise. The
-// caller fills in pos.
+// hosted by this server, via a T_QUERY/T_CONT round trip otherwise.
 func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) waveHit {
 	if sess.hostsRoot(u) {
 		return s.scanLocal(ctx, ownedArc{}, sess, u, limit)
@@ -637,14 +682,18 @@ func flattenTail(threshold, need, seen, left int) bool {
 // work units its traversal would visit, in the exact order the
 // level-by-level waves would concatenate to: each unit is followed by
 // its SBT children, generated breadth-first — the output slice is its
-// own queue, sized exactly by remaining. Expanded units carry genDim -1
-// so the consume loop neither re-appends their children on success nor
-// regenerates them on failure — the whole subtree is already in the
-// wave. Children intersecting the session's exclude mask are pruned
-// (prefix-multicast branch partition).
-func expandFrontier(sess *session, frontier []workUnit) []workUnit {
-	out := make([]workUnit, len(frontier), sess.remaining(frontier))
-	copy(out, frontier)
+// own queue: dst's array when remaining fits it, else one sized exactly
+// by remaining. Expanded units carry genDim -1 so the consume loop
+// neither re-appends their children on success nor regenerates them on
+// failure — the whole subtree is already in the wave. Children
+// intersecting the session's exclude mask are pruned (prefix-multicast
+// branch partition). dst must not overlap frontier.
+func expandFrontier(dst []workUnit, sess *session, frontier []workUnit) []workUnit {
+	out := dst[:0]
+	if n := sess.remaining(frontier); cap(out) < n {
+		out = make([]workUnit, 0, n)
+	}
+	out = append(out, frontier...)
 	for i := 0; i < len(out); i++ {
 		out = sess.appendChildren(out, out[i])
 		out[i].genDim = -1
@@ -654,24 +703,27 @@ func expandFrontier(sess *session, frontier []workUnit) []workUnit {
 
 // dispatchWave answers one wave of work units, coalescing every unit
 // that resolves to the same physical peer into one msgSubQueryBatch. It
-// returns the wave's hits sorted by position and the number of batch
-// frames sent (per-unit fallback frames are carried in the individual
-// hits). Units the dispatching server can answer itself — the query
-// root, plus any vertex resolving to the root's own address — are
-// scanned locally with no frame at all. Any unit a batch cannot serve
-// (transport failure, or per-unit ownership error) falls back to the
-// per-message visit path with its resolve-retry healing, so failure
-// semantics are identical to the unbatched mode.
-func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int) ([]waveHit, int) {
+// fills sc.hits, which traverse sized to the wave and zeroed, indexed
+// by position, and returns the number of batch frames sent (per-unit
+// fallback frames are carried in the individual hits). Units the
+// dispatching server can answer itself — the query root, plus any
+// vertex resolving to the root's own address — are scanned locally with
+// no frame at all. Any unit a batch cannot serve (transport failure, or
+// per-unit ownership error) falls back to the per-message visit path
+// with its resolve-retry healing, so failure semantics are identical to
+// the unbatched mode.
+func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int, sc *waveScratch) int {
 	// The whole wave is resolved positionally, so addrs[i] belongs to
 	// wave[i] with no index slice in between. That includes a root this
 	// server hosts, whose binding is never looked at; a foreign branch
 	// root (prefix multicast) is a remote vertex like any other.
-	vertices := make([]hypercube.Vertex, len(wave))
+	vertices := resized(sc.vertices, len(wave))
 	for i, u := range wave {
 		vertices[i] = u.vertex
 	}
-	addrs, errs := s.cfg.Resolver.ResolveBatch(ctx, sess.instance, vertices)
+	addrs := resized(sc.addrs, len(wave))
+	sc.vertices, sc.addrs = vertices, addrs
+	errs := s.cfg.Resolver.ResolveBatch(ctx, sess.instance, vertices, addrs)
 
 	// This server's own address identifies which other vertices it
 	// hosts; failing to resolve it only disables that shortcut. On a
@@ -690,22 +742,16 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	// Units this server can answer are scanned on the spot, no frame;
 	// the rest are counted per destination peer, in first-seen dispatch
 	// order, and then carved out of one index slice.
-	type peerBatch struct {
-		addr   transport.Addr
-		n, end int // its units: idx[end-n : end], once carved
-	}
-	var hits []waveHit
-	var peers []peerBatch
-	peerOf := make(map[transport.Addr]int32)
-	dest := make([]int32, len(wave)) // wave position → peer, -1: answered here
+	hits, peers, peerOf := sc.hits, sc.peers[:0], sc.peerOf
+	clear(peerOf)
+	dest := resized(sc.dest, len(wave)) // wave position → peer, -1: answered here
 	for i, u := range wave {
 		dest[i] = -1
-		var hit waveHit
 		switch addr := addrs[i]; {
 		case sess.hostsRoot(u):
-			hit = s.scanLocal(ctx, ownedArc{}, sess, u, limit)
+			hits[i] = s.scanLocal(ctx, ownedArc{}, sess, u, limit)
 		case errs != nil && errs[i] != nil:
-			hit.err = errs[i]
+			hits[i].err = errs[i]
 		case selfAddr == "" || addr != selfAddr:
 			k, seen := peerOf[addr]
 			if !seen {
@@ -715,51 +761,52 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 			}
 			peers[k].n++
 			dest[i] = k
-			continue
 		default:
-			if hit = s.scanLocal(ctx, arc, sess, u, limit); hit.err == nil {
+			if hits[i] = s.scanLocal(ctx, arc, sess, u, limit); hits[i].err == nil {
 				s.met.coalesced.Inc() // frame avoided entirely
 			} else {
 				// The resolver maps the vertex here but the DHT layer no
 				// longer owns it: take the remote path.
-				hit = s.visit(ctx, sess, u, limit)
+				hits[i] = s.visit(ctx, sess, u, limit)
 			}
-		}
-		if hit.err != nil || hit.frames > 0 || len(hit.matches) > 0 || hit.remaining > 0 || len(hit.children) > 0 {
-			hit.pos = i
-			hits = append(hits, hit)
 		}
 	}
 	remote := 0
 	for k := range peers {
 		peers[k].end, remote = remote, remote+peers[k].n
 	}
-	idx := make([]int32, remote)
+	idx := resized(sc.idx, remote)
 	for i, k := range dest {
 		if k >= 0 {
 			idx[peers[k].end] = int32(i)
 			peers[k].end++
 		}
 	}
+	sc.dest, sc.idx, sc.peers = dest, idx, peers
 
-	// One batch per distinct peer, concurrently, fanout-bounded; the
-	// peers' hits join the local ones in wave order.
-	parts := make([][]waveHit, len(peers)+1)
-	parts[len(peers)] = hits
+	// One batch per distinct peer, concurrently, fanout-bounded; each
+	// writes only its own units' hits.
 	fanOut(len(peers), parallelFanout, func(k int) {
 		p := peers[k]
-		parts[k] = s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], wave, limit)
+		s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], wave, limit, hits)
 	})
-	hits = slices.Concat(parts...)
-	slices.SortFunc(hits, func(a, b waveHit) int { return a.pos - b.pos })
-	return hits, len(peers)
+	return len(peers)
+}
+
+// peerBatch is one destination of a batched wave: its address and its
+// units, idx[end-n : end] of the wave's grouped positions once carved.
+type peerBatch struct {
+	addr   transport.Addr
+	n, end int
 }
 
 // sendBatch sends one coalesced msgSubQueryBatch frame for the units at
-// positions idx of wave and returns their hits, in position order.
-// Units the batch could not serve are retried on the per-message path
-// and carry those frames in their own hits.
-func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, wave []workUnit, limit int) []waveHit {
+// positions idx of wave and writes their hits to hits at those
+// positions. Units the batch could not serve are retried on the
+// per-message path and carry those frames in their own hits. The frame's
+// units are allocated per frame, never pooled: a hedged send's losing
+// leg may still be reading them after Send returns.
+func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, wave []workUnit, limit int, hits []waveHit) {
 	units := make([]wireUnit, len(idx))
 	for j, i := range idx {
 		u := wave[i]
@@ -792,25 +839,22 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 	} else {
 		s.met.coalesced.Add(uint64(len(units) - 1))
 	}
-	hits := make([]waveHit, len(resp.Hits))
 	cerr := ctx.Err()
-	for j, r := range resp.Hits {
+	for _, r := range resp.Hits {
 		i := idx[r.Index]
 		switch {
 		case r.ErrCode == errCodeNone:
-			hits[j] = waveHit{matches: r.Matches, remaining: r.Remaining, children: r.Children}
+			hits[i] = waveHit{matches: r.Matches, remaining: r.Remaining, children: r.Children}
 		case cerr != nil:
 			// The search itself is dead; per-unit retries would only
 			// spray doomed frames at an already loaded peer.
-			hits[j].err = cerr
+			hits[i].err = cerr
 		case r.ErrCode == errCodeCancelled:
-			hits[j].err = context.DeadlineExceeded
+			hits[i].err = context.DeadlineExceeded
 		default:
-			hits[j] = s.visit(ctx, sess, wave[i], limit)
+			hits[i] = s.visit(ctx, sess, wave[i], limit)
 		}
-		hits[j].pos = int(i)
 	}
-	return hits
 }
 
 // fits reports that the response is a well-formed answer to a request

@@ -77,7 +77,7 @@ func TestExpandFrontierMatchesReference(t *testing.T) {
 			frontier = sess.appendChildren([]workUnit{{vertex: root, genDim: -1, skip: 1 + rng.Intn(5)}}, frontier[0])
 		}
 		want := expandFrontierReference(sess, frontier)
-		got := expandFrontier(sess, append([]workUnit(nil), frontier...))
+		got := expandFrontier(nil, sess, append([]workUnit(nil), frontier...))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("r=%d root=%b exclude=%b: in-place expansion\n got %v\nwant %v", r, root, exclude, got, want)
 		}
