@@ -18,9 +18,11 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 
 # Allocation budgets, run on their own so a regression names itself
 # instead of hiding in tier-1 time: bytes allocated per contacted
-# vertex of an exhaustive wave (<= 64 B on a 16-peer ring at r = 10; the
-# root's per-vertex buffers come from a pooled scratch) and of a
-# multi-round top-10 search of the same query (<= 430 B), live heap per stored single-publisher DHT reference (<= 128 B over
+# vertex of an exhaustive wave (<= 27 B on a 16-peer ring at r = 10; the
+# root's per-vertex buffers and batch frames' units come from a pooled
+# scratch, and a peer scans a frame on the goroutine that received it)
+# and of a multi-round top-10 search of the same query (<= 330 B), live
+# heap per stored single-publisher DHT reference (<= 128 B over
 # 20 k objects), zero allocations for a message a muxed endpoint's
 # second layer takes, and zero for telemetry on a TCP send with
 # telemetry off. Without -race: the detector's instrumentation

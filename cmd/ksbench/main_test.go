@@ -145,7 +145,8 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestTuningFlagsAreGone: each simulated server takes its lock stripes
-// and scan workers from GOMAXPROCS, so neither is a flag.
+// from GOMAXPROCS and scans a frame on the goroutine that received it,
+// so neither is a flag.
 func TestTuningFlagsAreGone(t *testing.T) {
 	for _, name := range []string{"-shards", "-scan-parallelism"} {
 		err := run([]string{name, "4"})

@@ -193,8 +193,9 @@ func TestDispatchUsageErrors(t *testing.T) {
 	}
 }
 
-// TestTuningFlagsAreGone: lock stripes, scan workers and listener
-// workers come from GOMAXPROCS, and the migration byte cap, the hot
+// TestTuningFlagsAreGone: lock stripes and listener workers come from
+// GOMAXPROCS, a frame is scanned on the goroutine that received it, and
+// the migration byte cap, the hot
 // cache's capacity and the promotion threshold are fixed, so none of
 // them is a flag.
 func TestTuningFlagsAreGone(t *testing.T) {

@@ -71,23 +71,18 @@ func newDeploymentMode(t *testing.T, r, nServers, cacheCap int, mode BatchMode) 
 
 // withProcs runs fn with GOMAXPROCS set to procs and restores it after
 // (procs 0 leaves it alone). A server built inside takes its lock-stripe
-// count and scan-worker limit from procs.
+// count from procs.
 func withProcs(procs int, fn func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	fn()
 }
 
-// newDeploymentTuned builds the servers with GOMAXPROCS = stripes, which
-// fixes their lock-stripe count, then sets their scan-worker limit to
-// workers: one GOMAXPROCS value alone gives equal counts, and the
-// sharding × scan-parallelism matrix also needs the unequal cells.
-func newDeploymentTuned(t *testing.T, r, nServers, cacheCap int, mode BatchMode, stripes, workers int) *deployment {
+// newDeploymentStriped builds the servers with GOMAXPROCS = stripes,
+// which fixes their lock-stripe count.
+func newDeploymentStriped(t *testing.T, r, nServers, cacheCap int, mode BatchMode, stripes int) *deployment {
 	t.Helper()
 	var d *deployment
 	withProcs(stripes, func() { d = newDeploymentMode(t, r, nServers, cacheCap, mode) })
-	for _, srv := range d.servers {
-		srv.scanWorkers = workers
-	}
 	return d
 }
 

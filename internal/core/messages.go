@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Wire messages of the index protocol. Vertices travel as uint64; each
 // message's encoding is its MarshalWire/UnmarshalWire pair in
 // wirecodec.go.
@@ -293,6 +295,14 @@ func ReadOnlyMessage(body any) bool {
 		return !m.Cumulative && m.SessionID == 0
 	}
 	return false
+}
+
+// CloneBody implements transport.BodyCloner: a root's frame units are a
+// window of its pooled wave scratch (DESIGN §7), reused once Send
+// returns, so a hedged send's legs race over a copy.
+func (m msgSubQueryBatch) CloneBody() any {
+	m.Units = slices.Clone(m.Units)
+	return m
 }
 
 // BulkEntry is one transferable index entry.

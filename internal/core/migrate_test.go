@@ -772,3 +772,49 @@ func TestMigrateChunkDeadlinePropagated(t *testing.T) {
 		t.Fatalf("live chunk deadline rejected: %v", err)
 	}
 }
+
+// TestFrameDeadline pins the one rule every frame's wire deadline goes
+// through: zero is no deadline, a deadline no earlier than the inherited
+// one leaves the inherited context as it is (no context.WithDeadline),
+// an earlier one applies, and an expired one is already done.
+func TestFrameDeadline(t *testing.T) {
+	now := time.Now()
+	parent, cancelParent := context.WithDeadline(context.Background(), now.Add(time.Minute))
+	defer cancelParent()
+
+	for _, tc := range []struct {
+		name     string
+		ctx      context.Context
+		unixNano int64
+		want     time.Time // zero: ctx comes back untouched
+		expired  bool
+	}{
+		{name: "zero, no inherited deadline", ctx: context.Background()},
+		{name: "zero", ctx: parent},
+		{name: "later than inherited", ctx: parent, unixNano: now.Add(time.Hour).UnixNano()},
+		{name: "equal to inherited", ctx: parent, unixNano: now.Add(time.Minute).UnixNano()},
+		{name: "earlier than inherited", ctx: parent, unixNano: now.Add(time.Second).UnixNano(), want: now.Add(time.Second)},
+		{name: "no inherited deadline", ctx: context.Background(), unixNano: now.Add(time.Second).UnixNano(), want: now.Add(time.Second)},
+		{name: "expired", ctx: parent, unixNano: now.Add(-time.Second).UnixNano(), want: now.Add(-time.Second), expired: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := frameDeadline(tc.ctx, tc.unixNano)
+			defer cancel()
+			if tc.want.IsZero() {
+				if ctx != tc.ctx {
+					t.Fatalf("derived a new context; want the inherited one untouched")
+				}
+				return
+			}
+			if ctx == tc.ctx {
+				t.Fatalf("returned the inherited context; want the frame's deadline applied")
+			}
+			if dl, ok := ctx.Deadline(); !ok || !dl.Equal(time.Unix(0, tc.want.UnixNano())) {
+				t.Errorf("deadline %v (set %v), want %v", dl, ok, tc.want)
+			}
+			if got := ctx.Err() != nil; got != tc.expired {
+				t.Errorf("ctx.Err() = %v, want expired %v", ctx.Err(), tc.expired)
+			}
+		})
+	}
+}

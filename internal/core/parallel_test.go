@@ -17,28 +17,23 @@ import (
 )
 
 // TestShardedScanEquivalence runs the same seeded query mix against
-// four identically loaded deployments spanning the matrix
-// {single lock, 8 stripes} × {sequential, 8 scan workers} and requires
-// byte-identical outcomes against the single-lock sequential baseline:
+// two identically loaded deployments, one lock and 8 stripes, and
+// requires byte-identical outcomes against the single-lock baseline:
 // matches (including order), exhaustion, logical and physical
-// accounting, rounds, completeness, and traces. Sharding and scan
-// parallelism are pure locality/throughput changes; any visible
-// divergence is a bug.
+// accounting, rounds, completeness, and traces. Sharding is a pure
+// locality/throughput change; any visible divergence is a bug.
 func TestShardedScanEquivalence(t *testing.T) {
 	const r, nServers = 8, 4
 	configs := []struct {
 		label   string
 		stripes int
-		workers int
 	}{
-		{"shards=1/seq", 1, 1}, // baseline: a one-core machine
-		{"shards=8/seq", 8, 1},
-		{"shards=1/par", 1, 8},
-		{"shards=8/par", 8, 8},
+		{"shards=1", 1}, // baseline: a one-core machine
+		{"shards=8", 8},
 	}
 	deployments := make([]*deployment, len(configs))
 	for i, c := range configs {
-		deployments[i] = newDeploymentTuned(t, r, nServers, 0, BatchOn, c.stripes, c.workers)
+		deployments[i] = newDeploymentStriped(t, r, nServers, 0, BatchOn, c.stripes)
 		if got := len(deployments[i].servers[0].shards); got != c.stripes {
 			t.Fatalf("%s: built with %d stripes", c.label, got)
 		}
@@ -85,12 +80,11 @@ func TestShardedScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardTelemetryExposition checks the striped server's new
+// TestShardTelemetryExposition checks the striped server's
 // instruments: per-shard entry gauges flatten to labelled series under
-// ONE well-formed TYPE line per family, every inserted entry is
-// counted by exactly one stripe, and a batch frame long enough to fan
-// out (more than scanChunk units) moves the
-// core_scan_parallel_units_total counter by its unit count.
+// ONE well-formed TYPE line per family, and every inserted entry is
+// counted by exactly one stripe. A long batch frame over those stripes
+// answers every vertex holding a match, by strictly increasing Index.
 func TestShardTelemetryExposition(t *testing.T) {
 	reg := telemetry.New(16)
 	net := inmem.New(1)
@@ -98,7 +92,7 @@ func TestShardTelemetryExposition(t *testing.T) {
 	hasher := keyword.MustNewHasher(6, 42)
 	var srv *Server
 	var err error
-	withProcs(4, func() { // 4 stripes, 4 scan workers
+	withProcs(4, func() { // 4 stripes
 		srv, err = NewServer(ServerConfig{
 			Hasher:    hasher,
 			Resolver:  FuncResolver(func(hypercube.Vertex) transport.Addr { return "ix-0" }),
@@ -118,13 +112,22 @@ func TestShardTelemetryExposition(t *testing.T) {
 		Instance: DefaultInstance,
 		QueryKey: keyword.NewSet("hub").Key(),
 		Limit:    -1,
-		Units:    []wireUnit{{Vertex: 1, GenDim: -1}, {Vertex: 2, GenDim: -1}},
 	}
-	srv.subQueryBatch(context.Background(), frame) // short: scanned inline, not counted
-	for v := 3; len(frame.Units) <= scanChunk; v++ {
-		frame.Units = append(frame.Units, wireUnit{Vertex: uint64(v % 64), GenDim: -1})
+	for v := 63; v >= 0; v-- { // every vertex, highest first: Index is not vertex order
+		frame.Units = append(frame.Units, wireUnit{Vertex: uint64(v), GenDim: -1})
 	}
-	srv.subQueryBatch(context.Background(), frame)
+	resp := srv.subQueryBatch(context.Background(), frame)
+	if !resp.fits(len(frame.Units)) {
+		t.Fatalf("hit indices not strictly increasing inside [0, %d): %+v", len(frame.Units), resp.Hits)
+	}
+	for _, h := range resp.Hits {
+		if v := frame.Units[h.Index].Vertex; v >= inserted || len(h.Matches) != 1 {
+			t.Errorf("hit %d (vertex %d) holds %d matches, want 1 for a vertex below %d", h.Index, v, len(h.Matches), inserted)
+		}
+	}
+	if len(resp.Hits) != inserted {
+		t.Errorf("%d hits, want %d: one per vertex holding a matching entry", len(resp.Hits), inserted)
+	}
 
 	snap := reg.Snapshot()
 	var shardTotal int64
@@ -133,9 +136,6 @@ func TestShardTelemetryExposition(t *testing.T) {
 	}
 	if shardTotal != inserted {
 		t.Errorf("per-shard entry gauges sum to %d, want %d", shardTotal, inserted)
-	}
-	if got := snap.Counters["core_scan_parallel_units_total"]; got != uint64(len(frame.Units)) {
-		t.Errorf("core_scan_parallel_units_total = %d, want %d (the long frame's units only)", got, len(frame.Units))
 	}
 
 	text := reg.PrometheusString()
@@ -156,7 +156,7 @@ func TestShardTelemetryExposition(t *testing.T) {
 // panic, scans stay well-formed": the equivalence tests pin semantics,
 // this pins memory safety of the striped state under contention.
 func TestServerConcurrencyHammer(t *testing.T) {
-	d := newDeploymentTuned(t, 6, 1, 0, BatchOn, 4, 4)
+	d := newDeploymentStriped(t, 6, 1, 0, BatchOn, 4)
 	srv := d.servers[0]
 	root := hypercube.Vertex(0)
 	query := keyword.NewSet("hub")

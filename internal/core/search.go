@@ -458,7 +458,8 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 // explored, because the child list is regenerated locally.
 //
 // Every buffer private to the root — the expanded wave, its hits
-// indexed by position, the grouping by peer, the children and resumes —
+// indexed by position, the grouping by peer and the batch frames' units,
+// the children and resumes —
 // lives in one waveScratch taken for the call, so a traversal allocates
 // per query, not per contacted vertex.
 func (s *Server) traverse(ctx context.Context, sess *session, threshold int, trace *[]TraceStep, t *tally) {
@@ -579,15 +580,17 @@ type waveHit struct {
 // waveScratch is the root's private working memory for one traverse
 // call: a flattened wave's units, the wave's vertices and resolved
 // addresses, its dense hits, the per-peer grouping of a batched
-// dispatch, and the children and resumes the consume loop collects.
-// Nothing that outlives the round may alias it — not sess.work, not the
-// tally's matches, not a Send body (DESIGN §7).
+// dispatch with the frames' units, and the children and resumes the
+// consume loop collects. Nothing that outlives the round may alias it —
+// not sess.work, not the tally's matches (DESIGN §7). A Send body may:
+// the transport.Sender contract hands it back when Send returns.
 type waveScratch struct {
 	expanded, children, resumes []workUnit
 	vertices                    []hypercube.Vertex
 	addrs                       []transport.Addr
 	hits                        []waveHit
 	dest, idx                   []int32
+	units                       []wireUnit
 	peers                       []peerBatch
 	peerOf                      map[transport.Addr]int32
 }
@@ -775,20 +778,23 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	for k := range peers {
 		peers[k].end, remote = remote, remote+peers[k].n
 	}
-	idx := resized(sc.idx, remote)
+	// The frames' units are carved out of one array parallel to idx.
+	idx, units := resized(sc.idx, remote), resized(sc.units, remote)
 	for i, k := range dest {
 		if k >= 0 {
-			idx[peers[k].end] = int32(i)
+			u, j := wave[i], peers[k].end
+			idx[j] = int32(i)
+			units[j] = wireUnit{Vertex: uint64(u.vertex), Skip: u.skip, GenDim: u.genDim}
 			peers[k].end++
 		}
 	}
-	sc.dest, sc.idx, sc.peers = dest, idx, peers
+	sc.dest, sc.idx, sc.units, sc.peers = dest, idx, units, peers
 
 	// One batch per distinct peer, concurrently, fanout-bounded; each
 	// writes only its own units' hits.
 	fanOut(len(peers), parallelFanout, func(k int) {
 		p := peers[k]
-		s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], wave, limit, hits)
+		s.sendBatch(ctx, sess, p.addr, idx[p.end-p.n:p.end], units[p.end-p.n:p.end], wave, limit, hits)
 	})
 	return len(peers)
 }
@@ -800,18 +806,11 @@ type peerBatch struct {
 	n, end int
 }
 
-// sendBatch sends one coalesced msgSubQueryBatch frame for the units at
-// positions idx of wave and writes their hits to hits at those
-// positions. Units the batch could not serve are retried on the
-// per-message path and carry those frames in their own hits. The frame's
-// units are allocated per frame, never pooled: a hedged send's losing
-// leg may still be reading them after Send returns.
-func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, wave []workUnit, limit int, hits []waveHit) {
-	units := make([]wireUnit, len(idx))
-	for j, i := range idx {
-		u := wave[i]
-		units[j] = wireUnit{Vertex: uint64(u.vertex), Skip: u.skip, GenDim: u.genDim}
-	}
+// sendBatch sends one coalesced msgSubQueryBatch frame carrying units —
+// the work units at positions idx of wave — and writes their hits to
+// hits at those positions. Units the batch could not serve are retried
+// on the per-message path and carry those frames in their own hits.
+func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, units []wireUnit, wave []workUnit, limit int, hits []waveHit) {
 	msg := msgSubQueryBatch{
 		Instance: sess.instance,
 		Dim:      sess.cube.Dim(),

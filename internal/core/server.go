@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -160,12 +159,9 @@ type Server struct {
 
 	// shards are the lock stripes, picked by hash(instance, vertex):
 	// GOMAXPROCS rounded up to a power of two, at most maxShards.
-	shards []*tableShard
-	// scanWorkers bounds the workers a msgSubQueryBatch frame's scans
-	// fan out across (GOMAXPROCS; 1 scans every frame sequentially).
-	scanWorkers int
-	cache       resultCache
-	sessions    *sessionStore
+	shards   []*tableShard
+	cache    resultCache
+	sessions *sessionStore
 
 	// hot tracks root popularity and manages soft replication of the
 	// roots this server owns; soft holds the copies other owners
@@ -318,7 +314,6 @@ type serverMetrics struct {
 	physFrames *telemetry.Counter   // core_search_phys_frames_total
 
 	shardLockWait *telemetry.Histogram // core_server_shard_lock_wait_ns
-	scanParUnits  *telemetry.Counter   // core_scan_parallel_units_total
 
 	searchAbandoned *telemetry.Counter // core_search_abandoned_total
 
@@ -366,7 +361,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		// Lock waits sit well under the RPC latency floor; buckets span
 		// ~256ns to ~17ms in powers of 4.
 		shardLockWait: reg.Histogram("core_server_shard_lock_wait_ns", telemetry.ExpBuckets(256, 4, 9)),
-		scanParUnits:  reg.Counter("core_scan_parallel_units_total"),
 
 		searchAbandoned: reg.Counter("core_search_abandoned_total"),
 
@@ -403,20 +397,18 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown cache policy %q (want %q or %q)", cfg.CachePolicy, CachePolicyHot, CachePolicyFIFO)
 	}
-	procs := runtime.GOMAXPROCS(0)
-	shards := make([]*tableShard, min(ceilPow2(procs), maxShards))
+	shards := make([]*tableShard, min(ceilPow2(runtime.GOMAXPROCS(0)), maxShards))
 	for i := range shards {
 		shards[i] = &tableShard{tables: make(map[string]map[hypercube.Vertex]*table)}
 	}
 	s := &Server{
-		cfg:         cfg,
-		cube:        cube,
-		met:         newServerMetrics(cfg.Telemetry),
-		shards:      shards,
-		scanWorkers: procs,
-		cache:       newResultCache(cfg.CachePolicy, cfg.CacheCapacity),
-		sessions:    newSessionStore(maxSessions),
-		soft:        newSoftStore(),
+		cfg:      cfg,
+		cube:     cube,
+		met:      newServerMetrics(cfg.Telemetry),
+		shards:   shards,
+		cache:    newResultCache(cfg.CachePolicy, cfg.CacheCapacity),
+		sessions: newSessionStore(maxSessions),
+		soft:     newSoftStore(),
 	}
 	s.hot = newHotVertexManager(s, cfg.HotReplicas)
 	if cfg.Admission != nil {
@@ -540,11 +532,9 @@ func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (an
 		// The wire deadline is applied before admission so queue waits
 		// are deadline-aware even over tcpnet, whose handler context
 		// carries none.
-		if deadlineNS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, deadlineNS))
-			defer cancel()
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = frameDeadline(ctx, deadlineNS)
+		defer cancel()
 		if s.adm != nil {
 			release, err := s.adm.Acquire(ctx, clientID)
 			if err != nil {
@@ -597,15 +587,11 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 	case msgMigrateChunk:
 		s.met.opMigChunk.Inc()
 		// Migration frames carry the manager's per-chunk deadline the
-		// way search frames do: tcpnet handler contexts know nothing of
-		// the caller's, so re-derive it before scanning.
-		if msg.DeadlineUnixNano > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, msg.DeadlineUnixNano))
-			defer cancel()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		// way search frames do; an expired one fails before the scan.
+		ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
+		defer cancel()
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		resp, err := s.migrateChunk(ctx, msg)
 		if err == nil {
@@ -614,13 +600,10 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		return resp, err
 	case msgMigrateCommit:
 		s.met.opMigCommit.Inc()
-		if msg.DeadlineUnixNano > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, msg.DeadlineUnixNano))
-			defer cancel()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
+		defer cancel()
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		entries, err := s.extractRange(dht.ID(msg.NewID), dht.ID(msg.OwnerID))
 		if err != nil {
@@ -910,78 +893,66 @@ func wireChildren(cube hypercube.Cube, root, v hypercube.Vertex, genDim int) []w
 	return children
 }
 
-// scanChunk is how many units of a msgSubQueryBatch one scan worker
-// claims at a time, and so the longest frame the handler's own
-// goroutine scans alone. The choice can only look at len(msg.Units),
-// not at what the units will cost: 0.25 µs each on the pinned deep
-// workload (most vertices of a subcube hold nothing for the query),
-// 2.3 µs against a 500-row table (BenchmarkScanTable/selective), 7.5 µs
-// when all 48 rows of a dense table match — against several µs of
-// start-up, wake-up and stack growth for a fresh goroutine. Four is the
-// largest chunk that still gives a 16-unit dense frame (a 64-peer
-// fleet's share of an r = 10 mega-wave) four workers; anything smaller
-// sends the two-to-four-unit frames of narrow waves to a second
-// goroutine for a few µs of work.
-const scanChunk = 4
-
 // subQueryBatch answers a coalesced wave of sub-queries in one frame,
 // sparsely: the response lists only the units that have something to
 // say — matches, matches beyond the window, children, or an error code
 // — each tagged with its index in msg.Units, in increasing order. A
 // unit it does not list was owned, scanned and empty. Every unit is
-// tested against one reading of the owned arc. The frame is cut into
-// chunks of scanChunk units that fan out over at most scanWorkers
-// workers (one chunk: the handler's own goroutine); each scan takes only
-// its vertex's shard read lock, so a mega-wave frame spreads over every
-// core instead of serializing on one mutex.
+// tested against one reading of the owned arc. The frame is scanned in
+// order on the goroutine that received it (DESIGN §8), so hits come out
+// by increasing Index as they are found; each scan takes only its
+// vertex's shard read lock, so frames of concurrent searches spread
+// over the cores.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
-	if msg.DeadlineUnixNano > 0 {
-		// tcpnet handler contexts carry no request deadline; re-derive
-		// it from the frame so an expired search stops burning scan
-		// workers here too.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, msg.DeadlineUnixNano))
-		defer cancel()
-	}
+	ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
+	defer cancel()
 	pred := predFor(msg.Class, msg.QueryKey)
 	arc := s.arc()
 	// A malformed dim returns the matches without children.
 	cube, cubeErr := s.cubeFor(msg.Dim)
 	root := hypercube.Vertex(msg.Root)
-	n := len(msg.Units)
-	var mu sync.Mutex
 	var hits []respSubUnit
-	fanOut((n+scanChunk-1)/scanChunk, s.scanWorkers, func(c int) {
-		for i := c * scanChunk; i < min(n, (c+1)*scanChunk); i++ {
-			u, v := msg.Units[i], hypercube.Vertex(msg.Units[i].Vertex)
-			hit := respSubUnit{Index: i}
-			var owned bool
-			if ctx.Err() != nil {
-				// A cancelled search abandons its remaining units: the
-				// root is failing the whole search, so partially scanned
-				// frames cost nothing extra, and the scan workers free up
-				// for live queries.
-				hit.ErrCode = errCodeCancelled
-			} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Dim, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
-				hit.ErrCode = errCodeNotOwner
-			} else if cubeErr == nil {
-				hit.Children = wireChildren(cube, root, v, u.GenDim)
-			}
-			if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 || len(hit.Children) > 0 {
-				mu.Lock()
-				hits = append(hits, hit)
-				mu.Unlock()
-			}
+	for i, u := range msg.Units {
+		v := hypercube.Vertex(u.Vertex)
+		hit := respSubUnit{Index: i}
+		var owned bool
+		if ctx.Err() != nil {
+			// A cancelled search abandons its remaining units: the root
+			// is failing the whole search, so partially scanned frames
+			// cost nothing extra, and the handler frees up for live
+			// queries.
+			hit.ErrCode = errCodeCancelled
+		} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Dim, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
+			hit.ErrCode = errCodeNotOwner
+		} else if cubeErr == nil {
+			hit.Children = wireChildren(cube, root, v, u.GenDim)
 		}
-	})
-	// Workers finish their chunks in any order; Index restores the
-	// frame's, so the response is byte-identical to a sequential scan.
-	slices.SortFunc(hits, func(a, b respSubUnit) int { return a.Index - b.Index })
-	if n > scanChunk && s.scanWorkers > 1 {
-		s.met.scanParUnits.Add(uint64(n))
+		if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 || len(hit.Children) > 0 {
+			hits = append(hits, hit)
+		}
 	}
 	return respSubQueryBatch{Hits: hits}
 }
+
+// frameDeadline bounds ctx by the deadline a frame carries (UnixNano,
+// 0 = none). tcpnet handler contexts know nothing of the caller's, so a
+// search or migration frame re-derives it here, once; a wire deadline
+// no earlier than the one ctx already has — the inmem case, where the
+// handler runs under the caller's context — changes nothing and costs
+// nothing.
+func frameDeadline(ctx context.Context, unixNano int64) (context.Context, context.CancelFunc) {
+	if unixNano <= 0 {
+		return ctx, noCancel
+	}
+	dl := time.Unix(0, unixNano)
+	if cur, ok := ctx.Deadline(); ok && !dl.Before(cur) {
+		return ctx, noCancel
+	}
+	return context.WithDeadline(ctx, dl)
+}
+
+// noCancel is the CancelFunc of a context frameDeadline left as it was.
+func noCancel() {}
 
 // cubeFor returns the hypercube geometry for an instance's declared
 // dimensionality (0 falls back to the server's default).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -119,7 +120,9 @@ func (o *joinRaceOverlay) Lookup(_ context.Context, key dht.ID) (transport.Addr,
 	return "a", 1, nil
 }
 
-// recordingSender remembers every batch exchange that passes through.
+// recordingSender remembers every batch exchange that passes through. It
+// keeps requests past Send's return, so it copies their units: the root
+// reuses them for its next frames (transport.Sender).
 type recordingSender struct {
 	transport.Sender
 	mu      sync.Mutex
@@ -135,6 +138,7 @@ type batchExchange struct {
 func (r *recordingSender) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
 	resp, err := r.Sender.Send(ctx, to, body)
 	if req, ok := body.(msgSubQueryBatch); ok && err == nil {
+		req.Units = slices.Clone(req.Units)
 		r.mu.Lock()
 		r.batches = append(r.batches, batchExchange{to: to, req: req, resp: resp.(respSubQueryBatch)})
 		r.mu.Unlock()
@@ -366,10 +370,9 @@ func TestMalformedBatchIndicesFallBack(t *testing.T) {
 // TestSparseBatchListsOnlyHits pins what a peer puts in a batch
 // response: hits only, by increasing index — matches, matches beyond
 // the window, children, an error code — and nothing for a unit that was
-// owned, scanned and empty, whatever the frame length (inline scan or
-// chunked fan-out).
+// owned, scanned and empty, whatever the frame length.
 func TestSparseBatchListsOnlyHits(t *testing.T) {
-	d := newDeploymentTuned(t, 8, 1, 0, BatchOn, 4, 4)
+	d := newDeploymentStriped(t, 8, 1, 0, BatchOn, 4)
 	srv := d.servers[0]
 	hub := keyword.NewSet("hub")
 	for _, v := range []int{3, 40, 41, 200} {
@@ -382,7 +385,7 @@ func TestSparseBatchListsOnlyHits(t *testing.T) {
 	if err := srv.insertEntry(DefaultInstance, 7, keyword.NewSet("other").Key(), "o-7"); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{scanChunk / 2, scanChunk, 3*scanChunk + 5, 256} {
+	for _, n := range []int{2, 4, 17, 256} {
 		msg := msgSubQueryBatch{Instance: DefaultInstance, QueryKey: hub.Key(), Limit: 2}
 		for v := 0; v < n; v++ {
 			u := wireUnit{Vertex: uint64(v), GenDim: -1}

@@ -84,7 +84,7 @@ func (m tableModel) objects() int {
 }
 
 // newTableTestServer builds a server under GOMAXPROCS = procs (0 = the
-// machine's), which sets its lock stripes and scan workers.
+// machine's), which sets its lock stripes.
 func newTableTestServer(tb testing.TB, procs int) *Server {
 	tb.Helper()
 	var srv *Server
@@ -303,8 +303,8 @@ func TestTableModelCheckCatchesLostSignature(t *testing.T) {
 	}
 }
 
-// TestTableScanWriteHammer: batch scans (the wave path, fanned over the
-// scan workers) race inserts and deletes on ONE vertex of a one-shard
+// TestTableScanWriteHammer: batch scans (the wave path, one frame per
+// reader goroutine) race inserts and deletes on ONE vertex of a one-shard
 // server, so every operation meets on one lock and one pair of slices
 // mutated in place. Run under -race. Each writer owns a disjoint set of
 // entries, so the final state is known exactly.

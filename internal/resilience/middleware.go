@@ -190,7 +190,14 @@ func (m *Middleware) single(ctx context.Context, to transport.Addr, body any) (a
 // conclusive answer — success or application error — wins and cancels
 // the losers. Fast transport failures return to the retry loop
 // immediately instead of waiting out the hedge timer.
+//
+// Losing legs outlive the call, and the caller may reuse the body once
+// Send returns (transport.Sender), so the legs race over a copy of any
+// body that shares memory with the caller.
 func (m *Middleware) hedged(ctx context.Context, to transport.Addr, body any) (any, error) {
+	if c, ok := body.(transport.BodyCloner); ok {
+		body = c.CloneBody()
+	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +64,22 @@ func (c *fakeClock) fire() {
 		ch <- c.now
 	}
 	c.pending = nil
+}
+
+// fireArmed waits until a timer has been handed out, then fires: a
+// hedged send's primary leg can reach its sender before the hedge timer
+// is armed.
+func (c *fakeClock) fireArmed() {
+	for {
+		c.mu.Lock()
+		armed := len(c.pending) > 0
+		c.mu.Unlock()
+		if armed {
+			c.fire()
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 func (c *fakeClock) sleeps() []time.Duration {
@@ -320,7 +337,7 @@ func TestHedgeWins(t *testing.T) {
 		done <- result{resp, err}
 	}()
 	<-primaryIn // the stuck primary owns call 1 before the hedge can launch
-	clk.fire()
+	clk.fireArmed()
 	res := <-done
 	close(release)
 	if res.err != nil || res.resp != "hedge-ok" {
@@ -331,6 +348,119 @@ func TestHedgeWins(t *testing.T) {
 	}
 	if got := counter(t, reg, "resilience_hedge_wins_total"); got != 1 {
 		t.Errorf("hedge wins = %d, want 1", got)
+	}
+}
+
+// unitsBody shares its slice with the caller, the way a frame carved out
+// of a pooled buffer does.
+type unitsBody struct{ units []int }
+
+func (b unitsBody) CloneBody() any {
+	b.units = slices.Clone(b.units)
+	return b
+}
+
+// plainBody shares its slice too, but does not say so.
+type plainBody struct{ units []int }
+
+// bodySender hands every call's body to fn with its 1-based sequence
+// number.
+type bodySender struct {
+	mu sync.Mutex
+	n  int
+	fn func(call int, body any) (any, error)
+}
+
+func (s *bodySender) Send(_ context.Context, _ transport.Addr, body any) (any, error) {
+	s.mu.Lock()
+	s.n++
+	call := s.n
+	s.mu.Unlock()
+	return s.fn(call, body)
+}
+
+// TestHedgedLegReadsClone: once Send returns, the body is the caller's
+// again (transport.Sender), and a hedged send's losing leg, still
+// running, reads a copy of it. The primary blocks, the hedge wins, the
+// caller overwrites its body's slice, and only then does the loser read
+// its body: it sees what the caller sent.
+func TestHedgedLegReadsClone(t *testing.T) {
+	clk := newFakeClock()
+	clk.block = true // the hedge timer fires only when the test says so
+	primaryIn, release := make(chan struct{}), make(chan struct{})
+	seen := make(chan []int, 1)
+	sender := &bodySender{fn: func(call int, body any) (any, error) {
+		if call == 1 {
+			close(primaryIn)
+			<-release // past the caller's Send, whatever the hedged race decided
+			seen <- slices.Clone(body.(unitsBody).units)
+			return nil, context.Canceled
+		}
+		return "hedge-ok", nil
+	}}
+	mw := Wrap(sender, Policy{MaxAttempts: 1, HedgeDelay: 10 * time.Millisecond, MaxHedges: 1, Clock: clk})
+	mw.SetReadOnly(func(any) bool { return true })
+
+	body := unitsBody{units: []int{1, 2, 3}}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := mw.Send(context.Background(), "dest", body)
+		if err == nil && resp != "hedge-ok" {
+			err = fmt.Errorf("resp %v, want hedge-ok", resp)
+		}
+		done <- err
+	}()
+	<-primaryIn
+	clk.fireArmed()
+	if err := <-done; err != nil {
+		t.Fatalf("hedged Send: %v", err)
+	}
+	for i := range body.units {
+		body.units[i] = -1 // the caller reuses its buffer
+	}
+	close(release)
+	if got := <-seen; !slices.Equal(got, []int{1, 2, 3}) {
+		t.Errorf("the losing leg read %v after Send returned, want the body as sent, [1 2 3]", got)
+	}
+}
+
+// TestUnhedgedBodyPassesThrough: only a hedged send copies its body. A
+// body without CloneBody, or any body with hedging off, reaches the
+// inner sender as the very value the caller passed.
+func TestUnhedgedBodyPassesThrough(t *testing.T) {
+	units := []int{1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		body  any
+		hedge time.Duration
+	}{
+		{"plain body, hedging on", plainBody{units}, 10 * time.Millisecond},
+		{"cloner, hedging off", unitsBody{units}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			clk.block = true // no hedge leg: the primary answers first
+			var got any
+			sender := &bodySender{fn: func(_ int, body any) (any, error) {
+				got = body
+				return "ok", nil
+			}}
+			mw := Wrap(sender, Policy{MaxAttempts: 1, HedgeDelay: tc.hedge, MaxHedges: 1, Clock: clk})
+			mw.SetReadOnly(func(any) bool { return true })
+			if _, err := mw.Send(context.Background(), "dest", tc.body); err != nil {
+				t.Fatal(err)
+			}
+			var inner []int
+			switch b := got.(type) {
+			case plainBody:
+				inner = b.units
+			case unitsBody:
+				inner = b.units
+			}
+			if len(inner) != len(units) || &inner[0] != &units[0] {
+				t.Errorf("the inner sender got %#v, want the caller's body sharing its array", got)
+			}
+		})
 	}
 }
 

@@ -21,11 +21,24 @@ type Addr string
 type Handler func(ctx context.Context, from Addr, body any) (any, error)
 
 // Sender delivers requests to remote nodes.
+//
+// The body belongs to the caller again once Send returns: the caller
+// may reuse or overwrite any memory it shares (a pooled slice, say).
+// A Sender that reads the body after that point — a leg still in
+// flight, a recorder that keeps it — must copy it first (BodyCloner).
 type Sender interface {
 	// Send delivers body to the node at 'to' and returns its response.
 	// The concrete body and response types must have a codec in package
 	// wire's registry so that networked transports can encode them.
 	Send(ctx context.Context, to Addr, body any) (any, error)
+}
+
+// BodyCloner is implemented by bodies that share memory with their
+// caller. CloneBody returns an equal body that shares none, for a Sender
+// that keeps reading past Send's return; a body without the method is a
+// plain value and is kept as it is.
+type BodyCloner interface {
+	CloneBody() any
 }
 
 // Node is a bound endpoint that can receive requests.

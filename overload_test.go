@@ -163,7 +163,7 @@ func TestCancelledSearchAbandonsWaves(t *testing.T) {
 	}
 
 	// The fleet is immediately healthy once the latency injection ends:
-	// no scan worker is stuck finishing the dead search's subcube.
+	// no handler is stuck finishing the dead search's subcube.
 	for _, addr := range d.Addrs {
 		d.Net.SetLatency(addr, 0)
 	}
