@@ -11,7 +11,8 @@ all: build test
 # budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
 # live-churn migration smoke, the open-loop load-rig smoke, the
 # wire-decoder, listener-preamble, table, reference-store, Chord-decoder,
-# core-decoder, inverted-index-decoder and WAL-record fuzz smokes, the Zipf
+# core-decoder, inverted-index-decoder, WAL-record and keyword-key fuzz
+# smokes, the Zipf
 # hotspot-storm smoke, the prefix-multicast smoke, and a single-iteration
 # benchmark smoke pass.
 ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
@@ -24,12 +25,15 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # and of a multi-round top-10 search of the same query (<= 330 B), live
 # heap per stored single-publisher DHT reference (<= 128 B over
 # 20 k objects), zero allocations for a message a muxed endpoint's
-# second layer takes, and zero for telemetry on a TCP send with
-# telemetry off. Without -race: the detector's instrumentation
-# allocates on its own account, so under `make race` the per-vertex
-# budgets skip themselves.
+# second layer takes, zero for telemetry on a TCP send with telemetry
+# off, zero for encoding any index-protocol message, and at most 12
+# allocations and 400 B for one warm small TCP RPC, both ends counted
+# (no encode copy, one box per decode, reused Readers, the request
+# frame as its own arena, pooled reply channels). Without -race: the
+# detector's instrumentation allocates on its own account, so under
+# `make race` the per-vertex and per-RPC budgets skip themselves.
 alloc-smoke:
-	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|AllocatesNothing' ./internal/core ./internal/dht ./internal/transport ./internal/transport/tcpnet
+	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|BytesPerCall|AllocatesNothing' ./internal/core ./internal/dht ./internal/transport ./internal/transport/tcpnet
 
 # The churn hammer's flake rate, the number every PR quotes beside its
 # result until ROADMAP item 1 closes (not part of ci — it only prints):
@@ -142,10 +146,12 @@ zipf-smoke:
 # sequences must agree with a nested-map model. The Chord decoders (wire
 # IDs 32-49), the index-protocol decoders (wire IDs 1-4, 7-12 and
 # 14-19) and the inverted-index decoders (wire IDs 64-69): a clean error
-# or a value that re-encodes to the input, with allocation bounded by
-# the payload. The WAL/snapshot record reader: no panic, a decoded
-# prefix that re-encodes to its bytes, torn tails told apart from
-# corrupt middles, allocation bounded per input byte. Seed corpora are
+# or a value that re-encodes to exactly the input, with allocation
+# bounded by the payload. The WAL/snapshot record reader: no panic, a
+# decoded prefix that re-encodes to its bytes, torn tails told apart
+# from corrupt middles, allocation bounded per input byte. The keyword
+# key parser: ParseKey equals NewSet over the key's words for any
+# input, canonical or not. Seed corpora are
 # checked in under testdata/fuzz; the full corpora live under the
 # standard go fuzz cache.
 fuzz-smoke:
@@ -157,6 +163,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCoreDecode -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzInvindexDecode -fuzztime 10s ./internal/invindex/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRecord -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzParseKey -fuzztime 10s ./internal/keyword/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -25,12 +24,12 @@ var liveWireIDs = []uint16{
 // and 14–19: the first input byte picks the ID (modulo the live set),
 // the rest is the payload. Arbitrary bytes must give a clean error —
 // trailing bytes count, as they do in a frame — or a value that
-// re-encodes to the same bytes. The codecs accept non-canonical forms —
-// an overlong varint, a bool byte other than 0 or 1, and a batch
-// response whose frame-level match total disagrees with its hits — and
-// for those the re-encoding decodes to the same value and is no longer
-// than the input (the batch response's corrected total may add up to one
-// varint). Decoding never panics, and allocates no more than the
+// re-encodes to exactly the input. The codecs reject the non-canonical
+// forms, an overlong varint and a bool byte other than 0 or 1. The one
+// field that may differ is a batch response's frame-level match total:
+// the decoder sizes its arena from it and the encoder writes the true
+// sum, so a total that disagrees with the hits is corrected, not
+// rejected. Decoding never panics, and allocates no more than the
 // Reader.Count bounds allow: one arena copy of the payload plus the
 // widest slices it can claim — a batch response's hits (72 B per 5
 // bytes) beside its matches (48 B per 4 bytes, counted twice: the
@@ -117,18 +116,19 @@ func FuzzCoreDecode(f *testing.F) {
 
 		var w wire.Writer
 		c.Encode(&w, v)
-		if bytes.Equal(w.Buf, payload) {
-			return
-		}
-		grace := 0
+		got, want := w.Buf, payload
 		if id == wireRespSubQueryBatch {
-			grace = binary.MaxVarintLen64
+			// The frame-level match total is corrected, not checked.
+			got, want = afterUvarint(got), afterUvarint(want)
 		}
-		if len(w.Buf) > len(payload)+grace {
-			t.Fatalf("%s: re-encoding %x is longer than the input %x", c.Name(), w.Buf, payload)
-		}
-		if v2, err := decode(w.Buf); err != nil || !reflect.DeepEqual(v2, v) {
-			t.Fatalf("%s: re-encoding of %x does not decode back: %+v, %v; want %+v", c.Name(), payload, v2, err, v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %x decodes to %+v, which re-encodes to %x", c.Name(), payload, v, w.Buf)
 		}
 	})
+}
+
+// afterUvarint returns b past its leading uvarint.
+func afterUvarint(b []byte) []byte {
+	_, n := binary.Uvarint(b)
+	return b[n:]
 }

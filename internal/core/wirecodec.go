@@ -156,7 +156,7 @@ func unmarshalCursor(r *wire.Reader, c *wireCursor) {
 	c.ObjectID = r.String()
 }
 
-func (m *msgInsertEntry) MarshalWire(w *wire.Writer) {
+func (m msgInsertEntry) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.String(m.SetKey)
@@ -173,10 +173,10 @@ func (m *msgInsertEntry) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respAck) MarshalWire(w *wire.Writer)         {}
+func (m respAck) MarshalWire(w *wire.Writer)          {}
 func (m *respAck) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *msgDeleteEntry) MarshalWire(w *wire.Writer) {
+func (m msgDeleteEntry) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.String(m.SetKey)
@@ -193,10 +193,10 @@ func (m *msgDeleteEntry) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respDeleteEntry) MarshalWire(w *wire.Writer)         { w.Bool(m.Found) }
+func (m respDeleteEntry) MarshalWire(w *wire.Writer)          { w.Bool(m.Found) }
 func (m *respDeleteEntry) UnmarshalWire(r *wire.Reader) error { m.Found = r.Bool(); return r.Err() }
 
-func (m *msgTQuery) MarshalWire(w *wire.Writer) {
+func (m msgTQuery) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Int(m.Dim)
 	w.Uvarint(m.Vertex)
@@ -237,7 +237,7 @@ func (m *msgTQuery) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respTQuery) MarshalWire(w *wire.Writer) {
+func (m respTQuery) MarshalWire(w *wire.Writer) {
 	marshalMatches(w, m.Matches)
 	w.Bool(m.Exhausted)
 	w.U64(m.SessionID)
@@ -290,7 +290,7 @@ func (m *respTQuery) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *msgSubQuery) MarshalWire(w *wire.Writer) {
+func (m msgSubQuery) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Int(m.Dim)
 	w.Uvarint(m.Vertex)
@@ -317,7 +317,7 @@ func (m *msgSubQuery) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respSubQuery) MarshalWire(w *wire.Writer) {
+func (m respSubQuery) MarshalWire(w *wire.Writer) {
 	marshalMatches(w, m.Matches)
 	w.Int(m.Remaining)
 	marshalEdges(w, m.Children)
@@ -330,7 +330,7 @@ func (m *respSubQuery) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *msgSubQueryBatch) MarshalWire(w *wire.Writer) {
+func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Int(m.Dim)
 	w.Uvarint(m.Root)
@@ -372,7 +372,7 @@ func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 // arena), sub-sliced per hit. Indices travel as written — whether they
 // fit the request is the root's call (sendBatch), which also sees the
 // frames that never pass through a codec.
-func (m *respSubQueryBatch) MarshalWire(w *wire.Writer) {
+func (m respSubQueryBatch) MarshalWire(w *wire.Writer) {
 	total := 0
 	for i := range m.Hits {
 		total += len(m.Hits[i].Matches)
@@ -423,7 +423,7 @@ func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *msgMigrateChunk) MarshalWire(w *wire.Writer) {
+func (m msgMigrateChunk) MarshalWire(w *wire.Writer) {
 	w.U64(m.NewID)
 	w.U64(m.OwnerID)
 	marshalCursor(w, &m.Cursor)
@@ -442,7 +442,7 @@ func (m *msgMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respMigrateChunk) MarshalWire(w *wire.Writer) {
+func (m respMigrateChunk) MarshalWire(w *wire.Writer) {
 	marshalBulkEntries(w, m.Entries)
 	marshalCursor(w, &m.Cursor)
 	w.Bool(m.Done)
@@ -455,7 +455,7 @@ func (m *respMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *msgMigrateCommit) MarshalWire(w *wire.Writer) {
+func (m msgMigrateCommit) MarshalWire(w *wire.Writer) {
 	w.U64(m.NewID)
 	w.U64(m.OwnerID)
 	w.Varint(m.DeadlineUnixNano)
@@ -468,10 +468,10 @@ func (m *msgMigrateCommit) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respMigrateCommit) MarshalWire(w *wire.Writer)         { w.Int(m.Dropped) }
+func (m respMigrateCommit) MarshalWire(w *wire.Writer)          { w.Int(m.Dropped) }
 func (m *respMigrateCommit) UnmarshalWire(r *wire.Reader) error { m.Dropped = r.Int(); return r.Err() }
 
-func (m *msgSoftPromote) MarshalWire(w *wire.Writer) {
+func (m msgSoftPromote) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.U64(m.Gen)
@@ -488,7 +488,7 @@ func (m *msgSoftPromote) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *msgSoftInvalidate) MarshalWire(w *wire.Writer) {
+func (m msgSoftInvalidate) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.U64(m.Gen)

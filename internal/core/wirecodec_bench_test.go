@@ -101,6 +101,24 @@ func TestWireCodecBytesPinned(t *testing.T) {
 	}
 }
 
+// TestWireEncodeAllocatesNothing: MarshalWire has a value receiver, so
+// the codec encodes the boxed body in place — on a warm Writer no
+// message, the large batch response included, allocates.
+func TestWireEncodeAllocatesNothing(t *testing.T) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	for _, tc := range wireBenchCases() {
+		c, _ := wire.Lookup(tc.body)
+		c.Encode(w, tc.body) // grow the buffer
+		if allocs := testing.AllocsPerRun(100, func() {
+			w.Reset()
+			c.Encode(w, tc.body)
+		}); allocs != 0 {
+			t.Errorf("encoding %s allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkWireCodec reports encode and decode time, allocations and
 // payload bytes of the codec on those three messages. It gates nothing:
 // ksperf's wire.* layer is the measured record and

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,10 +12,9 @@ import (
 // FuzzChordDecode fuzzes every Chord decoder, wire IDs 32–49: the first
 // input byte picks the ID, the rest is the payload. Arbitrary bytes must
 // give a clean error — trailing bytes count, as they do in a frame — or
-// a value that re-encodes to the same bytes. The codecs accept two
+// a value that re-encodes to exactly the input: the codecs reject the
 // non-canonical forms, an overlong varint and a bool byte other than 0
-// or 1; for those the re-encoding is shorter or equally long and decodes
-// to the same value. Decoding never panics, and allocates no more than
+// or 1 (the last seed holds both). Decoding never panics, and allocates no more than
 // the Reader.Count bound allows: one arena copy of the payload plus the
 // widest slice it can claim (a 48-byte Reference per 3 bytes), with
 // room for size-class rounding. The reference lists of respReadRefs, respHandoff and
@@ -91,14 +89,8 @@ func FuzzChordDecode(f *testing.F) {
 
 		var w wire.Writer
 		c.Encode(&w, v)
-		if bytes.Equal(w.Buf, payload) {
-			return
-		}
-		if len(w.Buf) > len(payload) {
-			t.Fatalf("%s: re-encoding %x is longer than the input %x", c.Name(), w.Buf, payload)
-		}
-		if v2, err := decode(w.Buf); err != nil || !reflect.DeepEqual(v2, v) {
-			t.Fatalf("%s: re-encoding of %x does not decode back: %+v, %v; want %+v", c.Name(), payload, v2, err, v)
+		if !bytes.Equal(w.Buf, payload) {
+			t.Fatalf("%s: %x decodes to %+v, which re-encodes to %x", c.Name(), payload, v, w.Buf)
 		}
 	})
 }

@@ -119,13 +119,13 @@ func unmarshalRefs(r *wire.Reader) []dht.Reference {
 	return refs
 }
 
-func (m *rpcFindClosest) MarshalWire(w *wire.Writer) { w.U64(uint64(m.ID)) }
+func (m rpcFindClosest) MarshalWire(w *wire.Writer) { w.U64(uint64(m.ID)) }
 func (m *rpcFindClosest) UnmarshalWire(r *wire.Reader) error {
 	m.ID = dht.ID(r.U64())
 	return r.Err()
 }
 
-func (m *respFindClosest) MarshalWire(w *wire.Writer) {
+func (m respFindClosest) MarshalWire(w *wire.Writer) {
 	w.Bool(m.Done)
 	marshalNodeInfo(w, &m.Node)
 }
@@ -136,10 +136,10 @@ func (m *respFindClosest) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *rpcGetPredecessor) MarshalWire(w *wire.Writer)         {}
+func (m rpcGetPredecessor) MarshalWire(w *wire.Writer)          {}
 func (m *rpcGetPredecessor) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *respGetPredecessor) MarshalWire(w *wire.Writer) {
+func (m respGetPredecessor) MarshalWire(w *wire.Writer) {
 	w.Bool(m.Known)
 	marshalNodeInfo(w, &m.Node)
 }
@@ -150,43 +150,43 @@ func (m *respGetPredecessor) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *rpcNotify) MarshalWire(w *wire.Writer) { marshalNodeInfo(w, &m.Candidate) }
+func (m rpcNotify) MarshalWire(w *wire.Writer) { marshalNodeInfo(w, &m.Candidate) }
 func (m *rpcNotify) UnmarshalWire(r *wire.Reader) error {
 	unmarshalNodeInfo(r, &m.Candidate)
 	return r.Err()
 }
 
-func (m *respOK) MarshalWire(w *wire.Writer)         {}
+func (m respOK) MarshalWire(w *wire.Writer)          {}
 func (m *respOK) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *rpcGetSuccessorList) MarshalWire(w *wire.Writer)         {}
+func (m rpcGetSuccessorList) MarshalWire(w *wire.Writer)          {}
 func (m *rpcGetSuccessorList) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *respGetSuccessorList) MarshalWire(w *wire.Writer) { marshalNodeInfos(w, m.Successors) }
+func (m respGetSuccessorList) MarshalWire(w *wire.Writer) { marshalNodeInfos(w, m.Successors) }
 func (m *respGetSuccessorList) UnmarshalWire(r *wire.Reader) error {
 	m.Successors = unmarshalNodeInfos(r)
 	return r.Err()
 }
 
-func (m *rpcPing) MarshalWire(w *wire.Writer)         {}
+func (m rpcPing) MarshalWire(w *wire.Writer)          {}
 func (m *rpcPing) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *rpcInsertRef) MarshalWire(w *wire.Writer) { marshalRef(w, &m.Ref) }
+func (m rpcInsertRef) MarshalWire(w *wire.Writer) { marshalRef(w, &m.Ref) }
 func (m *rpcInsertRef) UnmarshalWire(r *wire.Reader) error {
 	unmarshalRef(r, &m.Ref)
 	return r.Err()
 }
 
-func (m *respInsertRef) MarshalWire(w *wire.Writer)         { w.Bool(m.First) }
+func (m respInsertRef) MarshalWire(w *wire.Writer)          { w.Bool(m.First) }
 func (m *respInsertRef) UnmarshalWire(r *wire.Reader) error { m.First = r.Bool(); return r.Err() }
 
-func (m *rpcDeleteRef) MarshalWire(w *wire.Writer) { marshalRef(w, &m.Ref) }
+func (m rpcDeleteRef) MarshalWire(w *wire.Writer) { marshalRef(w, &m.Ref) }
 func (m *rpcDeleteRef) UnmarshalWire(r *wire.Reader) error {
 	unmarshalRef(r, &m.Ref)
 	return r.Err()
 }
 
-func (m *respDeleteRef) MarshalWire(w *wire.Writer) {
+func (m respDeleteRef) MarshalWire(w *wire.Writer) {
 	w.Bool(m.Found)
 	w.Int(m.Remaining)
 }
@@ -197,10 +197,10 @@ func (m *respDeleteRef) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *rpcReadRefs) MarshalWire(w *wire.Writer)         { w.String(m.ObjectID) }
+func (m rpcReadRefs) MarshalWire(w *wire.Writer)          { w.String(m.ObjectID) }
 func (m *rpcReadRefs) UnmarshalWire(r *wire.Reader) error { m.ObjectID = r.String(); return r.Err() }
 
-func (m *respReadRefs) MarshalWire(w *wire.Writer) {
+func (m respReadRefs) MarshalWire(w *wire.Writer) {
 	w.Bool(m.Found)
 	marshalRefs(w, m.Refs)
 }
@@ -211,19 +211,19 @@ func (m *respReadRefs) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *rpcHandoff) MarshalWire(w *wire.Writer) { marshalNodeInfo(w, &m.NewNode) }
+func (m rpcHandoff) MarshalWire(w *wire.Writer) { marshalNodeInfo(w, &m.NewNode) }
 func (m *rpcHandoff) UnmarshalWire(r *wire.Reader) error {
 	unmarshalNodeInfo(r, &m.NewNode)
 	return r.Err()
 }
 
-func (m *respHandoff) MarshalWire(w *wire.Writer) { marshalRefs(w, m.Refs) }
+func (m respHandoff) MarshalWire(w *wire.Writer) { marshalRefs(w, m.Refs) }
 func (m *respHandoff) UnmarshalWire(r *wire.Reader) error {
 	m.Refs = unmarshalRefs(r)
 	return r.Err()
 }
 
-func (m *rpcDepart) MarshalWire(w *wire.Writer) {
+func (m rpcDepart) MarshalWire(w *wire.Writer) {
 	marshalNodeInfo(w, &m.Leaver)
 	marshalNodeInfo(w, &m.Predecessor)
 	marshalNodeInfo(w, &m.Successor)

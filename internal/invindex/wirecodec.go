@@ -26,7 +26,7 @@ func RegisterTypes() {
 	wire.Register[respFetchPostings](wireRespFetchPostings)
 }
 
-func (m *msgInsertPosting) MarshalWire(w *wire.Writer) {
+func (m msgInsertPosting) MarshalWire(w *wire.Writer) {
 	w.Uvarint(m.Vertex)
 	w.String(m.Word)
 	w.String(m.ObjectID)
@@ -39,10 +39,10 @@ func (m *msgInsertPosting) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respAck) MarshalWire(w *wire.Writer)         {}
+func (m respAck) MarshalWire(w *wire.Writer)          {}
 func (m *respAck) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
-func (m *msgDeletePosting) MarshalWire(w *wire.Writer) {
+func (m msgDeletePosting) MarshalWire(w *wire.Writer) {
 	w.Uvarint(m.Vertex)
 	w.String(m.Word)
 	w.String(m.ObjectID)
@@ -55,10 +55,10 @@ func (m *msgDeletePosting) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respDeletePosting) MarshalWire(w *wire.Writer)         { w.Bool(m.Found) }
+func (m respDeletePosting) MarshalWire(w *wire.Writer)          { w.Bool(m.Found) }
 func (m *respDeletePosting) UnmarshalWire(r *wire.Reader) error { m.Found = r.Bool(); return r.Err() }
 
-func (m *msgFetchPostings) MarshalWire(w *wire.Writer) {
+func (m msgFetchPostings) MarshalWire(w *wire.Writer) {
 	w.Uvarint(m.Vertex)
 	w.String(m.Word)
 }
@@ -69,7 +69,7 @@ func (m *msgFetchPostings) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *respFetchPostings) MarshalWire(w *wire.Writer) {
+func (m respFetchPostings) MarshalWire(w *wire.Writer) {
 	w.Uvarint(uint64(len(m.ObjectIDs)))
 	for _, id := range m.ObjectIDs {
 		w.String(id)

@@ -148,12 +148,22 @@ func (s Set) Key() string {
 	return strings.Join(s.words, "\x1f")
 }
 
-// ParseKey reconstructs a Set from Key's encoding.
+// ParseKey reconstructs a Set from Key's encoding. A canonical key —
+// normalized words in strictly ascending order, as Key writes them —
+// becomes the Set's word slice as cut, in one pass; any other key (a
+// remote peer's, say) goes through NewSet, so the result is always
+// NewSet of the key's words.
 func ParseKey(key string) Set {
 	if key == "" {
 		return Set{}
 	}
-	return NewSet(strings.Split(key, "\x1f")...)
+	words := strings.Split(key, "\x1f")
+	for i, w := range words {
+		if w == "" || Normalize(w) != w || (i > 0 && w <= words[i-1]) {
+			return NewSet(words...)
+		}
+	}
+	return Set{words: words}
 }
 
 // signatureBits is the number of bits each keyword sets in a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +104,28 @@ func TestKeyRoundTrip(t *testing.T) {
 			t.Errorf("ParseKey(Key(%v)) = %v", s, got)
 		}
 	}
+}
+
+// FuzzParseKey checks ParseKey against its definition: for any input,
+// canonical or not, ParseKey(k) is NewSet over k's \x1f-separated
+// words. The seeds are keys Key never writes — unsorted, duplicated,
+// upper-case, padded, with empty words — beside canonical ones, so both
+// the one-pass cut and the NewSet fallback are reached. A short run is
+// wired into `make fuzz-smoke`.
+func FuzzParseKey(f *testing.F) {
+	for _, k := range []string{
+		"", "isp", "download\x1fisp\x1fnetwork", // canonical
+		"b\x1fa", "a\x1fa", "a\x1fb\x1fa", "A\x1fb", "a\x1fB", " a\x1fb",
+		"\x1f", "\x1fa", "a\x1f", "a\x1f\x1fb", "a\x1f \x1fb", "x\x00y\x1fz", "\xff\x1fa",
+	} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, k string) {
+		got, want := ParseKey(k), NewSet(strings.Split(k, "\x1f")...)
+		if !got.Equal(want) || got.Key() != want.Key() {
+			t.Fatalf("ParseKey(%q) = %v (key %q), want %v (key %q)", k, got, got.Key(), want, want.Key())
+		}
+	})
 }
 
 func TestNewHasherValidation(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 type fromProbe struct{ X int }
 
-func (m *fromProbe) MarshalWire(w *wire.Writer)         { w.Int(m.X) }
+func (m fromProbe) MarshalWire(w *wire.Writer)          { w.Int(m.X) }
 func (m *fromProbe) UnmarshalWire(r *wire.Reader) error { m.X = r.Int(); return r.Err() }
 
 func registerProbe() {

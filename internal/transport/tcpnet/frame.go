@@ -159,12 +159,12 @@ type decodedFrame struct {
 	errS        string      // error frames: remote error text
 }
 
-// parseFrame decodes the frame bytes past the length prefix. Arbitrary
+// parseFrame decodes the frame bytes past the length prefix through r,
+// which the caller has just Reset (or ResetOwned) over frame. Arbitrary
 // input must error, never panic or over-allocate — the wire.Reader's
 // sticky bounds checks guarantee it, and FuzzWireDecode enforces it.
-func parseFrame(frame []byte) (decodedFrame, error) {
+func parseFrame(r *wire.Reader, frame []byte) (decodedFrame, error) {
 	var d decodedFrame
-	r := wire.NewReader(frame)
 	d.reqID = r.Uvarint()
 	d.kind = r.Byte()
 	typeID := r.U16()

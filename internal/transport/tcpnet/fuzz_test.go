@@ -69,7 +69,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := parseFrame(data)
+		d, err := parseTestFrame(data)
 		if err != nil {
 			return // clean rejection is the expected outcome for noise
 		}
@@ -96,7 +96,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("re-encode of decoded %s: %v", d.codec.Name(), err2)
 		}
-		d2, err := parseFrame(w.Buf[4:])
+		d2, err := parseTestFrame(w.Buf[4:])
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded %s: %v", d.codec.Name(), err)
 		}
@@ -241,7 +241,7 @@ func TestSparseBatchSeedsDecode(t *testing.T) {
 	registerTestTypes()
 	core.RegisterTypes()
 	for _, frame := range [][]byte{sparseBatchFrame(2, 9, 400), sparseBatchFrame(7, 7, -1, 3)} {
-		d, err := parseFrame(frame)
+		d, err := parseTestFrame(frame)
 		if err != nil {
 			t.Fatalf("parseFrame: %v", err)
 		}
@@ -256,13 +256,21 @@ func TestSparseBatchSeedsDecode(t *testing.T) {
 // to read its payload as some other message.
 func TestRetiredTypeIDFrameRejected(t *testing.T) {
 	registerTestTypes()
-	_, err := parseFrame(legacyPinFrame())
+	_, err := parseTestFrame(legacyPinFrame())
 	if err == nil {
 		t.Fatal("parseFrame accepted a frame of retired wire type 5")
 	}
 	if want := "unknown wire type ID 5"; !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want mention of %q", err, want)
 	}
+}
+
+// parseTestFrame decodes frame as the client's read loop does, through
+// a Reader Reset over it.
+func parseTestFrame(frame []byte) (decodedFrame, error) {
+	var r wire.Reader
+	r.Reset(frame)
+	return parseFrame(&r, frame)
 }
 
 var errTest = errForFuzz{}

@@ -117,13 +117,20 @@ func (n *Network) dialMux(ctx context.Context, to transport.Addr, e *muxEntry) (
 	return mc, nil
 }
 
+// replyChans recycles roundTrip's reply channels. Each registered
+// channel gets at most one send, from whoever removes it from pending,
+// so a channel whose reply was received is empty and unreferenced and
+// goes back. One abandoned on any other path (ctx.Done(), a failed
+// write) may still get its reply later and is left to the collector.
+var replyChans = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
+
 // roundTrip performs one RPC over the mux. Frame writes set a deadline
 // from ctx (or none) so a wedged peer cannot block the writer forever
 // while holding wmu.
 func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any) (any, error) {
 	ins := mc.net.ins.Load()
 
-	ch := make(chan muxResult, 1)
+	ch := replyChans.Get().(chan muxResult)
 	mc.mu.Lock()
 	if mc.dead {
 		err := mc.err
@@ -165,6 +172,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 
 	select {
 	case res := <-ch:
+		replyChans.Put(ch)
 		return res.body, res.err
 	case <-ctx.Done():
 		mc.deregister(id)
@@ -213,6 +221,7 @@ func (mc *muxConn) readLoop() {
 	ins := mc.net.ins.Load()
 	br := bufio.NewReaderSize(mc.conn, 32<<10)
 	var buf []byte
+	var r wire.Reader
 	for {
 		frame, err := readFrame(br, buf)
 		if err != nil {
@@ -220,7 +229,8 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		buf = frame // strings copy into the decode arena; the raw buffer is reusable
-		d, err := parseFrame(frame)
+		r.Reset(frame)
+		d, err := parseFrame(&r, frame)
 		if err != nil {
 			mc.fail(fmt.Errorf("recv from %q: %v: %w", mc.to, err, transport.ErrUnreachable))
 			return

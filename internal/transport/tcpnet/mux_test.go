@@ -18,14 +18,23 @@ import (
 // TestWireMuxHammer drives many concurrent RPCs through one
 // multiplexed connection and asserts every caller gets exactly its own
 // answer back — the mux must never deliver a response to the wrong
-// request ID, even interleaved with cancelled requests that abandon
-// their IDs mid-flight. Runs under -race in the chaos suite.
+// request ID, even interleaved with requests that abandon their IDs
+// mid-flight: their handler answers after the caller's deadline, so
+// the late response races the abandonment, and a reply channel reused
+// while a response may still land in it hands that response to another
+// caller. Runs under -race in the chaos suite.
 func TestWireMuxHammer(t *testing.T) {
 	registerTestTypes()
 	n := New()
 	defer n.Close()
+	// Long enough that the frame is written before the deadline even
+	// under -race: a write past its deadline fails the whole mux.
+	const late = 20 * time.Millisecond
 	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
 		p := body.(ping)
+		if p.N < 0 {
+			time.Sleep(late + time.Duration(-p.N%4)*100*time.Microsecond)
+		}
 		return pong{N: p.N}, nil
 	})
 	if err != nil {
@@ -44,8 +53,8 @@ func TestWireMuxHammer(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				want := w*perW + i
 				if i%17 == 0 {
-					// A pre-cancelled request abandons its ID; its late
-					// response must be dropped, not misdelivered.
+					// A pre-cancelled request fails at the door, before
+					// it takes an ID or writes a byte.
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
 					_, err := n.Send(ctx, node.Addr(), ping{N: -want})
@@ -54,7 +63,28 @@ func TestWireMuxHammer(t *testing.T) {
 					}
 					continue
 				}
-				got, err := n.Send(context.Background(), node.Addr(), ping{N: want})
+				if i%5 == 0 {
+					// The handler sleeps past this deadline: the caller
+					// abandons its ID with the request in flight. Its
+					// late response must be dropped — or, if it beats
+					// the deadline after all, be this caller's own.
+					ctx, cancel := context.WithTimeout(context.Background(), late)
+					got, err := n.Send(ctx, node.Addr(), ping{N: -want})
+					cancel()
+					if p, ok := got.(pong); err == nil && (!ok || p.N != -want) {
+						t.Errorf("worker %d: response %#v, want pong{%d} — cross-delivered frame", w, got, -want)
+						return
+					} else if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("worker %d: abandoned send: %v, want context.DeadlineExceeded", w, err)
+						return
+					}
+					continue
+				}
+				// A deadline far beyond the test's pace: a stuck reply
+				// fails the caller instead of hanging the hammer.
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				got, err := n.Send(ctx, node.Addr(), ping{N: want})
+				cancel()
 				if err != nil {
 					t.Errorf("worker %d send %d: %v", w, i, err)
 					return

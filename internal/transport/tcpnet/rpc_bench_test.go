@@ -2,6 +2,8 @@ package tcpnet
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +28,7 @@ type benchAns struct {
 	Remaining int
 }
 
-func (m *benchQry) MarshalWire(w *wire.Writer) {
+func (m benchQry) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.String(m.Key)
@@ -41,7 +43,7 @@ func (m *benchQry) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m *benchAns) MarshalWire(w *wire.Writer) {
+func (m benchAns) MarshalWire(w *wire.Writer) {
 	w.Uvarint(uint64(len(m.IDs)))
 	for _, id := range m.IDs {
 		w.String(id)
@@ -129,6 +131,46 @@ func TestWireRPCBytesPinned(t *testing.T) {
 	// payload; response: 4 + 1 + 1 + 2 + 22 payload.
 	if got, want := clientWireBytes(reg)-warm, uint64(37+30); got != want {
 		t.Errorf("one small RPC moved %d B on the wire, want %d", got, want)
+	}
+}
+
+// TestWireRPCBytesPerCall pins what one warm small RPC allocates, both
+// ends in this process and telemetry on: at most 12 allocations and
+// 400 B. Encoding copies nothing, a decoded body is boxed once, each
+// read loop and listener worker reuses one Reader, a request frame is
+// its own string arena and reply channels are pooled.
+func TestWireRPCBytesPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates per goroutine and per sync object; the budget is stated without it")
+	}
+	registerBenchTypes()
+	cli, addr, _, closeAll := benchRPCPair(t)
+	defer closeAll()
+	ctx := context.Background()
+	send := func(i int) {
+		if _, err := cli.Send(ctx, addr, benchRPCBody(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		send(i) // dial, then fill the pools and the read loops' buffers
+	}
+	// Both ends share this process's counters, so a reading over budget
+	// is taken twice more and the least of the three counts.
+	const runs, maxAllocs, maxBytes = 1000, 12, 400
+	allocs, bytes := math.Inf(1), math.Inf(1)
+	for try := 0; try < 3 && (allocs > maxAllocs || bytes > maxBytes); try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			send(i)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a warm small RPC allocates %.1f times and %.0f B, want <= %d and <= %d B", allocs, bytes, maxAllocs, maxBytes)
 	}
 }
 

@@ -196,7 +196,7 @@ func (l *listener) serveConn(conn net.Conn) {
 // parallel.
 func (l *listener) serveV2(sc *srvConn, br *bufio.Reader) {
 	for {
-		frame, err := readFrame(br, nil) // workers own the frame; no reuse
+		frame, err := readFrame(br, nil) // the frame becomes its decode arena; never reuse it
 		if err != nil {
 			return
 		}
@@ -209,7 +209,8 @@ func (l *listener) serveV2(sc *srvConn, br *bufio.Reader) {
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()
-				l.handleFrame(w)
+				var r wire.Reader
+				l.handleFrame(&r, w)
 			}()
 		}
 		select {
@@ -222,16 +223,20 @@ func (l *listener) serveV2(sc *srvConn, br *bufio.Reader) {
 
 func (l *listener) worker() {
 	defer l.workers.Done()
+	var r wire.Reader
 	for w := range l.work {
-		l.handleFrame(w)
+		l.handleFrame(&r, w)
 	}
 }
 
-// handleFrame decodes one request frame, runs the handler and writes
-// the response frame.
-func (l *listener) handleFrame(w srvWork) {
+// handleFrame decodes one request frame through r, runs the handler and
+// writes the response frame. The frame is the handler's own (serveV2
+// reads each into a fresh buffer and never touches it again), so it is
+// the decode arena as it stands: the body's strings alias it.
+func (l *listener) handleFrame(r *wire.Reader, w srvWork) {
 	ins := l.ins
-	d, err := parseFrame(w.frame)
+	r.ResetOwned(w.frame)
+	d, err := parseFrame(r, w.frame)
 	if err != nil || d.kind != frameKindRequest {
 		// Corrupt stream or a response frame sent to a server; the
 		// connection cannot be resynchronized.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,11 +27,11 @@ type classQry struct {
 	Mask  uint64
 }
 
-func (m *ping) MarshalWire(w *wire.Writer)         { w.Int(m.N) }
+func (m ping) MarshalWire(w *wire.Writer)          { w.Int(m.N) }
 func (m *ping) UnmarshalWire(r *wire.Reader) error { m.N = r.Int(); return r.Err() }
-func (m *pong) MarshalWire(w *wire.Writer)         { w.Int(m.N) }
+func (m pong) MarshalWire(w *wire.Writer)          { w.Int(m.N) }
 func (m *pong) UnmarshalWire(r *wire.Reader) error { m.N = r.Int(); return r.Err() }
-func (m *classQry) MarshalWire(w *wire.Writer) {
+func (m classQry) MarshalWire(w *wire.Writer) {
 	w.String(m.Key)
 	w.Int(m.Class)
 	w.U64(m.Mask)
@@ -183,6 +185,98 @@ func TestConcurrentSends(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestServerArenaOwnership: a request frame is its own decode arena, so
+// a string a handler keeps from frame N aliases that frame. Frames
+// handled by pool workers and by spill goroutines (every worker busy,
+// the queue full) are kept; after more frames of the same length on
+// the same connection, every kept string must still read as it was
+// sent. A read loop that reused its frame buffer would overwrite them.
+func TestServerArenaOwnership(t *testing.T) {
+	registerTestTypes()
+	srv := New()
+	defer srv.Close()
+	const hold = 1 // classQry.Class of a request whose handler blocks
+	var (
+		mu      sync.Mutex
+		kept    []string
+		running atomic.Int64
+	)
+	release, spilled := make(chan struct{}), make(chan struct{})
+	var workers atomic.Int64
+	node, err := srv.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		q := body.(classQry)
+		if q.Mask != 0 {
+			mu.Lock()
+			kept = append(kept, q.Key)
+			mu.Unlock()
+		}
+		if q.Class == hold {
+			// One handler more than the pool has workers is running, so
+			// this frame came through the spill path.
+			if running.Add(1) == workers.Load()+1 {
+				close(spilled)
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return q, nil
+	})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	l := node.(*listener)
+	workers.Store(int64(cap(l.work) / 4))
+	cli := New()
+	defer cli.Close()
+	key := func(tag string, i int) string { return fmt.Sprintf("%s-%06d", tag, i) }
+	send := func(q classQry) {
+		// A reused frame buffer can also garble a queued frame's request
+		// ID, leaving its caller unanswered: fail it, do not hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := cli.Send(ctx, node.Addr(), q); err != nil {
+			t.Errorf("send %q: %v", q.Key, err)
+		}
+	}
+
+	for i := 0; i < 10; i++ { // the worker pool, one frame at a time
+		send(classQry{Key: key("kept", i), Mask: 1})
+	}
+	blocked := int(workers.Load()) + cap(l.work) + 4
+	var wg sync.WaitGroup
+	for i := 10; i < 10+blocked; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			send(classQry{Key: key("kept", i), Class: hold, Mask: 1})
+		}(i)
+	}
+	select {
+	case <-spilled:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d handlers running after 10 s, want more than the %d workers", running.Load(), workers.Load())
+	}
+	close(release)
+	wg.Wait()
+	for i := 0; i < 200; i++ { // later frames of the same shape, not kept
+		send(classQry{Key: key("over", i)})
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != 10+blocked {
+		t.Fatalf("handlers kept %d keys, want %d", len(kept), 10+blocked)
+	}
+	sort.Strings(kept)
+	for i, k := range kept {
+		if want := key("kept", i); k != want {
+			t.Errorf("kept key %d reads %q after later frames, want %q", i, k, want)
+		}
+	}
 }
 
 func TestCloseRejectsFurtherUse(t *testing.T) {

@@ -13,7 +13,6 @@ type Codec struct {
 	id     uint16
 	name   string
 	typ    reflect.Type
-	encode func(w *Writer, body any)
 	decode func(r *Reader) (any, error)
 }
 
@@ -25,10 +24,14 @@ func (c *Codec) ID() uint16 { return c.id }
 func (c *Codec) Name() string { return c.name }
 
 // Encode marshals body (which must be of the registered type) into w.
-func (c *Codec) Encode(w *Writer, body any) { c.encode(w, body) }
+// MarshalWire has a value receiver, so the call reads the boxed value
+// in place: encoding copies nothing to the heap.
+func (c *Codec) Encode(w *Writer, body any) { body.(Marshaler).MarshalWire(w) }
 
 // Decode unmarshals one message from r, returning it as the registered
-// concrete value type.
+// concrete value type. The message costs one allocation, the box it
+// travels in, plus whatever its UnmarshalWire allocates: it is decoded
+// into a pooled value, which is copied into the box and zeroed.
 func (c *Codec) Decode(r *Reader) (any, error) { return c.decode(r) }
 
 var (
@@ -37,35 +40,35 @@ var (
 	byType = make(map[reflect.Type]*Codec)
 )
 
-// Register binds type T to the wire type ID. *T must implement
-// Marshaler and Unmarshaler; messages travel as values (matching the
-// transport's any-typed envelopes), so the registry wraps the pointer
-// codecs in value-level encode/decode functions.
+// Register binds type T to the wire type ID. Messages travel as values
+// (matching the transport's any-typed envelopes): T implements
+// Marshaler with a value receiver, and *T implements Unmarshaler.
 //
 // Registration is idempotent for the same (id, type) pair — every
 // package's RegisterTypes may run multiple times per process — and
 // panics on a conflicting binding, which is a build-time mistake
 // (two messages claiming one ID, or one message claiming two).
-func Register[T any, PT interface {
+func Register[T Marshaler, PT interface {
 	*T
-	Marshaler
 	Unmarshaler
 }](id uint16) {
 	typ := reflect.TypeOf((*T)(nil)).Elem()
+	pool := sync.Pool{New: func() any { return new(T) }}
 	c := &Codec{
 		id:   id,
 		name: typ.String(),
 		typ:  typ,
-		encode: func(w *Writer, body any) {
-			v := body.(T)
-			PT(&v).MarshalWire(w)
-		},
 		decode: func(r *Reader) (any, error) {
-			var v T
-			if err := PT(&v).UnmarshalWire(r); err != nil {
-				return nil, err
+			p := pool.Get().(*T)
+			var body any
+			err := PT(p).UnmarshalWire(r)
+			if err == nil {
+				body = *p
 			}
-			return v, nil
+			var zero T
+			*p = zero
+			pool.Put(p)
+			return body, err
 		},
 	}
 	regMu.Lock()

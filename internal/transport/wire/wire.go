@@ -13,22 +13,36 @@
 //   - full-range 64-bit values (DHT IDs, session IDs): fixed 8-byte LE
 //   - strings: uvarint length + raw bytes
 //
-// The Reader decodes strings out of a single per-frame arena: the
-// first string materializes the whole payload as one Go string and
-// every subsequent string is a zero-copy slice of it, so a batch
-// response with thousands of matches costs one allocation for all its
-// string data instead of one per field.
+// The Reader decodes strings out of a single per-frame arena, so a
+// batch response with thousands of matches costs at most one
+// allocation for all its string data instead of one per field. After
+// Reset the first string materializes the whole payload as one Go
+// string and every string is a zero-copy slice of it; a buffer the
+// caller hands over for good (ResetOwned) is the arena itself, with no
+// copy. Either way decoded strings never point into a buffer that is
+// reused, so one Reader serves frame after frame.
+//
+// Decoding accepts only the encodings Writer produces: an overlong
+// varint or a bool byte other than 0 or 1 is an error, so a value that
+// decodes re-encodes to exactly its input.
 package wire
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
-// ErrTruncated reports a read past the end of the payload — a corrupt
-// or truncated frame.
-var ErrTruncated = errors.New("wire: truncated payload")
+var (
+	// ErrTruncated reports a read past the end of the payload — a
+	// corrupt or truncated frame.
+	ErrTruncated = errors.New("wire: truncated payload")
+	// ErrNonCanonical reports a field Writer would have encoded
+	// differently: an overlong or overflowing varint, or a bool byte
+	// other than 0 or 1.
+	ErrNonCanonical = errors.New("wire: non-canonical encoding")
+)
 
 // Marshaler is implemented by messages that can encode themselves into
 // a Writer. Encoding into memory cannot fail, so there is no error.
@@ -154,13 +168,26 @@ func (w *Writer) PatchU32(off int, v uint32) {
 type Reader struct {
 	buf   []byte
 	off   int
-	arena string // lazy: whole payload as one string, sliced per field
+	arena string // whole payload as one string, sliced per field; lazy after Reset
 	err   error
 }
 
-// NewReader returns a Reader over buf. The Reader does not copy buf up
-// front; the first string read materializes it once as the arena.
+// NewReader returns a Reader over buf, as Reset does.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Reset points r at buf and clears its error, so one Reader decodes
+// frame after frame. It does not copy buf up front: the first string
+// read copies it once, as the arena, so the caller may reuse buf as
+// soon as decoding is done.
+func (r *Reader) Reset(buf []byte) { *r = Reader{buf: buf} }
+
+// ResetOwned is Reset for a buffer the caller gives up: buf itself
+// becomes the string arena, with no copy. Decoded strings alias buf
+// for as long as any of them lives, so from this call on nothing may
+// write to buf again — not the caller, and not a pool it came from.
+func (r *Reader) ResetOwned(buf []byte) {
+	*r = Reader{buf: buf, arena: unsafe.String(unsafe.SliceData(buf), len(buf))}
+}
 
 // Err returns the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -168,9 +195,9 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-func (r *Reader) fail() {
+func (r *Reader) fail(err error) {
 	if r.err == nil {
-		r.err = ErrTruncated
+		r.err = err
 	}
 	r.off = len(r.buf)
 }
@@ -178,7 +205,7 @@ func (r *Reader) fail() {
 // Byte reads one raw byte.
 func (r *Reader) Byte() byte {
 	if r.off >= len(r.buf) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	b := r.buf[r.off]
@@ -186,25 +213,35 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bool reads a one-byte boolean; any nonzero byte is true.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
+// Bool reads a one-byte boolean: 0 or 1, any other byte is an error.
+func (r *Reader) Bool() bool {
+	b := r.Byte()
+	if b > 1 {
+		r.fail(ErrNonCanonical)
+	}
+	return b == 1
+}
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint in its shortest form: a final byte
+// of 0 after a continuation byte, or a 10th byte above 1 (more than 64
+// bits), is an error.
 func (r *Reader) Uvarint() uint64 {
 	var u uint64
-	var shift uint
-	for {
-		if r.off >= len(r.buf) || shift > 63 {
-			r.fail()
+	for shift := uint(0); ; shift += 7 {
+		if r.off >= len(r.buf) {
+			r.fail(ErrTruncated)
 			return 0
 		}
 		b := r.buf[r.off]
 		r.off++
+		if (b == 0 && shift > 0) || (shift == 63 && b > 1) {
+			r.fail(ErrNonCanonical)
+			return 0
+		}
 		u |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return u
 		}
-		shift += 7
 	}
 }
 
@@ -220,7 +257,7 @@ func (r *Reader) Int() int { return int(r.Varint()) }
 // U16 reads a fixed 2-byte little-endian value.
 func (r *Reader) U16() uint16 {
 	if r.off+2 > len(r.buf) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	v := uint16(r.buf[r.off]) | uint16(r.buf[r.off+1])<<8
@@ -231,7 +268,7 @@ func (r *Reader) U16() uint16 {
 // U32 reads a fixed 4-byte little-endian value.
 func (r *Reader) U32() uint32 {
 	if r.off+4 > len(r.buf) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	v := uint32(r.buf[r.off]) | uint32(r.buf[r.off+1])<<8 |
@@ -243,7 +280,7 @@ func (r *Reader) U32() uint32 {
 // U64 reads a fixed 8-byte little-endian value.
 func (r *Reader) U64() uint64 {
 	if r.off+8 > len(r.buf) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	b := r.buf[r.off:]
@@ -263,15 +300,15 @@ func (r *Reader) Count(elemMin int) int {
 		elemMin = 1
 	}
 	if n > uint64(r.Remaining()/elemMin) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	return int(n)
 }
 
 // String reads a uvarint length followed by that many bytes, returned
-// as a slice of the frame arena: the payload is materialized as one Go
-// string on the first call and shared by every string of the frame.
+// as a slice of the frame arena, which every string of the frame
+// shares.
 func (r *Reader) String() string {
 	n := r.Count(1)
 	if r.err != nil || n == 0 {

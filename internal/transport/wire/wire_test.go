@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -123,15 +124,77 @@ func TestStringArena(t *testing.T) {
 	if !strings.Contains(arena, a) || !strings.Contains(arena, b) {
 		t.Fatal("strings do not alias the arena")
 	}
+	var rr Reader
 	allocs := testing.AllocsPerRun(100, func() {
-		rr := NewReader(w.Buf)
+		rr.Reset(w.Buf)
 		_ = rr.String()
 		_ = rr.String()
 	})
-	// One Reader + one arena materialization; two separate string
-	// copies would push this to 3.
-	if allocs > 2 {
-		t.Errorf("decode of 2 strings allocates %.1f times, want <= 2 (arena + reader)", allocs)
+	// One arena materialization per frame on a reused Reader; two
+	// separate string copies would push this to 2.
+	if allocs > 1 {
+		t.Errorf("decode of 2 strings allocates %.1f times, want <= 1 (the arena)", allocs)
+	}
+	// Strings decoded before a Reset point into the arena, not into the
+	// buffer, which the caller may then overwrite.
+	buf := append([]byte(nil), w.Buf...)
+	rr.Reset(buf)
+	kept := rr.String()
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if kept != "alpha" {
+		t.Errorf("string decoded before Reset reads %q after the buffer was overwritten, want %q", kept, "alpha")
+	}
+}
+
+// TestResetOwnedAliasesBuffer: a buffer handed over with ResetOwned is
+// the arena itself — decoding its strings allocates nothing.
+func TestResetOwnedAliasesBuffer(t *testing.T) {
+	w := GetWriter()
+	defer PutWriter(w)
+	w.String("alpha")
+	w.String("beta")
+	buf := append([]byte(nil), w.Buf...)
+	var r Reader
+	allocs := testing.AllocsPerRun(100, func() {
+		r.ResetOwned(buf)
+		if a, b := r.String(), r.String(); a != "alpha" || b != "beta" || r.Finish() != nil {
+			t.Fatalf("strings = %q, %q, err %v", a, b, r.Finish())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decode of 2 strings from an owned buffer allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestNonCanonicalRejected: the Reader accepts only what the Writer
+// produces — no overlong varint, no varint past 64 bits, no bool byte
+// other than 0 or 1 — so a decoded value re-encodes to its input.
+func TestNonCanonicalRejected(t *testing.T) {
+	for name, c := range map[string]struct {
+		buf  []byte
+		read func(r *Reader)
+	}{
+		"overlong zero":      {[]byte{0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		"overlong 5":         {[]byte{0x85, 0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		"overlong length":    {[]byte{0x81, 0x00, 'x'}, func(r *Reader) { _ = r.String() }},
+		"overlong count":     {[]byte{0x81, 0x00, 0}, func(r *Reader) { r.Count(1) }},
+		"10th byte 2":        {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader) { r.Uvarint() }},
+		"10th byte overlong": {[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		"bool 2":             {[]byte{2}, func(r *Reader) { r.Bool() }},
+		"bool 0xff":          {[]byte{0xff}, func(r *Reader) { r.Bool() }},
+	} {
+		r := NewReader(c.buf)
+		c.read(r)
+		if !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("%s: %x decoded with err %v, want ErrNonCanonical", name, c.buf, r.Err())
+		}
+	}
+	// The longest canonical varint still decodes.
+	r := NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	if got := r.Uvarint(); got != math.MaxUint64 || r.Finish() != nil {
+		t.Errorf("10-byte MaxUint64 = %d, err %v", got, r.Finish())
 	}
 }
 
@@ -177,7 +240,7 @@ func TestCodecEncodeDecode(t *testing.T) {
 
 type tmsgA struct{ X uint64 }
 
-func (m *tmsgA) MarshalWire(w *Writer)         { w.Uvarint(m.X) }
+func (m tmsgA) MarshalWire(w *Writer)          { w.Uvarint(m.X) }
 func (m *tmsgA) UnmarshalWire(r *Reader) error { m.X = r.Uvarint(); return r.Err() }
 
 type tmsgB struct {
@@ -185,7 +248,7 @@ type tmsgB struct {
 	N int
 }
 
-func (m *tmsgB) MarshalWire(w *Writer) { w.String(m.S); w.Int(m.N) }
+func (m tmsgB) MarshalWire(w *Writer) { w.String(m.S); w.Int(m.N) }
 func (m *tmsgB) UnmarshalWire(r *Reader) error {
 	m.S = r.String()
 	m.N = r.Int()
