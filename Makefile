@@ -22,7 +22,8 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # vertex of an exhaustive wave (<= 27 B on a 16-peer ring at r = 10; the
 # root's per-vertex buffers and batch frames' units come from a pooled
 # scratch, and a peer scans a frame on the goroutine that received it)
-# and of a multi-round top-10 search of the same query (<= 330 B), live
+# and of a multi-round top-10 search of the same query (<= 140 B; the
+# root generates every SBT child list, no reply carries one), live
 # heap per stored single-publisher DHT reference (<= 128 B over
 # 20 k objects), zero allocations for a message a muxed endpoint's
 # second layer takes, zero for telemetry on a TCP send with telemetry

@@ -43,8 +43,8 @@ func TestSpanStopSurvivesTruncation(t *testing.T) {
 	for i := range steps {
 		steps[i] = TraceStep{Vertex: uint64(i), Matches: 1}
 	}
-	srv.recordSearchSpan("superset-search", msgTQuery{Instance: DefaultInstance, QueryKey: "a"},
-		TopDown, 0, respTQuery{Exhausted: false}, time.Now(), 1, steps)
+	q := rootQuery{op: "superset-search", msg: msgTQuery{Instance: DefaultInstance, QueryKey: "a"}, order: TopDown}
+	srv.recordSearchSpan(&q, respTQuery{Exhausted: false}, time.Now(), 1, steps)
 
 	spans, _ := reg.Spans()
 	if len(spans) != 1 {
@@ -77,8 +77,8 @@ func TestSpanStopUntruncatedStillMarked(t *testing.T) {
 	srv := newSpanTestServer(t, reg)
 
 	steps := []TraceStep{{Vertex: 1}, {Vertex: 2}, {Vertex: 3}}
-	srv.recordSearchSpan("superset-search", msgTQuery{Instance: DefaultInstance, QueryKey: "b"},
-		TopDown, 0, respTQuery{Exhausted: false}, time.Now(), 1, steps)
+	q := rootQuery{op: "superset-search", msg: msgTQuery{Instance: DefaultInstance, QueryKey: "b"}, order: TopDown}
+	srv.recordSearchSpan(&q, respTQuery{Exhausted: false}, time.Now(), 1, steps)
 
 	spans, _ := reg.Spans()
 	sp := spans[0]

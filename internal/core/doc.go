@@ -26,5 +26,7 @@
 // initiator in its final response. The number of hypercube nodes
 // contacted and the number of messages per node (one query, one reply)
 // are identical to the paper's protocol; only the carrier of the
-// result bytes differs.
+// result bytes differs, and the T_CONT reply carries no child list L:
+// L depends only on the vertex and dimension the root sent, so the
+// root generates it.
 package core

@@ -31,7 +31,7 @@ var liveWireIDs = []uint16{
 // sum, so a total that disagrees with the hits is corrected, not
 // rejected. Decoding never panics, and allocates no more than the
 // Reader.Count bounds allow: one arena copy of the payload plus the
-// widest slices it can claim — a batch response's hits (72 B per 5
+// widest slices it can claim — a batch response's hits (48 B per 4
 // bytes) beside its matches (48 B per 4 bytes, counted twice: the
 // frame's match arena, and the hits past an understated total), with
 // room for size-class rounding. These are the bytes a listener hands to
@@ -39,7 +39,6 @@ var liveWireIDs = []uint16{
 func FuzzCoreDecode(f *testing.F) {
 	RegisterTypes()
 	matches := []Match{{ObjectID: "o1", SetKey: "a b", Vertex: 3, Depth: 1}, {ObjectID: "o2", SetKey: "a", Vertex: 1}}
-	edges := []wireEdge{{Vertex: 5, Dim: 2}, {Vertex: 9, Dim: 3}}
 	entries := []BulkEntry{{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}}
 	cursor := wireCursor{Started: true, Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}
 	for _, msg := range []any{
@@ -49,10 +48,10 @@ func FuzzCoreDecode(f *testing.F) {
 		respDeleteEntry{Found: true},
 		msgTQuery{Instance: "main", Dim: 8, Vertex: 3, QueryKey: "a", Threshold: 10, Class: ClassPrefix, DimMask: 6},
 		respTQuery{Matches: matches, Exhausted: true, SubNodes: 4, Trace: []TraceStep{{Vertex: 1, Matches: 2}}, SoftAddrs: []string{"x"}},
-		msgSubQuery{Instance: "main", Vertex: 9, Root: 1, QueryKey: "a", Limit: -1, GenDim: 2, Relay: true},
-		respSubQuery{Matches: matches, Remaining: 3, Children: edges},
-		msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: "a", Limit: 5, Units: []wireUnit{{Vertex: 2, GenDim: 3}}},
-		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Children: edges}, {Index: 4, ErrCode: 2}}},
+		msgSubQuery{Instance: "main", Vertex: 9, Root: 1, QueryKey: "a", Limit: -1, Skip: 2, Relay: true},
+		respSubQuery{Matches: matches, Remaining: 3},
+		msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: "a", Limit: 5, Units: []wireUnit{{Vertex: 2, Skip: 3}}},
+		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Remaining: 1}, {Index: 4, ErrCode: 2}}},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500},
 		respMigrateChunk{Entries: entries, Cursor: cursor, Done: true},
 		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
@@ -67,10 +66,11 @@ func FuzzCoreDecode(f *testing.F) {
 		f.Add(w.Buf)
 	}
 	// A batch response that claims no matches, then carries a thousand
-	// hits of one: the arena must not be regrown once per hit.
+	// hits of one: the arena must not be regrown once per hit. A hit is
+	// index, match count, the match's four fields, remaining, error code.
 	understated := []byte{byte(slices.Index(liveWireIDs, wireRespSubQueryBatch)), 0, 0xe8, 0x07}
 	for i := 0; i < 1000; i++ {
-		understated = append(understated, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+		understated = append(understated, 0, 1, 0, 0, 0, 0, 0, 0)
 	}
 	f.Add(understated)
 

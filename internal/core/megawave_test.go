@@ -108,7 +108,7 @@ func megaWaveFleet(tb testing.TB) (*deployment, keyword.Set) {
 // started per frame push it past the budget (the dense design sat near
 // 390 B, per-wave root buffers near 128 B, per-frame units and scan
 // workers near 55 B; the pooled units and the handler's own scan
-// measure about 23 B).
+// measure about 20 B).
 func TestMegaWaveBytesPerVertex(t *testing.T) {
 	res, perVertex := megaWaveBytesPerVertex(t, All)
 	if !res.Exhausted || res.Stats.NodesContacted != 512 {
@@ -125,18 +125,20 @@ func TestMegaWaveBytesPerVertex(t *testing.T) {
 // TestTopKWaveBytesPerVertex is the same budget for a top-10 search of
 // the same query: the multi-round path, where the root probes level by
 // level, then flattens the tail, and collects children and resume units
-// between rounds. Here the peers' T_CONT child lists and the session's
-// frontier, rebuilt every round, are most of the figure: about 284 B per
-// contacted vertex with pooled frame units, 374 B with units allocated
-// per frame, 736 B when every round allocated its own root buffers.
+// between rounds. The root generates every child list itself, so what
+// is left is the session's frontier, copied out of the pooled scratch
+// every round, and the answers: about 111 B per contacted vertex. Child
+// lists decoded from the peers' T_CONT replies cost 280 B, units
+// allocated per frame 374 B, every round allocating its own root
+// buffers 736 B.
 func TestTopKWaveBytesPerVertex(t *testing.T) {
 	res, perVertex := megaWaveBytesPerVertex(t, 10)
 	if len(res.Matches) != 10 || res.Exhausted || res.Stats.Rounds < 2 {
 		t.Fatalf("%d matches, Exhausted %v, %d rounds: the search no longer stops early after several rounds",
 			len(res.Matches), res.Exhausted, res.Stats.Rounds)
 	}
-	if perVertex > 330 {
-		t.Errorf("%.1f B allocated per contacted vertex, budget 330", perVertex)
+	if perVertex > 140 {
+		t.Errorf("%.1f B allocated per contacted vertex, budget 140", perVertex)
 	}
 }
 

@@ -110,19 +110,18 @@ type (
 
 	// msgSubQuery is the root's per-node step (the paper's
 	// T_QUERY(K, c, u, d, v) sent to a frontier node w). The receiver
-	// examines the index table of Vertex for entries K' ⊇ QueryKey,
-	// returns up to Limit matches after skipping Skip of them, and —
-	// unless GenDim is negative — the child list
-	// L = {(x, i) : i < GenDim, i ∈ Zero(w)} (the paper's T_CONT).
+	// examines the index table of Vertex for entries K' ⊇ QueryKey and
+	// returns up to Limit matches after skipping Skip of them. Its reply
+	// is the paper's T_CONT less the child list
+	// L = {(x, i) : i < d, i ∈ Zero(w)}: L depends only on what the root
+	// sent, so the root generates it itself (session.appendChildren).
 	msgSubQuery struct {
 		Instance string
-		Dim      int // hypercube dimensionality of the instance (0 = server default)
 		Vertex   uint64
 		Root     uint64 // the query's root vertex F_h(K) in this instance
 		QueryKey string
 		Limit    int
 		Skip     int
-		GenDim   int
 		// Relay marks a double-read forwarded by the new owner of an
 		// in-flight range to the old owner, whose table stays complete
 		// until commit: the receiver skips its ownership check, answers
@@ -136,12 +135,6 @@ type (
 	respSubQuery struct {
 		Matches   []Match
 		Remaining int // matches at this node beyond the returned window
-		Children  []wireEdge
-	}
-
-	wireEdge struct {
-		Vertex uint64
-		Dim    int
 	}
 
 	// msgSubQueryBatch coalesces an entire wave's worth of msgSubQuery
@@ -153,7 +146,6 @@ type (
 	// batch as a whole is read-only and therefore hedgeable.
 	msgSubQueryBatch struct {
 		Instance string
-		Dim      int // hypercube dimensionality of the instance (0 = server default)
 		Root     uint64
 		QueryKey string
 		Limit    int
@@ -172,7 +164,6 @@ type (
 	wireUnit struct {
 		Vertex uint64
 		Skip   int
-		GenDim int
 	}
 
 	// respSubQueryBatch is sparse: Hits lists only the units that have
@@ -194,7 +185,6 @@ type (
 		Index     int
 		Matches   []Match
 		Remaining int
-		Children  []wireEdge
 		ErrCode   int
 	}
 

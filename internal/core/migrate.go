@@ -818,7 +818,7 @@ func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKe
 // object ID) order and applies skip/limit — byte-identical to scanning
 // the union table. Outside a window it is exactly scanVertex plus one
 // atomic load. arc and the owned result are scanVertex's.
-func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, dim int, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int, bool) {
+func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int, bool) {
 	srcs := s.migrate.sources(instance, v)
 	if len(srcs) == 0 {
 		return s.scanVertex(arc, instance, v, root, pred, skip, limit)
@@ -832,8 +832,8 @@ func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, dim int, inst
 	for _, mt := range merged {
 		seen[mk{mt.SetKey, mt.ObjectID}] = struct{}{}
 	}
-	msg := msgSubQuery{Instance: instance, Dim: dim, Vertex: uint64(v), Root: uint64(root),
-		QueryKey: pred.key, Class: pred.class, Limit: -1, GenDim: -1, Relay: true}
+	msg := msgSubQuery{Instance: instance, Vertex: uint64(v), Root: uint64(root),
+		QueryKey: pred.key, Class: pred.class, Limit: -1, Relay: true}
 	for _, src := range srcs {
 		s.migrate.nDoubleReads.Add(1)
 		s.migrate.met.doubleReads.Inc()

@@ -478,7 +478,7 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 
 	query := keyword.NewSet("shared")
 	for _, win := range []struct{ skip, limit int }{{0, -1}, {0, 3}, {2, 2}, {5, -1}, {50, 1}} {
-		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, 6, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
+		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
 		want, wantRem, _ := union.scanVertex(ownedArc{}, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
 		if !reflect.DeepEqual(got, want) || gotRem != wantRem {
 			t.Fatalf("scan window %+v during migration:\n got %v (rem %d)\nwant %v (rem %d)",
@@ -727,7 +727,7 @@ func TestMigrationAdmittedUnderOverload(t *testing.T) {
 		t.Fatalf("gated pin admitted while controller saturated")
 	}
 	raw, err := srv.Handler(ctx, "", msgSubQuery{Instance: "main", Vertex: 1, Root: 1, QueryKey: setKey,
-		Class: ClassPin, Limit: -1, GenDim: -1, Relay: true})
+		Class: ClassPin, Limit: -1, Relay: true})
 	if err != nil {
 		t.Fatalf("relayed pin gated under overload: %v", err)
 	}

@@ -114,7 +114,7 @@ func TestShardTelemetryExposition(t *testing.T) {
 		Limit:    -1,
 	}
 	for v := 63; v >= 0; v-- { // every vertex, highest first: Index is not vertex order
-		frame.Units = append(frame.Units, wireUnit{Vertex: uint64(v), GenDim: -1})
+		frame.Units = append(frame.Units, wireUnit{Vertex: uint64(v)})
 	}
 	resp := srv.subQueryBatch(context.Background(), frame)
 	if !resp.fits(len(frame.Units)) {
@@ -164,7 +164,7 @@ func TestServerConcurrencyHammer(t *testing.T) {
 
 	units := make([]wireUnit, 1<<6)
 	for v := range units {
-		units[v] = wireUnit{Vertex: uint64(v), GenDim: -1}
+		units[v] = wireUnit{Vertex: uint64(v)}
 	}
 	frame := msgSubQueryBatch{
 		Instance: DefaultInstance,

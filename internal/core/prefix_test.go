@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 	"strconv"
@@ -398,7 +399,7 @@ func TestPrefixDoubleReadMergesOldOwner(t *testing.T) {
 	ctx := context.Background()
 	pred := predFor(ClassPrefix, "kw")
 	for _, win := range []struct{ skip, limit int }{{0, -1}, {0, 2}, {1, 2}} {
-		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, 6, inst, v, v, pred, win.skip, win.limit)
+		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, inst, v, v, pred, win.skip, win.limit)
 		want, wantRem, _ := union.scanVertex(ownedArc{}, inst, v, v, pred, win.skip, win.limit)
 		if !reflect.DeepEqual(got, want) || gotRem != wantRem {
 			t.Fatalf("prefix scan window %+v during migration:\n got %v (rem %d)\nwant %v (rem %d)",
@@ -447,5 +448,49 @@ func TestSearchClassCounter(t *testing.T) {
 		if got := classes.With(class).Value(); got == 0 {
 			t.Errorf("core_search_class_total{%s} = 0 after a %s query", class, class)
 		}
+	}
+}
+
+// TestPrefixSpanDepth: a prefix multicast's span reports every step's
+// depth in the tree of its own branch, rooted at e_{lowbit(v ∧ M)} —
+// the depth its matches carry in Match.Depth — not its distance from
+// the first branch's root e_0. At r = 6 with the full mask that is
+// popcount(v) − 1 for all 63 candidate vertices.
+func TestPrefixSpanDepth(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	reg := telemetry.New(16)
+	hasher := keyword.MustNewHasher(6, 42)
+	resolver := FuncResolver(func(v hypercube.Vertex) transport.Addr { return "one" })
+	srv, err := NewServer(ServerConfig{Hasher: hasher, Resolver: resolver, Sender: net, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Bind("one", srv.Handler); err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(hasher, resolver, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.PrefixSearch(context.Background(), "k", All, SearchOptions{NoCache: true, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) != 63 {
+		t.Fatalf("trace has %d steps, want all 63 candidate vertices", len(res.Trace))
+	}
+	spans, _ := reg.Spans()
+	if len(spans) != 1 || spans[0].Op != "prefix-search" || len(spans[0].Steps) != 63 {
+		t.Fatalf("want one prefix-search span of 63 steps, got %+v", spans)
+	}
+	var wrong []string
+	for _, st := range spans[0].Steps {
+		if want := bits.OnesCount64(st.Vertex) - 1; st.Depth != want {
+			wrong = append(wrong, fmt.Sprintf("%06b: %d, want %d", st.Vertex, st.Depth, want))
+		}
+	}
+	if len(wrong) > 0 {
+		t.Errorf("%d of 63 steps report the wrong depth, e.g. %s", len(wrong), wrong[0])
 	}
 }

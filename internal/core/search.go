@@ -109,6 +109,18 @@ func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 	return rootQuery{msg: msg, cube: cube, order: order, pred: pred, root: hypercube.Vertex(msg.Vertex), op: op}, nil
 }
 
+// depth is v's level in the tree of the branch that holds it — for a
+// prefix multicast the one rooted at e_{lowbit(v ∧ M)} (prefixBranches)
+// — which is also what its matches carry as Match.Depth.
+func (q *rootQuery) depth(v hypercube.Vertex) int {
+	root := q.root
+	if q.msg.Class == ClassPrefix {
+		m := v & hypercube.Vertex(q.pred.mask)
+		root = m & -m
+	}
+	return hypercube.Hamming(root, v)
+}
+
 // branch is one spanning binomial tree a query drains: its root and
 // the dimensions whose vertices an earlier branch already covers.
 type branch struct {
@@ -189,7 +201,7 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 	// answered closes a query the root served without traversing.
 	answered := func(resp respTQuery) (respTQuery, error) {
 		if instrumented {
-			s.recordSearchSpan(q.op, msg, q.order, q.root, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
+			s.recordSearchSpan(&q, resp, startedAt, time.Since(startedAt).Nanoseconds(), nil)
 		}
 		return resp, nil
 	}
@@ -326,23 +338,24 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 		if trace != nil {
 			steps = *trace
 		}
-		s.recordSearchSpan(q.op, msg, q.order, q.root, resp, startedAt, elapsedNS, steps)
+		s.recordSearchSpan(&q, resp, startedAt, elapsedNS, steps)
 	}
 	return resp, nil
 }
 
 // recordSearchSpan converts one completed search into a telemetry
 // span: the T_QUERY/T_CONT/T_STOP wave tree the root drove, with
-// per-step vertex and depth, bounded by telemetry.MaxSpanSteps. op
+// per-step vertex and depth, bounded by telemetry.MaxSpanSteps. q.op
 // labels the span with the query class ("superset-search",
 // "prefix-search").
-func (s *Server) recordSearchSpan(op string, msg msgTQuery, order TraversalOrder, rootV hypercube.Vertex, resp respTQuery, startedAt time.Time, elapsedNS int64, steps []TraceStep) {
+func (s *Server) recordSearchSpan(q *rootQuery, resp respTQuery, startedAt time.Time, elapsedNS int64, steps []TraceStep) {
+	msg := &q.msg
 	span := telemetry.Span{
-		Op:             op,
+		Op:             q.op,
 		Instance:       msg.Instance,
 		Query:          msg.QueryKey,
-		Root:           uint64(rootV),
-		Order:          order.String(),
+		Root:           uint64(q.root),
+		Order:          q.order.String(),
 		Start:          startedAt,
 		DurationNS:     elapsedNS,
 		Nodes:          resp.SubNodes,
@@ -381,7 +394,7 @@ func (s *Server) recordSearchSpan(op string, msg msgTQuery, order TraversalOrder
 			span.Steps[i] = telemetry.SpanStep{
 				Kind:    kind,
 				Vertex:  st.Vertex,
-				Depth:   hypercube.Hamming(rootV, hypercube.Vertex(st.Vertex)),
+				Depth:   q.depth(hypercube.Vertex(st.Vertex)),
 				Matches: st.Matches,
 				Failed:  st.Failed,
 			}
@@ -447,15 +460,16 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 // msgSubQueryBatch per distinct physical peer and, once flattenTail says
 // another level-synchronous round could only confirm what the rounds so
 // far predict, sends the whole rest of the subtree as a single mega-wave
-// — SBT child lists are pure geometry the root can generate itself. An
+// — the root generates every SBT child list itself anyway. An
 // exhaustive search (threshold All — no early stop can occur) does so
 // on its first round. Should a flattened wave meet the threshold after
 // all, the levels below the one it stopped in were over-contacted: they
 // are counted, their answers discarded, and the frontier is left exactly
 // as the level-synchronous search would leave it.
 //
-// Failed nodes are skipped and counted — their subtree is still
-// explored, because the child list is regenerated locally.
+// Every child list is generated here, never received: a node's reply
+// carries only its matches. Failed nodes are therefore skipped and
+// counted with their subtree still explored.
 //
 // Every buffer private to the root — the expanded wave, its hits
 // indexed by position, the grouping by peer and the batch frames' units,
@@ -516,8 +530,7 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 				t.failed++
 			}
 			depth := hypercube.Hamming(sess.root, u.vertex)
-			switch {
-			case flat && depth > stopDepth:
+			if flat && depth > stopDepth {
 				// Over-contacted: a level-synchronous search would have
 				// stopped above this unit. The next level goes back on the
 				// frontier as if never asked — SBT paths add dimensions in
@@ -527,18 +540,12 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 					children = append(children, workUnit{vertex: u.vertex, genDim: bits.TrailingZeros64(uint64(u.vertex &^ sess.root))})
 				}
 				continue
-			case res.err != nil:
-				// Regenerate the failed node's children locally so the rest
-				// of its subtree is still explored.
-				children = sess.appendChildren(children, u)
-				continue
 			}
-			if u.genDim >= 0 {
-				for _, e := range res.children {
-					if x := hypercube.Vertex(e.Vertex); x&sess.exclude == 0 {
-						children = append(children, workUnit{vertex: x, genDim: e.Dim})
-					}
-				}
+			// The T_CONT child list is geometry: generated here, failed
+			// node or not, so the rest of the subtree is still explored.
+			children = sess.appendChildren(children, u)
+			if res.err != nil {
+				continue
 			}
 			t.matches = append(t.matches, res.matches[:take]...)
 			if need -= take; need == 0 {
@@ -562,17 +569,14 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 }
 
 // waveHit is what one unit of a wave had to say: matches, matches
-// beyond the window, a T_CONT child list, frames spent on it alone, or
-// a failure. Dispatch fills a wave's hits indexed by position; a zero
-// hit means the unit was owned, scanned and empty, and cost the root
-// nothing beyond its place in the wave. frames counts the physical RPC
-// frames sent for this unit alone (zero when a batch or a local
-// shortcut absorbed it); children is the node's SBT child list as the
-// node reported it, pruned against the exclude mask only when consumed.
+// beyond the window, frames spent on it alone, or a failure. Dispatch
+// fills a wave's hits indexed by position; a zero hit means the unit
+// was owned, scanned and empty, and cost the root nothing beyond its
+// place in the wave. frames counts the physical RPC frames sent for
+// this unit alone (zero when a batch or a local shortcut absorbed it).
 type waveHit struct {
 	matches   []Match
 	remaining int
-	children  []wireEdge
 	frames    int
 	err       error
 }
@@ -629,13 +633,11 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 	}
 	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex, msgSubQuery{
 		Instance: sess.instance,
-		Dim:      sess.cube.Dim(),
 		Vertex:   uint64(u.vertex),
 		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
 		Limit:    limit,
 		Skip:     u.skip,
-		GenDim:   u.genDim,
 		Class:    sess.pred.class,
 	})
 	if err != nil {
@@ -645,7 +647,7 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 	if !ok {
 		return waveHit{frames: frames, err: fmt.Errorf("core: unexpected sub-query response %T", raw)}
 	}
-	return waveHit{matches: sq.Matches, remaining: sq.Remaining, children: sq.Children, frames: frames}
+	return waveHit{matches: sq.Matches, remaining: sq.Remaining, frames: frames}
 }
 
 // scanLocal answers a unit from this server's own tables, with no
@@ -657,10 +659,9 @@ func (s *Server) scanLocal(ctx context.Context, arc ownedArc, sess *session, u w
 	hit, owned := waveHit{}, true
 	if sess.soft != nil {
 		hit.matches, hit.remaining = sess.soft.scan(u.vertex, sess.root, sess.pred, u.skip, limit)
-	} else if hit.matches, hit.remaining, owned = s.scanVertexRead(ctx, arc, sess.cube.Dim(), sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit); !owned {
+	} else if hit.matches, hit.remaining, owned = s.scanVertexRead(ctx, arc, sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit); !owned {
 		return waveHit{err: ErrNotOwner}
 	}
-	hit.children = wireChildren(sess.cube, sess.root, u.vertex, u.genDim)
 	return hit
 }
 
@@ -784,7 +785,7 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 		if k >= 0 {
 			u, j := wave[i], peers[k].end
 			idx[j] = int32(i)
-			units[j] = wireUnit{Vertex: uint64(u.vertex), Skip: u.skip, GenDim: u.genDim}
+			units[j] = wireUnit{Vertex: uint64(u.vertex), Skip: u.skip}
 			peers[k].end++
 		}
 	}
@@ -813,7 +814,6 @@ type peerBatch struct {
 func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, units []wireUnit, wave []workUnit, limit int, hits []waveHit) {
 	msg := msgSubQueryBatch{
 		Instance: sess.instance,
-		Dim:      sess.cube.Dim(),
 		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
 		Limit:    limit,
@@ -843,7 +843,7 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 		i := idx[r.Index]
 		switch {
 		case r.ErrCode == errCodeNone:
-			hits[i] = waveHit{matches: r.Matches, remaining: r.Remaining, children: r.Children}
+			hits[i] = waveHit{matches: r.Matches, remaining: r.Remaining}
 		case cerr != nil:
 			// The search itself is dead; per-unit retries would only
 			// spray doomed frames at an already loaded peer.

@@ -855,8 +855,7 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 }
 
 // subQuery scans the table of msg.Vertex for entries matching the
-// query, returning a deterministic window of matches and, when
-// msg.GenDim ≥ 0, the SBT child list of the vertex. The scan is
+// query, returning a deterministic window of matches. The scan is
 // migration-aware: a vertex inside an open inbound window double-reads
 // the old owner (scanVertexRead). A relayed sub-query IS that
 // double-read, so it answers strictly from the local tables and is
@@ -869,38 +868,19 @@ func (s *Server) subQuery(ctx context.Context, msg msgSubQuery) respSubQuery {
 	if msg.Relay {
 		resp.Matches, resp.Remaining, _ = s.scanVertex(ownedArc{}, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
 	} else {
-		resp.Matches, resp.Remaining, _ = s.scanVertexRead(ctx, ownedArc{}, msg.Dim, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
-	}
-	if cube, err := s.cubeFor(msg.Dim); err == nil {
-		// A malformed dim returns the matches without children.
-		resp.Children = wireChildren(cube, root, v, msg.GenDim)
+		resp.Matches, resp.Remaining, _ = s.scanVertexRead(ctx, ownedArc{}, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
 	}
 	return resp
 }
 
-// wireChildren is the SBT child list of v in root's tree as it travels
-// in a T_CONT (nil when genDim is negative: a match-only unit). Child
-// lists are pure geometry and are computed outside any lock.
-func wireChildren(cube hypercube.Cube, root, v hypercube.Vertex, genDim int) []wireEdge {
-	if genDim < 0 {
-		return nil
-	}
-	edges := cube.InducedChildEdges(root, v, genDim)
-	children := make([]wireEdge, len(edges))
-	for i, e := range edges {
-		children[i] = wireEdge{Vertex: uint64(e.To), Dim: e.Dim}
-	}
-	return children
-}
-
 // subQueryBatch answers a coalesced wave of sub-queries in one frame,
 // sparsely: the response lists only the units that have something to
-// say — matches, matches beyond the window, children, or an error code
-// — each tagged with its index in msg.Units, in increasing order. A
-// unit it does not list was owned, scanned and empty. Every unit is
-// tested against one reading of the owned arc. The frame is scanned in
-// order on the goroutine that received it (DESIGN §8), so hits come out
-// by increasing Index as they are found; each scan takes only its
+// say — matches, matches beyond the window, or an error code — each
+// tagged with its index in msg.Units, in increasing order. A unit it
+// does not list was owned, scanned and empty. Every unit is tested
+// against one reading of the owned arc. The frame is scanned in order
+// on the goroutine that received it (DESIGN §8), so hits come out by
+// increasing Index as they are found; each scan takes only its
 // vertex's shard read lock, so frames of concurrent searches spread
 // over the cores.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
@@ -908,8 +888,6 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 	defer cancel()
 	pred := predFor(msg.Class, msg.QueryKey)
 	arc := s.arc()
-	// A malformed dim returns the matches without children.
-	cube, cubeErr := s.cubeFor(msg.Dim)
 	root := hypercube.Vertex(msg.Root)
 	var hits []respSubUnit
 	for i, u := range msg.Units {
@@ -922,12 +900,10 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 			// cost nothing extra, and the handler frees up for live
 			// queries.
 			hit.ErrCode = errCodeCancelled
-		} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Dim, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
+		} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
 			hit.ErrCode = errCodeNotOwner
-		} else if cubeErr == nil {
-			hit.Children = wireChildren(cube, root, v, u.GenDim)
 		}
-		if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 || len(hit.Children) > 0 {
+		if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 {
 			hits = append(hits, hit)
 		}
 	}

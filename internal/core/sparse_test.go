@@ -369,8 +369,8 @@ func TestMalformedBatchIndicesFallBack(t *testing.T) {
 
 // TestSparseBatchListsOnlyHits pins what a peer puts in a batch
 // response: hits only, by increasing index — matches, matches beyond
-// the window, children, an error code — and nothing for a unit that was
-// owned, scanned and empty, whatever the frame length.
+// the window, an error code — and nothing for a unit that was owned,
+// scanned and empty, whatever the frame length.
 func TestSparseBatchListsOnlyHits(t *testing.T) {
 	d := newDeploymentStriped(t, 8, 1, 0, BatchOn, 4)
 	srv := d.servers[0]
@@ -388,11 +388,7 @@ func TestSparseBatchListsOnlyHits(t *testing.T) {
 	for _, n := range []int{2, 4, 17, 256} {
 		msg := msgSubQueryBatch{Instance: DefaultInstance, QueryKey: hub.Key(), Limit: 2}
 		for v := 0; v < n; v++ {
-			u := wireUnit{Vertex: uint64(v), GenDim: -1}
-			if v == 5 {
-				u.GenDim = 3 // an empty vertex that still owes its child list
-			}
-			msg.Units = append(msg.Units, u)
+			msg.Units = append(msg.Units, wireUnit{Vertex: uint64(v)})
 		}
 		resp := srv.subQueryBatch(context.Background(), msg)
 		if !resp.fits(n) {
@@ -401,19 +397,12 @@ func TestSparseBatchListsOnlyHits(t *testing.T) {
 		var got []int
 		for _, h := range resp.Hits {
 			got = append(got, h.Index)
-			switch h.Index {
-			case 5:
-				if len(h.Matches) != 0 || len(h.Children) == 0 {
-					t.Errorf("%d units: unit 5 = %+v, want children only", n, h)
-				}
-			default:
-				if len(h.Matches) != 2 || h.Remaining != 1 || h.ErrCode != errCodeNone {
-					t.Errorf("%d units: unit %d = %+v, want 2 matches, 1 remaining", n, h.Index, h)
-				}
+			if len(h.Matches) != 2 || h.Remaining != 1 || h.ErrCode != errCodeNone {
+				t.Errorf("%d units: unit %d = %+v, want 2 matches, 1 remaining", n, h.Index, h)
 			}
 		}
 		var want []int
-		for _, v := range []int{3, 5, 40, 41, 200} {
+		for _, v := range []int{3, 40, 41, 200} {
 			if v < n {
 				want = append(want, v)
 			}

@@ -346,10 +346,10 @@ func TestTableScanWriteHammer(t *testing.T) {
 			msg := msgSubQueryBatch{
 				Instance: DefaultInstance, Root: uint64(tableTestVertex), QueryKey: hub.Key(), Limit: -1,
 				Units: []wireUnit{
-					{Vertex: uint64(tableTestVertex), GenDim: -1},
-					{Vertex: uint64(tableTestVertex), Skip: 3, GenDim: -1},
-					{Vertex: uint64(tableTestVertex), Skip: r, GenDim: -1},
-					{Vertex: uint64(tableTestVertex) + 1, GenDim: -1},
+					{Vertex: uint64(tableTestVertex)},
+					{Vertex: uint64(tableTestVertex), Skip: 3},
+					{Vertex: uint64(tableTestVertex), Skip: r},
+					{Vertex: uint64(tableTestVertex) + 1},
 				},
 			}
 			if r%2 == 1 {

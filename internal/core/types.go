@@ -225,8 +225,8 @@ type Result struct {
 	// (1.0 = every contacted vertex answered, so by Lemma 3.2 the
 	// matches are a faithful prefix of O_K in traversal-rank order).
 	// Degraded answers (< 1.0) may silently miss entries indexed at the
-	// skipped vertices, though their subtrees were still explored via
-	// locally regenerated child lists. Cache hits are always 1.0: only
+	// skipped vertices, though their subtrees were still explored: the
+	// root generates every child list itself. Cache hits are always 1.0: only
 	// fully answered searches are cached.
 	Completeness float64
 	// FailedSubtrees counts the vertices skipped as unreachable — each

@@ -94,27 +94,6 @@ func unmarshalMatches(r *wire.Reader) []Match {
 	return ms
 }
 
-func marshalEdges(w *wire.Writer, es []wireEdge) {
-	w.Uvarint(uint64(len(es)))
-	for _, e := range es {
-		w.Uvarint(e.Vertex)
-		w.Int(e.Dim)
-	}
-}
-
-func unmarshalEdges(r *wire.Reader) []wireEdge {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
-	}
-	es := make([]wireEdge, n)
-	for i := range es {
-		es[i].Vertex = r.Uvarint()
-		es[i].Dim = r.Int()
-	}
-	return es
-}
-
 func marshalBulkEntries(w *wire.Writer, es []BulkEntry) {
 	w.Uvarint(uint64(len(es)))
 	for i := range es {
@@ -292,26 +271,22 @@ func (m *respTQuery) UnmarshalWire(r *wire.Reader) error {
 
 func (m msgSubQuery) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
-	w.Int(m.Dim)
 	w.Uvarint(m.Vertex)
 	w.Uvarint(m.Root)
 	w.String(m.QueryKey)
 	w.Int(m.Limit)
 	w.Int(m.Skip)
-	w.Int(m.GenDim)
 	w.Bool(m.Relay)
 	w.Int(int(m.Class))
 }
 
 func (m *msgSubQuery) UnmarshalWire(r *wire.Reader) error {
 	m.Instance = r.String()
-	m.Dim = r.Int()
 	m.Vertex = r.Uvarint()
 	m.Root = r.Uvarint()
 	m.QueryKey = r.String()
 	m.Limit = r.Int()
 	m.Skip = r.Int()
-	m.GenDim = r.Int()
 	m.Relay = r.Bool()
 	m.Class = QueryClass(r.Int())
 	return r.Err()
@@ -320,19 +295,16 @@ func (m *msgSubQuery) UnmarshalWire(r *wire.Reader) error {
 func (m respSubQuery) MarshalWire(w *wire.Writer) {
 	marshalMatches(w, m.Matches)
 	w.Int(m.Remaining)
-	marshalEdges(w, m.Children)
 }
 
 func (m *respSubQuery) UnmarshalWire(r *wire.Reader) error {
 	m.Matches = unmarshalMatches(r)
 	m.Remaining = r.Int()
-	m.Children = unmarshalEdges(r)
 	return r.Err()
 }
 
 func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
-	w.Int(m.Dim)
 	w.Uvarint(m.Root)
 	w.String(m.QueryKey)
 	w.Int(m.Limit)
@@ -341,24 +313,21 @@ func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 	for _, u := range m.Units {
 		w.Uvarint(u.Vertex)
 		w.Int(u.Skip)
-		w.Int(u.GenDim)
 	}
 	w.Int(int(m.Class))
 }
 
 func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	m.Instance = r.String()
-	m.Dim = r.Int()
 	m.Root = r.Uvarint()
 	m.QueryKey = r.String()
 	m.Limit = r.Int()
 	m.DeadlineUnixNano = r.Varint()
-	if n := r.Count(3); n > 0 {
+	if n := r.Count(2); n > 0 {
 		m.Units = make([]wireUnit, n)
 		for i := range m.Units {
 			m.Units[i].Vertex = r.Uvarint()
 			m.Units[i].Skip = r.Int()
-			m.Units[i].GenDim = r.Int()
 		}
 	}
 	m.Class = QueryClass(r.Int())
@@ -384,14 +353,13 @@ func (m respSubQueryBatch) MarshalWire(w *wire.Writer) {
 		w.Int(u.Index)
 		marshalMatches(w, u.Matches)
 		w.Int(u.Remaining)
-		marshalEdges(w, u.Children)
 		w.Int(u.ErrCode)
 	}
 }
 
 func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	total := r.Count(minMatchBytes)
-	nhits := r.Count(5) // index, three counts, error code
+	nhits := r.Count(4) // index, two counts, error code
 	if nhits == 0 {
 		return r.Err()
 	}
@@ -417,7 +385,6 @@ func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 			}
 		}
 		u.Remaining = r.Int()
-		u.Children = unmarshalEdges(r)
 		u.ErrCode = r.Int()
 	}
 	return r.Err()

@@ -14,12 +14,10 @@ import (
 func wireBenchSmall() (msgSubQuery, respSubQuery) {
 	req := msgSubQuery{
 		Instance: DefaultInstance,
-		Dim:      10,
 		Vertex:   697,
 		Root:     1001,
 		QueryKey: keyword.NewSet("distributed", "search").Key(),
 		Limit:    128,
-		GenDim:   7,
 	}
 	resp := respSubQuery{
 		Matches: []Match{
@@ -27,7 +25,6 @@ func wireBenchSmall() (msgSubQuery, respSubQuery) {
 			{ObjectID: "obj-00329", SetKey: keyword.NewSet("distributed", "search").Key()},
 		},
 		Remaining: 5,
-		Children:  []wireEdge{{Vertex: 185, Dim: 3}, {Vertex: 441, Dim: 5}},
 	}
 	return req, resp
 }
@@ -49,7 +46,6 @@ func wireBenchBatch() respSubQueryBatch {
 				SetKey:   keyword.NewSet("hub", "w"+strconv.Itoa(j%8)).Key(),
 			}
 		}
-		u.Children = []wireEdge{{Vertex: uint64(i), Dim: i % 10}}
 	}
 	return resp
 }
@@ -65,10 +61,16 @@ type wireBenchCase struct {
 func wireBenchCases() []wireBenchCase {
 	RegisterTypes()
 	req, resp := wireBenchSmall()
+	// The sizes before the root generated every SBT child list itself
+	// were 35, 74 and 18 771 B. The request lost Dim and GenDim (one
+	// zigzag byte each: 10 and 7); the answer lost its two-edge child
+	// list (a count byte, then 2 + 1 B for (185, 3) and for (441, 5));
+	// each of the 16 batch hits lost a one-edge list (count, vertex and
+	// dimension, one byte each).
 	return []wireBenchCase{
-		{"small-req", req, 35},
-		{"small-resp", resp, 74},
-		{"batch-resp", wireBenchBatch(), 18771},
+		{"small-req", req, 33},
+		{"small-resp", resp, 67},
+		{"batch-resp", wireBenchBatch(), 18723},
 	}
 }
 

@@ -41,7 +41,6 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		{ObjectID: "obj-1", SetKey: "a b c", Vertex: 7, Depth: 0},
 		{ObjectID: "obj-2", SetKey: "", Vertex: 1 << 40, Depth: -3},
 	}
-	edges := []wireEdge{{Vertex: 3, Dim: 0}, {Vertex: 9, Dim: 5}}
 	entries := []BulkEntry{
 		{Instance: "default", Vertex: 12, SetKey: "k", ObjectID: "o"},
 		{Instance: "", Vertex: 0, SetKey: "", ObjectID: ""},
@@ -67,25 +66,25 @@ func TestCoreWireRoundTrip(t *testing.T) {
 			Rounds: 2, FailedNodes: 1, PhysFrames: 4, CacheHit: true, ErrCode: -2,
 			Trace: []TraceStep{{Vertex: 1, Matches: 2, Failed: false}, {Vertex: 2, Matches: 0, Failed: true}}},
 		respTQuery{},
-		msgSubQuery{Instance: "i", Dim: 8, Vertex: 200, Root: 100, QueryKey: "qk",
-			Limit: 10, Skip: 5, GenDim: -1, Relay: true},
-		msgSubQuery{Instance: "i", Dim: 8, Vertex: 200, Root: 1, QueryKey: "kw",
-			Limit: -1, GenDim: 2, Class: ClassPrefix},
-		msgSubQuery{Instance: "i", Dim: 6, Vertex: 9, Root: 9, QueryKey: "a b",
-			Limit: -1, GenDim: -1, Relay: true, Class: ClassPin}, // the relayed half of a pin
-		respSubQuery{Matches: matches, Remaining: 17, Children: edges},
+		msgSubQuery{Instance: "i", Vertex: 200, Root: 100, QueryKey: "qk",
+			Limit: 10, Skip: 5, Relay: true},
+		msgSubQuery{Instance: "i", Vertex: 200, Root: 1, QueryKey: "kw",
+			Limit: -1, Class: ClassPrefix},
+		msgSubQuery{Instance: "i", Vertex: 9, Root: 9, QueryKey: "a b",
+			Limit: -1, Relay: true, Class: ClassPin}, // the relayed half of a pin
+		respSubQuery{Matches: matches, Remaining: 17},
 		respSubQuery{},
-		msgSubQueryBatch{Instance: "i", Dim: 6, Root: 63, QueryKey: "q", Limit: 100,
-			Units:            []wireUnit{{Vertex: 1, Skip: 0, GenDim: 3}, {Vertex: 2, Skip: 10, GenDim: -1}},
+		msgSubQueryBatch{Instance: "i", Root: 63, QueryKey: "q", Limit: 100,
+			Units:            []wireUnit{{Vertex: 1, Skip: 0}, {Vertex: 2, Skip: 10}},
 			DeadlineUnixNano: 1754500000000000000},
-		msgSubQueryBatch{Instance: "i", Dim: 6, Root: 2, QueryKey: "kw", Limit: 5,
-			Units: []wireUnit{{Vertex: 2, GenDim: 6}}, Class: ClassPrefix},
+		msgSubQueryBatch{Instance: "i", Root: 2, QueryKey: "kw", Limit: 5,
+			Units: []wireUnit{{Vertex: 2}}, Class: ClassPrefix},
 		msgSubQueryBatch{},
 		// Sparse: units 1–3 and 5–8 of the request had nothing to say.
 		respSubQueryBatch{Hits: []respSubUnit{
-			{Index: 0, Matches: matches, Remaining: 2, Children: edges, ErrCode: 0},
-			{Index: 4, Matches: nil, Remaining: 0, Children: nil, ErrCode: 3},
-			{Index: 9, Matches: matches[:1], Remaining: 0, Children: nil, ErrCode: 0},
+			{Index: 0, Matches: matches, Remaining: 2, ErrCode: 0},
+			{Index: 4, Matches: nil, Remaining: 0, ErrCode: 3},
+			{Index: 9, Matches: matches[:1], Remaining: 0, ErrCode: 0},
 		}},
 		// Indices out of order, repeated and negative travel as written:
 		// judging them against the request is the root's job (sendBatch).

@@ -24,7 +24,7 @@ const MaxSpanSteps = 512
 type SpanStep struct {
 	Kind    string `json:"kind"` // T_QUERY (root), T_CONT, or T_STOP
 	Vertex  uint64 `json:"vertex"`
-	Depth   int    `json:"depth"` // Hamming distance from the query root
+	Depth   int    `json:"depth"` // Hamming distance from the root of the vertex's SBT branch
 	Matches int    `json:"matches"`
 	Failed  bool   `json:"failed,omitempty"`
 }

@@ -137,6 +137,7 @@ func FuzzListenerPreamble(f *testing.F) {
 	f.Add(stream("127.0.0.1:9999"))
 	f.Add(wireMagic[:])
 	f.Add([]byte("KSW1\x00"))
+	f.Add(previousGeneration())
 	f.Add(gobStream)
 	f.Add([]byte{})
 	// A handshake address and a frame that each claim more than their
@@ -206,10 +207,23 @@ func legacyPinFrame() []byte {
 	return append([]byte(nil), w.Buf...)
 }
 
+// previousGeneration is a whole stream as a KSW2 peer opens a
+// connection — handshake, then one ping request — which differs from
+// what this listener serves in the magic alone.
+func previousGeneration() []byte {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	appendHandshake(w, "127.0.0.1:9999")
+	_, _ = appendRequestFrame(w, 1, "", true, ping{N: 42})
+	b := append([]byte(nil), w.Buf...)
+	copy(b, "KSW2")
+	return b
+}
+
 // sparseBatchFrame is a response frame of wire type 12, core's sparse
 // batch response, written field by field: a frame-level match total,
 // then one hit per given index — the index, one match, a remaining
-// count, one child edge, no error code.
+// count, no error code.
 func sparseBatchFrame(indices ...int) []byte {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
@@ -226,9 +240,6 @@ func sparseBatchFrame(indices ...int) []byte {
 		w.Uvarint(5)
 		w.Int(2)
 		w.Int(3) // remaining
-		w.Uvarint(1)
-		w.Uvarint(21)
-		w.Int(4)
 		w.Int(0) // error code
 	}
 	return append([]byte(nil), w.Buf...)
