@@ -25,7 +25,11 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # and of a multi-round top-10 search of the same query (<= 140 B; the
 # root generates every SBT child list, no reply carries one), live
 # heap per stored single-publisher DHT reference (<= 128 B over
-# 20 k objects), zero allocations for a message a muxed endpoint's
+# 20 k objects), live heap per stored table entry (<= 64 B over the
+# 20 k-object deep_inmem corpus in 1 024 tables: an entry is its set
+# key and object ID, matched in place), zero allocations for the
+# in-place key readers (SubsetOfKey, KeyHasPrefix, KeySignature,
+# CanonicalKey) on a canonical key, zero for a message a muxed endpoint's
 # second layer takes, zero for telemetry on a TCP send with telemetry
 # off, zero for encoding any index-protocol message, and at most 12
 # allocations and 400 B for one warm small TCP RPC, both ends counted
@@ -34,7 +38,7 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # detector's instrumentation allocates on its own account, so under
 # `make race` the per-vertex and per-RPC budgets skip themselves.
 alloc-smoke:
-	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|BytesPerCall|AllocatesNothing' ./internal/core ./internal/dht ./internal/transport ./internal/transport/tcpnet
+	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|BytesPerCall|AllocatesNothing' ./internal/core ./internal/dht ./internal/keyword ./internal/transport ./internal/transport/tcpnet
 
 # The churn hammer's flake rate, the number every PR quotes beside its
 # result until ROADMAP item 1 closes (not part of ci — it only prints):
@@ -152,7 +156,8 @@ zipf-smoke:
 # decoded prefix that re-encodes to its bytes, torn tails told apart
 # from corrupt middles, allocation bounded per input byte. The keyword
 # key parser: ParseKey equals NewSet over the key's words for any
-# input, canonical or not. Seed corpora are
+# input, canonical or not; CanonicalKey is that set's key, and on it the
+# in-place readers answer what the parsed set does. Seed corpora are
 # checked in under testdata/fuzz; the full corpora live under the
 # standard go fuzz cache.
 fuzz-smoke:

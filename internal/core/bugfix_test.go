@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -142,7 +144,7 @@ func TestCacheConcurrencyHammer(t *testing.T) {
 						got[0].ObjectID = "scribble" // must never reach the cache
 					}
 				default:
-					c.invalidateSubsetsOf(DefaultInstance, keyword.NewSet(a, b, vocab[i%len(vocab)]))
+					c.invalidateSubsetsOf(DefaultInstance, keyword.NewSet(a, b, vocab[i%len(vocab)]).Key())
 				}
 			}
 		}(w)
@@ -221,4 +223,85 @@ func TestSessionStoreConcurrencyHammer(t *testing.T) {
 	if st.len() > 32 {
 		t.Fatalf("store holds %d sessions over capacity", st.len())
 	}
+}
+
+// TestOneSetOneSpelling: a keyword set that arrives under a spelling
+// Key never writes — a remote peer's msgInsertEntry, or a WAL record an
+// earlier release logged from one — is stored under its canonical key.
+// Pin, superset and prefix queries under either spelling find one set
+// with the canonical SetKey, Stats counts one keyword set, a delete
+// under either spelling finds the entry, and a WAL holding both
+// spellings replays into the one canonical set.
+func TestOneSetOneSpelling(t *testing.T) {
+	canon, odd := keyword.NewSet("alpha", "beta").Key(), "beta\x1falpha"
+	check := func(t *testing.T, srv *Server, want ...string) {
+		t.Helper()
+		if st := srv.Stats(); st.Entries != 1 || st.Objects != len(want) {
+			t.Errorf("stats %d entries / %d objects, want 1 / %d", st.Entries, st.Objects, len(want))
+		}
+		for _, pred := range []queryPred{
+			predFor(ClassPin, canon), predFor(ClassPin, odd),
+			predFor(ClassSuperset, canon), predFor(ClassSuperset, odd),
+			predFor(ClassSuperset, "alpha"), predFor(ClassPrefix, "al"),
+		} {
+			got, _, _ := srv.scanVertex(ownedArc{}, DefaultInstance, tableTestVertex, tableTestVertex, pred, 0, -1)
+			if len(got) != len(want) {
+				t.Errorf("class %v key %q: %d matches, want %d", pred.class, pred.key, len(got), len(want))
+				continue
+			}
+			for i, m := range got {
+				if m.SetKey != canon || m.ObjectID != want[i] {
+					t.Errorf("class %v key %q: match %d = %q/%q, want %q/%q", pred.class, pred.key, i, m.SetKey, m.ObjectID, canon, want[i])
+				}
+			}
+		}
+	}
+
+	t.Run("remote insert", func(t *testing.T) {
+		srv := newTableTestServer(t, 0)
+		for _, e := range [][2]string{{canon, "o1"}, {odd, "o2"}} {
+			msg := msgInsertEntry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: e[0], ObjectID: e[1]}
+			if _, err := srv.handle(context.Background(), "peer", msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, srv, "o1", "o2")
+		if found, err := srv.deleteEntry(DefaultInstance, tableTestVertex, odd, "o1"); err != nil || !found {
+			t.Fatalf("delete of o1 under %q = (%v, %v), want found", odd, found, err)
+		}
+		check(t, srv, "o2")
+	})
+
+	t.Run("wal replay", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := store.Open(store.Config{Dir: dir, Fsync: store.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []store.Record{
+			{Op: store.OpInsert, Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: odd, ObjectID: "o2"},
+			{Op: store.OpInsert, Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: canon, ObjectID: "o1"},
+			{Op: store.OpInsert, Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: odd, ObjectID: "o3"},
+			{Op: store.OpDelete, Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: canon, ObjectID: "o3"},
+		} {
+			if _, err := st.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(ServerConfig{
+			Hasher:   keyword.MustNewHasher(8, 42),
+			Resolver: FuncResolver(func(hypercube.Vertex) transport.Addr { return "table-0" }),
+			Sender:   benchSender{},
+			DataDir:  dir,
+			Fsync:    store.FsyncOff,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		check(t, srv, "o1", "o2")
+	})
 }

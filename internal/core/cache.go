@@ -45,10 +45,11 @@ type resultCache interface {
 	// offered as sources. The returned slice is the immutable stored
 	// slice and must not be mutated.
 	refineSource(instance string, query keyword.Set) ([]Match, bool)
-	// invalidateSubsetsOf drops the instance's cached queries K with
-	// K ⊆ changed, since an index mutation under keyword set 'changed'
-	// can alter their results.
-	invalidateSubsetsOf(instance string, changed keyword.Set)
+	// invalidateSubsetsOf drops the instance's cached queries whose
+	// predicate matches the canonical set key of a mutated entry (for a
+	// superset query K: K ⊆ the entry's set), since the mutation can
+	// alter their results.
+	invalidateSubsetsOf(instance, setKey string)
 	// reset drops every cached entry (the sim's crash model: process
 	// memory is lost). Hit/miss counters survive — they feed
 	// process-lifetime telemetry, not cached state.
@@ -273,7 +274,7 @@ func (c *fifoCache) refineSource(instance string, query keyword.Set) ([]Match, b
 	return best, bestLen >= 0
 }
 
-func (c *fifoCache) invalidateSubsetsOf(instance string, changed keyword.Set) {
+func (c *fifoCache) invalidateSubsetsOf(instance, setKey string) {
 	if !c.enabled() {
 		return
 	}
@@ -293,7 +294,7 @@ func (c *fifoCache) invalidateSubsetsOf(instance string, changed keyword.Set) {
 			delete(keys, key)
 			continue
 		}
-		if item.pred.invalidatedBy(changed) {
+		if item.pred.matches(setKey) {
 			c.units -= len(item.matches)
 			delete(c.items, key)
 			delete(keys, key)

@@ -204,7 +204,7 @@ func TestFIFOCacheInvalidateSubsets(t *testing.T) {
 	c.put("main", supersetPred("qc", keyword.NewSet("c")), []Match{{ObjectID: "3"}}, true)
 	// An index change under {a, b, x} affects queries {a} and {a,b}
 	// but not {c}.
-	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x"))
+	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x").Key())
 	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
 		t.Error("query {a} should be invalidated")
 	}
@@ -227,7 +227,7 @@ func TestFIFOCacheInvalidateInstanceScoped(t *testing.T) {
 	c := newFIFOCache(100)
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), []Match{{ObjectID: "m"}}, true)
 	c.put("main-replica-1", supersetPred("qa", keyword.NewSet("a")), []Match{{ObjectID: "r"}}, true)
-	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b"))
+	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b").Key())
 	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
 		t.Error("main-instance entry should be invalidated")
 	}
@@ -240,7 +240,7 @@ func TestFIFOCacheInvalidateInstanceScoped(t *testing.T) {
 	}
 	// And the reverse event leaves main's (already gone) state alone
 	// while dropping the replica's.
-	c.invalidateSubsetsOf("main-replica-1", keyword.NewSet("a"))
+	c.invalidateSubsetsOf("main-replica-1", keyword.NewSet("a").Key())
 	if c.len() != 0 {
 		t.Errorf("cache len = %d after both invalidations, want 0", c.len())
 	}

@@ -260,7 +260,7 @@ func (c *hotCache) refineSource(instance string, query keyword.Set) ([]Match, bo
 	return best, bestLen >= 0
 }
 
-func (c *hotCache) invalidateSubsetsOf(instance string, changed keyword.Set) {
+func (c *hotCache) invalidateSubsetsOf(instance, setKey string) {
 	if !c.enabled() {
 		return
 	}
@@ -272,7 +272,7 @@ func (c *hotCache) invalidateSubsetsOf(instance string, changed keyword.Set) {
 	}
 	var drop []*hotEntry
 	for _, e := range keys {
-		if e.pred.invalidatedBy(changed) {
+		if e.pred.matches(setKey) {
 			drop = append(drop, e)
 		}
 	}

@@ -101,7 +101,7 @@ func TestHotCacheInvalidateInstanceScoped(t *testing.T) {
 	c := newHotCache(100)
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "m"), true)
 	c.put("other", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "o"), true)
-	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b"))
+	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b").Key())
 	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
 		t.Error("main-instance entry should be invalidated")
 	}
@@ -117,7 +117,7 @@ func TestHotCacheInvalidateSubsets(t *testing.T) {
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "1"), true)
 	c.put("main", supersetPred("qab", keyword.NewSet("a", "b")), hotMatches(1, "2"), true)
 	c.put("main", supersetPred("qc", keyword.NewSet("c")), hotMatches(1, "3"), true)
-	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x"))
+	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x").Key())
 	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
 		t.Error("query {a} should be invalidated")
 	}

@@ -891,14 +891,14 @@ func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, instance stri
 // lock). A skipped entry is not logged either — the WAL never holds
 // the insert, so replay cannot resurrect it.
 func (s *Server) insertMigrated(e BulkEntry) error {
+	e.SetKey = keyword.CanonicalKey(e.SetKey)
 	instance, v := e.Instance, hypercube.Vertex(e.Vertex)
 	sh := s.shardFor(instance, v)
-	var set keyword.Set
 	var due, skipped bool
 	if s.store == nil {
 		sh.lock(s.met.shardLockWait)
 		if skipped = s.migrate.hasTombstone(e); !skipped {
-			set = s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
+			s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
 		}
 		sh.mu.Unlock()
 	} else {
@@ -915,7 +915,7 @@ func (s *Server) insertMigrated(e BulkEntry) error {
 				s.stateMu.RUnlock()
 				return fmt.Errorf("core: wal append: %w", err)
 			}
-			set = s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
+			s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
 		}
 		sh.mu.Unlock()
 		s.stateMu.RUnlock()
@@ -923,7 +923,7 @@ func (s *Server) insertMigrated(e BulkEntry) error {
 	if skipped {
 		return nil
 	}
-	s.cache.invalidateSubsetsOf(instance, set)
+	s.cache.invalidateSubsetsOf(instance, e.SetKey)
 	if due {
 		s.compact()
 	}

@@ -13,15 +13,15 @@ import (
 // decides what matches there.
 type queryPred struct {
 	class QueryClass
-	// key is the wire QueryKey verbatim: the canonical set key for
-	// superset and pin queries, the normalized prefix string for
-	// prefix queries.
+	// key is the wire QueryKey: the set key for superset queries (as
+	// sent), its canonical spelling for pin queries, the normalized
+	// prefix string for prefix queries.
 	key string
 	// set is the parsed keyword set for superset and pin classes
 	// (empty for prefix).
 	set keyword.Set
 	// want is set's signature for ClassSuperset and 0 otherwise: the
-	// bits a table row's signature must have before the row is worth
+	// bits a table entry's signature must have before its key is worth
 	// comparing (table.scan). Computed once per query, not per vertex.
 	want uint64
 	// prefix is the normalized prefix for ClassPrefix (empty
@@ -40,6 +40,7 @@ func predFor(class QueryClass, queryKey string) queryPred {
 		p.prefix = queryKey
 	case ClassPin:
 		p.set = keyword.ParseKey(queryKey)
+		p.key = keyword.CanonicalKey(queryKey)
 	default:
 		p.set = keyword.ParseKey(queryKey)
 		p.want = p.set.Signature()
@@ -47,30 +48,19 @@ func predFor(class QueryClass, queryKey string) queryPred {
 	return p
 }
 
-// matches applies the class predicate to an entry's keyword set.
-func (p queryPred) matches(other keyword.Set) bool {
+// matches applies the class predicate to an entry's canonical set key,
+// read in place. It is also the caches' invalidation test: a mutation
+// of an entry can alter exactly the answers whose predicate matches the
+// entry's key (conservatively for prefixes, whose dimension mask is
+// ignored here).
+func (p queryPred) matches(setKey string) bool {
 	switch p.class {
 	case ClassPin:
-		return p.set.Equal(other)
+		return setKey == p.key
 	case ClassPrefix:
-		return other.HasPrefix(p.prefix)
+		return keyword.KeyHasPrefix(setKey, p.prefix)
 	default:
-		return p.set.SubsetOf(other)
-	}
-}
-
-// invalidatedBy reports whether a mutation of an entry with keyword
-// set changed can alter this query's cached answer. Conservative in
-// the prefix case: the dimension mask is ignored, so a prefix entry
-// may be dropped for a mutation outside its multicast range.
-func (p queryPred) invalidatedBy(changed keyword.Set) bool {
-	switch p.class {
-	case ClassPin:
-		return p.set.Equal(changed)
-	case ClassPrefix:
-		return changed.HasPrefix(p.prefix)
-	default:
-		return p.set.SubsetOf(changed)
+		return p.set.SubsetOfKey(setKey)
 	}
 }
 

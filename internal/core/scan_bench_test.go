@@ -21,18 +21,19 @@ func (benchSender) Send(context.Context, transport.Addr, any) (any, error) {
 var benchMatches []Match
 
 // BenchmarkScanTable times one vertex scan (shard read lock, table
-// lookup, table.scan) over a 500-row table, one sub-benchmark per
+// lookup, table.scan) over a 500-entry table, one sub-benchmark per
 // shape the scan has a distinct path for:
 //
-//   - selective: a superset query one row in 500 matches — the
+//   - selective: a superset query one entry in 500 matches — the
 //     deep_inmem shape, where the signature column rejects nearly
-//     every row before a string is compared;
-//   - dense: a superset query every row matches, so every row survives
-//     the signature, is compared and copied out;
+//     every entry before a string is compared;
+//   - dense: a superset query every entry matches, so every entry
+//     survives the signature, has its key searched and is copied out;
 //   - pin: the exact set, a binary search on the set key;
-//   - prefix: no signature (want == 0), a keyword binary search per row.
+//   - prefix: no signature (want == 0), a key search per entry.
 //
-// Rows carry seven keywords like the corpus generator's median object.
+// Entries carry seven keywords like the corpus generator's median
+// object.
 func BenchmarkScanTable(b *testing.B) {
 	const rows = 500
 	srv := newTableTestServer(b, 0)

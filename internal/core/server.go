@@ -671,7 +671,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			// The owner mutated the promoted vertex: run the same
 			// subset-invalidation event over this node's result cache
 			// that the owner just ran over its own.
-			s.cache.invalidateSubsetsOf(msg.Instance, keyword.ParseKey(msg.SetKey))
+			s.cache.invalidateSubsetsOf(msg.Instance, keyword.CanonicalKey(msg.SetKey))
 		}
 		return respAck{}, nil
 	default:
@@ -744,20 +744,21 @@ func (s *Server) logRangeMutation(rec store.Record, apply func()) error {
 // insertEntry adds ⟨K, σ⟩ to the table of vertex v in the given index
 // instance and invalidates cached query results the new entry could
 // extend. Durable servers append the mutation to the WAL before it
-// applies; an append failure leaves the table untouched.
+// applies; an append failure leaves the table untouched. A set key is
+// logged, stored and invalidated under its canonical spelling.
 func (s *Server) insertEntry(instance string, v hypercube.Vertex, setKey, objectID string) error {
+	setKey = keyword.CanonicalKey(setKey)
 	sh := s.shardFor(instance, v)
-	var set keyword.Set
 	err := s.logEntryMutation(sh, store.Record{
 		Op: store.OpInsert, Instance: instance, Vertex: uint64(v),
 		SetKey: setKey, ObjectID: objectID,
-	}, func() { set = s.applyInsertLocked(sh, instance, v, setKey, objectID) })
+	}, func() { s.applyInsertLocked(sh, instance, v, setKey, objectID) })
 	if err != nil {
 		return err
 	}
 	// The cache has its own lock; invalidating outside the shard lock
 	// keeps the lock order flat (shard locks never nest with others).
-	s.cache.invalidateSubsetsOf(instance, set)
+	s.cache.invalidateSubsetsOf(instance, setKey)
 	// Local authority over the vertex supersedes any soft copy of it,
 	// and a promoted root whose table changed must demote (its
 	// replicas now serve a stale copy).
@@ -768,18 +769,17 @@ func (s *Server) insertEntry(instance string, v hypercube.Vertex, setKey, object
 
 // applyInsert is the table mutation of insertEntry: no logging, no
 // cache work. Recovery replays WAL records through it.
-func (s *Server) applyInsert(instance string, v hypercube.Vertex, setKey, objectID string) keyword.Set {
+func (s *Server) applyInsert(instance string, v hypercube.Vertex, setKey, objectID string) {
 	sh := s.shardFor(instance, v)
 	sh.lock(s.met.shardLockWait)
 	defer sh.mu.Unlock()
-	return s.applyInsertLocked(sh, instance, v, setKey, objectID)
+	s.applyInsertLocked(sh, instance, v, setKey, objectID)
 }
 
 // applyInsertLocked is applyInsert under a caller-held write lock on
 // sh (the shard owning (instance, v)); logEntryMutation uses it to
-// keep the WAL append and the apply in one critical section. It
-// returns the entry's keyword set for cache invalidation.
-func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) keyword.Set {
+// keep the WAL append and the apply in one critical section.
+func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) {
 	vertices, ok := sh.tables[instance]
 	if !ok {
 		vertices = make(map[hypercube.Vertex]*table)
@@ -790,30 +790,29 @@ func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.
 		tbl = &table{ringKey: VertexKey(instance, v)}
 		vertices[v] = tbl
 	}
-	set := tbl.insert(setKey, objectID)
+	tbl.insert(setKey, objectID)
 	// Under the shard lock, so it serializes against noteDelete for the
 	// same entry: a re-inserted entry is live again (no-op outside an
 	// open migration window).
 	s.migrate.noteInsert(instance, v, setKey, objectID)
-	return set
 }
 
 // deleteEntry removes ⟨K, σ⟩ from the table of vertex v in the given
 // instance. A delete of an absent entry is still logged on durable
 // servers — replaying it is a no-op, so the record is harmless.
 func (s *Server) deleteEntry(instance string, v hypercube.Vertex, setKey, objectID string) (bool, error) {
+	setKey = keyword.CanonicalKey(setKey)
 	sh := s.shardFor(instance, v)
 	var found bool
-	var set keyword.Set
 	err := s.logEntryMutation(sh, store.Record{
 		Op: store.OpDelete, Instance: instance, Vertex: uint64(v),
 		SetKey: setKey, ObjectID: objectID,
-	}, func() { found, set = s.applyDeleteLocked(sh, instance, v, setKey, objectID) })
+	}, func() { found = s.applyDeleteLocked(sh, instance, v, setKey, objectID) })
 	if err != nil {
 		return false, err
 	}
 	if found {
-		s.cache.invalidateSubsetsOf(instance, set)
+		s.cache.invalidateSubsetsOf(instance, setKey)
 		s.soft.dropLocal(instance, v)
 		s.hot.noteMutation(instance, v, setKey)
 	}
@@ -821,7 +820,7 @@ func (s *Server) deleteEntry(instance string, v hypercube.Vertex, setKey, object
 }
 
 // applyDelete is the table mutation of deleteEntry.
-func (s *Server) applyDelete(instance string, v hypercube.Vertex, setKey, objectID string) (bool, keyword.Set) {
+func (s *Server) applyDelete(instance string, v hypercube.Vertex, setKey, objectID string) bool {
 	sh := s.shardFor(instance, v)
 	sh.lock(s.met.shardLockWait)
 	defer sh.mu.Unlock()
@@ -830,7 +829,7 @@ func (s *Server) applyDelete(instance string, v hypercube.Vertex, setKey, object
 
 // applyDeleteLocked is applyDelete under a caller-held write lock on
 // sh (the shard owning (instance, v)); see applyInsertLocked.
-func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) (bool, keyword.Set) {
+func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) bool {
 	// Tombstone before the presence checks: a delete of an entry whose
 	// migration chunk has not arrived yet finds nothing locally but
 	// must still prevent the chunk from resurrecting it. Shard lock
@@ -838,20 +837,20 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 	s.migrate.noteDelete(instance, v, setKey, objectID)
 	vertices, ok := sh.tables[instance]
 	if !ok {
-		return false, keyword.Set{}
+		return false
 	}
 	tbl, ok := vertices[v]
 	if !ok {
-		return false, keyword.Set{}
+		return false
 	}
-	set, found := tbl.remove(setKey, objectID)
-	if found && tbl.entryCount() == 0 {
+	found := tbl.remove(setKey, objectID)
+	if found && tbl.objectCount() == 0 {
 		delete(vertices, v)
 		if len(vertices) == 0 {
 			delete(sh.tables, instance)
 		}
 	}
-	return found, set
+	return found
 }
 
 // subQuery scans the table of msg.Vertex for entries matching the

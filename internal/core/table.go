@@ -10,23 +10,27 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
-// table is Tbl_u for one logical vertex: the ⟨keyword set, objects⟩
-// entries, one row per set, sorted by set key, each row's object IDs
-// sorted too — so the canonical (set key, object ID) order every reader
-// promises is the storage order. Beside the rows sits a dense column of
-// keyword-set signatures (keyword.Set.Signature) that superset scans
-// test before they touch a row.
+// table is Tbl_u for one logical vertex: its ⟨keyword set, object⟩
+// entries, one per (set key, object ID) pair, sorted by that pair — so
+// the canonical order every reader promises is the storage order. An
+// entry is its key: the canonical set key is the only copy of the set,
+// and the predicates read it in place (keyword.Set.SubsetOfKey,
+// keyword.KeyHasPrefix). Beside the entries sits a dense column of
+// keyword-set signatures (keyword.KeySignature) that superset scans
+// test before they touch a key. An entry costs its two string headers
+// and a signature beside the strings themselves: 40 B, 58 B with slice
+// slack on the deep_inmem corpus (TestTableBytesPerObject).
 //
 // The slices are mutated in place. A writer must exclude every reader
 // (the shard write lock for the authoritative tables; a soft copy is
 // only written before it goes live), a reader must exclude writers (the
-// shard read lock), and nothing a reader is handed — no row, no id
-// slice — may be kept past that lock: scans and walks copy strings
-// out. This file is the only code that knows the layout.
+// shard read lock), and nothing a reader is handed may be kept past
+// that lock: scans and walks copy strings out. This file is the only
+// code that knows the layout.
 type table struct {
-	rows []tableRow
-	sigs []uint64 // sigs[i] == rows[i].set.Signature()
-	ids  int      // object IDs over all rows
+	ents []tableEntry
+	sigs []uint64 // sigs[i] == keyword.KeySignature(ents[i].key)
+	keys int      // distinct set keys: the ⟨keyword set, objects⟩ count
 	// ringKey is VertexKey of the (instance, vertex) an authoritative
 	// table is hosted under, fixed when the table is created: ownership
 	// tests and range transfers read it instead of hashing the pair
@@ -34,71 +38,73 @@ type table struct {
 	ringKey dht.ID
 }
 
-type tableRow struct {
-	key string // the set key as inserted; the sort key
-	set keyword.Set
-	ids []string // sorted, never empty
+type tableEntry struct {
+	key string // canonical set key; entries of one key share its string
+	id  string
 }
 
-// find returns the position of setKey's row, or where it would go.
+func compareEntries(a, b tableEntry) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.id, b.id)
+}
+
+// find returns the position of setKey's first entry, or where it would
+// go.
 func (t *table) find(setKey string) (int, bool) {
-	return slices.BinarySearchFunc(t.rows, setKey, func(r tableRow, key string) int {
-		return strings.Compare(r.key, key)
+	return slices.BinarySearchFunc(t.ents, setKey, func(e tableEntry, key string) int {
+		return strings.Compare(e.key, key)
 	})
 }
 
-// insert adds ⟨setKey, id⟩ (a duplicate is a no-op) and returns the
-// entry's keyword set.
-func (t *table) insert(setKey, id string) keyword.Set {
-	i, ok := t.find(setKey)
-	if !ok {
-		set := keyword.ParseKey(setKey)
-		t.rows = slices.Insert(t.rows, i, tableRow{key: setKey, set: set})
-		t.sigs = slices.Insert(t.sigs, i, set.Signature())
+// insert adds ⟨setKey, id⟩ under setKey's canonical spelling; a
+// duplicate is a no-op.
+func (t *table) insert(setKey, id string) {
+	e := tableEntry{key: keyword.CanonicalKey(setKey), id: id}
+	i, dup := slices.BinarySearchFunc(t.ents, e, compareEntries)
+	if dup {
+		return
 	}
-	r := &t.rows[i]
-	if j, dup := slices.BinarySearch(r.ids, id); !dup {
-		r.ids = slices.Insert(r.ids, j, id)
-		t.ids++
+	switch {
+	case i < len(t.ents) && t.ents[i].key == e.key:
+		e.key = t.ents[i].key
+	case i > 0 && t.ents[i-1].key == e.key:
+		e.key = t.ents[i-1].key
+	default:
+		t.keys++
 	}
-	return r.set
+	t.ents = slices.Insert(t.ents, i, e)
+	t.sigs = slices.Insert(t.sigs, i, keyword.KeySignature(e.key))
 }
 
-// remove deletes ⟨setKey, id⟩, dropping the row with its last ID, and
-// reports whether the entry was present (with its keyword set).
-func (t *table) remove(setKey, id string) (keyword.Set, bool) {
-	i, ok := t.find(setKey)
+// remove deletes ⟨setKey, id⟩ (either spelling of the set) and reports
+// whether it was present.
+func (t *table) remove(setKey, id string) bool {
+	e := tableEntry{key: keyword.CanonicalKey(setKey), id: id}
+	i, ok := slices.BinarySearchFunc(t.ents, e, compareEntries)
 	if !ok {
-		return keyword.Set{}, false
+		return false
 	}
-	r := &t.rows[i]
-	j, ok := slices.BinarySearch(r.ids, id)
-	if !ok {
-		return keyword.Set{}, false
+	if (i == 0 || t.ents[i-1].key != e.key) && (i+1 == len(t.ents) || t.ents[i+1].key != e.key) {
+		t.keys--
 	}
-	set := r.set
-	t.ids--
-	if r.ids = slices.Delete(r.ids, j, j+1); len(r.ids) == 0 {
-		t.rows = slices.Delete(t.rows, i, i+1)
-		t.sigs = slices.Delete(t.sigs, i, i+1)
-	}
-	return set, true
+	t.ents = slices.Delete(t.ents, i, i+1)
+	t.sigs = slices.Delete(t.sigs, i, i+1)
+	return true
 }
 
-// entryCount is the number of ⟨keyword set, objects⟩ entries (rows);
-// objectCount the number of object IDs over all of them.
-func (t *table) entryCount() int  { return len(t.rows) }
-func (t *table) objectCount() int { return t.ids }
+// entryCount is the number of ⟨keyword set, objects⟩ entries (distinct
+// set keys); objectCount the number of ⟨set key, object ID⟩ pairs.
+func (t *table) entryCount() int  { return t.keys }
+func (t *table) objectCount() int { return len(t.ents) }
 
 // walk calls fn for every ⟨setKey, id⟩ in canonical order until fn
 // returns false, and reports whether it ran to the end.
 func (t *table) walk(fn func(setKey, id string) bool) bool {
-	for i := range t.rows {
-		r := &t.rows[i]
-		for _, id := range r.ids {
-			if !fn(r.key, id) {
-				return false
-			}
+	for _, e := range t.ents {
+		if !fn(e.key, e.id) {
+			return false
 		}
 	}
 	return true
@@ -111,23 +117,23 @@ func (t *table) walk(fn func(setKey, id string) bool) bool {
 // the same depth, their Hamming distance.
 //
 // A superset scan reads the signature column first: K ⊆ K' implies
-// sig(K) & sig(K') == sig(K), so a row failing the test cannot match
-// and its strings are never touched. The test only rejects — every
-// survivor still goes through pred.matches — so a signature collision
-// costs time, never an answer. Pin queries binary-search their row;
-// prefix queries carry want == 0 and consider every row.
+// sig(K) & sig(K') == sig(K), so an entry failing the test cannot match
+// and its key is never touched. The test only rejects — every survivor
+// still goes through pred.matches — so a signature collision costs
+// time, never an answer. A pin's matches are its key's run of entries;
+// prefix queries carry want == 0 and consider every entry.
 func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
-	lo, hi := 0, len(t.rows)
+	lo, hi := 0, len(t.ents)
 	if pred.class == ClassPin {
-		i, ok := t.find(pred.key)
-		if !ok {
-			return nil, 0
+		lo, _ = t.find(pred.key)
+		hi = lo
+		for hi < len(t.ents) && t.ents[hi].key == pred.key {
+			hi++
 		}
-		lo, hi = i, i+1
 	}
-	// Matching rows are remembered in a bitmap so the predicate runs
-	// once per row and the result is allocated once, at its final size.
-	// The bitmap lives on the stack for all but outsized tables.
+	// Matching entries are remembered in a bitmap so the predicate runs
+	// once per entry and the result is allocated once, at its final
+	// size. The bitmap lives on the stack for all but outsized tables.
 	var small [8]uint64
 	hits := small[:]
 	if n := hi - lo; n > 64*len(small) {
@@ -136,11 +142,11 @@ func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) 
 	total := 0
 	want := pred.want
 	for i := lo; i < hi; i++ {
-		if t.sigs[i]&want != want || !pred.matches(t.rows[i].set) {
+		if t.sigs[i]&want != want || !pred.matches(t.ents[i].key) {
 			continue
 		}
 		hits[(i-lo)>>6] |= 1 << uint((i-lo)&63)
-		total += len(t.rows[i].ids)
+		total++
 	}
 	n, remaining := max(total-skip, 0), 0
 	if limit >= 0 && n > limit {
@@ -153,19 +159,12 @@ func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) 
 	depth := hypercube.Hamming(root, v)
 	for w, word := range hits {
 		for ; word != 0 && len(out) < n; word &= word - 1 {
-			r := &t.rows[lo+w<<6+bits.TrailingZeros64(word)]
-			ids := r.ids
-			if skip >= len(ids) {
-				skip -= len(ids)
+			if skip > 0 {
+				skip--
 				continue
 			}
-			ids, skip = ids[skip:], 0
-			if len(ids) > n-len(out) {
-				ids = ids[:n-len(out)]
-			}
-			for _, id := range ids {
-				out = append(out, Match{ObjectID: id, SetKey: r.key, Vertex: uint64(v), Depth: depth})
-			}
+			e := &t.ents[lo+w<<6+bits.TrailingZeros64(word)]
+			out = append(out, Match{ObjectID: e.id, SetKey: e.key, Vertex: uint64(v), Depth: depth})
 		}
 	}
 	return out, remaining

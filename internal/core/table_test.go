@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"testing"
 
+	gen "github.com/p2pkeyword/keysearch/internal/corpus"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/store"
@@ -60,7 +62,7 @@ func (m tableModel) flatten(pred queryPred) [][2]string {
 		if pred.class == ClassPin && k != pred.key {
 			continue
 		}
-		if !pred.matches(keyword.ParseKey(k)) {
+		if !modelMatches(pred, keyword.ParseKey(k)) {
 			continue
 		}
 		ids := make([]string, 0, len(m[k]))
@@ -73,6 +75,19 @@ func (m tableModel) flatten(pred queryPred) [][2]string {
 		}
 	}
 	return out
+}
+
+// modelMatches is the class predicate over a parsed keyword set: the
+// reading the table's in-place key predicates must agree with.
+func modelMatches(pred queryPred, set keyword.Set) bool {
+	switch pred.class {
+	case ClassPin:
+		return pred.set.Equal(set)
+	case ClassPrefix:
+		return set.HasPrefix(pred.prefix)
+	default:
+		return pred.set.SubsetOf(set)
+	}
 }
 
 func (m tableModel) objects() int {
@@ -482,4 +497,43 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 		t.Errorf("extractRange left %d objects behind", st.Objects)
 	}
 
+}
+
+// TestTableBytesPerObject pins what one stored ⟨set key, object ID⟩
+// entry costs the heap: the live-heap delta after a GC when the
+// deep_inmem corpus (20 000 objects, seed 1) goes into the 1 024 tables
+// of an r = 10 cube, with the key and ID strings already held by the
+// caller. The layout this replaced — a row with a parsed keyword set
+// and its own ID slice — cost about 230 B.
+func TestTableBytesPerObject(t *testing.T) {
+	const budget = 64
+	c, err := gen.Generate(gen.Config{Objects: 20000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := keyword.MustNewHasher(10, 0)
+	type entry struct {
+		v       hypercube.Vertex
+		key, id string
+	}
+	entries := make([]entry, 0, c.Len())
+	for _, r := range c.Records() {
+		entries = append(entries, entry{h.Vertex(r.Keywords), r.Keywords.Key(), r.ID})
+	}
+	tables := make([]table, 1<<h.Dim())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, e := range entries {
+		tables[e.v].insert(e.key, e.id)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perObject := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(entries))
+	runtime.KeepAlive(tables)
+	runtime.KeepAlive(entries)
+	t.Logf("%.1f B per stored entry", perObject)
+	if perObject > budget {
+		t.Errorf("%.1f B per stored entry, budget %d", perObject, budget)
+	}
 }

@@ -18,23 +18,22 @@ import (
 // keyword set.
 var ErrEmptySet = errors.New("keyword: empty keyword set")
 
-// Normalize canonicalizes a raw keyword: trimmed, lower-cased, and with
-// ASCII control characters removed. Objects and queries must agree on
-// keyword spelling for the deterministic mapping to work, so both go
-// through Normalize.
+// Normalize canonicalizes a raw keyword: ASCII control characters
+// removed, then trimmed and lower-cased — in that order, so that
+// Normalize(Normalize(w)) == Normalize(w) (a control character between
+// a space and the end of the word must not shield the space from the
+// trim). Objects and queries must agree on keyword spelling for the
+// deterministic mapping to work, so both go through Normalize.
 func Normalize(raw string) string {
-	w := strings.ToLower(strings.TrimSpace(raw))
-	if strings.IndexFunc(w, isControl) < 0 {
-		return w
+	if strings.IndexFunc(raw, isControl) >= 0 {
+		raw = strings.Map(func(r rune) rune {
+			if isControl(r) {
+				return -1
+			}
+			return r
+		}, raw)
 	}
-	var b strings.Builder
-	b.Grow(len(w))
-	for _, r := range w {
-		if !isControl(r) {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+	return strings.ToLower(strings.TrimSpace(raw))
 }
 
 func isControl(r rune) bool { return r < 0x20 || r == 0x7f }
@@ -110,6 +109,37 @@ func (s Set) SubsetOf(other Set) bool {
 	return i == len(s.words)
 }
 
+// SubsetOfKey is SubsetOf(ParseKey(key)) for a canonical key, read in
+// place: each of s's words must occur in the key as a whole word.
+func (s Set) SubsetOfKey(key string) bool {
+	for _, w := range s.words {
+		if !findWord(key, w, true) {
+			return false
+		}
+	}
+	return true
+}
+
+// findWord reports whether some word of key starts with w (whole: is
+// w). It searches the key for w as a substring — one vectorized scan,
+// where cutting the key word by word costs a call per word — and
+// accepts an occurrence only at a word boundary.
+func findWord(key, w string, whole bool) bool {
+	for off := 0; off <= len(key); {
+		i := strings.Index(key[off:], w)
+		if i < 0 {
+			return false
+		}
+		i += off
+		end := i + len(w)
+		if (i == 0 || key[i-1] == '\x1f') && (!whole || end == len(key) || key[end] == '\x1f') {
+			return true
+		}
+		off = i + 1
+	}
+	return false
+}
+
 // Equal reports whether the two sets hold exactly the same keywords.
 func (s Set) Equal(other Set) bool {
 	if len(s.words) != len(other.words) {
@@ -150,20 +180,37 @@ func (s Set) Key() string {
 
 // ParseKey reconstructs a Set from Key's encoding. A canonical key —
 // normalized words in strictly ascending order, as Key writes them —
-// becomes the Set's word slice as cut, in one pass; any other key (a
-// remote peer's, say) goes through NewSet, so the result is always
-// NewSet of the key's words.
+// becomes the Set's word slice as cut; any other key (a remote peer's,
+// say) goes through NewSet, so the result is always NewSet of the key's
+// words.
 func ParseKey(key string) Set {
 	if key == "" {
 		return Set{}
 	}
 	words := strings.Split(key, "\x1f")
-	for i, w := range words {
-		if w == "" || Normalize(w) != w || (i > 0 && w <= words[i-1]) {
-			return NewSet(words...)
-		}
+	if CanonicalKey(key) != key {
+		return NewSet(words...)
 	}
 	return Set{words: words}
+}
+
+// CanonicalKey returns ParseKey(key).Key(): key itself, checked in one
+// pass without allocating, when it is already canonical.
+func CanonicalKey(key string) string {
+	for w, rest, more, prev := "", key, key != "", ""; more; prev = w {
+		w, rest, more = strings.Cut(rest, "\x1f")
+		if w <= prev || Normalize(w) != w {
+			return NewSet(strings.Split(key, "\x1f")...).Key()
+		}
+	}
+	return key
+}
+
+// KeyHasPrefix is ParseKey(key).HasPrefix(prefix) for a canonical key,
+// read in place. A prefix holding the separator spans words and matches
+// none.
+func KeyHasPrefix(key, prefix string) bool {
+	return key != "" && !strings.Contains(prefix, "\x1f") && findWord(key, prefix, false)
 }
 
 // signatureBits is the number of bits each keyword sets in a
@@ -185,6 +232,18 @@ const signatureBits = 2
 func (s Set) Signature() uint64 {
 	var sig uint64
 	for _, w := range s.words {
+		sig |= KeySignature(w)
+	}
+	return sig
+}
+
+// KeySignature is ParseKey(key).Signature() for a canonical key, read
+// in place (a single keyword is a one-word key).
+func KeySignature(key string) uint64 {
+	var sig uint64
+	for key != "" {
+		w, rest, _ := strings.Cut(key, "\x1f")
+		key = rest
 		// FNV-1a, then a splitmix-style finalizer: FNV's low bits alone
 		// are weak for short keywords, and the bit positions below are
 		// cut from them.

@@ -21,10 +21,15 @@ func TestNormalize(t *testing.T) {
 		{"", ""},
 		{"a\x1fb", "ab"},
 		{"TVBS\n", "tvbs"},
+		{"0 \x00", "0"},
+		{"\x01 Ab\x7f", "ab"},
 	}
 	for _, tt := range tests {
 		if got := Normalize(tt.in); got != tt.want {
 			t.Errorf("Normalize(%q) = %q, want %q", tt.in, got, tt.want)
+		}
+		if got := Normalize(tt.want); got != tt.want {
+			t.Errorf("Normalize(%q) = %q: not idempotent", tt.want, got)
 		}
 	}
 }
@@ -108,15 +113,18 @@ func TestKeyRoundTrip(t *testing.T) {
 
 // FuzzParseKey checks ParseKey against its definition: for any input,
 // canonical or not, ParseKey(k) is NewSet over k's \x1f-separated
-// words. The seeds are keys Key never writes — unsorted, duplicated,
-// upper-case, padded, with empty words — beside canonical ones, so both
-// the one-pass cut and the NewSet fallback are reached. A short run is
-// wired into `make fuzz-smoke`.
+// words. CanonicalKey(k) is that set's Key, and on it the in-place
+// readers (SubsetOfKey, KeyHasPrefix, KeySignature) answer what the
+// parsed set does. The seeds are keys Key never writes — unsorted,
+// duplicated, upper-case, padded, with empty words — beside canonical
+// ones, so both the one-pass check and the NewSet fallback are reached.
+// A short run is wired into `make fuzz-smoke`.
 func FuzzParseKey(f *testing.F) {
 	for _, k := range []string{
 		"", "isp", "download\x1fisp\x1fnetwork", // canonical
 		"b\x1fa", "a\x1fa", "a\x1fb\x1fa", "A\x1fb", "a\x1fB", " a\x1fb",
 		"\x1f", "\x1fa", "a\x1f", "a\x1f\x1fb", "a\x1f \x1fb", "x\x00y\x1fz", "\xff\x1fa",
+		"0\x1f0 \x00", // a control character shielding a space from the trim
 	} {
 		f.Add(k)
 	}
@@ -125,7 +133,54 @@ func FuzzParseKey(f *testing.F) {
 		if !got.Equal(want) || got.Key() != want.Key() {
 			t.Fatalf("ParseKey(%q) = %v (key %q), want %v (key %q)", k, got, got.Key(), want, want.Key())
 		}
+		ck := CanonicalKey(k)
+		if ck != want.Key() || CanonicalKey(ck) != ck {
+			t.Fatalf("CanonicalKey(%q) = %q, want %q, a fixed point", k, ck, want.Key())
+		}
+		if KeySignature(ck) != want.Signature() {
+			t.Fatalf("KeySignature(%q) = %#x, want %#x", ck, KeySignature(ck), want.Signature())
+		}
+		// Probe with every other keyword, alone and with one from outside
+		// the set, and with the words' prefixes and the input itself.
+		var half []string
+		for i, w := range want.words {
+			if i%2 == 0 {
+				half = append(half, w)
+			}
+			for _, p := range []string{w[:len(w)/2], w, w + "\x00"} {
+				if KeyHasPrefix(ck, p) != want.HasPrefix(p) {
+					t.Fatalf("KeyHasPrefix(%q, %q) = %v, want %v", ck, p, !want.HasPrefix(p), want.HasPrefix(p))
+				}
+			}
+		}
+		for _, q := range []Set{NewSet(half...), NewSet(append(half, k)...), NewSet(k)} {
+			if q.SubsetOfKey(ck) != q.SubsetOf(want) {
+				t.Fatalf("%v.SubsetOfKey(%q) = %v, want %v", q, ck, !q.SubsetOf(want), q.SubsetOf(want))
+			}
+		}
+		if KeyHasPrefix(ck, k) != want.HasPrefix(k) {
+			t.Fatalf("KeyHasPrefix(%q, %q) = %v, want %v", ck, k, !want.HasPrefix(k), want.HasPrefix(k))
+		}
 	})
+}
+
+// TestKeyMatchAllocatesNothing: the in-place readers a table scan and a
+// table insert call per entry allocate nothing on a canonical key —
+// non-ASCII keywords included, whose normalization check takes the
+// slow path of strings.ToLower.
+func TestKeyMatchAllocatesNothing(t *testing.T) {
+	key := NewSet("alpha", "beta", "délta", "gamma", "ωmega").Key()
+	q := NewSet("beta", "gamma")
+	for name, f := range map[string]func(){
+		"SubsetOfKey":  func() { _ = q.SubsetOfKey(key) },
+		"KeyHasPrefix": func() { _ = KeyHasPrefix(key, "om") },
+		"KeySignature": func() { _ = KeySignature(key) },
+		"CanonicalKey": func() { _ = CanonicalKey(key) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f times on a canonical key, want 0", name, allocs)
+		}
+	}
 }
 
 func TestNewHasherValidation(t *testing.T) {
