@@ -126,11 +126,12 @@ churn-smoke:
 # batching × cache-policy matrix, prefix/superset cache isolation, the
 # prefix-under-migration double-read check, and the cost study —
 # exclusion-mask multicast vs naive per-dimension fan-out (the DII-
-# style per-keyword-index model) — recorded into results/prefix.txt.
+# style per-keyword-index model) — checked byte for byte against the
+# recorded results/prefix.txt (`make figures` records it, at the same
+# 5 000 objects).
 prefix-smoke:
 	$(GO) test -count=1 -run 'TestPrefix' ./internal/core/ ./internal/sim/
-	mkdir -p results
-	$(GO) run ./cmd/ksbench -fig prefix -objects 5000 > results/prefix.txt
+	$(GO) run ./cmd/ksbench -fig prefix -objects 5000 | diff results/prefix.txt -
 
 # Zipf hotspot-storm smoke: a short Zipf-popular query-log replay with
 # the full hot-vertex layer on (popularity cache, refinement reuse,
@@ -211,7 +212,7 @@ figures:
 	$(GO) run ./cmd/ksbench -fig ft > results/ft.txt
 	$(GO) run ./cmd/ksbench -fig batch > results/batch.txt
 	$(GO) run ./cmd/ksbench -fig churn > results/churn.txt
-	$(GO) run ./cmd/ksbench -fig prefix > results/prefix.txt
+	$(GO) run ./cmd/ksbench -fig prefix -objects 5000 > results/prefix.txt
 
 fmt:
 	gofmt -w .

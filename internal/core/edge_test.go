@@ -162,3 +162,25 @@ func TestRepeatedInsertIsIdempotent(t *testing.T) {
 		t.Errorf("objects = %d, want 1", st.Objects)
 	}
 }
+
+// TestUnknownQueryClassRejected: a T_QUERY naming a class the root does
+// not know is refused, the way an unknown traversal order is — not
+// served as a superset search, and not cached under the superset key.
+func TestUnknownQueryClassRejected(t *testing.T) {
+	d := newDeployment(t, 8, 1, 64)
+	ctx := context.Background()
+	q := keyword.NewSet("alpha")
+	if _, err := d.client.Insert(ctx, obj("a1", "alpha", "beta")); err != nil {
+		t.Fatal(err)
+	}
+	msg := msgTQuery{Instance: DefaultInstance, Dim: 8, Threshold: All, QueryKey: q.Key(),
+		Vertex: uint64(d.hasher.Vertex(q)), Class: 9}
+	if resp, err := d.net.Send(ctx, d.addrs[0], msg); err == nil {
+		t.Fatalf("class 9 answered %+v, want an error", resp)
+	}
+	res, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{})
+	if err != nil || len(res.Matches) != 1 || res.Stats.CacheHit {
+		t.Errorf("superset search after the rejected class: %d matches, cache hit %v, err %v",
+			len(res.Matches), res.Stats.CacheHit, err)
+	}
+}

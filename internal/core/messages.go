@@ -70,9 +70,9 @@ type (
 		// NOT fall back to its own tables, which are not authoritative
 		// for this vertex.
 		SoftOnly bool
-		// Class selects the query's match predicate and root resolution.
-		// The zero value is ClassSuperset, so pre-Class initiators decode
-		// unchanged. For ClassPin, QueryKey is the exact set key and
+		// Class selects the query's match predicate and root resolution;
+		// the zero value is ClassSuperset and an unknown class is
+		// rejected. For ClassPin, QueryKey is the exact set key and
 		// Vertex its F_h image; for ClassPrefix, QueryKey is the
 		// normalized prefix string and Vertex the lowest dimension of
 		// DimMask.

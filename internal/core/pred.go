@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
@@ -27,8 +28,9 @@ type queryPred struct {
 	// prefix is the normalized prefix for ClassPrefix (empty
 	// otherwise).
 	prefix string
-	// mask is the prefix query's dimension mask, carried only where
-	// the cache key is computed (the coordinator); scans don't use it.
+	// mask is the prefix query's dimension mask M, known only to the
+	// coordinator: its cache key and its session's branch partition use
+	// it; scans don't.
 	mask uint64
 }
 
@@ -62,6 +64,17 @@ func (p queryPred) matches(setKey string) bool {
 	default:
 		return p.set.SubsetOfKey(setKey)
 	}
+}
+
+// depth is v's level in the SBT branch of the traversal rooted at root
+// that holds it, which its matches carry as Match.Depth (Lemma 3.2): the
+// Hamming distance from root, or for a prefix multicast from v's branch
+// root e_{lowbit(v ∧ M)}, which is popcount(v) − 1 whatever the mask.
+func (p queryPred) depth(root, v hypercube.Vertex) int {
+	if p.class == ClassPrefix {
+		return v.OnesCount() - 1
+	}
+	return hypercube.Hamming(root, v)
 }
 
 // cacheKey returns the result-cache key. Superset entries keep the

@@ -115,21 +115,17 @@ func (s *Server) runRefine(msg msgTQuery) respTQuery {
 }
 
 // visitRank maps every vertex of rootV's induced subcube to its
-// position in the traversal's visit order: the SBT breadth-first
-// expansion for TopDown/ParallelLevels (expandFrontier is the same
-// code path the mega-wave uses), deepest-level-first for BottomUp.
+// position in the traversal's visit order: the session's seed, which for
+// BottomUp already lists every vertex deepest level first, expanded for
+// TopDown/ParallelLevels in SBT breadth-first order (expandFrontier is
+// the same code path the mega-wave uses).
 func visitRank(cube hypercube.Cube, order TraversalOrder, rootV hypercube.Vertex) map[hypercube.Vertex]int {
-	rank := make(map[hypercube.Vertex]int, cube.SubcubeSize(rootV))
-	if order == BottomUp {
-		levels := cube.InducedLevels(rootV)
-		for d := len(levels) - 1; d >= 0; d-- {
-			for _, v := range levels[d] {
-				rank[v] = len(rank)
-			}
-		}
-		return rank
+	sess := &session{cube: cube, order: order, root: rootV}
+	units := sess.seed()
+	if order != BottomUp {
+		units = expandFrontier(nil, sess, units)
 	}
-	units := expandFrontier(nil, &session{cube: cube, root: rootV}, []workUnit{{vertex: rootV, genDim: cube.Dim()}})
+	rank := make(map[hypercube.Vertex]int, len(units))
 	for _, u := range units {
 		rank[u.vertex] = len(rank)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,11 +65,10 @@ type rootQuery struct {
 	op string
 }
 
-// parseQuery validates a msgTQuery. Unknown classes are served as
-// superset queries, which is how pre-Class peers' frames decode.
+// parseQuery validates a msgTQuery.
 func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 	if !msg.Class.valid() {
-		msg.Class = ClassSuperset
+		return rootQuery{}, fmt.Errorf("core: invalid query class %d", msg.Class)
 	}
 	pred := predFor(msg.Class, msg.QueryKey)
 	if msg.QueryKey == "" || (msg.Class != ClassPrefix && pred.set.IsEmpty()) {
@@ -79,8 +79,8 @@ func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 	}
 	op := "superset-search"
 	if msg.Class != ClassSuperset {
-		// Only a superset frontier is one queue a later page can resume;
-		// a prefix multicast spans several and a pin has none.
+		// Paging (Section 3.3) is the superset search's; a prefix
+		// multicast and a pin are one-shot.
 		what := "pin query"
 		if msg.Class == ClassPrefix {
 			what, op = "prefix search", "prefix-search"
@@ -109,55 +109,8 @@ func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 	return rootQuery{msg: msg, cube: cube, order: order, pred: pred, root: hypercube.Vertex(msg.Vertex), op: op}, nil
 }
 
-// depth is v's level in the tree of the branch that holds it — for a
-// prefix multicast the one rooted at e_{lowbit(v ∧ M)} (prefixBranches)
-// — which is also what its matches carry as Match.Depth.
-func (q *rootQuery) depth(v hypercube.Vertex) int {
-	root := q.root
-	if q.msg.Class == ClassPrefix {
-		m := v & hypercube.Vertex(q.pred.mask)
-		root = m & -m
-	}
-	return hypercube.Hamming(root, v)
-}
-
-// branch is one spanning binomial tree a query drains: its root and
-// the dimensions whose vertices an earlier branch already covers.
-type branch struct {
-	root, exclude hypercube.Vertex
-}
-
-// branches lists the trees the query's candidate vertices partition
-// into, in drain order. Superset and pin queries have exactly one,
-// rooted at the addressed vertex.
-func (q *rootQuery) branches() []branch {
-	if q.msg.Class == ClassPrefix {
-		return prefixBranches(q.cube, hypercube.Vertex(q.pred.mask))
-	}
-	return []branch{{root: q.root}}
-}
-
-// prefixBranches partitions the candidate set of a prefix query with
-// dimension mask M — every vertex that intersects M, {v : v ∧ M ≠ 0} —
-// into one SBT branch per dimension d ∈ M: rooted at e_d, excluding the
-// masked dimensions below d. Each candidate vertex is therefore visited
-// by exactly one branch (the one of its lowest masked dimension), and
-// the traversal, wave-batching, resilience and double-read machinery
-// run unchanged inside every branch. The coordinating server owns the
-// lowest branch root; later roots are remote vertices visited like any
-// other frontier node.
-func prefixBranches(cube hypercube.Cube, mask hypercube.Vertex) []branch {
-	branches := make([]branch, 0, mask.OnesCount())
-	for d := 0; d < cube.Dim(); d++ {
-		if bit := hypercube.Vertex(1) << uint(d); mask&bit != 0 {
-			branches = append(branches, branch{root: bit, exclude: mask & (bit - 1)})
-		}
-	}
-	return branches
-}
-
 // tally is the cost and yield of the traversal work done for one
-// request, summed over every branch it drained.
+// request.
 type tally struct {
 	matches                             []Match
 	nodes, msgs, failed, rounds, frames int
@@ -168,9 +121,9 @@ type tally struct {
 // or consult the cache, decide whether to trace) and the epilogue
 // (respond, park the session, fill the cache, record telemetry) are the
 // same for all classes; the classes differ only in the frontier they
-// drain in between — one SBT for a superset search, one per masked
-// dimension for a prefix multicast, a single childless vertex for a
-// pin.
+// drain in between — one SBT for a superset search, one branch per
+// masked dimension for a prefix multicast, a single childless vertex
+// for a pin.
 //
 // soft, when non-nil, is a live soft-replica copy of the root vertex's
 // table: this server is not the root's owner but serves the superset
@@ -207,7 +160,7 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 	}
 
 	var (
-		sess      *session // the branch being drained; a resumed one when continuing
+		sess      *session // a resumed one when continuing
 		softAddrs []string
 	)
 	if msg.SessionID != 0 {
@@ -266,44 +219,23 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 		trace = &buf
 	}
 
-	var total tally
-	need := msg.Threshold
-	exhausted := true
-	for _, b := range q.branches() {
-		if need <= 0 {
-			// Threshold met with branches left unexplored: the answer is
-			// a correct prefix of the multicast, but not all of it.
-			exhausted = false
-			break
+	if sess == nil {
+		if sess, err = newSession(&q, soft); err != nil {
+			return respTQuery{}, err
 		}
-		if sess == nil {
-			if sess, err = newSession(&q, b, soft); err != nil {
-				return respTQuery{}, err
-			}
-		}
-		before := len(total.matches)
-		s.traverse(ctx, sess, need, trace, &total)
-		if err := ctx.Err(); err != nil {
-			// Cancelled or deadline-expired mid-traversal: the partial
-			// result set is not a correct answer at any threshold, so the
-			// search is abandoned outright — no caching, no session
-			// retention — and the initiator sees the context error.
-			s.met.searchAbandoned.Inc()
-			return respTQuery{}, fmt.Errorf("core: search abandoned: %w", err)
-		}
-		if need != All {
-			// Keep the All sentinel intact so every branch's traversal
-			// still recognizes the exhaustive (mega-wave-eligible) case.
-			need -= len(total.matches) - before
-		}
-		if len(sess.work) > 0 {
-			// Threshold met inside this branch; sess stays set so a
-			// cumulative search can park it.
-			exhausted = false
-			break
-		}
-		sess = nil
 	}
+	total := s.traverse(ctx, sess, msg.Threshold, trace)
+	if err := ctx.Err(); err != nil {
+		// Cancelled or deadline-expired mid-traversal: the partial
+		// result set is not a correct answer at any threshold, so the
+		// search is abandoned outright — no caching, no session
+		// retention — and the initiator sees the context error.
+		s.met.searchAbandoned.Inc()
+		return respTQuery{}, fmt.Errorf("core: search abandoned: %w", err)
+	}
+	// Threshold met with candidates left unvisited: the answer is a
+	// correct prefix of the traversal, but not all of it.
+	exhausted := len(sess.work) == 0
 
 	resp := respTQuery{
 		Matches:     total.matches,
@@ -394,7 +326,7 @@ func (s *Server) recordSearchSpan(q *rootQuery, resp respTQuery, startedAt time.
 			span.Steps[i] = telemetry.SpanStep{
 				Kind:    kind,
 				Vertex:  st.Vertex,
-				Depth:   q.depth(hypercube.Vertex(st.Vertex)),
+				Depth:   q.pred.depth(q.root, hypercube.Vertex(st.Vertex)),
 				Matches: st.Matches,
 				Failed:  st.Failed,
 			}
@@ -403,69 +335,59 @@ func (s *Server) recordSearchSpan(q *rootQuery, resp respTQuery, startedAt time.
 	s.cfg.Telemetry.RecordSpan(span)
 }
 
-// newSession builds the initial frontier of one branch of a fresh
-// query.
-func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
-	sess := &session{instance: q.msg.Instance, cube: q.cube, pred: q.pred, order: q.order,
-		root: b.root, self: q.root, exclude: b.exclude, soft: soft}
+// newSession builds the one frontier of a fresh query.
+func newSession(q *rootQuery, soft *table) (*session, error) {
+	sess := &session{instance: q.msg.Instance, cube: q.cube, pred: q.pred, order: q.order, root: q.root, soft: soft}
 	switch {
 	case q.msg.Class == ClassPin:
 		// Section 3.4: the exact set lives at one vertex; nothing below
 		// it is a candidate.
-		sess.work = []workUnit{{vertex: b.root, genDim: -1}}
-	case q.order == BottomUp:
-		free := q.cube.Dim() - b.root.OnesCount()
-		if free > maxBottomUpFree {
-			return nil, fmt.Errorf("core: bottom-up traversal over %d free dimensions exceeds limit %d",
-				free, maxBottomUpFree)
-		}
-		// The subcube is enumerated up front, less the vertices an
-		// earlier prefix branch owns.
-		levels := q.cube.InducedLevels(b.root)
-		for d := len(levels) - 1; d >= 0; d-- {
-			for _, v := range levels[d] {
-				if v&b.exclude == 0 {
-					sess.work = append(sess.work, workUnit{vertex: v, genDim: -1})
-				}
-			}
-		}
+		sess.work = []workUnit{{vertex: q.root, genDim: -1}}
+	case q.order == BottomUp && q.cube.Dim()-q.root.OnesCount() > maxBottomUpFree:
+		return nil, fmt.Errorf("core: bottom-up traversal over %d free dimensions exceeds limit %d",
+			q.cube.Dim()-q.root.OnesCount(), maxBottomUpFree)
 	default:
-		// The root itself is the first unit; its children are the
-		// paper's initial queue U (one neighbor per free dimension).
-		sess.work = []workUnit{{vertex: b.root, genDim: q.cube.Dim()}}
+		sess.work = sess.seed()
 	}
 	return sess, nil
 }
 
 // traverse is the one frontier engine: it drains sess.work until
 // threshold matches are collected, the frontier is empty or ctx ends,
-// adding what it did to t. Each round takes a wave — the first w units
-// of the frontier — dispatches it, consumes the results in frontier
-// order, and leaves
+// and returns what it did. The frontier is branch-major: each branch's
+// units form one run, in ascending branch order (a prefix multicast has
+// one branch per masked dimension, every other query one). Each round
+// takes a wave — the first w units of the leading run — dispatches it,
+// consumes the results in frontier order, and leaves
 //
-//	work = resume units of the wave ++ untouched rest ++ children of the wave
+//	work = resume units of the wave ++ untouched rest of its run
+//	       ++ children of the wave ++ the later runs
 //
 // The paper's sequential Steps 1–3 (TopDown, and BottomUp over a
 // pre-enumerated frontier) are w = 1: pop one node, scan it, append its
 // children, stop as soon as the threshold is met (T_STOP). Section
-// 3.5's level-synchronous variant is w = len(work): every node of the
-// level is queried concurrently, over-fetched matches from nodes beyond
-// the stopping point are discarded and those nodes kept as match-only
-// resume units. A cumulative search is this loop suspended: the session
-// is parked with its frontier and a later page calls traverse again.
+// 3.5's level-synchronous variant is w = the whole run: every node of
+// the branch's level is queried concurrently, over-fetched matches from
+// nodes beyond the stopping point are discarded and those nodes kept as
+// match-only resume units. A cumulative search is this loop suspended:
+// the session is parked with its frontier and a later page calls
+// traverse again.
 //
 // How a wave is dispatched changes only the physical framing, never
 // what the consume loop sees. Width-1 waves and BatchOff send one
 // msgSubQuery per vertex; ParallelLevels with BatchOn sends one
 // msgSubQueryBatch per distinct physical peer and, once flattenTail says
-// another level-synchronous round could only confirm what the rounds so
-// far predict, sends the whole rest of the subtree as a single mega-wave
-// — the root generates every SBT child list itself anyway. An
-// exhaustive search (threshold All — no early stop can occur) does so
-// on its first round. Should a flattened wave meet the threshold after
-// all, the levels below the one it stopped in were over-contacted: they
-// are counted, their answers discarded, and the frontier is left exactly
-// as the level-synchronous search would leave it.
+// another level-synchronous round could only confirm what the rounds of
+// the branch so far predict, sends the whole rest of the branch as a
+// single mega-wave — the root generates every SBT child list itself
+// anyway. An exhaustive search (threshold All — no early stop can
+// occur) does so on its first round, for every branch at once: the wave
+// is the whole frontier expanded one run at a time, the units
+// back-to-back per-branch mega-waves would send, in their order. Should
+// a flattened wave meet the threshold after all, the levels below the
+// one it stopped in were over-contacted: they are counted, their answers
+// discarded, and the frontier is left exactly as the level-synchronous
+// search would leave it.
 //
 // Every child list is generated here, never received: a node's reply
 // carries only its matches. Failed nodes are therefore skipped and
@@ -476,21 +398,34 @@ func newSession(q *rootQuery, b branch, soft *table) (*session, error) {
 // the children and resumes —
 // lives in one waveScratch taken for the call, so a traversal allocates
 // per query, not per contacted vertex.
-func (s *Server) traverse(ctx context.Context, sess *session, threshold int, trace *[]TraceStep, t *tally) {
+func (s *Server) traverse(ctx context.Context, sess *session, need int, trace *[]TraceStep) (t tally) {
 	sc := scratchPool.Get().(*waveScratch)
 	defer sc.release()
 	levelWaves := sess.order == ParallelLevels
 	batch := levelWaves && s.cfg.BatchWaves == BatchOn
-	need, entered := threshold, t.nodes
+	// flattenTail judges the branch being drained alone: the need it
+	// started with and the nodes seen since it became the leading run.
+	// (Before the first round they are need and 0 whatever the branch.)
+	threshold, entered, branch := need, 0, sess.root
 	for len(sess.work) > 0 && need > 0 && ctx.Err() == nil {
 		t.rounds++
+		if b := sess.branch(sess.work[0].vertex); b != branch {
+			branch, entered = b, t.nodes
+			if threshold != All {
+				threshold = need
+			}
+		}
 		width := 1
 		if levelWaves {
+			width = sess.run(sess.work, branch)
+		}
+		flat := batch && sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree &&
+			flattenTail(threshold, need, t.nodes-entered, sess.remaining(sess.work[:width]))
+		if flat && threshold == All {
+			// No early stop can occur: every branch goes in this wave.
 			width = len(sess.work)
 		}
 		wave, rest := sess.work[:width], sess.work[width:]
-		flat := batch && sess.cube.Dim()-sess.root.OnesCount() <= maxBottomUpFree &&
-			flattenTail(threshold, need, t.nodes-entered, sess.remaining(wave))
 		if flat {
 			sc.expanded = expandFrontier(sc.expanded, sess, wave)
 			wave = sc.expanded
@@ -512,7 +447,7 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 			res := &hits[i] // zero: the unit was owned, scanned and empty
 			t.nodes++
 			t.frames += res.frames
-			if !sess.hostsRoot(u) {
+			if u.vertex != sess.root {
 				// The paper's logical accounting charges a T_QUERY/T_CONT
 				// exchange for every vertex other than the root, however
 				// few frames carried it.
@@ -529,15 +464,16 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 			if res.err != nil {
 				t.failed++
 			}
-			depth := hypercube.Hamming(sess.root, u.vertex)
+			depth := sess.pred.depth(sess.root, u.vertex)
 			if flat && depth > stopDepth {
 				// Over-contacted: a level-synchronous search would have
 				// stopped above this unit. The next level goes back on the
 				// frontier as if never asked — SBT paths add dimensions in
 				// descending order, so a vertex was generated by its lowest
-				// bit beyond the root — and deeper ones hang off it again.
+				// bit beyond its branch root — and deeper ones hang off it
+				// again.
 				if depth == stopDepth+1 {
-					children = append(children, workUnit{vertex: u.vertex, genDim: bits.TrailingZeros64(uint64(u.vertex &^ sess.root))})
+					children = append(children, workUnit{vertex: u.vertex, genDim: bits.TrailingZeros64(uint64(u.vertex &^ sess.branch(u.vertex)))})
 				}
 				continue
 			}
@@ -559,13 +495,15 @@ func (s *Server) traverse(ctx context.Context, sess *session, threshold int, tra
 		}
 		sc.resumes, sc.children = resumes, children
 		// Both are copied out of the scratch: a parked session outlives it.
+		// The children close their branch's run, ahead of later branches.
 		work := rest
 		if len(resumes) > 0 {
 			work = make([]workUnit, 0, len(resumes)+len(rest)+len(children))
 			work = append(append(work, resumes...), rest...)
 		}
-		sess.work = append(work, children...)
+		sess.work = slices.Insert(work, len(work)-len(rest)+sess.run(rest, branch), children...)
 	}
+	return t
 }
 
 // waveHit is what one unit of a wave had to say: matches, matches
@@ -625,10 +563,10 @@ func resized[T any](buf []T, n int) []T {
 	return buf
 }
 
-// visit scans one work unit: in place when it is the traversal root
-// hosted by this server, via a T_QUERY/T_CONT round trip otherwise.
+// visit scans one work unit: in place when it is the root vertex this
+// server answers for, via a T_QUERY/T_CONT round trip otherwise.
 func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) waveHit {
-	if sess.hostsRoot(u) {
+	if u.vertex == sess.root {
 		return s.scanLocal(ctx, ownedArc{}, sess, u, limit)
 	}
 	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex, msgSubQuery{
@@ -684,23 +622,26 @@ func flattenTail(threshold, need, seen, left int) bool {
 
 // expandFrontier transitively expands a frontier into the full list of
 // work units its traversal would visit, in the exact order the
-// level-by-level waves would concatenate to: each unit is followed by
-// its SBT children, generated breadth-first — the output slice is its
-// own queue: dst's array when remaining fits it, else one sized exactly
-// by remaining. Expanded units carry genDim -1 so the consume loop
-// neither re-appends their children on success nor regenerates them on
-// failure — the whole subtree is already in the wave. Children
-// intersecting the session's exclude mask are pruned (prefix-multicast
-// branch partition). dst must not overlap frontier.
+// level-by-level waves would concatenate to: run by run (one per
+// branch), each unit followed by its SBT children, generated
+// breadth-first — the output slice is its own queue: dst's array when
+// remaining fits it, else one sized exactly by remaining. Expanded
+// units carry genDim -1 so the consume loop neither re-appends their
+// children on success nor regenerates them on failure — the whole
+// subtree is already in the wave. dst must not overlap frontier.
 func expandFrontier(dst []workUnit, sess *session, frontier []workUnit) []workUnit {
 	out := dst[:0]
 	if n := sess.remaining(frontier); cap(out) < n {
 		out = make([]workUnit, 0, n)
 	}
-	out = append(out, frontier...)
-	for i := 0; i < len(out); i++ {
-		out = sess.appendChildren(out, out[i])
-		out[i].genDim = -1
+	for len(frontier) > 0 {
+		i, k := len(out), sess.run(frontier, sess.branch(frontier[0].vertex))
+		out = append(out, frontier[:k]...)
+		for ; i < len(out); i++ {
+			out = sess.appendChildren(out, out[i])
+			out[i].genDim = -1
+		}
+		frontier = frontier[k:]
 	}
 	return out
 }
@@ -719,7 +660,7 @@ func expandFrontier(dst []workUnit, sess *session, frontier []workUnit) []workUn
 func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int, sc *waveScratch) int {
 	// The whole wave is resolved positionally, so addrs[i] belongs to
 	// wave[i] with no index slice in between. That includes a root this
-	// server hosts, whose binding is never looked at; a foreign branch
+	// server hosts, whose binding is never looked at; another branch's
 	// root (prefix multicast) is a remote vertex like any other.
 	vertices := resized(sc.vertices, len(wave))
 	for i, u := range wave {
@@ -737,7 +678,7 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	// including this node itself, via a self-addressed frame).
 	var selfAddr transport.Addr
 	if sess.soft == nil {
-		if a, err := s.cfg.Resolver.Resolve(ctx, sess.instance, sess.self); err == nil {
+		if a, err := s.cfg.Resolver.Resolve(ctx, sess.instance, sess.root); err == nil {
 			selfAddr = a
 		}
 	}
@@ -752,7 +693,7 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	for i, u := range wave {
 		dest[i] = -1
 		switch addr := addrs[i]; {
-		case sess.hostsRoot(u):
+		case u.vertex == sess.root:
 			hits[i] = s.scanLocal(ctx, ownedArc{}, sess, u, limit)
 		case errs != nil && errs[i] != nil:
 			hits[i].err = errs[i]
@@ -872,18 +813,17 @@ func (m *respSubQueryBatch) fits(n int) bool {
 // appendChildren appends u's SBT child list L = {(x, i) : i < genDim,
 // i ∈ Zero(u)} to dst as work units, highest dimension first
 // (hypercube.InducedChildEdges' list, written in place), less the
-// children whose vertex intersects the exclude mask. SBT paths only
-// accumulate bits, so cutting a child here removes exactly the subtree
-// of vertices carrying an excluded dimension — every other descendant
-// stays reachable. Match-only units (genDim < 0) have none: their
-// children were generated on their first visit.
+// children along a dimension u's branch excludes (session.closed). SBT
+// paths only accumulate bits, so cutting a child here removes exactly
+// the subtree of vertices carrying an excluded dimension — every other
+// descendant stays reachable, and in u's branch. Match-only units
+// (genDim < 0) have none: their children were generated on their first
+// visit.
 func (sess *session) appendChildren(dst []workUnit, u workUnit) []workUnit {
+	closed := sess.closed(u.vertex)
 	for j := u.genDim - 1; j >= 0; j-- {
-		if sess.root.Bit(j) || u.vertex.Bit(j) {
-			continue
-		}
-		if x := u.vertex.Neighbor(j); x&sess.exclude == 0 {
-			dst = append(dst, workUnit{vertex: x, genDim: j})
+		if !closed.Bit(j) {
+			dst = append(dst, workUnit{vertex: u.vertex.Neighbor(j), genDim: j})
 		}
 	}
 	return dst

@@ -369,16 +369,18 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 }
 
 // classCounter maps a query class to its core_search_class_total
-// series (nil-safe like every instrument; unknown classes fall back to
-// the superset series so the total still moves).
+// series; an unknown class, which the root rejects, has none (nil, which
+// every instrument accepts).
 func (m *serverMetrics) classCounter(c QueryClass) *telemetry.Counter {
 	switch c {
+	case ClassSuperset:
+		return m.classSuperset
 	case ClassPin:
 		return m.classPin
 	case ClassPrefix:
 		return m.classPrefix
 	default:
-		return m.classSuperset
+		return nil
 	}
 }
 

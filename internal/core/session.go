@@ -3,67 +3,107 @@ package core
 import (
 	"container/list"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 )
 
-// session is one suspended run of the traversal engine: the frontier
-// of one spanning binomial tree plus what the engine needs to keep
-// draining it. A superset search is one session over SBT(F_h(K)), a
-// prefix multicast one session per branch, a pin query one session
-// holding a single childless unit. A cumulative search is a session
+// session is one suspended run of the traversal engine: a query's one
+// frontier plus what the engine needs to keep draining it. A superset
+// search is one spanning binomial tree, SBT(F_h(K)); a prefix multicast
+// one SBT branch per masked dimension, drained from the same frontier;
+// a pin query a single childless unit. A cumulative search is a session
 // parked in the sessionStore between pages (Section 3.3: "the root node
 // keeps the queue U for subsequent queries"), so consecutive pages are
 // disjoint.
 type session struct {
 	instance string
 	cube     hypercube.Cube
-	pred     queryPred
-	order    TraversalOrder
-	// root is the traversal root: F_h(K) for superset and pin, the
-	// branch's e_d for a prefix multicast. Depths and SBT child lists
-	// are relative to it.
+	// pred carries the query's class and, for a prefix multicast, its
+	// dimension mask M, which partitions the frontier into branches.
+	pred  queryPred
+	order TraversalOrder
+	// root is the vertex the initiator addressed, whose owner this
+	// server is: F_h(K) for superset and pin, the lowest masked
+	// dimension's e_d for a prefix multicast. Wave dispatch resolves it
+	// to find this server's address; the other branch roots of a prefix
+	// multicast are remote vertices visited like any other.
 	root hypercube.Vertex
-	// self is the vertex whose owner this server is — the vertex the
-	// initiator addressed. It equals root for superset, pin and the
-	// coordinator's own prefix branch; every other prefix branch root
-	// is a remote vertex visited like any other frontier node. Wave
-	// dispatch resolves self (not root) to find this server's address.
-	self hypercube.Vertex
-	// work is the pending frontier: for TopDown/ParallelLevels the
-	// paper's queue U (plus possible partially-consumed nodes at the
-	// head); for BottomUp the remaining vertices in descending-depth
-	// order.
+	// work is the pending frontier, branch-major (traverse): for
+	// TopDown/ParallelLevels the paper's queue U (plus possible
+	// partially-consumed nodes at the head); for BottomUp the remaining
+	// vertices in descending-depth order, branch by branch.
 	work []workUnit
 	// soft, when non-nil, is the soft-replica copy of the root
 	// vertex's table this (non-owner) server is serving the search
 	// from; root-vertex scans read it instead of the local tables.
 	soft *table
-	// exclude is the prefix-multicast branch-partition mask: child
-	// edges landing on a vertex that intersects it belong to an
-	// earlier branch and are pruned. Zero for superset searches.
-	exclude hypercube.Vertex
 }
 
-// hostsRoot reports that u is the traversal root and this server holds
-// its table, so the unit is scanned in place with no exchange.
-func (sess *session) hostsRoot(u workUnit) bool {
-	return u.vertex == sess.root && sess.root == sess.self
+// branch is the root of the SBT branch holding v. Section 3.4's prefix
+// multicast partitions its candidates {v : v ∧ M ≠ 0} by their lowest
+// masked dimension, so for a prefix v's branch is e_{lowbit(v ∧ M)};
+// every other query (M = 0) has one branch, rooted at root.
+func (sess *session) branch(v hypercube.Vertex) hypercube.Vertex {
+	if m := v & hypercube.Vertex(sess.pred.mask); m != 0 {
+		return m & -m
+	}
+	return sess.root
+}
+
+// closed is the set of dimensions no SBT descendant of v adds: v's own
+// and those its branch excludes, the masked dimensions below its branch
+// root, which earlier branches cover.
+func (sess *session) closed(v hypercube.Vertex) hypercube.Vertex {
+	return v | hypercube.Vertex(sess.pred.mask)&(sess.branch(v)-1)
+}
+
+// run is the length of frontier's leading run of units of branch b, in
+// a frontier whose runs are in ascending branch order.
+func (sess *session) run(frontier []workUnit, b hypercube.Vertex) int {
+	return sort.Search(len(frontier), func(i int) bool { return sess.branch(frontier[i].vertex) > b })
+}
+
+// seed is the frontier a fresh traversal starts from: every branch's
+// root, ascending, for the top-down orders; for BottomUp every candidate
+// vertex, branch by branch, each branch's induced subcube deepest level
+// first (less the vertices an earlier branch holds).
+func (sess *session) seed() []workUnit {
+	m := hypercube.Vertex(sess.pred.mask)
+	work := make([]workUnit, 0, max(1, m.OnesCount()))
+	for {
+		b := sess.branch(m) // e_{lowbit(m)} of the masked dimensions left; root for M = 0
+		if sess.order != BottomUp {
+			work = append(work, workUnit{vertex: b, genDim: sess.cube.Dim()})
+		} else {
+			levels := sess.cube.InducedLevels(b)
+			for d := len(levels) - 1; d >= 0; d-- {
+				for _, v := range levels[d] {
+					if sess.branch(v) == b {
+						work = append(work, workUnit{vertex: v, genDim: -1})
+					}
+				}
+			}
+		}
+		if m &= m - 1; m == 0 {
+			return work
+		}
+	}
 }
 
 // remaining is the exact number of vertices the traversal of frontier
 // has yet to visit, by arithmetic: a unit's subtree spans the dimensions
-// below genDim that neither the root, the unit nor the exclude mask
-// occupies (appendChildren's test, applied transitively), and a
-// match-only unit is itself alone. Callers bound the subcube's free
-// dimensions (maxBottomUpFree, maxRefineFree), so the sum fits an int.
+// below genDim that are not closed to it (appendChildren's test, applied
+// transitively), and a match-only unit is itself alone. Callers bound
+// the subcube's free dimensions (maxBottomUpFree, maxRefineFree), so the
+// sum fits an int.
 func (sess *session) remaining(frontier []workUnit) int {
 	n := 0
 	for _, u := range frontier {
 		free := uint64(0)
 		if u.genDim > 0 {
-			free = ^uint64(sess.root|u.vertex|sess.exclude) & (1<<uint(u.genDim) - 1)
+			free = ^uint64(sess.closed(u.vertex)) & (1<<uint(u.genDim) - 1)
 		}
 		n += 1 << bits.OnesCount64(free)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -18,42 +19,56 @@ import (
 )
 
 // expandFrontierReference is the queue-based expansion the in-place
-// one replaced, kept as its specification: pop a unit, queue
-// its SBT children (hypercube.InducedChildEdges, minus the excluded
-// ones), emit it with genDim -1.
+// one replaced, kept as its specification: one branch's run of the
+// frontier at a time, pop a unit, queue its SBT children in its branch
+// (hypercube.InducedChildEdges from the branch root, minus the ones
+// carrying a masked dimension below it), emit it with genDim -1. A
+// unit's branch is §3.4's partition: e_{lowbit(v ∧ M)} for a prefix
+// multicast, the session root when the mask is empty.
 func expandFrontierReference(sess *session, frontier []workUnit) []workUnit {
-	childrenOf := func(u workUnit) []workUnit {
-		if u.genDim < 0 {
-			return nil
+	mask := hypercube.Vertex(sess.pred.mask)
+	branchOf := func(v hypercube.Vertex) (root, exclude hypercube.Vertex) {
+		if v&mask == 0 {
+			return sess.root, 0
 		}
-		edges := sess.cube.InducedChildEdges(sess.root, u.vertex, u.genDim)
-		units := make([]workUnit, len(edges))
-		for i, e := range edges {
-			units[i] = workUnit{vertex: e.To, genDim: e.Dim}
-		}
-		return units
+		d := bits.TrailingZeros64(uint64(v & mask))
+		return 1 << uint(d), mask & (1<<uint(d) - 1)
 	}
 	var out []workUnit
-	queue := append([]workUnit(nil), frontier...)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, c := range childrenOf(u) {
-			if c.vertex&sess.exclude == 0 {
-				queue = append(queue, c)
+	for len(frontier) > 0 {
+		root, exclude := branchOf(frontier[0].vertex)
+		k := 1
+		for ; k < len(frontier); k++ {
+			if r, _ := branchOf(frontier[k].vertex); r != root {
+				break
 			}
 		}
-		u.genDim = -1
-		out = append(out, u)
+		queue := append([]workUnit(nil), frontier[:k]...)
+		frontier = frontier[k:]
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			if u.genDim >= 0 {
+				for _, e := range sess.cube.InducedChildEdges(root, u.vertex, u.genDim) {
+					if e.To&exclude == 0 {
+						queue = append(queue, workUnit{vertex: e.To, genDim: e.Dim})
+					}
+				}
+			}
+			u.genDim = -1
+			out = append(out, u)
+		}
 	}
 	return out
 }
 
 // TestExpandFrontierMatchesReference: the in-place enumeration emits
 // the identical unit sequence to the queue-based reference — same
-// vertices, same order, same skips, every genDim -1 — for seeded random
-// roots and exclude masks up to r = 12, from the root unit and from a
-// mid-traversal frontier (resume units ahead of a level's children).
+// vertices, same order, same skips, every genDim -1 — and exactly
+// session.remaining units, for seeded random superset roots and prefix
+// masks up to r = 12, from the seed frontier and from a mid-traversal
+// one (resume units ahead of a level's children, ahead of the later
+// branches).
 func TestExpandFrontierMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 400; trial++ {
@@ -63,24 +78,28 @@ func TestExpandFrontierMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := hypercube.Vertex(1)<<uint(r) - 1
-		root := hypercube.Vertex(rng.Uint64()) & full
-		var exclude hypercube.Vertex
+		sess := &session{cube: cube, root: hypercube.Vertex(rng.Uint64()) & full}
 		if trial%3 != 0 {
-			// A branch root never carries an excluded dimension.
-			exclude = hypercube.Vertex(rng.Uint64()) & full &^ root
+			// A prefix multicast, addressed to its lowest masked dimension.
+			mask := hypercube.Vertex(rng.Uint64()) & full
+			if mask == 0 {
+				mask = full
+			}
+			sess.root, sess.pred = mask&-mask, queryPred{class: ClassPrefix, mask: uint64(mask)}
 		}
-		sess := &session{cube: cube, root: root, exclude: exclude}
 
-		frontier := []workUnit{{vertex: root, genDim: r}}
+		frontier := sess.seed()
 		if trial%2 == 1 {
 			// What a later round of a levelled search holds: units to
 			// resume (match-only, with a skip) ahead of fresh children.
-			frontier = sess.appendChildren([]workUnit{{vertex: root, genDim: -1, skip: 1 + rng.Intn(5)}}, frontier[0])
+			head := []workUnit{{vertex: frontier[0].vertex, genDim: -1, skip: 1 + rng.Intn(5)}}
+			frontier = append(sess.appendChildren(head, frontier[0]), frontier[1:]...)
 		}
 		want := expandFrontierReference(sess, frontier)
 		got := expandFrontier(nil, sess, append([]workUnit(nil), frontier...))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("r=%d root=%b exclude=%b: in-place expansion\n got %v\nwant %v", r, root, exclude, got, want)
+		if !reflect.DeepEqual(got, want) || len(got) != sess.remaining(frontier) {
+			t.Fatalf("r=%d root=%b mask=%b: in-place expansion (remaining %d)\n got %v\nwant %v",
+				r, sess.root, sess.pred.mask, sess.remaining(frontier), got, want)
 		}
 	}
 }

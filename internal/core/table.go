@@ -114,7 +114,7 @@ func (t *table) walk(fn func(setKey, id string) bool) bool {
 // window of limit matches (limit < 0: unlimited) after the first skip,
 // plus the count of matches beyond the window. v is the table's vertex
 // and root the query's; by Lemma 3.2 every match of one vertex sits at
-// the same depth, their Hamming distance.
+// the same depth, pred.depth(root, v).
 //
 // A superset scan reads the signature column first: K ⊆ K' implies
 // sig(K) & sig(K') == sig(K), so an entry failing the test cannot match
@@ -156,7 +156,7 @@ func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) 
 		return nil, remaining
 	}
 	out := make([]Match, 0, n)
-	depth := hypercube.Hamming(root, v)
+	depth := pred.depth(root, v)
 	for w, word := range hits {
 		for ; word != 0 && len(out) < n; word &= word - 1 {
 			if skip > 0 {

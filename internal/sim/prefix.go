@@ -26,12 +26,10 @@ type PrefixPoint struct {
 	// object-ID set (after deduplicating the fan-out's overlap).
 	Identical bool
 
-	NodesMulti  int
-	MsgsMulti   int
-	FramesMulti int
-	NodesNaive  int
-	MsgsNaive   int
-	FramesNaive int
+	NodesMulti int
+	MsgsMulti  int
+	NodesNaive int
+	MsgsNaive  int
 }
 
 // MsgReduction is the naive/multicast logical-message ratio.
@@ -119,12 +117,11 @@ func PrefixStudy(c *corpus.Corpus, prefixes []string, r int) (*PrefixStudyResult
 			return nil, fmt.Errorf("prefix multicast %q: %w", prefix, err)
 		}
 		point := PrefixPoint{
-			Prefix:      prefix,
-			Dims:        bits.OnesCount64(mask),
-			Matches:     len(multi.Matches),
-			NodesMulti:  multi.Stats.NodesContacted,
-			MsgsMulti:   multi.Stats.Messages,
-			FramesMulti: multi.Stats.PhysFrames,
+			Prefix:     prefix,
+			Dims:       bits.OnesCount64(mask),
+			Matches:    len(multi.Matches),
+			NodesMulti: multi.Stats.NodesContacted,
+			MsgsMulti:  multi.Stats.Messages,
 		}
 		// Naive fan-out: one whole-branch query per candidate dimension,
 		// overlap (vertices with several candidate bits) deduplicated on
@@ -143,7 +140,6 @@ func PrefixStudy(c *corpus.Corpus, prefixes []string, r int) (*PrefixStudyResult
 		}
 		point.NodesNaive = naive.NodesContacted
 		point.MsgsNaive = naive.Messages
-		point.FramesNaive = naive.PhysFrames
 		point.Identical = len(union) == len(multi.Matches)
 		for _, match := range multi.Matches {
 			if !union[match.ObjectID] {
