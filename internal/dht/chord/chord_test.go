@@ -22,22 +22,29 @@ func buildRing(t *testing.T, net *inmem.Network, n int) []*Node {
 	ctx := context.Background()
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
-		addr := transport.Addr(fmt.Sprintf("chord-%d", i))
-		node := New(addr, net, Config{})
-		if _, err := net.Bind(addr, node.Handler); err != nil {
-			t.Fatalf("bind %s: %v", addr, err)
-		}
-		if i == 0 {
-			node.Create()
-		} else if err := node.Join(ctx, nodes[0].Addr()); err != nil {
-			t.Fatalf("join %s: %v", addr, err)
-		}
-		nodes = append(nodes, node)
+		nodes = append(nodes, addRingNode(t, net, nodes))
 		// Let the ring converge after each join.
 		converge(ctx, nodes)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID() < nodes[j].ID() })
 	return nodes
+}
+
+// addRingNode binds node chord-<len(nodes)> and creates the ring with
+// it, or joins it through nodes[0].
+func addRingNode(t *testing.T, net *inmem.Network, nodes []*Node) *Node {
+	t.Helper()
+	addr := transport.Addr(fmt.Sprintf("chord-%d", len(nodes)))
+	node := New(addr, net, Config{})
+	if _, err := net.Bind(addr, node.Handler); err != nil {
+		t.Fatalf("bind %s: %v", addr, err)
+	}
+	if len(nodes) == 0 {
+		node.Create()
+	} else if err := node.Join(context.Background(), nodes[0].Addr()); err != nil {
+		t.Fatalf("join %s: %v", addr, err)
+	}
+	return node
 }
 
 func converge(ctx context.Context, nodes []*Node) {

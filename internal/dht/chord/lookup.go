@@ -34,6 +34,7 @@ func (n *Node) FindSuccessor(ctx context.Context, id dht.ID) (NodeInfo, int, err
 	// Local short-circuit: id in (self, successor].
 	local := n.handleFindClosest(rpcFindClosest{ID: id})
 	if local.Done {
+		n.learnAnswer(n.self.ID, id, local.Node)
 		n.met.lookupHops.Observe(0)
 		return local.Node, 0, nil
 	}
@@ -61,6 +62,7 @@ func (n *Node) findSuccessorVia(ctx context.Context, seed transport.Addr, id dht
 func (n *Node) iterate(ctx context.Context, next NodeInfo, id dht.ID, hops int) (NodeInfo, int, error) {
 	prev := NodeInfo{}
 	deadRetries := 0
+	known := hops > 0 // Join's seed is an address whose ID is not known
 	for step := 0; step < maxLookupSteps; step++ {
 		resp, err := n.call(ctx, next.Addr, rpcFindClosest{ID: id})
 		if err != nil {
@@ -78,7 +80,7 @@ func (n *Node) iterate(ctx context.Context, next NodeInfo, id dht.ID, hops int) 
 			if local.Done {
 				return local.Node, hops, nil
 			}
-			prev, next = NodeInfo{}, local.Node
+			prev, next, known = NodeInfo{}, local.Node, true
 			continue
 		}
 		fc, ok := resp.(respFindClosest)
@@ -87,13 +89,16 @@ func (n *Node) iterate(ctx context.Context, next NodeInfo, id dht.ID, hops int) 
 		}
 		hops++
 		if fc.Done {
+			if known {
+				n.learnAnswer(next.ID, id, fc.Node)
+			}
 			return fc.Node, hops, nil
 		}
 		if fc.Node.zero() || (prev.Addr != "" && fc.Node.Addr == prev.Addr) {
 			// Routing is not making progress; accept the best known.
 			return fc.Node, hops, errors.New("chord: lookup made no progress")
 		}
-		prev, next = next, fc.Node
+		prev, next, known = next, fc.Node, true
 	}
 	return NodeInfo{}, hops, fmt.Errorf("chord: lookup for %d exceeded %d steps", id, maxLookupSteps)
 }
@@ -106,6 +111,7 @@ func (n *Node) purgeDeadLocked(dead NodeInfo) {
 			n.fingers[i] = NodeInfo{}
 		}
 	}
+	n.forgetArcsLocked(dead.Addr)
 	keep := n.successors[:0]
 	for _, s := range n.successors {
 		if s.Addr != dead.Addr {
@@ -118,17 +124,13 @@ func (n *Node) purgeDeadLocked(dead NodeInfo) {
 	n.successors = keep
 }
 
-// Insert implements dht.Overlay: route to the node responsible for
-// L(ref.ObjectID) and store the reference there. first reports whether
-// this was the object's first reference.
+// Insert implements dht.Overlay: store the reference at the node
+// responsible for L(ref.ObjectID). first reports whether this was the
+// object's first reference.
 func (n *Node) Insert(ctx context.Context, ref dht.Reference) (bool, error) {
-	addr, _, err := n.Lookup(ctx, dht.HashString(ref.ObjectID))
+	raw, err := n.refCall(ctx, "insert", ref.ObjectID, rpcInsertRef{Ref: ref})
 	if err != nil {
-		return false, fmt.Errorf("insert %q: %w", ref.ObjectID, err)
-	}
-	raw, err := n.call(ctx, addr, rpcInsertRef{Ref: ref})
-	if err != nil {
-		return false, fmt.Errorf("insert %q at %s: %w", ref.ObjectID, addr, err)
+		return false, err
 	}
 	ir, ok := raw.(respInsertRef)
 	if !ok {
@@ -140,13 +142,9 @@ func (n *Node) Insert(ctx context.Context, ref dht.Reference) (bool, error) {
 // Delete implements dht.Overlay: remove the reference from the
 // responsible node, reporting how many replicas remain.
 func (n *Node) Delete(ctx context.Context, ref dht.Reference) (int, error) {
-	addr, _, err := n.Lookup(ctx, dht.HashString(ref.ObjectID))
+	resp, err := n.refCall(ctx, "delete", ref.ObjectID, rpcDeleteRef{Ref: ref})
 	if err != nil {
-		return 0, fmt.Errorf("delete %q: %w", ref.ObjectID, err)
-	}
-	resp, err := n.call(ctx, addr, rpcDeleteRef{Ref: ref})
-	if err != nil {
-		return 0, fmt.Errorf("delete %q at %s: %w", ref.ObjectID, addr, err)
+		return 0, err
 	}
 	dr, ok := resp.(respDeleteRef)
 	if !ok {
@@ -161,13 +159,9 @@ func (n *Node) Delete(ctx context.Context, ref dht.Reference) (int, error) {
 // Read implements dht.Overlay: fetch all references for objectID from
 // the responsible node.
 func (n *Node) Read(ctx context.Context, objectID string) ([]dht.Reference, error) {
-	addr, _, err := n.Lookup(ctx, dht.HashString(objectID))
+	resp, err := n.refCall(ctx, "read", objectID, rpcReadRefs{ObjectID: objectID})
 	if err != nil {
-		return nil, fmt.Errorf("read %q: %w", objectID, err)
-	}
-	resp, err := n.call(ctx, addr, rpcReadRefs{ObjectID: objectID})
-	if err != nil {
-		return nil, fmt.Errorf("read %q at %s: %w", objectID, addr, err)
+		return nil, err
 	}
 	rr, ok := resp.(respReadRefs)
 	if !ok {

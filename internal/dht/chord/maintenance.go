@@ -102,6 +102,7 @@ func (n *Node) adoptSuccessorList(succ NodeInfo, tail []NodeInfo) {
 	}
 	n.successors = list
 	n.fingers[0] = list[0]
+	n.seedArcsLocked()
 }
 
 // CheckPredecessorOnce clears the predecessor pointer if it no longer

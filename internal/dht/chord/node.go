@@ -57,6 +57,7 @@ type Node struct {
 	fingers     [64]NodeInfo
 	nextFinger  int
 	refs        dht.RefStore
+	arcs        []arc // learned owners for reference RPCs, at most maxArcs
 	succHook    func(NodeInfo)
 	departHook  func(leaver, pred NodeInfo)
 
@@ -79,6 +80,7 @@ type nodeMetrics struct {
 	joins          *telemetry.Counter    // chord_joins_total
 	leaves         *telemetry.Counter    // chord_leaves_total
 	rpcHandled     *telemetry.CounterVec // chord_rpc_handled_total{type}
+	refRefusals    *telemetry.CounterVec // chord_ref_refusals_total{op}
 }
 
 func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
@@ -92,6 +94,7 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 		joins:          reg.Counter("chord_joins_total"),
 		leaves:         reg.Counter("chord_leaves_total"),
 		rpcHandled:     reg.CounterVec("chord_rpc_handled_total", "type"),
+		refRefusals:    reg.CounterVec("chord_ref_refusals_total", "op"),
 	}
 }
 

@@ -100,12 +100,14 @@ func TestRPCHandledLabelsAreTypeNames(t *testing.T) {
 	n.Create()
 	ctx := context.Background()
 
+	// The reference RPCs go before the notify: a singleton owns every
+	// key, the node it adopts as predecessor would take most of them.
 	rpcs := []any{
-		rpcFindClosest{ID: 7}, rpcGetPredecessor{}, rpcNotify{Candidate: NodeInfo{ID: 9, Addr: "c"}},
-		rpcGetSuccessorList{}, rpcPing{},
+		rpcFindClosest{ID: 7}, rpcGetPredecessor{}, rpcGetSuccessorList{}, rpcPing{},
 		rpcInsertRef{Ref: dht.Reference{ObjectID: "o", Holder: "h"}},
 		rpcDeleteRef{Ref: dht.Reference{ObjectID: "o", Holder: "h"}},
-		rpcReadRefs{ObjectID: "o"}, rpcHandoff{NewNode: NodeInfo{ID: 3, Addr: "n"}},
+		rpcReadRefs{ObjectID: "o"}, rpcNotify{Candidate: NodeInfo{ID: 9, Addr: "c"}},
+		rpcHandoff{NewNode: NodeInfo{ID: 3, Addr: "n"}},
 		rpcDepart{Leaver: NodeInfo{ID: 4, Addr: "l"}},
 	}
 	for _, rpc := range rpcs {

@@ -117,13 +117,16 @@ func (n *Node) Handler(ctx context.Context, from transport.Addr, body any) (any,
 		n.met.rpcHandled.Inc("chord.rpcInsertRef")
 		n.mu.Lock()
 		defer n.mu.Unlock()
+		if !n.ownsRefLocked(msg.Ref.ObjectID) {
+			return nil, errNotOwner
+		}
 		return respInsertRef{First: n.refs.Insert(msg.Ref)}, nil
 	case rpcDeleteRef:
 		n.met.rpcHandled.Inc("chord.rpcDeleteRef")
-		return n.handleDeleteRef(msg.Ref), nil
+		return n.handleDeleteRef(msg.Ref)
 	case rpcReadRefs:
 		n.met.rpcHandled.Inc("chord.rpcReadRefs")
-		return n.handleReadRefs(msg.ObjectID), nil
+		return n.handleReadRefs(msg.ObjectID)
 	case rpcHandoff:
 		n.met.rpcHandled.Inc("chord.rpcHandoff")
 		return n.handleHandoff(msg.NewNode), nil
@@ -188,18 +191,24 @@ func (n *Node) handleNotify(candidate NodeInfo) {
 	}
 }
 
-func (n *Node) handleDeleteRef(ref dht.Reference) respDeleteRef {
+func (n *Node) handleDeleteRef(ref dht.Reference) (any, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if !n.ownsRefLocked(ref.ObjectID) {
+		return nil, errNotOwner
+	}
 	found, remaining := n.refs.Delete(ref)
-	return respDeleteRef{Found: found, Remaining: remaining}
+	return respDeleteRef{Found: found, Remaining: remaining}, nil
 }
 
-func (n *Node) handleReadRefs(objectID string) respReadRefs {
+func (n *Node) handleReadRefs(objectID string) (any, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if !n.ownsRefLocked(objectID) {
+		return nil, errNotOwner
+	}
 	refs := n.refs.Refs(objectID)
-	return respReadRefs{Found: refs != nil, Refs: refs}
+	return respReadRefs{Found: refs != nil, Refs: refs}, nil
 }
 
 // handleHandoff transfers to the joining node every reference whose
@@ -243,8 +252,9 @@ func (n *Node) handleDepart(msg rpcDepart) {
 		}
 		n.fingers[0] = n.successors[0]
 	}
-	// Purge the leaver from fingers and the successor list so routing
-	// stops trying it.
+	// Purge the leaver from fingers, the successor list and the arc
+	// table so routing stops trying it.
+	n.forgetArcsLocked(msg.Leaver.Addr)
 	for i := range n.fingers {
 		if n.fingers[i].ID == msg.Leaver.ID {
 			n.fingers[i] = n.successors[0]
