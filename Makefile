@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke alloc-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke figures fmt vet nogob clean ci chaos loc hammer
+.PHONY: all build test race cover bench bench-smoke alloc-smoke crash-smoke load-smoke churn-smoke fuzz-smoke zipf-smoke prefix-smoke batch-smoke figures fmt vet nogob clean ci chaos loc hammer
 
 all: build test
 
@@ -13,9 +13,9 @@ all: build test
 # wire-decoder, listener-preamble, table, reference-store, Chord-decoder,
 # core-decoder, inverted-index-decoder, WAL-record and keyword-key fuzz
 # smokes, the Zipf
-# hotspot-storm smoke, the prefix-multicast smoke, and a single-iteration
-# benchmark smoke pass.
-ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke bench-smoke
+# hotspot-storm smoke, the prefix-multicast smoke, the wave-batching
+# study smoke, and a single-iteration benchmark smoke pass.
+ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke batch-smoke bench-smoke
 
 # Allocation budgets, run on their own so a regression names itself
 # instead of hiding in tier-1 time: bytes allocated per contacted
@@ -133,6 +133,15 @@ prefix-smoke:
 	$(GO) test -count=1 -run 'TestPrefix' ./internal/core/ ./internal/sim/
 	$(GO) run ./cmd/ksbench -fig prefix -objects 5000 | diff results/prefix.txt -
 
+# Wave-batching study smoke: the batch study (the one user of
+# BatchOff — one unit per frame — beside the tests) regenerated and
+# checked byte for byte against the recorded results/batch.txt: per
+# query the matches, logical messages and physical frames unbatched and
+# batched. The file holds the run's two stderr progress lines ahead of
+# the table, so both streams are compared.
+batch-smoke:
+	$(GO) run ./cmd/ksbench -fig batch 2>&1 | diff results/batch.txt -
+
 # Zipf hotspot-storm smoke: a short Zipf-popular query-log replay with
 # the full hot-vertex layer on (popularity cache, refinement reuse,
 # soft replication, client spreading), asserting byte-identical
@@ -150,8 +159,8 @@ zipf-smoke:
 # vertex must agree with a plain map model for every query class and
 # window. The DHT reference store: arbitrary insert/delete/refs/extract
 # sequences must agree with a nested-map model. The Chord decoders (wire
-# IDs 32-49), the index-protocol decoders (wire IDs 1-4, 7-12 and
-# 14-19) and the inverted-index decoders (wire IDs 64-69): a clean error
+# IDs 32-49), the index-protocol decoders (wire IDs 1-4, 7, 8, 11, 12
+# and 14-19) and the inverted-index decoders (wire IDs 64-69): a clean error
 # or a value that re-encodes to exactly the input, with allocation
 # bounded by the payload. The WAL/snapshot record reader: no panic, a
 # decoded prefix that re-encodes to its bytes, torn tails told apart
@@ -210,7 +219,7 @@ figures:
 	$(GO) run ./cmd/ksbench -fig 8 > results/fig8.txt
 	$(GO) run ./cmd/ksbench -fig 9 -fig9-max 60000 > results/fig9.txt
 	$(GO) run ./cmd/ksbench -fig ft > results/ft.txt
-	$(GO) run ./cmd/ksbench -fig batch > results/batch.txt
+	$(GO) run ./cmd/ksbench -fig batch > results/batch.txt 2>&1
 	$(GO) run ./cmd/ksbench -fig churn > results/churn.txt
 	$(GO) run ./cmd/ksbench -fig prefix -objects 5000 > results/prefix.txt
 

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/analytic"
+	"github.com/p2pkeyword/keysearch/internal/core"
 	"github.com/p2pkeyword/keysearch/internal/corpus"
 	"github.com/p2pkeyword/keysearch/internal/sim"
 )
@@ -418,7 +419,7 @@ func BenchmarkWaveBatching(b *testing.B) {
 		b.Skip("no size-1 query template")
 	}
 	q := qs[0]
-	build := func(mode BatchMode) *sim.Deployment {
+	build := func(mode core.BatchMode) *sim.Deployment {
 		d, err := sim.NewCustomDeployment(sim.DeployConfig{R: 10, Peers: 64, Batch: mode})
 		if err != nil {
 			b.Fatal(err)
@@ -429,9 +430,9 @@ func BenchmarkWaveBatching(b *testing.B) {
 		}
 		return d
 	}
-	off := build(BatchOff)
+	off := build(core.BatchOff)
 	defer off.Close()
-	on := build(BatchOn)
+	on := build(core.BatchOn)
 	defer on.Close()
 
 	ctx := context.Background()

@@ -60,7 +60,6 @@ func run(args []string) error {
 		fig9Max   = fs.Int("fig9-max", 0, "cap on replayed queries (0 = full log)")
 		fig9Res   = fs.Int("fig9-maxresults", 20, "result-size cap for fig 9 query templates (see EXPERIMENTS.md)")
 		telem     = fs.Bool("telemetry", false, "instrument the simulated deployments and print a JSON registry snapshot after the run")
-		batchOn   = fs.Bool("batch-waves", true, "coalesce parallel search waves into one RPC frame per distinct peer in the simulated deployments")
 		batchN    = fs.Int("batch-peers", 64, "physical fleet size for the 'batch' study")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -145,7 +144,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(out, "fig8 query log: top-10 templates account for %.1f%% of volume (paper: >60%%)\n\n",
 			100*log.TopShare(10))
-		if err := runFig8(out, c, log, parseInts(*fig8R), *fig8Q, reg, batchMode(*batchOn)); err != nil {
+		if err := runFig8(out, c, log, parseInts(*fig8R), *fig8Q, reg); err != nil {
 			return err
 		}
 	}
@@ -168,7 +167,7 @@ func run(args []string) error {
 		}
 	}
 	if want("costs") {
-		if err := runCosts(out, c, reg, batchMode(*batchOn)); err != nil {
+		if err := runCosts(out, c, reg); err != nil {
 			return err
 		}
 	}
@@ -546,11 +545,11 @@ func renderEq1(out *os.File) {
 	fmt.Fprintln(out)
 }
 
-func runFig8(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, perM int, reg *telemetry.Registry, batch core.BatchMode) error {
+func runFig8(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, perM int, reg *telemetry.Registry) error {
 	recalls := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 	for _, r := range rs {
 		fmt.Fprintf(os.Stderr, "fig8: deploying 2^%d index nodes and inserting corpus...\n", r)
-		d, err := sim.NewCustomDeployment(sim.DeployConfig{R: r, Telemetry: reg, Batch: batch})
+		d, err := sim.NewCustomDeployment(sim.DeployConfig{R: r, Telemetry: reg})
 		if err != nil {
 			return err
 		}
@@ -595,14 +594,6 @@ func runFig9(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, rs []int, max
 	return nil
 }
 
-// batchMode maps the -batch-waves flag onto the core knob.
-func batchMode(on bool) core.BatchMode {
-	if on {
-		return core.BatchOn
-	}
-	return core.BatchOff
-}
-
 // runBatchStudy measures physical-frame savings of wave batching on a
 // folded deployment: 2^10 logical vertices on a peers-node fleet.
 func runBatchStudy(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, peers int) error {
@@ -621,8 +612,8 @@ func runBatchStudy(out *os.File, c *corpus.Corpus, log *corpus.QueryLog, peers i
 	return nil
 }
 
-func runCosts(out *os.File, c *corpus.Corpus, reg *telemetry.Registry, batch core.BatchMode) error {
-	d, err := sim.NewCustomDeployment(sim.DeployConfig{R: 10, Telemetry: reg, Batch: batch})
+func runCosts(out *os.File, c *corpus.Corpus, reg *telemetry.Registry) error {
+	d, err := sim.NewCustomDeployment(sim.DeployConfig{R: 10, Telemetry: reg})
 	if err != nil {
 		return err
 	}

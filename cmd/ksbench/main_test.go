@@ -145,10 +145,11 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestTuningFlagsAreGone: each simulated server takes its lock stripes
-// from GOMAXPROCS and scans a frame on the goroutine that received it,
-// so neither is a flag.
+// from GOMAXPROCS, scans a frame on the goroutine that received it and
+// batches its waves (only the batch study turns batching off), so none
+// of them is a flag.
 func TestTuningFlagsAreGone(t *testing.T) {
-	for _, name := range []string{"-shards", "-scan-parallelism"} {
+	for _, name := range []string{"-shards", "-scan-parallelism", "-batch-waves"} {
 		err := run([]string{name, "4"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("run(%s 4) = %v, want an unknown-flag error", name, err)

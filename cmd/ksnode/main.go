@@ -58,7 +58,6 @@ func run(args []string) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (empty = disabled)")
 		resilient   = fs.Bool("resilience", true, "retry/backoff and circuit breakers on outbound RPCs")
 		hedgeAfter  = fs.Duration("hedge-after", 0, "duplicate still-unanswered read-only RPCs after this delay (0 = no hedging; requires -resilience)")
-		batchWaves  = fs.Bool("batch-waves", true, "coalesce parallel search waves into one RPC frame per distinct peer")
 		dataDir     = fs.String("data-dir", "", "durable index state directory: WAL + snapshots, replayed on restart (empty = in-memory only)")
 		fsyncPolicy = fs.String("fsync", "interval", "WAL flush policy with -data-dir: always | interval | off")
 		snapEvery   = fs.Int("snapshot-every", 0, "compact the WAL into a snapshot after this many mutations (0 = default, negative = never)")
@@ -110,10 +109,6 @@ func run(args []string) error {
 		p.HedgeDelay = *hedgeAfter
 		pol = &p
 	}
-	batch := keysearch.BatchOn
-	if !*batchWaves {
-		batch = keysearch.BatchOff
-	}
 	var adm *keysearch.AdmissionPolicy
 	if *admissionOn {
 		adm = &keysearch.AdmissionPolicy{
@@ -133,7 +128,6 @@ func run(args []string) error {
 		MaintenanceInterval: 500 * time.Millisecond,
 		Telemetry:           reg,
 		Resilience:          pol,
-		BatchWaves:          batch,
 		DataDir:             *dataDir,
 		FsyncPolicy:         *fsyncPolicy,
 		SnapshotEvery:       *snapEvery,
@@ -335,6 +329,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		}
 		if ms.CheckpointFailures > 0 {
 			fmt.Printf("migration: %d failed checkpoints, last: %s\n", ms.CheckpointFailures, ms.LastCheckpointError)
+		}
+		if ms.RelayFailures > 0 {
+			fmt.Printf("migration: %d failed relays, last: %s\n", ms.RelayFailures, ms.LastRelayError)
 		}
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])

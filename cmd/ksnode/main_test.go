@@ -194,12 +194,12 @@ func TestDispatchUsageErrors(t *testing.T) {
 }
 
 // TestTuningFlagsAreGone: lock stripes and listener workers come from
-// GOMAXPROCS, a frame is scanned on the goroutine that received it, and
-// the migration byte cap, the hot
+// GOMAXPROCS, a frame is scanned on the goroutine that received it, a
+// peer always batches its waves, and the migration byte cap, the hot
 // cache's capacity and the promotion threshold are fixed, so none of
 // them is a flag.
 func TestTuningFlagsAreGone(t *testing.T) {
-	for _, name := range []string{"-shards", "-scan-parallelism", "-listen-workers", "-migrate-chunk-bytes", "-cache-target-hit", "-hot-threshold"} {
+	for _, name := range []string{"-shards", "-scan-parallelism", "-listen-workers", "-migrate-chunk-bytes", "-cache-target-hit", "-hot-threshold", "-batch-waves"} {
 		err := run([]string{name, "4"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("run(%s 4) = %v, want an unknown-flag error", name, err)

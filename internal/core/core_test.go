@@ -12,9 +12,14 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // deployment wires servers for every physical node of a test cluster
 // over an in-memory network, with vertices spread round-robin.

@@ -10,18 +10,17 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// liveWireIDs are the index protocol's registered type IDs; 5, 6 and 13
-// are retired.
+// liveWireIDs are the index protocol's registered type IDs; 5, 6, 9, 10
+// and 13 are retired.
 var liveWireIDs = []uint16{
 	wireMsgInsertEntry, wireRespAck, wireMsgDeleteEntry, wireRespDeleteEntry,
-	wireMsgTQuery, wireRespTQuery, wireMsgSubQuery, wireRespSubQuery,
-	wireMsgSubQueryBatch, wireRespSubQueryBatch,
+	wireMsgTQuery, wireRespTQuery, wireMsgSubQueryBatch, wireRespSubQueryBatch,
 	wireMsgMigrateChunk, wireRespMigrateChunk, wireMsgMigrateCommit, wireRespMigrateCommit,
 	wireMsgSoftPromote, wireMsgSoftInvalidate,
 }
 
-// FuzzCoreDecode fuzzes every index-protocol decoder, wire IDs 1–4, 7–12
-// and 14–19: the first input byte picks the ID (modulo the live set),
+// FuzzCoreDecode fuzzes every index-protocol decoder, wire IDs 1–4, 7, 8,
+// 11, 12 and 14–19: the first input byte picks the ID (modulo the live set),
 // the rest is the payload. Arbitrary bytes must give a clean error —
 // trailing bytes count, as they do in a frame — or a value that
 // re-encodes to exactly the input. The codecs reject the non-canonical
@@ -48,8 +47,8 @@ func FuzzCoreDecode(f *testing.F) {
 		respDeleteEntry{Found: true},
 		msgTQuery{Instance: "main", Dim: 8, Vertex: 3, QueryKey: "a", Threshold: 10, Class: ClassPrefix, DimMask: 6},
 		respTQuery{Matches: matches, Exhausted: true, SubNodes: 4, Trace: []TraceStep{{Vertex: 1, Matches: 2}}, SoftAddrs: []string{"x"}},
-		msgSubQuery{Instance: "main", Vertex: 9, Root: 1, QueryKey: "a", Limit: -1, Skip: 2, Relay: true},
-		respSubQuery{Matches: matches, Remaining: 3},
+		msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: "a", Limit: -1, Units: []wireUnit{{Vertex: 9, Skip: 2}}, Relay: true},
+		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Remaining: 3}}},
 		msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: "a", Limit: 5, Units: []wireUnit{{Vertex: 2, Skip: 3}}},
 		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Remaining: 1}, {Index: 4, ErrCode: 2}}},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500},

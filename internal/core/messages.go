@@ -108,45 +108,23 @@ type (
 		SoftAddrs []string
 	}
 
-	// msgSubQuery is the root's per-node step (the paper's
-	// T_QUERY(K, c, u, d, v) sent to a frontier node w). The receiver
-	// examines the index table of Vertex for entries K' ⊇ QueryKey and
-	// returns up to Limit matches after skipping Skip of them. Its reply
-	// is the paper's T_CONT less the child list
+	// msgSubQueryBatch is the root's per-node step (the paper's
+	// T_QUERY(K, c, u, d, v) sent to a frontier node w), for one or more
+	// nodes a peer hosts: a batched wave coalesces every unit destined
+	// for the same physical peer into one frame, and a per-vertex send is
+	// a one-unit frame. For each unit the receiver examines the index
+	// table of its Vertex for entries matching QueryKey under Class and
+	// returns up to Limit matches after skipping the unit's Skip. Its
+	// reply is the paper's T_CONT less the child list
 	// L = {(x, i) : i < d, i ∈ Zero(w)}: L depends only on what the root
 	// sent, so the root generates it itself (session.appendChildren).
-	msgSubQuery struct {
-		Instance string
-		Vertex   uint64
-		Root     uint64 // the query's root vertex F_h(K) in this instance
-		QueryKey string
-		Limit    int
-		Skip     int
-		// Relay marks a double-read forwarded by the new owner of an
-		// in-flight range to the old owner, whose table stays complete
-		// until commit: the receiver skips its ownership check, answers
-		// from its local tables and never re-relays.
-		Relay bool
-		// Class selects the match predicate applied to the vertex's
-		// table (zero value = ClassSuperset; QueryKey's meaning follows
-		// msgTQuery.Class).
-		Class QueryClass
-	}
-	respSubQuery struct {
-		Matches   []Match
-		Remaining int // matches at this node beyond the returned window
-	}
-
-	// msgSubQueryBatch coalesces an entire wave's worth of msgSubQuery
-	// work units destined for the same physical peer into one RPC
-	// frame. Each unit is the exact payload a standalone msgSubQuery
-	// would have carried; the receiver tests every unit's ownership
-	// against one reading of its owned arc and reports per-unit outcomes
-	// so the root's failure accounting (Lemma 3.2) is unchanged. The
-	// batch as a whole is read-only and therefore hedgeable.
+	// The receiver tests every unit's ownership against one reading of
+	// its owned arc and reports per-unit outcomes so the root's failure
+	// accounting (Lemma 3.2) is the same however the units were framed.
+	// The frame is read-only and therefore hedgeable.
 	msgSubQueryBatch struct {
 		Instance string
-		Root     uint64
+		Root     uint64 // the query's root vertex F_h(K) in this instance
 		QueryKey string
 		Limit    int
 		Units    []wireUnit
@@ -156,8 +134,14 @@ type (
 		// root's search has expired.
 		DeadlineUnixNano int64
 		// Class selects the match predicate for every unit of the frame
-		// (zero value = ClassSuperset).
+		// (zero value = ClassSuperset; QueryKey's meaning follows
+		// msgTQuery.Class).
 		Class QueryClass
+		// Relay marks a double-read forwarded by the new owner of an
+		// in-flight range to the old owner, whose table stays complete
+		// until commit: the receiver skips its ownership check, answers
+		// from its local tables and never re-relays.
+		Relay bool
 	}
 
 	// wireUnit is one logical sub-query inside a batch.
@@ -176,11 +160,11 @@ type (
 		Hits []respSubUnit
 	}
 
-	// respSubUnit mirrors respSubQuery for the batched unit at Index.
-	// ErrCode is nonzero when this particular vertex could not be served
-	// (e.g. the peer no longer owns it after a ring change); the root
-	// then falls back to a per-unit send with the usual resolve-retry
-	// path.
+	// respSubUnit is the answer for the unit at Index: its matches and
+	// the matches beyond the returned window. ErrCode is nonzero when
+	// this particular vertex could not be served (e.g. the peer no
+	// longer owns it after a ring change); the root then falls back to a
+	// one-unit send with the usual resolve-retry path.
 	respSubUnit struct {
 		Index     int
 		Matches   []Match
@@ -279,7 +263,7 @@ type (
 // middleware via SetReadOnly (combine layers with resilience.AnyOf).
 func ReadOnlyMessage(body any) bool {
 	switch m := body.(type) {
-	case msgSubQuery, msgSubQueryBatch, msgMigrateChunk:
+	case msgSubQueryBatch, msgMigrateChunk:
 		return true
 	case msgTQuery:
 		return !m.Cumulative && m.SessionID == 0

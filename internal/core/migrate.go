@@ -104,6 +104,12 @@ type MigrationStats struct {
 	// LastCheckpointError is the latest cause.
 	CheckpointFailures  uint64
 	LastCheckpointError string
+	// RelayFailures counts double-reads the old owner did not answer
+	// (unreachable, refused or malformed): the vertex was answered from
+	// the local half alone. LastRelayError is the latest source and
+	// cause.
+	RelayFailures  uint64
+	LastRelayError string
 }
 
 // migKey identifies one migration: the range bounds the puller asks
@@ -129,10 +135,31 @@ type migrateMetrics struct {
 	resumes     *telemetry.Counter
 	doubleReads *telemetry.Counter
 	commits     *telemetry.Counter
-	failures    *telemetry.Counter
-	flushFails  *telemetry.Counter
+}
 
-	checkpointFails *telemetry.Counter
+// failureLog counts one kind of migration failure: a total, its
+// telemetry counter, and the latest cause.
+type failureLog struct {
+	c     *telemetry.Counter
+	mu    sync.Mutex
+	n     uint64
+	cause string
+}
+
+// note counts one failure with its cause.
+func (f *failureLog) note(cause string) {
+	f.mu.Lock()
+	f.n++
+	f.cause = cause
+	f.mu.Unlock()
+	f.c.Inc()
+}
+
+// read returns the total and the latest cause, empty when none.
+func (f *failureLog) read() (uint64, string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.n, f.cause
 }
 
 // migrationManager owns the server's inbound migrations: the worker
@@ -151,11 +178,11 @@ type migrationManager struct {
 	active    map[migKey]*migration
 	recovered map[migKey]wireCursor
 	closed    bool
-	lastAbort string // source and cause of the latest aborted migration
-	lastFlush string // cause of the latest failed tombstone delete
-	// lastCheckpoint is the cause of the latest failed checkpoint append.
-	lastCheckpoint string
-	wg             sync.WaitGroup
+	wg        sync.WaitGroup
+
+	// The failures MigrationStats reports: aborted pulls, tombstone
+	// deletes, checkpoint appends and relayed double-reads.
+	aborts, flushFails, checkpointFails, relayFails failureLog
 
 	// windowCount is |active| + |recovered|: the number of open
 	// double-read windows. Hot read paths gate on this single atomic,
@@ -178,10 +205,6 @@ type migrationManager struct {
 	nResumes     atomic.Uint64
 	nDoubleReads atomic.Uint64
 	nCommits     atomic.Uint64
-	nFailures    atomic.Uint64
-	nFlushFails  atomic.Uint64
-
-	nCheckpointFails atomic.Uint64
 }
 
 func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry) *migrationManager {
@@ -201,12 +224,12 @@ func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry
 			resumes:     reg.Counter("migrate_resumes_total"),
 			doubleReads: reg.Counter("migrate_double_reads_total"),
 			commits:     reg.Counter("migrate_commits_total"),
-			failures:    reg.Counter("migrate_failures_total"),
-			flushFails:  reg.Counter("migrate_tombstone_flush_failures_total"),
-
-			checkpointFails: reg.Counter("migrate_checkpoint_failures_total"),
 		},
 	}
+	m.aborts.c = reg.Counter("migrate_failures_total")
+	m.flushFails.c = reg.Counter("migrate_tombstone_flush_failures_total")
+	m.checkpointFails.c = reg.Counter("migrate_checkpoint_failures_total")
+	m.relayFails.c = reg.Counter("migrate_relay_failures_total")
 	if reg != nil {
 		reg.GaugeFunc("migrate_active", func() int64 { return int64(m.activeCount.Load()) })
 	}
@@ -244,10 +267,9 @@ func (s *Server) MigrationStats() MigrationStats {
 		return MigrationStats{}
 	}
 	m.mu.Lock()
-	active, recovered, lastAbort, lastFlush := len(m.active), len(m.recovered), m.lastAbort, m.lastFlush
-	lastCheckpoint := m.lastCheckpoint
+	active, recovered := len(m.active), len(m.recovered)
 	m.mu.Unlock()
-	return MigrationStats{
+	st := MigrationStats{
 		Active:      active,
 		Recovered:   recovered,
 		Chunks:      m.nChunks.Load(),
@@ -256,15 +278,12 @@ func (s *Server) MigrationStats() MigrationStats {
 		Resumes:     m.nResumes.Load(),
 		DoubleReads: m.nDoubleReads.Load(),
 		Commits:     m.nCommits.Load(),
-		Failures:    m.nFailures.Load(),
-		LastAbort:   lastAbort,
-
-		FlushFailures:  m.nFlushFails.Load(),
-		LastFlushError: lastFlush,
-
-		CheckpointFailures:  m.nCheckpointFails.Load(),
-		LastCheckpointError: lastCheckpoint,
 	}
+	st.Failures, st.LastAbort = m.aborts.read()
+	st.FlushFailures, st.LastFlushError = m.flushFails.read()
+	st.CheckpointFailures, st.LastCheckpointError = m.checkpointFails.read()
+	st.RelayFailures, st.LastRelayError = m.relayFails.read()
+	return st
 }
 
 // WaitMigrationsIdle blocks until no migration is actively pulling (or
@@ -409,11 +428,7 @@ func (m *migrationManager) abort(mig *migration, err error) {
 	if m.ctx.Err() != nil {
 		return
 	}
-	m.mu.Lock()
-	m.lastAbort = fmt.Sprintf("pull from %s: %v", mig.key.source, err)
-	m.mu.Unlock()
-	m.nFailures.Add(1)
-	m.met.failures.Inc()
+	m.aborts.note(fmt.Sprintf("pull from %s: %v", mig.key.source, err))
 	m.logRecord(mig.key, wireCursor{}, true)
 }
 
@@ -448,11 +463,7 @@ func (m *migrationManager) flushTombstones() {
 	m.tombMu.RUnlock()
 	for _, t := range list {
 		if _, err := m.s.deleteEntry(t.Instance, hypercube.Vertex(t.Vertex), t.SetKey, t.ObjectID); err != nil {
-			m.mu.Lock()
-			m.lastFlush = fmt.Sprintf("delete %s/%d %q %q: %v", t.Instance, t.Vertex, t.SetKey, t.ObjectID, err)
-			m.mu.Unlock()
-			m.nFlushFails.Add(1)
-			m.met.flushFails.Inc()
+			m.flushFails.note(fmt.Sprintf("delete %s/%d %q %q: %v", t.Instance, t.Vertex, t.SetKey, t.ObjectID, err))
 		}
 	}
 }
@@ -608,11 +619,7 @@ func (m *migrationManager) logRecord(key migKey, cur wireCursor, done bool) {
 		SetKey: cur.SetKey, ObjectID: cur.ObjectID,
 	}, func() {})
 	if err != nil {
-		m.mu.Lock()
-		m.lastCheckpoint = fmt.Sprintf("checkpoint pull from %s: %v", key.source, err)
-		m.mu.Unlock()
-		m.nCheckpointFails.Add(1)
-		m.met.checkpointFails.Inc()
+		m.checkpointFails.note(fmt.Sprintf("checkpoint pull from %s: %v", key.source, err))
 	}
 }
 
@@ -832,20 +839,29 @@ func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, instance stri
 	for _, mt := range merged {
 		seen[mk{mt.SetKey, mt.ObjectID}] = struct{}{}
 	}
-	msg := msgSubQuery{Instance: instance, Vertex: uint64(v), Root: uint64(root),
-		QueryKey: pred.key, Class: pred.class, Limit: -1, Relay: true}
+	msg := msgSubQueryBatch{Instance: instance, Root: uint64(root), QueryKey: pred.key,
+		Class: pred.class, Limit: -1, Units: []wireUnit{{Vertex: uint64(v)}}, Relay: true}
+	if dl, ok := ctx.Deadline(); ok {
+		msg.DeadlineUnixNano = dl.UnixNano()
+	}
 	for _, src := range srcs {
 		s.migrate.nDoubleReads.Add(1)
 		s.migrate.met.doubleReads.Inc()
 		raw, err := s.cfg.Sender.Send(ctx, src, msg)
+		resp, ok := raw.(respSubQueryBatch)
+		if err == nil && (!ok || !resp.fits(1) || len(resp.Hits) == 1 && resp.Hits[0].ErrCode != errCodeNone) {
+			err = fmt.Errorf("unexpected answer %T %+v", raw, raw)
+		}
 		if err != nil {
+			// The vertex is answered from the local half alone.
+			s.migrate.relayFails.note(fmt.Sprintf("relay to %s: %v", src, err))
 			continue
 		}
-		resp, ok := raw.(respSubQuery)
-		if !ok {
-			continue
+		var matches []Match
+		if len(resp.Hits) == 1 {
+			matches = resp.Hits[0].Matches
 		}
-		for _, mt := range resp.Matches {
+		for _, mt := range matches {
 			k := mk{mt.SetKey, mt.ObjectID}
 			if _, dup := seen[k]; dup {
 				continue

@@ -14,6 +14,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/admission"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -395,6 +396,47 @@ func TestCheckpointFailureCounted(t *testing.T) {
 	}
 }
 
+// TestRelayFailureCounted: a double-read whose old owner cannot be
+// reached is counted in MigrationStats and telemetry with the source
+// and the cause; the vertex is answered from the local half alone. The
+// window is a recovered cursor nobody resumes, so it stays open on a
+// source that was never bound.
+func TestRelayFailureCounted(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	reg := telemetry.New(1)
+	dst, err := NewServer(ServerConfig{
+		Hasher:    keyword.MustNewHasher(6, 42),
+		Resolver:  FuncResolver(func(v hypercube.Vertex) transport.Addr { return "unused" }),
+		Sender:    net,
+		Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.Close() })
+	const inst, v = "main", hypercube.Vertex(3)
+	key := keyword.NewSet("a").Key()
+	if err := dst.insertEntry(inst, v, key, "local-0"); err != nil {
+		t.Fatal(err)
+	}
+	dst.migrate.applyRecoveredRecord(store.Record{Op: store.OpMigrate, NewID: wholeRingNew, OwnerID: wholeRingOwner, Source: "gone"})
+
+	if got := pinVia(t, dst, inst, v, key); !equalStrings(got, []string{"local-0"}) {
+		t.Fatalf("pin with the old owner gone = %v, want the local half [local-0]", got)
+	}
+	st := dst.MigrationStats()
+	if st.DoubleReads != 1 || st.RelayFailures != 1 {
+		t.Fatalf("stats = %+v; want 1 double-read, 1 relay failure", st)
+	}
+	if !strings.Contains(st.LastRelayError, "gone") || !strings.Contains(st.LastRelayError, "unreachable") {
+		t.Fatalf("LastRelayError = %q; want the cause, naming the source", st.LastRelayError)
+	}
+	if got := reg.Snapshot().Counters["migrate_relay_failures_total"]; got != 1 {
+		t.Fatalf("migrate_relay_failures_total = %d, want 1", got)
+	}
+}
+
 // TestMigrateAbortOnDeadSource: a source that never answers exhausts
 // the bounded retries, the migration aborts (failure counted), and the
 // window closes — it must not wedge open forever.
@@ -678,9 +720,9 @@ func TestGateInfoMigrationTrafficUngated(t *testing.T) {
 	}{
 		{msgMigrateChunk{}, false},
 		{msgMigrateCommit{}, false},
-		{msgSubQuery{Relay: true, Class: ClassPin}, false}, // the relayed half of a pin
-		{msgSubQuery{Relay: true}, false},
-		{msgSubQuery{}, false}, // wave traffic, always interior
+		{msgSubQueryBatch{Relay: true, Class: ClassPin}, false}, // the relayed half of a pin
+		{msgSubQueryBatch{Relay: true}, false},
+		{msgSubQueryBatch{}, false}, // wave traffic, always interior
 		{msgTQuery{Class: ClassPin}, true},
 		{msgInsertEntry{}, true},
 		{msgDeleteEntry{}, true},
@@ -726,13 +768,13 @@ func TestMigrationAdmittedUnderOverload(t *testing.T) {
 	if _, err := srv.Handler(ctx, "", msgTQuery{Instance: "main", Vertex: 1, QueryKey: setKey, Class: ClassPin, Threshold: All}); err == nil {
 		t.Fatalf("gated pin admitted while controller saturated")
 	}
-	raw, err := srv.Handler(ctx, "", msgSubQuery{Instance: "main", Vertex: 1, Root: 1, QueryKey: setKey,
-		Class: ClassPin, Limit: -1, Relay: true})
+	raw, err := srv.Handler(ctx, "", msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: setKey,
+		Class: ClassPin, Limit: -1, Units: []wireUnit{{Vertex: 1}}, Relay: true})
 	if err != nil {
 		t.Fatalf("relayed pin gated under overload: %v", err)
 	}
-	if got := pinIDs(raw.(respSubQuery).Matches); !equalStrings(got, []string{"o1"}) {
-		t.Fatalf("relayed pin answered %v, want [o1]", got)
+	if resp := raw.(respSubQueryBatch); len(resp.Hits) != 1 || !equalStrings(pinIDs(resp.Hits[0].Matches), []string{"o1"}) {
+		t.Fatalf("relayed pin answered %+v, want [o1]", resp.Hits)
 	}
 	if _, err := srv.Handler(ctx, "", msgMigrateChunk{NewID: wholeRingNew, OwnerID: wholeRingOwner, MaxEntries: 10, MaxBytes: 1 << 20}); err != nil {
 		t.Fatalf("migrate chunk gated under overload: %v", err)

@@ -204,15 +204,15 @@ func refusedOwnership(err error) bool {
 const maxOwnerSends = 7
 
 // sendToVertex resolves v and delivers body to its owner — one rule for
-// inserts, deletes, T_QUERY and a batch's per-unit fallback. Any failure
-// is retried once through a fresh resolution: the cached binding has
-// gone stale (the node departed and its key range re-homed). An
-// ownership refusal is a ring mid-join — the lookup and the target's
-// arc disagree for longer than one re-resolution — so it is retried
-// until maxOwnerSends, re-resolving after a doubling pause each time. A
-// transport failure is not: the resilience layer below already spent
-// its retries on it. The int result counts the frames actually handed
-// to the transport.
+// inserts, deletes, T_QUERY and a one-unit sub-query. Any failure is
+// retried once through a fresh resolution: the cached binding has gone
+// stale (the node departed and its key range re-homed). An ownership
+// refusal — ErrNotOwner, or a sub-query reply refusing its one unit — is
+// a ring mid-join: the lookup and the target's arc disagree for longer
+// than one re-resolution, so it is retried until maxOwnerSends,
+// re-resolving after a doubling pause each time. A transport failure is
+// not: the resilience layer below already spent its retries on it. The
+// int result counts the frames actually handed to the transport.
 func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sender, instance string, v hypercube.Vertex, body any) (any, int, error) {
 	inv, _ := resolver.(*OverlayResolver)
 	for sends := 0; ; {
@@ -222,6 +222,9 @@ func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sende
 		}
 		sends++
 		resp, err := sender.Send(ctx, addr, body)
+		if err == nil && unitRefused(resp) {
+			err = ErrNotOwner
+		}
 		if err == nil {
 			return resp, sends, nil
 		}
@@ -238,6 +241,13 @@ func sendToVertex(ctx context.Context, resolver Resolver, sender transport.Sende
 			}
 		}
 	}
+}
+
+// unitRefused reports a sub-query reply refusing its one unit: the
+// per-unit form of ErrNotOwner.
+func unitRefused(resp any) bool {
+	r, ok := resp.(respSubQueryBatch)
+	return ok && len(r.Hits) == 1 && r.Hits[0].ErrCode == errCodeNotOwner
 }
 
 // Invalidate forgets the cached binding for v in the given instance.

@@ -19,13 +19,14 @@ const (
 	errCodeNone = iota
 	errCodeNoSession
 	// errCodeNotOwner flags one unit of a msgSubQueryBatch whose vertex
-	// the receiving peer no longer owns; the root retries that unit on
-	// the per-message path, which heals stale resolver bindings.
+	// the receiving peer no longer owns; the root retries that unit in a
+	// frame of its own through sendToVertex, which heals stale resolver
+	// bindings.
 	errCodeNotOwner
 	// errCodeCancelled flags a batch unit the receiver skipped because
 	// the search's deadline had already expired when its turn came. The
-	// root must NOT retry such units per-message — the whole search is
-	// being abandoned.
+	// root must NOT retry such units — the whole search is being
+	// abandoned.
 	errCodeCancelled
 	// errCodeNoRefineState rejects an explicit refinement request
 	// (msgTQuery.RefineFromKey) whose receiver holds no usable cached
@@ -375,8 +376,8 @@ func newSession(q *rootQuery, soft *table) (*session, error) {
 //
 // How a wave is dispatched changes only the physical framing, never
 // what the consume loop sees. Width-1 waves and BatchOff send one
-// msgSubQuery per vertex; ParallelLevels with BatchOn sends one
-// msgSubQueryBatch per distinct physical peer and, once flattenTail says
+// one-unit msgSubQueryBatch per vertex; ParallelLevels with BatchOn
+// sends one per distinct physical peer and, once flattenTail says
 // another level-synchronous round could only confirm what the rounds of
 // the branch so far predict, sends the whole rest of the branch as a
 // single mega-wave — the root generates every SBT child list itself
@@ -564,28 +565,63 @@ func resized[T any](buf []T, n int) []T {
 }
 
 // visit scans one work unit: in place when it is the root vertex this
-// server answers for, via a T_QUERY/T_CONT round trip otherwise.
+// server answers for, via a one-unit T_QUERY/T_CONT frame otherwise. A
+// unit its peer refuses takes sendToVertex's ownership retry, like any
+// refused request.
 func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) waveHit {
 	if u.vertex == sess.root {
 		return s.scanLocal(ctx, ownedArc{}, sess, u, limit)
 	}
-	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex, msgSubQuery{
+	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex,
+		sess.frame(ctx, limit, []wireUnit{{Vertex: uint64(u.vertex), Skip: u.skip}}))
+	resp, ok := raw.(respSubQueryBatch)
+	switch {
+	case err != nil:
+	case !ok || !resp.fits(1):
+		err = fmt.Errorf("core: unexpected sub-query response %T", raw)
+	case len(resp.Hits) == 1:
+		hit, retry := unitHit(ctx, &resp.Hits[0])
+		if !retry {
+			hit.frames = frames
+			return hit
+		}
+		err = fmt.Errorf("core: sub-query unit refused with code %d", resp.Hits[0].ErrCode)
+	}
+	return waveHit{frames: frames, err: err}
+}
+
+// frame is the sub-query frame asking for units of sess's query, with
+// ctx's deadline.
+func (sess *session) frame(ctx context.Context, limit int, units []wireUnit) msgSubQueryBatch {
+	msg := msgSubQueryBatch{
 		Instance: sess.instance,
-		Vertex:   uint64(u.vertex),
 		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
 		Limit:    limit,
-		Skip:     u.skip,
+		Units:    units,
 		Class:    sess.pred.class,
-	})
-	if err != nil {
-		return waveHit{frames: frames, err: err}
 	}
-	sq, ok := raw.(respSubQuery)
-	if !ok {
-		return waveHit{frames: frames, err: fmt.Errorf("core: unexpected sub-query response %T", raw)}
+	if dl, ok := ctx.Deadline(); ok {
+		msg.DeadlineUnixNano = dl.UnixNano()
 	}
-	return waveHit{matches: sq.Matches, remaining: sq.Remaining, frames: frames}
+	return msg
+}
+
+// unitHit is the wave hit of one answered unit. retry reports a unit
+// its peer could not serve while the search can still use it: the root
+// sends it again on its own.
+func unitHit(ctx context.Context, r *respSubUnit) (hit waveHit, retry bool) {
+	switch {
+	case r.ErrCode == errCodeNone:
+		return waveHit{matches: r.Matches, remaining: r.Remaining}, false
+	case ctx.Err() != nil:
+		// The search itself is dead; retries would only spray doomed
+		// frames at an already loaded peer.
+		return waveHit{err: ctx.Err()}, false
+	case r.ErrCode == errCodeCancelled:
+		return waveHit{err: context.DeadlineExceeded}, false
+	}
+	return waveHit{}, true
 }
 
 // scanLocal answers a unit from this server's own tables, with no
@@ -654,9 +690,9 @@ func expandFrontier(dst []workUnit, sess *session, frontier []workUnit) []workUn
 // dispatching server can answer itself — the query root, plus any
 // vertex resolving to the root's own address — are scanned locally with
 // no frame at all. Any unit a batch cannot serve (transport failure, or
-// per-unit ownership error) falls back to the per-message visit path
-// with its resolve-retry healing, so failure semantics are identical to
-// the unbatched mode.
+// per-unit ownership error) falls back to a one-unit visit with its
+// resolve-retry healing, so failure semantics are identical to the
+// unbatched mode.
 func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUnit, limit int, sc *waveScratch) int {
 	// The whole wave is resolved positionally, so addrs[i] belongs to
 	// wave[i] with no index slice in between. That includes a root this
@@ -751,21 +787,10 @@ type peerBatch struct {
 // sendBatch sends one coalesced msgSubQueryBatch frame carrying units —
 // the work units at positions idx of wave — and writes their hits to
 // hits at those positions. Units the batch could not serve are retried
-// on the per-message path and carry those frames in their own hits.
+// one unit per frame (visit) and carry those frames in their own hits.
 func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, units []wireUnit, wave []workUnit, limit int, hits []waveHit) {
-	msg := msgSubQueryBatch{
-		Instance: sess.instance,
-		Root:     uint64(sess.root),
-		QueryKey: sess.pred.key,
-		Limit:    limit,
-		Units:    units,
-		Class:    sess.pred.class,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
 	s.met.batchSize.Observe(int64(len(units)))
-	raw, err := s.cfg.Sender.Send(ctx, addr, msg)
+	raw, err := s.cfg.Sender.Send(ctx, addr, sess.frame(ctx, limit, units))
 	resp, shapeOK := raw.(respSubQueryBatch)
 	if err != nil || !shapeOK || !resp.fits(len(units)) {
 		// The whole frame failed (peer down, partitioned, or answered
@@ -779,19 +804,10 @@ func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Ad
 	} else {
 		s.met.coalesced.Add(uint64(len(units) - 1))
 	}
-	cerr := ctx.Err()
-	for _, r := range resp.Hits {
-		i := idx[r.Index]
-		switch {
-		case r.ErrCode == errCodeNone:
-			hits[i] = waveHit{matches: r.Matches, remaining: r.Remaining}
-		case cerr != nil:
-			// The search itself is dead; per-unit retries would only
-			// spray doomed frames at an already loaded peer.
-			hits[i].err = cerr
-		case r.ErrCode == errCodeCancelled:
-			hits[i].err = context.DeadlineExceeded
-		default:
+	for j := range resp.Hits {
+		i := idx[resp.Hits[j].Index]
+		var retry bool
+		if hits[i], retry = unitHit(ctx, &resp.Hits[j]); retry {
 			hits[i] = s.visit(ctx, sess, wave[i], limit)
 		}
 	}

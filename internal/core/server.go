@@ -32,8 +32,8 @@ const (
 	BatchAuto BatchMode = iota
 	// BatchOn coalesces each wave into one RPC frame per distinct peer.
 	BatchOn
-	// BatchOff dispatches one msgSubQuery per frontier vertex (the
-	// paper's literal per-node exchange).
+	// BatchOff sends one unit per frame: a one-unit msgSubQueryBatch
+	// per frontier vertex (the paper's literal per-node exchange).
 	BatchOff
 )
 
@@ -278,7 +278,6 @@ type serverMetrics struct {
 	opInsert    *telemetry.Counter // core_ops_total{op=…}
 	opDelete    *telemetry.Counter
 	opPin       *telemetry.Counter
-	opSub       *telemetry.Counter
 	opSubBatch  *telemetry.Counter
 	opMigChunk  *telemetry.Counter
 	opMigCommit *telemetry.Counter
@@ -327,7 +326,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		opInsert:      ops.With("insert"),
 		opDelete:      ops.With("delete"),
 		opPin:         ops.With("pin-search"),
-		opSub:         ops.With("sub-query"),
 		opSubBatch:    ops.With("sub-query-batch"),
 		opMigChunk:    ops.With("migrate-chunk"),
 		opMigCommit:   ops.With("migrate-commit"),
@@ -570,20 +568,11 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			return nil, err
 		}
 		return respDeleteEntry{Found: found}, nil
-	case msgSubQuery:
-		s.met.opSub.Inc()
-		// A relay is a double-read from the new owner of a migrating
-		// range: it is answered without the ownership check — this
-		// node's copy stays authoritative until commit.
-		if !msg.Relay && !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
-			return nil, ErrNotOwner
-		}
-		return s.subQuery(ctx, msg), nil
 	case msgSubQueryBatch:
 		// Ownership is validated per unit against one reading of the
 		// owned arc, not for the whole frame: a ring change may have
 		// re-homed a subset of the batch's vertices, and the root falls
-		// back to per-vertex sends for exactly those.
+		// back to one-unit sends for exactly those.
 		s.met.opSubBatch.Inc()
 		return s.subQueryBatch(ctx, msg), nil
 	case msgMigrateChunk:
@@ -855,35 +844,19 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 	return found
 }
 
-// subQuery scans the table of msg.Vertex for entries matching the
-// query, returning a deterministic window of matches. The scan is
-// migration-aware: a vertex inside an open inbound window double-reads
-// the old owner (scanVertexRead). A relayed sub-query IS that
-// double-read, so it answers strictly from the local tables and is
-// never re-relayed.
-func (s *Server) subQuery(ctx context.Context, msg msgSubQuery) respSubQuery {
-	pred := predFor(msg.Class, msg.QueryKey)
-	v, root := hypercube.Vertex(msg.Vertex), hypercube.Vertex(msg.Root)
-	var resp respSubQuery
-	// Ownership was settled by the caller (a relay skips it by design).
-	if msg.Relay {
-		resp.Matches, resp.Remaining, _ = s.scanVertex(ownedArc{}, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
-	} else {
-		resp.Matches, resp.Remaining, _ = s.scanVertexRead(ctx, ownedArc{}, msg.Instance, v, root, pred, msg.Skip, msg.Limit)
-	}
-	return resp
-}
-
-// subQueryBatch answers a coalesced wave of sub-queries in one frame,
-// sparsely: the response lists only the units that have something to
-// say — matches, matches beyond the window, or an error code — each
-// tagged with its index in msg.Units, in increasing order. A unit it
-// does not list was owned, scanned and empty. Every unit is tested
-// against one reading of the owned arc. The frame is scanned in order
-// on the goroutine that received it (DESIGN §8), so hits come out by
-// increasing Index as they are found; each scan takes only its
-// vertex's shard read lock, so frames of concurrent searches spread
-// over the cores.
+// subQueryBatch answers a frame of sub-queries, sparsely: the response
+// lists only the units that have something to say — matches, matches
+// beyond the window, or an error code — each tagged with its index in
+// msg.Units, in increasing order. A unit it does not list was owned,
+// scanned and empty. Every unit is tested against one reading of the
+// owned arc, and its scan is migration-aware: a vertex inside an open
+// inbound window double-reads the old owner (scanVertexRead). A relayed
+// frame IS that double-read, so it answers strictly from the local
+// tables, with no ownership test, and is never re-relayed. The frame is
+// scanned in order on the goroutine that received it (DESIGN §8), so
+// hits come out by increasing Index as they are found; each scan takes
+// only its vertex's shard read lock, so frames of concurrent searches
+// spread over the cores.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
 	ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
 	defer cancel()
@@ -894,14 +867,20 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 	for i, u := range msg.Units {
 		v := hypercube.Vertex(u.Vertex)
 		hit := respSubUnit{Index: i}
-		var owned bool
-		if ctx.Err() != nil {
+		owned := true
+		switch {
+		case ctx.Err() != nil:
 			// A cancelled search abandons its remaining units: the root
 			// is failing the whole search, so partially scanned frames
 			// cost nothing extra, and the handler frees up for live
 			// queries.
 			hit.ErrCode = errCodeCancelled
-		} else if hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Instance, v, root, pred, u.Skip, msg.Limit); !owned {
+		case msg.Relay:
+			hit.Matches, hit.Remaining, _ = s.scanVertex(ownedArc{}, msg.Instance, v, root, pred, u.Skip, msg.Limit)
+		default:
+			hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Instance, v, root, pred, u.Skip, msg.Limit)
+		}
+		if !owned {
 			hit.ErrCode = errCodeNotOwner
 		}
 		if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 {

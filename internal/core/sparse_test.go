@@ -139,9 +139,11 @@ func (o *joinRaceOverlay) Lookup(_ context.Context, key dht.ID) (transport.Addr,
 	return "a", 1, nil
 }
 
-// recordingSender remembers every batch exchange that passes through. It
-// keeps requests past Send's return, so it copies their units: the root
-// reuses them for its next frames (transport.Sender).
+// recordingSender remembers every coalesced batch exchange that passes
+// through: frames of more than one unit, not the one-unit frames a
+// per-vertex send takes. It keeps requests past Send's return, so it
+// copies their units: the root reuses them for its next frames
+// (transport.Sender).
 type recordingSender struct {
 	transport.Sender
 	mu      sync.Mutex
@@ -156,7 +158,7 @@ type batchExchange struct {
 
 func (r *recordingSender) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
 	resp, err := r.Sender.Send(ctx, to, body)
-	if req, ok := body.(msgSubQueryBatch); ok && err == nil {
+	if req, ok := body.(msgSubQueryBatch); ok && err == nil && len(req.Units) > 1 {
 		req.Units = slices.Clone(req.Units)
 		r.mu.Lock()
 		r.batches = append(r.batches, batchExchange{to: to, req: req, resp: resp.(respSubQueryBatch)})
@@ -288,8 +290,10 @@ func TestBatchMixedOwnershipFallsBack(t *testing.T) {
 	}
 }
 
-// scramblingSender corrupts the hit indices of every batch response on
-// its way back to the root, leaving everything else intact.
+// scramblingSender corrupts the hit indices of every coalesced batch
+// response (a frame of more than one unit) on its way back to the root,
+// leaving everything else — the one-unit frames of the per-vertex
+// retries included — intact.
 type scramblingSender struct {
 	transport.Sender
 	scramble func(hits []respSubUnit, units int)
@@ -301,7 +305,7 @@ type scramblingSender struct {
 
 func (s *scramblingSender) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
 	resp, err := s.Sender.Send(ctx, to, body)
-	if req, ok := body.(msgSubQueryBatch); ok && err == nil {
+	if req, ok := body.(msgSubQueryBatch); ok && err == nil && len(req.Units) > 1 {
 		batch := resp.(respSubQueryBatch)
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -9,10 +9,12 @@ import (
 // live ID — the registry panics on conflicts, and mixed-version fleets
 // would misparse each other. IDs 5 and 6 carried the dedicated pin
 // request/response pair that predates QueryClass (pin is
-// msgTQuery{Class: ClassPin} now), and ID 13 the bulk insert a leaving
-// node pushed its tables with (its successor pulls them now); they are
-// retired and stay unassigned forever, so a frame from a peer that
-// still sends them fails to decode instead of being misread.
+// msgTQuery{Class: ClassPin} now), IDs 9 and 10 the per-vertex
+// sub-query pair (a per-vertex send is a one-unit msgSubQueryBatch
+// now), and ID 13 the bulk insert a leaving node pushed its tables with
+// (its successor pulls them now); they are retired and stay unassigned
+// forever, so a frame from a peer that still sends them fails to decode
+// instead of being misread.
 const (
 	wireMsgInsertEntry    = 1
 	wireRespAck           = 2
@@ -20,8 +22,6 @@ const (
 	wireRespDeleteEntry   = 4
 	wireMsgTQuery         = 7
 	wireRespTQuery        = 8
-	wireMsgSubQuery       = 9
-	wireRespSubQuery      = 10
 	wireMsgSubQueryBatch  = 11
 	wireRespSubQueryBatch = 12
 	wireMsgMigrateChunk   = 14
@@ -41,8 +41,6 @@ func RegisterTypes() {
 	wire.Register[respDeleteEntry](wireRespDeleteEntry)
 	wire.Register[msgTQuery](wireMsgTQuery)
 	wire.Register[respTQuery](wireRespTQuery)
-	wire.Register[msgSubQuery](wireMsgSubQuery)
-	wire.Register[respSubQuery](wireRespSubQuery)
 	wire.Register[msgSubQueryBatch](wireMsgSubQueryBatch)
 	wire.Register[respSubQueryBatch](wireRespSubQueryBatch)
 	wire.Register[msgMigrateChunk](wireMsgMigrateChunk)
@@ -269,40 +267,6 @@ func (m *respTQuery) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-func (m msgSubQuery) MarshalWire(w *wire.Writer) {
-	w.String(m.Instance)
-	w.Uvarint(m.Vertex)
-	w.Uvarint(m.Root)
-	w.String(m.QueryKey)
-	w.Int(m.Limit)
-	w.Int(m.Skip)
-	w.Bool(m.Relay)
-	w.Int(int(m.Class))
-}
-
-func (m *msgSubQuery) UnmarshalWire(r *wire.Reader) error {
-	m.Instance = r.String()
-	m.Vertex = r.Uvarint()
-	m.Root = r.Uvarint()
-	m.QueryKey = r.String()
-	m.Limit = r.Int()
-	m.Skip = r.Int()
-	m.Relay = r.Bool()
-	m.Class = QueryClass(r.Int())
-	return r.Err()
-}
-
-func (m respSubQuery) MarshalWire(w *wire.Writer) {
-	marshalMatches(w, m.Matches)
-	w.Int(m.Remaining)
-}
-
-func (m *respSubQuery) UnmarshalWire(r *wire.Reader) error {
-	m.Matches = unmarshalMatches(r)
-	m.Remaining = r.Int()
-	return r.Err()
-}
-
 func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Root)
@@ -315,6 +279,7 @@ func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 		w.Int(u.Skip)
 	}
 	w.Int(int(m.Class))
+	w.Bool(m.Relay)
 }
 
 func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
@@ -331,6 +296,7 @@ func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 		}
 	}
 	m.Class = QueryClass(r.Int())
+	m.Relay = r.Bool()
 	return r.Err()
 }
 

@@ -9,23 +9,23 @@ import (
 )
 
 // wireBenchSmall is the small-message hot path: the per-node superset
-// step a root fans out thousands of times per exhaustive query, and
-// its typical few-match answer.
-func wireBenchSmall() (msgSubQuery, respSubQuery) {
-	req := msgSubQuery{
+// step — a one-unit sub-query frame — a root sends for every vertex a
+// batch could not carry, and its typical few-match answer.
+func wireBenchSmall() (msgSubQueryBatch, respSubQueryBatch) {
+	req := msgSubQueryBatch{
 		Instance: DefaultInstance,
-		Vertex:   697,
 		Root:     1001,
 		QueryKey: keyword.NewSet("distributed", "search").Key(),
 		Limit:    128,
+		Units:    []wireUnit{{Vertex: 697}},
 	}
-	resp := respSubQuery{
+	resp := respSubQueryBatch{Hits: []respSubUnit{{
 		Matches: []Match{
 			{ObjectID: "obj-00017", SetKey: keyword.NewSet("distributed", "search", "go").Key()},
 			{ObjectID: "obj-00329", SetKey: keyword.NewSet("distributed", "search").Key()},
 		},
 		Remaining: 5,
-	}
+	}}}
 	return req, resp
 }
 
@@ -61,15 +61,27 @@ type wireBenchCase struct {
 func wireBenchCases() []wireBenchCase {
 	RegisterTypes()
 	req, resp := wireBenchSmall()
-	// The sizes before the root generated every SBT child list itself
-	// were 35, 74 and 18 771 B. The request lost Dim and GenDim (one
-	// zigzag byte each: 10 and 7); the answer lost its two-edge child
-	// list (a count byte, then 2 + 1 B for (185, 3) and for (441, 5));
-	// each of the 16 batch hits lost a one-edge list (count, vertex and
-	// dimension, one byte each).
+	// The small request is 35 B: Instance "main" 5 (length byte + 4),
+	// Root 1001 2, QueryKey "distributed search" 19, Limit 128 2 (zigzag
+	// 256), DeadlineUnixNano 0 1, the unit count 1, the unit's Vertex
+	// 697 2 and Skip 0 1, Class 1, Relay 1. Its answer is 71 B: the
+	// frame's match total 1, the hit count 1, the hit's Index 1 and
+	// match count 1, the two matches 65 (object ID and set key, each a
+	// length byte and its bytes, then Vertex and Depth, one byte each:
+	// 10+22+2 and 10+19+2), Remaining 1, ErrCode 1.
+	//
+	// The per-vertex message pair this replaced moved 33 + 67 B for the
+	// same step: no deadline, no unit count, and an answer without the
+	// total, count, index and error code; the vertex sat beside the
+	// root. Before the root generated every SBT child list itself the
+	// three sizes were 35, 74 and 18 771 B. The request lost Dim and
+	// GenDim (one zigzag byte each: 10 and 7); the answer lost its
+	// two-edge child list (a count byte, then 2 + 1 B for (185, 3) and
+	// for (441, 5)); each of the 16 batch hits lost a one-edge list
+	// (count, vertex and dimension, one byte each).
 	return []wireBenchCase{
-		{"small-req", req, 33},
-		{"small-resp", resp, 67},
+		{"small-req", req, 35},
+		{"small-resp", resp, 71},
 		{"batch-resp", wireBenchBatch(), 18723},
 	}
 }
@@ -89,7 +101,7 @@ func binarySize(t testing.TB, body any) int {
 }
 
 // TestWireCodecBytesPinned pins the payload bytes of the small-message
-// hot path (msgSubQuery request + respSubQuery answer) and of one
+// hot path (a one-unit sub-query frame and its answer) and of one
 // sparse batch response. Sizes are deterministic; a change here is a
 // change to a registered message's encoding (see tcpnet's wireMagic
 // for what that requires). For the record of what the codec replaced:

@@ -66,19 +66,15 @@ func TestCoreWireRoundTrip(t *testing.T) {
 			Rounds: 2, FailedNodes: 1, PhysFrames: 4, CacheHit: true, ErrCode: -2,
 			Trace: []TraceStep{{Vertex: 1, Matches: 2, Failed: false}, {Vertex: 2, Matches: 0, Failed: true}}},
 		respTQuery{},
-		msgSubQuery{Instance: "i", Vertex: 200, Root: 100, QueryKey: "qk",
-			Limit: 10, Skip: 5, Relay: true},
-		msgSubQuery{Instance: "i", Vertex: 200, Root: 1, QueryKey: "kw",
-			Limit: -1, Class: ClassPrefix},
-		msgSubQuery{Instance: "i", Vertex: 9, Root: 9, QueryKey: "a b",
-			Limit: -1, Relay: true, Class: ClassPin}, // the relayed half of a pin
-		respSubQuery{Matches: matches, Remaining: 17},
-		respSubQuery{},
 		msgSubQueryBatch{Instance: "i", Root: 63, QueryKey: "q", Limit: 100,
 			Units:            []wireUnit{{Vertex: 1, Skip: 0}, {Vertex: 2, Skip: 10}},
 			DeadlineUnixNano: 1754500000000000000},
 		msgSubQueryBatch{Instance: "i", Root: 2, QueryKey: "kw", Limit: 5,
 			Units: []wireUnit{{Vertex: 2}}, Class: ClassPrefix},
+		msgSubQueryBatch{Instance: "i", Root: 100, QueryKey: "qk", Limit: 10,
+			Units: []wireUnit{{Vertex: 200, Skip: 5}}, Relay: true},
+		msgSubQueryBatch{Instance: "i", Root: 9, QueryKey: "a b", Limit: -1,
+			Units: []wireUnit{{Vertex: 9}}, Relay: true, Class: ClassPin}, // the relayed half of a pin
 		msgSubQueryBatch{},
 		// Sparse: units 1–3 and 5–8 of the request had nothing to say.
 		respSubQueryBatch{Hits: []respSubUnit{
@@ -89,6 +85,7 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		// Indices out of order, repeated and negative travel as written:
 		// judging them against the request is the root's job (sendBatch).
 		respSubQueryBatch{Hits: []respSubUnit{{Index: 7, Remaining: 1}, {Index: 7, ErrCode: 2}, {Index: -1, Remaining: 3}}},
+		respSubQueryBatch{Hits: []respSubUnit{{Matches: matches, Remaining: 17}}}, // a one-unit answer
 		respSubQueryBatch{},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500,
 			MaxBytes: 1 << 20, DeadlineUnixNano: 12345},
@@ -102,13 +99,14 @@ func TestCoreWireRoundTrip(t *testing.T) {
 }
 
 // TestRetiredWireIDsStayUnassigned: IDs 5 and 6 carried the dedicated
-// pin request/response pair, ID 13 the bulk insert a leaving node
-// pushed its tables with. No codec may ever claim them again — a
+// pin request/response pair, IDs 9 and 10 the per-vertex sub-query
+// pair, ID 13 the bulk insert a leaving node pushed its tables with.
+// No codec may ever claim them again — a
 // frame from a peer that still sends them must fail to decode (tcpnet's
 // TestRetiredTypeIDFrameRejected), not be misread as a newer message.
 func TestRetiredWireIDsStayUnassigned(t *testing.T) {
 	RegisterTypes()
-	for _, id := range []uint16{5, 6, 13} {
+	for _, id := range []uint16{5, 6, 9, 10, 13} {
 		if c, ok := wire.LookupID(id); ok {
 			t.Errorf("retired wire ID %d is registered to %s", id, c.Name())
 		}

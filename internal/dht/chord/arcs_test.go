@@ -4,54 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sort"
-	"strings"
 	"testing"
-	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
 
 // TestMain fails the package when a test leaves one of the module's
-// goroutines behind — a maintenance loop nobody stopped, or a hook
-// still blocked — once every test has returned and a grace period has
-// passed. The runtime's and the fuzzing engine's own goroutines do not
-// count.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 {
-		deadline := time.Now().Add(5 * time.Second)
-		leaks := leakedGoroutines()
-		for len(leaks) > 0 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-			leaks = leakedGoroutines()
-		}
-		if len(leaks) > 0 {
-			fmt.Fprintf(os.Stderr, "%d goroutines outlived the tests:\n\n%s\n", len(leaks), strings.Join(leaks, "\n\n"))
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// leakedGoroutines returns the stacks of every other goroutine running
-// this module's code.
-func leakedGoroutines() []string {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	var leaks []string
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "p2pkeyword/keysearch/") && !strings.Contains(g, "chord.leakedGoroutines") {
-			leaks = append(leaks, g)
-		}
-	}
-	return leaks
-}
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // addrBetween returns an unused address whose ring ID lies in the open
 // arc (from, to).

@@ -10,7 +10,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// KSW3 framing. A client opens the connection with a 4-byte magic
+// KSW4 framing. A client opens the connection with a 4-byte magic
 // preamble; a listener closes any connection that opens with something
 // else. The magic is followed by a uvarint-length sender address string
 // — the connection's default identity, sent once so the per-request
@@ -44,15 +44,18 @@ const (
 	maxHandshakeAddr = 1 << 10
 )
 
-// wireMagic is the connection preamble ("KSW3"). Its last byte is the
+// wireMagic is the connection preamble ("KSW4"). Its last byte is the
 // protocol generation and the only version the wire carries: an
 // in-place layout change — to the handshake, the frame header or the
 // encoding of a registered message — bumps it, so peers of different
 // generations refuse each other at connect instead of misparsing
 // frames. A new type ID is not a layout change. KSW2 → KSW3: core's
 // sub-query messages dropped their dimensions and their replies the
-// SBT child list, which the root now generates itself.
-var wireMagic = [4]byte{'K', 'S', 'W', '3'}
+// SBT child list, which the root now generates itself. KSW3 → KSW4:
+// core's batch sub-query (type 11) gained a trailing Relay flag and
+// became the only sub-query; the per-vertex pair (types 9 and 10) is
+// retired.
+var wireMagic = [4]byte{'K', 'S', 'W', '4'}
 
 // appendRequestFrame encodes a request frame for body into w and
 // returns the codec (for its type name) — the caller charges

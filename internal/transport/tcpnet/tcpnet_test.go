@@ -10,10 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 type ping struct{ N int }
 type pong struct{ N int }

@@ -73,9 +73,6 @@ type (
 	// BreakerPolicy configures the per-destination circuit breakers
 	// within a ResiliencePolicy.
 	BreakerPolicy = resilience.BreakerPolicy
-	// BatchMode selects wave batching for ParallelLevels searches (see
-	// Config.BatchWaves).
-	BatchMode = core.BatchMode
 	// AdmissionPolicy configures server-side admission control and load
 	// shedding when set on Config.Admission: bounded inflight
 	// client-facing requests, a bounded deadline-aware wait queue, and
@@ -123,18 +120,6 @@ const (
 	CachePolicyHot = core.CachePolicyHot
 	// CachePolicyFIFO is the legacy fixed-size FIFO cache.
 	CachePolicyFIFO = core.CachePolicyFIFO
-)
-
-// Wave-batching modes (Config.BatchWaves).
-const (
-	// BatchAuto resolves to the default (BatchOn).
-	BatchAuto = core.BatchAuto
-	// BatchOn coalesces each parallel wave into one RPC frame per
-	// distinct physical peer.
-	BatchOn = core.BatchOn
-	// BatchOff sends one RPC per logical vertex (the paper's literal
-	// per-node exchange).
-	BatchOff = core.BatchOff
 )
 
 // Re-exported sentinel errors.

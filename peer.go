@@ -76,12 +76,6 @@ type Config struct {
 	// semantics, as before). See DefaultResilience for the recommended
 	// production policy.
 	Resilience *ResiliencePolicy
-	// BatchWaves controls wave batching for ParallelLevels searches
-	// this peer roots: each frontier wave is coalesced into one RPC
-	// frame per distinct physical peer instead of one per logical
-	// vertex (default BatchOn). Logical message accounting and result
-	// contents are identical either way; see Stats.PhysFrames.
-	BatchWaves BatchMode
 	// DataDir, when non-empty, makes this peer's index durable: every
 	// table mutation is appended to a write-ahead log under the
 	// directory before it applies, periodically compacted into a
@@ -194,7 +188,6 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 		Sender:        sender,
 		CacheCapacity: cfg.CacheCapacity,
 		CachePolicy:   cfg.CachePolicy,
-		BatchWaves:    cfg.BatchWaves,
 		DataDir:       cfg.DataDir,
 		Fsync:         fsync,
 		SnapshotEvery: cfg.SnapshotEvery,
