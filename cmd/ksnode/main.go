@@ -317,6 +317,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		if st.SyncFailures > 0 {
 			fmt.Printf("index: %d failed WAL group commits, last: %s\n", st.SyncFailures, st.LastSyncError)
 		}
+		if st.SoftForwardFailures > 0 {
+			fmt.Printf("hot: %d failed soft-replica forwards to the owner, last: %s\n", st.SoftForwardFailures, st.LastSoftForwardError)
+		}
 		writeCacheSnapshot(os.Stdout, peer.CacheSnapshot())
 		ms := peer.MigrationStats()
 		fmt.Printf("migration: %d active, %d chunks / %d entries applied, %d resumes, %d double-reads, %d commits, %d failures\n",

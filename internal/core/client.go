@@ -173,7 +173,9 @@ func result(resp respTQuery, viaSoft bool) Result {
 		SoftServed:     viaSoft,
 	}
 	if resp.CacheHit || resp.RefineHit {
-		stats.NodesContacted = 1 // only the root was involved
+		// Only the root was involved, plus the owner when a soft
+		// replica forwarded its miss (askOwner counts that hop).
+		stats.NodesContacted = 1 + resp.SubNodes
 	}
 	completeness := 1.0
 	if resp.FailedNodes > 0 && resp.SubNodes > 0 {

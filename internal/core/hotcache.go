@@ -248,9 +248,13 @@ func (c *hotCache) refineSource(instance string, query keyword.Set) ([]Match, bo
 	var (
 		best    []Match
 		bestLen = -1
+		sig     = query.Signature()
 	)
 	for _, e := range c.byInstance[instance] {
-		if !e.exhausted || e.pred.class != ClassSuperset {
+		// An ancestor's signature bits are all in the query's
+		// (table.scan's test), so a stray bit rejects e without
+		// comparing keywords.
+		if !e.exhausted || e.pred.class != ClassSuperset || e.pred.want&^sig != 0 {
 			continue
 		}
 		if e.pred.set.Len() > bestLen && e.pred.set.SubsetOf(query) && !e.pred.set.Equal(query) {

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
@@ -20,6 +24,15 @@ import (
 // DefaultHotPromoteThreshold).
 func newHotDeployment(t *testing.T, r, nServers, cacheCap, hotReplicas, hotThreshold int) *deployment {
 	t.Helper()
+	return newPlacedHotDeployment(t, r, nServers, cacheCap, hotReplicas, hotThreshold, func(v hypercube.Vertex) int {
+		return int(uint64(v) % uint64(nServers))
+	})
+}
+
+// newPlacedHotDeployment is newHotDeployment with vertex v hosted by
+// server place(v).
+func newPlacedHotDeployment(t *testing.T, r, nServers, cacheCap, hotReplicas, hotThreshold int, place func(hypercube.Vertex) int) *deployment {
+	t.Helper()
 	net := inmem.New(1)
 	t.Cleanup(func() { net.Close() })
 	hasher := keyword.MustNewHasher(r, 42)
@@ -27,9 +40,7 @@ func newHotDeployment(t *testing.T, r, nServers, cacheCap, hotReplicas, hotThres
 	for i := range addrs {
 		addrs[i] = transport.Addr("ix-" + strconv.Itoa(i))
 	}
-	resolver := FuncResolver(func(v hypercube.Vertex) transport.Addr {
-		return addrs[int(uint64(v)%uint64(nServers))]
-	})
+	resolver := FuncResolver(func(v hypercube.Vertex) transport.Addr { return addrs[place(v)] })
 	servers := make([]*Server, nServers)
 	for i := range servers {
 		srv, err := NewServer(ServerConfig{
@@ -403,5 +414,209 @@ func TestHotCachePromotionHammer(t *testing.T) {
 			t.Fatalf("post-hammer spread search %d disagrees with owner (softServed=%v):\n got %v\nwant %v",
 				i, res.Stats.SoftServed, matchIDs(res.Matches), matchIDs(want.Matches))
 		}
+	}
+}
+
+// sendLog records every request a server sends.
+type sendLog struct {
+	transport.Sender
+	mu   sync.Mutex
+	sent []sentBody
+}
+
+type sentBody struct {
+	to   transport.Addr
+	body any
+}
+
+func (l *sendLog) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
+	l.mu.Lock()
+	l.sent = append(l.sent, sentBody{to: to, body: body})
+	l.mu.Unlock()
+	return l.Sender.Send(ctx, to, body)
+}
+
+func (l *sendLog) take() []sentBody {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.sent
+	l.sent = nil
+	return out
+}
+
+// softHolder returns the index of a server holding a live soft copy of
+// root, failing the test when none does.
+func softHolder(t *testing.T, d *deployment, root hypercube.Vertex) int {
+	t.Helper()
+	for i, srv := range d.servers {
+		if srv.soft.lookup(DefaultInstance, root) != nil {
+			return i
+		}
+	}
+	t.Fatal("no server holds a soft copy of the root")
+	return -1
+}
+
+// askSoft sends q to the server at addr as a spreading client does
+// (SoftOnly) and maps its answer to the client's view.
+func askSoft(ctx context.Context, t *testing.T, d *deployment, addr transport.Addr, q keyword.Set, threshold int) Result {
+	t.Helper()
+	msg, err := d.client.request(ctx, ClassSuperset, d.hasher.Vertex(q), q.Key(), threshold, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg.SoftOnly = true
+	raw, err := d.net.Send(ctx, addr, msg)
+	if err != nil {
+		t.Fatalf("soft search at %s: %v", addr, err)
+	}
+	resp, ok := raw.(respTQuery)
+	if !ok || resp.ErrCode != errCodeNone {
+		t.Fatalf("soft search at %s answered %#v", addr, raw)
+	}
+	return result(resp, true)
+}
+
+// A soft replica's cache miss is answered from the owner's warm cache:
+// the answer is the owner's, the hop is charged (4 messages, 2 frames,
+// 2 nodes), the forward carries the query's deadline, the replica
+// traverses nothing, and it keeps the answer, so the same query at the
+// replica is then a local hit.
+func TestSoftReplicaMissAskedOfOwner(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	corpus(t, d, 150, 91)
+	q := keyword.NewSet("isp")
+	root := d.hasher.Vertex(q)
+
+	var want Result
+	for i := 0; i < 3; i++ {
+		res, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = res
+	}
+	if !want.Stats.CacheHit {
+		t.Fatal("owner cache not warm after three searches")
+	}
+	replica := softHolder(t, d, root)
+	log := &sendLog{Sender: d.servers[replica].cfg.Sender}
+	d.servers[replica].cfg.Sender = log
+
+	res := askSoft(ctx, t, d, d.addrs[replica], q, All)
+	if !reflect.DeepEqual(res.Matches, want.Matches) || res.Exhausted != want.Exhausted {
+		t.Fatalf("forwarded answer %v (exhausted %v) differs from the owner's %v (exhausted %v)",
+			matchIDs(res.Matches), res.Exhausted, matchIDs(want.Matches), want.Exhausted)
+	}
+	if st := res.Stats; !st.CacheHit || st.Messages != 4 || st.PhysFrames != 2 || st.NodesContacted != 2 {
+		t.Errorf("forwarded hit stats = %+v, want a cache hit over 4 messages, 2 frames, 2 nodes", st)
+	}
+	sent := log.take()
+	if len(sent) != 1 {
+		t.Fatalf("replica sent %d requests, want only the forward to the owner", len(sent))
+	}
+	fwd, ok := sent[0].body.(msgTQuery)
+	owner := d.addrs[int(uint64(root)%uint64(len(d.addrs)))]
+	if !ok || fwd.SoftOnly || sent[0].to != owner {
+		t.Fatalf("replica sent %T to %s, want a plain T_QUERY to the owner %s", sent[0].body, sent[0].to, owner)
+	}
+	if dl, _ := ctx.Deadline(); fwd.DeadlineUnixNano != dl.UnixNano() {
+		t.Errorf("forward deadline = %d, want the query's %d", fwd.DeadlineUnixNano, dl.UnixNano())
+	}
+
+	again := askSoft(ctx, t, d, d.addrs[replica], q, All)
+	if !reflect.DeepEqual(again.Matches, want.Matches) {
+		t.Fatal("repeated query at the replica changed its answer")
+	}
+	if st := again.Stats; !st.CacheHit || st.Messages != 2 || st.PhysFrames != 1 || st.NodesContacted != 1 {
+		t.Errorf("repeat stats = %+v, want a local hit over 2 messages, 1 frame, 1 node", st)
+	}
+	if n := len(log.take()); n != 0 {
+		t.Errorf("repeat at the replica sent %d requests, want none", n)
+	}
+}
+
+// With the owner unreachable, a soft replica's miss falls back to
+// traversing its soft copy: the answer is byte-identical to a cache-off
+// fleet's, and the failed forward is counted with its cause. The owner
+// hosts only the root vertex, so the traversal needs nothing from it.
+func TestSoftReplicaFallsBackWhenOwnerUnreachable(t *testing.T) {
+	q := keyword.NewSet("isp")
+	root := keyword.MustNewHasher(6, 42).Vertex(q)
+	place := func(v hypercube.Vertex) int {
+		if v == root {
+			return 0
+		}
+		return 1 + int(uint64(v)%3)
+	}
+	ctx := context.Background()
+	cold := newPlacedHotDeployment(t, 6, 4, 0, 0, 3, place)
+	corpus(t, cold, 150, 91)
+	want, err := cold.client.SupersetSearch(ctx, q, 10, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := newPlacedHotDeployment(t, 6, 4, 100000, 2, 3, place)
+	corpus(t, d, 150, 91)
+	for i := 0; i < 3; i++ {
+		if _, err := d.client.SupersetSearch(ctx, q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replica := softHolder(t, d, root)
+	d.net.SetDown(d.addrs[0], true)
+
+	res := askSoft(ctx, t, d, d.addrs[replica], q, 10)
+	if !reflect.DeepEqual(res.Matches, want.Matches) || res.Exhausted != want.Exhausted {
+		t.Fatalf("fallback answer %v (exhausted %v) differs from the cache-off fleet's %v (exhausted %v)",
+			matchIDs(res.Matches), res.Exhausted, matchIDs(want.Matches), want.Exhausted)
+	}
+	if res.Stats.CacheHit || res.FailedSubtrees != 0 {
+		t.Errorf("fallback stats = %+v, %d failed subtrees; want a complete traversal", res.Stats, res.FailedSubtrees)
+	}
+	st := d.servers[replica].Stats()
+	if st.SoftForwardFailures != 1 || !strings.Contains(st.LastSoftForwardError, string(d.addrs[0])) {
+		t.Errorf("forward failures = %d (last %q), want 1 naming the owner %s",
+			st.SoftForwardFailures, st.LastSoftForwardError, d.addrs[0])
+	}
+}
+
+// Only a SoftOnly request is served from a soft copy: a plain T_QUERY
+// that reaches a non-owner holding one is refused with ErrNotOwner,
+// neither forwarded nor traversed.
+func TestPlainQueryAtSoftReplicaRefused(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	corpus(t, d, 150, 91)
+	q := keyword.NewSet("isp")
+	root := d.hasher.Vertex(q)
+	for i := 0; i < 3; i++ {
+		if _, err := d.client.SupersetSearch(ctx, q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replica := d.servers[softHolder(t, d, root)]
+	log := &sendLog{Sender: replica.cfg.Sender}
+	replica.cfg.Sender = log
+	// A server without an ownership hook owns every vertex; give the
+	// replica an empty arc so it is a non-owner of the root.
+	replica.cfg.OwnedArc = func() (pred, self dht.ID, joined bool) { return 0, 0, false }
+	cached := replica.cache.len()
+
+	msg, err := d.client.request(ctx, ClassSuperset, root, q.Key(), 10, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := replica.Handler(ctx, "", msg); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("plain T_QUERY at a soft replica answered %#v, %v; want ErrNotOwner", resp, err)
+	}
+	if n := len(log.take()); n != 0 {
+		t.Errorf("refused query sent %d requests, want none", n)
+	}
+	if n := replica.cache.len(); n != cached {
+		t.Errorf("refused query changed the replica's cache: %d → %d entries", cached, n)
 	}
 }

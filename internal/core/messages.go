@@ -66,9 +66,12 @@ type (
 		RefineFromVertex uint64
 		// SoftOnly marks a search a spreading client addressed directly
 		// to a soft replica: the receiver must answer from a live soft
-		// copy of the root or reject with errCodeNoSoftCopy — it must
-		// NOT fall back to its own tables, which are not authoritative
-		// for this vertex.
+		// copy of the root (its cache, the owner's answer to a miss, or a
+		// traversal over the copy) or reject with errCodeNoSoftCopy — it
+		// must NOT fall back to its own tables, which are not
+		// authoritative for this vertex. Only a SoftOnly request is ever
+		// served from a soft copy; the replica's forward of a miss to the
+		// owner is not SoftOnly, so it cannot be forwarded again.
 		SoftOnly bool
 		// Class selects the query's match predicate and root resolution;
 		// the zero value is ClassSuperset and an unknown class is

@@ -128,10 +128,12 @@ type tally struct {
 //
 // soft, when non-nil, is a live soft-replica copy of the root vertex's
 // table: this server is not the root's owner but serves the superset
-// search anyway, scanning the soft copy wherever the authoritative path
-// would scan the root's table. Everything else — subcube waves,
-// accounting, caching — is unchanged, so a soft-served answer is
-// byte-identical to the owner's.
+// search anyway. A cache miss it cannot refine is asked of the owner
+// once (askOwner); only when that fails does the replica traverse,
+// scanning the soft copy wherever the authoritative path would scan the
+// root's table. Everything else — subcube waves, accounting, caching —
+// is unchanged, so a soft-served answer is byte-identical to the
+// owner's.
 func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (respTQuery, error) {
 	q, err := s.parseQuery(msg)
 	if err != nil {
@@ -195,6 +197,11 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 				s.cache.put(msg.Instance, q.pred, derived, true)
 				matches, exhausted, _ := truncateCached(derived, true, msg.Threshold)
 				return answered(respTQuery{Matches: matches, Exhausted: exhausted, RefineHit: true, SoftAddrs: softAddrs})
+			}
+			if soft != nil {
+				if resp, ok := s.askOwner(ctx, &q); ok {
+					return answered(resp)
+				}
 			}
 		}
 	}
@@ -274,6 +281,43 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 		s.recordSearchSpan(&q, resp, startedAt, elapsedNS, steps)
 	}
 	return resp, nil
+}
+
+// askOwner sends a soft replica's cache miss once to the root's owner
+// as a plain (not SoftOnly) T_QUERY, which the owner answers from its
+// own cache or traversal and which no peer may soft-serve or forward
+// again. The replica keeps a complete answer in its own cache; the
+// owner's soft-invalidation event drops it like any other entry there.
+// The hop is charged to the answer: one more node contacted, a message
+// pair, the frames sent and a round. ok is false, and the failure is
+// counted with its cause, when the owner did not answer; the caller
+// then traverses its soft copy.
+func (s *Server) askOwner(ctx context.Context, q *rootQuery) (respTQuery, bool) {
+	s.met.softForwards.Inc()
+	fwd := q.msg
+	fwd.SoftOnly = false
+	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, fwd.Instance, q.root, fwd)
+	resp, ok := raw.(respTQuery)
+	switch {
+	case err != nil:
+	case !ok:
+		err = fmt.Errorf("unexpected response %T", raw)
+	case resp.ErrCode != errCodeNone:
+		err = fmt.Errorf("error code %d", resp.ErrCode)
+	}
+	if err != nil {
+		s.softForwardFails.note(fmt.Sprintf("forward %s/%d %q to owner: %v", fwd.Instance, q.root, fwd.QueryKey, err))
+		return respTQuery{}, false
+	}
+	if resp.FailedNodes == 0 {
+		s.cache.put(fwd.Instance, q.pred, resp.Matches, resp.Exhausted)
+	}
+	resp.SubNodes++
+	resp.SubMsgs += 2
+	resp.PhysFrames += frames
+	resp.Rounds++
+	resp.SoftAddrs = nil // only owner-path responses advertise replicas
+	return resp, true
 }
 
 // recordSearchSpan converts one completed search into a telemetry

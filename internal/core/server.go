@@ -168,6 +168,10 @@ type Server struct {
 	// pushed onto this node.
 	hot  *hotVertexManager
 	soft *softStore
+	// softForwardFails counts a soft replica's cache-miss forwards the
+	// root's owner did not answer (the replica then traversed its soft
+	// copy); surfaced in Stats.
+	softForwardFails failureLog
 
 	// migrate manages inbound range migrations and the double-read
 	// window state; always non-nil on servers built by NewServer.
@@ -307,6 +311,7 @@ type serverMetrics struct {
 	hotDemotions      *telemetry.Counter // core_hot_demotions_total
 	softInvalidations *telemetry.Counter // core_soft_invalidations_total
 	softServes        *telemetry.Counter // core_soft_serves_total
+	softForwards      *telemetry.Counter // core_soft_forwards_total
 
 	batchSize  *telemetry.Histogram // core_search_batch_size
 	coalesced  *telemetry.Counter   // core_search_msgs_coalesced_total
@@ -352,6 +357,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		hotDemotions:      reg.Counter("core_hot_demotions_total"),
 		softInvalidations: reg.Counter("core_soft_invalidations_total"),
 		softServes:        reg.Counter("core_soft_serves_total"),
+		softForwards:      reg.Counter("core_soft_forwards_total"),
 
 		batchSize:  reg.Histogram("core_search_batch_size", telemetry.ExpBuckets(1, 2, 11)),
 		coalesced:  reg.Counter("core_search_msgs_coalesced_total"),
@@ -411,6 +417,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		soft:     newSoftStore(),
 	}
 	s.hot = newHotVertexManager(s, cfg.HotReplicas)
+	s.softForwardFails.c = cfg.Telemetry.Counter("core_soft_forward_failures_total")
 	if cfg.Admission != nil {
 		s.adm = admission.New(*cfg.Admission, cfg.Telemetry)
 	}
@@ -634,19 +641,23 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			s.met.opRefine.Inc()
 			return s.runRefine(msg), nil
 		}
-		// A live soft copy serves before the ownership check: soft
+		// Only a SoftOnly request is served from a soft copy: soft
 		// replicas of a hot root are, by design, nodes that do NOT own
-		// the vertex, and spreading clients address them directly.
-		if tbl := s.soft.lookup(msg.Instance, hypercube.Vertex(msg.Vertex)); tbl != nil {
+		// the vertex, and spreading clients address them directly. Any
+		// other request takes the owner path or is refused, so the
+		// owner-bound forward of a soft replica's cache miss can never
+		// be soft-served or forwarded again.
+		if msg.SoftOnly {
+			tbl := s.soft.lookup(msg.Instance, hypercube.Vertex(msg.Vertex))
+			if tbl == nil {
+				// A spreading client reached us for a copy we no longer
+				// hold; answering from our own tables would be wrong (we
+				// are not this vertex's owner), so bounce it back.
+				return respTQuery{ErrCode: errCodeNoSoftCopy}, nil
+			}
 			s.met.opSearch.Inc()
 			s.met.softServes.Inc()
 			return s.runQuery(ctx, msg, tbl)
-		}
-		if msg.SoftOnly {
-			// A spreading client reached us for a copy we no longer
-			// hold; answering from our own tables would be wrong (we
-			// are not this vertex's owner), so bounce it back.
-			return respTQuery{ErrCode: errCodeNoSoftCopy}, nil
 		}
 		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
 			return nil, ErrNotOwner
@@ -955,6 +966,11 @@ type TableStats struct {
 	// failed to flush or fsync; LastSyncError is the latest cause.
 	SyncFailures  uint64
 	LastSyncError string
+	// SoftForwardFailures counts soft-replica cache misses whose
+	// forward to the root's owner failed, so the replica traversed its
+	// soft copy instead; LastSoftForwardError is the latest cause.
+	SoftForwardFailures  uint64
+	LastSoftForwardError string
 }
 
 // Stats returns current storage counters, aggregated over every index
@@ -969,6 +985,7 @@ func (s *Server) Stats() TableStats {
 	if s.store != nil {
 		st.SyncFailures, st.LastSyncError = s.store.SyncFailures()
 	}
+	st.SoftForwardFailures, st.LastSoftForwardError = s.softForwardFails.read()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, vertices := range sh.tables {

@@ -6,7 +6,12 @@ import (
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/corpus"
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testCorpus builds a moderate corpus shared by the sim tests.
 func testCorpus(t testing.TB, objects int) *corpus.Corpus {

@@ -156,10 +156,11 @@ func pickRefinable(t *testing.T, log *corpus.QueryLog) keyword.Set {
 
 // TestZipfSmokeAccounting replays the log on an instrumented hot fleet
 // and checks the cache-hit accounting identities the core_cache_* and
-// core_soft_* counters rely on: every counted query consults exactly one server's result cache
-// (hits+misses == queries, fleet-wide), serves exactly one root
-// T_QUERY and one search span, and the soft-serve counter reconciles
-// with the client's own view.
+// core_soft_* counters rely on: every counted query, and every soft
+// replica's forward of a cache miss to the owner, consults exactly one
+// server's result cache (hits+misses == queries+forwards, fleet-wide)
+// and serves exactly one root T_QUERY and one search span; the hit and
+// soft-serve counters reconcile with the client's own view.
 func TestZipfSmokeAccounting(t *testing.T) {
 	c := testCorpus(t, 4000)
 	log := zipfLog(t, c)
@@ -193,17 +194,18 @@ func TestZipfSmokeAccounting(t *testing.T) {
 	snap := reg.Snapshot()
 	hits := snap.Counters["core_cache_hits_total"]
 	misses := snap.Counters["core_cache_misses_total"]
-	if hits+misses != uint64(counted) {
-		t.Errorf("cache consultations %d+%d != %d replayed queries", hits, misses, counted)
+	forwards := snap.Counters["core_soft_forwards_total"]
+	if hits+misses != uint64(counted)+forwards {
+		t.Errorf("cache consultations %d+%d != %d replayed queries + %d forwards", hits, misses, counted, forwards)
 	}
 	if hits != uint64(clientHits) {
 		t.Errorf("telemetry hits %d != client-observed hits %d", hits, clientHits)
 	}
-	if ops := snap.Counters[`core_ops_total{op="superset-search"}`]; ops != uint64(counted) {
-		t.Errorf("superset-search ops = %d, want %d", ops, counted)
+	if ops := snap.Counters[`core_ops_total{op="superset-search"}`]; ops != uint64(counted)+forwards {
+		t.Errorf("superset-search ops = %d, want %d queries + %d forwards", ops, counted, forwards)
 	}
-	if snap.SpansTotal != uint64(counted) {
-		t.Errorf("spans recorded = %d, want %d", snap.SpansTotal, counted)
+	if snap.SpansTotal != uint64(counted)+forwards {
+		t.Errorf("spans recorded = %d, want %d queries + %d forwards", snap.SpansTotal, counted, forwards)
 	}
 	if soft := snap.Counters["core_soft_serves_total"]; soft != uint64(clientSoft) {
 		t.Errorf("soft serves %d != client-observed %d", soft, clientSoft)
@@ -211,8 +213,11 @@ func TestZipfSmokeAccounting(t *testing.T) {
 	if rh := snap.Counters["core_refine_hits_total"]; rh != uint64(clientRefine) {
 		t.Errorf("refine hits %d != client-observed %d", rh, clientRefine)
 	}
-	if hits == 0 || clientSoft == 0 {
-		t.Errorf("layer never engaged: hits=%d softServes=%d", hits, clientSoft)
+	if hits == 0 || clientSoft == 0 || forwards == 0 {
+		t.Errorf("layer never engaged: hits=%d softServes=%d forwards=%d", hits, clientSoft, forwards)
+	}
+	if ff := snap.Counters["core_soft_forward_failures_total"]; ff != 0 {
+		t.Errorf("%d of %d forwards failed on a healthy fleet", ff, forwards)
 	}
 
 	// The per-server snapshots must decompose the counter totals.

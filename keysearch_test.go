@@ -7,7 +7,13 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func newCluster(t *testing.T, n int, cfg Config) *Cluster {
 	t.Helper()
