@@ -5,8 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/load"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestRunTCPSmoke drives the whole command once per transport at toy
 // scale: flag parsing, fleet build, one open-loop phase, and a BENCH

@@ -53,7 +53,7 @@ func run(args []string) error {
 		dim         = fs.Int("dim", 10, "hypercube dimensionality (must match the network)")
 		cache       = fs.Int("cache", 128, "per-node result cache capacity (object IDs)")
 		cachePolicy = fs.String("cache-policy", "hot", "result cache policy: hot (popularity-tracked, frequency admission) | fifo (legacy)")
-		hotReplicas = fs.Int("hot-replicas", 0, "soft-replicate promoted hot roots onto this many extra peers (0 = disabled)")
+		hotReplicas = fs.Int("hot-replicas", 0, "spread promoted hot roots onto this many extra peers, which answer from their result cache (0 = disabled; needs -cache > 0)")
 		hotSpread   = fs.Bool("hot-spread", false, "round-robin one-shot searches for promoted roots across owner and soft replicas")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (empty = disabled)")
 		resilient   = fs.Bool("resilience", true, "retry/backoff and circuit breakers on outbound RPCs")
@@ -319,6 +319,9 @@ func dispatch(ctx context.Context, peer *keysearch.Peer, fields []string) error 
 		}
 		if st.SoftForwardFailures > 0 {
 			fmt.Printf("hot: %d failed soft-replica forwards to the owner, last: %s\n", st.SoftForwardFailures, st.LastSoftForwardError)
+		}
+		if st.SoftInvalidationFailures > 0 {
+			fmt.Printf("hot: %d failed soft-replica invalidations, last: %s\n", st.SoftInvalidationFailures, st.LastSoftInvalidationError)
 		}
 		writeCacheSnapshot(os.Stdout, peer.CacheSnapshot())
 		ms := peer.MigrationStats()

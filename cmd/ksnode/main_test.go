@@ -9,8 +9,13 @@ import (
 	"testing"
 
 	keysearch "github.com/p2pkeyword/keysearch"
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testPeer builds a single-peer in-memory network for console tests.
 func testPeer(t *testing.T) *keysearch.Peer {

@@ -261,10 +261,13 @@ func (c *fifoCache) refineSource(instance string, query keyword.Set) ([]Match, b
 	var (
 		best    []Match
 		bestLen = -1
+		sig     = query.Signature()
 	)
 	for key := range c.byInstance[instance] {
+		// As in hotCache.refineSource: a stray signature bit rejects a
+		// non-ancestor without comparing keywords.
 		item, ok := c.items[key]
-		if !ok || !item.exhausted || item.pred.class != ClassSuperset {
+		if !ok || !item.exhausted || item.pred.class != ClassSuperset || item.pred.want&^sig != 0 {
 			continue
 		}
 		if item.pred.set.Len() > bestLen && item.pred.set.SubsetOf(query) && !item.pred.set.Equal(query) {

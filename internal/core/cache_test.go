@@ -275,3 +275,79 @@ func TestCacheHitCountersAdvance(t *testing.T) {
 		t.Error("no cache misses recorded")
 	}
 }
+
+// refineSource picks a Lemma 3.3 source the same way in both caches:
+// the most refined exhausted superset ancestor of the instance, never
+// the query itself, and never a set that only shares the query's
+// signature bits.
+func TestRefineSource(t *testing.T) {
+	query := keyword.NewSet("a", "b", "c", "d", "e", "f", "g", "h")
+	// A keyword outside the query whose signature bits all lie inside
+	// the query's: {a, stray} passes the signature pre-test yet is no
+	// ancestor.
+	stray := ""
+	for i := 0; stray == ""; i++ {
+		w := "w" + strconv.Itoa(i)
+		if keyword.KeySignature(w)&^query.Signature() == 0 {
+			stray = w
+		}
+	}
+	one := func(id string) []Match { return []Match{{ObjectID: id}} }
+	sup := func(words ...string) queryPred {
+		s := keyword.NewSet(words...)
+		return supersetPred(s.Key(), s)
+	}
+	type entry struct {
+		instance  string
+		pred      queryPred
+		id        string
+		exhausted bool
+	}
+	cases := []struct {
+		name    string
+		entries []entry
+		want    string // the chosen source's object ID, "" for none
+	}{
+		{"most refined ancestor", []entry{
+			{DefaultInstance, sup("a"), "a", true},
+			{DefaultInstance, sup("a", "b", "c"), "abc", true},
+			{DefaultInstance, sup("a", "b"), "ab", true},
+		}, "abc"},
+		{"query itself excluded", []entry{
+			{DefaultInstance, sup("a"), "a", true},
+			{DefaultInstance, supersetPred(query.Key(), query), "self", true},
+		}, "a"},
+		{"non-exhausted skipped", []entry{
+			{DefaultInstance, sup("a"), "a", true},
+			{DefaultInstance, sup("a", "b"), "ab", false},
+		}, "a"},
+		{"pin and prefix skipped", []entry{
+			{DefaultInstance, predFor(ClassPin, keyword.NewSet("a", "b").Key()), "pin", true},
+			{DefaultInstance, predFor(ClassPrefix, "a"), "prefix", true},
+		}, ""},
+		{"other instance skipped", []entry{
+			{"other", sup("a", "b"), "other", true},
+			{DefaultInstance, sup("b"), "b", true},
+		}, "b"},
+		{"signature-only match rejected", []entry{
+			{DefaultInstance, sup("a", stray), "stray", true},
+		}, ""},
+	}
+	for _, policy := range []string{CachePolicyHot, CachePolicyFIFO} {
+		for _, tc := range cases {
+			t.Run(policy+"/"+tc.name, func(t *testing.T) {
+				c := newResultCache(policy, 1000)
+				for _, e := range tc.entries {
+					c.put(e.instance, e.pred, one(e.id), e.exhausted)
+				}
+				got, ok := c.refineSource(DefaultInstance, query)
+				switch {
+				case tc.want == "" && ok:
+					t.Errorf("refineSource chose %v, want none", got)
+				case tc.want != "" && (!ok || len(got) != 1 || got[0].ObjectID != tc.want):
+					t.Errorf("refineSource = %v, %v; want %q", got, ok, tc.want)
+				}
+			})
+		}
+	}
+}

@@ -132,8 +132,9 @@ func (c *Client) request(ctx context.Context, class QueryClass, root hypercube.V
 // ask delivers one msgTQuery to the owner of vertex `to` and returns
 // the root's answer. With spreadable set, an eligible query is first
 // offered to one of a promoted root's soft replicas; a spread attempt
-// that fails — transport error, a malformed answer, or the replica
-// dropped its copy — forgets the replica set and falls back to the
+// that fails — transport error, a malformed answer, or a bounce
+// (errCodeNoSoftCopy: the replica was demoted, or could not reach the
+// owner for a miss) — forgets the replica set and falls back to the
 // owner path, so a stale hint costs at most one extra round trip.
 func (c *Client) ask(ctx context.Context, to hypercube.Vertex, msg msgTQuery, spreadable bool) (resp respTQuery, viaSoft bool, err error) {
 	if c.spreadOn && spreadable {
@@ -413,9 +414,11 @@ func (c *Client) search(ctx context.Context, k keyword.Set, threshold int, opts 
 	msg.Cumulative, msg.SessionID = cumulative, sessionID
 	// Only one-shot searches may be spread to soft replicas: cumulative
 	// sessions have root affinity, and continuations must return to
-	// whichever server holds the session.
+	// whichever server holds the session. A NoCache search is not
+	// spread either: a replica answers only from its cache or the
+	// owner's, so it could only forward.
 	oneShot := !cumulative && sessionID == 0
-	resp, viaSoft, err := c.ask(ctx, v, msg, oneShot)
+	resp, viaSoft, err := c.ask(ctx, v, msg, oneShot && !msg.NoCache)
 	if err != nil {
 		return Result{}, fmt.Errorf("superset search %v: %w", k, err)
 	}

@@ -55,7 +55,7 @@ func FuzzCoreDecode(f *testing.F) {
 		respMigrateChunk{Entries: entries, Cursor: cursor, Done: true},
 		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
 		respMigrateCommit{Dropped: 3},
-		msgSoftPromote{Instance: "main", Vertex: 7, Gen: 2, Entries: entries, Done: true},
+		msgSoftPromote{Instance: "main", Vertex: 7, Gen: 2},
 		msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: 2, SetKey: "a"},
 	} {
 		c, _ := wire.Lookup(msg)

@@ -14,6 +14,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
@@ -224,116 +225,45 @@ func TestSoftCopyInvalidatedOnMutation(t *testing.T) {
 	}
 }
 
-// mutateOnFirstPromote forwards every send, except that before the
-// first soft-promotion chunk it runs mutate once: a mutation landing in
-// the middle of a promotion push.
-type mutateOnFirstPromote struct {
-	transport.Sender
-	once   sync.Once
-	mutate func()
-}
-
-func (m *mutateOnFirstPromote) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
-	if _, ok := body.(msgSoftPromote); ok {
-		m.once.Do(m.mutate)
-	}
-	return m.Sender.Send(ctx, to, body)
-}
-
-// A root mutated while its promotion is being pushed is not promoted:
-// the copies already pushed snapshot the old table, so the owner tears
-// them down and no replica serves one.
-func TestSoftPromotionAbandonedOnMidPushMutation(t *testing.T) {
-	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
-	ctx := context.Background()
-	q := keyword.NewSet("hotdoc", "alpha")
-	if _, err := d.client.Insert(ctx, obj("seed", "hotdoc", "alpha")); err != nil {
-		t.Fatal(err)
-	}
-	root := d.hasher.Vertex(q)
-	rootSrv := d.serverFor(root)
-	fired := false
-	hook := &mutateOnFirstPromote{Sender: rootSrv.cfg.Sender}
-	hook.mutate = func() {
-		fired = true
-		if _, err := d.client.Insert(ctx, obj("mid-push", "hotdoc", "alpha")); err != nil {
-			t.Error(err)
-		}
-	}
-	rootSrv.cfg.Sender = hook
-
-	for i := 0; i < 3; i++ {
-		if _, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !fired {
-		t.Fatal("the promotion pushed no chunk: nothing was promoted")
-	}
-	if roots := rootSrv.HotPromotedRoots(); len(roots) != 0 {
-		t.Fatalf("root promoted despite a mid-push mutation: %v", roots)
-	}
-	for i, srv := range d.servers {
-		if tbl := srv.soft.lookup("main", root); tbl != nil {
-			t.Errorf("server %d serves a soft copy of the abandoned promotion", i)
-		}
-	}
-	if n := len(rootSrv.hot.mutGens); n != 0 {
-		t.Errorf("mutGens holds %d entries after the promotion returned", n)
-	}
-}
-
-// mutGens holds an epoch only while its root is being promoted, so
-// mutations of vertices nobody promotes leave nothing behind.
-func TestMutGensBounded(t *testing.T) {
-	d := newHotDeployment(t, 14, 1, 0, 2, 3)
-	h := d.servers[0].hot
-	for v := 0; v < 10000; v++ {
-		h.noteMutation("main", hypercube.Vertex(v), "")
-	}
-	if n := len(h.mutGens); n != 0 {
-		t.Errorf("mutGens holds %d entries after 10000 mutations of unpromoted vertices", n)
-	}
-}
-
-// Generation discipline on the replica side: stale promotions never
-// overwrite newer copies, and invalidations drop only generations at or
-// below their own.
+// Generation discipline on the replica side: a stale announcement never
+// replaces a newer one, and an invalidation drops only generations at
+// or below its own — a cooling demotion sent from a goroutine may land
+// after the next promotion's announcement.
 func TestSoftStoreGenerationOrdering(t *testing.T) {
 	st := newSoftStore()
-	mk := func(gen uint64, id string, done bool) msgSoftPromote {
-		return msgSoftPromote{
-			Instance: "main", Vertex: 7, Gen: gen, Done: done,
-			Entries: []BulkEntry{{Instance: "main", Vertex: 7, SetKey: "a", ObjectID: id}},
-		}
+	promote := func(gen uint64) { st.applyPromote(msgSoftPromote{Instance: "main", Vertex: 7, Gen: gen}) }
+	invalidate := func(gen uint64) { st.applyInvalidate(msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: gen}) }
+	if st.holds("main", 7) {
+		t.Fatal("an empty store holds a root")
 	}
-	st.applyPromote(mk(2, "new", true))
-	if st.count() != 1 {
-		t.Fatalf("live copies = %d, want 1", st.count())
+	promote(2)
+	if !st.holds("main", 7) || st.count() != 1 {
+		t.Fatalf("after one announcement: holds %v, count %d", st.holds("main", 7), st.count())
 	}
-	// A stale full push must not displace the live gen-2 copy.
-	st.applyPromote(mk(1, "old", true))
-	tbl := st.lookup("main", 7)
-	if tbl == nil {
-		t.Fatal("live copy vanished")
+	if st.holds("main", 6) || st.holds("other", 7) {
+		t.Error("an announcement of main/7 made another root held")
 	}
-	if ms, _ := tbl.scan(7, 7, predFor(ClassPin, "a"), 0, -1); len(ms) != 1 || ms[0].ObjectID != "new" {
-		t.Errorf("stale generation displaced the live copy: %v", ms)
+	// A stale announcement must not replace the gen-2 one, so an
+	// invalidation at gen 1 still leaves the root held...
+	promote(1)
+	invalidate(1)
+	if !st.holds("main", 7) {
+		t.Error("a stale announcement or invalidation dropped the gen-2 root")
 	}
-	// An invalidation older than the live copy is ignored...
-	st.applyInvalidate(msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: 1})
-	if st.count() != 1 {
-		t.Error("stale invalidation dropped a newer copy")
+	// ...while one at the held generation drops it.
+	invalidate(2)
+	if st.holds("main", 7) || st.count() != 0 {
+		t.Error("invalidation at the held generation did not drop the root")
 	}
-	// ...while one at the live generation drops it.
-	st.applyInvalidate(msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: 2})
-	if st.count() != 0 {
-		t.Error("invalidation at the live generation did not drop the copy")
+	// A late gen-3 demotion after the gen-4 announcement keeps the root.
+	promote(4)
+	invalidate(3)
+	if !st.holds("main", 7) {
+		t.Error("a late, older invalidation dropped a newer announcement")
 	}
-	// A half-pushed (no Done) copy never serves.
-	st.applyPromote(mk(3, "partial", false))
-	if st.lookup("main", 7) != nil {
-		t.Error("pending copy served before its Done chunk")
+	st.reset()
+	if st.holds("main", 7) || st.count() != 0 {
+		t.Error("reset kept a root")
 	}
 }
 
@@ -444,17 +374,25 @@ func (l *sendLog) take() []sentBody {
 	return out
 }
 
-// softHolder returns the index of a server holding a live soft copy of
-// root, failing the test when none does.
+// softHolder returns the index of a server that is a soft replica of
+// root, failing the test when none is.
 func softHolder(t *testing.T, d *deployment, root hypercube.Vertex) int {
 	t.Helper()
 	for i, srv := range d.servers {
-		if srv.soft.lookup(DefaultInstance, root) != nil {
+		if srv.soft.holds(DefaultInstance, root) {
 			return i
 		}
 	}
-	t.Fatal("no server holds a soft copy of the root")
+	t.Fatal("no server is a soft replica of the root")
 	return -1
+}
+
+// instrument wires a fresh telemetry registry into srv's core_*
+// metrics, so a test can read the counters of one server.
+func instrument(srv *Server) *telemetry.Registry {
+	reg := telemetry.New(8)
+	srv.met = newServerMetrics(reg)
+	return reg
 }
 
 // askSoft sends q to the server at addr as a spreading client does
@@ -538,11 +476,12 @@ func TestSoftReplicaMissAskedOfOwner(t *testing.T) {
 	}
 }
 
-// With the owner unreachable, a soft replica's miss falls back to
-// traversing its soft copy: the answer is byte-identical to a cache-off
-// fleet's, and the failed forward is counted with its cause. The owner
-// hosts only the root vertex, so the traversal needs nothing from it.
-func TestSoftReplicaFallsBackWhenOwnerUnreachable(t *testing.T) {
+// With the owner unreachable, a soft replica holds nothing to answer a
+// miss from: it bounces the request with errCodeNoSoftCopy, counts the
+// failed forward naming the owner and no soft serve, and a spreading
+// client ends where a client of a fleet without the hot layer does.
+// The owner hosts only the root vertex.
+func TestSoftReplicaBouncesWhenOwnerUnreachable(t *testing.T) {
 	q := keyword.NewSet("isp")
 	root := keyword.MustNewHasher(6, 42).Vertex(q)
 	place := func(v hypercube.Vertex) int {
@@ -552,35 +491,211 @@ func TestSoftReplicaFallsBackWhenOwnerUnreachable(t *testing.T) {
 		return 1 + int(uint64(v)%3)
 	}
 	ctx := context.Background()
-	cold := newPlacedHotDeployment(t, 6, 4, 0, 0, 3, place)
+	cold := newPlacedHotDeployment(t, 6, 4, 100000, 0, 3, place)
 	corpus(t, cold, 150, 91)
-	want, err := cold.client.SupersetSearch(ctx, q, 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold.net.SetDown(cold.addrs[0], true)
+	want, wantErr := cold.client.SupersetSearch(ctx, q, 10, SearchOptions{})
 
 	d := newPlacedHotDeployment(t, 6, 4, 100000, 2, 3, place)
 	corpus(t, d, 150, 91)
-	for i := 0; i < 3; i++ {
-		if _, err := d.client.SupersetSearch(ctx, q, 10, SearchOptions{}); err != nil {
+	sc, err := NewClient(d.hasher, FuncResolver(func(v hypercube.Vertex) transport.Addr { return d.addrs[place(v)] }), d.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.SetSpread(true)
+	for i := 0; i < 4; i++ {
+		if _, err := sc.SupersetSearch(ctx, q, 10, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	replica := softHolder(t, d, root)
+	reg := instrument(d.servers[replica])
 	d.net.SetDown(d.addrs[0], true)
 
-	res := askSoft(ctx, t, d, d.addrs[replica], q, 10)
-	if !reflect.DeepEqual(res.Matches, want.Matches) || res.Exhausted != want.Exhausted {
-		t.Fatalf("fallback answer %v (exhausted %v) differs from the cache-off fleet's %v (exhausted %v)",
-			matchIDs(res.Matches), res.Exhausted, matchIDs(want.Matches), want.Exhausted)
+	msg, err := d.client.request(ctx, ClassSuperset, root, q.Key(), 10, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.CacheHit || res.FailedSubtrees != 0 {
-		t.Errorf("fallback stats = %+v, %d failed subtrees; want a complete traversal", res.Stats, res.FailedSubtrees)
+	msg.SoftOnly = true
+	raw, err := d.net.Send(ctx, d.addrs[replica], msg)
+	if resp, ok := raw.(respTQuery); err != nil || !ok || resp.ErrCode != errCodeNoSoftCopy {
+		t.Fatalf("soft search with the owner down answered %#v, %v; want errCodeNoSoftCopy", raw, err)
 	}
 	st := d.servers[replica].Stats()
 	if st.SoftForwardFailures != 1 || !strings.Contains(st.LastSoftForwardError, string(d.addrs[0])) {
 		t.Errorf("forward failures = %d (last %q), want 1 naming the owner %s",
 			st.SoftForwardFailures, st.LastSoftForwardError, d.addrs[0])
+	}
+	if n := reg.Snapshot().Counters["core_soft_serves_total"]; n != 0 {
+		t.Errorf("a bounced request counted %d soft serves, want 0", n)
+	}
+
+	got, gotErr := sc.SupersetSearch(ctx, q, 10, SearchOptions{})
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("spreading client got error %v, a fleet without the hot layer %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got.Matches, want.Matches) || got.Stats.SoftServed {
+		t.Errorf("spreading client got %v (soft served %v), a fleet without the hot layer %v",
+			matchIDs(got.Matches), got.Stats.SoftServed, matchIDs(want.Matches))
+	}
+}
+
+// A NoCache search is never spread: a replica answers only from a
+// cache, so the search goes to the owner and no replica sees it or
+// sends anything.
+func TestNoCacheSearchNotSpread(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	corpus(t, d, 150, 91)
+	q := keyword.NewSet("isp")
+	root := d.hasher.Vertex(q)
+	sc := spreadClient(t, d)
+	for i := 0; i < 4; i++ {
+		if _, err := sc.SupersetSearch(ctx, q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := d.client.SupersetSearch(ctx, q, 10, SearchOptions{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []*sendLog
+	var regs []*telemetry.Registry
+	for _, srv := range d.servers {
+		if !srv.soft.holds(DefaultInstance, root) {
+			continue
+		}
+		log := &sendLog{Sender: srv.cfg.Sender}
+		srv.cfg.Sender = log
+		logs, regs = append(logs, log), append(regs, instrument(srv))
+	}
+	if len(logs) != 2 {
+		t.Fatalf("%d soft replicas of the root, want 2", len(logs))
+	}
+	for i := 0; i < 6; i++ {
+		res, err := sc.SupersetSearch(ctx, q, 10, SearchOptions{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.SoftServed || !reflect.DeepEqual(res.Matches, want.Matches) {
+			t.Fatalf("NoCache search %d: soft served %v, matches %v; want the owner's %v",
+				i, res.Stats.SoftServed, matchIDs(res.Matches), matchIDs(want.Matches))
+		}
+	}
+	for i := range logs {
+		if n := len(logs[i].take()); n != 0 {
+			t.Errorf("replica %d sent %d requests for NoCache searches, want none", i, n)
+		}
+		if n := regs[i].Snapshot().Counters[`core_search_class_total{class="superset"}`]; n != 0 {
+			t.Errorf("replica %d received %d superset searches, want none", i, n)
+		}
+	}
+}
+
+// A soft replica without a result cache could only forward, so the
+// layer refuses to start without one.
+func TestHotReplicasNeedCache(t *testing.T) {
+	net := inmem.New(1)
+	defer net.Close()
+	_, err := NewServer(ServerConfig{
+		Hasher:      keyword.MustNewHasher(6, 42),
+		Resolver:    FuncResolver(func(hypercube.Vertex) transport.Addr { return "ix-0" }),
+		Sender:      net,
+		HotReplicas: 2,
+	})
+	if err == nil {
+		t.Fatal("NewServer accepted HotReplicas 2 with CacheCapacity 0")
+	}
+}
+
+// A promotion sends each replica exactly one announcement, all under
+// one generation and carrying no table, however large the root's table
+// is.
+func TestPromotionSendsOneAnnouncementPerReplica(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	q := keyword.NewSet("hotdoc", "alpha")
+	for i := 0; i < 40; i++ {
+		if _, err := d.client.Insert(ctx, obj("seed-"+strconv.Itoa(i), "hotdoc", "alpha")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := d.hasher.Vertex(q)
+	owner := d.serverFor(root)
+	log := &sendLog{Sender: owner.cfg.Sender}
+	owner.cfg.Sender = log
+	var res Result
+	for i := 0; i < 3; i++ {
+		var err error
+		if res, err = d.client.SupersetSearch(ctx, q, All, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(owner.HotPromotedRoots()) == 0 {
+		t.Fatal("root not promoted")
+	}
+	if len(res.Matches) != 40 {
+		t.Fatalf("search found %d matches, want the 40 at the root", len(res.Matches))
+	}
+	var to []string
+	var gen uint64
+	for _, sb := range log.take() {
+		switch body := sb.body.(type) {
+		case msgSoftPromote:
+			if gen == 0 {
+				gen = body.Gen
+			}
+			if want := (msgSoftPromote{Instance: DefaultInstance, Vertex: uint64(root), Gen: gen}); !reflect.DeepEqual(body, want) {
+				t.Errorf("announcement to %s = %#v, want %#v", sb.to, body, want)
+			}
+			to = append(to, string(sb.to))
+		case msgSoftInvalidate:
+			t.Errorf("promotion sent an invalidation to %s", sb.to)
+		}
+	}
+	sort.Strings(to)
+	var replicas []string
+	for i, srv := range d.servers {
+		if srv.soft.holds(DefaultInstance, root) {
+			replicas = append(replicas, string(d.addrs[i]))
+		}
+	}
+	if len(replicas) != 2 || !equalStrings(to, replicas) {
+		t.Errorf("announcements went to %v, replicas are %v; want one each to 2 replicas", to, replicas)
+	}
+}
+
+// An invalidation a replica does not receive is counted on the owner
+// with its cause, naming the replica.
+func TestSoftInvalidationFailureCounted(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	q := keyword.NewSet("hotdoc", "alpha")
+	if _, err := d.client.Insert(ctx, obj("seed", "hotdoc", "alpha")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := d.hasher.Vertex(q)
+	owner := d.serverFor(root)
+	if len(owner.HotPromotedRoots()) == 0 {
+		t.Fatal("root not promoted")
+	}
+	down := d.addrs[softHolder(t, d, root)]
+	d.net.SetDown(down, true)
+	if _, err := d.client.Insert(ctx, obj("fresh", "hotdoc", "alpha")); err != nil {
+		t.Fatal(err)
+	}
+	if roots := owner.HotPromotedRoots(); len(roots) != 0 {
+		t.Fatalf("root still promoted after mutation: %v", roots)
+	}
+	st := owner.Stats()
+	if st.SoftInvalidationFailures != 1 || !strings.Contains(st.LastSoftInvalidationError, string(down)) {
+		t.Errorf("invalidation failures = %d (last %q), want 1 naming the replica %s",
+			st.SoftInvalidationFailures, st.LastSoftInvalidationError, down)
 	}
 }
 

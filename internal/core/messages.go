@@ -65,13 +65,13 @@ type (
 		RefineFromKey    string
 		RefineFromVertex uint64
 		// SoftOnly marks a search a spreading client addressed directly
-		// to a soft replica: the receiver must answer from a live soft
-		// copy of the root (its cache, the owner's answer to a miss, or a
-		// traversal over the copy) or reject with errCodeNoSoftCopy — it
-		// must NOT fall back to its own tables, which are not
-		// authoritative for this vertex. Only a SoftOnly request is ever
-		// served from a soft copy; the replica's forward of a miss to the
-		// owner is not SoftOnly, so it cannot be forwarded again.
+		// to a soft replica of the root: the receiver answers from its
+		// result cache, by refinement reuse, or with the owner's answer
+		// to one forward of the miss, and otherwise rejects with
+		// errCodeNoSoftCopy — it never traverses, since it holds none
+		// of the root's table. Only a SoftOnly request is ever served by
+		// a replica; the replica's forward of a miss to the owner is not
+		// SoftOnly, so it cannot be forwarded again.
 		SoftOnly bool
 		// Class selects the query's match predicate and root resolution;
 		// the zero value is ClassSuperset and an unknown class is
@@ -228,27 +228,26 @@ type (
 		Dropped int
 	}
 
-	// msgSoftPromote installs one chunk of a hot vertex's table on a
-	// soft-replica peer. The owner of a popularity-promoted root
-	// pushes its full table in migration-sized chunks under one
-	// generation number; the copy goes live only when the Done chunk
-	// lands, so a half-pushed table never serves. Soft copies are
-	// volatile by design — never WAL-logged, dropped on restart — and
-	// the owner re-promotes from live popularity if they matter.
+	// msgSoftPromote announces a popularity-promoted root to a
+	// soft-replica peer: "you serve this root's spread searches". It
+	// carries no table; the replica answers from its result cache or
+	// asks the owner. Gen orders announcements and invalidations of one
+	// root. Replica membership is volatile by design — never
+	// WAL-logged, dropped on restart — and the owner re-promotes from
+	// live popularity if it matters.
 	msgSoftPromote struct {
 		Instance string
 		Vertex   uint64
 		Gen      uint64
-		Entries  []BulkEntry
-		Done     bool
 	}
 
-	// msgSoftInvalidate drops a soft-replica copy. The owner sends it
-	// synchronously (best effort) on any mutation of a promoted
-	// vertex, carrying the mutated entry's SetKey so the replica also
-	// runs the same invalidateSubsetsOf event over its own result
-	// cache; demotion-by-cooling sends it with an empty SetKey (the
-	// copy goes away but cached results remain valid).
+	// msgSoftInvalidate withdraws a soft replica's membership for one
+	// root, at generations up to Gen. The owner sends it synchronously
+	// (best effort) on any mutation of a promoted vertex, carrying the
+	// mutated entry's SetKey so the replica also runs the same
+	// invalidateSubsetsOf event over its own result cache;
+	// demotion-by-cooling sends it with an empty SetKey (the replica
+	// stops serving but keeps its cached results).
 	msgSoftInvalidate struct {
 		Instance string
 		Vertex   uint64

@@ -137,9 +137,9 @@ type migrateMetrics struct {
 	commits     *telemetry.Counter
 }
 
-// failureLog counts one kind of failure (a migration's, or a soft
-// replica's forward): a total, its telemetry counter, and the latest
-// cause.
+// failureLog counts one kind of failure (a migration's, a soft
+// replica's forward, or an owner's invalidation of a replica): a total,
+// its telemetry counter, and the latest cause.
 type failureLog struct {
 	c     *telemetry.Counter
 	mu    sync.Mutex

@@ -33,7 +33,9 @@ const (
 	// ancestor state; the client falls back to a plain search.
 	errCodeNoRefineState
 	// errCodeNoSoftCopy rejects a spread search (msgTQuery.SoftOnly)
-	// whose receiver no longer holds a live soft copy of the root; the
+	// its receiver cannot answer: it is not (or no longer) a soft
+	// replica of the root, the request is not one a replica serves, or
+	// its cache missed and the owner did not answer the forward. The
 	// client forgets the replica set and retries via the owner.
 	errCodeNoSoftCopy
 )
@@ -126,15 +128,12 @@ type tally struct {
 // masked dimension for a prefix multicast, a single childless vertex
 // for a pin.
 //
-// soft, when non-nil, is a live soft-replica copy of the root vertex's
-// table: this server is not the root's owner but serves the superset
-// search anyway. A cache miss it cannot refine is asked of the owner
-// once (askOwner); only when that fails does the replica traverse,
-// scanning the soft copy wherever the authoritative path would scan the
-// root's table. Everything else — subcube waves, accounting, caching —
-// is unchanged, so a soft-served answer is byte-identical to the
-// owner's.
-func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (respTQuery, error) {
+// A SoftOnly request reaches a soft replica of the root, which is not
+// its owner and holds none of its table: it answers from its result
+// cache or by refinement reuse, asks the owner once on a miss
+// (askOwner), and otherwise bounces the request with
+// errCodeNoSoftCopy, so the client takes the owner path.
+func (s *Server) runQuery(ctx context.Context, msg msgTQuery) (respTQuery, error) {
 	q, err := s.parseQuery(msg)
 	if err != nil {
 		return respTQuery{}, err
@@ -175,7 +174,7 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 	// query for a root counts toward promotion, and a promoted root's
 	// replica addresses ride back on the response — including on cache
 	// hits, so clients learn the set without a miss.
-	if oneShot && msg.Class == ClassSuperset && soft == nil {
+	if oneShot && msg.Class == ClassSuperset && !msg.SoftOnly {
 		softAddrs = s.hot.note(ctx, msg.Instance, q.root)
 	}
 	if cacheable {
@@ -198,12 +197,13 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 				matches, exhausted, _ := truncateCached(derived, true, msg.Threshold)
 				return answered(respTQuery{Matches: matches, Exhausted: exhausted, RefineHit: true, SoftAddrs: softAddrs})
 			}
-			if soft != nil {
-				if resp, ok := s.askOwner(ctx, &q); ok {
-					return answered(resp)
-				}
-			}
 		}
+	}
+	if msg.SoftOnly {
+		if resp, ok := s.askOwner(ctx, &q); ok {
+			return answered(resp)
+		}
+		return respTQuery{ErrCode: errCodeNoSoftCopy}, nil
 	}
 
 	// Span aggregates (nodes, msgs, duration, …) are recorded for every
@@ -228,7 +228,7 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 	}
 
 	if sess == nil {
-		if sess, err = newSession(&q, soft); err != nil {
+		if sess, err = newSession(&q); err != nil {
 			return respTQuery{}, err
 		}
 	}
@@ -291,7 +291,7 @@ func (s *Server) runQuery(ctx context.Context, msg msgTQuery, soft *table) (resp
 // The hop is charged to the answer: one more node contacted, a message
 // pair, the frames sent and a round. ok is false, and the failure is
 // counted with its cause, when the owner did not answer; the caller
-// then traverses its soft copy.
+// then bounces the request.
 func (s *Server) askOwner(ctx context.Context, q *rootQuery) (respTQuery, bool) {
 	s.met.softForwards.Inc()
 	fwd := q.msg
@@ -381,8 +381,8 @@ func (s *Server) recordSearchSpan(q *rootQuery, resp respTQuery, startedAt time.
 }
 
 // newSession builds the one frontier of a fresh query.
-func newSession(q *rootQuery, soft *table) (*session, error) {
-	sess := &session{instance: q.msg.Instance, cube: q.cube, pred: q.pred, order: q.order, root: q.root, soft: soft}
+func newSession(q *rootQuery) (*session, error) {
+	sess := &session{instance: q.msg.Instance, cube: q.cube, pred: q.pred, order: q.order, root: q.root}
 	switch {
 	case q.msg.Class == ClassPin:
 		// Section 3.4: the exact set lives at one vertex; nothing below
@@ -670,17 +670,13 @@ func unitHit(ctx context.Context, r *respSubUnit) (hit waveHit, retry bool) {
 
 // scanLocal answers a unit from this server's own tables, with no
 // frame; a vertex outside arc (the zero arc for the root, whose
-// ownership the T_QUERY handler settled) is an ErrNotOwner hit. On a
-// soft-served search only the root is ever local, and its matches come
-// from the soft copy, not this node's (unrelated) authoritative tables.
+// ownership the T_QUERY handler settled) is an ErrNotOwner hit.
 func (s *Server) scanLocal(ctx context.Context, arc ownedArc, sess *session, u workUnit, limit int) waveHit {
-	hit, owned := waveHit{}, true
-	if sess.soft != nil {
-		hit.matches, hit.remaining = sess.soft.scan(u.vertex, sess.root, sess.pred, u.skip, limit)
-	} else if hit.matches, hit.remaining, owned = s.scanVertexRead(ctx, arc, sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit); !owned {
+	matches, remaining, owned := s.scanVertexRead(ctx, arc, sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit)
+	if !owned {
 		return waveHit{err: ErrNotOwner}
 	}
-	return hit
+	return waveHit{matches: matches, remaining: remaining}
 }
 
 // flattenTail is the wave-width rule of a batched level search: send
@@ -751,16 +747,10 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	errs := s.cfg.Resolver.ResolveBatch(ctx, sess.instance, vertices, addrs)
 
 	// This server's own address identifies which other vertices it
-	// hosts; failing to resolve it only disables that shortcut. On a
-	// soft-served search the root resolves to the OWNER's address, not
-	// this node's, so the shortcut stays off — non-root vertices all
-	// take the batch path to their authoritative peers (possibly
-	// including this node itself, via a self-addressed frame).
+	// hosts; failing to resolve it only disables that shortcut.
 	var selfAddr transport.Addr
-	if sess.soft == nil {
-		if a, err := s.cfg.Resolver.Resolve(ctx, sess.instance, sess.root); err == nil {
-			selfAddr = a
-		}
+	if a, err := s.cfg.Resolver.Resolve(ctx, sess.instance, sess.root); err == nil {
+		selfAddr = a
 	}
 	arc := s.arc()
 

@@ -68,9 +68,10 @@ type ServerConfig struct {
 	CachePolicy string
 	// HotReplicas enables soft replication of hot root vertices: a
 	// root whose fresh-query count reaches DefaultHotPromoteThreshold
-	// gets its table soft-copied onto this many extra peers, and the
-	// owner advertises their addresses so clients spread the load. 0
-	// disables the layer (the default).
+	// is announced to this many extra peers, and the owner advertises
+	// their addresses so clients spread the load; a replica answers
+	// from its result cache or asks the owner. 0 disables the layer
+	// (the default); a positive value needs CacheCapacity > 0.
 	HotReplicas int
 	// BatchWaves controls wave batching for ParallelLevels searches
 	// this server roots (BatchAuto = on).
@@ -164,14 +165,16 @@ type Server struct {
 	sessions *sessionStore
 
 	// hot tracks root popularity and manages soft replication of the
-	// roots this server owns; soft holds the copies other owners
-	// pushed onto this node.
+	// roots this server owns; soft holds the roots other owners
+	// announced to this node.
 	hot  *hotVertexManager
 	soft *softStore
 	// softForwardFails counts a soft replica's cache-miss forwards the
-	// root's owner did not answer (the replica then traversed its soft
-	// copy); surfaced in Stats.
-	softForwardFails failureLog
+	// root's owner did not answer (the replica then bounced the
+	// request); softInvalidateFails counts the invalidations this
+	// owner could not deliver to a replica. Both surface in Stats.
+	softForwardFails    failureLog
+	softInvalidateFails failureLog
 
 	// migrate manages inbound range migrations and the double-read
 	// window state; always non-nil on servers built by NewServer.
@@ -403,6 +406,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown cache policy %q (want %q or %q)", cfg.CachePolicy, CachePolicyHot, CachePolicyFIFO)
 	}
+	if cfg.HotReplicas > 0 && cfg.CacheCapacity <= 0 {
+		// A replica answers from its result cache or asks the owner; a
+		// fleet without caches would only add a hop to every search.
+		return nil, fmt.Errorf("core: HotReplicas %d needs a result cache (CacheCapacity > 0)", cfg.HotReplicas)
+	}
 	shards := make([]*tableShard, min(ceilPow2(runtime.GOMAXPROCS(0)), maxShards))
 	for i := range shards {
 		shards[i] = &tableShard{tables: make(map[string]map[hypercube.Vertex]*table)}
@@ -418,6 +426,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.hot = newHotVertexManager(s, cfg.HotReplicas)
 	s.softForwardFails.c = cfg.Telemetry.Counter("core_soft_forward_failures_total")
+	s.softInvalidateFails.c = cfg.Telemetry.Counter("core_soft_invalidation_failures_total")
 	if cfg.Admission != nil {
 		s.adm = admission.New(*cfg.Admission, cfg.Telemetry)
 	}
@@ -449,7 +458,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		reg.GaugeFunc("core_cache_queries", func() int64 { return int64(s.cache.len()) })
 		reg.GaugeFunc("core_cache_entries", func() int64 { return int64(s.cache.len()) })
 		reg.GaugeFunc("core_cache_units", func() int64 { return int64(s.cache.unitCount()) })
-		reg.GaugeFunc("core_soft_tables", func() int64 { return int64(s.soft.count()) })
+		reg.GaugeFunc("core_soft_roots", func() int64 { return int64(s.soft.count()) })
 		reg.GaugeFunc("core_sessions_active", func() int64 { return int64(s.sessions.len()) })
 		for i, sh := range s.shards {
 			sh := sh
@@ -617,19 +626,19 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 				return nil, ErrNotOwner
 			}
 			s.met.opPin.Inc()
-			return s.runQuery(ctx, msg, nil)
+			return s.runQuery(ctx, msg)
 		case ClassPrefix:
 			if msg.SoftOnly {
-				// Soft replicas hold one vertex's table; a prefix
-				// multicast needs the whole branch partition, so spread
-				// requests bounce back to the owner path.
+				// Soft replicas serve one superset root; a prefix
+				// multicast is coordinator work, so spread requests
+				// bounce back to the owner path.
 				return respTQuery{ErrCode: errCodeNoSoftCopy}, nil
 			}
 			if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
 				return nil, ErrNotOwner
 			}
 			s.met.opPrefix.Inc()
-			return s.runQuery(ctx, msg, nil)
+			return s.runQuery(ctx, msg)
 		}
 		if msg.RefineFromKey != "" {
 			// Explicit refinement: the receiver must own the ANCESTOR
@@ -641,29 +650,33 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 			s.met.opRefine.Inc()
 			return s.runRefine(msg), nil
 		}
-		// Only a SoftOnly request is served from a soft copy: soft
+		// Only a SoftOnly request is served by a soft replica: soft
 		// replicas of a hot root are, by design, nodes that do NOT own
 		// the vertex, and spreading clients address them directly. Any
 		// other request takes the owner path or is refused, so the
 		// owner-bound forward of a soft replica's cache miss can never
 		// be soft-served or forwarded again.
 		if msg.SoftOnly {
-			tbl := s.soft.lookup(msg.Instance, hypercube.Vertex(msg.Vertex))
-			if tbl == nil {
-				// A spreading client reached us for a copy we no longer
-				// hold; answering from our own tables would be wrong (we
-				// are not this vertex's owner), so bounce it back.
+			if !s.soft.holds(msg.Instance, hypercube.Vertex(msg.Vertex)) ||
+				msg.SessionID != 0 || msg.Cumulative || msg.NoCache {
+				// A spreading client reached us for a root we no longer
+				// serve, or with a search no cache answers; answering
+				// from our own tables would be wrong (we are not this
+				// vertex's owner), so bounce it back.
 				return respTQuery{ErrCode: errCodeNoSoftCopy}, nil
 			}
 			s.met.opSearch.Inc()
-			s.met.softServes.Inc()
-			return s.runQuery(ctx, msg, tbl)
+			resp, err := s.runQuery(ctx, msg)
+			if err == nil && resp.ErrCode != errCodeNoSoftCopy {
+				s.met.softServes.Inc()
+			}
+			return resp, err
 		}
 		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
 			return nil, ErrNotOwner
 		}
 		s.met.opSearch.Inc()
-		return s.runQuery(ctx, msg, nil)
+		return s.runQuery(ctx, msg)
 	case msgSoftPromote:
 		s.soft.applyPromote(msg)
 		return respAck{}, nil
@@ -761,10 +774,8 @@ func (s *Server) insertEntry(instance string, v hypercube.Vertex, setKey, object
 	// The cache has its own lock; invalidating outside the shard lock
 	// keeps the lock order flat (shard locks never nest with others).
 	s.cache.invalidateSubsetsOf(instance, setKey)
-	// Local authority over the vertex supersedes any soft copy of it,
-	// and a promoted root whose table changed must demote (its
-	// replicas now serve a stale copy).
-	s.soft.dropLocal(instance, v)
+	// A promoted root whose table changed must demote (its replicas'
+	// cached answers may now be stale).
 	s.hot.noteMutation(instance, v, setKey)
 	return nil
 }
@@ -815,7 +826,6 @@ func (s *Server) deleteEntry(instance string, v hypercube.Vertex, setKey, object
 	}
 	if found {
 		s.cache.invalidateSubsetsOf(instance, setKey)
-		s.soft.dropLocal(instance, v)
 		s.hot.noteMutation(instance, v, setKey)
 	}
 	return found, nil
@@ -967,10 +977,17 @@ type TableStats struct {
 	SyncFailures  uint64
 	LastSyncError string
 	// SoftForwardFailures counts soft-replica cache misses whose
-	// forward to the root's owner failed, so the replica traversed its
-	// soft copy instead; LastSoftForwardError is the latest cause.
+	// forward to the root's owner failed, so the replica bounced the
+	// request to the client's owner path; LastSoftForwardError is the
+	// latest cause.
 	SoftForwardFailures  uint64
 	LastSoftForwardError string
+	// SoftInvalidationFailures counts invalidations this owner could
+	// not deliver to a soft replica, which then keeps serving its
+	// cached answers for the root; LastSoftInvalidationError is the
+	// latest cause, naming the replica.
+	SoftInvalidationFailures  uint64
+	LastSoftInvalidationError string
 }
 
 // Stats returns current storage counters, aggregated over every index
@@ -986,6 +1003,7 @@ func (s *Server) Stats() TableStats {
 		st.SyncFailures, st.LastSyncError = s.store.SyncFailures()
 	}
 	st.SoftForwardFailures, st.LastSoftForwardError = s.softForwardFails.read()
+	st.SoftInvalidationFailures, st.LastSoftInvalidationError = s.softInvalidateFails.read()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, vertices := range sh.tables {
@@ -1162,8 +1180,8 @@ func (s *Server) CrashReset() {
 	s.cache.reset()
 	s.sessions.reset()
 	s.migrate.crashReset()
-	// Soft state is volatile by contract: copies and popularity die
-	// with the process.
+	// Soft state is volatile by contract: replica roots and popularity
+	// die with the process.
 	s.soft.reset()
 	s.hot.reset()
 }

@@ -35,10 +35,6 @@ type session struct {
 	// partially-consumed nodes at the head); for BottomUp the remaining
 	// vertices in descending-depth order, branch by branch.
 	work []workUnit
-	// soft, when non-nil, is the soft-replica copy of the root
-	// vertex's table this (non-owner) server is serving the search
-	// from; root-vertex scans read it instead of the local tables.
-	soft *table
 }
 
 // branch is the root of the SBT branch holding v. Section 3.4's prefix

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,27 +17,31 @@ import (
 // their root vertices become hotspots no matter how well the hash
 // spreads the index itself. The hot-vertex layer counters this with
 // *soft replicas*: when a root's query count crosses a threshold, its
-// owner pushes a copy of the root's table onto HotReplicas extra peers
-// and starts advertising their addresses in its responses
-// (respTQuery.SoftAddrs); clients then spread subsequent searches for
-// that root across owner + replicas.
+// owner announces the root to HotReplicas extra peers and starts
+// advertising their addresses in its responses (respTQuery.SoftAddrs);
+// clients then spread subsequent searches for that root across owner +
+// replicas.
 //
-// Soft copies are deliberately weak state:
+// A replica is a forwarding cache, not a copy: it holds no table of
+// the root, answers a spread search from its own result cache or by
+// refinement reuse, asks the owner once on a miss (askOwner), and
+// bounces the request back to the client's owner path when that ask
+// fails. Its membership is deliberately weak state:
 //
 //   - Volatile: never WAL-logged, dropped on restart. The owner
 //     re-promotes from live popularity if the root still matters.
-//   - Generation-stamped: a push carries one generation number across
-//     all its chunks and goes live only when the Done chunk lands, so a
-//     half-pushed table never serves.
+//   - Generation-stamped: a stale announcement never replaces a newer
+//     one, and an invalidation drops only generations at or below its
+//     own (cooling demotions are sent from a goroutine).
 //   - Invalidated, not updated: any mutation of a promoted vertex
 //     demotes it — the owner synchronously (best effort) tells each
-//     replica to drop its copy, carrying the mutated SetKey so the
+//     replica to drop the root, carrying the mutated SetKey so the
 //     replica runs the same invalidateSubsetsOf event over its own
-//     result cache. An unreachable replica keeps serving the stale
-//     copy until its owner-side demotion propagates — the same
-//     staleness contract the per-node result cache already has
-//     (caches on non-mutating nodes go stale until their own
-//     mutation arrives).
+//     result cache. An unreachable replica keeps serving its cached
+//     answers until it hears otherwise — the same staleness contract
+//     the per-node result cache already has (caches on non-mutating
+//     nodes go stale until their own mutation arrives); each such
+//     failed send is counted with its cause.
 //
 // Lock order: hot/soft locks are flat like the cache's — never held
 // across a Send, never nested inside shard locks.
@@ -54,10 +59,10 @@ const (
 	// hotCoolThreshold is the decayed count below which a promoted
 	// root is demoted (its replicas dropped) at the next decay sweep.
 	hotCoolThreshold = 8
-	// softPushTimeout bounds one promotion push or invalidation send;
+	// softSendTimeout bounds one announcement or invalidation send;
 	// decoupled from any query deadline so a promotion triggered inside
 	// a short-deadline search still completes.
-	softPushTimeout = 5 * time.Second
+	softSendTimeout = 5 * time.Second
 )
 
 // hotKey identifies one tracked root vertex.
@@ -67,7 +72,7 @@ type hotKey struct {
 }
 
 // softSet is the owner-side record of a promoted root: the replica
-// peers holding its soft copy.
+// peers it was announced to.
 type softSet struct {
 	gen   uint64
 	addrs []transport.Addr
@@ -75,7 +80,7 @@ type softSet struct {
 }
 
 // hotVertexManager is the owner-side half of the layer: popularity
-// tracking, promotion pushes, and demotion/invalidation.
+// tracking, promotion announcements, and demotion/invalidation.
 type hotVertexManager struct {
 	s         *Server
 	replicas  int
@@ -88,12 +93,6 @@ type hotVertexManager struct {
 	promoted  map[hotKey]*softSet
 	promoting map[hotKey]bool
 	notes     int // fresh queries since the last decay sweep
-	// mutGens counts the mutations of a root that is being promoted;
-	// an entry lives only while its key is in promoting. promote
-	// re-checks it before committing: a mutation that lands mid-push
-	// would otherwise miss the invalidation (the root is not in
-	// promoted yet) and leave a stale copy serving indefinitely.
-	mutGens map[hotKey]uint64
 }
 
 func newHotVertexManager(s *Server, replicas int) *hotVertexManager {
@@ -104,7 +103,6 @@ func newHotVertexManager(s *Server, replicas int) *hotVertexManager {
 		counts:    make(map[hotKey]int),
 		promoted:  make(map[hotKey]*softSet),
 		promoting: make(map[hotKey]bool),
-		mutGens:   make(map[hotKey]uint64),
 	}
 }
 
@@ -155,24 +153,25 @@ func (h *hotVertexManager) note(ctx context.Context, instance string, v hypercub
 }
 
 // demoteLocked fires a cooling demotion: the replica drop is sent
-// asynchronously (empty SetKey — the copy goes away but cached
-// results derived from it remain valid). Callers hold h.mu; the
+// asynchronously (empty SetKey — the replica stops serving the root
+// but keeps its cached answers). Callers hold h.mu; the
 // goroutine takes no locks before its own sends.
 func (h *hotVertexManager) demoteLocked(k hotKey, set *softSet) {
 	h.s.met.hotDemotions.Inc()
 	go h.sendInvalidate(k, set, "")
 }
 
-// promote snapshots the root's table and pushes it to the replica
-// peers in migration-sized, generation-stamped chunks. On any push
-// failure the whole promotion is abandoned (the replica set must be
-// complete or absent — a partial set would skew the spreading) and the
-// counter resets so a persistent failure doesn't retry every query.
+// promote announces the root to the replica peers under one
+// generation. On any send failure the whole promotion is abandoned
+// (the replica set must be complete or absent — a partial set would
+// skew the spreading): the peers already told, and the one whose send
+// failed (it may have applied the announcement before the error), are
+// told to drop it, and the counter resets so a persistent failure
+// doesn't retry every query.
 func (h *hotVertexManager) promote(ctx context.Context, k hotKey) *softSet {
 	defer func() {
 		h.mu.Lock()
 		delete(h.promoting, k)
-		delete(h.mutGens, k)
 		h.mu.Unlock()
 	}()
 
@@ -183,42 +182,23 @@ func (h *hotVertexManager) promote(ctx context.Context, k hotKey) *softSet {
 		h.mu.Unlock()
 		return nil
 	}
-	h.mu.Lock()
-	startGen := h.mutGens[k]
-	h.mu.Unlock()
-	entries := h.s.snapshotVertex(k.instance, k.vertex)
-	gen := h.gen.Add(1)
-	chunk := h.s.cfg.Migration.withDefaults().ChunkEntries
-
-	pctx, cancel := context.WithTimeout(context.Background(), softPushTimeout)
+	set := &softSet{gen: h.gen.Add(1), addrs: peers, strs: make([]string, len(peers))}
+	for i, a := range peers {
+		set.strs[i] = string(a)
+	}
+	msg := msgSoftPromote{Instance: k.instance, Vertex: uint64(k.vertex), Gen: set.gen}
+	pctx, cancel := context.WithTimeout(context.Background(), softSendTimeout)
 	defer cancel()
-	for _, addr := range peers {
-		if err := h.pushCopy(pctx, addr, k, gen, entries, chunk); err != nil {
-			// Tell any peer that already holds a complete copy of this
-			// generation to drop it, then abandon the promotion.
-			set := &softSet{gen: gen, addrs: peers}
-			h.sendInvalidate(k, set, "")
+	for i, addr := range peers {
+		if _, err := h.s.cfg.Sender.Send(pctx, addr, msg); err != nil {
+			h.sendInvalidate(k, &softSet{gen: set.gen, addrs: peers[:i+1]}, "")
 			h.mu.Lock()
 			h.counts[k] = 0
 			h.mu.Unlock()
 			return nil
 		}
 	}
-
-	set := &softSet{gen: gen, addrs: peers, strs: make([]string, len(peers))}
-	for i, a := range peers {
-		set.strs[i] = string(a)
-	}
 	h.mu.Lock()
-	if h.mutGens[k] != startGen {
-		// The vertex mutated while we were pushing: the copies we just
-		// installed snapshot a stale table, and the mutation's own
-		// invalidation ran before the root entered promoted (so it
-		// dropped nothing). Tear the copies down and abandon.
-		h.mu.Unlock()
-		h.sendInvalidate(k, set, "")
-		return nil
-	}
 	h.promoted[k] = set
 	h.mu.Unlock()
 	h.s.met.hotPromotions.Inc()
@@ -254,34 +234,9 @@ func (h *hotVertexManager) pickPeers(ctx context.Context, k hotKey) []transport.
 	return peers
 }
 
-// pushCopy sends one replica's full copy as a chunked sequence under
-// one generation; the last chunk carries Done. An empty table still
-// pushes one Done chunk — an empty live copy serves correctly.
-func (h *hotVertexManager) pushCopy(ctx context.Context, addr transport.Addr, k hotKey, gen uint64, entries []BulkEntry, chunk int) error {
-	for start := 0; ; start += chunk {
-		end := start + chunk
-		if end >= len(entries) {
-			end = len(entries)
-		}
-		msg := msgSoftPromote{
-			Instance: k.instance,
-			Vertex:   uint64(k.vertex),
-			Gen:      gen,
-			Entries:  entries[start:end],
-			Done:     end == len(entries),
-		}
-		if _, err := h.s.cfg.Sender.Send(ctx, addr, msg); err != nil {
-			return err
-		}
-		if msg.Done {
-			return nil
-		}
-	}
-}
-
 // noteMutation demotes a promoted root whose table just changed:
 // drops the owner-side record, resets the popularity count (the next
-// burst re-promotes with a fresh copy), and synchronously best-effort
+// burst re-promotes it), and synchronously best-effort
 // invalidates each replica. setKey is the mutated entry's key so
 // replicas can invalidate their own result caches with the same
 // subset-event the owner just ran.
@@ -291,9 +246,6 @@ func (h *hotVertexManager) noteMutation(instance string, v hypercube.Vertex, set
 	}
 	k := hotKey{instance: instance, vertex: v}
 	h.mu.Lock()
-	if h.promoting[k] {
-		h.mutGens[k]++
-	}
 	set, ok := h.promoted[k]
 	if ok {
 		delete(h.promoted, k)
@@ -307,12 +259,12 @@ func (h *hotVertexManager) noteMutation(instance string, v hypercube.Vertex, set
 	h.sendInvalidate(k, set, setKey)
 }
 
-// sendInvalidate tells each replica of set to drop its copy; best
+// sendInvalidate tells each replica of set to drop the root; best
 // effort with a bounded timeout — an unreachable replica serves its
-// stale copy until it hears otherwise, matching the result cache's
-// staleness contract.
+// cached answers until it hears otherwise, matching the result cache's
+// staleness contract. Each failed send is counted with its cause.
 func (h *hotVertexManager) sendInvalidate(k hotKey, set *softSet, setKey string) {
-	ctx, cancel := context.WithTimeout(context.Background(), softPushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), softSendTimeout)
 	defer cancel()
 	msg := msgSoftInvalidate{
 		Instance: k.instance,
@@ -321,9 +273,11 @@ func (h *hotVertexManager) sendInvalidate(k hotKey, set *softSet, setKey string)
 		SetKey:   setKey,
 	}
 	for _, addr := range set.addrs {
-		if _, err := h.s.cfg.Sender.Send(ctx, addr, msg); err == nil {
-			h.s.met.softInvalidations.Inc()
+		if _, err := h.s.cfg.Sender.Send(ctx, addr, msg); err != nil {
+			h.s.softInvalidateFails.note(fmt.Sprintf("invalidate %s/%d at %s: %v", k.instance, k.vertex, addr, err))
+			continue
 		}
+		h.s.met.softInvalidations.Inc()
 	}
 }
 
@@ -353,7 +307,6 @@ func (h *hotVertexManager) reset() {
 	h.counts = make(map[hotKey]int)
 	h.promoted = make(map[hotKey]*softSet)
 	h.promoting = make(map[hotKey]bool)
-	h.mutGens = make(map[hotKey]uint64)
 	h.notes = 0
 	h.mu.Unlock()
 }
@@ -382,130 +335,61 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// snapshotVertex copies one vertex's table into BulkEntries under the
-// shard read lock, in canonical order.
-func (s *Server) snapshotVertex(instance string, v hypercube.Vertex) []BulkEntry {
-	sh := s.shardFor(instance, v)
-	sh.rlock(s.met.shardLockWait)
-	defer sh.mu.RUnlock()
-	tbl, ok := sh.tables[instance][v]
-	if !ok {
-		return nil
-	}
-	return appendEntries(nil, instance, v, tbl)
-}
-
-// softCopy is one replica-side soft table under construction or live.
-type softCopy struct {
-	gen uint64
-	tbl *table
-}
-
-// softStore is the replica-side half: it holds the soft copies other
-// owners pushed onto this node. Lookup is consulted on the search
-// path before the ownership check, with a lock-free emptiness fast
-// path so nodes holding no copies (the common case) pay one atomic
+// softStore is the replica-side half: the roots other owners announced
+// to this node, each with its generation. holds is consulted on the
+// search path for every SoftOnly request, with a lock-free emptiness
+// fast path so nodes holding no roots (the common case) pay one atomic
 // load.
 type softStore struct {
-	live atomic.Int64 // count of live copies; fast-path gate
+	live atomic.Int64 // len(roots); fast-path gate
 
-	mu      sync.RWMutex
-	pending map[hotKey]*softCopy
-	serving map[hotKey]*softCopy
+	mu    sync.RWMutex
+	roots map[hotKey]uint64 // root → generation
 }
 
 func newSoftStore() *softStore {
-	return &softStore{
-		pending: make(map[hotKey]*softCopy),
-		serving: make(map[hotKey]*softCopy),
-	}
+	return &softStore{roots: make(map[hotKey]uint64)}
 }
 
-// applyPromote ingests one promotion chunk. Chunks of one generation
-// accumulate in pending; Done moves the copy to serving. Stale
-// generations (≤ an already-live copy's) are ignored.
+// applyPromote records an announcement unless a newer generation of
+// the same root is already held.
 func (st *softStore) applyPromote(msg msgSoftPromote) {
 	k := hotKey{instance: msg.Instance, vertex: hypercube.Vertex(msg.Vertex)}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if cur, ok := st.serving[k]; ok && cur.gen >= msg.Gen {
-		return
+	if gen, ok := st.roots[k]; !ok || gen < msg.Gen {
+		st.roots[k] = msg.Gen
+		st.live.Store(int64(len(st.roots)))
 	}
-	pend := st.pending[k]
-	if pend == nil || pend.gen < msg.Gen {
-		pend = &softCopy{gen: msg.Gen, tbl: &table{}}
-		st.pending[k] = pend
-	} else if pend.gen > msg.Gen {
-		return
-	}
-	for _, be := range msg.Entries {
-		pend.tbl.insert(be.SetKey, be.ObjectID)
-	}
-	if msg.Done {
-		delete(st.pending, k)
-		st.serving[k] = pend
-		st.live.Store(int64(len(st.serving)))
-	}
+	st.mu.Unlock()
 }
 
-// applyInvalidate drops the copy for generations ≥ the stored one and
-// reports whether a SetKey-bearing invalidation should also run over
-// this node's result cache (it always should: the owner mutated the
-// vertex, so any cached result derived from serving the soft copy may
-// now be stale — even if the copy itself is already gone).
+// applyInvalidate drops the root if the held generation is at or below
+// the invalidation's. The handler runs a SetKey-bearing invalidation
+// over the result cache either way: the owner mutated the vertex, so
+// any answer cached while serving the root may now be stale.
 func (st *softStore) applyInvalidate(msg msgSoftInvalidate) {
 	k := hotKey{instance: msg.Instance, vertex: hypercube.Vertex(msg.Vertex)}
 	st.mu.Lock()
-	if cur, ok := st.serving[k]; ok && msg.Gen >= cur.gen {
-		delete(st.serving, k)
-		st.live.Store(int64(len(st.serving)))
-	}
-	if pend, ok := st.pending[k]; ok && msg.Gen >= pend.gen {
-		delete(st.pending, k)
+	if gen, ok := st.roots[k]; ok && msg.Gen >= gen {
+		delete(st.roots, k)
+		st.live.Store(int64(len(st.roots)))
 	}
 	st.mu.Unlock()
 }
 
-// lookup returns the live soft table for (instance, v), or nil. The
-// returned table is immutable once live — promotion builds a fresh
-// table per generation and never mutates a serving one.
-func (st *softStore) lookup(instance string, v hypercube.Vertex) *table {
+// holds reports whether this node serves (instance, v)'s spread
+// searches.
+func (st *softStore) holds(instance string, v hypercube.Vertex) bool {
 	if st == nil || st.live.Load() == 0 {
-		return nil
+		return false
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	c, ok := st.serving[hotKey{instance: instance, vertex: v}]
-	if !ok {
-		return nil
-	}
-	return c.tbl
+	_, ok := st.roots[hotKey{instance: instance, vertex: v}]
+	return ok
 }
 
-// dropLocal discards any soft copy of a vertex this node itself
-// mutates: local authority supersedes a replica of someone else's
-// (now conflicting) promotion. Cheap no-op when nothing is stored.
-func (st *softStore) dropLocal(instance string, v hypercube.Vertex) {
-	if st == nil || (st.live.Load() == 0 && !st.hasPending()) {
-		return
-	}
-	k := hotKey{instance: instance, vertex: v}
-	st.mu.Lock()
-	if _, ok := st.serving[k]; ok {
-		delete(st.serving, k)
-		st.live.Store(int64(len(st.serving)))
-	}
-	delete(st.pending, k)
-	st.mu.Unlock()
-}
-
-func (st *softStore) hasPending() bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.pending) > 0
-}
-
-// count reports the number of live soft copies (the gauge).
+// count reports the number of roots held (the gauge).
 func (st *softStore) count() int {
 	if st == nil {
 		return 0
@@ -513,14 +397,13 @@ func (st *softStore) count() int {
 	return int(st.live.Load())
 }
 
-// reset drops every copy (crash model; soft state is volatile).
+// reset drops every root (crash model; soft state is volatile).
 func (st *softStore) reset() {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
-	st.pending = make(map[hotKey]*softCopy)
-	st.serving = make(map[hotKey]*softCopy)
+	st.roots = make(map[hotKey]uint64)
 	st.live.Store(0)
 	st.mu.Unlock()
 }

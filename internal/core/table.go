@@ -22,9 +22,8 @@ import (
 // slack on the deep_inmem corpus (TestTableBytesPerObject).
 //
 // The slices are mutated in place. A writer must exclude every reader
-// (the shard write lock for the authoritative tables; a soft copy is
-// only written before it goes live), a reader must exclude writers (the
-// shard read lock), and nothing a reader is handed may be kept past
+// (the shard write lock), a reader must exclude writers (the shard read
+// lock), and nothing a reader is handed may be kept past
 // that lock: scans and walks copy strings out. This file is the only
 // code that knows the layout.
 type table struct {
@@ -34,7 +33,7 @@ type table struct {
 	// ringKey is VertexKey of the (instance, vertex) an authoritative
 	// table is hosted under, fixed when the table is created: ownership
 	// tests and range transfers read it instead of hashing the pair
-	// again. Soft copies leave it zero — nothing tests their ownership.
+	// again.
 	ringKey dht.ID
 }
 

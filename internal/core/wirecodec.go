@@ -408,16 +408,12 @@ func (m msgSoftPromote) MarshalWire(w *wire.Writer) {
 	w.String(m.Instance)
 	w.Uvarint(m.Vertex)
 	w.U64(m.Gen)
-	marshalBulkEntries(w, m.Entries)
-	w.Bool(m.Done)
 }
 
 func (m *msgSoftPromote) UnmarshalWire(r *wire.Reader) error {
 	m.Instance = r.String()
 	m.Vertex = r.Uvarint()
 	m.Gen = r.U64()
-	m.Entries = unmarshalBulkEntries(r)
-	m.Done = r.Bool()
 	return r.Err()
 }
 

@@ -12,10 +12,15 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/core"
 	"github.com/p2pkeyword/keysearch/internal/corpus"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/sim"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestScheduleDeterminism pins replay comparability: the same config
 // must produce the identical arrival schedule, and the schedule must

@@ -9,10 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // fakeClock is a deterministic Clock: Now is advanced manually, and
 // After records the requested duration and (unless block is set) fires

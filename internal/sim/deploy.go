@@ -93,7 +93,7 @@ type DeployConfig struct {
 	// CachePolicy selects the result-cache policy ("" = hot, or
 	// "fifo"). See core.ServerConfig.CachePolicy.
 	CachePolicy string
-	// HotReplicas soft-replicates promoted hot roots onto this many
+	// HotReplicas announces promoted hot roots to this many
 	// extra peers (0 = disabled). See core.ServerConfig.HotReplicas.
 	HotReplicas int
 	// HotSpread makes the deployment's clients round-robin one-shot

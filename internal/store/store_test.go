@@ -11,8 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/leakcheck"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 )
+
+// TestMain fails the package when a test leaves one of the module's
+// goroutines behind (leakcheck.Main).
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // tableModel is a reference in-memory application of record sequences:
 // a set of entry tuples, keyed by their full coordinates.

@@ -10,7 +10,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// KSW4 framing. A client opens the connection with a 4-byte magic
+// KSW5 framing. A client opens the connection with a 4-byte magic
 // preamble; a listener closes any connection that opens with something
 // else. The magic is followed by a uvarint-length sender address string
 // — the connection's default identity, sent once so the per-request
@@ -44,7 +44,7 @@ const (
 	maxHandshakeAddr = 1 << 10
 )
 
-// wireMagic is the connection preamble ("KSW4"). Its last byte is the
+// wireMagic is the connection preamble ("KSW5"). Its last byte is the
 // protocol generation and the only version the wire carries: an
 // in-place layout change — to the handshake, the frame header or the
 // encoding of a registered message — bumps it, so peers of different
@@ -54,8 +54,9 @@ const (
 // SBT child list, which the root now generates itself. KSW3 → KSW4:
 // core's batch sub-query (type 11) gained a trailing Relay flag and
 // became the only sub-query; the per-vertex pair (types 9 and 10) is
-// retired.
-var wireMagic = [4]byte{'K', 'S', 'W', '4'}
+// retired. KSW4 → KSW5: core's soft-replica promotion (type 18) lost
+// its table entries and Done flag and became a bare announcement.
+var wireMagic = [4]byte{'K', 'S', 'W', '5'}
 
 // appendRequestFrame encodes a request frame for body into w and
 // returns the codec (for its type name) — the caller charges

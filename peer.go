@@ -45,10 +45,11 @@ type Config struct {
 	// sketch admission — or "fifo", the insertion-order cache of
 	// earlier releases. Either holds exactly CacheCapacity units.
 	CachePolicy string
-	// HotReplicas soft-replicates each promoted hot root vertex onto
-	// this many extra peers, spreading its query load (0 = disabled,
-	// the default). A root is promoted after 64 fresh queries. See
-	// DESIGN "Hot-vertex layer".
+	// HotReplicas announces each promoted hot root vertex to this many
+	// extra peers, spreading its query load (0 = disabled, the
+	// default). A replica answers from its result cache or asks the
+	// root's owner, so a positive value needs CacheCapacity > 0. A root
+	// is promoted after 64 fresh queries. See DESIGN "Hot-vertex layer".
 	HotReplicas int
 	// HotSpread makes this peer's clients round-robin one-shot
 	// searches for promoted roots across owner + advertised soft
