@@ -11,8 +11,8 @@ all: build test
 # budgets, the seeded chaos suite, the SIGKILL crash-recovery smoke, the
 # live-churn migration smoke, the open-loop load-rig smoke, the
 # wire-decoder, listener-preamble, table, reference-store, Chord-decoder,
-# core-decoder, inverted-index-decoder, WAL-record and keyword-key fuzz
-# smokes, the Zipf
+# core-decoder, inverted-index-decoder, WAL-record, keyword-key and
+# keyword-signature fuzz smokes, the Zipf
 # hotspot-storm smoke, the prefix-multicast smoke, the wave-batching
 # study smoke, and a single-iteration benchmark smoke pass.
 ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fuzz-smoke zipf-smoke prefix-smoke batch-smoke bench-smoke
@@ -180,6 +180,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInvindexDecode -fuzztime 10s ./internal/invindex/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRecord -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzParseKey -fuzztime 10s ./internal/keyword/
+	$(GO) test -run '^$$' -fuzz FuzzSignatureContainment -fuzztime 10s ./internal/keyword/
 
 # Seeded chaos suite: deterministic fault-schedule replays, the
 # resilience policy tests, the server concurrency hammer (parallel

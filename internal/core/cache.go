@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
@@ -50,6 +51,8 @@ type resultCache interface {
 	// superset query K: K ⊆ the entry's set), since the mutation can
 	// alter their results.
 	invalidateSubsetsOf(instance, setKey string)
+	// dropRoot drops the instance's cached queries addressed to root.
+	dropRoot(instance string, root hypercube.Vertex)
 	// reset drops every cached entry (the sim's crash model: process
 	// memory is lost). Hit/miss counters survive — they feed
 	// process-lifetime telemetry, not cached state.
@@ -267,7 +270,7 @@ func (c *fifoCache) refineSource(instance string, query keyword.Set) ([]Match, b
 		// As in hotCache.refineSource: a stray signature bit rejects a
 		// non-ancestor without comparing keywords.
 		item, ok := c.items[key]
-		if !ok || !item.exhausted || item.pred.class != ClassSuperset || item.pred.want&^sig != 0 {
+		if !ok || !item.exhausted || item.pred.class != ClassSuperset || !sig.Covers(item.pred.want) {
 			continue
 		}
 		if item.pred.set.Len() > bestLen && item.pred.set.SubsetOf(query) && !item.pred.set.Equal(query) {
@@ -318,6 +321,18 @@ func (c *fifoCache) invalidateSubsetsOf(instance, setKey string) {
 			}
 		}
 		c.order = keep
+	}
+}
+
+func (c *fifoCache) dropRoot(instance string, root hypercube.Vertex) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range c.byInstance[instance] {
+		if item, ok := c.items[key]; ok && item.pred.root == root {
+			c.units -= len(item.matches)
+			delete(c.items, key)
+			c.unindexKey(instance, key)
+		}
 	}
 }
 

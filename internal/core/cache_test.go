@@ -288,7 +288,7 @@ func TestRefineSource(t *testing.T) {
 	stray := ""
 	for i := 0; stray == ""; i++ {
 		w := "w" + strconv.Itoa(i)
-		if keyword.KeySignature(w)&^query.Signature() == 0 {
+		if query.Signature().Covers(keyword.KeySignature(w)) {
 			stray = w
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
 
@@ -254,7 +255,7 @@ func (c *hotCache) refineSource(instance string, query keyword.Set) ([]Match, bo
 		// An ancestor's signature bits are all in the query's
 		// (table.scan's test), so a stray bit rejects e without
 		// comparing keywords.
-		if !e.exhausted || e.pred.class != ClassSuperset || e.pred.want&^sig != 0 {
+		if !e.exhausted || e.pred.class != ClassSuperset || !sig.Covers(e.pred.want) {
 			continue
 		}
 		if e.pred.set.Len() > bestLen && e.pred.set.SubsetOf(query) && !e.pred.set.Equal(query) {
@@ -282,6 +283,16 @@ func (c *hotCache) invalidateSubsetsOf(instance, setKey string) {
 	}
 	for _, e := range drop {
 		c.removeLocked(e)
+	}
+}
+
+func (c *hotCache) dropRoot(instance string, root hypercube.Vertex) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.byInstance[instance] {
+		if e.pred.root == root {
+			c.removeLocked(e)
+		}
 	}
 }
 

@@ -267,10 +267,63 @@ func TestSoftStoreGenerationOrdering(t *testing.T) {
 	}
 }
 
+// A cooling demotion only tells a replica to stop serving the root, so
+// a mutation of the root while it is not promoted reaches no replica.
+// pickPeers is deterministic, so the next promotion lands on the same
+// replica, which must then answer what the owner does, not what it
+// cached while serving the earlier promotion.
+func TestSoftReplicaRepromotionDropsStaleAnswers(t *testing.T) {
+	d := newHotDeployment(t, 6, 4, 100000, 2, 3)
+	ctx := context.Background()
+	q := keyword.NewSet("isp")
+	root := d.hasher.Vertex(q)
+	for i := 0; i < 4; i++ {
+		if _, err := d.client.Insert(ctx, obj("seed-"+strconv.Itoa(i), "isp")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promote := func() int {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if _, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return softHolder(t, d, root)
+	}
+	replica := promote()
+	askSoft(ctx, t, d, d.addrs[replica], q, All) // forwarded, and cached at the replica
+
+	// Fresh queries of another vertex run the decay sweep that cools the
+	// root; its demotion reaches the replica from a goroutine.
+	owner := d.serverFor(root)
+	for i := 0; i < hotDecayEvery; i++ {
+		owner.hot.note(ctx, DefaultInstance, root^1)
+	}
+	waitFor(t, 5*time.Second, func() bool { return !d.servers[replica].soft.holds(DefaultInstance, root) }, "cooling demotion")
+	if _, err := d.client.Insert(ctx, obj("fresh", "isp")); err != nil {
+		t.Fatal(err)
+	}
+	if again := promote(); again != replica {
+		t.Fatalf("re-promotion picked replica %d, want the same %d", again, replica)
+	}
+
+	want, err := d.client.SupersetSearch(ctx, q, All, SearchOptions{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := askSoft(ctx, t, d, d.addrs[replica], q, All)
+	if !reflect.DeepEqual(matchIDs(got.Matches), matchIDs(want.Matches)) {
+		t.Fatalf("re-promoted replica answered %v (cache hit %v), the owner %v",
+			matchIDs(got.Matches), got.Stats.CacheHit, matchIDs(want.Matches))
+	}
+}
+
 // Race hammer over the whole hot-vertex layer: concurrent owner-path
 // and spread-path searches, promotions, demotions-by-mutation and
 // result-cache invalidations. Run under -race (make chaos); the final
-// quiesced comparison pins that no stale soft copy survives the churn.
+// quiesced comparison pins that no replica keeps a stale cached answer
+// through the churn.
 func TestHotCachePromotionHammer(t *testing.T) {
 	d := newHotDeployment(t, 5, 4, 4096, 2, 4)
 	ctx := context.Background()
@@ -327,9 +380,10 @@ func TestHotCachePromotionHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: every mutation demoted the root synchronously and the
-	// mid-push epoch check kills stale promotions, so owner, cache and
-	// any surviving soft copies must agree byte-for-byte.
+	// Quiesced: every mutation demoted the root synchronously, carrying
+	// its key to the replicas' caches, and a re-promotion drops what a
+	// replica cached under the last one, so owner, caches and replicas
+	// must agree byte-for-byte.
 	want, err := d.client.SupersetSearch(ctx, hot, All, SearchOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)

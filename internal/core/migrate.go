@@ -820,17 +820,13 @@ func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKe
 
 // ---- double-read merge paths ----
 
-// scanVertexRead is the migration-aware scanVertex: while (instance,
-// v) sits in an open window it merges unwindowed local and relayed
-// scans, filters tombstones, re-sorts into the canonical (set key,
-// object ID) order and applies skip/limit — byte-identical to scanning
-// the union table. Outside a window it is exactly scanVertex plus one
-// atomic load. arc and the owned result are scanVertex's.
-func (s *Server) scanVertexRead(ctx context.Context, arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int, bool) {
-	srcs := s.migrate.sources(instance, v)
-	if len(srcs) == 0 {
-		return s.scanVertex(arc, instance, v, root, pred, skip, limit)
-	}
+// doubleRead scans (instance, v) while it sits in the open windows of
+// srcs, the old owners: it merges unwindowed local and relayed scans,
+// filters tombstones, re-sorts into the canonical (set key, object ID)
+// order and applies skip/limit — byte-identical to scanning the union
+// table. arc and the owned result are scanVertex's. The caller holds
+// no stripe lock (unitScanner.read).
+func (s *Server) doubleRead(ctx context.Context, srcs []transport.Addr, arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int, bool) {
 	merged, _, owned := s.scanVertex(arc, instance, v, root, pred, 0, -1)
 	if !owned {
 		return nil, 0, false

@@ -520,7 +520,7 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 
 	query := keyword.NewSet("shared")
 	for _, win := range []struct{ skip, limit int }{{0, -1}, {0, 3}, {2, 2}, {5, -1}, {50, 1}} {
-		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
+		got, gotRem := readVertex(ctx, dst, inst, v, supersetPred(query.Key(), query), win.skip, win.limit)
 		want, wantRem, _ := union.scanVertex(ownedArc{}, inst, v, v, supersetPred(query.Key(), query), win.skip, win.limit)
 		if !reflect.DeepEqual(got, want) || gotRem != wantRem {
 			t.Fatalf("scan window %+v during migration:\n got %v (rem %d)\nwant %v (rem %d)",
@@ -530,6 +530,15 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 	if st := dst.MigrationStats(); st.DoubleReads == 0 {
 		t.Fatalf("no double-reads counted despite open window")
 	}
+}
+
+// readVertex is one unit's migration-aware scan at v as the query root,
+// as a frame's scanner reads it.
+func readVertex(ctx context.Context, srv *Server, instance string, v hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
+	sc := srv.scanner(instance)
+	defer sc.release()
+	matches, remaining, _ := sc.read(ctx, ownedArc{}, v, v, &pred, skip, limit)
+	return matches, remaining
 }
 
 // TestMigrateDeleteDuringWindowNotResurrected: a delete that lands on

@@ -21,10 +21,11 @@ type queryPred struct {
 	// set is the parsed keyword set for superset and pin classes
 	// (empty for prefix).
 	set keyword.Set
-	// want is set's signature for ClassSuperset and 0 otherwise: the
-	// bits a table entry's signature must have before its key is worth
-	// comparing (table.scan). Computed once per query, not per vertex.
-	want uint64
+	// want is set's signature for ClassSuperset and the zero Sig
+	// otherwise: the bits a table entry's signature must cover before
+	// its key is worth comparing (table.scan). Computed once per query,
+	// not per vertex.
+	want keyword.Sig
 	// prefix is the normalized prefix for ClassPrefix (empty
 	// otherwise).
 	prefix string
@@ -32,6 +33,10 @@ type queryPred struct {
 	// coordinator: its cache key and its session's branch partition use
 	// it; scans don't.
 	mask uint64
+	// root is the vertex the query was addressed to, also known only to
+	// the coordinator: a soft replica drops the answers it cached for a
+	// root when the root is announced to it again (dropRoot).
+	root hypercube.Vertex
 }
 
 // predFor resolves the wire (Class, QueryKey) pair into a predicate.
@@ -55,7 +60,7 @@ func predFor(class QueryClass, queryKey string) queryPred {
 // of an entry can alter exactly the answers whose predicate matches the
 // entry's key (conservatively for prefixes, whose dimension mask is
 // ignored here).
-func (p queryPred) matches(setKey string) bool {
+func (p *queryPred) matches(setKey string) bool {
 	switch p.class {
 	case ClassPin:
 		return setKey == p.key

@@ -399,7 +399,7 @@ func TestPrefixDoubleReadMergesOldOwner(t *testing.T) {
 	ctx := context.Background()
 	pred := predFor(ClassPrefix, "kw")
 	for _, win := range []struct{ skip, limit int }{{0, -1}, {0, 2}, {1, 2}} {
-		got, gotRem, _ := dst.scanVertexRead(ctx, ownedArc{}, inst, v, v, pred, win.skip, win.limit)
+		got, gotRem := readVertex(ctx, dst, inst, v, pred, win.skip, win.limit)
 		want, wantRem, _ := union.scanVertex(ownedArc{}, inst, v, v, pred, win.skip, win.limit)
 		if !reflect.DeepEqual(got, want) || gotRem != wantRem {
 			t.Fatalf("prefix scan window %+v during migration:\n got %v (rem %d)\nwant %v (rem %d)",

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
@@ -30,7 +31,7 @@ var benchMatches []Match
 //   - dense: a superset query every entry matches, so every entry
 //     survives the signature, has its key searched and is copied out;
 //   - pin: the exact set, a binary search on the set key;
-//   - prefix: no signature (want == 0), a key search per entry.
+//   - prefix: no signature (a zero want), a key search per entry.
 //
 // Entries carry seven keywords like the corpus generator's median
 // object.
@@ -70,5 +71,47 @@ func BenchmarkScanTable(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSubQueryFrame times what a peer does with one 64-unit
+// msgSubQueryBatch of the deep_inmem shape (subQueryBatch: locate,
+// ownership test and scan per unit): 64 vertices of 16 seven-keyword
+// entries each, and a one-keyword superset query two entries of the
+// 1 024 match. It reports ns/unit, and fails if the frame allocates
+// more than the query's parse, its two hits' match slices and the hit
+// list's two growths — no allocation may be per unit.
+func BenchmarkSubQueryFrame(b *testing.B) {
+	const units, perVertex = 64, 16
+	srv := newTableTestServer(b, 0)
+	msg := msgSubQueryBatch{Instance: DefaultInstance, Class: ClassSuperset, Limit: -1}
+	for v := 0; v < units; v++ {
+		for i := 0; i < perVertex; i++ {
+			n := strconv.Itoa(v*perVertex + i)
+			words := []string{"a" + n, "b" + n, "c" + n, "d" + n, "e" + n, "f" + strconv.Itoa(i%5), "g" + strconv.Itoa(v%9)}
+			if i == 0 && v%32 == 7 {
+				words[0] = "needle"
+			}
+			if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet(words...).Key(), "o-"+n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		msg.Units = append(msg.Units, wireUnit{Vertex: uint64(v)})
+	}
+	msg.QueryKey = keyword.NewSet("needle").Key()
+	ctx := context.Background()
+	var resp respSubQueryBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp = srv.subQueryBatch(ctx, msg)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units), "ns/unit")
+	if len(resp.Hits) != 2 {
+		b.Fatalf("frame answered %d hits, want 2", len(resp.Hits))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { srv.subQueryBatch(ctx, msg) }); allocs > 5 {
+		b.Fatalf("a %d-unit frame allocates %.0f times, want ≤ 5", units, allocs)
 	}
 }

@@ -109,7 +109,8 @@ func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 			pred.mask = full
 		}
 	}
-	return rootQuery{msg: msg, cube: cube, order: order, pred: pred, root: hypercube.Vertex(msg.Vertex), op: op}, nil
+	pred.root = hypercube.Vertex(msg.Vertex)
+	return rootQuery{msg: msg, cube: cube, order: order, pred: pred, root: pred.root, op: op}, nil
 }
 
 // tally is the cost and yield of the traversal work done for one
@@ -614,7 +615,9 @@ func resized[T any](buf []T, n int) []T {
 // refused request.
 func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int) waveHit {
 	if u.vertex == sess.root {
-		return s.scanLocal(ctx, ownedArc{}, sess, u, limit)
+		sc := s.scanner(sess.instance)
+		defer sc.release()
+		return s.scanLocal(ctx, &sc, ownedArc{}, sess, u, limit)
 	}
 	raw, frames, err := sendToVertex(ctx, s.cfg.Resolver, s.cfg.Sender, sess.instance, u.vertex,
 		sess.frame(ctx, limit, []wireUnit{{Vertex: uint64(u.vertex), Skip: u.skip}}))
@@ -668,11 +671,12 @@ func unitHit(ctx context.Context, r *respSubUnit) (hit waveHit, retry bool) {
 	return waveHit{}, true
 }
 
-// scanLocal answers a unit from this server's own tables, with no
-// frame; a vertex outside arc (the zero arc for the root, whose
-// ownership the T_QUERY handler settled) is an ErrNotOwner hit.
-func (s *Server) scanLocal(ctx context.Context, arc ownedArc, sess *session, u workUnit, limit int) waveHit {
-	matches, remaining, owned := s.scanVertexRead(ctx, arc, sess.instance, u.vertex, sess.root, sess.pred, u.skip, limit)
+// scanLocal answers a unit from this server's own tables through sc,
+// sess's scanner, with no frame; a vertex outside arc (the zero arc for
+// the root, whose ownership the T_QUERY handler settled) is an
+// ErrNotOwner hit.
+func (s *Server) scanLocal(ctx context.Context, sc *unitScanner, arc ownedArc, sess *session, u workUnit, limit int) waveHit {
+	matches, remaining, owned := sc.read(ctx, arc, u.vertex, sess.root, &sess.pred, u.skip, limit)
 	if !owned {
 		return waveHit{err: ErrNotOwner}
 	}
@@ -754,17 +758,19 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 	}
 	arc := s.arc()
 
-	// Units this server can answer are scanned on the spot, no frame;
-	// the rest are counted per destination peer, in first-seen dispatch
-	// order, and then carved out of one index slice.
+	// Units this server can answer are scanned on the spot, no frame,
+	// through one scanner, as a peer scans a frame; the rest are counted
+	// per destination peer, in first-seen dispatch order, and then carved
+	// out of one index slice.
 	hits, peers, peerOf := sc.hits, sc.peers[:0], sc.peerOf
 	clear(peerOf)
 	dest := resized(sc.dest, len(wave)) // wave position → peer, -1: answered here
+	local := s.scanner(sess.instance)
 	for i, u := range wave {
 		dest[i] = -1
 		switch addr := addrs[i]; {
 		case u.vertex == sess.root:
-			hits[i] = s.scanLocal(ctx, ownedArc{}, sess, u, limit)
+			hits[i] = s.scanLocal(ctx, &local, ownedArc{}, sess, u, limit)
 		case errs != nil && errs[i] != nil:
 			hits[i].err = errs[i]
 		case selfAddr == "" || addr != selfAddr:
@@ -777,15 +783,17 @@ func (s *Server) dispatchWave(ctx context.Context, sess *session, wave []workUni
 			peers[k].n++
 			dest[i] = k
 		default:
-			if hits[i] = s.scanLocal(ctx, arc, sess, u, limit); hits[i].err == nil {
+			if hits[i] = s.scanLocal(ctx, &local, arc, sess, u, limit); hits[i].err == nil {
 				s.met.coalesced.Inc() // frame avoided entirely
 			} else {
 				// The resolver maps the vertex here but the DHT layer no
 				// longer owns it: take the remote path.
+				local.release()
 				hits[i] = s.visit(ctx, sess, u, limit)
 			}
 		}
 	}
+	local.release()
 	remote := 0
 	for k := range peers {
 		peers[k].end, remote = remote, remote+peers[k].n

@@ -218,27 +218,28 @@ type tableShard struct {
 // vertex→node mapping, so one physical node routinely hosts the same
 // vertex ID for several instances.
 func (s *Server) shardFor(instance string, v hypercube.Vertex) *tableShard {
+	return s.shardAt(instanceHash(instance), v)
+}
+
+// instanceHash is FNV-1a over the instance, inline and allocation free
+// (fmt/string concat would dominate the scan fast path); a frame
+// computes it once for all its units.
+func instanceHash(instance string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(instance); i++ {
+		h ^= uint64(instance[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// shardAt folds vertex v into an instance's hash and picks its stripe.
+func (s *Server) shardAt(h uint64, v hypercube.Vertex) *tableShard {
 	if len(s.shards) == 1 {
 		return s.shards[0]
 	}
-	// Inline FNV-1a over the instance bytes and the vertex, allocation
-	// free (fmt/string concat would dominate the scan fast path).
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(instance); i++ {
-		h ^= uint64(instance[i])
-		h *= prime64
-	}
-	x := uint64(v)
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= prime64
-		x >>= 8
-	}
-	return s.shards[h&uint64(len(s.shards)-1)]
+	h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+	return s.shards[(h^h>>32)&uint64(len(s.shards)-1)]
 }
 
 // lock acquires the shard's write lock, timing the wait when the
@@ -678,7 +679,12 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		s.met.opSearch.Inc()
 		return s.runQuery(ctx, msg)
 	case msgSoftPromote:
-		s.soft.applyPromote(msg)
+		if s.soft.applyPromote(msg) {
+			// A new promotion: the owner told this replica nothing of the
+			// root's mutations since the last one ended, so what it
+			// cached for the root then may be stale.
+			s.cache.dropRoot(msg.Instance, hypercube.Vertex(msg.Vertex))
+		}
 		return respAck{}, nil
 	case msgSoftInvalidate:
 		s.soft.applyInvalidate(msg)
@@ -871,19 +877,22 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 // msg.Units, in increasing order. A unit it does not list was owned,
 // scanned and empty. Every unit is tested against one reading of the
 // owned arc, and its scan is migration-aware: a vertex inside an open
-// inbound window double-reads the old owner (scanVertexRead). A relayed
-// frame IS that double-read, so it answers strictly from the local
-// tables, with no ownership test, and is never re-relayed. The frame is
-// scanned in order on the goroutine that received it (DESIGN §8), so
-// hits come out by increasing Index as they are found; each scan takes
-// only its vertex's shard read lock, so frames of concurrent searches
-// spread over the cores.
+// inbound window double-reads the old owner (unitScanner.read). A
+// relayed frame IS that double-read, so it answers strictly from the
+// local tables, with no ownership test, and is never re-relayed. The
+// frame is scanned in order on the goroutine that received it (DESIGN
+// §8), so hits come out by increasing Index as they are found, located
+// by one unitScanner: a stripe's read lock is held across a run of
+// units in that stripe, never across the frame, so frames of concurrent
+// searches spread over the cores.
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
 	ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
 	defer cancel()
 	pred := predFor(msg.Class, msg.QueryKey)
 	arc := s.arc()
 	root := hypercube.Vertex(msg.Root)
+	sc := s.scanner(msg.Instance)
+	defer sc.release()
 	var hits []respSubUnit
 	for i, u := range msg.Units {
 		v := hypercube.Vertex(u.Vertex)
@@ -897,9 +906,9 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 			// queries.
 			hit.ErrCode = errCodeCancelled
 		case msg.Relay:
-			hit.Matches, hit.Remaining, _ = s.scanVertex(ownedArc{}, msg.Instance, v, root, pred, u.Skip, msg.Limit)
+			hit.Matches, hit.Remaining, _ = sc.local(ownedArc{}, v, root, &pred, u.Skip, msg.Limit)
 		default:
-			hit.Matches, hit.Remaining, owned = s.scanVertexRead(ctx, arc, msg.Instance, v, root, pred, u.Skip, msg.Limit)
+			hit.Matches, hit.Remaining, owned = sc.read(ctx, arc, v, root, &pred, u.Skip, msg.Limit)
 		}
 		if !owned {
 			hit.ErrCode = errCodeNotOwner
@@ -947,17 +956,69 @@ func (s *Server) cubeFor(dim int) (hypercube.Cube, error) {
 // the outcome. Callers that settled ownership earlier, or must not test
 // it, pass the zero arc.
 func (s *Server) scanVertex(arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
-	sh := s.shardFor(instance, v)
-	sh.rlock(s.met.shardLockWait)
-	defer sh.mu.RUnlock()
-	tbl := sh.tables[instance][v]
-	if !arc.owns(tbl, instance, v) {
+	sc := s.scanner(instance)
+	defer sc.release()
+	return sc.local(arc, v, root, &pred, skip, limit)
+}
+
+// unitScanner locates the units of one frame (or of the root's own
+// units of one wave), all of one instance, in order. The instance is
+// hashed once; each unit's stripe is folded from that hash, and a
+// stripe's read lock, with its table map for the instance, is kept
+// across a run of units in that stripe. It never holds a lock across a
+// call that may lock again or send: a unit inside an open migration
+// window releases it before the double-read. release must be called
+// before the scanner is dropped.
+type unitScanner struct {
+	s        *Server
+	instance string
+	hash     uint64
+	held     *tableShard                 // read-locked stripe; nil when none
+	tables   map[hypercube.Vertex]*table // held.tables[instance]
+}
+
+func (s *Server) scanner(instance string) unitScanner {
+	return unitScanner{s: s, instance: instance, hash: instanceHash(instance)}
+}
+
+// local is scanVertex on the held stripe: the local tables only, with
+// no migration window consulted.
+func (sc *unitScanner) local(arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
+	if sh := sc.s.shardAt(sc.hash, v); sh != sc.held {
+		sc.release()
+		sh.rlock(sc.s.met.shardLockWait)
+		sc.held, sc.tables = sh, sh.tables[sc.instance]
+	}
+	tbl := sc.tables[v]
+	if !arc.owns(tbl, sc.instance, v) {
 		return nil, 0, false
 	}
 	if tbl != nil {
 		matches, remaining = tbl.scan(v, root, pred, skip, limit)
 	}
 	return matches, remaining, true
+}
+
+// read is the migration-aware local: while v sits in an open inbound
+// window it releases the held stripe and double-reads the old owner
+// (Server.doubleRead). Outside a window it costs one atomic load more
+// than local.
+func (sc *unitScanner) read(ctx context.Context, arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int, bool) {
+	if sc.s.migrate.windowOpen() {
+		sc.release()
+		if srcs := sc.s.migrate.sources(sc.instance, v); len(srcs) > 0 {
+			return sc.s.doubleRead(ctx, srcs, arc, sc.instance, v, root, *pred, skip, limit)
+		}
+	}
+	return sc.local(arc, v, root, pred, skip, limit)
+}
+
+// release drops the held stripe lock, if any.
+func (sc *unitScanner) release() {
+	if sc.held != nil {
+		sc.held.mu.RUnlock()
+		sc.held, sc.tables = nil, nil
+	}
 }
 
 // TableStats summarizes this server's storage load (diagnostics and

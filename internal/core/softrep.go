@@ -352,15 +352,17 @@ func newSoftStore() *softStore {
 }
 
 // applyPromote records an announcement unless a newer generation of
-// the same root is already held.
-func (st *softStore) applyPromote(msg msgSoftPromote) {
+// the same root is already held, and reports whether it did.
+func (st *softStore) applyPromote(msg msgSoftPromote) bool {
 	k := hotKey{instance: msg.Instance, vertex: hypercube.Vertex(msg.Vertex)}
 	st.mu.Lock()
-	if gen, ok := st.roots[k]; !ok || gen < msg.Gen {
-		st.roots[k] = msg.Gen
-		st.live.Store(int64(len(st.roots)))
+	defer st.mu.Unlock()
+	if gen, ok := st.roots[k]; ok && gen >= msg.Gen {
+		return false
 	}
-	st.mu.Unlock()
+	st.roots[k] = msg.Gen
+	st.live.Store(int64(len(st.roots)))
+	return true
 }
 
 // applyInvalidate drops the root if the held generation is at or below

@@ -16,10 +16,11 @@ import (
 // entry is its key: the canonical set key is the only copy of the set,
 // and the predicates read it in place (keyword.Set.SubsetOfKey,
 // keyword.KeyHasPrefix). Beside the entries sits a dense column of
-// keyword-set signatures (keyword.KeySignature) that superset scans
-// test before they touch a key. An entry costs its two string headers
-// and a signature beside the strings themselves: 40 B, 58 B with slice
-// slack on the deep_inmem corpus (TestTableBytesPerObject).
+// 128-bit keyword-set signatures (keyword.KeySignature) that superset
+// scans test before they touch a key. An entry costs its two string
+// headers and a signature beside the strings themselves: 48 B, 53.3 B
+// with the slack grown leaves on the deep_inmem corpus
+// (TestTableBytesPerObject).
 //
 // The slices are mutated in place. A writer must exclude every reader
 // (the shard write lock), a reader must exclude writers (the shard read
@@ -28,8 +29,8 @@ import (
 // code that knows the layout.
 type table struct {
 	ents []tableEntry
-	sigs []uint64 // sigs[i] == keyword.KeySignature(ents[i].key)
-	keys int      // distinct set keys: the ⟨keyword set, objects⟩ count
+	sigs []keyword.Sig // sigs[i] == keyword.KeySignature(ents[i].key)
+	keys int           // distinct set keys: the ⟨keyword set, objects⟩ count
 	// ringKey is VertexKey of the (instance, vertex) an authoritative
 	// table is hosted under, fixed when the table is created: ownership
 	// tests and range transfers read it instead of hashing the pair
@@ -73,8 +74,22 @@ func (t *table) insert(setKey, id string) {
 	default:
 		t.keys++
 	}
-	t.ents = slices.Insert(t.ents, i, e)
-	t.sigs = slices.Insert(t.sigs, i, keyword.KeySignature(e.key))
+	t.ents = slices.Insert(grown(t.ents), i, e)
+	t.sigs = slices.Insert(grown(t.sigs), i, keyword.KeySignature(e.key))
+}
+
+// grown returns s with room for one more element. A full s grows by an
+// eighth, at least four elements, rounded up to the allocator's size
+// class, where append would double it: tables are small and grow one
+// entry at a time, doubling left a third of a column as slack on the
+// deep_inmem corpus, and steps of one element reallocated on nearly
+// every insert into a small table.
+func grown[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	g := append([]T(nil), make([]T, len(s)+max(4, len(s)/8))...)
+	return g[:copy(g, s)]
 }
 
 // remove deletes ⟨setKey, id⟩ (either spelling of the set) and reports
@@ -116,12 +131,12 @@ func (t *table) walk(fn func(setKey, id string) bool) bool {
 // the same depth, pred.depth(root, v).
 //
 // A superset scan reads the signature column first: K ⊆ K' implies
-// sig(K) & sig(K') == sig(K), so an entry failing the test cannot match
+// sig(K').Covers(sig(K)), so an entry failing the test cannot match
 // and its key is never touched. The test only rejects — every survivor
 // still goes through pred.matches — so a signature collision costs
 // time, never an answer. A pin's matches are its key's run of entries;
-// prefix queries carry want == 0 and consider every entry.
-func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
+// prefix queries carry a zero want, which every entry covers.
+func (t *table) scan(v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int) {
 	lo, hi := 0, len(t.ents)
 	if pred.class == ClassPin {
 		lo, _ = t.find(pred.key)
@@ -141,7 +156,7 @@ func (t *table) scan(v, root hypercube.Vertex, pred queryPred, skip, limit int) 
 	total := 0
 	want := pred.want
 	for i := lo; i < hi; i++ {
-		if t.sigs[i]&want != want || !pred.matches(t.ents[i].key) {
+		if !t.sigs[i].Covers(want) || !pred.matches(t.ents[i].key) {
 			continue
 		}
 		hits[(i-lo)>>6] |= 1 << uint((i-lo)&63)

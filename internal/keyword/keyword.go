@@ -213,34 +213,48 @@ func KeyHasPrefix(key, prefix string) bool {
 	return key != "" && !strings.Contains(prefix, "\x1f") && findWord(key, prefix, false)
 }
 
-// signatureBits is the number of bits each keyword sets in a
-// Signature. More bits reject more non-supersets per query keyword but
-// fill the word faster per object keyword; see Signature.
-const signatureBits = 2
+// signatureBits is the number of bits each keyword sets in a Sig.
+// More bits reject more non-supersets per query keyword but fill the
+// signature faster per object keyword: over the deep_inmem corpus, 4 in
+// 128 let 0.75 % of the scanned entries through, 3 in 128 0.91 % and 2
+// in 64 4.30 % (TestSignatureSurvivorRate; DESIGN, "Signature
+// pre-filter").
+const signatureBits = 4
 
-// Signature folds the set into one 64-bit word: every keyword sets
+// Sig is a keyword set's 128-bit signature: every keyword sets
 // signatureBits bits chosen by a hash of the keyword alone, and the
 // set's signature is their OR. It is a second, node-local F_h — the
 // same containment argument as Lemma 3.1 applies:
 //
-//	K ⊆ K'  ⇒  K.Signature() & K'.Signature() == K.Signature()
+//	K ⊆ K'  ⇒  sig(K').Covers(sig(K))
 //
 // so a table can reject "K' does not contain K" from two words without
 // comparing a string, and can never reject a true superset. The hash
-// takes no seed: signatures are stored beside table rows and must mean
-// the same thing to every query.
-func (s Set) Signature() uint64 {
-	var sig uint64
+// takes no seed: signatures are derived beside table rows and must
+// mean the same thing to every query.
+type Sig [2]uint64
+
+// Covers reports whether every bit of q is set in s: false proves that
+// s's set does not contain q's.
+func (s Sig) Covers(q Sig) bool {
+	return s[0]&q[0] == q[0] && s[1]&q[1] == q[1]
+}
+
+// Signature returns the set's Sig.
+func (s Set) Signature() Sig {
+	var sig Sig
 	for _, w := range s.words {
-		sig |= KeySignature(w)
+		k := KeySignature(w)
+		sig[0] |= k[0]
+		sig[1] |= k[1]
 	}
 	return sig
 }
 
 // KeySignature is ParseKey(key).Signature() for a canonical key, read
 // in place (a single keyword is a one-word key).
-func KeySignature(key string) uint64 {
-	var sig uint64
+func KeySignature(key string) Sig {
+	var sig Sig
 	for key != "" {
 		w, rest, _ := strings.Cut(key, "\x1f")
 		key = rest
@@ -258,8 +272,8 @@ func KeySignature(key string) uint64 {
 		h *= 0x94d049bb133111eb
 		h ^= h >> 31
 		for b := 0; b < signatureBits; b++ {
-			sig |= 1 << (h & 63)
-			h >>= 6
+			sig[h>>6&1] |= 1 << (h & 63)
+			h >>= 7
 		}
 	}
 	return sig

@@ -266,7 +266,7 @@ func TestVertexSetsHashedBits(t *testing.T) {
 
 func TestPropertySupersetMapsIntoSubcube(t *testing.T) {
 	// Lemma 3.1's basis: K1 ⊆ K2 implies F_h(K2) contains F_h(K1) —
-	// and, by the same argument, Signature(K2) contains Signature(K1),
+	// and, by the same argument, Signature(K2) covers Signature(K1),
 	// which is what lets a table reject on signatures alone.
 	h := MustNewHasher(14, 5)
 	f := func(seed int64) bool {
@@ -286,7 +286,7 @@ func TestPropertySupersetMapsIntoSubcube(t *testing.T) {
 		}
 		k1 := NewSet(sub...)
 		return h.Vertex(k2).Contains(h.Vertex(k1)) &&
-			k1.Signature()&k2.Signature() == k1.Signature()
+			k2.Signature().Covers(k1.Signature())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -294,27 +294,57 @@ func TestPropertySupersetMapsIntoSubcube(t *testing.T) {
 }
 
 func TestSignatureShape(t *testing.T) {
-	if got := (Set{}).Signature(); got != 0 {
+	if got := (Set{}).Signature(); got != (Sig{}) {
 		t.Errorf("empty set signature = %#x, want 0", got)
 	}
 	// A keyword sets at most signatureBits bits, the same ones whatever
 	// set it is in and whatever the deployment's hash seed; over a
-	// vocabulary the bits spread over the whole word.
-	var union uint64
+	// vocabulary the bits spread over all 128.
+	var union Sig
 	for i := 0; i < 200; i++ {
 		w := "w" + strconv.Itoa(i)
 		sig := NewSet(w).Signature()
-		if n := bits.OnesCount64(sig); n < 1 || n > signatureBits {
+		if n := bits.OnesCount64(sig[0]) + bits.OnesCount64(sig[1]); n < 1 || n > signatureBits {
 			t.Fatalf("keyword %q sets %d bits, want 1..%d", w, n, signatureBits)
 		}
-		if with := NewSet(w, "other").Signature(); with&sig != sig {
+		if with := NewSet(w, "other").Signature(); !with.Covers(sig) {
 			t.Fatalf("keyword %q: bits %#x missing from its superset's %#x", w, sig, with)
 		}
-		union |= sig
+		union[0] |= sig[0]
+		union[1] |= sig[1]
 	}
-	if union != ^uint64(0) {
+	if union != (Sig{^uint64(0), ^uint64(0)}) {
 		t.Errorf("200 keywords left signature bits unused: %#x", union)
 	}
+}
+
+// FuzzSignatureContainment checks the signature's contract on fuzzed
+// word lists (the input cut at \x1f; pick selects a subset of its
+// words): a subset's signature is covered by its superset's, so a table
+// scan never rejects a true superset, and the in-place KeySignature of
+// a canonical key is its parsed set's Signature. A short run is wired
+// into `make fuzz-smoke`.
+func FuzzSignatureContainment(f *testing.F) {
+	f.Add("download\x1fisp\x1fnetwork", uint64(5))
+	f.Add("b\x1fa\x1fA\x1f \x1f\x1fa", uint64(0))
+	f.Add("isp", ^uint64(0))
+	f.Fuzz(func(t *testing.T, key string, pick uint64) {
+		words := strings.Split(key, "\x1f")
+		var sub []string
+		for i, w := range words {
+			if pick>>(uint(i)%64)&1 == 1 {
+				sub = append(sub, w)
+			}
+		}
+		set, subset := NewSet(words...), NewSet(sub...)
+		if !set.Signature().Covers(subset.Signature()) {
+			t.Fatalf("sig(%v) = %#x does not cover its subset %v's %#x", set, set.Signature(), subset, subset.Signature())
+		}
+		ck := CanonicalKey(key)
+		if got, want := KeySignature(ck), ParseKey(ck).Signature(); got != want {
+			t.Fatalf("KeySignature(%q) = %#x, ParseKey's Signature %#x", ck, got, want)
+		}
+	})
 }
 
 func TestPropertyVertexIsUnionOfBits(t *testing.T) {
