@@ -19,26 +19,31 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 
 # Allocation budgets, run on their own so a regression names itself
 # instead of hiding in tier-1 time: bytes allocated per contacted
-# vertex of an exhaustive wave (<= 27 B on a 16-peer ring at r = 10; the
+# vertex of an exhaustive wave (<= 18 B on a 16-peer ring at r = 10; the
 # root's per-vertex buffers and batch frames' units come from a pooled
-# scratch, and a peer scans a frame on the goroutine that received it)
-# and of a multi-round top-10 search of the same query (<= 140 B; the
-# root generates every SBT child list, no reply carries one), live
+# scratch, a peer scans a frame on the goroutine that received it, and
+# an answer is allocated once per frame and once per wave)
+# and of a multi-round top-10 search of the same query (<= 124 B; the
+# root generates every SBT child list, no reply carries one), the
+# allocations of one 64-unit sub-query frame (none without hits, two
+# with any: the hit list and one match arena), live
 # heap per stored single-publisher DHT reference (<= 128 B over
 # 20 k objects), live heap per stored table entry (<= 64 B over the
 # 20 k-object deep_inmem corpus in 1 024 tables: an entry is its set
 # key and object ID, matched in place), zero allocations for the
-# in-place key readers (SubsetOfKey, KeyHasPrefix, KeySignature,
-# CanonicalKey) on a canonical key, zero for a message a muxed endpoint's
+# in-place key readers (KeySubset, KeyHasPrefix, KeySignature, KeyLen,
+# CanonicalKey) on a canonical key and for sorting a 64-match answer,
+# zero for a message a muxed endpoint's
 # second layer takes, zero for telemetry on a TCP send with telemetry
 # off, zero for encoding any index-protocol message, and at most 12
 # allocations and 400 B for one warm small TCP RPC, both ends counted
 # (no encode copy, one box per decode, reused Readers, the request
 # frame as its own arena, pooled reply channels). Without -race: the
 # detector's instrumentation allocates on its own account, so under
-# `make race` the per-vertex and per-RPC budgets skip themselves.
+# `make race` the per-vertex, per-frame and per-RPC budgets skip
+# themselves.
 alloc-smoke:
-	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|BytesPerCall|AllocatesNothing' ./internal/core ./internal/dht ./internal/keyword ./internal/transport ./internal/transport/tcpnet
+	$(GO) test -count=1 -run 'BytesPerVertex|BytesPerObject|BytesPerCall|AllocatesNothing|FrameAllocs' ./internal/core ./internal/dht ./internal/keyword ./internal/transport ./internal/transport/tcpnet
 
 # The churn hammer's flake rate, the number every PR quotes beside its
 # result until ROADMAP item 1 closes (not part of ci — it only prints):

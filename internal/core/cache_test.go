@@ -10,7 +10,9 @@ import (
 
 // supersetPred builds a ClassSuperset predicate from an explicit
 // (cache key, parsed set) pair. The pair is usually (set.Key(), set),
-// but the cache layer allows arbitrary keys, so both travel.
+// but the cache layer allows arbitrary keys, so both travel. The
+// predicate matches table keys against the key, so a test of
+// invalidation passes the set's own key.
 func supersetPred(queryKey string, query keyword.Set) queryPred {
 	return queryPred{class: ClassSuperset, key: queryKey, set: query, want: query.Signature()}
 }
@@ -199,19 +201,19 @@ func TestFIFOCacheDisabled(t *testing.T) {
 
 func TestFIFOCacheInvalidateSubsets(t *testing.T) {
 	c := newFIFOCache(100)
-	c.put("main", supersetPred("qa", keyword.NewSet("a")), []Match{{ObjectID: "1"}}, true)
-	c.put("main", supersetPred("qab", keyword.NewSet("a", "b")), []Match{{ObjectID: "2"}}, true)
-	c.put("main", supersetPred("qc", keyword.NewSet("c")), []Match{{ObjectID: "3"}}, true)
+	c.put("main", supersetPred("a", keyword.NewSet("a")), []Match{{ObjectID: "1"}}, true)
+	c.put("main", supersetPred("a\x1fb", keyword.NewSet("a", "b")), []Match{{ObjectID: "2"}}, true)
+	c.put("main", supersetPred("c", keyword.NewSet("c")), []Match{{ObjectID: "3"}}, true)
 	// An index change under {a, b, x} affects queries {a} and {a,b}
 	// but not {c}.
 	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x").Key())
-	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a", keyword.Set{}), 1); ok {
 		t.Error("query {a} should be invalidated")
 	}
-	if _, _, ok := c.get("main", supersetPred("qab", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a\x1fb", keyword.Set{}), 1); ok {
 		t.Error("query {a,b} should be invalidated")
 	}
-	if _, _, ok := c.get("main", supersetPred("qc", keyword.Set{}), 1); !ok {
+	if _, _, ok := c.get("main", supersetPred("c", keyword.Set{}), 1); !ok {
 		t.Error("query {c} should survive")
 	}
 	if c.len() != 1 {
@@ -225,13 +227,13 @@ func TestFIFOCacheInvalidateSubsets(t *testing.T) {
 // untouched.
 func TestFIFOCacheInvalidateInstanceScoped(t *testing.T) {
 	c := newFIFOCache(100)
-	c.put("main", supersetPred("qa", keyword.NewSet("a")), []Match{{ObjectID: "m"}}, true)
-	c.put("main-replica-1", supersetPred("qa", keyword.NewSet("a")), []Match{{ObjectID: "r"}}, true)
+	c.put("main", supersetPred("a", keyword.NewSet("a")), []Match{{ObjectID: "m"}}, true)
+	c.put("main-replica-1", supersetPred("a", keyword.NewSet("a")), []Match{{ObjectID: "r"}}, true)
 	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b").Key())
-	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a", keyword.Set{}), 1); ok {
 		t.Error("main-instance entry should be invalidated")
 	}
-	got, _, ok := c.get("main-replica-1", supersetPred("qa", keyword.Set{}), 1)
+	got, _, ok := c.get("main-replica-1", supersetPred("a", keyword.Set{}), 1)
 	if !ok {
 		t.Fatal("replica-instance entry wrongly invalidated")
 	}

@@ -99,13 +99,13 @@ func TestHotCacheDisabled(t *testing.T) {
 // instance's cached results for the same query.
 func TestHotCacheInvalidateInstanceScoped(t *testing.T) {
 	c := newHotCache(100)
-	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "m"), true)
-	c.put("other", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "o"), true)
+	c.put("main", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "m"), true)
+	c.put("other", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "o"), true)
 	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b").Key())
-	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a", keyword.Set{}), 1); ok {
 		t.Error("main-instance entry should be invalidated")
 	}
-	if _, _, ok := c.get("other", supersetPred("qa", keyword.Set{}), 1); !ok {
+	if _, _, ok := c.get("other", supersetPred("a", keyword.Set{}), 1); !ok {
 		t.Error("other-instance entry wrongly invalidated")
 	}
 }
@@ -114,17 +114,17 @@ func TestHotCacheInvalidateInstanceScoped(t *testing.T) {
 // under set S invalidates every cached query that is a subset of S).
 func TestHotCacheInvalidateSubsets(t *testing.T) {
 	c := newHotCache(100)
-	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(1, "1"), true)
-	c.put("main", supersetPred("qab", keyword.NewSet("a", "b")), hotMatches(1, "2"), true)
-	c.put("main", supersetPred("qc", keyword.NewSet("c")), hotMatches(1, "3"), true)
+	c.put("main", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "1"), true)
+	c.put("main", supersetPred("a\x1fb", keyword.NewSet("a", "b")), hotMatches(1, "2"), true)
+	c.put("main", supersetPred("c", keyword.NewSet("c")), hotMatches(1, "3"), true)
 	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b", "x").Key())
-	if _, _, ok := c.get("main", supersetPred("qa", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a", keyword.Set{}), 1); ok {
 		t.Error("query {a} should be invalidated")
 	}
-	if _, _, ok := c.get("main", supersetPred("qab", keyword.Set{}), 1); ok {
+	if _, _, ok := c.get("main", supersetPred("a\x1fb", keyword.Set{}), 1); ok {
 		t.Error("query {a,b} should be invalidated")
 	}
-	if _, _, ok := c.get("main", supersetPred("qc", keyword.Set{}), 1); !ok {
+	if _, _, ok := c.get("main", supersetPred("c", keyword.Set{}), 1); !ok {
 		t.Error("query {c} should survive")
 	}
 }

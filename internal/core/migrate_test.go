@@ -537,7 +537,7 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 func readVertex(ctx context.Context, srv *Server, instance string, v hypercube.Vertex, pred queryPred, skip, limit int) ([]Match, int) {
 	sc := srv.scanner(instance)
 	defer sc.release()
-	matches, remaining, _ := sc.read(ctx, ownedArc{}, v, v, &pred, skip, limit)
+	matches, remaining, _ := sc.read(ctx, nil, ownedArc{}, v, v, &pred, skip, limit)
 	return matches, remaining
 }
 

@@ -14,21 +14,20 @@ import (
 // decides what matches there.
 type queryPred struct {
 	class QueryClass
-	// key is the wire QueryKey: the set key for superset queries (as
-	// sent), its canonical spelling for pin queries, the normalized
-	// prefix string for prefix queries.
+	// key is the wire QueryKey: the canonical set key for superset and
+	// pin queries (keyword.CanonicalKey of what was sent), the
+	// normalized prefix string for prefix queries. The predicate reads
+	// table keys against it in place.
 	key string
-	// set is the parsed keyword set for superset and pin classes
-	// (empty for prefix).
+	// set is key parsed, for superset and pin queries at the
+	// coordinator only (parseQuery): its caches and refinement reason
+	// over sets. A frame's predicate leaves it empty.
 	set keyword.Set
-	// want is set's signature for ClassSuperset and the zero Sig
+	// want is key's signature for ClassSuperset and the zero Sig
 	// otherwise: the bits a table entry's signature must cover before
 	// its key is worth comparing (table.scan). Computed once per query,
 	// not per vertex.
 	want keyword.Sig
-	// prefix is the normalized prefix for ClassPrefix (empty
-	// otherwise).
-	prefix string
 	// mask is the prefix query's dimension mask M, known only to the
 	// coordinator: its cache key and its session's branch partition use
 	// it; scans don't.
@@ -39,18 +38,15 @@ type queryPred struct {
 	root hypercube.Vertex
 }
 
-// predFor resolves the wire (Class, QueryKey) pair into a predicate.
+// predFor resolves the wire (Class, QueryKey) pair into a predicate
+// without allocating when the key is canonical, as every peer sends it.
 func predFor(class QueryClass, queryKey string) queryPred {
-	p := queryPred{class: class, key: queryKey}
-	switch class {
-	case ClassPrefix:
-		p.prefix = queryKey
-	case ClassPin:
-		p.set = keyword.ParseKey(queryKey)
-		p.key = keyword.CanonicalKey(queryKey)
-	default:
-		p.set = keyword.ParseKey(queryKey)
-		p.want = p.set.Signature()
+	if class == ClassPrefix {
+		return queryPred{class: class, key: queryKey}
+	}
+	p := queryPred{class: class, key: keyword.CanonicalKey(queryKey)}
+	if class != ClassPin {
+		p.want = keyword.KeySignature(p.key)
 	}
 	return p
 }
@@ -65,9 +61,9 @@ func (p *queryPred) matches(setKey string) bool {
 	case ClassPin:
 		return setKey == p.key
 	case ClassPrefix:
-		return keyword.KeyHasPrefix(setKey, p.prefix)
+		return keyword.KeyHasPrefix(setKey, p.key)
 	default:
-		return p.set.SubsetOfKey(setKey)
+		return keyword.KeySubset(p.key, setKey)
 	}
 }
 
@@ -91,7 +87,7 @@ func (p queryPred) depth(root, v hypercube.Vertex) int {
 func (p queryPred) cacheKey(instance string) string {
 	switch p.class {
 	case ClassPrefix:
-		return cacheKey(instance, "\x02prefix\x02"+p.prefix+"\x02"+strconv.FormatUint(p.mask, 16))
+		return cacheKey(instance, "\x02prefix\x02"+p.key+"\x02"+strconv.FormatUint(p.mask, 16))
 	case ClassPin:
 		return cacheKey(instance, "\x02pin\x02"+p.key)
 	default:

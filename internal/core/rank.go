@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 )
@@ -50,13 +52,8 @@ func Categorize(query keyword.Set, matches []Match) []Category {
 	for extra, ms := range byExtra {
 		cats = append(cats, Category{Extra: extra, Matches: ms})
 	}
-	sort.Slice(cats, func(i, j int) bool {
-		li := keyword.ParseKey(cats[i].Extra).Len()
-		lj := keyword.ParseKey(cats[j].Extra).Len()
-		if li != lj {
-			return li < lj
-		}
-		return cats[i].Extra < cats[j].Extra
+	slices.SortFunc(cats, func(a, b Category) int {
+		return cmp.Or(cmp.Compare(keyword.KeyLen(a.Extra), keyword.KeyLen(b.Extra)), strings.Compare(a.Extra, b.Extra))
 	})
 	return cats
 }
@@ -84,31 +81,20 @@ func Sample(query keyword.Set, matches []Match, perCategory int) []Category {
 // SortGeneralFirst orders matches by ascending depth (fewest extra
 // keywords first), breaking ties by keyword-set size, then object ID.
 // TopDown traversal already yields this order; the helper re-imposes
-// it after merging pages or categories.
+// it after merging pages or categories. Set sizes are counted in place
+// (keyword.KeyLen): sorting allocates nothing.
 func SortGeneralFirst(matches []Match) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Depth != matches[j].Depth {
-			return matches[i].Depth < matches[j].Depth
-		}
-		li, lj := matches[i].Keywords().Len(), matches[j].Keywords().Len()
-		if li != lj {
-			return li < lj
-		}
-		return matches[i].ObjectID < matches[j].ObjectID
+	slices.SortFunc(matches, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Depth, b.Depth), cmp.Compare(keyword.KeyLen(a.SetKey), keyword.KeyLen(b.SetKey)),
+			strings.Compare(a.ObjectID, b.ObjectID))
 	})
 }
 
 // SortSpecificFirst orders matches by descending depth (most extra
 // keywords first).
 func SortSpecificFirst(matches []Match) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Depth != matches[j].Depth {
-			return matches[i].Depth > matches[j].Depth
-		}
-		li, lj := matches[i].Keywords().Len(), matches[j].Keywords().Len()
-		if li != lj {
-			return li > lj
-		}
-		return matches[i].ObjectID < matches[j].ObjectID
+	slices.SortFunc(matches, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Depth, a.Depth), cmp.Compare(keyword.KeyLen(b.SetKey), keyword.KeyLen(a.SetKey)),
+			strings.Compare(a.ObjectID, b.ObjectID))
 	})
 }

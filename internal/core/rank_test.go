@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/keyword"
@@ -82,5 +86,51 @@ func TestSortGeneralAndSpecificFirst(t *testing.T) {
 	SortSpecificFirst(ms)
 	if ms[0].ObjectID != "deep" || ms[2].ObjectID != "shallow" {
 		t.Errorf("specific-first order: %v %v %v", ms[0].ObjectID, ms[1].ObjectID, ms[2].ObjectID)
+	}
+}
+
+// TestSortMatchesAllocatesNothing: the rank helpers count a match's
+// keywords in place, so ordering a 64-match answer allocates nothing,
+// and the order — ties included — is the one parsing every key gives.
+func TestSortMatchesAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ms := make([]Match, 64)
+	for i := range ms {
+		words := []string{"q"}
+		for j := rng.Intn(4); j > 0; j-- {
+			words = append(words, "w"+strconv.Itoa(rng.Intn(9)))
+		}
+		ms[i] = mkMatch("o"+strconv.Itoa(rng.Intn(24)), rng.Intn(3), words...)
+	}
+	byParse := func(specific bool) func(a, b Match) bool {
+		return func(a, b Match) bool {
+			la, lb := a.Keywords().Len(), b.Keywords().Len()
+			if specific {
+				a.Depth, b.Depth, la, lb = b.Depth, a.Depth, lb, la
+			}
+			if a.Depth != b.Depth {
+				return a.Depth < b.Depth
+			}
+			if la != lb {
+				return la < lb
+			}
+			return a.ObjectID < b.ObjectID
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		sort     func([]Match)
+		specific bool
+	}{{"SortGeneralFirst", SortGeneralFirst, false}, {"SortSpecificFirst", SortSpecificFirst, true}} {
+		got, want := slices.Clone(ms), slices.Clone(ms)
+		tc.sort(got)
+		less := byParse(tc.specific)
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%s order differs from the parsed-key order", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { copy(got, ms); tc.sort(got) }); allocs != 0 {
+			t.Errorf("%s allocates %.0f times on a 64-match answer, want 0", tc.name, allocs)
+		}
 	}
 }

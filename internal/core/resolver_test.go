@@ -13,7 +13,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
-func staticOverlay(t *testing.T, n int) *dht.Static {
+func staticOverlay(t testing.TB, n int) *dht.Static {
 	t.Helper()
 	addrs := make([]transport.Addr, n)
 	for i := range addrs {
@@ -198,4 +198,43 @@ func TestSendToVertexRefusalWindow(t *testing.T) {
 	if frames != 5 || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled mid-back-off: %d frames, err %v; want 5 and context.Canceled", frames, err)
 	}
+}
+
+var vertexKeySink dht.ID
+
+// BenchmarkVertexKey prices a vertex's ring key against its cached
+// binding, per vertex of an r = 10 cube: "hash" derives VertexKey,
+// "probe" reads the warm binding through ResolveBatch, the resolver's
+// map probe. A route that hashed every wave vertex to find its arc
+// would pay the first where the binding cache pays the second
+// (ROADMAP item 16).
+func BenchmarkVertexKey(b *testing.B) {
+	vs := make([]hypercube.Vertex, 1024)
+	for i := range vs {
+		vs[i] = hypercube.Vertex(i)
+	}
+	perVertex := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/vertex")
+	}
+	b.Run("hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, v := range vs {
+				vertexKeySink = VertexKey(DefaultInstance, v)
+			}
+		}
+		perVertex(b)
+	})
+	b.Run("probe", func(b *testing.B) {
+		r := NewOverlayResolver(staticOverlay(b, 16))
+		addrs := make([]transport.Addr, len(vs))
+		ctx := context.Background()
+		if errs := r.ResolveBatch(ctx, DefaultInstance, vs, addrs); errs != nil {
+			b.Fatal(errs)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.ResolveBatch(ctx, DefaultInstance, vs, addrs)
+		}
+		perVertex(b)
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
+	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
@@ -74,8 +75,11 @@ func (s *Server) parseQuery(msg msgTQuery) (rootQuery, error) {
 		return rootQuery{}, fmt.Errorf("core: invalid query class %d", msg.Class)
 	}
 	pred := predFor(msg.Class, msg.QueryKey)
-	if msg.QueryKey == "" || (msg.Class != ClassPrefix && pred.set.IsEmpty()) {
+	if pred.key == "" {
 		return rootQuery{}, ErrEmptyQuery
+	}
+	if msg.Class != ClassPrefix {
+		pred.set = keyword.ParseKey(pred.key)
 	}
 	if msg.Threshold <= 0 {
 		return rootQuery{}, fmt.Errorf("core: threshold %d must be positive", msg.Threshold)
@@ -487,6 +491,13 @@ func (s *Server) traverse(ctx context.Context, sess *session, need int, trace *[
 			})
 		}
 
+		// The wave's takes add up to min(its matches, need): the answer
+		// grows once per wave, so a mega-wave allocates it exactly once.
+		got := 0
+		for i := range hits {
+			got += len(hits[i].matches)
+		}
+		t.matches = slices.Grow(t.matches, min(got, need))
 		resumes, children := sc.resumes[:0], sc.children[:0]
 		stopDepth := sess.cube.Dim() // where a flat wave met the threshold; nothing is deeper yet
 		for i, u := range wave {
@@ -676,7 +687,7 @@ func unitHit(ctx context.Context, r *respSubUnit) (hit waveHit, retry bool) {
 // the root, whose ownership the T_QUERY handler settled) is an
 // ErrNotOwner hit.
 func (s *Server) scanLocal(ctx context.Context, sc *unitScanner, arc ownedArc, sess *session, u workUnit, limit int) waveHit {
-	matches, remaining, owned := sc.read(ctx, arc, u.vertex, sess.root, &sess.pred, u.skip, limit)
+	matches, remaining, owned := sc.read(ctx, nil, arc, u.vertex, sess.root, &sess.pred, u.skip, limit)
 	if !owned {
 		return waveHit{err: ErrNotOwner}
 	}

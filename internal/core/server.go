@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -884,7 +885,8 @@ func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.
 // §8), so hits come out by increasing Index as they are found, located
 // by one unitScanner: a stripe's read lock is held across a run of
 // units in that stripe, never across the frame, so frames of concurrent
-// searches spread over the cores.
+// searches spread over the cores. Hits and matches collect in a pooled
+// frameScratch and leave it in one copy each (frameScratch.reply).
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
 	ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
 	defer cancel()
@@ -893,11 +895,12 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 	root := hypercube.Vertex(msg.Root)
 	sc := s.scanner(msg.Instance)
 	defer sc.release()
-	var hits []respSubUnit
+	fs := framePool.Get().(*frameScratch)
+	defer fs.release()
 	for i, u := range msg.Units {
 		v := hypercube.Vertex(u.Vertex)
 		hit := respSubUnit{Index: i}
-		owned := true
+		start, owned := len(fs.matches), true
 		switch {
 		case ctx.Err() != nil:
 			// A cancelled search abandons its remaining units: the root
@@ -906,18 +909,61 @@ func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSu
 			// queries.
 			hit.ErrCode = errCodeCancelled
 		case msg.Relay:
-			hit.Matches, hit.Remaining, _ = sc.local(ownedArc{}, v, root, &pred, u.Skip, msg.Limit)
+			fs.matches, hit.Remaining, _ = sc.local(fs.matches, ownedArc{}, v, root, &pred, u.Skip, msg.Limit)
 		default:
-			hit.Matches, hit.Remaining, owned = sc.read(ctx, arc, v, root, &pred, u.Skip, msg.Limit)
+			fs.matches, hit.Remaining, owned = sc.read(ctx, fs.matches, arc, v, root, &pred, u.Skip, msg.Limit)
 		}
 		if !owned {
 			hit.ErrCode = errCodeNotOwner
 		}
-		if hit.ErrCode != errCodeNone || len(hit.Matches) > 0 || hit.Remaining > 0 {
-			hits = append(hits, hit)
+		if end := len(fs.matches); hit.ErrCode != errCodeNone || end > start || hit.Remaining > 0 {
+			hit.Matches = fs.matches[start:end:end] // its length places it in reply's arena
+			fs.hits = append(fs.hits, hit)
 		}
 	}
+	return fs.reply()
+}
+
+// frameScratch is a serving peer's working memory for one frame: the
+// hits found so far and, back to back in hit order, their matches. It
+// is pooled, bounded by maxPooledFrame elements a slice, and cleared
+// before it is pooled, so it never keeps an answer alive.
+type frameScratch struct {
+	hits    []respSubUnit
+	matches []Match
+}
+
+const maxPooledFrame = 1 << 10
+
+var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// reply is the frame's answer in two allocations: an exactly-sized
+// []respSubUnit and one []Match arena, each hit's Matches a three-index
+// window of it, so an append by any holder cannot scribble over the
+// next hit's — the layout respSubQueryBatch.UnmarshalWire builds on TCP.
+func (fs *frameScratch) reply() respSubQueryBatch {
+	if len(fs.hits) == 0 {
+		return respSubQueryBatch{}
+	}
+	hits, arena, off := slices.Clone(fs.hits), slices.Clone(fs.matches), 0
+	for i := range hits {
+		n := len(hits[i].Matches)
+		hits[i].Matches = nil
+		if n > 0 {
+			hits[i].Matches = arena[off : off+n : off+n]
+		}
+		off += n
+	}
 	return respSubQueryBatch{Hits: hits}
+}
+
+func (fs *frameScratch) release() {
+	clear(fs.hits)
+	clear(fs.matches)
+	fs.hits, fs.matches = fs.hits[:0], fs.matches[:0]
+	if cap(fs.hits) <= maxPooledFrame && cap(fs.matches) <= maxPooledFrame {
+		framePool.Put(fs)
+	}
 }
 
 // frameDeadline bounds ctx by the deadline a frame carries (UnixNano,
@@ -958,7 +1004,7 @@ func (s *Server) cubeFor(dim int) (hypercube.Cube, error) {
 func (s *Server) scanVertex(arc ownedArc, instance string, v, root hypercube.Vertex, pred queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
 	sc := s.scanner(instance)
 	defer sc.release()
-	return sc.local(arc, v, root, &pred, skip, limit)
+	return sc.local(nil, arc, v, root, &pred, skip, limit)
 }
 
 // unitScanner locates the units of one frame (or of the root's own
@@ -981,9 +1027,9 @@ func (s *Server) scanner(instance string) unitScanner {
 	return unitScanner{s: s, instance: instance, hash: instanceHash(instance)}
 }
 
-// local is scanVertex on the held stripe: the local tables only, with
-// no migration window consulted.
-func (sc *unitScanner) local(arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
+// local is scanVertex on the held stripe, appending the window to dst:
+// the local tables only, with no migration window consulted.
+func (sc *unitScanner) local(dst []Match, arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) (matches []Match, remaining int, owned bool) {
 	if sh := sc.s.shardAt(sc.hash, v); sh != sc.held {
 		sc.release()
 		sh.rlock(sc.s.met.shardLockWait)
@@ -991,26 +1037,27 @@ func (sc *unitScanner) local(arc ownedArc, v, root hypercube.Vertex, pred *query
 	}
 	tbl := sc.tables[v]
 	if !arc.owns(tbl, sc.instance, v) {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	if tbl != nil {
-		matches, remaining = tbl.scan(v, root, pred, skip, limit)
+		dst, remaining = tbl.scan(dst, v, root, pred, skip, limit)
 	}
-	return matches, remaining, true
+	return dst, remaining, true
 }
 
 // read is the migration-aware local: while v sits in an open inbound
 // window it releases the held stripe and double-reads the old owner
 // (Server.doubleRead). Outside a window it costs one atomic load more
 // than local.
-func (sc *unitScanner) read(ctx context.Context, arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int, bool) {
+func (sc *unitScanner) read(ctx context.Context, dst []Match, arc ownedArc, v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int, bool) {
 	if sc.s.migrate.windowOpen() {
 		sc.release()
 		if srcs := sc.s.migrate.sources(sc.instance, v); len(srcs) > 0 {
-			return sc.s.doubleRead(ctx, srcs, arc, sc.instance, v, root, *pred, skip, limit)
+			matches, remaining, owned := sc.s.doubleRead(ctx, srcs, arc, sc.instance, v, root, *pred, skip, limit)
+			return append(dst, matches...), remaining, owned
 		}
 	}
-	return sc.local(arc, v, root, pred, skip, limit)
+	return sc.local(dst, arc, v, root, pred, skip, limit)
 }
 
 // release drops the held stripe lock, if any.

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -139,5 +143,84 @@ func TestPerVertexFramesCarryDeadline(t *testing.T) {
 	want := respSubQueryBatch{Hits: []respSubUnit{{Index: 0, ErrCode: errCodeCancelled}}}
 	if err != nil || !reflect.DeepEqual(raw, want) {
 		t.Fatalf("expired frame answered %+v, %v; want %+v", raw, err, want)
+	}
+}
+
+// frameTestServer is a single peer owning every vertex of an r = 6
+// cube, with a table at each that matches nothing for the query key
+// "a", and the 64-unit frame that asks all of them for it.
+func frameTestServer(t *testing.T) (*Server, msgSubQueryBatch) {
+	t.Helper()
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	srv := newMigrateServer(t, net, "", MigrationConfig{})
+	units := make([]wireUnit, 64)
+	for v := range units {
+		units[v].Vertex = uint64(v)
+		if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet("b", strconv.Itoa(v)).Key(), "miss-"+strconv.Itoa(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, msgSubQueryBatch{Instance: DefaultInstance, QueryKey: "a", Limit: -1, Units: units}
+}
+
+// addHit gives vertex v of srv n entries matching the query "a".
+func addHit(t *testing.T, srv *Server, v, n int) {
+	t.Helper()
+	for j := 0; j < n; j++ {
+		if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet("a", "x"+strconv.Itoa(j)).Key(), fmt.Sprintf("o-%d-%d", v, j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSubQueryFrameAllocs: a serving peer answers a 64-unit frame in a
+// fixed number of allocations, whatever its hits and their matches —
+// none when no unit has anything to say, and otherwise two: the
+// exactly-sized hit list and the one match arena its hits window
+// (frameScratch.reply). Hits or matches grown unit by unit, a slice
+// per scanned vertex, or a predicate parsed per frame make the count
+// follow the hits.
+func TestSubQueryFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account; make alloc-smoke runs this without it")
+	}
+	srv, frame := frameTestServer(t)
+	ctx := context.Background()
+	hits := 0
+	for _, k := range []int{0, 1, 8} {
+		for ; hits < k; hits++ {
+			addHit(t, srv, 7*hits+3, hits+1)
+		}
+		var resp respSubQueryBatch
+		allocs := testing.AllocsPerRun(100, func() { resp = srv.subQueryBatch(ctx, frame) })
+		if len(resp.Hits) != k {
+			t.Fatalf("%d hits answered, want %d", len(resp.Hits), k)
+		}
+		want := 2.0
+		if k == 0 {
+			want = 0
+		}
+		if allocs != want {
+			t.Errorf("a frame with %d hits costs %.0f allocations, want %.0f", k, allocs, want)
+		}
+	}
+}
+
+// TestSubQueryHitsDoNotAlias: the hits of one reply window one match
+// arena, each capped at its own end, so appending to one hit's matches
+// cannot overwrite the next hit's.
+func TestSubQueryHitsDoNotAlias(t *testing.T) {
+	srv, frame := frameTestServer(t)
+	addHit(t, srv, 5, 2)
+	addHit(t, srv, 9, 3)
+	resp := srv.subQueryBatch(context.Background(), frame)
+	if len(resp.Hits) != 2 || len(resp.Hits[0].Matches) != 2 || len(resp.Hits[1].Matches) != 3 {
+		t.Fatalf("reply %+v, want hits of 2 and 3 matches", resp.Hits)
+	}
+	next := slices.Clone(resp.Hits[1].Matches)
+	_ = append(resp.Hits[0].Matches, Match{ObjectID: "scribble"})
+	if !reflect.DeepEqual(resp.Hits[1].Matches, next) {
+		t.Fatalf("appending to hit 0 overwrote hit 1: %+v, want %+v", resp.Hits[1].Matches, next)
 	}
 }

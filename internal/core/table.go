@@ -14,7 +14,7 @@ import (
 // entries, one per (set key, object ID) pair, sorted by that pair — so
 // the canonical order every reader promises is the storage order. An
 // entry is its key: the canonical set key is the only copy of the set,
-// and the predicates read it in place (keyword.Set.SubsetOfKey,
+// and the predicates read it in place (keyword.KeySubset,
 // keyword.KeyHasPrefix). Beside the entries sits a dense column of
 // 128-bit keyword-set signatures (keyword.KeySignature) that superset
 // scans test before they touch a key. An entry costs its two string
@@ -124,7 +124,7 @@ func (t *table) walk(fn func(setKey, id string) bool) bool {
 	return true
 }
 
-// scan collects the entries matching pred in canonical order: the
+// scan appends the entries matching pred to dst in canonical order: the
 // window of limit matches (limit < 0: unlimited) after the first skip,
 // plus the count of matches beyond the window. v is the table's vertex
 // and root the query's; by Lemma 3.2 every match of one vertex sits at
@@ -136,7 +136,7 @@ func (t *table) walk(fn func(setKey, id string) bool) bool {
 // still goes through pred.matches — so a signature collision costs
 // time, never an answer. A pin's matches are its key's run of entries;
 // prefix queries carry a zero want, which every entry covers.
-func (t *table) scan(v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int) {
+func (t *table) scan(dst []Match, v, root hypercube.Vertex, pred *queryPred, skip, limit int) ([]Match, int) {
 	lo, hi := 0, len(t.ents)
 	if pred.class == ClassPin {
 		lo, _ = t.find(pred.key)
@@ -146,8 +146,8 @@ func (t *table) scan(v, root hypercube.Vertex, pred *queryPred, skip, limit int)
 		}
 	}
 	// Matching entries are remembered in a bitmap so the predicate runs
-	// once per entry and the result is allocated once, at its final
-	// size. The bitmap lives on the stack for all but outsized tables.
+	// once per entry and dst grows at most once, by the window's size.
+	// The bitmap lives on the stack for all but outsized tables.
 	var small [8]uint64
 	hits := small[:]
 	if n := hi - lo; n > 64*len(small) {
@@ -167,12 +167,12 @@ func (t *table) scan(v, root hypercube.Vertex, pred *queryPred, skip, limit int)
 		remaining, n = n-limit, limit
 	}
 	if n == 0 {
-		return nil, remaining
+		return dst, remaining
 	}
-	out := make([]Match, 0, n)
+	out, end := slices.Grow(dst, n), len(dst)+n
 	depth := pred.depth(root, v)
 	for w, word := range hits {
-		for ; word != 0 && len(out) < n; word &= word - 1 {
+		for ; word != 0 && len(out) < end; word &= word - 1 {
 			if skip > 0 {
 				skip--
 				continue

@@ -82,11 +82,11 @@ func (m tableModel) flatten(pred queryPred) [][2]string {
 func modelMatches(pred queryPred, set keyword.Set) bool {
 	switch pred.class {
 	case ClassPin:
-		return pred.set.Equal(set)
+		return keyword.ParseKey(pred.key).Equal(set)
 	case ClassPrefix:
-		return set.HasPrefix(pred.prefix)
+		return set.HasPrefix(pred.key)
 	default:
-		return pred.set.SubsetOf(set)
+		return keyword.ParseKey(pred.key).SubsetOf(set)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // TestPropertyKeyMatchAgreesWithParseKey: over every key of a
 // paper-calibrated corpus (2 000 objects, seed 1) and every template of
 // its query log, the in-place readers of a canonical key answer what
-// the parsed set answers — SubsetOfKey as SubsetOf, KeyHasPrefix as
+// the parsed set answers — KeySubset as SubsetOf, KeyHasPrefix as
 // HasPrefix (for prefixes cut from the template's words), KeySignature
-// as Signature — and CanonicalKey hands the key back unchanged.
+// as Signature, KeyLen as Len — and CanonicalKey hands the key back unchanged.
 func TestPropertyKeyMatchAgreesWithParseKey(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Objects: 2000, Seed: 1})
 	if err != nil {
@@ -38,10 +38,13 @@ func TestPropertyKeyMatchAgreesWithParseKey(t *testing.T) {
 		if got, want := keyword.KeySignature(key), set.Signature(); got != want {
 			t.Fatalf("KeySignature(%q) = %#x, want %#x", key, got, want)
 		}
+		if got, want := keyword.KeyLen(key), set.Len(); got != want {
+			t.Fatalf("KeyLen(%q) = %d, want %d", key, got, want)
+		}
 		for _, q := range log.Templates() {
-			got, want := q.SubsetOfKey(key), q.SubsetOf(set)
+			got, want := keyword.KeySubset(q.Key(), key), q.SubsetOf(set)
 			if got != want {
-				t.Fatalf("%v.SubsetOfKey(%q) = %v, want %v", q, key, got, want)
+				t.Fatalf("KeySubset(%q, %q) = %v, want %v", q.Key(), key, got, want)
 			}
 			if got {
 				subsets++

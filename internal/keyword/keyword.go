@@ -109,15 +109,26 @@ func (s Set) SubsetOf(other Set) bool {
 	return i == len(s.words)
 }
 
-// SubsetOfKey is SubsetOf(ParseKey(key)) for a canonical key, read in
-// place: each of s's words must occur in the key as a whole word.
-func (s Set) SubsetOfKey(key string) bool {
-	for _, w := range s.words {
+// KeySubset is ParseKey(sub).SubsetOf(ParseKey(key)) for canonical
+// keys, read in place: each word of sub must occur in key as a whole
+// word.
+func KeySubset(sub, key string) bool {
+	for more := sub != ""; more; {
+		var w string
+		w, sub, more = strings.Cut(sub, "\x1f")
 		if !findWord(key, w, true) {
 			return false
 		}
 	}
 	return true
+}
+
+// KeyLen is ParseKey(key).Len() for a canonical key, counted in place.
+func KeyLen(key string) int {
+	if key == "" {
+		return 0
+	}
+	return strings.Count(key, "\x1f") + 1
 }
 
 // findWord reports whether some word of key starts with w (whole: is

@@ -114,7 +114,7 @@ func TestKeyRoundTrip(t *testing.T) {
 // FuzzParseKey checks ParseKey against its definition: for any input,
 // canonical or not, ParseKey(k) is NewSet over k's \x1f-separated
 // words. CanonicalKey(k) is that set's Key, and on it the in-place
-// readers (SubsetOfKey, KeyHasPrefix, KeySignature) answer what the
+// readers (KeySubset, KeyHasPrefix, KeySignature, KeyLen) answer what the
 // parsed set does. The seeds are keys Key never writes — unsorted,
 // duplicated, upper-case, padded, with empty words — beside canonical
 // ones, so both the one-pass check and the NewSet fallback are reached.
@@ -140,6 +140,9 @@ func FuzzParseKey(f *testing.F) {
 		if KeySignature(ck) != want.Signature() {
 			t.Fatalf("KeySignature(%q) = %#x, want %#x", ck, KeySignature(ck), want.Signature())
 		}
+		if KeyLen(ck) != want.Len() {
+			t.Fatalf("KeyLen(%q) = %d, want %d", ck, KeyLen(ck), want.Len())
+		}
 		// Probe with every other keyword, alone and with one from outside
 		// the set, and with the words' prefixes and the input itself.
 		var half []string
@@ -154,8 +157,8 @@ func FuzzParseKey(f *testing.F) {
 			}
 		}
 		for _, q := range []Set{NewSet(half...), NewSet(append(half, k)...), NewSet(k)} {
-			if q.SubsetOfKey(ck) != q.SubsetOf(want) {
-				t.Fatalf("%v.SubsetOfKey(%q) = %v, want %v", q, ck, !q.SubsetOf(want), q.SubsetOf(want))
+			if KeySubset(q.Key(), ck) != q.SubsetOf(want) {
+				t.Fatalf("KeySubset(%q, %q) = %v, want %v", q.Key(), ck, !q.SubsetOf(want), q.SubsetOf(want))
 			}
 		}
 		if KeyHasPrefix(ck, k) != want.HasPrefix(k) {
@@ -170,9 +173,10 @@ func FuzzParseKey(f *testing.F) {
 // slow path of strings.ToLower.
 func TestKeyMatchAllocatesNothing(t *testing.T) {
 	key := NewSet("alpha", "beta", "délta", "gamma", "ωmega").Key()
-	q := NewSet("beta", "gamma")
+	q := NewSet("beta", "gamma").Key()
 	for name, f := range map[string]func(){
-		"SubsetOfKey":  func() { _ = q.SubsetOfKey(key) },
+		"KeySubset":    func() { _ = KeySubset(q, key) },
+		"KeyLen":       func() { _ = KeyLen(key) },
 		"KeyHasPrefix": func() { _ = KeyHasPrefix(key, "om") },
 		"KeySignature": func() { _ = KeySignature(key) },
 		"CanonicalKey": func() { _ = CanonicalKey(key) },

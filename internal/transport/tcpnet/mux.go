@@ -3,10 +3,11 @@ package tcpnet
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
-	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
@@ -126,7 +127,11 @@ var replyChans = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
 
 // roundTrip performs one RPC over the mux. Frame writes set a deadline
 // from ctx (or none) so a wedged peer cannot block the writer forever
-// while holding wmu.
+// while holding wmu. The deadline is the caller's, and the connection
+// is everyone's: a caller whose deadline ran out while it waited for
+// wmu, or whose write timed out before a byte left, gives up with its
+// own error and leaves the stream in sync. Only a write that failed
+// part-way, or for another reason, kills the mux.
 func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any) (any, error) {
 	ins := mc.net.ins.Load()
 
@@ -152,14 +157,20 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 	frameLen := uint64(w.Len())
 
 	mc.wmu.Lock()
-	if deadline, ok := ctx.Deadline(); ok {
+	written, werr := 0, ctx.Err()
+	if werr == nil {
+		deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
 		_ = mc.conn.SetWriteDeadline(deadline)
-	} else {
-		_ = mc.conn.SetWriteDeadline(time.Time{})
+		if written, werr = mc.conn.Write(w.Buf); errors.Is(werr, os.ErrDeadlineExceeded) {
+			werr = context.DeadlineExceeded
+		}
 	}
-	_, werr := mc.conn.Write(w.Buf)
 	mc.wmu.Unlock()
 	wire.PutWriter(w)
+	if written == 0 && (errors.Is(werr, context.DeadlineExceeded) || errors.Is(werr, context.Canceled)) {
+		mc.deregister(id)
+		return nil, werr
+	}
 	if werr != nil {
 		mc.fail(fmt.Errorf("send to %q: %w", mc.to, transport.ErrUnreachable))
 		mc.deregister(id)

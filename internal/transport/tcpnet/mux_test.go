@@ -27,8 +27,9 @@ func TestWireMuxHammer(t *testing.T) {
 	registerTestTypes()
 	n := New()
 	defer n.Close()
-	// Long enough that the frame is written before the deadline even
-	// under -race: a write past its deadline fails the whole mux.
+	// Long enough that most frames are written before the deadline even
+	// under -race (a send that times out before it writes gives up alone,
+	// TestLateSendKeepsMux).
 	const late = 20 * time.Millisecond
 	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
 		p := body.(ping)
@@ -104,6 +105,75 @@ func TestWireMuxHammer(t *testing.T) {
 	n.mu.Unlock()
 	if muxCount != 1 {
 		t.Errorf("mux table has %d entries after hammer, want 1", muxCount)
+	}
+}
+
+// TestLateSendKeepsMux: a send whose deadline runs out while it waits
+// for the mux's write lock gives up with context.DeadlineExceeded and
+// writes nothing; the connection stays in sync, so it stays in the mux
+// table and the send in flight beside it is answered. The test holds the
+// write lock itself past the late send's deadline.
+func TestLateSendKeepsMux(t *testing.T) {
+	registerTestTypes()
+	n := New()
+	defer n.Close()
+	release := make(chan struct{})
+	node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		p := body.(ping)
+		if p.N == 1 {
+			<-release
+		}
+		return pong{N: p.N}, nil
+	})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if _, err := n.Send(context.Background(), node.Addr(), ping{N: 0}); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	n.mu.Lock()
+	mc := n.muxes[node.Addr()].mc
+	n.mu.Unlock()
+	pending := func() int {
+		mc.mu.Lock()
+		defer mc.mu.Unlock()
+		return len(mc.pending)
+	}
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := n.Send(context.Background(), node.Addr(), ping{N: 1})
+		blocked <- err
+	}()
+	for pending() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	mc.wmu.Lock()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	late := make(chan error, 1)
+	go func() {
+		_, err := n.Send(ctx, node.Addr(), ping{N: 2})
+		late <- err
+	}()
+	for pending() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	<-ctx.Done()
+	mc.wmu.Unlock()
+
+	if err := <-late; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("late send: %v, want context.DeadlineExceeded", err)
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Errorf("send in flight beside the late one: %v", err)
+	}
+	n.mu.Lock()
+	e := n.muxes[node.Addr()]
+	n.mu.Unlock()
+	if e == nil || e.mc != mc {
+		t.Error("the late send replaced the shared mux")
 	}
 }
 
