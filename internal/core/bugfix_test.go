@@ -96,64 +96,73 @@ func TestSpanStopUntruncatedStillMarked(t *testing.T) {
 // fix relies on: the slice get hands out is the caller's to mutate,
 // and the cached copy stays intact.
 func TestCacheGetReturnsPrivateCopy(t *testing.T) {
-	c := newFIFOCache(100)
-	set := keyword.NewSet("a", "b")
-	c.put(DefaultInstance, supersetPred(set.Key(), set), []Match{{ObjectID: "o1"}, {ObjectID: "o2"}}, true)
+	for _, policy := range []string{CachePolicyHot, CachePolicyFIFO} {
+		t.Run(policy, func(t *testing.T) {
+			c := newResultCache(policy, 100)
+			set := keyword.NewSet("a", "b")
+			c.put(DefaultInstance, supersetPred(set.Key(), set), []Match{{ObjectID: "o1"}, {ObjectID: "o2"}}, true)
 
-	got, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), All)
-	if !ok || len(got) != 2 {
-		t.Fatalf("get = (%v, %v), want 2 matches", got, ok)
-	}
-	got[0].ObjectID = "mutated"
+			got, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), All)
+			if !ok || len(got) != 2 {
+				t.Fatalf("get = (%v, %v), want 2 matches", got, ok)
+			}
+			got[0].ObjectID = "mutated"
 
-	again, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), All)
-	if !ok || again[0].ObjectID != "o1" {
-		t.Fatalf("cached copy corrupted by caller mutation: %+v", again)
+			again, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), All)
+			if !ok || again[0].ObjectID != "o1" {
+				t.Fatalf("cached copy corrupted by caller mutation: %+v", again)
+			}
+		})
 	}
 }
 
 // TestCacheConcurrencyHammer races put/get/invalidateSubsetsOf across
-// goroutines; run under -race via make chaos. The narrowed critical
+// goroutines under both policies (the hot policy's touch and admission
+// included); run under -race via make chaos. The narrowed critical
 // section in get must not let a concurrent eviction or invalidation
 // tear the copied slice.
 func TestCacheConcurrencyHammer(t *testing.T) {
-	c := newFIFOCache(64)
-	vocab := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
-	const workers, iters = 8, 400
+	for _, policy := range []string{CachePolicyHot, CachePolicyFIFO} {
+		t.Run(policy, func(t *testing.T) {
+			c := newResultCache(policy, 64)
+			vocab := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
+			const workers, iters = 8, 400
 
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				a, b := vocab[(w+i)%len(vocab)], vocab[(w+2*i+1)%len(vocab)]
-				set := keyword.NewSet(a, b)
-				switch i % 3 {
-				case 0:
-					matches := []Match{{ObjectID: "o" + strconv.Itoa(i)}, {ObjectID: "p" + strconv.Itoa(w)}}
-					c.put(DefaultInstance, supersetPred(set.Key(), set), matches, i%2 == 0)
-				case 1:
-					if got, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), 1); ok {
-						for _, m := range got {
-							if m.ObjectID == "" {
-								t.Error("torn match read from cache")
-								return
+			var wg sync.WaitGroup
+			wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						a, b := vocab[(w+i)%len(vocab)], vocab[(w+2*i+1)%len(vocab)]
+						set := keyword.NewSet(a, b)
+						switch i % 3 {
+						case 0:
+							matches := []Match{{ObjectID: "o" + strconv.Itoa(i)}, {ObjectID: "p" + strconv.Itoa(w)}}
+							c.put(DefaultInstance, supersetPred(set.Key(), set), matches, i%2 == 0)
+						case 1:
+							if got, _, ok := c.get(DefaultInstance, supersetPred(set.Key(), set), 1); ok {
+								for _, m := range got {
+									if m.ObjectID == "" {
+										t.Error("torn match read from cache")
+										return
+									}
+								}
+								got[0].ObjectID = "scribble" // must never reach the cache
 							}
+						default:
+							c.invalidateSubsetsOf(DefaultInstance, keyword.NewSet(a, b, vocab[i%len(vocab)]).Key())
 						}
-						got[0].ObjectID = "scribble" // must never reach the cache
 					}
-				default:
-					c.invalidateSubsetsOf(DefaultInstance, keyword.NewSet(a, b, vocab[i%len(vocab)]).Key())
-				}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	// The FIFO invariants must survive the storm.
-	if c.len() > 64 {
-		t.Fatalf("cache holds %d entries over capacity", c.len())
+			// The capacity invariant must survive the storm.
+			if c.len() > 64 {
+				t.Fatalf("cache holds %d entries over capacity", c.len())
+			}
+		})
 	}
 }
 

@@ -19,7 +19,7 @@ func hotMatches(n int, tag string) []Match {
 // admission rejects a candidate the sketch estimates to be colder than
 // any would-be victim.
 func TestHotCacheAdmissionProtectsPopularEntries(t *testing.T) {
-	c := newHotCache(8)
+	c := newResultCache(CachePolicyHot, 8)
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(4, "a"), true)
 	c.put("main", supersetPred("qb", keyword.NewSet("b")), hotMatches(4, "b"), true)
 	// Make both residents popular.
@@ -44,7 +44,7 @@ func TestHotCacheAdmissionProtectsPopularEntries(t *testing.T) {
 // A candidate that becomes more popular than a resident is admitted,
 // displacing the coldest victim.
 func TestHotCacheAdmissionAcceptsHotterCandidate(t *testing.T) {
-	c := newHotCache(8)
+	c := newResultCache(CachePolicyHot, 8)
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(4, "a"), true)
 	c.put("main", supersetPred("qb", keyword.NewSet("b")), hotMatches(4, "b"), true)
 	c.get("main", supersetPred("qa", keyword.Set{}), 1) // qa warmer than qb
@@ -65,7 +65,7 @@ func TestHotCacheAdmissionAcceptsHotterCandidate(t *testing.T) {
 // Re-referenced entries graduate to the protected segment and survive a
 // stream of one-off insertions that churns probation.
 func TestHotCacheProtectedSegmentSurvivesScan(t *testing.T) {
-	c := newHotCache(10)
+	c := newResultCache(CachePolicyHot, 10)
 	c.put("main", supersetPred("hot", keyword.NewSet("h")), hotMatches(2, "h"), true)
 	c.get("main", supersetPred("hot", keyword.Set{}), 1) // graduate to protected
 	for i := 0; i < 20; i++ {
@@ -79,7 +79,7 @@ func TestHotCacheProtectedSegmentSurvivesScan(t *testing.T) {
 }
 
 func TestHotCacheOversizedResultNotStored(t *testing.T) {
-	c := newHotCache(3)
+	c := newResultCache(CachePolicyHot, 3)
 	c.put("main", supersetPred("big", keyword.NewSet("a")), hotMatches(5, "x"), true)
 	if _, _, ok := c.get("main", supersetPred("big", keyword.Set{}), 1); ok {
 		t.Error("oversized result stored")
@@ -87,7 +87,7 @@ func TestHotCacheOversizedResultNotStored(t *testing.T) {
 }
 
 func TestHotCacheDisabled(t *testing.T) {
-	c := newHotCache(0)
+	c := newResultCache(CachePolicyHot, 0)
 	c.put("main", supersetPred("q", keyword.NewSet("a")), hotMatches(1, "x"), true)
 	if _, _, ok := c.get("main", supersetPred("q", keyword.Set{}), 1); ok {
 		t.Error("disabled cache returned a hit")
@@ -98,7 +98,7 @@ func TestHotCacheDisabled(t *testing.T) {
 // FIFO policy: a mutation event in one instance must not clear another
 // instance's cached results for the same query.
 func TestHotCacheInvalidateInstanceScoped(t *testing.T) {
-	c := newHotCache(100)
+	c := newResultCache(CachePolicyHot, 100)
 	c.put("main", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "m"), true)
 	c.put("other", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "o"), true)
 	c.invalidateSubsetsOf("main", keyword.NewSet("a", "b").Key())
@@ -113,7 +113,7 @@ func TestHotCacheInvalidateInstanceScoped(t *testing.T) {
 // The hot policy also honors the subset-closure semantics (a change
 // under set S invalidates every cached query that is a subset of S).
 func TestHotCacheInvalidateSubsets(t *testing.T) {
-	c := newHotCache(100)
+	c := newResultCache(CachePolicyHot, 100)
 	c.put("main", supersetPred("a", keyword.NewSet("a")), hotMatches(1, "1"), true)
 	c.put("main", supersetPred("a\x1fb", keyword.NewSet("a", "b")), hotMatches(1, "2"), true)
 	c.put("main", supersetPred("c", keyword.NewSet("c")), hotMatches(1, "3"), true)
@@ -131,7 +131,7 @@ func TestHotCacheInvalidateSubsets(t *testing.T) {
 
 // The per-instance snapshot decomposes the cache-wide totals exactly.
 func TestHotCacheSnapshotPerInstance(t *testing.T) {
-	c := newHotCache(100)
+	c := newResultCache(CachePolicyHot, 100)
 	c.put("main", supersetPred("qa", keyword.NewSet("a")), hotMatches(2, "m"), true)
 	c.put("aux", supersetPred("qb", keyword.NewSet("b")), hotMatches(3, "x"), true)
 	c.get("main", supersetPred("qa", keyword.Set{}), 1)   // hit

@@ -64,8 +64,9 @@ type ServerConfig struct {
 	CacheCapacity int
 	// CachePolicy selects the result-cache replacement policy:
 	// CachePolicyHot (default) — popularity-tracked segmented LRU with
-	// frequency-sketch admission — or CachePolicyFIFO, the
-	// insertion-order cache. Both hold exactly CacheCapacity units.
+	// frequency-sketch admission — or CachePolicyFIFO, the same cache
+	// with admission off, in insertion order. Both hold exactly
+	// CacheCapacity units.
 	CachePolicy string
 	// HotReplicas enables soft replication of hot root vertices: a
 	// root whose fresh-query count reaches DefaultHotPromoteThreshold
@@ -162,7 +163,7 @@ type Server struct {
 	// shards are the lock stripes, picked by hash(instance, vertex):
 	// GOMAXPROCS rounded up to a power of two, at most maxShards.
 	shards   []*tableShard
-	cache    resultCache
+	cache    *resultCache
 	sessions *sessionStore
 
 	// hot tracks root popularity and manages soft replication of the
@@ -457,7 +458,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		reg.GaugeFunc("core_index_vertices", func() int64 { return int64(s.Stats().Vertices) })
 		reg.GaugeFunc("core_index_entries", func() int64 { return int64(s.Stats().Entries) })
 		reg.GaugeFunc("core_index_objects", func() int64 { return int64(s.Stats().Objects) })
-		reg.GaugeFunc("core_cache_queries", func() int64 { return int64(s.cache.len()) })
 		reg.GaugeFunc("core_cache_entries", func() int64 { return int64(s.cache.len()) })
 		reg.GaugeFunc("core_cache_units", func() int64 { return int64(s.cache.unitCount()) })
 		reg.GaugeFunc("core_soft_roots", func() int64 { return int64(s.soft.count()) })

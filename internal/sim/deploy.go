@@ -52,7 +52,7 @@ type Deployment struct {
 }
 
 // NewDeployment builds a 2^r-node deployment. cacheCapacity is the
-// per-node FIFO cache size in object-ID units (0 disables caching).
+// per-node result cache size in object-ID units (0 disables caching).
 func NewDeployment(r, cacheCapacity int) (*Deployment, error) {
 	return NewInstrumentedDeployment(r, cacheCapacity, nil)
 }

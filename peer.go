@@ -30,10 +30,8 @@ func NewTelemetry(spanCapacity int) *Telemetry { return telemetry.New(spanCapaci
 type Config struct {
 	// Dim is the hypercube dimensionality r (default 10, the paper's
 	// empirically best value for its corpus). All peers of a
-	// deployment must agree on Dim, HashSeed and Instance.
+	// deployment must agree on Dim and Instance.
 	Dim int
-	// HashSeed perturbs the keyword→dimension hash (default 0).
-	HashSeed uint64
 	// Instance names the index instance, salting the mapping of
 	// logical hypercube vertices onto DHT nodes (default "main").
 	Instance string
@@ -144,7 +142,7 @@ type Peer struct {
 // called.
 func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	cfg = cfg.withDefaults()
-	hasher, err := keyword.NewHasher(cfg.Dim, cfg.HashSeed)
+	hasher, err := keyword.NewHasher(cfg.Dim, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -220,18 +218,17 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	})
 
 	// One client per index replica: replica i has its own keyword hash
-	// (seeded off the deployment seed) and its own vertex→node salt,
-	// so no node is responsible for the same keyword set in two
-	// replicas. The single index server hosts every instance's tables.
+	// (seeded i times the golden-ratio constant) and its own
+	// vertex→node salt, so no node is responsible for the same keyword
+	// set in two replicas. The single index server hosts every
+	// instance's tables.
 	clients := make([]*core.Client, cfg.IndexReplicas)
 	for i := range clients {
 		instance := cfg.Instance
-		seed := cfg.HashSeed
 		if i > 0 {
 			instance = fmt.Sprintf("%s-replica-%d", cfg.Instance, i)
-			seed = cfg.HashSeed + uint64(i)*0x9e3779b97f4a7c15
 		}
-		replicaHasher, err := keyword.NewHasher(cfg.Dim, seed)
+		replicaHasher, err := keyword.NewHasher(cfg.Dim, uint64(i)*0x9e3779b97f4a7c15)
 		if err != nil {
 			endpoint.Close()
 			return nil, err
@@ -487,11 +484,8 @@ func (p *Peer) Fetch(ctx context.Context, objectID string) ([]Reference, error) 
 // smaller hypercube with its own hash.
 type FamilyConfig struct {
 	// Dim is the family's hypercube dimensionality (default: the
-	// peer's Dim).
+	// peer's Dim). The family's keyword hash is seeded from its name.
 	Dim int
-	// HashSeed perturbs the family's keyword hash (default: derived
-	// from the family name).
-	HashSeed uint64
 }
 
 // DecomposedIndex splits the keyword universe into disjoint attribute
@@ -514,11 +508,7 @@ func (p *Peer) NewDecomposedIndex(classify func(word string) string, families ma
 		if dim == 0 {
 			dim = p.cfg.Dim
 		}
-		seed := fc.HashSeed
-		if seed == 0 {
-			seed = p.cfg.HashSeed ^ uint64(dht.HashString("family:"+name))
-		}
-		hasher, err := keyword.NewHasher(dim, seed)
+		hasher, err := keyword.NewHasher(dim, uint64(dht.HashString("family:"+name)))
 		if err != nil {
 			return nil, fmt.Errorf("family %q: %w", name, err)
 		}
