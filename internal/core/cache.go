@@ -25,6 +25,8 @@ const (
 // predicate). Capacity is measured in object-ID units, matching the
 // paper's α · |O| / 2^r sizing relative to the average index size per
 // node: the hit ratio is won by choosing what to keep, not by growing.
+// An answer with no matches costs one unit, so empty answers are
+// evicted like any other.
 //
 // One structure serves both policies. Under the hot policy it is a
 // segmented LRU (probation + protected) with TinyLFU-style frequency
@@ -93,6 +95,12 @@ type cacheEntry struct {
 	protected bool
 	elem      *list.Element
 }
+
+// entryUnits is what an answer of these matches costs the cache: one
+// unit per object ID, and at least one.
+func entryUnits(matches []Match) int { return max(1, len(matches)) }
+
+func (e *cacheEntry) units() int { return entryUnits(e.matches) }
 
 // instanceCounters accumulates per-instance consultations under the
 // owning cache's mutex.
@@ -199,7 +207,7 @@ func (c *resultCache) touchLocked(e *cacheEntry) {
 	c.probation.Remove(e.elem)
 	e.protected = true
 	e.elem = c.protected.PushFront(e)
-	c.protUnits += len(e.matches)
+	c.protUnits += e.units()
 	limit := int(hotProtectedFrac * float64(c.capacity))
 	for c.protUnits > limit && c.protected.Len() > 1 {
 		tail := c.protected.Back()
@@ -207,7 +215,7 @@ func (c *resultCache) touchLocked(e *cacheEntry) {
 		c.protected.Remove(tail)
 		v.protected = false
 		v.elem = c.probation.PushFront(v)
-		c.protUnits -= len(v.matches)
+		c.protUnits -= v.units()
 	}
 }
 
@@ -216,7 +224,8 @@ func (c *resultCache) touchLocked(e *cacheEntry) {
 // stored, and under the hot policy a new key that would need to evict
 // is stored only if it wins the admission contest.
 func (c *resultCache) put(instance string, pred queryPred, matches []Match, exhausted bool) {
-	if !c.enabled() || len(matches) > c.capacity {
+	cost := entryUnits(matches)
+	if !c.enabled() || cost > c.capacity {
 		return
 	}
 	key := pred.cacheKey(instance)
@@ -225,29 +234,25 @@ func (c *resultCache) put(instance string, pred queryPred, matches []Match, exha
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
 		// Replace in place, keeping segment position.
-		c.units -= len(e.matches)
+		c.units += cost - e.units()
 		if e.protected {
-			c.protUnits -= len(e.matches)
+			c.protUnits += cost - e.units()
 		}
 		e.matches, e.exhausted, e.pred = cloned, exhausted, pred
-		c.units += len(cloned)
-		if e.protected {
-			c.protUnits += len(cloned)
-		}
 		c.evictLocked()
 		return
 	}
 	if c.sketch != nil {
 		// Admission contest: the candidate may only displace victims
 		// the sketch estimates to be less popular than itself.
-		if need := c.units + len(matches) - c.capacity; need > 0 && !c.admitLocked(key, need) {
+		if need := c.units + cost - c.capacity; need > 0 && !c.admitLocked(key, need) {
 			return
 		}
 	}
 	e := &cacheEntry{key: key, instance: instance, pred: pred, matches: cloned, exhausted: exhausted}
 	e.elem = c.probation.PushFront(e)
 	c.items[key] = e
-	c.units += len(cloned)
+	c.units += cost
 	keys, ok := c.byInstance[instance]
 	if !ok {
 		keys = make(map[string]*cacheEntry)
@@ -274,7 +279,7 @@ func (c *resultCache) admitLocked(candidateKey string, need int) bool {
 				return false
 			}
 			victims = append(victims, v)
-			covered += len(v.matches)
+			covered += v.units()
 		}
 		return true
 	}
@@ -314,11 +319,11 @@ func (c *resultCache) evictLocked() {
 func (c *resultCache) removeLocked(e *cacheEntry) {
 	if e.protected {
 		c.protected.Remove(e.elem)
-		c.protUnits -= len(e.matches)
+		c.protUnits -= e.units()
 	} else {
 		c.probation.Remove(e.elem)
 	}
-	c.units -= len(e.matches)
+	c.units -= e.units()
 	delete(c.items, e.key)
 	if keys, ok := c.byInstance[e.instance]; ok {
 		delete(keys, e.key)
@@ -495,7 +500,7 @@ func (c *resultCache) perInstanceStats() []InstanceCacheStats {
 		}
 		for _, e := range keys {
 			row.Entries++
-			row.Units += len(e.matches)
+			row.Units += e.units()
 		}
 	}
 	if other != (InstanceCacheStats{Instance: overflowInstance}) {

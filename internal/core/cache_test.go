@@ -428,3 +428,19 @@ func TestCacheInstanceRowsBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptyAnswersAreEvicted: an answer with no matches costs one unit,
+// so 100 000 distinct empty answers leave a 16-unit cache holding at
+// most 16 entries under either policy. Charged nothing, they were never
+// evicted and the cache grew without bound.
+func TestEmptyAnswersAreEvicted(t *testing.T) {
+	for _, policy := range []string{CachePolicyFIFO, CachePolicyHot} {
+		c := newResultCache(policy, 16)
+		for i := 0; i < 100000; i++ {
+			c.put("main", predFor(ClassPin, "k"+strconv.Itoa(i)), nil, true)
+		}
+		if c.len() > 16 || c.unitCount() > 16 {
+			t.Errorf("%s: len=%d units=%d after 100000 empty answers, want at most 16", policy, c.len(), c.unitCount())
+		}
+	}
+}
