@@ -47,11 +47,18 @@ alloc-smoke:
 
 # The churn hammer's flake rate, the number every PR quotes beside its
 # result until ROADMAP item 1 closes (not part of ci — it only prints):
-# twenty separate runs of TestChurnHammer, failed/20.
+# TestChurnHammer HAMMER_RUNS times (default 100) in one process of the
+# root package's test binary, built once, then failed/N and each
+# distinct failure line with its count. Separate `go test` processes
+# under-read the flake: on one commit twenty of them read 1 in 40 where
+# 400 runs in-process read 13.
+HAMMER_RUNS ?= 100
 hammer:
-	@failed=0; for i in $$(seq 20); do \
-		$(GO) test -count=1 -run TestChurnHammer . >/dev/null 2>&1 || failed=$$((failed+1)); \
-	done; echo "TestChurnHammer: $$failed/20 failed"
+	@dir=$$(mktemp -d) && $(GO) test -c -o $$dir/keysearch.test . && \
+	out=$$($$dir/keysearch.test -test.run 'TestChurnHammer$$' -test.count=$(HAMMER_RUNS) -test.v 2>&1); \
+	rm -rf $$dir; \
+	echo "TestChurnHammer: $$(printf '%s\n' "$$out" | grep -c -- '--- FAIL: TestChurnHammer')/$(HAMMER_RUNS) failed"; \
+	printf '%s\n' "$$out" | grep -E '^[[:space:]]+[^[:space:]]+_test\.go:[0-9]+: ' | sed 's/^[[:space:]]*//' | sort | uniq -c
 
 # Code size, the number CHANGES.md records per PR (not part of ci —
 # `make loc` only prints): non-blank, non-comment lines of non-test Go,

@@ -77,24 +77,17 @@ func (c *Client) Hasher() keyword.Hasher { return c.hasher }
 // default. Like SetClientID, set it right after construction.
 func (c *Client) SetSpread(on bool) { c.spreadOn = on }
 
-// route resolves the physical address hosting vertex v in this
-// client's instance.
-func (c *Client) route(ctx context.Context, v hypercube.Vertex) (transport.Addr, error) {
-	return c.resolver.Resolve(ctx, c.instance, v)
-}
-
 // ResolveRoot returns the physical address of the node responsible for
 // keyword set k in this client's instance — a diagnostic hook used by
 // failure-injection tests and monitoring.
 func (c *Client) ResolveRoot(ctx context.Context, k keyword.Set) (transport.Addr, error) {
-	return c.route(ctx, c.hasher.Vertex(k))
+	return resolveOwner(ctx, c.resolver, c.instance, c.hasher.Vertex(k))
 }
 
-// send resolves the vertex and delivers body, retrying once through a
-// fresh resolution when a cached binding has gone stale (the node
-// departed and its key range re-homed).
+// send delivers body to vertex v's owner by the resolver's routing
+// rule.
 func (c *Client) send(ctx context.Context, v hypercube.Vertex, body any) (any, error) {
-	resp, _, err := sendToVertex(ctx, c.resolver, c.sender, c.instance, v, body)
+	resp, _, err := c.resolver.Send(ctx, c.sender, c.instance, v, "", body)
 	return resp, err
 }
 

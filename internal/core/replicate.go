@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
@@ -135,7 +136,7 @@ func (r *Replicated) Delete(ctx context.Context, obj Object) (bool, Stats, error
 // replica and surfaces immediately instead.
 func failover(err error) bool {
 	return errors.Is(err, transport.ErrUnreachable) || errors.Is(err, context.DeadlineExceeded) ||
-		refusedOwnership(err)
+		dht.Refused(err)
 }
 
 // betterResult ranks replica answers for completeness-aware selection:

@@ -161,7 +161,7 @@ func TestReplicatedNonTransportErrorsDoNotFailOver(t *testing.T) {
 
 func mustResolve(t *testing.T, c *Client, k keyword.Set) transport.Addr {
 	t.Helper()
-	addr, err := c.resolver.Resolve(context.Background(), c.instance, c.hasher.Vertex(k))
+	addr, err := c.ResolveRoot(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/transport"
+	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
 
 func staticOverlay(t testing.TB, n int) *dht.Static {
@@ -35,47 +37,6 @@ func TestVertexKeyDistinguishesInstances(t *testing.T) {
 	}
 	if a != VertexKey("main", 5) {
 		t.Error("VertexKey not deterministic")
-	}
-}
-
-func TestOverlayResolverCachesBindings(t *testing.T) {
-	overlay := staticOverlay(t, 8)
-	r := NewOverlayResolver(overlay)
-	ctx := context.Background()
-
-	addr1, err := r.Resolve(ctx, "main", 3)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	before := overlay.Lookups()
-	addr2, err := r.Resolve(ctx, "main", 3)
-	if err != nil || addr2 != addr1 {
-		t.Fatalf("cached Resolve = %s, %v", addr2, err)
-	}
-	if overlay.Lookups() != before {
-		t.Error("cached resolve still hit the overlay")
-	}
-	if r.CacheSize() != 1 {
-		t.Errorf("CacheSize = %d", r.CacheSize())
-	}
-
-	// Different instances resolve (and cache) independently.
-	if _, err := r.Resolve(ctx, "replica-1", 3); err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != 2 {
-		t.Errorf("CacheSize after second instance = %d", r.CacheSize())
-	}
-
-	r.Invalidate("main", 3)
-	if r.CacheSize() != 1 {
-		t.Errorf("CacheSize after invalidate = %d", r.CacheSize())
-	}
-	if _, err := r.Resolve(ctx, "main", 3); err != nil {
-		t.Fatal(err)
-	}
-	if overlay.Lookups() <= before {
-		t.Error("invalidated binding did not re-resolve")
 	}
 }
 
@@ -111,16 +72,18 @@ func TestClientAccessors(t *testing.T) {
 
 // scriptedSender fails its first len(script) sends with the scripted
 // errors, then accepts; cancelAt, when positive, cancels the caller's
-// context as that send fails.
+// context as that send fails. It records each send's destination.
 type scriptedSender struct {
 	script   []error
 	sends    int
+	to       []transport.Addr
 	cancelAt int
 	cancel   context.CancelFunc
 }
 
-func (s *scriptedSender) Send(context.Context, transport.Addr, any) (any, error) {
+func (s *scriptedSender) Send(_ context.Context, to transport.Addr, _ any) (any, error) {
 	s.sends++
+	s.to = append(s.to, to)
 	if s.sends == s.cancelAt {
 		s.cancel()
 	}
@@ -130,12 +93,16 @@ func (s *scriptedSender) Send(context.Context, transport.Addr, any) (any, error)
 	return "ok", nil
 }
 
-// TestSendToVertexRefusalWindow pins the one retry rule of
-// sendToVertex: every failure earns one re-resolution, an ownership
-// refusal — as a handler returns it and as a transport flattens it —
-// up to five more behind a 1/2/4/8/16 ms back-off, a transport failure
-// none; every send is counted in the returned frame count, and a
-// context cancelled mid-back-off ends the call at once.
+// TestSendToVertexRefusalWindow pins the routing rule as a vertex send
+// meets it: the first failure — a refusal, as a handler returns it and
+// as a transport flattens it, or an unreachable owner — earns a
+// re-route, and so does the first unreachable owner; every other
+// refusal a hint, the first at once and the rest 1/2/4/8 ms apart:
+// seven sends at most. An unreachable owner gets two sends in all, and
+// any other failure one. Over a plain overlay every route and every
+// hint is a fresh lookup. Every send is counted in the returned frame
+// count, a send given an owner goes there first, and a context
+// cancelled mid-back-off ends the call at once.
 func TestSendToVertexRefusalWindow(t *testing.T) {
 	refusal := fmt.Errorf("%w: %v", transport.ErrRemote, ErrNotOwner)
 	refusals := func(n int) []error {
@@ -146,6 +113,7 @@ func TestSendToVertexRefusalWindow(t *testing.T) {
 		script[0] = ErrNotOwner // an in-process transport hands the sentinel over unflattened
 		return script
 	}
+	boom := fmt.Errorf("%w: boom", transport.ErrRemote)
 	cases := []struct {
 		name      string
 		script    []error
@@ -159,13 +127,15 @@ func TestSendToVertexRefusalWindow(t *testing.T) {
 		{"twelve refusals", refusals(12), 7, ErrNotOwner},
 		{"unreachable twice", []error{transport.ErrUnreachable, transport.ErrUnreachable, nil}, 2, transport.ErrUnreachable},
 		{"unreachable then fine", []error{transport.ErrUnreachable}, 2, nil},
-		{"refused, then unreachable", []error{refusal, refusal, transport.ErrUnreachable}, 3, transport.ErrUnreachable},
-		{"another remote error", []error{refusal, fmt.Errorf("%w: boom", transport.ErrRemote)}, 2, transport.ErrRemote},
+		{"refused, then unreachable", []error{refusal, refusal, transport.ErrUnreachable}, 4, nil},
+		{"refused, then unreachable twice", []error{refusal, refusal, transport.ErrUnreachable, transport.ErrUnreachable}, 4, transport.ErrUnreachable},
+		{"another remote error", []error{refusal, boom}, 2, transport.ErrRemote},
+		{"another remote error first", []error{boom}, 1, transport.ErrRemote},
 	}
 	for _, tc := range cases {
 		overlay := staticOverlay(t, 4)
 		sender := &scriptedSender{script: tc.script}
-		resp, frames, err := sendToVertex(context.Background(), NewOverlayResolver(overlay), sender, "main", 3, "body")
+		resp, frames, err := NewOverlayResolver(overlay).Send(context.Background(), sender, "main", 3, "", "body")
 		if frames != tc.wantSends || sender.sends != tc.wantSends {
 			t.Errorf("%s: %d sends, %d frames reported, want %d", tc.name, sender.sends, frames, tc.wantSends)
 		}
@@ -173,28 +143,37 @@ func TestSendToVertexRefusalWindow(t *testing.T) {
 			if err != nil || resp != "ok" {
 				t.Errorf("%s: resp %v, err %v, want accepted", tc.name, resp, err)
 			}
-		} else if !errors.Is(err, tc.wantErr) && !(tc.wantErr == ErrNotOwner && refusedOwnership(err)) {
+		} else if !errors.Is(err, tc.wantErr) && !(tc.wantErr == ErrNotOwner && dht.Refused(err)) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.wantErr)
 		}
-		// Each send after the first went through a fresh lookup.
 		if got := overlay.Lookups(); got != uint64(tc.wantSends) {
 			t.Errorf("%s: %d overlay lookups for %d sends", tc.name, got, tc.wantSends)
 		}
 	}
 
-	// A resolver that cannot invalidate has nothing new to learn.
-	sender := &scriptedSender{script: refusals(3)}
+	// Given the owner a wave named, the first send goes there and only
+	// the re-route looks up.
+	overlay := staticOverlay(t, 4)
+	sender := &scriptedSender{script: refusals(1)}
+	if _, frames, err := NewOverlayResolver(overlay).Send(context.Background(), sender, "main", 3, "named", "body"); err != nil || frames != 2 ||
+		sender.to[0] != "named" || sender.to[1] != overlay.SuccessorOf(VertexKey("main", 3)) || overlay.Lookups() != 1 {
+		t.Errorf("named owner: %d frames to %v with %d lookups, err %v; want named, then the successor after one lookup",
+			frames, sender.to, overlay.Lookups(), err)
+	}
+
+	// A fixed mapping has no other owner to try.
+	sender = &scriptedSender{script: refusals(3)}
 	route := FuncResolver(func(hypercube.Vertex) transport.Addr { return "a" })
-	if _, frames, err := sendToVertex(context.Background(), route, sender, "main", 3, "body"); frames != 1 || !errors.Is(err, ErrNotOwner) {
+	if _, frames, err := route.Send(context.Background(), sender, "main", 3, "", "body"); frames != 1 || !errors.Is(err, ErrNotOwner) {
 		t.Errorf("FuncResolver: %d frames, err %v; want the first refusal", frames, err)
 	}
 
-	// Cancelled while the fifth send fails: the 8 ms pause that follows
+	// Cancelled while the fifth send fails: the 4 ms pause that follows
 	// is cut short and no sixth send goes out.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sender = &scriptedSender{script: refusals(12), cancelAt: 5, cancel: cancel}
-	_, frames, err := sendToVertex(ctx, NewOverlayResolver(staticOverlay(t, 4)), sender, "main", 3, "body")
+	_, frames, err := NewOverlayResolver(staticOverlay(t, 4)).Send(ctx, sender, "main", 3, "", "body")
 	if frames != 5 || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled mid-back-off: %d frames, err %v; want 5 and context.Canceled", frames, err)
 	}
@@ -202,17 +181,18 @@ func TestSendToVertexRefusalWindow(t *testing.T) {
 
 var vertexKeySink dht.ID
 
-// BenchmarkVertexKey prices a vertex's ring key against its cached
-// binding, per vertex of an r = 10 cube: "hash" derives VertexKey,
-// "probe" reads the warm binding through ResolveBatch, the resolver's
-// map probe. A route that hashed every wave vertex to find its arc
-// would pay the first where the binding cache pays the second
-// (ROADMAP item 16).
+// BenchmarkVertexKey prices what naming a wave's owners costs per
+// vertex of an r = 10 cube: "hash" derives VertexKey; "probe" reads a
+// warm per-vertex binding map under one lock, the shape of the binding
+// cache the route replaced; "route" is Owners on a warm 16-peer Chord
+// ring — each vertex's memoised ring key, then a binary search of the
+// node's arc view, which the wave reads once. Neither warm form hashes.
 func BenchmarkVertexKey(b *testing.B) {
 	vs := make([]hypercube.Vertex, 1024)
 	for i := range vs {
 		vs[i] = hypercube.Vertex(i)
 	}
+	addrs := make([]transport.Addr, len(vs))
 	perVertex := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/vertex")
 	}
@@ -225,15 +205,33 @@ func BenchmarkVertexKey(b *testing.B) {
 		perVertex(b)
 	})
 	b.Run("probe", func(b *testing.B) {
-		r := NewOverlayResolver(staticOverlay(b, 16))
-		addrs := make([]transport.Addr, len(vs))
+		var mu sync.Mutex
+		bindings := map[string]map[hypercube.Vertex]transport.Addr{DefaultInstance: {}}
+		for _, v := range vs {
+			bindings[DefaultInstance][v] = transport.Addr("peer-" + strconv.Itoa(int(v)%16))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mu.Lock()
+			byVertex := bindings[DefaultInstance]
+			for j, v := range vs {
+				addrs[j] = byVertex[v]
+			}
+			mu.Unlock()
+		}
+		perVertex(b)
+	})
+	b.Run("route", func(b *testing.B) {
+		net := inmem.New(1)
+		defer net.Close()
+		r := NewOverlayResolver(chordRing(b, net, 16, nil)[0])
 		ctx := context.Background()
-		if errs := r.ResolveBatch(ctx, DefaultInstance, vs, addrs); errs != nil {
+		if errs := r.Owners(ctx, DefaultInstance, vs, addrs); errs != nil {
 			b.Fatal(errs)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.ResolveBatch(ctx, DefaultInstance, vs, addrs)
+			r.Owners(ctx, DefaultInstance, vs, addrs)
 		}
 		perVertex(b)
 	})

@@ -211,18 +211,19 @@ func (h *hotVertexManager) promote(ctx context.Context, k hotKey) *softSet {
 // duplicates. Determinism matters — the seeded promotion test replays
 // a query log and expects the identical replica sets.
 func (h *hotVertexManager) pickPeers(ctx context.Context, k hotKey) []transport.Addr {
-	own, err := h.s.cfg.Resolver.Resolve(ctx, k.instance, k.vertex)
-	if err != nil {
+	vs := append([]hypercube.Vertex{k.vertex}, SoftReplicaCandidates(k.vertex, h.s.cube.Dim(), h.replicas)...)
+	addrs := make([]transport.Addr, len(vs))
+	errs := h.s.cfg.Resolver.Owners(ctx, k.instance, vs, addrs)
+	if errs != nil && errs[0] != nil {
 		return nil
 	}
 	peers := make([]transport.Addr, 0, h.replicas)
-	seen := map[transport.Addr]struct{}{own: {}}
-	for _, cand := range SoftReplicaCandidates(k.vertex, h.s.cube.Dim(), h.replicas) {
+	seen := map[transport.Addr]struct{}{addrs[0]: {}}
+	for i, addr := range addrs[1:] {
 		if len(peers) == h.replicas {
 			break
 		}
-		addr, err := h.s.cfg.Resolver.Resolve(ctx, k.instance, cand)
-		if err != nil {
+		if errs != nil && errs[i+1] != nil {
 			continue
 		}
 		if _, dup := seen[addr]; dup {

@@ -106,10 +106,10 @@ func TestExpandFrontierMatchesReference(t *testing.T) {
 
 // joinRaceOverlay is a two-peer ring caught mid-join: peer b has taken
 // over the half of the ring past mid from peer a, but the first lookup
-// of every key still answers a — the binding a resolver cached before
-// the join — and only a repeated lookup (what sendToVertex does after
-// invalidating a binding that failed) learns the truth. rootKey is
-// pinned to the root peer throughout.
+// of every key still answers a — the route a resolver learned before
+// the join — and only a repeated lookup (what the routing rule does
+// after a refuses a send) learns the truth. rootKey is pinned to the
+// root peer throughout.
 type joinRaceOverlay struct {
 	dht.Overlay // Insert/Delete/Read are never called
 	rootKey     dht.ID

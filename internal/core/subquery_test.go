@@ -36,18 +36,20 @@ func (s *refusingUnitSender) Send(_ context.Context, _ transport.Addr, body any)
 
 // TestVisitRefusedUnitRetries: a one-unit frame whose unit comes back
 // errCodeNotOwner is an ownership refusal like a frame-level
-// ErrNotOwner: visit re-resolves before every further send, returns the
-// hit the third send gets after two refusals, and after seven refusals
-// gives up at maxOwnerSends with the refusal.
+// ErrNotOwner: visit routes on by the routing rule — over a plain
+// overlay a fresh lookup names every next owner, one before each send —
+// returns the hit the third send gets after two refusals, and after
+// seven refusals gives up at the rule's seven sends with the refusal.
 func TestVisitRefusedUnitRetries(t *testing.T) {
 	want := []Match{{ObjectID: "o1", SetKey: "a b", Vertex: 3, Depth: 1}}
+	const maxSends = 7
 	for _, tc := range []struct {
 		name      string
 		refusals  int
 		wantSends int
 	}{
 		{"two refusals", 2, 3},
-		{"seven refusals", 7, maxOwnerSends},
+		{"seven refusals", 7, maxSends},
 	} {
 		overlay := staticOverlay(t, 4)
 		sender := &refusingUnitSender{refusals: tc.refusals, hit: respSubUnit{Matches: want, Remaining: 2}}
@@ -57,14 +59,14 @@ func TestVisitRefusedUnitRetries(t *testing.T) {
 		}
 		t.Cleanup(func() { srv.Close() })
 		sess := &session{instance: DefaultInstance, root: 1, pred: predFor(ClassSuperset, "a")}
-		hit := srv.visit(context.Background(), sess, workUnit{vertex: 3}, All)
+		hit := srv.visit(context.Background(), sess, workUnit{vertex: 3}, All, "")
 		if hit.frames != tc.wantSends || sender.sends != tc.wantSends {
 			t.Errorf("%s: %d sends, %d frames counted, want %d", tc.name, sender.sends, hit.frames, tc.wantSends)
 		}
 		if got := overlay.Lookups(); got != uint64(tc.wantSends) {
 			t.Errorf("%s: %d overlay lookups for %d sends, want a fresh one before each", tc.name, got, tc.wantSends)
 		}
-		if tc.refusals < maxOwnerSends {
+		if tc.refusals < maxSends {
 			if hit.err != nil || !reflect.DeepEqual(hit.matches, want) || hit.remaining != 2 {
 				t.Errorf("%s: hit %+v, want the third send's answer", tc.name, hit)
 			}

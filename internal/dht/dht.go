@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"strings"
 
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
@@ -31,7 +32,20 @@ var (
 	ErrNoSuchReference = errors.New("dht: no such reference")
 	// ErrNotJoined reports an operation on a node outside any ring.
 	ErrNotJoined = errors.New("dht: node has not joined a ring")
+	// ErrNotOwner refuses a request whose ring key lies outside the
+	// serving node's arc (pred, self]: the sender's route is stale (a
+	// join or leave it has not heard of). It is a topology error, not an
+	// application outcome, and the refused request changed nothing.
+	ErrNotOwner = errors.New("dht: node does not own the key")
 )
+
+// Refused reports that err is a node's ErrNotOwner. Remote handler
+// errors cross the wire flattened to text (both transports), so past a
+// transport the sentinel is recovered by message.
+func Refused(err error) bool {
+	return errors.Is(err, ErrNotOwner) ||
+		errors.Is(err, transport.ErrRemote) && strings.Contains(err.Error(), ErrNotOwner.Error())
+}
 
 // HashKey implements the deterministic, uniform mapping L (and the
 // hypercube-to-DHT mapping g): it hashes an arbitrary byte key into

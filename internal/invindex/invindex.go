@@ -180,11 +180,7 @@ func (c *Client) Insert(ctx context.Context, obj core.Object) (core.Stats, error
 	var st core.Stats
 	for _, w := range obj.Keywords.Words() {
 		v := NodeFor(w, c.r)
-		addr, err := c.resolver.Resolve(ctx, "dii", v)
-		if err != nil {
-			return st, fmt.Errorf("insert %q: %w", obj.ID, err)
-		}
-		if _, err := c.sender.Send(ctx, addr, msgInsertPosting{
+		if _, _, err := c.resolver.Send(ctx, c.sender, "dii", v, "", msgInsertPosting{
 			Vertex: uint64(v), Word: w, ObjectID: obj.ID,
 		}); err != nil {
 			return st, fmt.Errorf("insert %q keyword %q: %w", obj.ID, w, err)
@@ -203,11 +199,7 @@ func (c *Client) Delete(ctx context.Context, obj core.Object) (core.Stats, error
 	var st core.Stats
 	for _, w := range obj.Keywords.Words() {
 		v := NodeFor(w, c.r)
-		addr, err := c.resolver.Resolve(ctx, "dii", v)
-		if err != nil {
-			return st, fmt.Errorf("delete %q: %w", obj.ID, err)
-		}
-		if _, err := c.sender.Send(ctx, addr, msgDeletePosting{
+		if _, _, err := c.resolver.Send(ctx, c.sender, "dii", v, "", msgDeletePosting{
 			Vertex: uint64(v), Word: w, ObjectID: obj.ID,
 		}); err != nil {
 			return st, fmt.Errorf("delete %q keyword %q: %w", obj.ID, w, err)
@@ -232,13 +224,9 @@ func (c *Client) Search(ctx context.Context, k keyword.Set) ([]string, core.Stat
 	)
 	for _, w := range k.Words() {
 		v := NodeFor(w, c.r)
-		addr, err := c.resolver.Resolve(ctx, "dii", v)
+		raw, _, err := c.resolver.Send(ctx, c.sender, "dii", v, "", msgFetchPostings{Vertex: uint64(v), Word: w})
 		if err != nil {
 			return nil, st, fmt.Errorf("search %q: %w", w, err)
-		}
-		raw, err := c.sender.Send(ctx, addr, msgFetchPostings{Vertex: uint64(v), Word: w})
-		if err != nil {
-			return nil, st, fmt.Errorf("search %q at %s: %w", w, addr, err)
 		}
 		st.NodesContacted++
 		st.Messages += 2
