@@ -43,12 +43,7 @@ func (n *Node) StabilizeOnce(ctx context.Context) error {
 			// Successor failed: promote the next candidate.
 			succs = succs[1:]
 			n.mu.Lock()
-			if len(n.successors) > 0 && n.successors[0].Addr == succ.Addr {
-				n.successors = n.successors[1:]
-				if len(n.successors) == 0 {
-					n.successors = []NodeInfo{n.self}
-				}
-			}
+			n.purgeDeadLocked(succ)
 			n.mu.Unlock()
 			continue
 		}
