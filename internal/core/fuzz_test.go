@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
@@ -38,8 +39,8 @@ var liveWireIDs = []uint16{
 func FuzzCoreDecode(f *testing.F) {
 	RegisterTypes()
 	matches := []Match{{ObjectID: "o1", SetKey: "a b", Vertex: 3, Depth: 1}, {ObjectID: "o2", SetKey: "a", Vertex: 1}}
-	entries := []BulkEntry{{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}}
-	cursor := wireCursor{Started: true, Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}
+	entries := []store.Entry{{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}}
+	cursor := wireCursor{Started: true, Entry: entries[0]}
 	for _, msg := range []any{
 		msgInsertEntry{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1", ClientID: "c"},
 		respAck{},
@@ -52,7 +53,7 @@ func FuzzCoreDecode(f *testing.F) {
 		msgSubQueryBatch{Instance: "main", Root: 1, QueryKey: "a", Limit: 5, Units: []wireUnit{{Vertex: 2, Skip: 3}}},
 		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Remaining: 1}, {Index: 4, ErrCode: 2}}},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500},
-		respMigrateChunk{Entries: entries, Cursor: cursor, Done: true},
+		respMigrateChunk{Entries: entries, Done: true},
 		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
 		respMigrateCommit{Dropped: 3},
 		msgSoftPromote{Instance: "main", Vertex: 7, Gen: 2},

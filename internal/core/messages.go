@@ -1,6 +1,10 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"github.com/p2pkeyword/keysearch/internal/store"
+)
 
 // Wire messages of the index protocol. Vertices travel as uint64; each
 // message's encoding is its MarshalWire/UnmarshalWire pair in
@@ -198,21 +202,20 @@ type (
 		// caller's deadline, so the source re-derives it from here.
 		DeadlineUnixNano int64
 	}
+	// respMigrateChunk is one page of entries in the source's canonical
+	// order (store.Entry.Compare). Its last entry is the resume point
+	// the next pull passes back; a page with no entries is the last.
 	respMigrateChunk struct {
-		Entries []BulkEntry
-		Cursor  wireCursor // resume point: pass back on the next pull
-		Done    bool       // no entries remain past Cursor
+		Entries []store.Entry
+		Done    bool // no entries remain past the page's last
 	}
 
-	// wireCursor is a resumable position in the source's deterministic
-	// entry order (instances, then vertices, then set keys, then object
-	// IDs, all sorted). Started=false means "from the beginning".
+	// wireCursor is a resumable position in the source's canonical
+	// entry order: the last entry the puller applied. Started=false
+	// means "from the beginning".
 	wireCursor struct {
-		Started  bool
-		Instance string
-		Vertex   uint64
-		SetKey   string
-		ObjectID string
+		Started bool
+		Entry   store.Entry
 	}
 
 	// msgMigrateCommit ends the double-read window: the new owner has
@@ -279,12 +282,4 @@ func ReadOnlyMessage(body any) bool {
 func (m msgSubQueryBatch) CloneBody() any {
 	m.Units = slices.Clone(m.Units)
 	return m
-}
-
-// BulkEntry is one transferable index entry.
-type BulkEntry struct {
-	Instance string
-	Vertex   uint64
-	SetKey   string
-	ObjectID string
 }

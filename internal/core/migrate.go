@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -198,7 +199,7 @@ type migrationManager struct {
 	// when the last window closes. Lock order: tombMu is innermost —
 	// taken under shard locks (note*) and under stateMu.W (dumpState).
 	tombMu sync.RWMutex
-	tombs  map[BulkEntry]struct{}
+	tombs  map[store.Entry]struct{}
 
 	nChunks      atomic.Uint64
 	nEntries     atomic.Uint64
@@ -217,7 +218,7 @@ func newMigrationManager(s *Server, cfg MigrationConfig, reg *telemetry.Registry
 		cancel:    cancel,
 		active:    make(map[migKey]*migration),
 		recovered: make(map[migKey]wireCursor),
-		tombs:     make(map[BulkEntry]struct{}),
+		tombs:     make(map[store.Entry]struct{}),
 		met: migrateMetrics{
 			chunks:      reg.Counter("migrate_chunks_total"),
 			entries:     reg.Counter("migrate_entries_total"),
@@ -380,7 +381,7 @@ func (m *migrationManager) run(mig *migration) {
 			}
 		}
 		if len(resp.Entries) > 0 {
-			cursor = resp.Cursor
+			cursor = wireCursor{Started: true, Entry: resp.Entries[len(resp.Entries)-1]}
 			m.mu.Lock()
 			mig.cursor = cursor // snapshot dumps read it under mu
 			m.mu.Unlock()
@@ -446,7 +447,7 @@ func (m *migrationManager) remove(mig *migration) {
 	m.mu.Unlock()
 	if last {
 		m.tombMu.Lock()
-		m.tombs = make(map[BulkEntry]struct{})
+		m.tombs = make(map[store.Entry]struct{})
 		m.tombMu.Unlock()
 	}
 }
@@ -457,7 +458,7 @@ func (m *migrationManager) remove(mig *migration) {
 // the tombstone set clears regardless once the last window closes.
 func (m *migrationManager) flushTombstones() {
 	m.tombMu.RLock()
-	list := make([]BulkEntry, 0, len(m.tombs))
+	list := make([]store.Entry, 0, len(m.tombs))
 	for t := range m.tombs {
 		list = append(list, t)
 	}
@@ -613,15 +614,18 @@ func (m *migrationManager) logRecord(key migKey, cur wireCursor, done bool) {
 	if m.s.store == nil {
 		return
 	}
-	err := m.s.logRangeMutation(store.Record{
-		Op: store.OpMigrate, NewID: key.newID, OwnerID: key.ownerID,
-		Source: string(key.source), Done: done,
-		HasCursor: cur.Started, Instance: cur.Instance, Vertex: cur.Vertex,
-		SetKey: cur.SetKey, ObjectID: cur.ObjectID,
-	}, func() {})
+	err := m.s.logRangeMutation(migrateRecord(key, cur, done), func() {})
 	if err != nil {
 		m.checkpointFails.note(fmt.Sprintf("checkpoint pull from %s: %v", key.source, err))
 	}
+}
+
+// migrateRecord is the OpMigrate checkpoint of key at cursor cur.
+func migrateRecord(key migKey, cur wireCursor, done bool) store.Record {
+	return store.Record{
+		Op: store.OpMigrate, NewID: key.newID, OwnerID: key.ownerID,
+		Source: string(key.source), HasCursor: cur.Started, Done: done,
+	}.WithEntry(cur.Entry)
 }
 
 // applyRecoveredRecord replays one OpMigrate record into the
@@ -636,18 +640,13 @@ func (m *migrationManager) applyRecoveredRecord(rec store.Record) {
 			delete(m.recovered, key)
 			if m.windowCount.Add(-1) == 0 {
 				m.tombMu.Lock()
-				m.tombs = make(map[BulkEntry]struct{})
+				m.tombs = make(map[store.Entry]struct{})
 				m.tombMu.Unlock()
 			}
 		}
 		return
 	}
-	cur := wireCursor{}
-	if rec.HasCursor {
-		cur = wireCursor{Started: true, Instance: rec.Instance, Vertex: rec.Vertex,
-			SetKey: rec.SetKey, ObjectID: rec.ObjectID}
-	}
-	m.recovered[key] = cur
+	m.recovered[key] = wireCursor{Started: rec.HasCursor, Entry: rec.Entry()}
 	if !had {
 		m.windowCount.Add(1)
 	}
@@ -662,7 +661,7 @@ func (m *migrationManager) crashReset() {
 	m.windowCount.Store(int32(len(m.active)))
 	m.mu.Unlock()
 	m.tombMu.Lock()
-	m.tombs = make(map[BulkEntry]struct{})
+	m.tombs = make(map[store.Entry]struct{})
 	m.tombMu.Unlock()
 }
 
@@ -675,19 +674,11 @@ func (m *migrationManager) crashReset() {
 func (m *migrationManager) dumpState(emit func(store.Record) error) error {
 	m.mu.Lock()
 	recs := make([]store.Record, 0, len(m.active)+len(m.recovered))
-	add := func(key migKey, cur wireCursor) {
-		recs = append(recs, store.Record{
-			Op: store.OpMigrate, NewID: key.newID, OwnerID: key.ownerID,
-			Source:    string(key.source),
-			HasCursor: cur.Started, Instance: cur.Instance, Vertex: cur.Vertex,
-			SetKey: cur.SetKey, ObjectID: cur.ObjectID,
-		})
-	}
 	for key, mig := range m.active {
-		add(key, mig.cursor)
+		recs = append(recs, migrateRecord(key, mig.cursor, false))
 	}
 	for key, cur := range m.recovered {
-		add(key, cur)
+		recs = append(recs, migrateRecord(key, cur, false))
 	}
 	m.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool {
@@ -702,28 +693,14 @@ func (m *migrationManager) dumpState(emit func(store.Record) error) error {
 		}
 	}
 	m.tombMu.RLock()
-	tombs := make([]BulkEntry, 0, len(m.tombs))
+	tombs := make([]store.Entry, 0, len(m.tombs))
 	for t := range m.tombs {
 		tombs = append(tombs, t)
 	}
 	m.tombMu.RUnlock()
-	sort.Slice(tombs, func(i, j int) bool {
-		a, b := tombs[i], tombs[j]
-		if a.Instance != b.Instance {
-			return a.Instance < b.Instance
-		}
-		if a.Vertex != b.Vertex {
-			return a.Vertex < b.Vertex
-		}
-		if a.SetKey != b.SetKey {
-			return a.SetKey < b.SetKey
-		}
-		return a.ObjectID < b.ObjectID
-	})
+	slices.SortFunc(tombs, store.Entry.Compare)
 	for _, t := range tombs {
-		err := emit(store.Record{Op: store.OpDelete, Instance: t.Instance,
-			Vertex: t.Vertex, SetKey: t.SetKey, ObjectID: t.ObjectID})
-		if err != nil {
+		if err := emit(store.Record{Op: store.OpDelete}.WithEntry(t)); err != nil {
 			return err
 		}
 	}
@@ -782,7 +759,7 @@ func (m *migrationManager) sources(instance string, v hypercube.Vertex) []transp
 }
 
 // hasTombstone reports whether e was deleted during an open window.
-func (m *migrationManager) hasTombstone(e BulkEntry) bool {
+func (m *migrationManager) hasTombstone(e store.Entry) bool {
 	if !m.windowOpen() {
 		return false
 	}
@@ -799,7 +776,7 @@ func (m *migrationManager) noteInsert(instance string, v hypercube.Vertex, setKe
 	if !m.windowOpen() {
 		return
 	}
-	e := BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
+	e := store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
 	m.tombMu.Lock()
 	delete(m.tombs, e)
 	m.tombMu.Unlock()
@@ -812,7 +789,7 @@ func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKe
 	if !m.windowOpen() {
 		return
 	}
-	e := BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
+	e := store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
 	m.tombMu.Lock()
 	m.tombs[e] = struct{}{}
 	m.tombMu.Unlock()
@@ -869,7 +846,7 @@ func (s *Server) doubleRead(ctx context.Context, srcs []transport.Addr, arc owne
 	}
 	out := merged[:0:0]
 	for _, mt := range merged {
-		if s.migrate.hasTombstone(BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: mt.SetKey, ObjectID: mt.ObjectID}) {
+		if s.migrate.hasTombstone(store.Entry{Instance: instance, Vertex: uint64(v), SetKey: mt.SetKey, ObjectID: mt.ObjectID}) {
 			continue
 		}
 		out = append(out, mt)
@@ -903,7 +880,7 @@ func (s *Server) doubleRead(ctx context.Context, srcs []transport.Addr, arc owne
 // never be undone (its tombstone is recorded under the same shard
 // lock). A skipped entry is not logged either — the WAL never holds
 // the insert, so replay cannot resurrect it.
-func (s *Server) insertMigrated(e BulkEntry) error {
+func (s *Server) insertMigrated(e store.Entry) error {
 	e.SetKey = keyword.CanonicalKey(e.SetKey)
 	instance, v := e.Instance, hypercube.Vertex(e.Vertex)
 	sh := s.shardFor(instance, v)
@@ -919,10 +896,7 @@ func (s *Server) insertMigrated(e BulkEntry) error {
 		sh.lock(s.met.shardLockWait)
 		if skipped = s.migrate.hasTombstone(e); !skipped {
 			var err error
-			due, err = s.store.Append(store.Record{
-				Op: store.OpInsert, Instance: instance, Vertex: e.Vertex,
-				SetKey: e.SetKey, ObjectID: e.ObjectID,
-			})
+			due, err = s.store.Append(store.Record{Op: store.OpInsert}.WithEntry(e))
 			if err != nil {
 				sh.mu.Unlock()
 				s.stateMu.RUnlock()
@@ -946,7 +920,7 @@ func (s *Server) insertMigrated(e BulkEntry) error {
 // ---- source-side chunk extraction ----
 
 // chunkBytes approximates a chunk's wire size for MaxBytes accounting.
-func chunkBytes(entries []BulkEntry) uint64 {
+func chunkBytes(entries []store.Entry) uint64 {
 	var n uint64
 	for _, e := range entries {
 		n += entrySize(e)
@@ -954,26 +928,8 @@ func chunkBytes(entries []BulkEntry) uint64 {
 	return n
 }
 
-func entrySize(e BulkEntry) uint64 {
+func entrySize(e store.Entry) uint64 {
 	return uint64(len(e.Instance)+len(e.SetKey)+len(e.ObjectID)) + 16
-}
-
-// cursorLess reports whether the cursor sits strictly before the entry
-// tuple in the canonical (instance, vertex, set key, object ID) order.
-func cursorLess(c wireCursor, instance string, v uint64, setKey, objectID string) bool {
-	if !c.Started {
-		return true
-	}
-	if c.Instance != instance {
-		return c.Instance < instance
-	}
-	if c.Vertex != v {
-		return c.Vertex < v
-	}
-	if c.SetKey != setKey {
-		return c.SetKey < setKey
-	}
-	return c.ObjectID < objectID
 }
 
 // migrateChunk serves one cursor-paged, read-only chunk of the entries
@@ -993,11 +949,9 @@ func (s *Server) migrateChunk(ctx context.Context, msg msgMigrateChunk) (respMig
 		maxBytes = defaultChunkBytes
 	}
 
-	type iv struct {
-		instance string
-		v        hypercube.Vertex
-	}
-	var pairs []iv
+	// The (instance, vertex) pairs to walk, as entries with no set key
+	// or object ID: sorted, they lead each vertex's run of entries.
+	var pairs []store.Entry
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for instance, vertices := range sh.tables {
@@ -1005,44 +959,39 @@ func (s *Server) migrateChunk(ctx context.Context, msg msgMigrateChunk) (respMig
 				if dht.Between(tbl.ringKey, dht.ID(msg.NewID), dht.ID(msg.OwnerID)) {
 					continue // still this node's
 				}
-				pairs = append(pairs, iv{instance, v})
+				pairs = append(pairs, store.Entry{Instance: instance, Vertex: uint64(v)})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].instance != pairs[j].instance {
-			return pairs[i].instance < pairs[j].instance
-		}
-		return pairs[i].v < pairs[j].v
-	})
+	slices.SortFunc(pairs, store.Entry.Compare)
 
-	resp := respMigrateChunk{Cursor: msg.Cursor}
+	var resp respMigrateChunk
 	var bytes uint64
 	full := false
 	for _, p := range pairs {
 		if err := ctx.Err(); err != nil {
 			return respMigrateChunk{}, err
 		}
-		sh := s.shardFor(p.instance, p.v)
+		v := hypercube.Vertex(p.Vertex)
+		sh := s.shardFor(p.Instance, v)
 		sh.rlock(s.met.shardLockWait)
-		tbl, ok := sh.tables[p.instance][p.v]
+		tbl, ok := sh.tables[p.Instance][v]
 		if !ok {
 			sh.mu.RUnlock()
 			continue
 		}
 		more := !tbl.walk(func(setKey, id string) bool {
-			if !cursorLess(msg.Cursor, p.instance, uint64(p.v), setKey, id) {
+			e := p
+			e.SetKey, e.ObjectID = setKey, id
+			if msg.Cursor.Started && e.Compare(msg.Cursor.Entry) <= 0 {
 				return true
 			}
 			if full {
 				return false
 			}
-			e := BulkEntry{Instance: p.instance, Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
 			resp.Entries = append(resp.Entries, e)
 			bytes += entrySize(e)
-			resp.Cursor = wireCursor{Started: true, Instance: p.instance,
-				Vertex: uint64(p.v), SetKey: setKey, ObjectID: id}
 			full = len(resp.Entries) >= maxEntries || bytes >= uint64(maxBytes)
 			return true
 		})

@@ -47,11 +47,11 @@ func newMigrateServer(t *testing.T, net *inmem.Network, dataDir string, mig Migr
 
 // seedEntries fills s with a deterministic multi-instance, multi-vertex
 // entry population and returns it in canonical order.
-func seedEntries(t *testing.T, s *Server, n int) []BulkEntry {
+func seedEntries(t *testing.T, s *Server, n int) []store.Entry {
 	t.Helper()
-	var out []BulkEntry
+	var out []store.Entry
 	for i := 0; i < n; i++ {
-		e := BulkEntry{
+		e := store.Entry{
 			Instance: "inst-" + strconv.Itoa(i%3),
 			Vertex:   uint64(i % 7),
 			SetKey:   keyword.NewSet("kw"+strconv.Itoa(i%5), "shared").Key(),
@@ -66,7 +66,7 @@ func seedEntries(t *testing.T, s *Server, n int) []BulkEntry {
 	return out
 }
 
-func sortEntries(es []BulkEntry) {
+func sortEntries(es []store.Entry) {
 	sort.Slice(es, func(i, j int) bool {
 		a, b := es[i], es[j]
 		if a.Instance != b.Instance {
@@ -84,7 +84,7 @@ func sortEntries(es []BulkEntry) {
 
 // allEntries enumerates every entry of s non-destructively through the
 // chunk protocol itself (one uncapped whole-ring pull).
-func allEntries(t *testing.T, s *Server) []BulkEntry {
+func allEntries(t *testing.T, s *Server) []store.Entry {
 	t.Helper()
 	resp, err := s.migrateChunk(context.Background(), msgMigrateChunk{
 		NewID: wholeRingNew, OwnerID: wholeRingOwner,
@@ -110,7 +110,7 @@ func TestMigrateChunkPaging(t *testing.T) {
 	want := seedEntries(t, src, 50)
 
 	for _, cap := range []int{1, 3, 7, 64} {
-		var got []BulkEntry
+		var got []store.Entry
 		cursor := wireCursor{}
 		pulls := 0
 		for {
@@ -125,7 +125,6 @@ func TestMigrateChunkPaging(t *testing.T) {
 				t.Fatalf("cap=%d: chunk returned %d entries", cap, len(resp.Entries))
 			}
 			got = append(got, resp.Entries...)
-			cursor = resp.Cursor
 			pulls++
 			if resp.Done {
 				break
@@ -133,8 +132,9 @@ func TestMigrateChunkPaging(t *testing.T) {
 			if len(resp.Entries) == 0 {
 				t.Fatalf("cap=%d: empty non-final chunk", cap)
 			}
+			cursor = wireCursor{Started: true, Entry: resp.Entries[len(resp.Entries)-1]}
 		}
-		sorted := append([]BulkEntry(nil), got...)
+		sorted := append([]store.Entry(nil), got...)
 		sortEntries(sorted)
 		if !reflect.DeepEqual(sorted, want) {
 			t.Fatalf("cap=%d: paged union mismatch: got %d entries, want %d", cap, len(sorted), len(want))
@@ -567,7 +567,7 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return dst.MigrationStats().Chunks >= 1 }, "first chunk")
 
 	// obj-3 sorts last: with ChunkEntries=1 its chunk has not arrived.
-	victim := BulkEntry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "obj-3"}
+	victim := store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "obj-3"}
 	if _, err := dst.deleteEntry(inst, v, set.Key(), "obj-3"); err != nil {
 		t.Fatal(err)
 	}

@@ -1158,8 +1158,8 @@ func (s *Server) HotPromotedRoots() []string {
 // the extraction exactly — provided every entry record lands in the
 // log on the same side of the handoff as its apply, which
 // logRangeMutation's exclusive fence guarantees.
-func (s *Server) extractRange(newID, ownerID dht.ID) ([]BulkEntry, error) {
-	var out []BulkEntry
+func (s *Server) extractRange(newID, ownerID dht.ID) ([]store.Entry, error) {
+	var out []store.Entry
 	err := s.logRangeMutation(store.Record{
 		Op: store.OpHandoff, NewID: uint64(newID), OwnerID: uint64(ownerID),
 	}, func() { out = s.applyExtractRange(newID, ownerID) })
@@ -1167,18 +1167,18 @@ func (s *Server) extractRange(newID, ownerID dht.ID) ([]BulkEntry, error) {
 }
 
 // appendEntries appends tbl — vertex v's table in the given instance —
-// to out as BulkEntries, in canonical order. Callers hold v's shard lock.
-func appendEntries(out []BulkEntry, instance string, v hypercube.Vertex, tbl *table) []BulkEntry {
+// to out, in canonical order. Callers hold v's shard lock.
+func appendEntries(out []store.Entry, instance string, v hypercube.Vertex, tbl *table) []store.Entry {
 	tbl.walk(func(setKey, id string) bool {
-		out = append(out, BulkEntry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: id})
+		out = append(out, store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: id})
 		return true
 	})
 	return out
 }
 
 // applyExtractRange is the table mutation of extractRange.
-func (s *Server) applyExtractRange(newID, ownerID dht.ID) []BulkEntry {
-	var out []BulkEntry
+func (s *Server) applyExtractRange(newID, ownerID dht.ID) []store.Entry {
+	var out []store.Entry
 	for _, sh := range s.shards {
 		sh.lock(s.met.shardLockWait)
 		for instance, vertices := range sh.tables {

@@ -434,7 +434,7 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 	}
 	// perVertexSorted fails unless each vertex's entries appear as one
 	// strictly increasing (set key, object ID) run.
-	perVertexSorted := func(what string, entries []BulkEntry, want int) {
+	perVertexSorted := func(what string, entries []store.Entry, want int) {
 		t.Helper()
 		if len(entries) != want {
 			t.Errorf("%s emitted %d entries, want %d", what, len(entries), want)
@@ -443,7 +443,7 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 			instance string
 			v        uint64
 		}
-		last := map[iv]BulkEntry{}
+		last := map[iv]store.Entry{}
 		for _, e := range entries {
 			k := iv{e.Instance, e.Vertex}
 			if p, ok := last[k]; ok && (p.SetKey > e.SetKey || (p.SetKey == e.SetKey && p.ObjectID >= e.ObjectID)) {
@@ -454,9 +454,9 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 	}
 
 	srv, n := build()
-	var dumped []BulkEntry
+	var dumped []store.Entry
 	err := srv.dumpAll(func(rec store.Record) error {
-		dumped = append(dumped, BulkEntry{Instance: rec.Instance, Vertex: rec.Vertex, SetKey: rec.SetKey, ObjectID: rec.ObjectID})
+		dumped = append(dumped, store.Entry{Instance: rec.Instance, Vertex: rec.Vertex, SetKey: rec.SetKey, ObjectID: rec.ObjectID})
 		return nil
 	})
 	if err != nil {
@@ -466,7 +466,7 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 
 	// A puller that owns only key 1 leaves every vertex to move; small
 	// pages make the walk stop and resume inside rows.
-	var pulled []BulkEntry
+	var pulled []store.Entry
 	msg := msgMigrateChunk{NewID: 0, OwnerID: 1, MaxEntries: 7}
 	for {
 		resp, err := srv.migrateChunk(context.Background(), msg)
@@ -477,13 +477,12 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 		if resp.Done {
 			break
 		}
-		msg.Cursor = resp.Cursor
+		msg.Cursor = wireCursor{Started: true, Entry: resp.Entries[len(resp.Entries)-1]}
 	}
 	perVertexSorted("migrateChunk", pulled, n)
 	for i := 1; i < len(pulled); i++ {
 		p, e := pulled[i-1], pulled[i]
-		if !cursorLess(wireCursor{Started: true, Instance: p.Instance, Vertex: p.Vertex, SetKey: p.SetKey, ObjectID: p.ObjectID},
-			e.Instance, e.Vertex, e.SetKey, e.ObjectID) {
+		if p.Compare(e) >= 0 {
 			t.Fatalf("migrateChunk pages not in canonical order at %d: %+v then %+v", i, p, e)
 		}
 	}

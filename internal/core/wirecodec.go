@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
@@ -92,45 +93,20 @@ func unmarshalMatches(r *wire.Reader) []Match {
 	return ms
 }
 
-func marshalBulkEntries(w *wire.Writer, es []BulkEntry) {
-	w.Uvarint(uint64(len(es)))
-	for i := range es {
-		w.String(es[i].Instance)
-		w.Uvarint(es[i].Vertex)
-		w.String(es[i].SetKey)
-		w.String(es[i].ObjectID)
-	}
-}
-
-func unmarshalBulkEntries(r *wire.Reader) []BulkEntry {
-	n := r.Count(4)
-	if n == 0 {
-		return nil
-	}
-	es := make([]BulkEntry, n)
-	for i := range es {
-		es[i].Instance = r.String()
-		es[i].Vertex = r.Uvarint()
-		es[i].SetKey = r.String()
-		es[i].ObjectID = r.String()
-	}
-	return es
-}
-
-func marshalCursor(w *wire.Writer, c *wireCursor) {
+// A cursor is written the way an OpMigrate record writes its own: the
+// started flag, then the entry only if started.
+func (c wireCursor) MarshalWire(w *wire.Writer) {
 	w.Bool(c.Started)
-	w.String(c.Instance)
-	w.Uvarint(c.Vertex)
-	w.String(c.SetKey)
-	w.String(c.ObjectID)
+	if c.Started {
+		c.Entry.MarshalWire(w)
+	}
 }
 
-func unmarshalCursor(r *wire.Reader, c *wireCursor) {
-	c.Started = r.Bool()
-	c.Instance = r.String()
-	c.Vertex = r.Uvarint()
-	c.SetKey = r.String()
-	c.ObjectID = r.String()
+func (c *wireCursor) UnmarshalWire(r *wire.Reader) error {
+	if c.Started = r.Bool(); c.Started {
+		c.Entry.UnmarshalWire(r)
+	}
+	return r.Err()
 }
 
 func (m msgInsertEntry) MarshalWire(w *wire.Writer) {
@@ -359,7 +335,7 @@ func (m *respSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 func (m msgMigrateChunk) MarshalWire(w *wire.Writer) {
 	w.U64(m.NewID)
 	w.U64(m.OwnerID)
-	marshalCursor(w, &m.Cursor)
+	m.Cursor.MarshalWire(w)
 	w.Int(m.MaxEntries)
 	w.Int(m.MaxBytes)
 	w.Varint(m.DeadlineUnixNano)
@@ -368,7 +344,7 @@ func (m msgMigrateChunk) MarshalWire(w *wire.Writer) {
 func (m *msgMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 	m.NewID = r.U64()
 	m.OwnerID = r.U64()
-	unmarshalCursor(r, &m.Cursor)
+	m.Cursor.UnmarshalWire(r)
 	m.MaxEntries = r.Int()
 	m.MaxBytes = r.Int()
 	m.DeadlineUnixNano = r.Varint()
@@ -376,14 +352,20 @@ func (m *msgMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 }
 
 func (m respMigrateChunk) MarshalWire(w *wire.Writer) {
-	marshalBulkEntries(w, m.Entries)
-	marshalCursor(w, &m.Cursor)
+	w.Uvarint(uint64(len(m.Entries)))
+	for i := range m.Entries {
+		m.Entries[i].MarshalWire(w)
+	}
 	w.Bool(m.Done)
 }
 
 func (m *respMigrateChunk) UnmarshalWire(r *wire.Reader) error {
-	m.Entries = unmarshalBulkEntries(r)
-	unmarshalCursor(r, &m.Cursor)
+	if n := r.Count(store.MinEntryBytes); n > 0 {
+		m.Entries = make([]store.Entry, n)
+		for i := range m.Entries {
+			m.Entries[i].UnmarshalWire(r)
+		}
+	}
 	m.Done = r.Bool()
 	return r.Err()
 }

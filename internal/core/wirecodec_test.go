@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
@@ -41,11 +42,11 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		{ObjectID: "obj-1", SetKey: "a b c", Vertex: 7, Depth: 0},
 		{ObjectID: "obj-2", SetKey: "", Vertex: 1 << 40, Depth: -3},
 	}
-	entries := []BulkEntry{
+	entries := []store.Entry{
 		{Instance: "default", Vertex: 12, SetKey: "k", ObjectID: "o"},
 		{Instance: "", Vertex: 0, SetKey: "", ObjectID: ""},
 	}
-	cursor := wireCursor{Started: true, Instance: "i", Vertex: 99, SetKey: "sk", ObjectID: "oid"}
+	cursor := wireCursor{Started: true, Entry: store.Entry{Instance: "i", Vertex: 99, SetKey: "sk", ObjectID: "oid"}}
 
 	for _, msg := range []any{
 		msgInsertEntry{Instance: "default", Vertex: 42, SetKey: "a b", ObjectID: "doc-1", ClientID: "c1"},
@@ -89,7 +90,8 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		respSubQueryBatch{},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500,
 			MaxBytes: 1 << 20, DeadlineUnixNano: 12345},
-		respMigrateChunk{Entries: entries, Cursor: cursor, Done: true},
+		msgMigrateChunk{NewID: 3, OwnerID: 4, MaxEntries: 1}, // a first pull: no cursor
+		respMigrateChunk{Entries: entries, Done: true},
 		respMigrateChunk{},
 		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
 		respMigrateCommit{Dropped: 321},

@@ -207,7 +207,7 @@ func legacyPinFrame() []byte {
 	return append([]byte(nil), w.Buf...)
 }
 
-// previousGeneration is a whole stream as a KSW4 peer opens a
+// previousGeneration is a whole stream as a KSW5 peer opens a
 // connection — handshake, then one ping request — which differs from
 // what this listener serves in the magic alone.
 func previousGeneration() []byte {
@@ -216,7 +216,7 @@ func previousGeneration() []byte {
 	appendHandshake(w, "127.0.0.1:9999")
 	_, _ = appendRequestFrame(w, 1, "", true, ping{N: 42})
 	b := append([]byte(nil), w.Buf...)
-	copy(b, "KSW4")
+	copy(b, "KSW5")
 	return b
 }
 

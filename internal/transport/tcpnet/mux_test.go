@@ -389,9 +389,9 @@ var gobStream = []byte{
 }
 
 // TestNonMagicPreambleRefused: a connection that does not open with the
-// KSW5 magic — a previous generation's included — is closed without a
+// KSW6 magic — a previous generation's included — is closed without a
 // byte in reply and without the handler running, and the listener keeps
-// serving KSW5 clients afterwards.
+// serving KSW6 clients afterwards.
 func TestNonMagicPreambleRefused(t *testing.T) {
 	registerTestTypes()
 	srv := New()
@@ -408,8 +408,9 @@ func TestNonMagicPreambleRefused(t *testing.T) {
 		"arbitrary":     []byte("GET / HTTP/1.1\r\n\r\n"),
 		"gob":           gobStream,
 		"wrong-version": []byte("KSW1\x00"),
-		// A KSW4 peer's well-formed handshake and request: its
-		// promotion layout differs, so it must be refused at connect.
+		// A KSW5 peer's well-formed handshake and request: its
+		// migration page layout differs, so it must be refused at
+		// connect.
 		"previous-generation": previousGeneration(),
 	} {
 		conn, err := net.Dial("tcp", string(node.Addr()))
@@ -435,10 +436,10 @@ func TestNonMagicPreambleRefused(t *testing.T) {
 	defer cli.Close()
 	got, err := cli.Send(context.Background(), node.Addr(), ping{N: 21})
 	if err != nil {
-		t.Fatalf("KSW5 client after refusals: %v", err)
+		t.Fatalf("KSW6 client after refusals: %v", err)
 	}
 	if p, ok := got.(pong); !ok || p.N != 42 {
-		t.Errorf("KSW5 client got %#v, want pong{42}", got)
+		t.Errorf("KSW6 client got %#v, want pong{42}", got)
 	}
 }
 
