@@ -16,6 +16,7 @@ package admission
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,31 +197,33 @@ func (c *Controller) Acquire(ctx context.Context, clientID string) (release func
 	}()
 
 	// Deadline-aware wait: never hold a request past the point its
-	// caller stops caring about the answer.
-	wait := c.pol.QueueTimeout
-	reason := ReasonQueueTimeout
-	if d, ok := ctx.Deadline(); ok {
-		if until := time.Until(d); until < wait {
-			wait = until
-			reason = ReasonDeadline
-		}
-	}
-	if wait <= 0 {
+	// caller stops caring about the answer. A wait the deadline bounds
+	// ends with the context and arms no timer of its own: two clocks
+	// marking one instant race, and the loser would shed a deadline as
+	// a cancellation.
+	var expired <-chan time.Time
+	if d, ok := ctx.Deadline(); !ok || time.Until(d) >= c.pol.QueueTimeout {
+		timer := time.NewTimer(c.pol.QueueTimeout)
+		defer timer.Stop()
+		expired = timer.C
+	} else if time.Until(d) <= 0 {
 		c.shed(ReasonDeadline)
 		return nil, &Overload{Reason: ReasonDeadline, RetryAfter: c.retryAfter()}
 	}
 	start := c.pol.Now()
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
 	select {
 	case c.sem <- struct{}{}:
 		c.metAdmitted.Inc()
 		c.metWait.Observe(c.pol.Now().Sub(start).Nanoseconds())
 		return c.releaseFunc(), nil
-	case <-timer.C:
-		c.shed(reason)
-		return nil, &Overload{Reason: reason, RetryAfter: c.retryAfter()}
+	case <-expired:
+		c.shed(ReasonQueueTimeout)
+		return nil, &Overload{Reason: ReasonQueueTimeout, RetryAfter: c.retryAfter()}
 	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			c.shed(ReasonDeadline)
+			return nil, &Overload{Reason: ReasonDeadline, RetryAfter: c.retryAfter()}
+		}
 		c.shed(ReasonCancelled)
 		return nil, ctx.Err()
 	}

@@ -316,3 +316,57 @@ func TestCountersReconcile(t *testing.T) {
 		t.Fatalf("queue depth gauge = %d, want 0 after drain", snap.Gauges["admission_queue_depth"])
 	}
 }
+
+// TestDeadlineBoundedWaitEndsOneWay: a queued wait that the caller's
+// deadline bounds ends one way. The context's Done and the wait's own
+// expiry both mark the deadline, so whichever is seen first the answer
+// is a deadline Overload, and the shed counters attribute it to the
+// deadline, never to a cancelled caller.
+func TestDeadlineBoundedWaitEndsOneWay(t *testing.T) {
+	const workers, perWorker = 8, 250
+	reg := telemetry.New(0)
+	c := New(Policy{MaxInflight: 1, MaxQueue: workers, QueueTimeout: time.Second}, reg)
+	rel, err := c.Acquire(context.Background(), "")
+	if err != nil {
+		t.Fatalf("first acquire: %v", err)
+	}
+	defer rel()
+
+	start := time.Now()
+	errs := make(chan error, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+				_, err := c.Acquire(ctx, "")
+				cancel()
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("%d acquires with 1 ms deadlines took %v, want <= 3s", workers*perWorker, took)
+	}
+	wrong := map[string]int{}
+	for err := range errs {
+		var o *Overload
+		if !errors.As(err, &o) || o.Reason != ReasonDeadline {
+			wrong[fmt.Sprint(err)]++
+		}
+	}
+	if len(wrong) != 0 {
+		t.Errorf("of %d deadline-bounded acquires, these did not end in a deadline Overload: %v", workers*perWorker, wrong)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[`admission_shed_reason_total{reason="deadline"}`]; got != workers*perWorker {
+		t.Errorf("deadline sheds = %d, want %d; counters %v", got, workers*perWorker, snap.Counters)
+	}
+	if got := snap.Counters["admission_shed_total"]; got != workers*perWorker {
+		t.Errorf("sheds = %d, want %d", got, workers*perWorker)
+	}
+}
