@@ -76,6 +76,15 @@ func wireBenchChunk() (msgMigrateChunk, respMigrateChunk) {
 	return req, resp
 }
 
+// wireBenchWrite is a client's write pair: an insert that names its
+// client and an anonymous delete, both of one entry.
+func wireBenchWrite() (msgInsertEntry, msgDeleteEntry) {
+	key := keyword.NewSet("distributed", "search").Key()
+	ins := msgInsertEntry{Instance: DefaultInstance, Vertex: 697, SetKey: key, ObjectID: "obj-10017", ClientID: "client-7"}
+	del := msgDeleteEntry{Instance: DefaultInstance, Vertex: 697, SetKey: key, ObjectID: "obj-10017"}
+	return ins, del
+}
+
 // wireBenchCase is one message the codec test and benchmark share,
 // with its pinned payload size.
 type wireBenchCase struct {
@@ -115,13 +124,21 @@ func wireBenchCases() []wireBenchCase {
 	// became the resume point the page also carried that entry again as
 	// a 37 B cursor (327 B), and a page entry and the cursor wrote the
 	// instance before the vertex.
+	//
+	// A client's insert is 45 B: the entry 36 (Vertex 697 2, Instance 5,
+	// SetKey 19, ObjectID "obj-10017" 10), ClientID "client-7" 9. The
+	// anonymous delete of the same entry is 37 B: its ClientID is one
+	// length byte.
 	chunkReq, chunkResp := wireBenchChunk()
+	ins, del := wireBenchWrite()
 	return []wireBenchCase{
 		{"small-req", req, 35},
 		{"small-resp", resp, 71},
 		{"batch-resp", wireBenchBatch(), 18723},
 		{"chunk-req", chunkReq, 67},
 		{"chunk-resp", chunkResp, 290},
+		{"insert-req", ins, 45},
+		{"delete-req", del, 37},
 	}
 }
 
@@ -141,7 +158,8 @@ func binarySize(t testing.TB, body any) int {
 
 // TestWireCodecBytesPinned pins the payload bytes of the small-message
 // hot path (a one-unit sub-query frame and its answer), of one
-// sparse batch response and of one migration pull and its page. Sizes are deterministic; a change here is a
+// sparse batch response, of one migration pull and its page, and of a
+// client's insert and delete. Sizes are deterministic; a change here is a
 // change to a registered message's encoding (see tcpnet's wireMagic
 // for what that requires). For the record of what the codec replaced:
 // gob's steady-state cost for the same messages was 126 + 155 B and
@@ -173,7 +191,7 @@ func TestWireEncodeAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkWireCodec reports encode and decode time, allocations and
-// payload bytes of the codec on those five messages. It gates nothing:
+// payload bytes of the codec on those seven messages. It gates nothing:
 // ksperf's wire.* layer is the measured record and
 // TestWireCodecBytesPinned holds the deterministic part.
 func BenchmarkWireCodec(b *testing.B) {
