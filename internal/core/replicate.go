@@ -202,35 +202,7 @@ func (r *Replicated) PinSearch(ctx context.Context, k keyword.Set) ([]string, St
 // complete wave, then the larger answer. A degraded result keeps its
 // Completeness < 1 so callers can tell it apart from an exact one.
 func (r *Replicated) SupersetSearch(ctx context.Context, k keyword.Set, threshold int, opts SearchOptions) (Result, error) {
-	var (
-		lastErr  error
-		best     Result
-		answered bool
-	)
-	for i, c := range r.clients {
-		if i > 0 {
-			r.failovers.Inc()
-		}
-		r.reads.Inc()
-		res, err := c.SupersetSearch(ctx, k, threshold, opts)
-		if err == nil {
-			if len(res.Matches) > 0 && res.Completeness >= 1 {
-				return res, nil
-			}
-			if !answered || betterResult(res, best) {
-				best, answered = res, true
-			}
-			continue
-		}
-		if !failover(err) {
-			return Result{}, err
-		}
-		lastErr = err
-	}
-	if answered {
-		return best, nil
-	}
-	return Result{}, fmt.Errorf("all %d replicas failed: %w", len(r.clients), lastErr)
+	return r.read(func(c *Client) (Result, error) { return c.SupersetSearch(ctx, k, threshold, opts) })
 }
 
 // PrefixSearch queries the primary replica's prefix multicast and
@@ -238,6 +210,11 @@ func (r *Replicated) SupersetSearch(ctx context.Context, k keyword.Set, threshol
 // (non-empty and complete) returns immediately, anything weaker lets
 // the remaining replicas compete and the best answer wins.
 func (r *Replicated) PrefixSearch(ctx context.Context, prefix string, threshold int, opts SearchOptions) (Result, error) {
+	return r.read(func(c *Client) (Result, error) { return c.PrefixSearch(ctx, prefix, threshold, opts) })
+}
+
+// read is SupersetSearch's failover loop around one per-client search.
+func (r *Replicated) read(search func(*Client) (Result, error)) (Result, error) {
 	var (
 		lastErr  error
 		best     Result
@@ -248,7 +225,7 @@ func (r *Replicated) PrefixSearch(ctx context.Context, prefix string, threshold 
 			r.failovers.Inc()
 		}
 		r.reads.Inc()
-		res, err := c.PrefixSearch(ctx, prefix, threshold, opts)
+		res, err := search(c)
 		if err == nil {
 			if len(res.Matches) > 0 && res.Completeness >= 1 {
 				return res, nil
