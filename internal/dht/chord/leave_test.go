@@ -158,6 +158,39 @@ func TestLeaveFiresDepartHookOnSuccessor(t *testing.T) {
 	}
 }
 
+// TestDepartHookRunsBeforeSplice: the successor calls the depart hook
+// before it adopts the leaver's predecessor, so a hook that reads
+// OwnedArc sees the arc the node owned before the leave. The index
+// layer opens its double-read window for the leaver's arc in that hook;
+// were the splice first, a read pinned in the gap would find the arc
+// owned and scan a table that does not hold it yet.
+func TestDepartHookRunsBeforeSplice(t *testing.T) {
+	net := inmem.New(1)
+	defer net.Close()
+	nodes := buildRing(t, net, 4)
+	leaver, succ := nodes[1], nodes[2]
+	before, _, _ := succ.OwnedArc()
+	if before != leaver.ID() {
+		t.Fatalf("successor's arc starts at %d before the leave, want the leaver %d", before, leaver.ID())
+	}
+	seen := make(chan dht.ID, 1)
+	succ.OnDepart(func(l, p NodeInfo) {
+		pred, _, _ := succ.OwnedArc()
+		seen <- pred
+	})
+	if _, err := leaver.Leave(context.Background()); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	select {
+	case pred := <-seen:
+		if pred != leaver.ID() {
+			t.Fatalf("depart hook saw the arc start at %d, want the leaver %d: the splice ran first", pred, leaver.ID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("depart hook never fired")
+	}
+}
+
 // TestLeaveReportsRefusingSuccessor: when the successor does not accept
 // the departure, Leave names no successor and reports the failure.
 func TestLeaveReportsRefusingSuccessor(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
@@ -61,7 +62,7 @@ type Node struct {
 	arcFirst    *[256]uint8 // arcs indexed by a key's top byte (firstEnds)
 	arcSeq      uint64
 	succHook    func(NodeInfo)
-	departHook  func(leaver, pred NodeInfo)
+	departHook  atomic.Pointer[func(leaver, pred NodeInfo)]
 
 	maintStop chan struct{}
 	maintDone chan struct{}
@@ -132,16 +133,16 @@ func (n *Node) OnSuccessorChange(fn func(succ NodeInfo)) {
 }
 
 // OnDepart registers fn to be invoked on the successor of a gracefully
-// departing node once it has spliced the leaver out: from then on this
-// node owns the leaver's arc (pred, leaver]. pred is the leaver's
-// predecessor, or this node itself when the leaver knew none — the arc
-// is then (self, leaver]. Like OnSuccessorChange, the hook runs on its
-// own goroutine outside the node's lock; one hook at a time, nil
-// unregisters.
+// departing node just before it splices the leaver out: once fn
+// returns, this node owns the leaver's arc (pred, leaver]. pred is the
+// leaver's predecessor, or this node itself when the leaver knew none —
+// the arc is then (self, leaver]. fn runs synchronously on the depart
+// handler, outside the node's lock, so it may call back into the node
+// (which still reports the arc it owned before the leave) but should
+// return promptly: the leaver waits for the reply. One hook at a time;
+// nil unregisters.
 func (n *Node) OnDepart(fn func(leaver, pred NodeInfo)) {
-	n.mu.Lock()
-	n.departHook = fn
-	n.mu.Unlock()
+	n.departHook.Store(&fn)
 }
 
 // succChangedLocked fires the successor-change hook when the list head

@@ -225,14 +225,15 @@ func (n *Node) handleHandoff(newNode NodeInfo) respHandoff {
 // handleDepart splices a gracefully leaving neighbor out of the ring:
 // refs (sent to the successor) are absorbed, and the leaver's other
 // neighbor replaces it in our pointers. The message to the successor is
-// the one without a Successor; it fires the depart hook.
+// the one without a Successor; it calls the depart hook first, before
+// this node takes over the leaver's arc.
 func (n *Node) handleDepart(msg rpcDepart) {
+	if hook := n.departHook.Load(); hook != nil && *hook != nil && msg.Successor.zero() {
+		(*hook)(msg.Leaver, cmp.Or(msg.Predecessor, n.self))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	defer n.succChangedLocked(n.headSuccessorLocked())
-	if hook := n.departHook; hook != nil && msg.Successor.zero() {
-		go hook(msg.Leaver, cmp.Or(msg.Predecessor, n.self))
-	}
 	for _, ref := range msg.Refs {
 		n.refs.Insert(ref)
 	}

@@ -212,7 +212,9 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	})
 	// A graceful departure of this node's predecessor hands it the
 	// leaver's arc (pred, leaver]: the keys NOT in (leaver, pred], pulled
-	// from the leaver like any other range.
+	// from the leaver like any other range. The hook runs before the
+	// node adopts the arc, so the pull's double-read window is open
+	// before the first read of the arc lands here.
 	node.OnDepart(func(leaver, pred chord.NodeInfo) {
 		server.EnqueueMigration(leaver.Addr, uint64(leaver.ID), uint64(pred.ID))
 	})
