@@ -129,12 +129,12 @@ crash-smoke:
 # durable puller killed between chunks must resume from its WAL cursor
 # with no entry lost or duplicated), the frozen double-read window
 # equivalence check (answers byte-identical to a static fleet mid-
-# transfer), and the seeded churn fingerprint replay. Also records the
-# churn chaos study into results/churn.txt.
+# transfer), and the seeded churn fingerprint replay. Then reruns the
+# churn chaos study and checks it byte for byte against the recorded
+# results/churn.txt (the run-to-run double-read count goes to stderr).
 churn-smoke:
 	$(GO) test -count=1 -run 'MigrateCrash|SearchDuringMigration|ChurnFingerprint' .
-	mkdir -p results
-	$(GO) run ./cmd/ksbench -fig churn -objects 5000 > results/churn.txt
+	$(GO) run ./cmd/ksbench -fig churn -objects 5000 | diff results/churn.txt -
 
 # Prefix-multicast smoke: byte-identical prefix answers across the
 # batching × cache-policy matrix, prefix/superset cache isolation, the
