@@ -269,13 +269,13 @@ func TestOneSetOneSpelling(t *testing.T) {
 	t.Run("remote insert", func(t *testing.T) {
 		srv := newTableTestServer(t, 0)
 		for _, e := range [][2]string{{canon, "o1"}, {odd, "o2"}} {
-			msg := msgInsertEntry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: e[0], ObjectID: e[1]}
+			msg := msgInsertEntry{Entry: store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: e[0], ObjectID: e[1]}}
 			if _, err := srv.handle(context.Background(), "peer", msg); err != nil {
 				t.Fatal(err)
 			}
 		}
 		check(t, srv, "o1", "o2")
-		if found, err := srv.deleteEntry(DefaultInstance, tableTestVertex, odd, "o1"); err != nil || !found {
+		if found, err := srv.writeEntry(store.OpDelete, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: odd, ObjectID: "o1"}, false); err != nil || !found {
 			t.Fatalf("delete of o1 under %q = (%v, %v), want found", odd, found, err)
 		}
 		check(t, srv, "o2")

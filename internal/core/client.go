@@ -7,6 +7,7 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
@@ -237,22 +238,25 @@ func (c *Client) dropSoft(v hypercube.Vertex) {
 	c.spreadMu.Unlock()
 }
 
+// entry is obj's index entry ⟨K_σ, σ⟩ in the client's instance and
+// the vertex F_h(K_σ) whose table holds it.
+func (c *Client) entry(obj Object) (hypercube.Vertex, store.Entry, error) {
+	if err := obj.Validate(); err != nil {
+		return 0, store.Entry{}, err
+	}
+	v := c.hasher.Vertex(obj.Keywords)
+	return v, store.Entry{Instance: c.instance, Vertex: uint64(v), SetKey: obj.Keywords.Key(), ObjectID: obj.ID}, nil
+}
+
 // Insert places the index entry ⟨K_σ, σ⟩ at the node responsible for
 // the object's keyword set: one lookup plus one message, per Section
 // 3.5. Stats reports the cost.
 func (c *Client) Insert(ctx context.Context, obj Object) (Stats, error) {
-	if err := obj.Validate(); err != nil {
+	v, e, err := c.entry(obj)
+	if err != nil {
 		return Stats{}, err
 	}
-	v := c.hasher.Vertex(obj.Keywords)
-	_, err := c.send(ctx, v, msgInsertEntry{
-		Instance: c.instance,
-		Vertex:   uint64(v),
-		SetKey:   obj.Keywords.Key(),
-		ObjectID: obj.ID,
-		ClientID: c.clientID,
-	})
-	if err != nil {
+	if _, err := c.send(ctx, v, msgInsertEntry{Entry: e, ClientID: c.clientID}); err != nil {
 		return Stats{}, fmt.Errorf("insert %q: %w", obj.ID, err)
 	}
 	return Stats{NodesContacted: 1, Messages: 2}, nil
@@ -261,17 +265,11 @@ func (c *Client) Insert(ctx context.Context, obj Object) (Stats, error) {
 // Delete removes the index entry of the object. It reports whether the
 // entry existed.
 func (c *Client) Delete(ctx context.Context, obj Object) (bool, Stats, error) {
-	if err := obj.Validate(); err != nil {
+	v, e, err := c.entry(obj)
+	if err != nil {
 		return false, Stats{}, err
 	}
-	v := c.hasher.Vertex(obj.Keywords)
-	raw, err := c.send(ctx, v, msgDeleteEntry{
-		Instance: c.instance,
-		Vertex:   uint64(v),
-		SetKey:   obj.Keywords.Key(),
-		ObjectID: obj.ID,
-		ClientID: c.clientID,
-	})
+	raw, err := c.send(ctx, v, msgDeleteEntry{Entry: e, ClientID: c.clientID})
 	if err != nil {
 		return false, Stats{}, fmt.Errorf("delete %q: %w", obj.ID, err)
 	}

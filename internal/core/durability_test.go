@@ -249,11 +249,11 @@ func TestDurableConcurrentReplayHammer(t *testing.T) {
 				// insert/delete pairs of the same entry race constantly.
 				obj := "o" + strconv.Itoa(i%3)
 				if (g+i)%2 == 0 {
-					if err := srv.insertEntry(inst, v, setKey, obj); err != nil {
+					if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: obj}, false); err != nil {
 						t.Error(err)
 						return
 					}
-				} else if _, err := srv.deleteEntry(inst, v, setKey, obj); err != nil {
+				} else if _, err := srv.writeEntry(store.OpDelete, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: obj}, false); err != nil {
 					t.Error(err)
 					return
 				}
@@ -295,14 +295,14 @@ func TestDurableConcurrentReplayHammer(t *testing.T) {
 		go func() {
 			defer pair.Done()
 			<-start
-			if err := srv.insertEntry(inst, v, setKey, obj); err != nil {
+			if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: obj}, false); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer pair.Done()
 			<-start
-			if _, err := srv.deleteEntry(inst, v, setKey, obj); err != nil {
+			if _, err := srv.writeEntry(store.OpDelete, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: obj}, false); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -352,7 +352,10 @@ func TestDurableAppendApplyCriticalSection(t *testing.T) {
 	sh := srv.shardFor(inst, v)
 	sh.mu.Lock()
 	done := make(chan error, 1)
-	go func() { done <- srv.insertEntry(inst, v, setKey, "o1") }()
+	go func() {
+		_, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: "o1"}, false)
+		done <- err
+	}()
 	time.Sleep(20 * time.Millisecond)
 	if got := appends.Value(); got != 0 {
 		sh.mu.Unlock()
@@ -382,6 +385,25 @@ func TestDurableAppendApplyCriticalSection(t *testing.T) {
 	}
 	if got := appends.Value(); got != 2 {
 		t.Fatalf("handoff logged %d records after unlock, want 2", got)
+	}
+
+	// A pulled chunk entry takes the same critical section.
+	sh.mu.Lock()
+	go func() {
+		_, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setKey, ObjectID: "o2"}, true)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	if got := appends.Value(); got != 2 {
+		sh.mu.Unlock()
+		t.Fatalf("pulled insert appended outside the shard critical section (%d records)", got)
+	}
+	sh.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := appends.Value(); got != 3 {
+		t.Fatalf("pulled insert logged %d records after unlock, want 3", got)
 	}
 }
 

@@ -42,9 +42,9 @@ func FuzzCoreDecode(f *testing.F) {
 	entries := []store.Entry{{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"}}
 	cursor := wireCursor{Started: true, Entry: entries[0]}
 	for _, msg := range []any{
-		msgInsertEntry{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1", ClientID: "c"},
+		msgInsertEntry{Entry: entries[0], ClientID: "c"},
 		respAck{},
-		msgDeleteEntry{Instance: "main", Vertex: 7, SetKey: "a b", ObjectID: "o1"},
+		msgDeleteEntry{Entry: entries[0]},
 		respDeleteEntry{Found: true},
 		msgTQuery{Instance: "main", Dim: 8, Vertex: 3, QueryKey: "a", Threshold: 10, Class: ClassPrefix, DimMask: 6},
 		respTQuery{Matches: matches, Exhausted: true, SubNodes: 4, Trace: []TraceStep{{Vertex: 1, Matches: 2}}, SoftAddrs: []string{"x"}},

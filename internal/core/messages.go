@@ -16,19 +16,13 @@ type (
 	// originating client to the receiver's admission controller for
 	// fair queuing; empty means anonymous/internal traffic.
 	msgInsertEntry struct {
-		Instance string
-		Vertex   uint64
-		SetKey   string
-		ObjectID string
+		Entry    store.Entry
 		ClientID string
 	}
 
 	// msgDeleteEntry removes an index entry.
 	msgDeleteEntry struct {
-		Instance string
-		Vertex   uint64
-		SetKey   string
-		ObjectID string
+		Entry    store.Entry
 		ClientID string
 	}
 	respDeleteEntry struct{ Found bool }

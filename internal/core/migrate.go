@@ -32,7 +32,6 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
-	"github.com/p2pkeyword/keysearch/internal/keyword"
 	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
@@ -139,8 +138,9 @@ type migrateMetrics struct {
 }
 
 // failureLog counts one kind of failure (a migration's, a soft
-// replica's forward, or an owner's invalidation of a replica): a total,
-// its telemetry counter, and the latest cause.
+// replica's forward, an owner's invalidation of a replica, or a WAL
+// compaction's snapshot): a total, its telemetry counter, and the
+// latest cause.
 type failureLog struct {
 	c     *telemetry.Counter
 	mu    sync.Mutex
@@ -197,7 +197,8 @@ type migrationManager struct {
 	// across windows: an over-approximate tombstone is harmless (the
 	// entry is authoritatively deleted either way) and the set clears
 	// when the last window closes. Lock order: tombMu is innermost —
-	// taken under shard locks (note*) and under stateMu.W (dumpState).
+	// taken under shard locks (noteWrite, writeEntry's check) and under
+	// stateMu.W (dumpState).
 	tombMu sync.RWMutex
 	tombs  map[store.Entry]struct{}
 
@@ -375,7 +376,7 @@ func (m *migrationManager) run(mig *migration) {
 			return
 		}
 		for _, e := range resp.Entries {
-			if err := m.s.insertMigrated(e); err != nil {
+			if _, err := m.s.writeEntry(store.OpInsert, e, true); err != nil {
 				m.abort(mig, err)
 				return
 			}
@@ -464,7 +465,7 @@ func (m *migrationManager) flushTombstones() {
 	}
 	m.tombMu.RUnlock()
 	for _, t := range list {
-		if _, err := m.s.deleteEntry(t.Instance, hypercube.Vertex(t.Vertex), t.SetKey, t.ObjectID); err != nil {
+		if _, err := m.s.writeEntry(store.OpDelete, t, false); err != nil {
 			m.flushFails.note(fmt.Sprintf("delete %s/%d %q %q: %v", t.Instance, t.Vertex, t.SetKey, t.ObjectID, err))
 		}
 	}
@@ -769,29 +770,21 @@ func (m *migrationManager) hasTombstone(e store.Entry) bool {
 	return ok
 }
 
-// noteInsert clears a matching tombstone: a re-inserted entry is live
-// again. Called under the entry's shard lock (applyInsertLocked), so
-// it serializes against noteDelete for the same entry.
-func (m *migrationManager) noteInsert(instance string, v hypercube.Vertex, setKey, objectID string) {
+// noteWrite keeps e's tombstone while a window is open: a delete sets
+// it, whether or not the entry had arrived yet, and an insert clears it
+// (a re-inserted entry is live again). Called under the entry's shard
+// lock (Server.applyEntryLocked), so it serializes against writeEntry's
+// tombstone check of a pulled entry.
+func (m *migrationManager) noteWrite(op store.Op, e store.Entry) {
 	if !m.windowOpen() {
 		return
 	}
-	e := store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
 	m.tombMu.Lock()
-	delete(m.tombs, e)
-	m.tombMu.Unlock()
-}
-
-// noteDelete tombstones a delete issued while a window is open —
-// whether or not the entry had arrived yet. Called under the entry's
-// shard lock (applyDeleteLocked).
-func (m *migrationManager) noteDelete(instance string, v hypercube.Vertex, setKey, objectID string) {
-	if !m.windowOpen() {
-		return
+	if op == store.OpDelete {
+		m.tombs[e] = struct{}{}
+	} else {
+		delete(m.tombs, e)
 	}
-	e := store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setKey, ObjectID: objectID}
-	m.tombMu.Lock()
-	m.tombs[e] = struct{}{}
 	m.tombMu.Unlock()
 }
 
@@ -872,49 +865,6 @@ func (s *Server) doubleRead(ctx context.Context, srcs []transport.Addr, arc owne
 		return nil, remaining, true
 	}
 	return out, remaining, true
-}
-
-// insertMigrated applies one pulled chunk entry. The tombstone check
-// shares the entry's shard critical section with the WAL append and
-// the insert, so a client delete that raced ahead of the chunk can
-// never be undone (its tombstone is recorded under the same shard
-// lock). A skipped entry is not logged either — the WAL never holds
-// the insert, so replay cannot resurrect it.
-func (s *Server) insertMigrated(e store.Entry) error {
-	e.SetKey = keyword.CanonicalKey(e.SetKey)
-	instance, v := e.Instance, hypercube.Vertex(e.Vertex)
-	sh := s.shardFor(instance, v)
-	var due, skipped bool
-	if s.store == nil {
-		sh.lock(s.met.shardLockWait)
-		if skipped = s.migrate.hasTombstone(e); !skipped {
-			s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
-		}
-		sh.mu.Unlock()
-	} else {
-		s.stateMu.RLock()
-		sh.lock(s.met.shardLockWait)
-		if skipped = s.migrate.hasTombstone(e); !skipped {
-			var err error
-			due, err = s.store.Append(store.Record{Op: store.OpInsert}.WithEntry(e))
-			if err != nil {
-				sh.mu.Unlock()
-				s.stateMu.RUnlock()
-				return fmt.Errorf("core: wal append: %w", err)
-			}
-			s.applyInsertLocked(sh, instance, v, e.SetKey, e.ObjectID)
-		}
-		sh.mu.Unlock()
-		s.stateMu.RUnlock()
-	}
-	if skipped {
-		return nil
-	}
-	s.cache.invalidateSubsetsOf(instance, e.SetKey)
-	if due {
-		s.compact()
-	}
-	return nil
 }
 
 // ---- source-side chunk extraction ----

@@ -57,7 +57,7 @@ func seedEntries(t *testing.T, s *Server, n int) []store.Entry {
 			SetKey:   keyword.NewSet("kw"+strconv.Itoa(i%5), "shared").Key(),
 			ObjectID: fmt.Sprintf("obj-%03d", i),
 		}
-		if err := s.insertEntry(e.Instance, hypercube.Vertex(e.Vertex), e.SetKey, e.ObjectID); err != nil {
+		if _, err := s.writeEntry(store.OpInsert, store.Entry{Instance: e.Instance, Vertex: uint64(e.Vertex), SetKey: e.SetKey, ObjectID: e.ObjectID}, false); err != nil {
 			t.Fatalf("insert %v: %v", e, err)
 		}
 		out = append(out, e)
@@ -337,7 +337,7 @@ func TestTombstoneFlushFailureCounted(t *testing.T) {
 	dst.EnqueueMigration("src", wholeRingNew, wholeRingOwner)
 	waitFor(t, 5*time.Second, func() bool { return dst.MigrationStats().Chunks >= 1 }, "first chunk")
 	e := entries[len(entries)-1] // not pulled yet: the delete only tombstones it
-	if _, err := dst.deleteEntry(e.Instance, hypercube.Vertex(e.Vertex), e.SetKey, e.ObjectID); err != nil {
+	if _, err := dst.writeEntry(store.OpDelete, store.Entry{Instance: e.Instance, Vertex: uint64(e.Vertex), SetKey: e.SetKey, ObjectID: e.ObjectID}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.store.Close(); err != nil {
@@ -417,7 +417,7 @@ func TestRelayFailureCounted(t *testing.T) {
 	t.Cleanup(func() { dst.Close() })
 	const inst, v = "main", hypercube.Vertex(3)
 	key := keyword.NewSet("a").Key()
-	if err := dst.insertEntry(inst, v, key, "local-0"); err != nil {
+	if _, err := dst.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: key, ObjectID: "local-0"}, false); err != nil {
 		t.Fatal(err)
 	}
 	dst.migrate.applyRecoveredRecord(store.Record{Op: store.OpMigrate, NewID: wholeRingNew, OwnerID: wholeRingOwner, Source: "gone"})
@@ -491,17 +491,17 @@ func TestMigrateDoubleReadMergesOldOwner(t *testing.T) {
 			set = setB
 		}
 		id := fmt.Sprintf("src-%d", i)
-		if err := src.insertEntry(inst, v, set.Key(), id); err != nil {
+		if _, err := src.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: id}, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := union.insertEntry(inst, v, set.Key(), id); err != nil {
+		if _, err := union.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: id}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dst.insertEntry(inst, v, setA.Key(), "local-0"); err != nil {
+	if _, err := dst.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setA.Key(), ObjectID: "local-0"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := union.insertEntry(inst, v, setA.Key(), "local-0"); err != nil {
+	if _, err := union.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: setA.Key(), ObjectID: "local-0"}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -558,7 +558,7 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 	set := keyword.NewSet("gamma", "shared")
 	v := hypercube.Vertex(2)
 	for i := 0; i < 4; i++ {
-		if err := src.insertEntry(inst, v, set.Key(), fmt.Sprintf("obj-%d", i)); err != nil {
+		if _, err := src.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: fmt.Sprintf("obj-%d", i)}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,7 +568,7 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 
 	// obj-3 sorts last: with ChunkEntries=1 its chunk has not arrived.
 	victim := store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "obj-3"}
-	if _, err := dst.deleteEntry(inst, v, set.Key(), "obj-3"); err != nil {
+	if _, err := dst.writeEntry(store.OpDelete, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "obj-3"}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -584,7 +584,7 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 		}
 	}
 	// Chunk application: the pulled copy must be dropped, not applied.
-	if err := dst.insertMigrated(victim); err != nil {
+	if _, err := dst.writeEntry(store.OpInsert, victim, true); err != nil {
 		t.Fatal(err)
 	}
 	local := pinLocal(dst, inst, v, set.Key())
@@ -594,7 +594,7 @@ func TestMigrateDeleteDuringWindowNotResurrected(t *testing.T) {
 		}
 	}
 	// A client re-insert during the window clears the tombstone.
-	if err := dst.insertEntry(inst, v, set.Key(), "obj-3"); err != nil {
+	if _, err := dst.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "obj-3"}, false); err != nil {
 		t.Fatal(err)
 	}
 	if dst.migrate.hasTombstone(victim) {
@@ -761,7 +761,7 @@ func TestMigrationAdmittedUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	if err := srv.insertEntry("main", 1, keyword.NewSet("a").Key(), "o1"); err != nil {
+	if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: "main", Vertex: 1, SetKey: keyword.NewSet("a").Key(), ObjectID: "o1"}, false); err != nil {
 		t.Fatal(err)
 	}
 

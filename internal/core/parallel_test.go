@@ -11,6 +11,7 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -105,8 +106,7 @@ func TestShardTelemetryExposition(t *testing.T) {
 	}
 	const inserted = 40
 	for i := 0; i < inserted; i++ {
-		srv.insertEntry(DefaultInstance, hypercube.Vertex(i%64),
-			keyword.NewSet("hub", "w"+strconv.Itoa(i)).Key(), "o-"+strconv.Itoa(i))
+		srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(i % 64), SetKey: keyword.NewSet("hub", "w"+strconv.Itoa(i)).Key(), ObjectID: "o-" + strconv.Itoa(i)}, false)
 	}
 	frame := msgSubQueryBatch{
 		Instance: DefaultInstance,
@@ -198,9 +198,9 @@ func TestServerConcurrencyHammer(t *testing.T) {
 			v := hypercube.Vertex((i*7 + w) % 64)
 			set := keyword.NewSet("hub", "w"+strconv.Itoa(i%16)).Key()
 			id := "o-" + strconv.Itoa(w) + "-" + strconv.Itoa(i%32)
-			srv.insertEntry(DefaultInstance, v, set, id)
+			srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: set, ObjectID: id}, false)
 			if i%3 == 0 {
-				srv.deleteEntry(DefaultInstance, v, set, id)
+				srv.writeEntry(store.OpDelete, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: set, ObjectID: id}, false)
 			}
 		})
 	}

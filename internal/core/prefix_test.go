@@ -12,6 +12,7 @@ import (
 
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
@@ -379,17 +380,17 @@ func TestPrefixDoubleReadMergesOldOwner(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		set := sets[i%len(sets)]
 		id := fmt.Sprintf("src-%d", i)
-		if err := src.insertEntry(inst, v, set.Key(), id); err != nil {
+		if _, err := src.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: id}, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := union.insertEntry(inst, v, set.Key(), id); err != nil {
+		if _, err := union.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: set.Key(), ObjectID: id}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dst.insertEntry(inst, v, sets[0].Key(), "local-0"); err != nil {
+	if _, err := dst.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: sets[0].Key(), ObjectID: "local-0"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := union.insertEntry(inst, v, sets[0].Key(), "local-0"); err != nil {
+	if _, err := union.writeEntry(store.OpInsert, store.Entry{Instance: inst, Vertex: uint64(v), SetKey: sets[0].Key(), ObjectID: "local-0"}, false); err != nil {
 		t.Fatal(err)
 	}
 

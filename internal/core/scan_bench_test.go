@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
@@ -43,7 +43,7 @@ func BenchmarkScanTable(b *testing.B) {
 	for i := 0; i < rows; i++ {
 		n := strconv.Itoa(i)
 		set := keyword.NewSet("hub", "only"+n, "a"+n, "b"+n, "c"+n, "d"+strconv.Itoa(i%7), "e"+strconv.Itoa(i%31))
-		if err := srv.insertEntry(DefaultInstance, v, set.Key(), "o-"+n); err != nil {
+		if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: set.Key(), ObjectID: "o-" + n}, false); err != nil {
 			b.Fatal(err)
 		}
 		if i == rows/2 {
@@ -92,7 +92,7 @@ func BenchmarkSubQueryFrame(b *testing.B) {
 			if i == 0 && v%32 == 7 {
 				words[0] = "needle"
 			}
-			if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet(words...).Key(), "o-"+n); err != nil {
+			if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: keyword.NewSet(words...).Key(), ObjectID: "o-" + n}, false); err != nil {
 				b.Fatal(err)
 			}
 		}

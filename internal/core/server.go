@@ -200,11 +200,9 @@ type Server struct {
 	stateMu sync.RWMutex
 	// compacting collapses concurrent compaction triggers into one.
 	compacting atomic.Bool
-	// snapshotFailures counts compactions whose snapshot write failed;
-	// lastSnapshotErr is the latest cause (nil when none). Both surface
-	// in Stats.
-	snapshotFailures atomic.Uint64
-	lastSnapshotErr  atomic.Pointer[string]
+	// snapshotFails counts compactions whose snapshot write failed, with
+	// the latest cause; it surfaces in Stats.
+	snapshotFails failureLog
 }
 
 // tableShard is one lock stripe of the server's table state.
@@ -324,8 +322,6 @@ type serverMetrics struct {
 	shardLockWait *telemetry.Histogram // core_server_shard_lock_wait_ns
 
 	searchAbandoned *telemetry.Counter // core_search_abandoned_total
-
-	snapshotFailures *telemetry.Counter // core_snapshot_failures_total
 }
 
 func newServerMetrics(reg *telemetry.Registry) serverMetrics {
@@ -371,8 +367,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		shardLockWait: reg.Histogram("core_server_shard_lock_wait_ns", telemetry.ExpBuckets(256, 4, 9)),
 
 		searchAbandoned: reg.Counter("core_search_abandoned_total"),
-
-		snapshotFailures: reg.Counter("core_snapshot_failures_total"),
 	}
 }
 
@@ -428,6 +422,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.hot = newHotVertexManager(s, cfg.HotReplicas)
 	s.softForwardFails.c = cfg.Telemetry.Counter("core_soft_forward_failures_total")
 	s.softInvalidateFails.c = cfg.Telemetry.Counter("core_soft_invalidation_failures_total")
+	s.snapshotFails.c = cfg.Telemetry.Counter("core_snapshot_failures_total")
 	if cfg.Admission != nil {
 		s.adm = admission.New(*cfg.Admission, cfg.Telemetry)
 	}
@@ -566,20 +561,20 @@ func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (an
 func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any, error) {
 	switch msg := body.(type) {
 	case msgInsertEntry:
-		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
+		if !s.owns(msg.Entry.Instance, hypercube.Vertex(msg.Entry.Vertex)) {
 			return nil, ErrNotOwner
 		}
 		s.met.opInsert.Inc()
-		if err := s.insertEntry(msg.Instance, hypercube.Vertex(msg.Vertex), msg.SetKey, msg.ObjectID); err != nil {
+		if _, err := s.writeEntry(store.OpInsert, msg.Entry, false); err != nil {
 			return nil, err
 		}
 		return respAck{}, nil
 	case msgDeleteEntry:
-		if !s.owns(msg.Instance, hypercube.Vertex(msg.Vertex)) {
+		if !s.owns(msg.Entry.Instance, hypercube.Vertex(msg.Entry.Vertex)) {
 			return nil, ErrNotOwner
 		}
 		s.met.opDelete.Inc()
-		found, err := s.deleteEntry(msg.Instance, hypercube.Vertex(msg.Vertex), msg.SetKey, msg.ObjectID)
+		found, err := s.writeEntry(store.OpDelete, msg.Entry, false)
 		if err != nil {
 			return nil, err
 		}
@@ -699,43 +694,6 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 	}
 }
 
-// logEntryMutation appends rec to the WAL and applies it while
-// holding sh's write lock — sh must be the shard owning the record's
-// (instance, vertex). Holding the shard lock across append + apply
-// makes WAL order equal apply order for any two records touching the
-// same entry (same entry ⇒ same shard): without it, two concurrent
-// mutations of one entry could append as A,B but apply as B,A, and
-// recovery — which replays log order — would resurrect the loser.
-// The stateMu read fence spans the pair so compaction's write side
-// can never cut the log between an append and its apply, and so
-// range mutations (logRangeMutation) are totally ordered against
-// entry mutations. When the server is not durable the fence and the
-// append both vanish (nil store ⇒ zero hot-path cost beyond the
-// shard lock the apply always needed).
-func (s *Server) logEntryMutation(sh *tableShard, rec store.Record, applyLocked func()) error {
-	if s.store == nil {
-		sh.lock(s.met.shardLockWait)
-		applyLocked()
-		sh.mu.Unlock()
-		return nil
-	}
-	s.stateMu.RLock()
-	sh.lock(s.met.shardLockWait)
-	due, err := s.store.Append(rec)
-	if err != nil {
-		sh.mu.Unlock()
-		s.stateMu.RUnlock()
-		return fmt.Errorf("core: wal append: %w", err)
-	}
-	applyLocked()
-	sh.mu.Unlock()
-	s.stateMu.RUnlock()
-	if due {
-		s.compact()
-	}
-	return nil
-}
-
 // logRangeMutation appends and applies a record that touches every
 // shard (a handoff, a migration checkpoint). A single shard lock cannot
 // order it against concurrent entry mutations, so it holds stateMu
@@ -761,113 +719,109 @@ func (s *Server) logRangeMutation(rec store.Record, apply func()) error {
 	return nil
 }
 
-// insertEntry adds ⟨K, σ⟩ to the table of vertex v in the given index
-// instance and invalidates cached query results the new entry could
-// extend. Durable servers append the mutation to the WAL before it
-// applies; an append failure leaves the table untouched. A set key is
+// writeEntry is the one write path of an index entry e: a client's
+// insert or delete, a pulled chunk entry (pulled) and a closing
+// window's tombstone flush all come through it. A durable server
+// appends the op to the WAL and applies it while holding the write
+// lock of e's shard. Holding the shard lock across append + apply
+// makes WAL order equal apply order for any two records touching the
+// same entry (same entry ⇒ same shard): without it, two concurrent
+// mutations of one entry could append as A,B but apply as B,A, and
+// recovery — which replays log order — would resurrect the loser. The
+// stateMu read fence spans the pair so compaction's write side can
+// never cut the log between an append and its apply, and so range
+// mutations (logRangeMutation) are totally ordered against entry
+// mutations. When the server is not durable the fence and the append
+// both vanish (nil store ⇒ zero hot-path cost beyond the shard lock
+// the apply always needed); an append failure leaves the table
+// untouched.
+//
+// A pulled entry that a delete tombstoned during the open window is
+// checked in the same critical section, ahead of the append, and is
+// neither logged nor applied: the delete's tombstone is set under the
+// same shard lock, so it can never be undone, and the WAL never holds
+// the insert, so replay cannot resurrect it. A delete of an absent
+// entry is still logged — replaying it is a no-op. The set key is
 // logged, stored and invalidated under its canonical spelling.
-func (s *Server) insertEntry(instance string, v hypercube.Vertex, setKey, objectID string) error {
-	setKey = keyword.CanonicalKey(setKey)
-	sh := s.shardFor(instance, v)
-	err := s.logEntryMutation(sh, store.Record{
-		Op: store.OpInsert, Instance: instance, Vertex: uint64(v),
-		SetKey: setKey, ObjectID: objectID,
-	}, func() { s.applyInsertLocked(sh, instance, v, setKey, objectID) })
-	if err != nil {
-		return err
+//
+// writeEntry reports whether the op took effect (applyEntryLocked); only
+// then are cached results the entry could change invalidated and a
+// promoted root demoted.
+func (s *Server) writeEntry(op store.Op, e store.Entry, pulled bool) (bool, error) {
+	e.SetKey = keyword.CanonicalKey(e.SetKey)
+	v := hypercube.Vertex(e.Vertex)
+	sh := s.shardFor(e.Instance, v)
+	if s.store != nil {
+		s.stateMu.RLock()
 	}
-	// The cache has its own lock; invalidating outside the shard lock
-	// keeps the lock order flat (shard locks never nest with others).
-	s.cache.invalidateSubsetsOf(instance, setKey)
-	// A promoted root whose table changed must demote (its replicas'
-	// cached answers may now be stale).
-	s.hot.noteMutation(instance, v, setKey)
-	return nil
-}
-
-// applyInsert is the table mutation of insertEntry: no logging, no
-// cache work. Recovery replays WAL records through it.
-func (s *Server) applyInsert(instance string, v hypercube.Vertex, setKey, objectID string) {
-	sh := s.shardFor(instance, v)
 	sh.lock(s.met.shardLockWait)
-	defer sh.mu.Unlock()
-	s.applyInsertLocked(sh, instance, v, setKey, objectID)
-}
-
-// applyInsertLocked is applyInsert under a caller-held write lock on
-// sh (the shard owning (instance, v)); logEntryMutation uses it to
-// keep the WAL append and the apply in one critical section.
-func (s *Server) applyInsertLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) {
-	vertices, ok := sh.tables[instance]
-	if !ok {
-		vertices = make(map[hypercube.Vertex]*table)
-		sh.tables[instance] = vertices
-	}
-	tbl, ok := vertices[v]
-	if !ok {
-		tbl = &table{ringKey: VertexKey(instance, v)}
-		vertices[v] = tbl
-	}
-	tbl.insert(setKey, objectID)
-	// Under the shard lock, so it serializes against noteDelete for the
-	// same entry: a re-inserted entry is live again (no-op outside an
-	// open migration window).
-	s.migrate.noteInsert(instance, v, setKey, objectID)
-}
-
-// deleteEntry removes ⟨K, σ⟩ from the table of vertex v in the given
-// instance. A delete of an absent entry is still logged on durable
-// servers — replaying it is a no-op, so the record is harmless.
-func (s *Server) deleteEntry(instance string, v hypercube.Vertex, setKey, objectID string) (bool, error) {
-	setKey = keyword.CanonicalKey(setKey)
-	sh := s.shardFor(instance, v)
-	var found bool
-	err := s.logEntryMutation(sh, store.Record{
-		Op: store.OpDelete, Instance: instance, Vertex: uint64(v),
-		SetKey: setKey, ObjectID: objectID,
-	}, func() { found = s.applyDeleteLocked(sh, instance, v, setKey, objectID) })
-	if err != nil {
-		return false, err
-	}
-	if found {
-		s.cache.invalidateSubsetsOf(instance, setKey)
-		s.hot.noteMutation(instance, v, setKey)
-	}
-	return found, nil
-}
-
-// applyDelete is the table mutation of deleteEntry.
-func (s *Server) applyDelete(instance string, v hypercube.Vertex, setKey, objectID string) bool {
-	sh := s.shardFor(instance, v)
-	sh.lock(s.met.shardLockWait)
-	defer sh.mu.Unlock()
-	return s.applyDeleteLocked(sh, instance, v, setKey, objectID)
-}
-
-// applyDeleteLocked is applyDelete under a caller-held write lock on
-// sh (the shard owning (instance, v)); see applyInsertLocked.
-func (s *Server) applyDeleteLocked(sh *tableShard, instance string, v hypercube.Vertex, setKey, objectID string) bool {
-	// Tombstone before the presence checks: a delete of an entry whose
-	// migration chunk has not arrived yet finds nothing locally but
-	// must still prevent the chunk from resurrecting it. Shard lock
-	// held, so this serializes against insertMigrated's check.
-	s.migrate.noteDelete(instance, v, setKey, objectID)
-	vertices, ok := sh.tables[instance]
-	if !ok {
-		return false
-	}
-	tbl, ok := vertices[v]
-	if !ok {
-		return false
-	}
-	found := tbl.remove(setKey, objectID)
-	if found && tbl.objectCount() == 0 {
-		delete(vertices, v)
-		if len(vertices) == 0 {
-			delete(sh.tables, instance)
+	var took, due bool
+	var err error
+	if !pulled || !s.migrate.hasTombstone(e) {
+		if s.store != nil {
+			due, err = s.store.Append(store.Record{Op: op}.WithEntry(e))
+		}
+		if err == nil {
+			took = s.applyEntryLocked(sh, op, e)
 		}
 	}
-	return found
+	sh.mu.Unlock()
+	if s.store != nil {
+		s.stateMu.RUnlock()
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: wal append: %w", err)
+	}
+	if took {
+		// The cache has its own lock; invalidating outside the shard
+		// lock keeps the lock order flat (shard locks never nest with
+		// others).
+		s.cache.invalidateSubsetsOf(e.Instance, e.SetKey)
+		// A promoted root whose table changed must demote (its
+		// replicas' cached answers may now be stale).
+		s.hot.noteMutation(e.Instance, v, e.SetKey)
+	}
+	if due {
+		s.compact()
+	}
+	return took, nil
+}
+
+// applyEntryLocked applies op to e's table under a caller-held write
+// lock on sh, the shard owning e's (instance, vertex), with the open
+// window's tombstone bookkeeping first (migrationManager.noteWrite): a
+// delete of an entry whose migration chunk has not arrived yet finds
+// nothing locally but must still keep the chunk from resurrecting it.
+// Live writes, pulled entries and replayed records all apply through
+// it. It reports whether the op took effect: always for an insert, and
+// for a delete when the entry was there.
+func (s *Server) applyEntryLocked(sh *tableShard, op store.Op, e store.Entry) bool {
+	s.migrate.noteWrite(op, e)
+	v := hypercube.Vertex(e.Vertex)
+	vertices := sh.tables[e.Instance]
+	tbl := vertices[v]
+	if op == store.OpInsert {
+		if vertices == nil {
+			vertices = make(map[hypercube.Vertex]*table)
+			sh.tables[e.Instance] = vertices
+		}
+		if tbl == nil {
+			tbl = &table{ringKey: VertexKey(e.Instance, v)}
+			vertices[v] = tbl
+		}
+		tbl.insert(e.SetKey, e.ObjectID)
+		return true
+	}
+	if tbl == nil || !tbl.remove(e.SetKey, e.ObjectID) {
+		return false
+	}
+	if tbl.objectCount() == 0 {
+		delete(vertices, v)
+		if len(vertices) == 0 {
+			delete(sh.tables, e.Instance)
+		}
+	}
+	return true
 }
 
 // subQueryBatch answers a frame of sub-queries, sparsely: the response
@@ -1101,10 +1055,8 @@ type TableStats struct {
 // the totals are per-shard consistent but not a global snapshot —
 // fine for the load experiments and diagnostics they feed.
 func (s *Server) Stats() TableStats {
-	st := TableStats{SnapshotFailures: s.snapshotFailures.Load()}
-	if msg := s.lastSnapshotErr.Load(); msg != nil {
-		st.LastSnapshotError = *msg
-	}
+	var st TableStats
+	st.SnapshotFailures, st.LastSnapshotError = s.snapshotFails.read()
 	if s.store != nil {
 		st.SyncFailures, st.LastSyncError = s.store.SyncFailures()
 	}
@@ -1204,10 +1156,12 @@ func (s *Server) applyExtractRange(newID, ownerID dht.ID) []store.Entry {
 // cache alongside the tables.
 func (s *Server) applyRecord(rec store.Record) error {
 	switch rec.Op {
-	case store.OpInsert:
-		s.applyInsert(rec.Instance, hypercube.Vertex(rec.Vertex), rec.SetKey, rec.ObjectID)
-	case store.OpDelete:
-		s.applyDelete(rec.Instance, hypercube.Vertex(rec.Vertex), rec.SetKey, rec.ObjectID)
+	case store.OpInsert, store.OpDelete:
+		e := rec.Entry()
+		sh := s.shardFor(e.Instance, hypercube.Vertex(e.Vertex))
+		sh.lock(s.met.shardLockWait)
+		s.applyEntryLocked(sh, rec.Op, e)
+		sh.mu.Unlock()
 	case store.OpHandoff:
 		s.applyExtractRange(dht.ID(rec.NewID), dht.ID(rec.OwnerID))
 	case store.OpClear:
@@ -1240,10 +1194,7 @@ func (s *Server) compact() {
 	// longer compact is a node running out of disk, so the failure is
 	// counted and its cause kept for Stats.
 	if err := s.store.WriteSnapshot(s.dumpAll); err != nil {
-		s.met.snapshotFailures.Inc()
-		s.snapshotFailures.Add(1)
-		msg := err.Error()
-		s.lastSnapshotErr.Store(&msg)
+		s.snapshotFails.note(err.Error())
 	}
 }
 

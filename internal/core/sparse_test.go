@@ -14,6 +14,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/dht"
 	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
@@ -400,12 +401,12 @@ func TestSparseBatchListsOnlyHits(t *testing.T) {
 	hub := keyword.NewSet("hub")
 	for _, v := range []int{3, 40, 41, 200} {
 		for j := 0; j < 3; j++ {
-			if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet("hub", "w"+strconv.Itoa(j)).Key(), "o-"+strconv.Itoa(v)+"-"+strconv.Itoa(j)); err != nil {
+			if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: keyword.NewSet("hub", "w"+strconv.Itoa(j)).Key(), ObjectID: "o-" + strconv.Itoa(v) + "-" + strconv.Itoa(j)}, false); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := srv.insertEntry(DefaultInstance, 7, keyword.NewSet("other").Key(), "o-7"); err != nil {
+	if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: 7, SetKey: keyword.NewSet("other").Key(), ObjectID: "o-7"}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 4, 17, 256} {

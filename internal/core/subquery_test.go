@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/keyword"
+	"github.com/p2pkeyword/keysearch/internal/store"
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/inmem"
 )
@@ -132,7 +132,7 @@ func TestPerVertexFramesCarryDeadline(t *testing.T) {
 	t.Cleanup(func() { net.Close() })
 	srv := newMigrateServer(t, net, "", MigrationConfig{})
 	key := keyword.NewSet("a").Key()
-	if err := srv.insertEntry(DefaultInstance, 1, key, "o1"); err != nil {
+	if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: 1, SetKey: key, ObjectID: "o1"}, false); err != nil {
 		t.Fatal(err)
 	}
 	frame := msgSubQueryBatch{Instance: DefaultInstance, Root: 1, QueryKey: key, Limit: -1, Units: []wireUnit{{Vertex: 1}}}
@@ -159,7 +159,7 @@ func frameTestServer(t *testing.T) (*Server, msgSubQueryBatch) {
 	units := make([]wireUnit, 64)
 	for v := range units {
 		units[v].Vertex = uint64(v)
-		if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet("b", strconv.Itoa(v)).Key(), "miss-"+strconv.Itoa(v)); err != nil {
+		if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: keyword.NewSet("b", strconv.Itoa(v)).Key(), ObjectID: "miss-" + strconv.Itoa(v)}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func frameTestServer(t *testing.T) (*Server, msgSubQueryBatch) {
 func addHit(t *testing.T, srv *Server, v, n int) {
 	t.Helper()
 	for j := 0; j < n; j++ {
-		if err := srv.insertEntry(DefaultInstance, hypercube.Vertex(v), keyword.NewSet("a", "x"+strconv.Itoa(j)).Key(), fmt.Sprintf("o-%d-%d", v, j)); err != nil {
+		if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(v), SetKey: keyword.NewSet("a", "x"+strconv.Itoa(j)).Key(), ObjectID: fmt.Sprintf("o-%d-%d", v, j)}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

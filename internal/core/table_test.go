@@ -193,12 +193,12 @@ func runTableOps(srv *Server, m tableModel, ops []byte) error {
 		id := "o" + strconv.Itoa(int(arg%6))
 		switch kind {
 		case 0, 1:
-			if err := srv.insertEntry(DefaultInstance, tableTestVertex, set.Key(), id); err != nil {
+			if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: set.Key(), ObjectID: id}, false); err != nil {
 				return err
 			}
 			m.insert(set.Key(), id)
 		case 2:
-			found, err := srv.deleteEntry(DefaultInstance, tableTestVertex, set.Key(), id)
+			found, err := srv.writeEntry(store.OpDelete, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: set.Key(), ObjectID: id}, false)
 			if err != nil {
 				return err
 			}
@@ -285,7 +285,7 @@ func TestTableModelCheckCatchesLostSignature(t *testing.T) {
 	m := tableModel{}
 	for mask := byte(1); mask < 40; mask += 3 {
 		key := setFromMask(mask).Key()
-		if err := srv.insertEntry(DefaultInstance, tableTestVertex, key, "o1"); err != nil {
+		if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: key, ObjectID: "o1"}, false); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(key, "o1")
@@ -337,14 +337,14 @@ func TestTableScanWriteHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < perWriter; i++ {
-					if err := srv.insertEntry(DefaultInstance, tableTestVertex, keyOf(w, i), "o"+strconv.Itoa(r%3)); err != nil {
+					if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: keyOf(w, i), ObjectID: "o" + strconv.Itoa(r%3)}, false); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				// Odd entries are removed again; rows empty and reappear.
 				for i := 1; i < perWriter; i += 2 {
-					if _, err := srv.deleteEntry(DefaultInstance, tableTestVertex, keyOf(w, i), "o"+strconv.Itoa(r%3)); err != nil {
+					if _, err := srv.writeEntry(store.OpDelete, store.Entry{Instance: DefaultInstance, Vertex: uint64(tableTestVertex), SetKey: keyOf(w, i), ObjectID: "o" + strconv.Itoa(r%3)}, false); err != nil {
 						t.Error(err)
 						return
 					}
@@ -422,7 +422,7 @@ func TestBulkReadersEmitCanonicalOrder(t *testing.T) {
 			for v := hypercube.Vertex(1); v <= 9; v++ {
 				for _, mask := range rng.Perm(40)[:12] {
 					for _, o := range rng.Perm(5)[:3] {
-						if err := srv.insertEntry(instance, v, setFromMask(byte(mask+1)).Key(), "o"+strconv.Itoa(o)); err != nil {
+						if _, err := srv.writeEntry(store.OpInsert, store.Entry{Instance: instance, Vertex: uint64(v), SetKey: setFromMask(byte(mask + 1)).Key(), ObjectID: "o" + strconv.Itoa(o)}, false); err != nil {
 							t.Fatal(err)
 						}
 						n++

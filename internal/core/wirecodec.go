@@ -109,19 +109,15 @@ func (c *wireCursor) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
+// A client's insert and delete write their entry as store.Entry does,
+// then the client ID.
 func (m msgInsertEntry) MarshalWire(w *wire.Writer) {
-	w.String(m.Instance)
-	w.Uvarint(m.Vertex)
-	w.String(m.SetKey)
-	w.String(m.ObjectID)
+	m.Entry.MarshalWire(w)
 	w.String(m.ClientID)
 }
 
 func (m *msgInsertEntry) UnmarshalWire(r *wire.Reader) error {
-	m.Instance = r.String()
-	m.Vertex = r.Uvarint()
-	m.SetKey = r.String()
-	m.ObjectID = r.String()
+	m.Entry.UnmarshalWire(r)
 	m.ClientID = r.String()
 	return r.Err()
 }
@@ -130,18 +126,12 @@ func (m respAck) MarshalWire(w *wire.Writer)          {}
 func (m *respAck) UnmarshalWire(r *wire.Reader) error { return r.Err() }
 
 func (m msgDeleteEntry) MarshalWire(w *wire.Writer) {
-	w.String(m.Instance)
-	w.Uvarint(m.Vertex)
-	w.String(m.SetKey)
-	w.String(m.ObjectID)
+	m.Entry.MarshalWire(w)
 	w.String(m.ClientID)
 }
 
 func (m *msgDeleteEntry) UnmarshalWire(r *wire.Reader) error {
-	m.Instance = r.String()
-	m.Vertex = r.Uvarint()
-	m.SetKey = r.String()
-	m.ObjectID = r.String()
+	m.Entry.UnmarshalWire(r)
 	m.ClientID = r.String()
 	return r.Err()
 }

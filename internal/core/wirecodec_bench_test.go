@@ -80,9 +80,8 @@ func wireBenchChunk() (msgMigrateChunk, respMigrateChunk) {
 // client and an anonymous delete, both of one entry.
 func wireBenchWrite() (msgInsertEntry, msgDeleteEntry) {
 	key := keyword.NewSet("distributed", "search").Key()
-	ins := msgInsertEntry{Instance: DefaultInstance, Vertex: 697, SetKey: key, ObjectID: "obj-10017", ClientID: "client-7"}
-	del := msgDeleteEntry{Instance: DefaultInstance, Vertex: 697, SetKey: key, ObjectID: "obj-10017"}
-	return ins, del
+	e := store.Entry{Instance: DefaultInstance, Vertex: 697, SetKey: key, ObjectID: "obj-10017"}
+	return msgInsertEntry{Entry: e, ClientID: "client-7"}, msgDeleteEntry{Entry: e}
 }
 
 // wireBenchCase is one message the codec test and benchmark share,

@@ -49,10 +49,10 @@ func TestCoreWireRoundTrip(t *testing.T) {
 	cursor := wireCursor{Started: true, Entry: store.Entry{Instance: "i", Vertex: 99, SetKey: "sk", ObjectID: "oid"}}
 
 	for _, msg := range []any{
-		msgInsertEntry{Instance: "default", Vertex: 42, SetKey: "a b", ObjectID: "doc-1", ClientID: "c1"},
+		msgInsertEntry{Entry: store.Entry{Instance: "default", Vertex: 42, SetKey: "a b", ObjectID: "doc-1"}, ClientID: "c1"},
 		msgInsertEntry{},
 		respAck{},
-		msgDeleteEntry{Instance: "x", Vertex: 1, SetKey: "s", ObjectID: "o", ClientID: ""},
+		msgDeleteEntry{Entry: store.Entry{Instance: "x", Vertex: 1, SetKey: "s", ObjectID: "o"}, ClientID: ""},
 		respDeleteEntry{Found: true},
 		respDeleteEntry{},
 		msgTQuery{Instance: "default", Dim: 10, Vertex: 1023, QueryKey: "q", Threshold: 50,

@@ -8,9 +8,9 @@ import (
 )
 
 // Entry is one index entry ⟨K_σ, σ⟩ of the table Tbl_u at vertex u of
-// one index instance: the unit a WAL record logs, a snapshot lists and
-// a migration page moves. Its byte form is MarshalWire's, the one
-// encoding of an entry.
+// one index instance: the unit a client's insert and delete carry, a
+// WAL record logs, a snapshot lists and a migration page moves. Its
+// byte form is MarshalWire's, the one encoding of an entry.
 type Entry struct {
 	Instance string
 	Vertex   uint64

@@ -10,7 +10,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// KSW6 framing. A client opens the connection with a 4-byte magic
+// KSW7 framing. A client opens the connection with a 4-byte magic
 // preamble; a listener closes any connection that opens with something
 // else. The magic is followed by a uvarint-length sender address string
 // — the connection's default identity, sent once so the per-request
@@ -44,7 +44,7 @@ const (
 	maxHandshakeAddr = 1 << 10
 )
 
-// wireMagic is the connection preamble ("KSW6"). Its last byte is the
+// wireMagic is the connection preamble ("KSW7"). Its last byte is the
 // protocol generation and the only version the wire carries: an
 // in-place layout change — to the handshake, the frame header or the
 // encoding of a registered message — bumps it, so peers of different
@@ -59,8 +59,10 @@ const (
 // KSW5 → KSW6: core's migration pull and page (types 14 and 15) write
 // an entry as store.Entry does, vertex before instance; the pull's
 // cursor writes its entry only once started, and the page lost its
-// cursor, its last entry being the resume point.
-var wireMagic = [4]byte{'K', 'S', 'W', '6'}
+// cursor, its last entry being the resume point. KSW6 → KSW7: core's
+// insert and delete (types 1 and 3) carry a store.Entry, written as
+// store.Entry writes it (vertex before instance), then the client ID.
+var wireMagic = [4]byte{'K', 'S', 'W', '7'}
 
 // appendRequestFrame encodes a request frame for body into w and
 // returns the codec (for its type name) — the caller charges

@@ -389,9 +389,9 @@ var gobStream = []byte{
 }
 
 // TestNonMagicPreambleRefused: a connection that does not open with the
-// KSW6 magic — a previous generation's included — is closed without a
+// KSW7 magic — a previous generation's included — is closed without a
 // byte in reply and without the handler running, and the listener keeps
-// serving KSW6 clients afterwards.
+// serving KSW7 clients afterwards.
 func TestNonMagicPreambleRefused(t *testing.T) {
 	registerTestTypes()
 	srv := New()
@@ -408,8 +408,8 @@ func TestNonMagicPreambleRefused(t *testing.T) {
 		"arbitrary":     []byte("GET / HTTP/1.1\r\n\r\n"),
 		"gob":           gobStream,
 		"wrong-version": []byte("KSW1\x00"),
-		// A KSW5 peer's well-formed handshake and request: its
-		// migration page layout differs, so it must be refused at
+		// A KSW6 peer's well-formed handshake and request: its
+		// insert and delete layout differs, so it must be refused at
 		// connect.
 		"previous-generation": previousGeneration(),
 	} {
@@ -436,10 +436,10 @@ func TestNonMagicPreambleRefused(t *testing.T) {
 	defer cli.Close()
 	got, err := cli.Send(context.Background(), node.Addr(), ping{N: 21})
 	if err != nil {
-		t.Fatalf("KSW6 client after refusals: %v", err)
+		t.Fatalf("KSW7 client after refusals: %v", err)
 	}
 	if p, ok := got.(pong); !ok || p.N != 42 {
-		t.Errorf("KSW6 client got %#v, want pong{42}", got)
+		t.Errorf("KSW7 client got %#v, want pong{42}", got)
 	}
 }
 

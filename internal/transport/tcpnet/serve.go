@@ -153,7 +153,7 @@ func (l *listener) acceptLoop() {
 }
 
 // serveConn owns one accepted connection. A connection that does not
-// open with the KSW6 magic and a well-formed handshake is closed before
+// open with the KSW7 magic and a well-formed handshake is closed before
 // any handler runs: no other protocol shares the port.
 func (l *listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()

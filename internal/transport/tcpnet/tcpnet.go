@@ -2,10 +2,10 @@
 // same DHT and keyword-index wiring that runs in the in-memory
 // simulator can run as separate OS processes (see cmd/ksnode).
 //
-// It speaks one wire protocol, KSW6: hand-rolled length-prefixed frames
+// It speaks one wire protocol, KSW7: hand-rolled length-prefixed frames
 // (package wire) over one persistent connection per peer, multiplexed
 // by request ID and handled by a listener-side worker pool. frame.go
-// has the layout. A connection that does not open with the KSW6 magic
+// has the layout. A connection that does not open with the KSW7 magic
 // is closed before any handler runs.
 package tcpnet
 
@@ -21,7 +21,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
-// WireBinary names the one wire protocol (KSW6); see Config.Wire.
+// WireBinary names the one wire protocol (KSW7); see Config.Wire.
 const WireBinary = "binary"
 
 // Config is a Network's configuration. It has nothing left to tune:
