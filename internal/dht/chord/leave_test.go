@@ -174,7 +174,7 @@ func TestDepartHookRunsBeforeSplice(t *testing.T) {
 		t.Fatalf("successor's arc starts at %d before the leave, want the leaver %d", before, leaver.ID())
 	}
 	seen := make(chan dht.ID, 1)
-	succ.OnDepart(func(l, p NodeInfo) {
+	succ.OnDepart(func(_, _ NodeInfo) {
 		pred, _, _ := succ.OwnedArc()
 		seen <- pred
 	})
