@@ -253,22 +253,18 @@ type (
 	}
 )
 
-// ReadOnlyMessage classifies index-protocol bodies that are safe to
-// hedge and to retry after a timed-out attempt: they neither mutate
-// index tables nor consume root-side session state. A one-shot
-// T_QUERY is read-only (its only side effect is populating the result
-// cache); cumulative starts and continuations are not, because each
-// delivery creates or advances a session. Wire it into the resilience
-// middleware via SetReadOnly (combine layers with resilience.AnyOf).
-func ReadOnlyMessage(body any) bool {
-	switch m := body.(type) {
-	case msgSubQueryBatch, msgMigrateChunk:
-		return true
-	case msgTQuery:
-		return !m.Cumulative && m.SessionID == 0
-	}
-	return false
-}
+// Repeatable implements transport.RepeatableBody: a frame of sub-queries
+// and a migration page are reads, so a second delivery is harmless and
+// they may be resent or hedged.
+func (msgSubQueryBatch) Repeatable() bool { return true }
+
+func (msgMigrateChunk) Repeatable() bool { return true }
+
+// Repeatable implements transport.RepeatableBody: a one-shot T_QUERY is
+// a read (its only side effect is populating the result cache);
+// cumulative starts and continuations are not, because each delivery
+// creates or advances a session.
+func (m msgTQuery) Repeatable() bool { return !m.Cumulative && m.SessionID == 0 }
 
 // CloneBody implements transport.BodyCloner: a root's frame units are a
 // window of its pooled wave scratch (DESIGN §7), reused once Send

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/p2pkeyword/keysearch/internal/transport"
+)
 
 // TestMessageRepeatableClass pins the class of every index-protocol
 // request: whether a second delivery of the same body is harmless, so a
@@ -8,7 +12,7 @@ import "testing"
 // sub-queries, a migration page) is; anything that mutates a table or a
 // soft replica, or creates or advances a cumulative session, is not.
 func TestMessageRepeatableClass(t *testing.T) {
-	repeatable := ReadOnlyMessage
+	repeatable := transport.Repeatable
 	for _, tc := range []struct {
 		name string
 		body any

@@ -105,7 +105,6 @@ func testScratchHedged(t *testing.T) {
 	pol := resilience.DefaultPolicy()
 	pol.HedgeDelay = 20 * time.Microsecond
 	mw := resilience.Wrap(net, pol)
-	mw.SetReadOnly(ReadOnlyMessage)
 	reg := telemetry.New(1)
 	mw.SetTelemetry(reg)
 

@@ -107,7 +107,6 @@ func BenchmarkSupersetSearchResilience(b *testing.B) {
 	reg := telemetry.New(128)
 	benchmarkSupersetSearch(b, reg, func(inner transport.Sender) transport.Sender {
 		mw := resilience.Wrap(inner, resilience.DefaultPolicy())
-		mw.SetReadOnly(ReadOnlyMessage)
 		mw.SetTelemetry(reg)
 		return mw
 	})

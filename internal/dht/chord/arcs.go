@@ -26,7 +26,8 @@ import (
 //     arcs, fingers and successor-list entries. The key is then routed
 //     again — after the first failure, and after the first unreachable
 //     node — so that send goes elsewhere, unless a lookup names the same
-//     node again.
+//     node again. A send in doubt (transport.ErrInDoubt: its node may
+//     have handled it) drops the node too, but is not sent again.
 //   - Any other refusal follows the refuser's hint (refusalHint), or when
 //     the refuser cannot give one is routed again; maxSends bounds the
 //     sends in all.
@@ -100,6 +101,8 @@ func (r Router) Route(ctx context.Context, key dht.ID, at transport.Addr, send S
 		}
 		r.st.drop(to, unreachable)
 		switch {
+		case errors.Is(err, transport.ErrInDoubt):
+			return nil, sends, err
 		case sends == 1 || unreachable && !purged:
 			purged = purged || unreachable
 			to, err = r.owner(ctx, key)

@@ -2,6 +2,7 @@ package chord
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -135,6 +136,60 @@ func TestInsertAfterLeaveFollowsSuccessor(t *testing.T) {
 	// L refused the table's route and then the lookup's.
 	if got := reg.Snapshot().Counters[`chord_ref_refusals_total{op="insert"}`]; got != 2 {
 		t.Errorf("chord_ref_refusals_total{op=\"insert\"} = %d, want 2", got)
+	}
+}
+
+// TestRouteInDoubtSendsOnce: a send in doubt may have been handled, so
+// the rule drops its node as unreachable and returns the error after
+// that one send. A plain unreachable node is dropped too, and the key is
+// routed again.
+func TestRouteInDoubtSendsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		err       error
+		wantSends int
+	}{
+		{"in doubt", fmt.Errorf("send: %w", transport.ErrInDoubt), 1},
+		{"unreachable", fmt.Errorf("send: %w", transport.ErrUnreachable), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := inmem.New(1)
+			defer net.Close()
+			nodes := buildRing(t, net, 4)
+			p, s := nodes[0], nodes[1]
+			if to, ok := p.arcOwner(s.ID()); !ok || to.Addr != s.Addr() {
+				t.Fatalf("P's routing state names %v for S's key, want S", to)
+			}
+			var calls []transport.Addr
+			_, sends, err := NewRouter(p).Route(context.Background(), s.ID(), "", func(_ context.Context, to transport.Addr) (any, error) {
+				calls = append(calls, to)
+				if len(calls) == 1 {
+					return nil, tc.err
+				}
+				return respOK{}, nil
+			})
+			if sends != tc.wantSends || len(calls) != tc.wantSends {
+				t.Errorf("Route made %d sends (%v), reported %d; want %d", len(calls), calls, sends, tc.wantSends)
+			}
+			if calls[0] != s.Addr() {
+				t.Errorf("first send went to %s, want S", calls[0])
+			}
+			if tc.wantSends > 1 {
+				if err != nil {
+					t.Errorf("Route = %v, want the re-routed send's answer", err)
+				}
+				return
+			}
+			if !errors.Is(err, transport.ErrInDoubt) {
+				t.Errorf("Route = %v, want the send's ErrInDoubt", err)
+			}
+			if to, ok := p.arcOwner(s.ID()); ok && to.Addr == s.Addr() {
+				t.Error("P still routes S's key to S after an in-doubt send")
+			}
+			if p.Successor().Addr == s.Addr() {
+				t.Error("P kept S as its successor after an in-doubt send")
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package chord
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/p2pkeyword/keysearch/internal/transport"
+)
 
 // TestRPCRepeatableClass pins the class of every Chord request: whether
 // a second delivery of the same body is harmless, so a sender may
@@ -9,7 +13,7 @@ import "testing"
 // a second rpcInsertRef answers First = false, and its caller would
 // skip indexing the object.
 func TestRPCRepeatableClass(t *testing.T) {
-	repeatable := ReadOnlyRPC
+	repeatable := transport.Repeatable
 	for _, tc := range []struct {
 		name string
 		body any

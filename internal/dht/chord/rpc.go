@@ -73,19 +73,16 @@ type (
 	}
 )
 
-// ReadOnlyRPC classifies Chord RPCs that are safe to hedge and to
-// retry after a timed-out attempt: routing steps, liveness probes and
-// reference reads. Notify and the reference/topology mutations are
-// excluded — a duplicated delivery would double-apply them. Wire it
-// into the resilience middleware via SetReadOnly (combine layers with
-// resilience.AnyOf).
-func ReadOnlyRPC(body any) bool {
-	switch body.(type) {
-	case rpcFindClosest, rpcGetPredecessor, rpcGetSuccessorList, rpcPing, rpcReadRefs:
-		return true
-	}
-	return false
-}
+// Repeatable implements transport.RepeatableBody for the Chord RPCs a
+// second delivery of which is harmless, so they may be resent or hedged:
+// routing steps, liveness probes and reference reads. Notify and the
+// reference and topology mutations have no method — a second delivery
+// would apply them twice.
+func (rpcFindClosest) Repeatable() bool      { return true }
+func (rpcGetPredecessor) Repeatable() bool   { return true }
+func (rpcGetSuccessorList) Repeatable() bool { return true }
+func (rpcPing) Repeatable() bool             { return true }
+func (rpcReadRefs) Repeatable() bool         { return true }
 
 // Handler processes Chord RPCs addressed to this node. Non-Chord
 // message types yield the bare ErrUnhandled sentinel — nothing is

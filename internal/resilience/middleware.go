@@ -13,26 +13,23 @@ import (
 
 // Middleware applies a Policy to every Send through an underlying
 // transport: per-attempt timeouts, retry with full-jitter backoff,
-// per-destination circuit breakers, and hedged sends for read-only
-// bodies. It implements transport.Network — Bind delegates to the
-// wrapped transport — so it drops into any wiring site that takes a
-// Network or Sender.
+// per-destination circuit breakers, and hedged sends for repeatable
+// bodies (transport.Repeatable). It implements transport.Network — Bind
+// delegates to the wrapped transport — so it drops into any wiring site
+// that takes a Network or Sender.
 //
 // Failure classification follows the transport sentinels: only
 // transport.ErrUnreachable and context.DeadlineExceeded count as
 // transport-level failures (they feed breakers and may be retried);
 // transport.ErrRemote and every other application error mean the
 // destination is alive and are returned immediately. Writes — bodies
-// the read-only classifier rejects — are retried only on
-// ErrUnreachable, where the request provably never reached a handler,
-// so at-most-once semantics for non-idempotent operations survive the
-// retry layer.
+// that are not repeatable — are retried only on an ErrUnreachable that
+// is not transport.ErrInDoubt, where the request never reached a
+// handler, so a write is delivered at most once through the retry
+// layer.
 type Middleware struct {
 	inner transport.Sender
 	pol   Policy
-
-	readMu   sync.RWMutex
-	readOnly func(body any) bool
 
 	mu       sync.Mutex
 	breakers map[transport.Addr]*breaker
@@ -47,9 +44,7 @@ type Middleware struct {
 	shortCircuits *telemetry.Counter // resilience_breaker_short_circuits_total
 }
 
-// Wrap layers pol over inner. The middleware starts with no read-only
-// classifier, so every body is treated as a write (retry on
-// ErrUnreachable only, never hedged) until SetReadOnly installs one.
+// Wrap layers pol over inner.
 func Wrap(inner transport.Sender, pol Policy) *Middleware {
 	return &Middleware{
 		inner:    inner,
@@ -63,15 +58,6 @@ func (m *Middleware) Inner() transport.Sender { return m.inner }
 
 // Policy returns the effective (defaulted) policy.
 func (m *Middleware) Policy() Policy { return m.pol }
-
-// SetReadOnly installs the classifier that marks bodies safe to hedge
-// and to retry on per-attempt timeouts. Combine per-protocol
-// classifiers with AnyOf. Safe to call concurrently with Send.
-func (m *Middleware) SetReadOnly(fn func(body any) bool) {
-	m.readMu.Lock()
-	m.readOnly = fn
-	m.readMu.Unlock()
-}
 
 // SetTelemetry wires the middleware's accounting into reg: retries
 // issued, hedges launched and won, breaker transitions to open, sends
@@ -113,13 +99,13 @@ func (m *Middleware) BreakerState(to transport.Addr) BreakerState {
 
 // Send applies the policy around the wrapped transport's Send.
 func (m *Middleware) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
-	readOnly := m.isReadOnly(body)
+	repeatable := transport.Repeatable(body)
 	for attempt := 1; ; attempt++ {
 		if !m.allow(to) {
 			m.shortCircuits.Inc()
 			return nil, fmt.Errorf("%w: %w (dest %s)", transport.ErrUnreachable, ErrOpen, to)
 		}
-		resp, err := m.attempt(ctx, to, body, readOnly)
+		resp, err := m.attempt(ctx, to, body, repeatable)
 		if err == nil || !transportFailure(err) {
 			// The destination answered (possibly with an application
 			// error): the path is healthy.
@@ -132,7 +118,7 @@ func (m *Middleware) Send(ctx context.Context, to transport.Addr, body any) (any
 			return nil, err
 		}
 		m.onFailure(to)
-		if attempt >= m.pol.MaxAttempts || !retriable(err, readOnly) || ctx.Err() != nil {
+		if attempt >= m.pol.MaxAttempts || !retriable(err, repeatable) || ctx.Err() != nil {
 			return nil, err
 		}
 		if serr := m.sleep(ctx, attempt); serr != nil {
@@ -149,27 +135,20 @@ func transportFailure(err error) bool {
 }
 
 // retriable reports whether a transport failure may be retried.
-// Unreachability is always safe — the request never reached a handler.
-// A timed-out attempt may have executed remotely, so only read-only
-// bodies retry it.
-func retriable(err error, readOnly bool) bool {
+// Unreachability is safe — the request never reached a handler — unless
+// the transport says it is in doubt. A timed-out attempt may have
+// executed remotely, so only repeatable bodies retry it.
+func retriable(err error, repeatable bool) bool {
 	if errors.Is(err, transport.ErrUnreachable) {
-		return true
+		return !errors.Is(err, transport.ErrInDoubt)
 	}
-	return readOnly && errors.Is(err, context.DeadlineExceeded)
-}
-
-func (m *Middleware) isReadOnly(body any) bool {
-	m.readMu.RLock()
-	fn := m.readOnly
-	m.readMu.RUnlock()
-	return fn != nil && fn(body)
+	return repeatable && errors.Is(err, context.DeadlineExceeded)
 }
 
 // attempt performs one policy-level attempt: a single send, or a
-// hedged pair for read-only bodies when hedging is enabled.
-func (m *Middleware) attempt(ctx context.Context, to transport.Addr, body any, readOnly bool) (any, error) {
-	if readOnly && m.pol.HedgeDelay > 0 {
+// hedged pair for repeatable bodies when hedging is enabled.
+func (m *Middleware) attempt(ctx context.Context, to transport.Addr, body any, repeatable bool) (any, error) {
+	if repeatable && m.pol.HedgeDelay > 0 {
 		return m.hedged(ctx, to, body)
 	}
 	return m.single(ctx, to, body)

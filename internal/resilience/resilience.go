@@ -1,7 +1,7 @@
 // Package resilience is the fault-handling policy layer of the
 // keysearch stack: configurable retry with exponential backoff and
 // full jitter, per-attempt timeouts, per-destination circuit breakers,
-// and optional hedged sends for read-only RPCs — packaged as a
+// and optional hedged sends for repeatable RPCs — packaged as a
 // transport middleware (see Wrap) so the same policy protects tcpnet,
 // the Chord RPCs and the index protocol without touching any of them.
 //
@@ -79,10 +79,10 @@ type Policy struct {
 	Multiplier float64
 	// AttemptTimeout bounds each individual attempt (0 = only the
 	// caller's context applies). Expiry counts as a failure and, for
-	// read-only sends, is retried.
+	// repeatable sends (transport.Repeatable), is retried.
 	AttemptTimeout time.Duration
 	// HedgeDelay, when positive, launches a duplicate of a still
-	// unanswered read-only send after this delay; the first response
+	// unanswered repeatable send after this delay; the first response
 	// wins. Writes are never hedged.
 	HedgeDelay time.Duration
 	// MaxHedges bounds the extra sends a hedged request may launch
@@ -150,18 +150,3 @@ func (p Policy) withDefaults() Policy {
 // together with transport.ErrUnreachable so existing unreachability
 // handling (replica failover, subtree skipping) applies unchanged.
 var ErrOpen = errors.New("resilience: circuit breaker open")
-
-// AnyOf combines read-only classifiers: the result reports true when
-// any of the given classifiers does. Use it to mux the per-protocol
-// classifiers (core.ReadOnlyMessage, chord.ReadOnlyRPC) behind one
-// endpoint, mirroring transport.Mux for handlers.
-func AnyOf(classifiers ...func(body any) bool) func(body any) bool {
-	return func(body any) bool {
-		for _, c := range classifiers {
-			if c != nil && c(body) {
-				return true
-			}
-		}
-		return false
-	}
-}

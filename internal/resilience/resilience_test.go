@@ -120,6 +120,15 @@ func counter(t *testing.T, reg *telemetry.Registry, name string) uint64 {
 	return reg.Snapshot().Counters[name]
 }
 
+// readReq is a repeatable body: the middleware may hedge it and retry
+// it after a timed-out attempt. writeReq is a write, delivered at most
+// once.
+type readReq string
+
+func (readReq) Repeatable() bool { return true }
+
+type writeReq string
+
 func TestRetrySucceedsAfterUnreachable(t *testing.T) {
 	clk := newFakeClock()
 	sender := &scriptedSender{fn: func(call int, _ context.Context) (any, error) {
@@ -186,25 +195,58 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 func TestDeadlineRetriedOnlyForReads(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		readOnly  bool
+		body      any
 		wantCalls int
 	}{
-		{"write", false, 1},
-		{"read", true, 2},
+		{"write", writeReq("req"), 1},
+		{"read", readReq("req"), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sender := &scriptedSender{fn: func(int, context.Context) (any, error) {
 				return nil, context.DeadlineExceeded
 			}}
 			mw := Wrap(sender, Policy{MaxAttempts: 2, Clock: newFakeClock()})
-			mw.SetReadOnly(func(any) bool { return tc.readOnly })
 
-			_, err := mw.Send(context.Background(), "dest", "req")
+			_, err := mw.Send(context.Background(), "dest", tc.body)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want DeadlineExceeded", err)
 			}
 			if got := sender.calls(); got != tc.wantCalls {
 				t.Errorf("attempts = %d, want %d", got, tc.wantCalls)
+			}
+		})
+	}
+}
+
+// TestInDoubtNotRetried: a send the transport reports in doubt may have
+// reached its handler, so it makes one attempt, where a plain
+// ErrUnreachable is retried up to MaxAttempts. Both count against the
+// destination's breaker.
+func TestInDoubtNotRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		err       error
+		wantCalls int
+	}{
+		{"in doubt", fmt.Errorf("send to %q: %w", "dest", transport.ErrInDoubt), 1},
+		{"unreachable", fmt.Errorf("dial %q: %w", "dest", transport.ErrUnreachable), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender := &scriptedSender{fn: func(int, context.Context) (any, error) { return nil, tc.err }}
+			mw := Wrap(sender, Policy{
+				MaxAttempts: 3,
+				Clock:       newFakeClock(),
+				// Open at the last failure the send should see.
+				Breaker: BreakerPolicy{FailureThreshold: tc.wantCalls, OpenFor: time.Minute},
+			})
+			if _, err := mw.Send(context.Background(), "dest", writeReq("req")); !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			if got := sender.calls(); got != tc.wantCalls {
+				t.Errorf("attempts = %d, want %d", got, tc.wantCalls)
+			}
+			if got := mw.BreakerState("dest"); got != Open {
+				t.Errorf("breaker = %v, want open: the failure is the transport's", got)
 			}
 		})
 	}
@@ -328,7 +370,6 @@ func TestHedgeWins(t *testing.T) {
 		MaxHedges:   1,
 		Clock:       clk,
 	})
-	mw.SetReadOnly(func(any) bool { return true })
 	reg := telemetry.New(8)
 	mw.SetTelemetry(reg)
 
@@ -338,7 +379,7 @@ func TestHedgeWins(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := mw.Send(context.Background(), "dest", "req")
+		resp, err := mw.Send(context.Background(), "dest", readReq("req"))
 		done <- result{resp, err}
 	}()
 	<-primaryIn // the stuck primary owns call 1 before the hedge can launch
@@ -365,8 +406,12 @@ func (b unitsBody) CloneBody() any {
 	return b
 }
 
+func (unitsBody) Repeatable() bool { return true }
+
 // plainBody shares its slice too, but does not say so.
 type plainBody struct{ units []int }
+
+func (plainBody) Repeatable() bool { return true }
 
 // bodySender hands every call's body to fn with its 1-based sequence
 // number.
@@ -404,7 +449,6 @@ func TestHedgedLegReadsClone(t *testing.T) {
 		return "hedge-ok", nil
 	}}
 	mw := Wrap(sender, Policy{MaxAttempts: 1, HedgeDelay: 10 * time.Millisecond, MaxHedges: 1, Clock: clk})
-	mw.SetReadOnly(func(any) bool { return true })
 
 	body := unitsBody{units: []int{1, 2, 3}}
 	done := make(chan error, 1)
@@ -451,7 +495,6 @@ func TestUnhedgedBodyPassesThrough(t *testing.T) {
 				return "ok", nil
 			}}
 			mw := Wrap(sender, Policy{MaxAttempts: 1, HedgeDelay: tc.hedge, MaxHedges: 1, Clock: clk})
-			mw.SetReadOnly(func(any) bool { return true })
 			if _, err := mw.Send(context.Background(), "dest", tc.body); err != nil {
 				t.Fatal(err)
 			}
@@ -480,7 +523,6 @@ func TestHedgedFastFailureSkipsHedge(t *testing.T) {
 		HedgeDelay:  10 * time.Millisecond,
 		Clock:       clk,
 	})
-	mw.SetReadOnly(func(any) bool { return true })
 	reg := telemetry.New(8)
 	mw.SetTelemetry(reg)
 
@@ -489,7 +531,7 @@ func TestHedgedFastFailureSkipsHedge(t *testing.T) {
 	// otherwise) and without launching a hedge.
 	done := make(chan error, 1)
 	go func() {
-		_, err := mw.Send(context.Background(), "dest", "req")
+		_, err := mw.Send(context.Background(), "dest", readReq("req"))
 		done <- err
 	}()
 	select {
@@ -580,17 +622,5 @@ func TestBackoffCapGrowth(t *testing.T) {
 	}
 	if got := (Policy{}.withDefaults()).backoffCap(1); got != 0 {
 		t.Errorf("zero BaseDelay backoffCap = %v, want 0", got)
-	}
-}
-
-func TestAnyOf(t *testing.T) {
-	isString := func(b any) bool { _, ok := b.(string); return ok }
-	isInt := func(b any) bool { _, ok := b.(int); return ok }
-	cl := AnyOf(nil, isString, isInt)
-	if !cl("x") || !cl(7) {
-		t.Error("AnyOf should accept bodies matched by any classifier")
-	}
-	if cl(3.14) {
-		t.Error("AnyOf should reject bodies matched by none")
 	}
 }

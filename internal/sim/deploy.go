@@ -147,7 +147,6 @@ func NewCustomDeployment(cfg DeployConfig) (*Deployment, error) {
 	var mw *resilience.Middleware
 	if cfg.Policy != nil {
 		mw = resilience.Wrap(net, *cfg.Policy)
-		mw.SetReadOnly(core.ReadOnlyMessage)
 		mw.SetTelemetry(cfg.Telemetry)
 		sender = mw
 	}

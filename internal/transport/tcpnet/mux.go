@@ -132,6 +132,12 @@ var replyChans = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
 // wmu, or whose write timed out before a byte left, gives up with its
 // own error and leaves the stream in sync. Only a write that failed
 // part-way, or for another reason, kills the mux.
+//
+// A failed mux fails the request one of two ways. Before its frame was
+// written whole — the mux was already dead, or the write failed — the
+// peer cannot have handled it: ErrUnreachable. After, it may have:
+// ErrInDoubt, unless the body is transport.Repeatable, for which the
+// doubt changes nothing and the plain ErrUnreachable lets it be resent.
 func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any) (any, error) {
 	ins := mc.net.ins.Load()
 
@@ -184,6 +190,11 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 	select {
 	case res := <-ch:
 		replyChans.Put(ch)
+		if res.err != nil && errors.Is(res.err, transport.ErrUnreachable) && !transport.Repeatable(body) {
+			// The whole frame was out when the mux failed: the peer may
+			// have handled it, and a write must not be sent again.
+			return nil, fmt.Errorf("send to %q: %w", mc.to, transport.ErrInDoubt)
+		}
 		return res.body, res.err
 	case <-ctx.Done():
 		mc.deregister(id)
@@ -271,9 +282,10 @@ func (mc *muxConn) readLoop() {
 
 // sendBinary performs one RPC over the shared mux, with a single retry
 // on a fresh connection when the failure hit a mux that predates this
-// call (the peer closed an idle connection). The retry never receives
-// the mux that just failed: the entry is dropped before the re-dial,
-// whether or not its own fail has got that far.
+// call (the peer closed an idle connection) and the request was not
+// delivered, or is repeatable. The retry never receives the mux that
+// just failed: the entry is dropped before the re-dial, whether or not
+// its own fail has got that far.
 func (n *Network) sendBinary(ctx context.Context, from, to transport.Addr, body any) (any, error) {
 	e, wasShared, err := n.mux(ctx, to)
 	if err == nil {

@@ -462,3 +462,94 @@ func TestBinaryRejectsUnregisteredType(t *testing.T) {
 		t.Errorf("err = %v, want mention of %q", err, want)
 	}
 }
+
+// TestInDoubtAfterWrittenFrame: a warm shared mux dies while the peer
+// is handling a request whose frame went out whole. A write's handler
+// must run exactly once — the caller learns the send is in doubt
+// (ErrInDoubt, which is also ErrUnreachable) instead of the mux sending
+// it again on a fresh connection. A repeatable body is resent there and
+// answered, so its handler runs twice.
+func TestInDoubtAfterWrittenFrame(t *testing.T) {
+	registerTestTypes()
+	for _, tc := range []struct {
+		name     string
+		body     any
+		wantRuns int64
+	}{
+		{"write", put{N: 7}, 1},
+		{"repeatable", ping{N: 7}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New()
+			defer n.Close()
+			var runs atomic.Int64
+			started := make(chan struct{}, 2)
+			release := make(chan struct{})
+			node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
+				var v int
+				switch b := body.(type) {
+				case ping:
+					v = b.N
+				case put:
+					v = b.N
+				}
+				if v == 7 {
+					runs.Add(1)
+					started <- struct{}{}
+					select {
+					case <-release:
+					case <-ctx.Done():
+					}
+				}
+				return pong{N: v}, nil
+			})
+			if err != nil {
+				t.Fatalf("Bind: %v", err)
+			}
+			if _, err := n.Send(context.Background(), node.Addr(), ping{N: 1}); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+			n.mu.Lock()
+			mc := n.muxes[node.Addr()].mc
+			n.mu.Unlock()
+
+			type result struct {
+				resp any
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				resp, err := n.Send(context.Background(), node.Addr(), tc.body)
+				done <- result{resp, err}
+			}()
+			<-started // the handler runs: the whole frame was written
+			mc.conn.Close()
+			close(release)
+			var res result
+			select {
+			case res = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("send never returned after its mux died")
+			}
+
+			if got := runs.Load(); got != tc.wantRuns {
+				t.Errorf("handler ran %d times, want %d", got, tc.wantRuns)
+			}
+			if tc.wantRuns == 1 {
+				if !errors.Is(res.err, transport.ErrInDoubt) || !errors.Is(res.err, transport.ErrUnreachable) {
+					t.Errorf("write after its mux died: %v, want ErrInDoubt and ErrUnreachable", res.err)
+				}
+				return
+			}
+			if res.err != nil || res.resp != (pong{N: 7}) {
+				t.Errorf("repeatable send after its mux died = %v, %v; want pong{7} from a fresh connection", res.resp, res.err)
+			}
+			n.mu.Lock()
+			e := n.muxes[node.Addr()]
+			n.mu.Unlock()
+			if e == nil || e.mc == mc {
+				t.Error("the resend did not dial a fresh connection")
+			}
+		})
+	}
+}

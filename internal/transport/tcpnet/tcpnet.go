@@ -145,10 +145,10 @@ func (n *Network) SendFrom(ctx context.Context, from, to transport.Addr, body an
 
 // retriableSendErr reports whether a failed exchange is worth one
 // retry on a fresh connection: only transport-level failures qualify
-// (the reused-connection race), never remote application errors or
-// the caller's own cancellation.
+// (the reused-connection race), never one in doubt, remote application
+// errors or the caller's own cancellation.
 func retriableSendErr(ctx context.Context, err error) bool {
-	return ctx.Err() == nil && errors.Is(err, transport.ErrUnreachable)
+	return ctx.Err() == nil && errors.Is(err, transport.ErrUnreachable) && !errors.Is(err, transport.ErrInDoubt)
 }
 
 // Close shuts down all listeners and muxes.

@@ -23,6 +23,13 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 type ping struct{ N int }
 type pong struct{ N int }
 
+// ping is an echo: a second delivery is harmless, so a failed send of it
+// is resent on a fresh connection (TestRedialAfterListenerRestart).
+func (ping) Repeatable() bool { return true }
+
+// put is a write: a body without Repeatable, delivered at most once.
+type put struct{ N int }
+
 // classQry mirrors the shape of the query-class message extension: a
 // string key followed by a trailing (small int, u64 bitmask) pair, the
 // exact appended-field layout the core codecs grew for prefix search.
@@ -36,6 +43,8 @@ func (m ping) MarshalWire(w *wire.Writer)          { w.Int(m.N) }
 func (m *ping) UnmarshalWire(r *wire.Reader) error { m.N = r.Int(); return r.Err() }
 func (m pong) MarshalWire(w *wire.Writer)          { w.Int(m.N) }
 func (m *pong) UnmarshalWire(r *wire.Reader) error { m.N = r.Int(); return r.Err() }
+func (m put) MarshalWire(w *wire.Writer)           { w.Int(m.N) }
+func (m *put) UnmarshalWire(r *wire.Reader) error  { m.N = r.Int(); return r.Err() }
 func (m classQry) MarshalWire(w *wire.Writer) {
 	w.String(m.Key)
 	w.Int(m.Class)
@@ -52,6 +61,7 @@ func registerTestTypes() {
 	wire.Register[ping](59001)
 	wire.Register[pong](59002)
 	wire.Register[classQry](59005)
+	wire.Register[put](59006)
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -41,6 +41,21 @@ type BodyCloner interface {
 	CloneBody() any
 }
 
+// RepeatableBody is implemented by bodies a second delivery of which is
+// harmless: reads, whose handler changes nothing a caller could count.
+// A body's class is the one rule every sender that resends or hedges
+// asks, through Repeatable.
+type RepeatableBody interface {
+	Repeatable() bool
+}
+
+// Repeatable reports whether body may be delivered twice. A body without
+// the method is a write: it is delivered at most once.
+func Repeatable(body any) bool {
+	r, ok := body.(RepeatableBody)
+	return ok && r.Repeatable()
+}
+
 // Node is a bound endpoint that can receive requests.
 type Node interface {
 	// Addr returns the endpoint's address.
@@ -61,6 +76,12 @@ var (
 	// ErrUnreachable reports that the destination is not bound, is
 	// marked failed, or cannot be connected to.
 	ErrUnreachable = errors.New("transport: destination unreachable")
+	// ErrInDoubt reports a request that was sent in full when the
+	// connection failed: its handler may have run. It matches
+	// ErrUnreachable through errors.Is, so failover treats it alike, but
+	// nothing resends it. A transport returns it only for a body that is
+	// not Repeatable; a repeatable one is resent instead.
+	ErrInDoubt = fmt.Errorf("%w after the request was sent, which may have been handled", ErrUnreachable)
 	// ErrClosed reports use of a closed transport or endpoint.
 	ErrClosed = errors.New("transport: closed")
 	// ErrRemote wraps an application error returned by a remote handler.

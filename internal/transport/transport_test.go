@@ -97,3 +97,34 @@ func TestMuxEmpty(t *testing.T) {
 		t.Errorf("empty mux: %v", err)
 	}
 }
+
+type readBody struct{ cumulative bool }
+
+func (b readBody) Repeatable() bool { return !b.cumulative }
+
+func TestRepeatable(t *testing.T) {
+	for _, tc := range []struct {
+		body any
+		want bool
+	}{
+		{readBody{}, true},
+		{readBody{cumulative: true}, false},
+		{&readBody{}, true},
+		{struct{}{}, false},
+		{nil, false},
+	} {
+		if got := Repeatable(tc.body); got != tc.want {
+			t.Errorf("Repeatable(%#v) = %v, want %v", tc.body, got, tc.want)
+		}
+	}
+}
+
+func TestInDoubtIsUnreachable(t *testing.T) {
+	err := fmt.Errorf("send to %q: %w", "n1", ErrInDoubt)
+	if !errors.Is(err, ErrUnreachable) || !errors.Is(err, ErrInDoubt) {
+		t.Errorf("%v: want both ErrInDoubt and ErrUnreachable", err)
+	}
+	if errors.Is(ErrUnreachable, ErrInDoubt) {
+		t.Error("a plain ErrUnreachable must not read as in doubt")
+	}
+}

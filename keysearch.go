@@ -130,6 +130,10 @@ var (
 	ErrBadObject     = core.ErrBadObject
 	ErrNoSuchObject  = dht.ErrNoSuchObject
 	ErrUnreachable   = transport.ErrUnreachable
+	// ErrInDoubt (which also matches ErrUnreachable) reports a write
+	// whose connection failed after it was sent: it may have been
+	// applied, and it was not sent again.
+	ErrInDoubt = transport.ErrInDoubt
 	// ErrOverload matches (via errors.Is) any error caused by a server
 	// shedding load under admission control.
 	ErrOverload = admission.ErrOverload

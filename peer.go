@@ -169,7 +169,6 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 	var sender transport.Sender = network
 	if cfg.Resilience != nil {
 		mw := resilience.Wrap(network, *cfg.Resilience)
-		mw.SetReadOnly(resilience.AnyOf(core.ReadOnlyMessage, chord.ReadOnlyRPC))
 		mw.SetTelemetry(cfg.Telemetry)
 		sender = mw
 	}
