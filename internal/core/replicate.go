@@ -50,6 +50,32 @@ func NewReplicated(clients ...*Client) (*Replicated, error) {
 	return &Replicated{clients: clients}, nil
 }
 
+// ReplicaClients builds one client per index replica over the shared
+// resolver and sender. Replica 0 is instance base hashed with seed;
+// replica i > 0 is instance "<base>-replica-<i>" hashed with seed plus i
+// times the golden-ratio constant, so its keyword hash — and with the
+// instance its vertex→node salt — differs from every other replica's
+// and no node is responsible for the same keyword set in two of them.
+// spread sets each client's SetSpread.
+func ReplicaClients(replicas int, base string, dim int, seed uint64, resolver Resolver, sender transport.Sender, spread bool) ([]*Client, error) {
+	clients := make([]*Client, replicas)
+	for i := range clients {
+		instance := base
+		if i > 0 {
+			instance = fmt.Sprintf("%s-replica-%d", base, i)
+		}
+		hasher, err := keyword.NewHasher(dim, seed+uint64(i)*0x9e3779b97f4a7c15)
+		if err != nil {
+			return nil, err
+		}
+		if clients[i], err = NewInstanceClient(instance, hasher, resolver, sender); err != nil {
+			return nil, err
+		}
+		clients[i].SetSpread(spread)
+	}
+	return clients, nil
+}
+
 // SetTelemetry wires the replicated index's fan-out accounting into
 // reg: writes attempted and failed per replica, reads issued, and
 // read failovers past an unusable replica. Call before serving

@@ -207,3 +207,34 @@ func TestReplicatedTelemetryCounters(t *testing.T) {
 		t.Errorf("core_replica_fanout = %d, want 2", got)
 	}
 }
+
+// TestReplicaClientsNamesAndSeeds pins the replica-instance rule every
+// deployment builds its clients with: instance base, then
+// "<base>-replica-<i>", each hashed with the base seed plus i times the
+// golden-ratio constant.
+func TestReplicaClientsNamesAndSeeds(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	resolver := FuncResolver(func(hypercube.Vertex) transport.Addr { return "n0" })
+	const golden uint64 = 0x9e3779b97f4a7c15
+	for _, seed := range []uint64{0, 42} {
+		clients, err := ReplicaClients(3, "main", 8, seed, resolver, net, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []struct {
+			instance string
+			seed     uint64
+		}{
+			{"main", seed},
+			{"main-replica-1", seed + golden},
+			{"main-replica-2", seed + golden + golden},
+		}
+		for i, c := range clients {
+			if c.Instance() != want[i].instance || c.hasher.Seed() != want[i].seed || c.hasher.Dim() != 8 || !c.spreadOn {
+				t.Errorf("seed %d, replica %d: instance %q, hash seed %#x, dim %d, spread %v; want %q, %#x, 8, true",
+					seed, i, c.Instance(), c.hasher.Seed(), c.hasher.Dim(), c.spreadOn, want[i].instance, want[i].seed)
+			}
+		}
+	}
+}

@@ -202,20 +202,10 @@ func NewCustomDeployment(cfg DeployConfig) (*Deployment, error) {
 	}
 	// One client per index instance; the shared server fleet hosts every
 	// instance's tables (same as a Peer deployment).
-	clients := make([]*core.Client, replicas)
-	for i := range clients {
-		instance, seed := core.DefaultInstance, uint64(HashSeed)
-		if i > 0 {
-			instance = fmt.Sprintf("%s-replica-%d", core.DefaultInstance, i)
-			seed += uint64(i) * 0x9e3779b97f4a7c15
-		}
-		var err error
-		clients[i], err = core.NewInstanceClient(instance, keyword.MustNewHasher(r, seed), resolver, sender)
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-		clients[i].SetSpread(cfg.HotSpread)
+	clients, err := core.ReplicaClients(replicas, core.DefaultInstance, r, HashSeed, resolver, sender, cfg.HotSpread)
+	if err != nil {
+		net.Close()
+		return nil, err
 	}
 	d := &Deployment{
 		R: r, Peers: peers, Net: net, Hasher: hasher, Servers: servers,

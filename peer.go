@@ -218,28 +218,12 @@ func NewPeer(network transport.Network, addr Addr, cfg Config) (*Peer, error) {
 		server.EnqueueMigration(leaver.Addr, uint64(leaver.ID), uint64(pred.ID))
 	})
 
-	// One client per index replica: replica i has its own keyword hash
-	// (seeded i times the golden-ratio constant) and its own
-	// vertex→node salt, so no node is responsible for the same keyword
-	// set in two replicas. The single index server hosts every
-	// instance's tables.
-	clients := make([]*core.Client, cfg.IndexReplicas)
-	for i := range clients {
-		instance := cfg.Instance
-		if i > 0 {
-			instance = fmt.Sprintf("%s-replica-%d", cfg.Instance, i)
-		}
-		replicaHasher, err := keyword.NewHasher(cfg.Dim, uint64(i)*0x9e3779b97f4a7c15)
-		if err != nil {
-			endpoint.Close()
-			return nil, err
-		}
-		clients[i], err = core.NewInstanceClient(instance, replicaHasher, resolver, sender)
-		if err != nil {
-			endpoint.Close()
-			return nil, err
-		}
-		clients[i].SetSpread(cfg.HotSpread)
+	// One client per index replica (core.ReplicaClients); the single
+	// index server hosts every instance's tables.
+	clients, err := core.ReplicaClients(cfg.IndexReplicas, cfg.Instance, cfg.Dim, 0, resolver, sender, cfg.HotSpread)
+	if err != nil {
+		endpoint.Close()
+		return nil, err
 	}
 	index, err := core.NewReplicated(clients...)
 	if err != nil {
