@@ -85,30 +85,23 @@ loc:
 # the popularity cache keeps the Zipf head (< 1% misses) where FIFO
 # thrashes (>= 1%) at equal capacity. Wall-clock time gates nothing
 # here — benchmarks/ksperf's bounds are the timing gate — and is only
-# reported: BenchmarkDurableIndexingOverhead's WAL overhead with
-# fsync=interval (recorded with the other durability benchmarks into
-# results/wal.txt), BenchmarkWireCodec's and BenchmarkWireRPC's time,
-# allocations and bytes (recorded into results/wire.txt; their byte
-# sizes are pinned by TestWireCodecBytesPinned and
+# printed, never recorded: BenchmarkWALAppend's and
+# BenchmarkDurableIndexingOverhead's WAL overhead with fsync=interval,
+# BenchmarkWireCodec's and BenchmarkWireRPC's time, allocations and
+# bytes (their byte sizes are pinned by TestWireCodecBytesPinned and
 # TestWireRPCBytesPinned in tier-1), and BenchmarkHotQueryCache's hot
-# vs FIFO p99 (recorded into results/cache.txt). BenchmarkMegaWave
-# prints time, bytes and allocations of one exhaustive r = 10 wave over
-# a 16-peer ring at a steady iteration count (bytes/op / 512 is
-# alloc-smoke's per-vertex figure).
+# vs FIFO p99. BenchmarkMegaWave prints time, bytes and allocations of
+# one exhaustive r = 10 wave over a 16-peer ring at a steady iteration
+# count (bytes/op / 512 is alloc-smoke's per-vertex figure). The target
+# writes nothing into the tree.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkMegaWave -benchtime 200x ./internal/core/
-	mkdir -p results
-	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchtime 5000x ./internal/store/ \
-		| tee results/wal.txt
-	$(GO) test -run '^$$' -bench BenchmarkDurableIndexingOverhead -benchtime=1x ./internal/sim/ \
-		| tee -a results/wal.txt
-	$(GO) test -run '^$$' -bench BenchmarkWireCodec -benchtime=1x -benchmem ./internal/core/ \
-		| tee results/wire.txt
-	$(GO) test -run '^$$' -bench BenchmarkWireRPC -benchtime=1x ./internal/transport/tcpnet/ \
-		| tee -a results/wire.txt
-	$(GO) test -run '^$$' -bench BenchmarkHotQueryCache -benchtime=1x ./internal/sim/ \
-		| tee results/cache.txt
+	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchtime 5000x ./internal/store/
+	$(GO) test -run '^$$' -bench BenchmarkDurableIndexingOverhead -benchtime=1x ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkWireCodec -benchtime=1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkWireRPC -benchtime=1x ./internal/transport/tcpnet/
+	$(GO) test -run '^$$' -bench BenchmarkHotQueryCache -benchtime=1x ./internal/sim/
 
 # Open-loop load-rig smoke: a short seeded ksload-style run against an
 # inmem fleet with admission control on, asserting the accounting
@@ -201,12 +194,15 @@ fuzz-smoke:
 # inserts/deletes/batch scans on one sharded server), and the churn
 # hammer (searches and mutations racing join/leave cycles with live
 # migrations), all under the race detector. Then 300 rounds of the two
-# mux-retry tests (about a second): a sender must never be handed the
-# mux it just failed on, and that window is too narrow for one run.
+# mux-retry tests and the in-doubt test (about a second): a sender must
+# never be handed the mux it just failed on, and that window is too
+# narrow for one run; a write whose mux died after its frame went out
+# must reach its handler once and come back ErrInDoubt, where a
+# repeatable body is resent and answered.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Breaker|Retry|Hedge|Latency|ListenerClose|Hammer' \
 		. ./internal/sim/ ./internal/resilience/ ./internal/transport/... ./internal/core/
-	$(GO) test -count=300 -run 'TestRedialAfterListenerRestart|TestSendRedialsPastDeadMux' ./internal/transport/tcpnet
+	$(GO) test -count=300 -run 'TestRedialAfterListenerRestart|TestSendRedialsPastDeadMux|TestInDoubtAfterWrittenFrame' ./internal/transport/tcpnet
 
 build:
 	$(GO) build ./...
