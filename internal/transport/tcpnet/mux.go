@@ -190,7 +190,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 	select {
 	case res := <-ch:
 		replyChans.Put(ch)
-		if res.err != nil && errors.Is(res.err, transport.ErrUnreachable) && !transport.Repeatable(body) {
+		if errors.Is(res.err, transport.ErrUnreachable) && !transport.Repeatable(body) {
 			// The whole frame was out when the mux failed: the peer may
 			// have handled it, and a write must not be sent again.
 			return nil, fmt.Errorf("send to %q: %w", mc.to, transport.ErrInDoubt)

@@ -483,7 +483,7 @@ func TestInDoubtAfterWrittenFrame(t *testing.T) {
 			n := New()
 			defer n.Close()
 			var runs atomic.Int64
-			started := make(chan struct{}, 2)
+			started := make(chan struct{}, 2) // one per handler run: at most the send and one resend
 			release := make(chan struct{})
 			node, err := n.Bind("127.0.0.1:0", func(ctx context.Context, from transport.Addr, body any) (any, error) {
 				var v int

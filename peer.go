@@ -71,8 +71,9 @@ type Config struct {
 	// — Chord maintenance and lookups, index waves, client operations —
 	// through a resilience middleware applying the policy: retry with
 	// full-jitter backoff, per-destination circuit breakers, and hedged
-	// sends for read-only RPCs. Nil disables the layer (raw transport
-	// semantics, as before). See DefaultResilience for the recommended
+	// sends for reads (transport.Repeatable); a write is delivered at
+	// most once. Nil disables the layer (raw transport semantics, as
+	// before). See DefaultResilience for the recommended
 	// production policy.
 	Resilience *ResiliencePolicy
 	// DataDir, when non-empty, makes this peer's index durable: every
