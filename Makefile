@@ -38,7 +38,9 @@ ci: vet nogob build race alloc-smoke chaos crash-smoke churn-smoke load-smoke fu
 # off, zero for encoding any index-protocol message, and at most 12
 # allocations and 400 B for one warm small TCP RPC, both ends counted
 # (no encode copy, one box per decode, reused Readers, the request
-# frame as its own arena, pooled reply channels), zero for a warm WAL
+# frame as its own arena, pooled reply channels), at most 15 and 640 B
+# for the same RPC under a caller's deadline (the listener's
+# context.WithDeadline for the handler), zero for a warm WAL
 # append of an insert record, and one for decoding one (its strings
 # share one copy of the record's payload). Without -race: the
 # detector's instrumentation allocates on its own account, so under

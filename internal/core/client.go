@@ -96,8 +96,8 @@ func (c *Client) send(ctx context.Context, v hypercube.Vertex, body any) (any, e
 // cumulative page, prefix, refinement and pin differ only in the class,
 // the addressed vertex, the key and the few fields their callers set
 // afterwards. It stamps the client identity (opts.ClientID overrides
-// the client's own) and carries ctx's deadline to the root.
-func (c *Client) request(ctx context.Context, class QueryClass, root hypercube.Vertex, key string, threshold int, opts SearchOptions) (msgTQuery, error) {
+// the client's own).
+func (c *Client) request(class QueryClass, root hypercube.Vertex, key string, threshold int, opts SearchOptions) (msgTQuery, error) {
 	if threshold <= 0 {
 		return msgTQuery{}, fmt.Errorf("core: threshold %d must be positive", threshold)
 	}
@@ -116,9 +116,6 @@ func (c *Client) request(ctx context.Context, class QueryClass, root hypercube.V
 	}
 	if msg.ClientID == "" {
 		msg.ClientID = c.clientID
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
 	}
 	return msg, nil
 }
@@ -288,7 +285,7 @@ func (c *Client) PinSearch(ctx context.Context, k keyword.Set) ([]string, Stats,
 		return nil, Stats{}, ErrEmptyQuery
 	}
 	v := c.hasher.Vertex(k)
-	msg, err := c.request(ctx, ClassPin, v, k.Key(), All, SearchOptions{})
+	msg, err := c.request(ClassPin, v, k.Key(), All, SearchOptions{})
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -336,7 +333,7 @@ func (c *Client) PrefixSearchMasked(ctx context.Context, prefix string, mask uin
 		return Result{}, fmt.Errorf("core: dimension mask selects no dimensions")
 	}
 	root := hypercube.Vertex(mask & -mask) // lowest masked dimension coordinates
-	msg, err := c.request(ctx, ClassPrefix, root, p, threshold, opts)
+	msg, err := c.request(ClassPrefix, root, p, threshold, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -380,7 +377,7 @@ func (c *Client) RefineSearch(ctx context.Context, base, refined keyword.Set, th
 		// refining to the identical query is just a plain search.
 		return c.search(ctx, refined, threshold, opts, false, 0)
 	}
-	msg, err := c.request(ctx, ClassSuperset, c.hasher.Vertex(refined), refined.Key(), threshold, opts)
+	msg, err := c.request(ClassSuperset, c.hasher.Vertex(refined), refined.Key(), threshold, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -398,7 +395,7 @@ func (c *Client) search(ctx context.Context, k keyword.Set, threshold int, opts 
 		return Result{}, ErrEmptyQuery
 	}
 	v := c.hasher.Vertex(k)
-	msg, err := c.request(ctx, ClassSuperset, v, k.Key(), threshold, opts)
+	msg, err := c.request(ClassSuperset, v, k.Key(), threshold, opts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -54,7 +54,7 @@ func FuzzCoreDecode(f *testing.F) {
 		respSubQueryBatch{Hits: []respSubUnit{{Index: 0, Matches: matches, Remaining: 1}, {Index: 4, ErrCode: 2}}},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500},
 		respMigrateChunk{Entries: entries, Done: true},
-		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
+		msgMigrateCommit{NewID: 5, OwnerID: 6},
 		respMigrateCommit{Dropped: 3},
 		msgSoftPromote{Instance: "main", Vertex: 7, Gen: 2},
 		msgSoftInvalidate{Instance: "main", Vertex: 7, Gen: 2, SetKey: "a"},

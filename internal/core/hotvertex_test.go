@@ -408,14 +408,19 @@ type sendLog struct {
 	sent []sentBody
 }
 
+// sentBody is one logged send: its destination, its body and the
+// deadline of the context it was sent under — over inmem, the context
+// the receiving handler runs under.
 type sentBody struct {
-	to   transport.Addr
-	body any
+	to       transport.Addr
+	body     any
+	deadline time.Time
 }
 
 func (l *sendLog) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
+	dl, _ := ctx.Deadline()
 	l.mu.Lock()
-	l.sent = append(l.sent, sentBody{to: to, body: body})
+	l.sent = append(l.sent, sentBody{to: to, body: body, deadline: dl})
 	l.mu.Unlock()
 	return l.Sender.Send(ctx, to, body)
 }
@@ -453,7 +458,7 @@ func instrument(srv *Server) *telemetry.Registry {
 // (SoftOnly) and maps its answer to the client's view.
 func askSoft(ctx context.Context, t *testing.T, d *deployment, addr transport.Addr, q keyword.Set, threshold int) Result {
 	t.Helper()
-	msg, err := d.client.request(ctx, ClassSuperset, d.hasher.Vertex(q), q.Key(), threshold, SearchOptions{})
+	msg, err := d.client.request(ClassSuperset, d.hasher.Vertex(q), q.Key(), threshold, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +519,8 @@ func TestSoftReplicaMissAskedOfOwner(t *testing.T) {
 	if !ok || fwd.SoftOnly || sent[0].to != owner {
 		t.Fatalf("replica sent %T to %s, want a plain T_QUERY to the owner %s", sent[0].body, sent[0].to, owner)
 	}
-	if dl, _ := ctx.Deadline(); fwd.DeadlineUnixNano != dl.UnixNano() {
-		t.Errorf("forward deadline = %d, want the query's %d", fwd.DeadlineUnixNano, dl.UnixNano())
+	if dl, _ := ctx.Deadline(); !sent[0].deadline.Equal(dl) {
+		t.Errorf("forward deadline = %v, want the query's %v", sent[0].deadline, dl)
 	}
 
 	again := askSoft(ctx, t, d, d.addrs[replica], q, All)
@@ -566,7 +571,7 @@ func TestSoftReplicaBouncesWhenOwnerUnreachable(t *testing.T) {
 	reg := instrument(d.servers[replica])
 	d.net.SetDown(d.addrs[0], true)
 
-	msg, err := d.client.request(ctx, ClassSuperset, root, q.Key(), 10, SearchOptions{})
+	msg, err := d.client.request(ClassSuperset, root, q.Key(), 10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +780,7 @@ func TestPlainQueryAtSoftReplicaRefused(t *testing.T) {
 	replica.cfg.OwnedArc = func() (pred, self dht.ID, joined bool) { return 0, 0, false }
 	cached := replica.cache.len()
 
-	msg, err := d.client.request(ctx, ClassSuperset, root, q.Key(), 10, SearchOptions{})
+	msg, err := d.client.request(ClassSuperset, root, q.Key(), 10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,6 @@ type (
 		NoCache    bool
 		WantTrace  bool
 		ClientID   string
-		// DeadlineUnixNano carries the initiator's context deadline to
-		// the root (0 = none). TCP handlers run under the listener's
-		// context, which knows nothing of the caller's deadline; the
-		// root re-derives a deadline-bearing context from this field so
-		// admission can shed doomed requests and an expired traversal
-		// abandons its remaining waves.
-		DeadlineUnixNano int64
 		// RefineFromKey marks an explicit refinement request (Lemma
 		// 3.3): the receiver is the root of a previously-exhausted
 		// search for the ancestor query RefineFromKey rooted at
@@ -129,11 +122,6 @@ type (
 		QueryKey string
 		Limit    int
 		Units    []wireUnit
-		// DeadlineUnixNano propagates the search deadline into the
-		// frame (0 = none): a receiver whose transport context carries
-		// no deadline (tcpnet) still stops scanning units once the
-		// root's search has expired.
-		DeadlineUnixNano int64
 		// Class selects the match predicate for every unit of the frame
 		// (zero value = ClassSuperset; QueryKey's meaning follows
 		// msgTQuery.Class).
@@ -183,18 +171,13 @@ type (
 	// msgMigrateCommit — and the cursor is client-driven, so the source
 	// holds no transfer state and a crashed puller resumes by replaying
 	// its last durable cursor. Migration traffic is interior: it is
-	// never gated by admission control, and it carries the manager's
-	// per-chunk deadline like search frames do.
+	// never gated by admission control.
 	msgMigrateChunk struct {
 		NewID      uint64
 		OwnerID    uint64
 		Cursor     wireCursor
 		MaxEntries int
 		MaxBytes   int
-		// DeadlineUnixNano carries the migration manager's per-chunk
-		// deadline (0 = none); TCP handler contexts don't know the
-		// caller's deadline, so the source re-derives it from here.
-		DeadlineUnixNano int64
 	}
 	// respMigrateChunk is one page of entries in the source's canonical
 	// order (store.Entry.Compare). Its last entry is the resume point
@@ -215,11 +198,11 @@ type (
 	// msgMigrateCommit ends the double-read window: the new owner has
 	// durably applied every chunk, so the old owner now extracts and
 	// drops the migrated range (logging OpHandoff) and stops serving
-	// it. Idempotent — recommitting an already-dropped range is a no-op.
+	// it. Idempotent — recommitting an already-dropped range is a no-op
+	// (TestMigrateCommitRedeliveryIsNoOp), so it is repeatable.
 	msgMigrateCommit struct {
-		NewID            uint64
-		OwnerID          uint64
-		DeadlineUnixNano int64
+		NewID   uint64
+		OwnerID uint64
 	}
 	respMigrateCommit struct {
 		Dropped int
@@ -254,11 +237,14 @@ type (
 )
 
 // Repeatable implements transport.RepeatableBody: a frame of sub-queries
-// and a migration page are reads, so a second delivery is harmless and
-// they may be resent or hedged.
+// and a migration page are reads, and a second commit of a range finds
+// it dropped already, so a second delivery is harmless and they may be
+// resent or hedged.
 func (msgSubQueryBatch) Repeatable() bool { return true }
 
 func (msgMigrateChunk) Repeatable() bool { return true }
+
+func (msgMigrateCommit) Repeatable() bool { return true }
 
 // Repeatable implements transport.RepeatableBody: a one-shot T_QUERY is
 // a read (its only side effect is populating the result cache);

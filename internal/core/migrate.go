@@ -55,8 +55,8 @@ type MigrationConfig struct {
 	// Throttle pauses between chunks, bounding the transfer's bandwidth
 	// and lock footprint (0 = pull back to back).
 	Throttle time.Duration
-	// ChunkTimeout is the per-chunk (and per-commit) RPC deadline,
-	// propagated on the wire via DeadlineUnixNano.
+	// ChunkTimeout is the per-chunk (and per-commit) RPC deadline; the
+	// source's handler runs under it.
 	ChunkTimeout time.Duration
 	// MaxAttempts bounds retries per chunk/commit before the migration
 	// aborts (the source is presumed gone).
@@ -537,14 +537,11 @@ func (s *Server) Depart(selfID uint64) (wait func(context.Context) (int, error))
 }
 
 // pullChunk fetches one chunk with bounded retries and a per-attempt
-// deadline carried on the wire.
+// deadline.
 func (m *migrationManager) pullChunk(key migKey, cursor wireCursor) (respMigrateChunk, error) {
-	raw, err := m.sendRetry(key.source, func(deadlineNS int64) any {
-		return msgMigrateChunk{
-			NewID: key.newID, OwnerID: key.ownerID, Cursor: cursor,
-			MaxEntries: m.cfg.ChunkEntries, MaxBytes: defaultChunkBytes,
-			DeadlineUnixNano: deadlineNS,
-		}
+	raw, err := m.sendRetry(key.source, msgMigrateChunk{
+		NewID: key.newID, OwnerID: key.ownerID, Cursor: cursor,
+		MaxEntries: m.cfg.ChunkEntries, MaxBytes: defaultChunkBytes,
 	})
 	if err != nil {
 		return respMigrateChunk{}, fmt.Errorf("migrate chunk from %s: %w", key.source, err)
@@ -558,9 +555,7 @@ func (m *migrationManager) pullChunk(key migKey, cursor wireCursor) (respMigrate
 
 // commit tells the source to extract-and-drop the migrated range.
 func (m *migrationManager) commit(key migKey) error {
-	raw, err := m.sendRetry(key.source, func(deadlineNS int64) any {
-		return msgMigrateCommit{NewID: key.newID, OwnerID: key.ownerID, DeadlineUnixNano: deadlineNS}
-	})
+	raw, err := m.sendRetry(key.source, msgMigrateCommit{NewID: key.newID, OwnerID: key.ownerID})
 	if err != nil {
 		return fmt.Errorf("migrate commit to %s: %w", key.source, err)
 	}
@@ -570,11 +565,11 @@ func (m *migrationManager) commit(key migKey) error {
 	return nil
 }
 
-// sendRetry sends build's message with per-attempt timeouts and
-// doubling backoff. The configured Sender is the peer's resilience
-// middleware when one is wired, so transient faults are additionally
-// absorbed per attempt by retry/backoff/breakers there.
-func (m *migrationManager) sendRetry(addr transport.Addr, build func(deadlineNS int64) any) (any, error) {
+// sendRetry sends msg with per-attempt timeouts and doubling backoff.
+// The configured Sender is the peer's resilience middleware when one is
+// wired, so transient faults are additionally absorbed per attempt by
+// retry/backoff/breakers there.
+func (m *migrationManager) sendRetry(addr transport.Addr, msg any) (any, error) {
 	var lastErr error
 	backoff := m.cfg.RetryBackoff
 	for attempt := 0; attempt < m.cfg.MaxAttempts; attempt++ {
@@ -589,11 +584,7 @@ func (m *migrationManager) sendRetry(addr transport.Addr, build func(deadlineNS 
 			}
 		}
 		ctx, cancel := context.WithTimeout(m.ctx, m.cfg.ChunkTimeout)
-		var deadlineNS int64
-		if dl, ok := ctx.Deadline(); ok {
-			deadlineNS = dl.UnixNano()
-		}
-		raw, err := m.s.cfg.Sender.Send(ctx, addr, build(deadlineNS))
+		raw, err := m.s.cfg.Sender.Send(ctx, addr, msg)
 		cancel()
 		if err == nil {
 			return raw, nil
@@ -808,9 +799,6 @@ func (s *Server) doubleRead(ctx context.Context, srcs []transport.Addr, arc owne
 	}
 	msg := msgSubQueryBatch{Instance: instance, Root: uint64(root), QueryKey: pred.key,
 		Class: pred.class, Limit: -1, Units: []wireUnit{{Vertex: uint64(v)}}, Relay: true}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
 	for _, src := range srcs {
 		s.migrate.nDoubleReads.Add(1)
 		s.migrate.met.doubleReads.Inc()

@@ -198,6 +198,53 @@ func TestMigrateChunkRespectsRange(t *testing.T) {
 	}
 }
 
+// TestMigrateCommitRedeliveryIsNoOp: a commit delivered twice to a
+// durable source drops the range once. The second delivery answers
+// Dropped 0 and changes nothing, in the live tables or in what the data
+// directory recovers — so a resent or hedged commit is harmless, which
+// is what msgMigrateCommit's Repeatable declares.
+func TestMigrateCommitRedeliveryIsNoOp(t *testing.T) {
+	net := inmem.New(1)
+	t.Cleanup(func() { net.Close() })
+	dir := t.TempDir()
+	src := newMigrateServer(t, net, dir, MigrationConfig{})
+	entries := seedEntries(t, src, 30)
+
+	keys := make([]uint64, 0, len(entries))
+	for _, e := range entries {
+		keys = append(keys, uint64(VertexKey(e.Instance, hypercube.Vertex(e.Vertex))))
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	commit := msgMigrateCommit{NewID: keys[len(keys)/2], OwnerID: keys[len(keys)-1]}
+
+	deliver := func() int {
+		t.Helper()
+		raw, err := src.Handler(context.Background(), "", commit)
+		resp, ok := raw.(respMigrateCommit)
+		if err != nil || !ok {
+			t.Fatalf("commit answered %+v, %v", raw, err)
+		}
+		return resp.Dropped
+	}
+	if n := deliver(); n == 0 || n == len(entries) {
+		t.Fatalf("first commit dropped %d of %d entries; want a strict subset", n, len(entries))
+	}
+	kept := allEntries(t, src)
+	if n := deliver(); n != 0 {
+		t.Fatalf("second commit dropped %d entries, want 0", n)
+	}
+	if got := allEntries(t, src); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("second commit changed the live tables: %d entries, want %d", len(got), len(kept))
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := newMigrateServer(t, net, dir, MigrationConfig{})
+	if got := allEntries(t, recovered); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("recovered %d entries after the redelivered commit, want the %d kept live", len(got), len(kept))
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Helper()
@@ -738,7 +785,7 @@ func TestGateInfoMigrationTrafficUngated(t *testing.T) {
 		{msgTQuery{}, true},
 	}
 	for _, c := range cases {
-		if _, _, gated := gateInfo(c.body); gated != c.gated {
+		if _, gated := gateInfo(c.body); gated != c.gated {
 			t.Errorf("gateInfo(%T) gated = %v, want %v", c.body, gated, c.gated)
 		}
 	}
@@ -793,79 +840,35 @@ func TestMigrationAdmittedUnderOverload(t *testing.T) {
 	}
 }
 
-// TestMigrateChunkDeadlinePropagated: an expired DeadlineUnixNano on
-// the wire aborts the chunk scan instead of serving a doomed request
-// (regression: handoff frames carried no deadline at all).
+// TestMigrateChunkDeadlinePropagated: a pull or commit whose handler
+// context carries an expired deadline — the puller's per-chunk one,
+// which the transport carries — aborts before the scan instead of
+// serving a doomed request (regression: handoff frames carried no
+// deadline at all).
 func TestMigrateChunkDeadlinePropagated(t *testing.T) {
 	net := inmem.New(1)
 	t.Cleanup(func() { net.Close() })
 	srv := newMigrateServer(t, net, "", MigrationConfig{})
 	seedEntries(t, srv, 5)
 
-	past := time.Now().Add(-time.Second).UnixNano()
-	if _, err := srv.Handler(context.Background(), "", msgMigrateChunk{
+	past, cancelPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelPast()
+	if _, err := srv.Handler(past, "", msgMigrateChunk{
 		NewID: wholeRingNew, OwnerID: wholeRingOwner, MaxEntries: 10, MaxBytes: 1 << 20,
-		DeadlineUnixNano: past,
 	}); err == nil {
 		t.Fatalf("expired chunk deadline not honored")
 	}
-	if _, err := srv.Handler(context.Background(), "", msgMigrateCommit{
-		NewID: wholeRingNew, OwnerID: wholeRingOwner, DeadlineUnixNano: past,
+	if _, err := srv.Handler(past, "", msgMigrateCommit{
+		NewID: wholeRingNew, OwnerID: wholeRingOwner,
 	}); err == nil {
 		t.Fatalf("expired commit deadline not honored")
 	}
 	// A live deadline serves normally.
-	future := time.Now().Add(time.Minute).UnixNano()
-	if _, err := srv.Handler(context.Background(), "", msgMigrateChunk{
+	future, cancelFuture := context.WithDeadline(context.Background(), time.Now().Add(time.Minute))
+	defer cancelFuture()
+	if _, err := srv.Handler(future, "", msgMigrateChunk{
 		NewID: wholeRingNew, OwnerID: wholeRingOwner, MaxEntries: 10, MaxBytes: 1 << 20,
-		DeadlineUnixNano: future,
 	}); err != nil {
 		t.Fatalf("live chunk deadline rejected: %v", err)
-	}
-}
-
-// TestFrameDeadline pins the one rule every frame's wire deadline goes
-// through: zero is no deadline, a deadline no earlier than the inherited
-// one leaves the inherited context as it is (no context.WithDeadline),
-// an earlier one applies, and an expired one is already done.
-func TestFrameDeadline(t *testing.T) {
-	now := time.Now()
-	parent, cancelParent := context.WithDeadline(context.Background(), now.Add(time.Minute))
-	defer cancelParent()
-
-	for _, tc := range []struct {
-		name     string
-		ctx      context.Context
-		unixNano int64
-		want     time.Time // zero: ctx comes back untouched
-		expired  bool
-	}{
-		{name: "zero, no inherited deadline", ctx: context.Background()},
-		{name: "zero", ctx: parent},
-		{name: "later than inherited", ctx: parent, unixNano: now.Add(time.Hour).UnixNano()},
-		{name: "equal to inherited", ctx: parent, unixNano: now.Add(time.Minute).UnixNano()},
-		{name: "earlier than inherited", ctx: parent, unixNano: now.Add(time.Second).UnixNano(), want: now.Add(time.Second)},
-		{name: "no inherited deadline", ctx: context.Background(), unixNano: now.Add(time.Second).UnixNano(), want: now.Add(time.Second)},
-		{name: "expired", ctx: parent, unixNano: now.Add(-time.Second).UnixNano(), want: now.Add(-time.Second), expired: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := frameDeadline(tc.ctx, tc.unixNano)
-			defer cancel()
-			if tc.want.IsZero() {
-				if ctx != tc.ctx {
-					t.Fatalf("derived a new context; want the inherited one untouched")
-				}
-				return
-			}
-			if ctx == tc.ctx {
-				t.Fatalf("returned the inherited context; want the frame's deadline applied")
-			}
-			if dl, ok := ctx.Deadline(); !ok || !dl.Equal(time.Unix(0, tc.want.UnixNano())) {
-				t.Errorf("deadline %v (set %v), want %v", dl, ok, tc.want)
-			}
-			if got := ctx.Err() != nil; got != tc.expired {
-				t.Errorf("ctx.Err() = %v, want expired %v", ctx.Err(), tc.expired)
-			}
-		})
 	}
 }

@@ -9,8 +9,10 @@ import (
 // TestMessageRepeatableClass pins the class of every index-protocol
 // request: whether a second delivery of the same body is harmless, so a
 // sender may resend or hedge it. A read (a one-shot search, a batch of
-// sub-queries, a migration page) is; anything that mutates a table or a
-// soft replica, or creates or advances a cumulative session, is not.
+// sub-queries, a migration page) is, and so is a migration commit, whose
+// second delivery drops nothing (TestMigrateCommitRedeliveryIsNoOp);
+// anything else that mutates a table or a soft replica, or creates or
+// advances a cumulative session, is not.
 func TestMessageRepeatableClass(t *testing.T) {
 	repeatable := transport.Repeatable
 	for _, tc := range []struct {
@@ -25,7 +27,7 @@ func TestMessageRepeatableClass(t *testing.T) {
 		{"msgTQuery/continuation", msgTQuery{Threshold: 10, SessionID: 7}, false},
 		{"msgSubQueryBatch", msgSubQueryBatch{}, true},
 		{"msgMigrateChunk", msgMigrateChunk{}, true},
-		{"msgMigrateCommit", msgMigrateCommit{}, false},
+		{"msgMigrateCommit", msgMigrateCommit{}, true},
 		{"msgSoftPromote", msgSoftPromote{}, false},
 		{"msgSoftInvalidate", msgSoftInvalidate{}, false},
 		{"respAck", respAck{}, false},

@@ -632,7 +632,7 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 		return s.scanLocal(ctx, &sc, ownedArc{}, sess, u, limit)
 	}
 	raw, frames, err := s.cfg.Resolver.Send(ctx, s.cfg.Sender, sess.instance, u.vertex, at,
-		sess.frame(ctx, limit, []wireUnit{{Vertex: uint64(u.vertex), Skip: u.skip}}))
+		sess.frame(limit, []wireUnit{{Vertex: uint64(u.vertex), Skip: u.skip}}))
 	resp, ok := raw.(respSubQueryBatch)
 	switch {
 	case err != nil:
@@ -649,10 +649,9 @@ func (s *Server) visit(ctx context.Context, sess *session, u workUnit, limit int
 	return waveHit{frames: frames, err: err}
 }
 
-// frame is the sub-query frame asking for units of sess's query, with
-// ctx's deadline.
-func (sess *session) frame(ctx context.Context, limit int, units []wireUnit) msgSubQueryBatch {
-	msg := msgSubQueryBatch{
+// frame is the sub-query frame asking for units of sess's query.
+func (sess *session) frame(limit int, units []wireUnit) msgSubQueryBatch {
+	return msgSubQueryBatch{
 		Instance: sess.instance,
 		Root:     uint64(sess.root),
 		QueryKey: sess.pred.key,
@@ -660,10 +659,6 @@ func (sess *session) frame(ctx context.Context, limit int, units []wireUnit) msg
 		Units:    units,
 		Class:    sess.pred.class,
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		msg.DeadlineUnixNano = dl.UnixNano()
-	}
-	return msg
 }
 
 // unitHit is the wave hit of one answered unit. retry reports a unit
@@ -877,7 +872,7 @@ type peerBatch struct {
 // one unit per frame (visit) and carry those frames in their own hits.
 func (s *Server) sendBatch(ctx context.Context, sess *session, addr transport.Addr, idx []int32, units []wireUnit, wave []workUnit, limit int, hits []waveHit) {
 	s.met.batchSize.Observe(int64(len(units)))
-	raw, err := s.cfg.Sender.Send(ctx, addr, sess.frame(ctx, limit, units))
+	raw, err := s.cfg.Sender.Send(ctx, addr, sess.frame(limit, units))
 	resp, shapeOK := raw.(respSubQueryBatch)
 	if err != nil || !shapeOK || !resp.fits(len(units)) {
 		// The whole frame failed (peer down, partitioned, or answered

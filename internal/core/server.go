@@ -514,14 +514,14 @@ func (s *Server) owns(instance string, v hypercube.Vertex) bool {
 // The from address is useless for identity — inmem sends pass an empty
 // origin and tcpnet requests carry none — so the client ID rides in
 // the message itself.
-func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
+func gateInfo(body any) (clientID string, gated bool) {
 	switch m := body.(type) {
 	case msgTQuery:
-		return m.ClientID, m.DeadlineUnixNano, true
+		return m.ClientID, true
 	case msgInsertEntry:
-		return m.ClientID, 0, true
+		return m.ClientID, true
 	case msgDeleteEntry:
-		return m.ClientID, 0, true
+		return m.ClientID, true
 	}
 	// Everything else — wave traffic, migration chunks
 	// and commits, relayed sub-queries — is interior and never gated.
@@ -529,30 +529,22 @@ func gateInfo(body any) (clientID string, deadlineUnixNano int64, gated bool) {
 	// migration double-read (every class, pin included): gating them
 	// would let admission break the byte-identical-answers guarantee
 	// mid-churn.
-	return "", 0, false
+	return "", false
 }
 
 // Handler processes index-protocol messages. Unknown message types
 // yield the bare ErrUnhandledMessage sentinel so the endpoint can be
 // muxed with other layers (e.g. Chord). Client-facing operations pass
-// through the admission controller (when configured) and pick up the
-// deadline the message carries; interior wave traffic is never gated.
+// through the admission controller (when configured), whose queue wait
+// ends at ctx's deadline — the caller's, which the transport carries;
+// interior wave traffic is never gated.
 func (s *Server) Handler(ctx context.Context, from transport.Addr, body any) (any, error) {
-	clientID, deadlineNS, gated := gateInfo(body)
-	if gated {
-		// The wire deadline is applied before admission so queue waits
-		// are deadline-aware even over tcpnet, whose handler context
-		// carries none.
-		var cancel context.CancelFunc
-		ctx, cancel = frameDeadline(ctx, deadlineNS)
-		defer cancel()
-		if s.adm != nil {
-			release, err := s.adm.Acquire(ctx, clientID)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
+	if clientID, gated := gateInfo(body); gated && s.adm != nil {
+		release, err := s.adm.Acquire(ctx, clientID)
+		if err != nil {
+			return nil, err
 		}
+		defer release()
 	}
 	return s.handle(ctx, from, body)
 }
@@ -588,10 +580,7 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		return s.subQueryBatch(ctx, msg), nil
 	case msgMigrateChunk:
 		s.met.opMigChunk.Inc()
-		// Migration frames carry the manager's per-chunk deadline the
-		// way search frames do; an expired one fails before the scan.
-		ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
-		defer cancel()
+		// An expired pull fails before the scan.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -602,8 +591,6 @@ func (s *Server) handle(ctx context.Context, from transport.Addr, body any) (any
 		return resp, err
 	case msgMigrateCommit:
 		s.met.opMigCommit.Inc()
-		ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
-		defer cancel()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -840,8 +827,6 @@ func (s *Server) applyEntryLocked(sh *tableShard, op store.Op, e store.Entry) bo
 // searches spread over the cores. Hits and matches collect in a pooled
 // frameScratch and leave it in one copy each (frameScratch.reply).
 func (s *Server) subQueryBatch(ctx context.Context, msg msgSubQueryBatch) respSubQueryBatch {
-	ctx, cancel := frameDeadline(ctx, msg.DeadlineUnixNano)
-	defer cancel()
 	pred := predFor(msg.Class, msg.QueryKey)
 	arc := s.arc()
 	root := hypercube.Vertex(msg.Root)
@@ -917,26 +902,6 @@ func (fs *frameScratch) release() {
 		framePool.Put(fs)
 	}
 }
-
-// frameDeadline bounds ctx by the deadline a frame carries (UnixNano,
-// 0 = none). tcpnet handler contexts know nothing of the caller's, so a
-// search or migration frame re-derives it here, once; a wire deadline
-// no earlier than the one ctx already has — the inmem case, where the
-// handler runs under the caller's context — changes nothing and costs
-// nothing.
-func frameDeadline(ctx context.Context, unixNano int64) (context.Context, context.CancelFunc) {
-	if unixNano <= 0 {
-		return ctx, noCancel
-	}
-	dl := time.Unix(0, unixNano)
-	if cur, ok := ctx.Deadline(); ok && !dl.Before(cur) {
-		return ctx, noCancel
-	}
-	return context.WithDeadline(ctx, dl)
-}
-
-// noCancel is the CancelFunc of a context frameDeadline left as it was.
-func noCancel() {}
 
 // cubeFor returns the hypercube geometry for an instance's declared
 // dimensionality (0 falls back to the server's default).

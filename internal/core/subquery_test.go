@@ -76,28 +76,29 @@ func TestVisitRefusedUnitRetries(t *testing.T) {
 	}
 }
 
-// deadlineRecorder notes the deadline of every sub-query frame that
-// passes through.
+// deadlineRecorder notes the deadline every sub-query frame is sent
+// under — over inmem, the deadline its handler's context carries.
 type deadlineRecorder struct {
 	transport.Sender
 	mu        sync.Mutex
-	deadlines []int64
+	deadlines []time.Time
 }
 
 func (r *deadlineRecorder) Send(ctx context.Context, to transport.Addr, body any) (any, error) {
-	if msg, ok := body.(msgSubQueryBatch); ok {
+	if _, ok := body.(msgSubQueryBatch); ok {
+		dl, _ := ctx.Deadline()
 		r.mu.Lock()
-		r.deadlines = append(r.deadlines, msg.DeadlineUnixNano)
+		r.deadlines = append(r.deadlines, dl)
 		r.mu.Unlock()
 	}
 	return r.Sender.Send(ctx, to, body)
 }
 
 // TestPerVertexFramesCarryDeadline: with batching off every vertex is
-// its own one-unit frame, and each carries the search's deadline, so a
-// peer whose transport context knows none (tcpnet) still stops work for
-// an expired search; such a frame is answered errCodeCancelled without
-// a scan.
+// its own one-unit frame, and each is handled under the search's
+// deadline (over tcpnet the frame header carries it), so a peer stops
+// work for an expired search; such a frame is answered errCodeCancelled
+// without a scan.
 func TestPerVertexFramesCarryDeadline(t *testing.T) {
 	d := newDeploymentMode(t, 6, 4, 0, BatchOff)
 	objects := batchCorpus(7, 60)
@@ -121,8 +122,8 @@ func TestPerVertexFramesCarryDeadline(t *testing.T) {
 		t.Fatal("no sub-query frame left the root")
 	}
 	for i, got := range rec.deadlines {
-		if got != dl.UnixNano() {
-			t.Fatalf("frame %d of %d carried deadline %d, want %d", i, len(rec.deadlines), got, dl.UnixNano())
+		if !got.Equal(dl) {
+			t.Fatalf("frame %d of %d carried deadline %v, want %v", i, len(rec.deadlines), got, dl)
 		}
 	}
 
@@ -140,8 +141,9 @@ func TestPerVertexFramesCarryDeadline(t *testing.T) {
 	if resp, _ := raw.(respSubQueryBatch); err != nil || len(resp.Hits) != 1 || len(resp.Hits[0].Matches) != 1 {
 		t.Fatalf("live frame answered %+v, %v; want the vertex's one entry", raw, err)
 	}
-	frame.DeadlineUnixNano = time.Now().Add(-time.Second).UnixNano()
-	raw, err = srv.Handler(context.Background(), "", frame)
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	raw, err = srv.Handler(expired, "", frame)
 	want := respSubQueryBatch{Hits: []respSubUnit{{Index: 0, ErrCode: errCodeCancelled}}}
 	if err != nil || !reflect.DeepEqual(raw, want) {
 		t.Fatalf("expired frame answered %+v, %v; want %+v", raw, err, want)

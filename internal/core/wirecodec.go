@@ -151,7 +151,6 @@ func (m msgTQuery) MarshalWire(w *wire.Writer) {
 	w.Bool(m.NoCache)
 	w.Bool(m.WantTrace)
 	w.String(m.ClientID)
-	w.Varint(m.DeadlineUnixNano)
 	w.String(m.RefineFromKey)
 	w.Uvarint(m.RefineFromVertex)
 	w.Bool(m.SoftOnly)
@@ -171,7 +170,6 @@ func (m *msgTQuery) UnmarshalWire(r *wire.Reader) error {
 	m.NoCache = r.Bool()
 	m.WantTrace = r.Bool()
 	m.ClientID = r.String()
-	m.DeadlineUnixNano = r.Varint()
 	m.RefineFromKey = r.String()
 	m.RefineFromVertex = r.Uvarint()
 	m.SoftOnly = r.Bool()
@@ -238,7 +236,6 @@ func (m msgSubQueryBatch) MarshalWire(w *wire.Writer) {
 	w.Uvarint(m.Root)
 	w.String(m.QueryKey)
 	w.Int(m.Limit)
-	w.Varint(m.DeadlineUnixNano)
 	w.Uvarint(uint64(len(m.Units)))
 	for _, u := range m.Units {
 		w.Uvarint(u.Vertex)
@@ -253,7 +250,6 @@ func (m *msgSubQueryBatch) UnmarshalWire(r *wire.Reader) error {
 	m.Root = r.Uvarint()
 	m.QueryKey = r.String()
 	m.Limit = r.Int()
-	m.DeadlineUnixNano = r.Varint()
 	if n := r.Count(2); n > 0 {
 		m.Units = make([]wireUnit, n)
 		for i := range m.Units {
@@ -328,7 +324,6 @@ func (m msgMigrateChunk) MarshalWire(w *wire.Writer) {
 	m.Cursor.MarshalWire(w)
 	w.Int(m.MaxEntries)
 	w.Int(m.MaxBytes)
-	w.Varint(m.DeadlineUnixNano)
 }
 
 func (m *msgMigrateChunk) UnmarshalWire(r *wire.Reader) error {
@@ -337,7 +332,6 @@ func (m *msgMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 	m.Cursor.UnmarshalWire(r)
 	m.MaxEntries = r.Int()
 	m.MaxBytes = r.Int()
-	m.DeadlineUnixNano = r.Varint()
 	return r.Err()
 }
 
@@ -363,13 +357,11 @@ func (m *respMigrateChunk) UnmarshalWire(r *wire.Reader) error {
 func (m msgMigrateCommit) MarshalWire(w *wire.Writer) {
 	w.U64(m.NewID)
 	w.U64(m.OwnerID)
-	w.Varint(m.DeadlineUnixNano)
 }
 
 func (m *msgMigrateCommit) UnmarshalWire(r *wire.Reader) error {
 	m.NewID = r.U64()
 	m.OwnerID = r.U64()
-	m.DeadlineUnixNano = r.Varint()
 	return r.Err()
 }
 

@@ -66,14 +66,27 @@ func wireBenchChunk() (msgMigrateChunk, respMigrateChunk) {
 		})
 	}
 	req := msgMigrateChunk{
-		NewID:            0x8000000000000001,
-		OwnerID:          0x9e3779b97f4a7c15,
-		Cursor:           wireCursor{Started: true, Entry: store.Entry{Instance: DefaultInstance, Vertex: 696, SetKey: keyword.NewSet("distributed", "search").Key(), ObjectID: "obj-10016"}},
-		MaxEntries:       defaultChunkEntries,
-		MaxBytes:         defaultChunkBytes,
-		DeadlineUnixNano: 1754500000000000000,
+		NewID:      0x8000000000000001,
+		OwnerID:    0x9e3779b97f4a7c15,
+		Cursor:     wireCursor{Started: true, Entry: store.Entry{Instance: DefaultInstance, Vertex: 696, SetKey: keyword.NewSet("distributed", "search").Key(), ObjectID: "obj-10016"}},
+		MaxEntries: defaultChunkEntries,
+		MaxBytes:   defaultChunkBytes,
 	}
 	return req, resp
+}
+
+// wireBenchQuery is a client's top-10 superset query as its root
+// receives it, and the commit that ends a range migration.
+func wireBenchQuery() (msgTQuery, msgMigrateCommit) {
+	q := msgTQuery{
+		Instance:  DefaultInstance,
+		Dim:       10,
+		Vertex:    697,
+		QueryKey:  keyword.NewSet("distributed", "search").Key(),
+		Threshold: 10,
+		ClientID:  "client-7",
+	}
+	return q, msgMigrateCommit{NewID: 0x8000000000000001, OwnerID: 0x9e3779b97f4a7c15}
 }
 
 // wireBenchWrite is a client's write pair: an insert that names its
@@ -95,10 +108,12 @@ type wireBenchCase struct {
 func wireBenchCases() []wireBenchCase {
 	RegisterTypes()
 	req, resp := wireBenchSmall()
-	// The small request is 35 B: Instance "main" 5 (length byte + 4),
+	// The small request is 34 B: Instance "main" 5 (length byte + 4),
 	// Root 1001 2, QueryKey "distributed search" 19, Limit 128 2 (zigzag
-	// 256), DeadlineUnixNano 0 1, the unit count 1, the unit's Vertex
-	// 697 2 and Skip 0 1, Class 1, Relay 1. Its answer is 71 B: the
+	// 256), the unit count 1, the unit's Vertex 697 2 and Skip 0 1,
+	// Class 1, Relay 1. Until KSW8 moved a request's deadline into the
+	// frame header it was 35 B: a zero deadline varint of 1 B sat after
+	// Limit (a live one took 9 B there). Its answer is 71 B: the
 	// frame's match total 1, the hit count 1, the hit's Index 1 and
 	// match count 1, the two matches 65 (object ID and set key, each a
 	// length byte and its bytes, then Vertex and Depth, one byte each:
@@ -114,10 +129,12 @@ func wireBenchCases() []wireBenchCase {
 	// for (441, 5)); each of the 16 batch hits lost a one-edge list
 	// (count, vertex and dimension, one byte each).
 	//
-	// The migration pull is 67 B: NewID and OwnerID 8 each, the cursor
+	// The migration pull is 58 B: NewID and OwnerID 8 each, the cursor
 	// 37 (Started 1, then the entry as store.Entry writes it: Vertex 696
 	// 2, Instance 5, SetKey 19, ObjectID "obj-10016" 10), MaxEntries 512
-	// 2 and MaxBytes 256 KiB 3 (zigzag), DeadlineUnixNano 9. Its page is
+	// 2 and MaxBytes 256 KiB 3 (zigzag). Until KSW8 it was 67 B: the
+	// manager's per-chunk deadline, 9 B of zigzag Unix nanoseconds,
+	// followed MaxBytes. Its page is
 	// 290 B: the entry count 1, eight entries of 36 (Vertex 2, Instance
 	// 5, SetKey 19, ObjectID 10), Done 1. Until the page's last entry
 	// became the resume point the page also carried that entry again as
@@ -128,16 +145,27 @@ func wireBenchCases() []wireBenchCase {
 	// SetKey 19, ObjectID "obj-10017" 10), ClientID "client-7" 9. The
 	// anonymous delete of the same entry is 37 B: its ClientID is one
 	// length byte.
+	//
+	// The top-10 query is 61 B: Instance 5, Dim 10 1, Vertex 697 2,
+	// QueryKey 19, Threshold 10 1, Order 1, Cumulative 1, SessionID 8,
+	// NoCache 1, WantTrace 1, ClientID "client-7" 9, RefineFromKey 1,
+	// RefineFromVertex 1, SoftOnly 1, Class 1, DimMask 8. The commit is
+	// 16 B: NewID and OwnerID 8 each. Until KSW8 each also carried the
+	// sender's deadline varint (after ClientID; after OwnerID): 62 and
+	// 17 B with none, 70 and 25 B with a live one.
 	chunkReq, chunkResp := wireBenchChunk()
 	ins, del := wireBenchWrite()
+	query, commit := wireBenchQuery()
 	return []wireBenchCase{
-		{"small-req", req, 35},
+		{"small-req", req, 34},
 		{"small-resp", resp, 71},
 		{"batch-resp", wireBenchBatch(), 18723},
-		{"chunk-req", chunkReq, 67},
+		{"chunk-req", chunkReq, 58},
 		{"chunk-resp", chunkResp, 290},
 		{"insert-req", ins, 45},
 		{"delete-req", del, 37},
+		{"query-req", query, 61},
+		{"commit-req", commit, 16},
 	}
 }
 
@@ -157,8 +185,8 @@ func binarySize(t testing.TB, body any) int {
 
 // TestWireCodecBytesPinned pins the payload bytes of the small-message
 // hot path (a one-unit sub-query frame and its answer), of one
-// sparse batch response, of one migration pull and its page, and of a
-// client's insert and delete. Sizes are deterministic; a change here is a
+// sparse batch response, of one migration pull and its page, of a
+// client's insert and delete, and of a T_QUERY and a migration commit. Sizes are deterministic; a change here is a
 // change to a registered message's encoding (see tcpnet's wireMagic
 // for what that requires). For the record of what the codec replaced:
 // gob's steady-state cost for the same messages was 126 + 155 B and
@@ -190,7 +218,7 @@ func TestWireEncodeAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkWireCodec reports encode and decode time, allocations and
-// payload bytes of the codec on those seven messages. It gates nothing:
+// payload bytes of the codec on those nine messages. It gates nothing:
 // ksperf's wire.* layer is the measured record and
 // TestWireCodecBytesPinned holds the deterministic part.
 func BenchmarkWireCodec(b *testing.B) {

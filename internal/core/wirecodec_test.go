@@ -57,7 +57,7 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		respDeleteEntry{},
 		msgTQuery{Instance: "default", Dim: 10, Vertex: 1023, QueryKey: "q", Threshold: 50,
 			Order: 1, Cumulative: true, SessionID: 0xfeedface12345678, NoCache: true,
-			WantTrace: true, ClientID: "c", DeadlineUnixNano: -1},
+			WantTrace: true, ClientID: "c"},
 		msgTQuery{Instance: "default", Dim: 10, Vertex: 4, QueryKey: "kw1", Threshold: All,
 			Class: ClassPrefix, DimMask: 0x3ff},
 		msgTQuery{Instance: "default", Dim: 6, Vertex: 9, QueryKey: "a b", Threshold: All,
@@ -68,8 +68,7 @@ func TestCoreWireRoundTrip(t *testing.T) {
 			Trace: []TraceStep{{Vertex: 1, Matches: 2, Failed: false}, {Vertex: 2, Matches: 0, Failed: true}}},
 		respTQuery{},
 		msgSubQueryBatch{Instance: "i", Root: 63, QueryKey: "q", Limit: 100,
-			Units:            []wireUnit{{Vertex: 1, Skip: 0}, {Vertex: 2, Skip: 10}},
-			DeadlineUnixNano: 1754500000000000000},
+			Units: []wireUnit{{Vertex: 1, Skip: 0}, {Vertex: 2, Skip: 10}}},
 		msgSubQueryBatch{Instance: "i", Root: 2, QueryKey: "kw", Limit: 5,
 			Units: []wireUnit{{Vertex: 2}}, Class: ClassPrefix},
 		msgSubQueryBatch{Instance: "i", Root: 100, QueryKey: "qk", Limit: 10,
@@ -89,11 +88,11 @@ func TestCoreWireRoundTrip(t *testing.T) {
 		respSubQueryBatch{Hits: []respSubUnit{{Matches: matches, Remaining: 17}}}, // a one-unit answer
 		respSubQueryBatch{},
 		msgMigrateChunk{NewID: 1 << 63, OwnerID: 77, Cursor: cursor, MaxEntries: 500,
-			MaxBytes: 1 << 20, DeadlineUnixNano: 12345},
+			MaxBytes: 1 << 20},
 		msgMigrateChunk{NewID: 3, OwnerID: 4, MaxEntries: 1}, // a first pull: no cursor
 		respMigrateChunk{Entries: entries, Done: true},
 		respMigrateChunk{},
-		msgMigrateCommit{NewID: 5, OwnerID: 6, DeadlineUnixNano: 7},
+		msgMigrateCommit{NewID: 5, OwnerID: 6},
 		respMigrateCommit{Dropped: 321},
 	} {
 		roundTrip(t, msg)

@@ -5,16 +5,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/transport"
 	"github.com/p2pkeyword/keysearch/internal/transport/wire"
 )
 
-// KSW7 framing. A client opens the connection with a 4-byte magic
+// KSW8 framing. A client opens the connection with a 4-byte magic
 // preamble; a listener closes any connection that opens with something
 // else. The magic is followed by a uvarint-length sender address string
 // — the connection's default identity, sent once so the per-request
-// cost of Send's implicit From is one flag byte instead of a full
+// cost of Send's implicit From is one flags byte instead of a full
 // address per frame.
 //
 // After the preamble the stream is a sequence of frames:
@@ -23,13 +24,18 @@ import (
 //	uvarint request ID (echoed verbatim on the response)
 //	u8      kind: 0 request, 1 response, 2 error response
 //	u16     wire type ID (0 on error responses)
-//	        requests only: u8 from-flag — 0: the connection's default
-//	        sender identity; 1: followed by an inline uvarint-length
-//	        sender address string (SendFrom overrides)
+//	        requests only: u8 flags, then what they announce, in bit
+//	        order — bit 0: an inline uvarint-length sender address
+//	        string (SendFrom overrides; clear: the connection's default
+//	        sender identity); bit 1: the caller's deadline, a zigzag
+//	        varint of Unix nanoseconds (clear: none). Any other bit set
+//	        refuses the frame.
 //	...     message payload (kind 2: raw error string to end of frame)
 //
 // Frames from many in-flight RPCs interleave freely in both
-// directions; the request ID is the only correlation.
+// directions; the request ID is the only correlation. The deadline is
+// the only part of the caller's context that crosses the wire:
+// cancellation and context values do not.
 const (
 	frameKindRequest  = 0
 	frameKindResponse = 1
@@ -42,9 +48,13 @@ const (
 	// maxHandshakeAddr bounds the default-sender string in the
 	// connection preamble.
 	maxHandshakeAddr = 1 << 10
+
+	// Request flag bits.
+	reqFlagFrom     = 1 << 0 // an inline sender address follows
+	reqFlagDeadline = 1 << 1 // the caller's deadline follows
 )
 
-// wireMagic is the connection preamble ("KSW7"). Its last byte is the
+// wireMagic is the connection preamble ("KSW8"). Its last byte is the
 // protocol generation and the only version the wire carries: an
 // in-place layout change — to the handshake, the frame header or the
 // encoding of a registered message — bumps it, so peers of different
@@ -62,14 +72,18 @@ const (
 // cursor, its last entry being the resume point. KSW6 → KSW7: core's
 // insert and delete (types 1 and 3) carry a store.Entry, written as
 // store.Entry writes it (vertex before instance), then the client ID.
-var wireMagic = [4]byte{'K', 'S', 'W', '7'}
+// KSW7 → KSW8: a request's from-flag became a flags byte that also
+// announces the caller's deadline, and core's sub-query batch, T_QUERY
+// and migration pull and commit (types 11, 7, 14 and 16) lost the
+// deadline each carried in its body.
+var wireMagic = [4]byte{'K', 'S', 'W', '8'}
 
 // appendRequestFrame encodes a request frame for body into w and
 // returns the codec (for its type name) — the caller charges
 // byte-accounting per type. useDefault elides the sender address in
-// favor of the connection's handshake identity. Fails when body's
-// type has no registered wire codec.
-func appendRequestFrame(w *wire.Writer, reqID uint64, from transport.Addr, useDefault bool, body any) (*wire.Codec, error) {
+// favor of the connection's handshake identity; a zero deadline is
+// none. Fails when body's type has no registered wire codec.
+func appendRequestFrame(w *wire.Writer, reqID uint64, from transport.Addr, useDefault bool, deadline time.Time, body any) (*wire.Codec, error) {
 	c, ok := wire.Lookup(body)
 	if !ok {
 		return nil, fmt.Errorf("tcpnet: no wire codec for %T (missing RegisterTypes?)", body)
@@ -78,14 +92,22 @@ func appendRequestFrame(w *wire.Writer, reqID uint64, from transport.Addr, useDe
 	w.Uvarint(reqID)
 	w.Byte(frameKindRequest)
 	w.U16(c.ID())
-	if useDefault {
-		w.Byte(0)
-	} else {
-		w.Byte(1)
+	var flags byte
+	if !useDefault {
+		flags |= reqFlagFrom
+	}
+	if !deadline.IsZero() {
+		flags |= reqFlagDeadline
+	}
+	w.Byte(flags)
+	if !useDefault {
 		w.String(string(from))
 	}
+	if !deadline.IsZero() {
+		w.Varint(deadline.UnixNano())
+	}
 	c.Encode(w, body)
-	w.PatchU32(lenOff, uint32(w.Len()-4))
+	w.PatchU32(lenOff, uint32(w.Len()-lenOff-4))
 	return c, nil
 }
 
@@ -97,7 +119,7 @@ func appendResponseFrame(w *wire.Writer, reqID uint64, body any, herr error) (*w
 		w.Byte(frameKindError)
 		w.U16(0)
 		w.Buf = append(w.Buf, herr.Error()...)
-		w.PatchU32(lenOff, uint32(w.Len()-4))
+		w.PatchU32(lenOff, uint32(w.Len()-lenOff-4))
 		return nil, nil
 	}
 	c, ok := wire.Lookup(body)
@@ -111,7 +133,7 @@ func appendResponseFrame(w *wire.Writer, reqID uint64, body any, herr error) (*w
 	w.Byte(frameKindResponse)
 	w.U16(c.ID())
 	c.Encode(w, body)
-	w.PatchU32(lenOff, uint32(w.Len()-4))
+	w.PatchU32(lenOff, uint32(w.Len()-lenOff-4))
 	return c, nil
 }
 
@@ -167,6 +189,7 @@ type decodedFrame struct {
 	codec       *wire.Codec // nil on error frames
 	from        string      // requests with an inline sender only
 	fromDefault bool        // requests: sender is the connection default
+	deadline    time.Time   // requests: the caller's deadline (zero: none)
 	body        any         // decoded message (error frames: nil)
 	errS        string      // error frames: remote error text
 }
@@ -192,15 +215,15 @@ func parseFrame(r *wire.Reader, frame []byte) (decodedFrame, error) {
 		return d, fmt.Errorf("tcpnet: unknown frame kind %d", d.kind)
 	}
 	if d.kind == frameKindRequest {
-		switch flag := r.Byte(); flag {
-		case 0:
-			d.fromDefault = true
-		case 1:
+		flags := r.Byte()
+		if flags&^(reqFlagFrom|reqFlagDeadline) != 0 {
+			return d, fmt.Errorf("tcpnet: unknown request flags %#x", flags)
+		}
+		if d.fromDefault = flags&reqFlagFrom == 0; !d.fromDefault {
 			d.from = r.String()
-		default:
-			if r.Err() == nil {
-				return d, fmt.Errorf("tcpnet: unknown from-flag %d", flag)
-			}
+		}
+		if flags&reqFlagDeadline != 0 {
+			d.deadline = time.Unix(0, r.Varint())
 		}
 	}
 	c, ok := wire.LookupID(typeID)

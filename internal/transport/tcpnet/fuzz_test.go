@@ -38,10 +38,17 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(append([]byte(nil), w.Buf[4:]...)) // parseFrame sees the bytes past the length prefix
 	}
 	seed(func(w *wire.Writer) {
-		_, _ = appendRequestFrame(w, 1, "127.0.0.1:9999", false, ping{N: 42})
+		_, _ = appendRequestFrame(w, 1, "127.0.0.1:9999", false, time.Time{}, ping{N: 42})
 	})
 	seed(func(w *wire.Writer) {
-		_, _ = appendRequestFrame(w, 7, "", true, ping{N: -1})
+		_, _ = appendRequestFrame(w, 7, "", true, time.Time{}, ping{N: -1})
+	})
+	// The deadline flag alone, and beside an inline sender.
+	seed(func(w *wire.Writer) {
+		_, _ = appendRequestFrame(w, 8, "", true, time.Unix(0, 1754500000000000000), ping{N: 3})
+	})
+	seed(func(w *wire.Writer) {
+		_, _ = appendRequestFrame(w, 9, "127.0.0.1:9999", false, time.Unix(0, -1), put{N: 4})
 	})
 	seed(func(w *wire.Writer) {
 		_, _ = appendResponseFrame(w, 2, pong{N: -7}, nil)
@@ -53,10 +60,10 @@ func FuzzWireDecode(f *testing.F) {
 	// (class int, u64 dim mask) pair the core codecs appended for
 	// prefix search. Gives the fuzzer a foothold on the new tail.
 	seed(func(w *wire.Writer) {
-		_, _ = appendRequestFrame(w, 4, "", false, classQry{Key: "kw", Class: 2, Mask: 0x3ff})
+		_, _ = appendRequestFrame(w, 4, "", false, time.Time{}, classQry{Key: "kw", Class: 2, Mask: 0x3ff})
 	})
 	seed(func(w *wire.Writer) {
-		_, _ = appendRequestFrame(w, 5, "127.0.0.1:1", true, classQry{})
+		_, _ = appendRequestFrame(w, 5, "127.0.0.1:1", true, time.Time{}, classQry{})
 	})
 	seed(func(w *wire.Writer) {
 		_, _ = appendResponseFrame(w, 6, classQry{Key: "a b c", Class: 1, Mask: 1<<63 | 1}, nil)
@@ -89,7 +96,7 @@ func FuzzWireDecode(f *testing.F) {
 		defer wire.PutWriter(w)
 		var err2 error
 		if d.kind == frameKindRequest {
-			_, err2 = appendRequestFrame(w, d.reqID, transport.Addr(d.from), d.fromDefault, d.body)
+			_, err2 = appendRequestFrame(w, d.reqID, transport.Addr(d.from), d.fromDefault, d.deadline, d.body)
 		} else {
 			_, err2 = appendResponseFrame(w, d.reqID, d.body, nil)
 		}
@@ -101,7 +108,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded %s: %v", d.codec.Name(), err)
 		}
 		if d2.reqID != d.reqID || d2.kind != d.kind ||
-			d2.from != d.from || d2.fromDefault != d.fromDefault {
+			d2.from != d.from || d2.fromDefault != d.fromDefault || !d2.deadline.Equal(d.deadline) {
 			t.Fatalf("header round trip mismatch: %+v vs %+v", d2, d)
 		}
 		if !reflect.DeepEqual(d2.body, d.body) {
@@ -131,9 +138,16 @@ func FuzzListenerPreamble(f *testing.F) {
 		}
 		return append([]byte(nil), w.Buf...)
 	}
-	pingFrame := func(w *wire.Writer) { _, _ = appendRequestFrame(w, 1, "", true, ping{N: 42}) }
+	pingFrame := func(w *wire.Writer) { _, _ = appendRequestFrame(w, 1, "", true, time.Time{}, ping{N: 42}) }
+	deadlineFrame := func(w *wire.Writer) {
+		_, _ = appendRequestFrame(w, 2, "", true, time.Now().Add(time.Minute), ping{N: 43})
+	}
+	bothFlagsFrame := func(w *wire.Writer) {
+		_, _ = appendRequestFrame(w, 3, "127.0.0.1:1", false, time.Unix(0, 1), ping{N: 44}) // long expired
+	}
 	f.Add(stream("127.0.0.1:9999", pingFrame))
 	f.Add(stream("", pingFrame, pingFrame))
+	f.Add(stream("", deadlineFrame, bothFlagsFrame))
 	f.Add(stream("127.0.0.1:9999"))
 	f.Add(wireMagic[:])
 	f.Add([]byte("KSW1\x00"))
@@ -207,16 +221,16 @@ func legacyPinFrame() []byte {
 	return append([]byte(nil), w.Buf...)
 }
 
-// previousGeneration is a whole stream as a KSW6 peer opens a
-// connection — handshake, then one ping request — which differs from
-// what this listener serves in the magic alone.
+// previousGeneration is a whole stream as a KSW7 peer opens a
+// connection — handshake, then one ping request without a deadline —
+// which differs from what this listener serves in the magic alone.
 func previousGeneration() []byte {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	appendHandshake(w, "127.0.0.1:9999")
-	_, _ = appendRequestFrame(w, 1, "", true, ping{N: 42})
+	_, _ = appendRequestFrame(w, 1, "", true, time.Time{}, ping{N: 42})
 	b := append([]byte(nil), w.Buf...)
-	copy(b, "KSW6")
+	copy(b, "KSW7")
 	return b
 }
 
@@ -273,6 +287,40 @@ func TestRetiredTypeIDFrameRejected(t *testing.T) {
 	}
 	if want := "unknown wire type ID 5"; !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want mention of %q", err, want)
+	}
+}
+
+// TestUnknownRequestFlagRefused: a request whose flags byte sets a bit
+// beyond the sender and deadline bits is refused with an error naming
+// the flags, before its payload is read; the two known bits parse.
+func TestUnknownRequestFlagRefused(t *testing.T) {
+	registerTestTypes()
+	frame := func(flags byte) []byte {
+		w := wire.GetWriter()
+		defer wire.PutWriter(w)
+		w.Uvarint(1)
+		w.Byte(frameKindRequest)
+		w.U16(59001) // ping
+		w.Byte(flags)
+		if flags&reqFlagFrom != 0 {
+			w.String("127.0.0.1:9999")
+		}
+		if flags&reqFlagDeadline != 0 {
+			w.Varint(1754500000000000000)
+		}
+		ping{N: 42}.MarshalWire(w)
+		return append([]byte(nil), w.Buf...)
+	}
+	for flags := 0; flags < 4; flags++ {
+		if _, err := parseTestFrame(frame(byte(flags))); err != nil {
+			t.Errorf("flags %#x: %v, want the frame parsed", flags, err)
+		}
+	}
+	for _, flags := range []byte{1 << 2, 1<<2 | reqFlagDeadline, 1 << 7, 0xff} {
+		_, err := parseTestFrame(frame(flags))
+		if err == nil || !strings.Contains(err.Error(), "unknown request flags") {
+			t.Errorf("flags %#x: %v, want the frame refused for its flags", flags, err)
+		}
 	}
 }
 

@@ -125,9 +125,10 @@ func (n *Network) dialMux(ctx context.Context, to transport.Addr, e *muxEntry) (
 // write) may still get its reply later and is left to the collector.
 var replyChans = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
 
-// roundTrip performs one RPC over the mux. Frame writes set a deadline
-// from ctx (or none) so a wedged peer cannot block the writer forever
-// while holding wmu. The deadline is the caller's, and the connection
+// roundTrip performs one RPC over the mux. ctx's deadline (or none)
+// rides the request frame, so the peer's handler runs under it, and
+// bounds the frame write, so a wedged peer cannot block the writer
+// forever while holding wmu. The deadline is the caller's, and the connection
 // is everyone's: a caller whose deadline ran out while it waited for
 // wmu, or whose write timed out before a byte left, gives up with its
 // own error and leaves the stream in sync. Only a write that failed
@@ -153,8 +154,9 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 	mc.pending[id] = ch
 	mc.mu.Unlock()
 
+	deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
 	w := wire.GetWriter()
-	c, err := appendRequestFrame(w, id, from, from == mc.defaultFrom, body)
+	c, err := appendRequestFrame(w, id, from, from == mc.defaultFrom, deadline, body)
 	if err != nil {
 		wire.PutWriter(w)
 		mc.deregister(id)
@@ -165,7 +167,6 @@ func (mc *muxConn) roundTrip(ctx context.Context, from transport.Addr, body any)
 	mc.wmu.Lock()
 	written, werr := 0, ctx.Err()
 	if werr == nil {
-		deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
 		_ = mc.conn.SetWriteDeadline(deadline)
 		if written, werr = mc.conn.Write(w.Buf); errors.Is(werr, os.ErrDeadlineExceeded) {
 			werr = context.DeadlineExceeded

@@ -110,35 +110,54 @@ func clientWireBytes(reg *telemetry.Registry) uint64 {
 
 // TestWireRPCBytesPinned pins what one small exchange costs on a warm
 // connection, every protocol byte included (length prefix, request ID,
-// kind, type ID, from-flag, payload), as the transport's own per-type
-// accounting counts it. The sizes are deterministic; a change here is a
-// change to the frame layout (see wireMagic for what that requires).
-// The gob wire this replaced moved 210 B for the same exchange
+// kind, type ID, flags, deadline, payload), as the transport's own
+// per-type accounting counts it, without and with a caller's deadline.
+// The sizes are deterministic; a change here is a change to the frame
+// layout (see wireMagic for what that requires). The gob wire this
+// replaced moved 210 B for the same exchange
 // (results/BENCH_pr8_wire.json is the record of that comparison).
 func TestWireRPCBytesPinned(t *testing.T) {
 	registerBenchTypes()
 	cli, addr, reg, closeAll := benchRPCPair(t)
 	defer closeAll()
-	ctx := context.Background()
-	if _, err := cli.Send(ctx, addr, benchRPCBody(0)); err != nil {
+	withDeadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if _, err := cli.Send(context.Background(), addr, benchRPCBody(0)); err != nil {
 		t.Fatal(err)
 	}
-	warm := clientWireBytes(reg)
-	if _, err := cli.Send(ctx, addr, benchRPCBody(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Request: 4 length + 1 reqID + 1 kind + 2 type + 1 from-flag + 28
-	// payload; response: 4 + 1 + 1 + 2 + 22 payload.
-	if got, want := clientWireBytes(reg)-warm, uint64(37+30); got != want {
-		t.Errorf("one small RPC moved %d B on the wire, want %d", got, want)
+	// Request: 4 length + 1 reqID + 1 kind + 2 type + 1 flags + 28
+	// payload, byte for byte the KSW7 request (whose from-flag was this
+	// flags byte); response: 4 + 1 + 1 + 2 + 22 payload. A deadline adds
+	// its zigzag varint of Unix nanoseconds to the request alone: 9 B
+	// for any deadline between 1971 and 2116.
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want uint64
+	}{
+		{"no deadline", context.Background(), 37 + 30},
+		{"deadline", withDeadline, 37 + 9 + 30},
+	} {
+		warm := clientWireBytes(reg)
+		if _, err := cli.Send(tc.ctx, addr, benchRPCBody(1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := clientWireBytes(reg) - warm; got != tc.want {
+			t.Errorf("%s: one small RPC moved %d B on the wire, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
 // TestWireRPCBytesPerCall pins what one warm small RPC allocates, both
-// ends in this process and telemetry on: at most 12 allocations and
-// 400 B. Encoding copies nothing, a decoded body is boxed once, each
-// read loop and listener worker reuses one Reader, a request frame is
-// its own string arena and reply channels are pooled.
+// ends in this process and telemetry on. Without a deadline: at most 12
+// allocations and 400 B. Encoding copies nothing, a decoded body is
+// boxed once, each read loop and listener worker reuses one Reader, a
+// request frame is its own string arena and reply channels are pooled.
+// Under a deadline: at most 15 allocations and 640 B. The four more
+// (~270 B) are the listener's context.WithDeadline — the handler's
+// context, its timer and its registration with the listener's context
+// — which core's frameDeadline paid for before the deadline rode the
+// frame header.
 func TestWireRPCBytesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates per goroutine and per sync object; the budget is stated without it")
@@ -146,31 +165,41 @@ func TestWireRPCBytesPerCall(t *testing.T) {
 	registerBenchTypes()
 	cli, addr, _, closeAll := benchRPCPair(t)
 	defer closeAll()
-	ctx := context.Background()
-	send := func(i int) {
-		if _, err := cli.Send(ctx, addr, benchRPCBody(i)); err != nil {
-			t.Fatal(err)
+	withDeadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, tc := range []struct {
+		name                string
+		ctx                 context.Context
+		maxAllocs, maxBytes float64
+	}{
+		{"no deadline", context.Background(), 12, 400},
+		{"deadline", withDeadline, 15, 640},
+	} {
+		send := func(i int) {
+			if _, err := cli.Send(tc.ctx, addr, benchRPCBody(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 100; i++ {
-		send(i) // dial, then fill the pools and the read loops' buffers
-	}
-	// Both ends share this process's counters, so a reading over budget
-	// is taken twice more and the least of the three counts.
-	const runs, maxAllocs, maxBytes = 1000, 12, 400
-	allocs, bytes := math.Inf(1), math.Inf(1)
-	for try := 0; try < 3 && (allocs > maxAllocs || bytes > maxBytes); try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			send(i)
+		for i := 0; i < 100; i++ {
+			send(i) // dial, then fill the pools and the read loops' buffers
 		}
-		runtime.ReadMemStats(&after)
-		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
-		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
-	}
-	if allocs > maxAllocs || bytes > maxBytes {
-		t.Errorf("a warm small RPC allocates %.1f times and %.0f B, want <= %d and <= %d B", allocs, bytes, maxAllocs, maxBytes)
+		// Both ends share this process's counters, so a reading over
+		// budget is taken twice more and the least of the three counts.
+		const runs = 1000
+		allocs, bytes := math.Inf(1), math.Inf(1)
+		for try := 0; try < 3 && (allocs > tc.maxAllocs || bytes > tc.maxBytes); try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				send(i)
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if allocs > tc.maxAllocs || bytes > tc.maxBytes {
+			t.Errorf("%s: a warm small RPC allocates %.1f times and %.0f B, want <= %.0f and <= %.0f B", tc.name, allocs, bytes, tc.maxAllocs, tc.maxBytes)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type listener struct {
 	wg      sync.WaitGroup // accept loop, per-conn read loops, spill goroutines
 	workers sync.WaitGroup // the bounded decode/handler pool
 	closed  chan struct{}
-	ctx     context.Context // cancelled by Close; parent of every handler call
+	ctx     context.Context // cancelled by Close; parent of every handler call, bounded by the request's deadline
 	cancel  context.CancelFunc
 
 	// work feeds the decode/handler pool. Submission never blocks: when
@@ -153,7 +153,7 @@ func (l *listener) acceptLoop() {
 }
 
 // serveConn owns one accepted connection. A connection that does not
-// open with the KSW7 magic and a well-formed handshake is closed before
+// open with the KSW8 magic and a well-formed handshake is closed before
 // any handler runs: no other protocol shares the port.
 func (l *listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
@@ -229,7 +229,8 @@ func (l *listener) worker() {
 	}
 }
 
-// handleFrame decodes one request frame through r, runs the handler and
+// handleFrame decodes one request frame through r, runs the handler
+// under the listener's context bounded by the frame's deadline, and
 // writes the response frame. The frame is the handler's own (serveV2
 // reads each into a fresh buffer and never touches it again), so it is
 // the decode arena as it stands: the body's strings alias it.
@@ -253,7 +254,15 @@ func (l *listener) handleFrame(r *wire.Reader, w srvWork) {
 	if d.fromDefault {
 		from = w.sc.defaultFrom
 	}
-	body, herr := l.handler(l.ctx, from, d.body)
+	ctx := l.ctx
+	if !d.deadline.IsZero() {
+		// The caller's deadline, even one already past: the handler
+		// still runs, and its own expiry checks answer.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d.deadline)
+		defer cancel()
+	}
+	body, herr := l.handler(ctx, from, d.body)
 	out := wire.GetWriter()
 	defer wire.PutWriter(out)
 	c, _ := appendResponseFrame(out, d.reqID, body, herr)

@@ -2,11 +2,17 @@
 // same DHT and keyword-index wiring that runs in the in-memory
 // simulator can run as separate OS processes (see cmd/ksnode).
 //
-// It speaks one wire protocol, KSW7: hand-rolled length-prefixed frames
+// It speaks one wire protocol, KSW8: hand-rolled length-prefixed frames
 // (package wire) over one persistent connection per peer, multiplexed
 // by request ID and handled by a listener-side worker pool. frame.go
-// has the layout. A connection that does not open with the KSW7 magic
+// has the layout. A connection that does not open with the KSW8 magic
 // is closed before any handler runs.
+//
+// A request frame carries its caller's context deadline, and the
+// handler runs under the listener's context bounded by it, so a
+// handler sees the deadline it would see over inmem. Only the deadline
+// crosses: a caller's cancellation and its context values do not (a
+// cancelled caller abandons the reply; the handler runs on).
 package tcpnet
 
 import (
@@ -21,7 +27,7 @@ import (
 	"github.com/p2pkeyword/keysearch/internal/transport"
 )
 
-// WireBinary names the one wire protocol (KSW7); see Config.Wire.
+// WireBinary names the one wire protocol (KSW8); see Config.Wire.
 const WireBinary = "binary"
 
 // Config is a Network's configuration. It has nothing left to tune:

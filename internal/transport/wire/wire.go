@@ -1,5 +1,5 @@
 // Package wire is the hand-rolled binary codec behind the TCP
-// transport's one protocol (KSW7). The message set of this system is
+// transport's one protocol (KSW8). The message set of this system is
 // small and closed (index protocol, Chord RPCs, the inverted-index
 // baseline), so instead of a self-describing, reflection-driven
 // encoding each message implements Marshaler/Unmarshaler against a

@@ -2,14 +2,20 @@ package keysearch
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/p2pkeyword/keysearch/internal/admission"
 	"github.com/p2pkeyword/keysearch/internal/core"
+	"github.com/p2pkeyword/keysearch/internal/dht"
+	"github.com/p2pkeyword/keysearch/internal/hypercube"
 	"github.com/p2pkeyword/keysearch/internal/sim"
 	"github.com/p2pkeyword/keysearch/internal/telemetry"
+	"github.com/p2pkeyword/keysearch/internal/transport"
+	"github.com/p2pkeyword/keysearch/internal/transport/tcpnet"
 )
 
 // fairQueuePolicy sheds a client's second request deterministically:
@@ -186,4 +192,146 @@ func TestCancelledSearchAbandonsWaves(t *testing.T) {
 	if snap.Gauges["admission_queue_depth"] != 0 {
 		t.Fatalf("queue depth = %d after drain, want 0", snap.Gauges["admission_queue_depth"])
 	}
+}
+
+// holdingNet is a TCP transport whose endpoints stall every sub-query
+// frame they receive while hold is open, announcing each on held.
+type holdingNet struct {
+	*tcpnet.Network
+	hold chan struct{}
+	held chan struct{}
+}
+
+func (n *holdingNet) Bind(addr transport.Addr, h transport.Handler) (transport.Node, error) {
+	return n.Network.Bind(addr, func(ctx context.Context, from transport.Addr, body any) (any, error) {
+		if fmt.Sprintf("%T", body) == "core.msgSubQueryBatch" {
+			select {
+			case n.held <- struct{}{}:
+			default:
+			}
+			<-n.hold
+		}
+		return h(ctx, from, body)
+	})
+}
+
+// TestInsertShedsAtCallerDeadlineTCP: over TCP, an insert waiting in
+// the admission queue is shed at its caller's deadline, not at the
+// queue's own timeout. Peer S admits one request at a time and waits up
+// to 2 s for a slot; its one slot is held by a search whose sub-query
+// frame peer C stalls. An insert sent to S with a 20 ms deadline is
+// shed for its deadline within 500 ms, and nothing waits out the queue
+// timeout.
+func TestInsertShedsAtCallerDeadlineTCP(t *testing.T) {
+	RegisterTypes()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hn, cli, reg, query, written := deadlineShedFleet(ctx, t)
+
+	searched := make(chan error, 1)
+	go func() {
+		_, err := cli.Search(ctx, query, All, SearchOptions{NoCache: true})
+		searched <- err
+	}()
+	select {
+	case <-hn.held: // S admitted the search, and it waits on C
+	case <-time.After(10 * time.Second):
+		t.Fatal("the search's sub-query frame never reached C")
+	}
+
+	shed := reg.CounterVec("admission_shed_reason_total", "reason")
+	start := time.Now()
+	ictx, icancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer icancel()
+	if err := cli.Publish(ictx, Object{ID: "late", Keywords: written}, "/late"); err == nil {
+		t.Fatal("insert admitted while the one slot was held")
+	}
+	for shed.With(admission.ReasonDeadline).Value() == 0 && time.Since(start) < 500*time.Millisecond {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := shed.With(admission.ReasonDeadline).Value(); got != 1 {
+		t.Errorf("S shed %d requests for their deadline within %v of the insert, want 1", got, time.Since(start).Round(time.Millisecond))
+	}
+	if got := shed.With(admission.ReasonQueueTimeout).Value(); got != 0 {
+		t.Errorf("S shed %d requests at its queue timeout, want none", got)
+	}
+	close(hn.hold)
+	if err := <-searched; err != nil {
+		t.Errorf("held search: %v", err)
+	}
+}
+
+// deadlineShedFleet builds TestInsertShedsAtCallerDeadlineTCP's two TCP
+// peers, each admitting one request and queueing up to 2 s, and picks
+// S and C: a one-keyword query rooted at S whose subcube holds a vertex
+// of C, and a keyword set indexed at S. It returns the transport, C,
+// S's telemetry and the two keyword sets. The ring IDs come from the
+// ephemeral ports, so a fleet whose arcs give no such pair (one peer
+// owning no vertex) is replaced by a fresh one.
+func deadlineShedFleet(ctx context.Context, t *testing.T) (hn *holdingNet, cli *Peer, reg *Telemetry, query, written Set) {
+	t.Helper()
+	const dim = 8
+	pol := AdmissionPolicy{MaxInflight: 1, QueueTimeout: 2 * time.Second}
+	for attempt := 0; attempt < 5; attempt++ {
+		hn = &holdingNet{Network: NewTCPTransport(), hold: make(chan struct{}), held: make(chan struct{}, 1)}
+		var peers []*Peer
+		var regs []*Telemetry
+		for i := 0; i < 2; i++ {
+			r := NewTelemetry(0)
+			p, err := NewPeer(hn, "127.0.0.1:0", Config{Dim: dim, MaintenanceInterval: -1, Admission: &pol, Telemetry: r})
+			if err != nil {
+				t.Fatalf("peer %d: %v", i, err)
+			}
+			if i == 0 {
+				p.Create()
+			} else if err := p.Join(ctx, peers[0].Addr()); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			peers, regs = append(peers, p), append(regs, r)
+			for round := 0; round < 8; round++ {
+				for _, q := range peers {
+					_ = q.StabilizeOnce(ctx)
+				}
+			}
+		}
+		owns := func(p *Peer, v hypercube.Vertex) bool {
+			return dht.Between(core.VertexKey(p.cfg.Instance, v), p.chord.Predecessor().ID, p.chord.ID())
+		}
+		for s := range peers {
+			srv := peers[s]
+			cli, reg = peers[1-s], regs[s]
+			query, written = Set{}, Set{}
+			for i := 0; i < 256 && (query.Len() == 0 || written.Len() == 0); i++ {
+				k := NewKeywordSet("w" + strconv.Itoa(i))
+				root := srv.Hasher().Vertex(k)
+				if !owns(srv, root) {
+					continue
+				}
+				reaches := false
+				for v := hypercube.Vertex(0); v < 1<<dim && !reaches; v++ {
+					reaches = v&root == root && owns(cli, v)
+				}
+				if reaches && query.Len() == 0 {
+					query = k
+				} else if written.Len() == 0 {
+					written = k
+				}
+			}
+			if query.Len() > 0 && written.Len() > 0 {
+				t.Cleanup(func() {
+					for _, p := range peers {
+						p.Close()
+					}
+					hn.Close()
+				})
+				return hn, cli, reg, query, written
+			}
+		}
+		for _, p := range peers {
+			p.Close()
+		}
+		hn.Close()
+	}
+	t.Fatal("five fleets in a row gave no query rooted at one peer reaching the other")
+	return
 }

@@ -355,24 +355,23 @@ func (p *Peer) Leave(ctx context.Context) (moved int, err error) {
 }
 
 // Publish shares a copy of an object held by this peer: it inserts the
-// replica reference into the DHT and, if this is the object's first
-// copy, creates the keyword-index entry (the paper's Insert
-// operation). location is an application-defined locator of the copy
-// within this peer (e.g. a path).
+// replica reference into the DHT and then the keyword-index entry (the
+// paper's Insert operation); the index holds one entry per object
+// however many copies are published, a present entry being left as it
+// is. location is an application-defined locator of the copy within
+// this peer (e.g. a path). A call that returned an error, ErrInDoubt
+// included, may be retried, and the retry converges: the reference and
+// the index entry are each written once.
 func (p *Peer) Publish(ctx context.Context, obj Object, location string) error {
 	if err := obj.Validate(); err != nil {
 		return err
 	}
-	first, err := p.chord.Insert(ctx, dht.Reference{
+	if _, err := p.chord.Insert(ctx, dht.Reference{
 		ObjectID: obj.ID,
 		Holder:   p.addr,
 		Location: location,
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("publish %q: %w", obj.ID, err)
-	}
-	if !first {
-		return nil
 	}
 	if _, err := p.index.Insert(ctx, obj); err != nil {
 		return fmt.Errorf("publish %q index entry: %w", obj.ID, err)
@@ -382,7 +381,10 @@ func (p *Peer) Publish(ctx context.Context, obj Object, location string) error {
 
 // Unpublish withdraws this peer's copy of the object: it removes the
 // replica reference and, when no copies remain, the keyword-index
-// entry (the paper's Delete operation).
+// entry (the paper's Delete operation). A call that returned an error,
+// ErrInDoubt included, may be retried, and the retry converges: a
+// reference already removed counts as removed, and the index delete is
+// sent again.
 func (p *Peer) Unpublish(ctx context.Context, obj Object, location string) error {
 	if err := obj.Validate(); err != nil {
 		return err
