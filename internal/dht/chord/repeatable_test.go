@@ -10,8 +10,8 @@ import (
 // a second delivery of the same body is harmless, so a sender may
 // resend or hedge it. Routing steps, liveness probes and reference
 // reads are; Notify and every reference or topology mutation are not —
-// a second rpcInsertRef answers First = false, and its caller would
-// skip indexing the object.
+// a second rpcInsertRef answers First = false where the first answered
+// true.
 func TestRPCRepeatableClass(t *testing.T) {
 	repeatable := transport.Repeatable
 	for _, tc := range []struct {
